@@ -11,7 +11,7 @@
 //! experiments --slo default fig4         # arm the SLO engine (or PROTEUS_SLO)
 //! experiments --health-out h.prom fig4   # final SLO health exposition (or PROTEUS_HEALTH)
 //! experiments slo-drill                  # deterministic SLO chaos drill
-//! experiments bench-snapshot             # perf-regression gate (see below)
+//! experiments bench-snapshot             # exact regression gate (see below)
 //! experiments vtime             # virtual-time scalability (byte-identical everywhere)
 //! ```
 //!
@@ -24,10 +24,10 @@
 //! human-readable summary is printed at the end of the run.
 //!
 //! `bench-snapshot` is special: it runs the fig4/fig5 quick pipelines
-//! plain and traced, writes `BENCH_perf.json`, and gates against the
-//! checked-in `BENCH_perf_baseline.json` (options: `--out`, `--baseline`,
-//! `--noise`, `--update-baseline`). It manages its own in-memory traces,
-//! so it cannot be combined with other targets or `--trace-out`.
+//! traced, writes `BENCH_perf.json`, and gates against the checked-in
+//! `BENCH_perf_baseline.json` (options: `--out`, `--baseline`,
+//! `--update-baseline`). It manages its own in-memory traces, so it
+//! cannot be combined with other targets or `--trace-out`.
 
 use bench::opts::Options;
 use bench::snapshot::SnapshotArgs;
@@ -128,7 +128,7 @@ fn main() {
     // with the trace/metrics/faults plumbing below.
     if opts.targets.iter().any(|t| t == "bench-snapshot") {
         // Other positionals may be values of snapshot-only flags (e.g.
-        // `--noise 0.6`); SnapshotArgs::parse rejects genuine strays.
+        // `--out x.json`); SnapshotArgs::parse rejects genuine strays.
         if opts.trace_out.is_some()
             || opts.metrics_out.is_some()
             || opts.faults.is_some()

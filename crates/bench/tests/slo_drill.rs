@@ -86,8 +86,12 @@ fn chaos_drill_fires_and_resolves_on_golden_ticks() {
 
 #[test]
 fn undisturbed_drill_stays_inside_every_objective() {
-    let trace = obs::slo::with_specs(obs::slo::default_specs(), || {
-        obs::capture_trace(bench::slodrill::run).1
+    // An empty plan enables nothing; it holds `faultsim`'s plan lock so the
+    // sibling test's armed plan cannot be live (and consumed) during this run.
+    let trace = faultsim::with_plan(FaultPlan::new(0), || {
+        obs::slo::with_specs(obs::slo::default_specs(), || {
+            obs::capture_trace(bench::slodrill::run).1
+        })
     });
     if !obs::telemetry_compiled() {
         return;

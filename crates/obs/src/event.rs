@@ -82,8 +82,10 @@ impl Value {
     }
 }
 
-/// JSON string encoding with the mandatory escapes.
-pub(crate) fn encode_str(out: &mut String, s: &str) {
+/// Append `s` to `out` as a JSON string literal with the mandatory
+/// escapes. The one string encoder of the trace format: the emitter and
+/// every `--json` view of `proteus-trace` call it, so they cannot drift.
+pub fn encode_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

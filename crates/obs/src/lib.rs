@@ -50,7 +50,7 @@ pub mod summary;
 mod timeseries;
 mod trace;
 
-pub use event::{Event, PendingEvent, Value};
+pub use event::{encode_str, Event, PendingEvent, Value};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
 pub use ring::EventRing;
 pub use span::Span;
@@ -73,13 +73,10 @@ pub use trace::{
 /// windowed time-series (`metrics.window`) + self-overhead audit
 /// (`obs.overhead`) records; 4 = online SLO evaluation (`slo.state`,
 /// `alert.fire`, `alert.resolve` — see [`slo`]) riding behind each
-/// window flush. Analyzers accept 2–4: a v2 trace is a v4 trace with no
-/// windows, no audit and no SLO stream, and a v3 trace is a v4 trace
-/// whose run never armed the SLO engine.
+/// window flush. Analyzers accept exactly this version: emitter and
+/// analyzer ship from one tree, so a trace with any other header is skew
+/// and is rejected.
 pub const SCHEMA_VERSION: u32 = 4;
-
-/// Oldest schema version analyzers still accept (see [`SCHEMA_VERSION`]).
-pub const MIN_SUPPORTED_SCHEMA: u32 = 2;
 
 /// Look up (or register) the windowed time-series `name`. The handle is
 /// `&'static`, so hot paths can cache it (the same leak-once registration

@@ -442,7 +442,9 @@ impl PolyTm {
     /// On backends that never revalidate a running transaction's reads
     /// (TL2) the declaration skips read-set maintenance entirely — the
     /// fastest way through the runtime for the read-dominated blocks most
-    /// TM workloads are made of (the `fastpath` bench gates the saving).
+    /// TM workloads are made of. `BENCHMARK.json` reports the instrumented
+    /// cost this trims as `stm.tl2.read_ref` and `polytm.empty_tx_ref.tl2`;
+    /// none of its workloads declares a block read-only.
     /// The hint is safe, not trusted: a block that writes anyway takes one
     /// `mode` abort and retries fully instrumented, and backends that
     /// revalidate mid-transaction simply ignore the hint. See

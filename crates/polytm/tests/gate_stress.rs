@@ -21,6 +21,19 @@ const WORKERS: usize = 4;
 const SWITCHES: usize = 100;
 const WATCHDOG: Duration = Duration::from_secs(60);
 
+/// Runs its closure on drop. Each test holds one on the coordinating
+/// thread, inside `thread::scope`, to set `stop` and unblock/enable every
+/// slot: a failed assertion then unwinds through it, the workers leave
+/// their loops (or wake from a blocked `enter`), the scope joins and the
+/// test fails in seconds instead of hanging.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
+}
+
 fn random_config(rng: &mut StdRng, max_threads: usize) -> TmConfig {
     let backend = BackendId::ALL[rng.gen_range(0..BackendId::ALL.len())];
     let threads = rng.gen_range(1..=max_threads);
@@ -84,6 +97,11 @@ fn quiescence_survives_100_random_switches_under_load() {
     };
 
     std::thread::scope(|s| {
+        // Workers disabled by the last config would never see `stop`.
+        let _release = OnDrop(|| {
+            stop.store(true, Ordering::Release);
+            poly.resume_all();
+        });
         for t in 0..WORKERS {
             let poly = Arc::clone(&poly);
             let stop = Arc::clone(&stop);
@@ -114,10 +132,6 @@ fn quiescence_survives_100_random_switches_under_load() {
             applied.fetch_add(1, Ordering::Release);
             std::thread::sleep(Duration::from_micros(100));
         }
-
-        stop.store(true, Ordering::Release);
-        // Workers disabled by the last config would never see `stop`.
-        poly.resume_all();
     });
     watchdog.join().expect("watchdog panicked");
 
@@ -163,8 +177,13 @@ fn watchdog_rollbacks_under_stalling_workers_lose_nothing() {
     let a = poly.system().heap.alloc(1);
     let stop = Arc::new(AtomicBool::new(false));
     let timeouts = AtomicU64::new(0);
+    let deadline = Instant::now() + WATCHDOG;
 
     std::thread::scope(|s| {
+        let _release = OnDrop(|| {
+            stop.store(true, Ordering::Release);
+            poly.resume_all();
+        });
         for t in 0..STALLERS {
             let poly = Arc::clone(&poly);
             let stop = Arc::clone(&stop);
@@ -191,6 +210,7 @@ fn watchdog_rollbacks_under_stalling_workers_lose_nothing() {
             });
         }
         while poly.snapshot().commits == 0 {
+            assert!(Instant::now() < deadline, "workers never committed");
             std::thread::yield_now();
         }
 
@@ -215,8 +235,6 @@ fn watchdog_rollbacks_under_stalling_workers_lose_nothing() {
                 Err(e) => panic!("unexpected switch failure: {e}"),
             }
         }
-        stop.store(true, Ordering::Release);
-        poly.resume_all();
     });
 
     let commits = poly.snapshot().commits;
@@ -260,6 +278,12 @@ fn raw_gate_epoch_rounds_never_lose_a_wakeup_or_leak_a_transaction() {
     let deadline = Instant::now() + WATCHDOG;
 
     std::thread::scope(|s| {
+        let _release = OnDrop(|| {
+            stop.store(true, Ordering::Release);
+            for t in 0..WORKERS {
+                gate.unblock(t);
+            }
+        });
         for t in 0..WORKERS {
             let gate = Arc::clone(&gate);
             let stop = Arc::clone(&stop);
@@ -269,10 +293,12 @@ fn raw_gate_epoch_rounds_never_lose_a_wakeup_or_leak_a_transaction() {
                 while !stop.load(Ordering::Relaxed) {
                     gate.enter(t);
                     in_cs[t].store(true, Ordering::Relaxed);
-                    std::hint::spin_loop();
+                    // Progress is counted inside the critical section: a
+                    // drained thread cannot bump it, and a bump seen after
+                    // an unblock proves a re-entry under the new epoch.
+                    entries[t].fetch_add(1, Ordering::Release);
                     in_cs[t].store(false, Ordering::Relaxed);
                     gate.exit(t);
-                    entries[t].fetch_add(1, Ordering::Release);
                 }
             });
         }
@@ -326,7 +352,6 @@ fn raw_gate_epoch_rounds_never_lose_a_wakeup_or_leak_a_transaction() {
                 );
             }
         }
-        stop.store(true, Ordering::Release);
     });
 
     assert_eq!(gate.current_epoch(), ROUNDS);

@@ -14,8 +14,9 @@
 //!   events carrying the per-backend cells and top-K hot stripes.
 
 use crate::perf::{overall_mean, windows_by_series, WindowPoint};
-use crate::report::{esc, fnum};
+use crate::report::fnum;
 use crate::{Record, Trace};
+use obs::encode_str;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -343,7 +344,7 @@ pub fn render_json(trace: &Trace) -> String {
         if i > 0 {
             out.push(',');
         }
-        esc(&mut out, backend);
+        encode_str(&mut out, backend);
         let _ = write!(
             out,
             ":{{\"commits\":{},\"fallback_commits\":{},\"aborts\":{},\"causes\":{{",
@@ -355,7 +356,7 @@ pub fn render_json(trace: &Trace) -> String {
             if j > 0 {
                 out.push(',');
             }
-            esc(&mut out, slug);
+            encode_str(&mut out, slug);
             let _ = write!(out, ":{n}");
         }
         let _ = write!(
@@ -373,9 +374,9 @@ pub fn render_json(trace: &Trace) -> String {
             out.push(',');
         }
         out.push_str("{\"machine\":");
-        esc(&mut out, r.str("machine").unwrap_or("-"));
+        encode_str(&mut out, r.str("machine").unwrap_or("-"));
         out.push_str(",\"backend\":");
-        esc(&mut out, r.str("backend").unwrap_or("?"));
+        encode_str(&mut out, r.str("backend").unwrap_or("?"));
         let _ = write!(
             out,
             ",\"threads\":{},\"aborts\":{},\"goodput_pm\":{},\"wasted_ops\":{}}}",
@@ -392,9 +393,9 @@ pub fn render_json(trace: &Trace) -> String {
             out.push(',');
         }
         out.push_str("{\"machine\":");
-        esc(&mut out, &s.machine);
+        encode_str(&mut out, &s.machine);
         out.push_str(",\"backend\":");
-        esc(&mut out, &s.backend);
+        encode_str(&mut out, &s.backend);
         let _ = write!(
             out,
             ",\"rank\":{},\"stripe\":{},\"hits\":{}}}",
@@ -416,7 +417,7 @@ pub fn render_json(trace: &Trace) -> String {
         if i > 0 {
             out.push(',');
         }
-        esc(&mut out, name);
+        encode_str(&mut out, name);
         let _ = write!(
             out,
             ":{{\"windows\":{},\"samples\":{},\"mean\":",

@@ -132,12 +132,11 @@ pub enum TraceError {
         /// Kind of the first record, when it parsed at all.
         first_kind: Option<String>,
     },
-    /// The header names a schema outside the supported range.
+    /// The header names a schema other than [`obs::SCHEMA_VERSION`].
     UnsupportedSchema {
         /// Version found in the stream.
         found: u64,
-        /// Newest version this binary supports (it also reads back to
-        /// [`obs::MIN_SUPPORTED_SCHEMA`]).
+        /// The one version this binary reads.
         supported: u32,
     },
     /// A line failed to parse or lacks mandatory structure.
@@ -169,9 +168,8 @@ impl fmt::Display for TraceError {
             TraceError::UnsupportedSchema { found, supported } => write!(
                 f,
                 "unsupported trace schema {found} (this proteus-trace \
-                 understands schemas {}..={supported}); re-run the \
-                 analyzer from the toolchain that produced the trace",
-                obs::MIN_SUPPORTED_SCHEMA
+                 understands schema {supported}); re-run the \
+                 analyzer from the toolchain that produced the trace"
             ),
             TraceError::Malformed { line, msg } => write!(f, "line {line}: {msg}"),
         }
@@ -203,27 +201,16 @@ fn normalize(text: &str) -> std::borrow::Cow<'_, str> {
     std::borrow::Cow::Owned(out)
 }
 
-/// Parse a JSONL trace, enforcing the schema header contract.
+/// Check the schema header, the first non-blank line of every trace
+/// (`line_no` is 1-based). The one statement of the header contract:
+/// [`parse_trace`] and [`watch::Watcher`] both call it.
 ///
-/// The first line must be the `trace.meta` header with a `schema` in
-/// `obs::MIN_SUPPORTED_SCHEMA..=obs::SCHEMA_VERSION`; anything else is a
-/// hard error — skew between emitter and analyzer must fail loudly, not
-/// produce a half-right report. A v2 trace parses as a v3 trace that
-/// happens to contain no `metrics.window`/`obs.overhead` records.
-///
-/// CRLF / lone-CR line endings, trailing whitespace and a UTF-8 BOM are
-/// tolerated (normalized away before parsing).
-pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
-    let text = normalize(text);
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let Some((header_idx, header_line)) = lines.next() else {
-        return Err(TraceError::Empty);
-    };
-    let header = json::parse_object(header_line)
-        .map_err(|_| TraceError::MissingHeader { first_kind: None })?;
+/// The line must be the `trace.meta` record with `schema` equal to
+/// [`obs::SCHEMA_VERSION`]; anything else is a hard error — skew between
+/// emitter and analyzer must fail loudly, not produce a half-right report.
+pub(crate) fn check_header(line_no: usize, line: &str) -> Result<(), TraceError> {
+    let header =
+        json::parse_object(line).map_err(|_| TraceError::MissingHeader { first_kind: None })?;
     let kind = header
         .iter()
         .find(|(k, _)| k == "kind")
@@ -238,15 +225,33 @@ pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
         .find(|(k, _)| k == "schema")
         .and_then(|(_, v)| v.as_u64())
         .ok_or(TraceError::Malformed {
-            line: header_idx + 1,
+            line: line_no,
             msg: "trace.meta header lacks a numeric \"schema\" field".to_string(),
         })?;
-    if schema < obs::MIN_SUPPORTED_SCHEMA as u64 || schema > obs::SCHEMA_VERSION as u64 {
+    if schema != obs::SCHEMA_VERSION as u64 {
         return Err(TraceError::UnsupportedSchema {
             found: schema,
             supported: obs::SCHEMA_VERSION,
         });
     }
+    Ok(())
+}
+
+/// Parse a JSONL trace, enforcing the schema header contract
+/// (`check_header`).
+///
+/// CRLF / lone-CR line endings, trailing whitespace and a UTF-8 BOM are
+/// tolerated (normalized away before parsing).
+pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
+    let text = normalize(text);
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty());
+    let Some((header_idx, header_line)) = lines.next() else {
+        return Err(TraceError::Empty);
+    };
+    check_header(header_idx + 1, header_line)?;
 
     let mut records = Vec::new();
     let mut counters = BTreeMap::new();
@@ -292,7 +297,7 @@ pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
         }
     }
     Ok(Trace {
-        schema: schema as u32,
+        schema: obs::SCHEMA_VERSION,
         records,
         counters,
     })
@@ -356,35 +361,27 @@ mod tests {
     }
 
     #[test]
-    fn unknown_schema_is_rejected_with_versions() {
-        let text = "{\"kind\":\"trace.meta\",\"schema\":99}\n";
-        let err = parse_trace(text).unwrap_err();
-        assert_eq!(
-            err,
-            TraceError::UnsupportedSchema {
-                found: 99,
-                supported: obs::SCHEMA_VERSION
-            }
-        );
-        assert!(err.to_string().contains("99"));
-    }
-
-    #[test]
-    fn older_supported_schemas_still_parse() {
-        // A v2 trace (previous release) must keep parsing under the v3
-        // analyzer: same records, no windows, no overhead audit.
-        let text = "{\"kind\":\"trace.meta\",\"schema\":2}\n\
-                    {\"seq\":0,\"kind\":\"config.switch\",\"to\":\"b\"}\n";
-        let trace = parse_trace(text).unwrap();
-        assert_eq!(trace.schema, 2);
-        assert_eq!(trace.records.len(), 1);
-        assert_eq!(trace.count_kind("metrics.window"), 0);
-        // ...while pre-header schema 1 stays out of range.
-        let err = parse_trace("{\"kind\":\"trace.meta\",\"schema\":1}\n").unwrap_err();
-        assert!(matches!(
-            err,
-            TraceError::UnsupportedSchema { found: 1, .. }
-        ));
+    fn other_schemas_are_rejected_with_the_supported_version_named() {
+        for found in [1, 2, 3, 99] {
+            let text = format!("{{\"kind\":\"trace.meta\",\"schema\":{found}}}\n");
+            let err = parse_trace(&text).unwrap_err();
+            assert_eq!(
+                err,
+                TraceError::UnsupportedSchema {
+                    found,
+                    supported: obs::SCHEMA_VERSION
+                }
+            );
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("unsupported trace schema {found} ")),
+                "{msg}"
+            );
+            assert!(
+                msg.contains(&format!("understands schema {}", obs::SCHEMA_VERSION)),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

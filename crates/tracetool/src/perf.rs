@@ -1,4 +1,4 @@
-//! Performance views over a trace's `metrics.window` records (schema v3).
+//! Performance views over a trace's `metrics.window` records.
 //!
 //! [`render`] turns one trace into the KPI time-series view: per-series
 //! window tables aligned with the switch/quiesce decisions that happened
@@ -109,8 +109,8 @@ pub fn render(trace: &Trace) -> String {
     if by_series.is_empty() {
         let _ = writeln!(
             out,
-            "no metrics.window records (schema v2 trace, or no KPI sample \
-             points ticked during the run)"
+            "no metrics.window records (no KPI sample points ticked during \
+             the run)"
         );
     }
     // Virtual-time series get their own compact table below instead of a
@@ -202,8 +202,8 @@ pub fn render(trace: &Trace) -> String {
     if audits.is_empty() {
         let _ = writeln!(
             out,
-            "no obs.overhead records (capture trace, or schema v2): overhead \
-             audit unavailable"
+            "no obs.overhead records (capture trace): overhead audit \
+             unavailable"
         );
     } else {
         let _ = writeln!(out, "obs.overhead audit:");

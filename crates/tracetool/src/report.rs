@@ -8,6 +8,7 @@
 
 use crate::spans::SpanForest;
 use crate::{dfo, Record, Trace};
+use obs::encode_str;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -159,29 +160,11 @@ pub fn render(trace: &Trace, epsilon: f64) -> String {
     out
 }
 
-pub(crate) fn esc(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 pub(crate) fn fnum(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
-        esc(out, &v.to_string());
+        encode_str(out, &v.to_string());
     }
 }
 
@@ -208,7 +191,7 @@ pub fn render_json(trace: &Trace, epsilon: f64) -> String {
         if i > 0 {
             out.push(',');
         }
-        esc(&mut out, kind);
+        encode_str(&mut out, kind);
         let _ = write!(out, ":{count}");
     }
     out.push_str("},\"counters\":{");
@@ -216,7 +199,7 @@ pub fn render_json(trace: &Trace, epsilon: f64) -> String {
         if i > 0 {
             out.push(',');
         }
-        esc(&mut out, name);
+        encode_str(&mut out, name);
         let _ = write!(out, ":{value}");
     }
 
@@ -239,9 +222,9 @@ pub fn render_json(trace: &Trace, epsilon: f64) -> String {
             out.push(',');
         }
         out.push_str("{\"algo\":");
-        esc(&mut out, algo);
+        encode_str(&mut out, algo);
         out.push_str(",\"scheme\":");
-        esc(&mut out, scheme);
+        encode_str(&mut out, scheme);
         out.push_str(",\"curve\":[");
         for (j, (k, mdfo)) in pts.iter().enumerate() {
             if j > 0 {
@@ -290,7 +273,7 @@ pub fn render_json(trace: &Trace, epsilon: f64) -> String {
             .collect();
         steps.sort_unstable();
         out.push_str("{\"policy\":");
-        esc(&mut out, policy);
+        encode_str(&mut out, policy);
         let _ = write!(out, ",\"explorations\":{n},\"mean_final_regret\":");
         fnum(&mut out, mean_final);
         let _ = write!(out, ",\"converged\":{},\"median_steps\":", steps.len());
@@ -310,7 +293,7 @@ pub fn render_json(trace: &Trace, epsilon: f64) -> String {
             out.push(',');
         }
         out.push_str("{\"series\":");
-        esc(&mut out, series);
+        encode_str(&mut out, series);
         let _ = write!(
             out,
             ",\"windows\":{},\"samples\":{},\"mean\":",

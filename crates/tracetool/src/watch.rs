@@ -22,6 +22,7 @@
 
 use crate::json::{self, JsonValue};
 use crate::TraceError;
+use obs::encode_str;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -86,25 +87,6 @@ pub struct Watcher {
     /// Markers seen since the last sealed frame.
     markers: Vec<String>,
     done: bool,
-}
-
-/// Minimal JSON string escaping for the `--json` frame stream.
-fn escape_json(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Whether a record kind is surfaced as a dashboard marker.
@@ -188,43 +170,17 @@ impl Watcher {
     }
 
     fn line(&mut self, line: &str, frames: &mut Vec<String>) -> Result<(), TraceError> {
-        let fields = json::parse_object(line).map_err(|msg| {
-            if self.header_seen {
-                TraceError::Malformed {
-                    line: self.line_no,
-                    msg,
-                }
-            } else {
-                TraceError::MissingHeader { first_kind: None }
-            }
-        })?;
-        let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let kind = field("kind").and_then(JsonValue::as_str).unwrap_or("");
         if !self.header_seen {
-            if kind != "trace.meta" {
-                return Err(TraceError::MissingHeader {
-                    first_kind: if kind.is_empty() {
-                        None
-                    } else {
-                        Some(kind.to_string())
-                    },
-                });
-            }
-            let schema = field("schema").and_then(JsonValue::as_u64).ok_or_else(|| {
-                TraceError::Malformed {
-                    line: self.line_no,
-                    msg: "trace.meta header lacks a numeric \"schema\" field".to_string(),
-                }
-            })?;
-            if schema < obs::MIN_SUPPORTED_SCHEMA as u64 || schema > obs::SCHEMA_VERSION as u64 {
-                return Err(TraceError::UnsupportedSchema {
-                    found: schema,
-                    supported: obs::SCHEMA_VERSION,
-                });
-            }
+            crate::check_header(self.line_no, line)?;
             self.header_seen = true;
             return Ok(());
         }
+        let fields = json::parse_object(line).map_err(|msg| TraceError::Malformed {
+            line: self.line_no,
+            msg,
+        })?;
+        let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let kind = field("kind").and_then(JsonValue::as_str).unwrap_or("");
         let u64_of = |key: &str| field(key).and_then(JsonValue::as_u64).unwrap_or(0);
         let str_of = |key: &str| {
             field(key)
@@ -376,14 +332,14 @@ impl Watcher {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            escape_json(&mut out, &row.name);
+            encode_str(&mut out, &row.name);
             let _ = write!(out, ",\"n\":{},\"mean\":{},\"spark\":", row.n, row.mean);
             let spark = self
                 .sparks
                 .get(&row.name)
                 .map(sparkline)
                 .unwrap_or_default();
-            escape_json(&mut out, &spark);
+            encode_str(&mut out, &spark);
             out.push('}');
         }
         out.push_str("],\"slo\":[");
@@ -392,9 +348,9 @@ impl Watcher {
                 out.push(',');
             }
             out.push_str("{\"slo\":");
-            escape_json(&mut out, &s.slo);
+            encode_str(&mut out, &s.slo);
             out.push_str(",\"state\":");
-            escape_json(&mut out, &s.state);
+            encode_str(&mut out, &s.state);
             let _ = write!(
                 out,
                 ",\"ok\":{},\"value\":{},\"burn_fast_pm\":{},\"burn_slow_pm\":{}}}",
@@ -407,7 +363,7 @@ impl Watcher {
                 out.push(',');
             }
             out.push_str("{\"slo\":");
-            escape_json(&mut out, name);
+            encode_str(&mut out, name);
             let _ = write!(out, ",\"since_window\":{win}}}");
         }
         out.push_str("],\"markers\":[");
@@ -415,7 +371,7 @@ impl Watcher {
             if i > 0 {
                 out.push(',');
             }
-            escape_json(&mut out, m);
+            encode_str(&mut out, m);
         }
         out.push_str("]}\n");
         out
@@ -548,13 +504,11 @@ mod tests {
             w.feed("{\"kind\":\"trace.meta\",\"schema\":99}\n"),
             Err(TraceError::UnsupportedSchema { found: 99, .. })
         ));
-        // Older supported schemas stream fine (no SLO records, no frames
-        // until a window closes).
         let mut w = Watcher::new(Mode::Plain);
-        assert!(w
-            .feed("{\"kind\":\"trace.meta\",\"schema\":2}\n")
-            .unwrap()
-            .is_empty());
+        assert!(matches!(
+            w.feed("{\"kind\":\"trace.meta\",\"schema\":3}\n"),
+            Err(TraceError::UnsupportedSchema { found: 3, .. })
+        ));
     }
 
     #[test]
