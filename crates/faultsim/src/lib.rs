@@ -217,6 +217,7 @@ mod inject {
     }
 
     /// Whether any plan is installed (relaxed load).
+    #[inline]
     pub fn armed() -> bool {
         ARMED.load(Ordering::Relaxed)
     }

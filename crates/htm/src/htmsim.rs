@@ -5,7 +5,7 @@ use crate::params::{HtmGeometry, TunableCm};
 use crate::spec::SpecCore;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use txcore::{Abort, AbortCode, Addr, BackendKind, ThreadCtx, TmBackend, TmSystem, TxResult};
+use txcore::{Abort, Addr, BackendKind, ThreadCtx, TmBackend, TmSystem, TxResult};
 
 /// Simulated best-effort HTM with a global-lock fallback.
 ///
@@ -18,7 +18,6 @@ use txcore::{Abort, AbortCode, Addr, BackendKind, ThreadCtx, TmBackend, TmSystem
 pub struct HtmSim {
     sys: Arc<TmSystem>,
     core: SpecCore,
-    cm: TunableCm,
 }
 
 impl HtmSim {
@@ -32,7 +31,6 @@ impl HtmSim {
         HtmSim {
             sys,
             core: SpecCore::new(geom, false),
-            cm: TunableCm::default(),
         }
     }
 
@@ -42,26 +40,17 @@ impl HtmSim {
         HtmSim {
             sys,
             core: SpecCore::new(HtmGeometry::default(), true),
-            cm: TunableCm::default(),
         }
     }
 
     /// The live-tunable contention manager (retry budget + capacity policy).
     pub fn cm(&self) -> &TunableCm {
-        &self.cm
+        self.core.cm()
     }
 
     /// The simulated cache geometry.
     pub fn geometry(&self) -> &HtmGeometry {
         self.core.geometry()
-    }
-
-    /// Charge an abort against the block's remaining speculative budget.
-    fn charge(&self, ctx: &mut ThreadCtx, code: AbortCode) {
-        ctx.htm_budget = match code {
-            AbortCode::Capacity => self.cm.policy().apply(ctx.htm_budget),
-            _ => ctx.htm_budget.saturating_sub(1),
-        };
     }
 
     fn acquire_fallback(&self, ctx: &mut ThreadCtx) {
@@ -93,7 +82,7 @@ impl TmBackend for HtmSim {
 
     fn begin(&self, ctx: &mut ThreadCtx) -> TxResult<()> {
         if ctx.attempt == 0 {
-            ctx.htm_budget = self.cm.budget().max(1);
+            ctx.htm_budget = self.cm().budget().max(1);
         }
         if ctx.htm_budget == 0 {
             // Budget drained: run irrevocably under the fallback lock.
@@ -113,8 +102,7 @@ impl TmBackend for HtmSim {
             if obs::enabled() {
                 obs::counter("fault.fired.htm_spurious").inc();
             }
-            self.charge(ctx, AbortCode::Spurious);
-            return Err(Abort::SPURIOUS);
+            return Err(self.cm().charge(ctx, Abort::SPURIOUS));
         }
         self.core.begin(&self.sys, ctx, &self.sys.fallback_seq)
     }
@@ -126,11 +114,7 @@ impl TmBackend for HtmSim {
                 .get(addr)
                 .unwrap_or_else(|| self.sys.heap.read_raw(addr)));
         }
-        self.core
-            .read(&self.sys, ctx, &self.sys.fallback_seq, addr)
-            .inspect_err(|a| {
-                self.charge(ctx, a.code);
-            })
+        self.core.read(&self.sys, ctx, &self.sys.fallback_seq, addr)
     }
 
     fn write(&self, ctx: &mut ThreadCtx, addr: Addr, val: u64) -> TxResult<()> {
@@ -140,9 +124,6 @@ impl TmBackend for HtmSim {
         }
         self.core
             .write(&self.sys, ctx, &self.sys.fallback_seq, addr, val)
-            .inspect_err(|a| {
-                self.charge(ctx, a.code);
-            })
     }
 
     fn commit(&self, ctx: &mut ThreadCtx) -> TxResult<()> {
@@ -162,9 +143,6 @@ impl TmBackend for HtmSim {
         // simulation must serialize explicitly).
         self.core
             .commit(&self.sys, ctx, &self.sys.fallback_seq, true)
-            .inspect_err(|a| {
-                self.charge(ctx, a.code);
-            })
     }
 
     fn rollback(&self, ctx: &mut ThreadCtx) {
@@ -186,7 +164,7 @@ mod tests {
     use super::*;
     use crate::params::CapacityPolicy;
     use crate::spec::LINE_WORDS;
-    use txcore::{run_tx, Abort};
+    use txcore::{run_tx, AbortCode};
 
     fn setup() -> (Arc<TmSystem>, HtmSim, ThreadCtx) {
         let sys = Arc::new(TmSystem::new(1 << 16));

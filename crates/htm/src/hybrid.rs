@@ -9,10 +9,10 @@
 //! lock fallback.
 
 use crate::params::{HtmGeometry, TunableCm};
-use crate::spec::SpecCore;
+use crate::spec::{track, SpecCore};
 use std::sync::{Arc, OnceLock};
 use stm::NOrec;
-use txcore::{AbortCode, Addr, BackendKind, ThreadCtx, TmBackend, TmSystem, TxResult};
+use txcore::{Abort, Addr, BackendKind, ThreadCtx, TmBackend, TmSystem, TxResult};
 
 /// The Hybrid NOrec backend. See the module docs.
 #[derive(Debug)]
@@ -20,7 +20,6 @@ pub struct HybridNOrec {
     sys: Arc<TmSystem>,
     core: SpecCore,
     norec: NOrec,
-    cm: TunableCm,
 }
 
 impl HybridNOrec {
@@ -34,21 +33,13 @@ impl HybridNOrec {
         HybridNOrec {
             norec: NOrec::new(Arc::clone(&sys)),
             core: SpecCore::new(geom, false),
-            cm: TunableCm::default(),
             sys,
         }
     }
 
     /// The live-tunable contention manager.
     pub fn cm(&self) -> &TunableCm {
-        &self.cm
-    }
-
-    fn charge(&self, ctx: &mut ThreadCtx, code: AbortCode) {
-        ctx.htm_budget = match code {
-            AbortCode::Capacity => self.cm.policy().apply(ctx.htm_budget),
-            _ => ctx.htm_budget.saturating_sub(1),
-        };
+        self.core.cm()
     }
 }
 
@@ -90,7 +81,7 @@ impl TmBackend for HybridNOrec {
 
     fn begin(&self, ctx: &mut ThreadCtx) -> TxResult<()> {
         if ctx.attempt == 0 {
-            ctx.htm_budget = self.cm.budget().max(1);
+            ctx.htm_budget = self.cm().budget().max(1);
         }
         if ctx.htm_budget == 0 {
             if obs::enabled() {
@@ -106,8 +97,7 @@ impl TmBackend for HybridNOrec {
             if obs::enabled() {
                 obs::counter("fault.fired.htm_spurious").inc();
             }
-            self.charge(ctx, AbortCode::Spurious);
-            return Err(txcore::Abort::SPURIOUS);
+            return Err(self.cm().charge(ctx, Abort::SPURIOUS));
         }
         self.core.begin(&self.sys, ctx, &self.sys.norec_seq)
     }
@@ -116,11 +106,7 @@ impl TmBackend for HybridNOrec {
         if ctx.in_fallback {
             return self.norec.read(ctx, addr);
         }
-        self.core
-            .read(&self.sys, ctx, &self.sys.norec_seq, addr)
-            .inspect_err(|a| {
-                self.charge(ctx, a.code);
-            })
+        self.core.read(&self.sys, ctx, &self.sys.norec_seq, addr)
     }
 
     fn write(&self, ctx: &mut ThreadCtx, addr: Addr, val: u64) -> TxResult<()> {
@@ -129,9 +115,6 @@ impl TmBackend for HybridNOrec {
         }
         self.core
             .write(&self.sys, ctx, &self.sys.norec_seq, addr, val)
-            .inspect_err(|a| {
-                self.charge(ctx, a.code);
-            })
     }
 
     fn commit(&self, ctx: &mut ThreadCtx) -> TxResult<()> {
@@ -145,11 +128,7 @@ impl TmBackend for HybridNOrec {
             }
             return out;
         }
-        self.core
-            .commit(&self.sys, ctx, &self.sys.norec_seq, true)
-            .inspect_err(|a| {
-                self.charge(ctx, a.code);
-            })
+        self.core.commit(&self.sys, ctx, &self.sys.norec_seq, true)
     }
 
     fn rollback(&self, ctx: &mut ThreadCtx) {
@@ -283,31 +262,6 @@ impl HybridTl2 {
     pub fn cm(&self) -> &TunableCm {
         &self.cm
     }
-
-    fn charge(&self, ctx: &mut ThreadCtx, code: AbortCode) {
-        ctx.htm_budget = match code {
-            AbortCode::Capacity => self.cm.policy().apply(ctx.htm_budget),
-            _ => ctx.htm_budget.saturating_sub(1),
-        };
-    }
-
-    /// Track the cache line of `addr`; `Err` on speculative overflow.
-    fn track(&self, set_is_read: bool, ctx: &mut ThreadCtx, addr: Addr) -> TxResult<()> {
-        let line = (addr.index() / crate::spec::LINE_WORDS) as u32;
-        let (set, cap) = if set_is_read {
-            (&mut ctx.read_lines, self.geom.read_capacity)
-        } else {
-            (&mut ctx.write_lines, self.geom.write_capacity)
-        };
-        if !set.contains(&line) {
-            if set.len() >= cap {
-                self.charge(ctx, AbortCode::Capacity);
-                return Err(txcore::Abort::CAPACITY);
-            }
-            set.push(line);
-        }
-        Ok(())
-    }
 }
 
 impl TmBackend for HybridTl2 {
@@ -334,8 +288,7 @@ impl TmBackend for HybridTl2 {
             if obs::enabled() {
                 obs::counter("fault.fired.htm_spurious").inc();
             }
-            self.charge(ctx, AbortCode::Spurious);
-            return Err(txcore::Abort::SPURIOUS);
+            return Err(self.cm.charge(ctx, Abort::SPURIOUS));
         }
         self.tl2.begin(ctx)?; // resets logs (and the in_fallback flag)
         ctx.in_fallback = software;
@@ -343,52 +296,43 @@ impl TmBackend for HybridTl2 {
     }
 
     fn read(&self, ctx: &mut ThreadCtx, addr: Addr) -> TxResult<u64> {
-        if !ctx.in_fallback {
-            self.track(true, ctx, addr)?;
+        if ctx.in_fallback {
+            return self.tl2.read(ctx, addr);
         }
-        self.tl2.read(ctx, addr).inspect_err(|a| {
-            if !ctx.in_fallback {
-                self.charge(ctx, a.code);
-            }
-        })
+        if !track(&mut ctx.read_lines, addr, self.geom.read_capacity) {
+            return Err(self.cm.charge(ctx, Abort::CAPACITY));
+        }
+        self.tl2.read(ctx, addr).map_err(|a| self.cm.charge(ctx, a))
     }
 
     fn write(&self, ctx: &mut ThreadCtx, addr: Addr, val: u64) -> TxResult<()> {
-        if !ctx.in_fallback {
-            self.track(false, ctx, addr)?;
+        if ctx.in_fallback {
+            return self.tl2.write(ctx, addr, val);
         }
-        self.tl2.write(ctx, addr, val).inspect_err(|a| {
-            if !ctx.in_fallback {
-                self.charge(ctx, a.code);
-            }
-        })
+        if !track(&mut ctx.write_lines, addr, self.geom.write_capacity) {
+            return Err(self.cm.charge(ctx, Abort::CAPACITY));
+        }
+        self.tl2
+            .write(ctx, addr, val)
+            .map_err(|a| self.cm.charge(ctx, a))
     }
 
     fn commit(&self, ctx: &mut ThreadCtx) -> TxResult<()> {
-        if !ctx.in_fallback
-            && self.geom.spurious_abort_prob > 0.0
-            && ctx.rng.next_f64() < self.geom.spurious_abort_prob
-        {
-            self.charge(ctx, AbortCode::Spurious);
-            return Err(txcore::Abort::SPURIOUS);
-        }
-        let speculative = !ctx.in_fallback;
-        let t0 = if speculative {
-            None
-        } else {
-            obs::enabled().then(std::time::Instant::now)
-        };
-        let out = self.tl2.commit(ctx).inspect_err(|a| {
-            if speculative {
-                self.charge(ctx, a.code);
+        if ctx.in_fallback {
+            let t0 = obs::enabled().then(std::time::Instant::now);
+            let out = self.tl2.commit(ctx);
+            if let (Some(t0), Ok(())) = (t0, &out) {
+                let ns = t0.elapsed().as_nanos() as u64;
+                fallback_commit_ns(&TL2_FALLBACK_NS, "hybrid-tl2").record(ns);
+                fallback_commit_series(&TL2_FALLBACK_TS, "hybrid-tl2").record(ns as f64);
             }
-        });
-        if let (Some(t0), Ok(())) = (t0, &out) {
-            let ns = t0.elapsed().as_nanos() as u64;
-            fallback_commit_ns(&TL2_FALLBACK_NS, "hybrid-tl2").record(ns);
-            fallback_commit_series(&TL2_FALLBACK_TS, "hybrid-tl2").record(ns as f64);
+            return out;
         }
-        out
+        if self.geom.spurious_abort_prob > 0.0 && ctx.rng.next_f64() < self.geom.spurious_abort_prob
+        {
+            return Err(self.cm.charge(ctx, Abort::SPURIOUS));
+        }
+        self.tl2.commit(ctx).map_err(|a| self.cm.charge(ctx, a))
     }
 
     fn rollback(&self, ctx: &mut ThreadCtx) {

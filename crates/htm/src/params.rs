@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use txcore::{Abort, AbortCode, ThreadCtx};
 
 /// What to do with the retry budget when a *capacity* abort occurs
 /// (Table 3's "HTM Capacity Abort Policy").
@@ -101,6 +102,21 @@ impl TunableCm {
     pub fn set(&self, budget: u32, policy: CapacityPolicy) {
         self.budget.store(budget, Ordering::Relaxed);
         self.policy.store(policy.to_u8(), Ordering::Relaxed);
+    }
+
+    /// Charge `abort`, which the backend is about to raise from its
+    /// speculative path, against the block's remaining budget, and hand it
+    /// back: a capacity abort costs what the policy says, any other cause
+    /// one attempt. Called where the abort is raised — never around an
+    /// access that succeeded — and cold, so the success path carries none
+    /// of it.
+    #[cold]
+    pub(crate) fn charge(&self, ctx: &mut ThreadCtx, abort: Abort) -> Abort {
+        ctx.htm_budget = match abort.code() {
+            AbortCode::Capacity => self.policy().apply(ctx.htm_budget),
+            _ => ctx.htm_budget.saturating_sub(1),
+        };
+        abort
     }
 }
 

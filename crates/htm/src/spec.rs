@@ -7,20 +7,32 @@
 //! a *private* line-granularity orec table, which gives those semantics in
 //! safe portable code.
 
-use crate::params::HtmGeometry;
+use crate::params::{HtmGeometry, TunableCm};
 use std::sync::atomic::{AtomicU64, Ordering};
-use txcore::{Abort, Addr, OrecState, OrecTable, ThreadCtx, TmSystem, TxResult};
+use txcore::{Abort, Addr, LineSet, OrecState, OrecTable, ThreadCtx, TmSystem, TxResult};
 
 /// Words per simulated cache line (64-byte lines of 8-byte words).
 pub const LINE_WORDS: usize = 8;
 
+/// Track the cache line of `addr` in `set`; false when that would exceed
+/// `cap` distinct lines (a speculative overflow).
+#[inline]
+pub(crate) fn track(set: &mut LineSet, addr: Addr, cap: usize) -> bool {
+    set.insert((addr.index() / LINE_WORDS) as u32, cap)
+}
+
 /// Speculative core state owned by one HTM backend instance.
+///
+/// Every abort the core raises is charged to the block's retry budget
+/// where it is raised ([`TunableCm::charge`]), so the backends forward a
+/// successful access untouched.
 #[derive(Debug)]
 pub(crate) struct SpecCore {
     /// Line-granularity versioned locks, private to this backend (metadata
     /// lives outside application memory, as PolyTM requires).
     lines: OrecTable,
     geom: HtmGeometry,
+    cm: TunableCm,
     /// When set, every speculative access performs the redundant value
     /// logging a fully-instrumented (STM) code path would — the
     /// "HTM-naive" configuration of Table 4's dual-path ablation.
@@ -32,6 +44,7 @@ impl SpecCore {
         SpecCore {
             lines: OrecTable::new(1 << 16, LINE_WORDS),
             geom,
+            cm: TunableCm::default(),
             naive_instrumentation,
         }
     }
@@ -40,15 +53,8 @@ impl SpecCore {
         &self.geom
     }
 
-    /// Track `line` in `set`; returns false when the capacity is exceeded.
-    fn track(set: &mut Vec<u32>, line: u32, cap: usize) -> bool {
-        if !set.contains(&line) {
-            if set.len() >= cap {
-                return false;
-            }
-            set.push(line);
-        }
-        true
+    pub(crate) fn cm(&self) -> &TunableCm {
+        &self.cm
     }
 
     /// Begin a speculative attempt, subscribing to `seq` (the software
@@ -87,11 +93,10 @@ impl SpecCore {
         if seq.load(Ordering::Acquire) != ctx.start_seq {
             // The software path committed: our whole speculative state is
             // poisoned, like a cache-line invalidation of the elided lock.
-            return Err(Abort::FALLBACK);
+            return Err(self.cm.charge(ctx, Abort::FALLBACK));
         }
-        let line = (addr.index() / LINE_WORDS) as u32;
-        if !Self::track(&mut ctx.read_lines, line, self.geom.read_capacity) {
-            return Err(Abort::CAPACITY);
+        if !track(&mut ctx.read_lines, addr, self.geom.read_capacity) {
+            return Err(self.cm.charge(ctx, Abort::CAPACITY));
         }
         let idx = self.lines.index_for(addr);
         match self.lines.load(idx) {
@@ -99,17 +104,17 @@ impl SpecCore {
             // Conflict attribution uses the private line-table index — the
             // HTM conflict granule is the cache line, and heatmaps are read
             // per backend (DESIGN.md §12).
-            OrecState::Locked(_) => Err(Abort::conflict_at(idx)),
+            OrecState::Locked(_) => Err(self.cm.charge(ctx, Abort::conflict_at(idx))),
             OrecState::Version(v1) => {
                 let val = sys.heap.read_raw(addr);
                 if self.lines.load(idx) != OrecState::Version(v1) || v1 > ctx.rv {
-                    return Err(Abort::conflict_at(idx));
+                    return Err(self.cm.charge(ctx, Abort::conflict_at(idx)));
                 }
                 // Software committers do not touch the line orecs, so the
                 // sequence lock must be re-checked after the value load
                 // (seqlock pattern) to keep the speculative snapshot opaque.
                 if seq.load(Ordering::Acquire) != ctx.start_seq {
-                    return Err(Abort::FALLBACK);
+                    return Err(self.cm.charge(ctx, Abort::FALLBACK));
                 }
                 ctx.read_set.push_orec(idx, v1);
                 if self.naive_instrumentation {
@@ -131,17 +136,16 @@ impl SpecCore {
         val: u64,
     ) -> TxResult<()> {
         if seq.load(Ordering::Acquire) != ctx.start_seq {
-            return Err(Abort::FALLBACK);
+            return Err(self.cm.charge(ctx, Abort::FALLBACK));
         }
-        let line = (addr.index() / LINE_WORDS) as u32;
-        if !Self::track(&mut ctx.write_lines, line, self.geom.write_capacity) {
-            return Err(Abort::CAPACITY);
+        if !track(&mut ctx.write_lines, addr, self.geom.write_capacity) {
+            return Err(self.cm.charge(ctx, Abort::CAPACITY));
         }
         let idx = self.lines.index_for(addr);
         if !ctx.locks.iter().any(|&(i, _)| i as usize == idx) {
             match self.lines.try_lock(idx, ctx.owner_tag(), None) {
                 Ok(prev) => ctx.locks.push((idx as u32, prev)),
-                Err(_) => return Err(Abort::conflict_at(idx)),
+                Err(_) => return Err(self.cm.charge(ctx, Abort::conflict_at(idx))),
             }
         }
         ctx.write_set.insert(addr, val);
@@ -186,11 +190,11 @@ impl SpecCore {
     ) -> TxResult<()> {
         if self.geom.spurious_abort_prob > 0.0 && ctx.rng.next_f64() < self.geom.spurious_abort_prob
         {
-            return Err(Abort::SPURIOUS);
+            return Err(self.cm.charge(ctx, Abort::SPURIOUS));
         }
         if ctx.write_set.is_empty() {
             if seq.load(Ordering::Acquire) != ctx.start_seq {
-                return Err(Abort::FALLBACK);
+                return Err(self.cm.charge(ctx, Abort::FALLBACK));
             }
             ctx.reset_logs();
             return Ok(());
@@ -198,7 +202,7 @@ impl SpecCore {
         let wv = sys.clock.tick();
         if wv != ctx.rv + 1 {
             if let Err(line) = self.read_set_intact(ctx) {
-                return Err(Abort::conflict_at(line));
+                return Err(self.cm.charge(ctx, Abort::conflict_at(line)));
             }
         }
         if publish {
@@ -214,10 +218,10 @@ impl SpecCore {
                 )
                 .is_err()
             {
-                return Err(Abort::FALLBACK);
+                return Err(self.cm.charge(ctx, Abort::FALLBACK));
             }
         } else if seq.load(Ordering::Acquire) != ctx.start_seq {
-            return Err(Abort::FALLBACK);
+            return Err(self.cm.charge(ctx, Abort::FALLBACK));
         }
         for &(a, v) in ctx.write_set.entries() {
             sys.heap.write_raw(a, v);
@@ -349,5 +353,35 @@ mod tests {
             Err(Abort::SPURIOUS)
         );
         core.rollback(&mut ctx);
+    }
+
+    proptest::proptest! {
+        /// `track` over a `LineSet` against a `BTreeSet` of lines: the same
+        /// accept/reject decision and the same distinct-line count after
+        /// every access, whatever the capacity, across the spill from scan
+        /// to index and across `clear`. The decision is what places a
+        /// `Capacity` abort, so it is what must not move.
+        #[test]
+        fn line_tracking_matches_a_set_model(
+            cap in 0usize..40,
+            ops in proptest::collection::vec((0u32..24, 0u32..48 * LINE_WORDS as u32), 0..400),
+        ) {
+            let mut set = LineSet::new();
+            let mut model = std::collections::BTreeSet::new();
+            for (op, word) in ops {
+                if op == 0 {
+                    set.clear();
+                    model.clear();
+                } else {
+                    let line = word / LINE_WORDS as u32;
+                    let fits = model.contains(&line) || model.len() < cap;
+                    if fits {
+                        model.insert(line);
+                    }
+                    proptest::prop_assert_eq!(track(&mut set, Addr(word), cap), fits);
+                }
+                proptest::prop_assert_eq!(set.len(), model.len());
+            }
+        }
     }
 }

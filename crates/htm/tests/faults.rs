@@ -5,9 +5,9 @@
 //! injector, and unit tests asserting exact abort counts must never share a
 //! process with an armed plan.
 
-use htm::{CapacityPolicy, HtmGeometry, HtmSim, HybridNOrec};
+use htm::{CapacityPolicy, HtmGeometry, HtmSim, HybridNOrec, HybridTl2};
 use std::sync::Arc;
-use txcore::{run_tx, AbortCode, ThreadCtx, TmSystem};
+use txcore::{run_tx, Abort, AbortCode, ThreadCtx, TmBackend, TmSystem};
 
 #[test]
 fn injected_spurious_aborts_drain_budget_into_fallback() {
@@ -97,4 +97,46 @@ fn probabilistic_plans_replay_identically() {
     let first = run();
     assert!(first > 0, "a 30% plan over 200 transactions must fire");
     assert_eq!(first, run(), "same seed, same fault schedule");
+}
+
+/// The begin-time rung of `budget.rs`'s ladder, here because it needs an
+/// armed plan: a spurious abort injected into `begin` costs one budget
+/// unit on every backend whatever the capacity policy, and is charged by
+/// `begin` itself (the driver never rolls a failed `begin` back).
+#[test]
+fn begin_time_spurious_abort_costs_one_unit_under_every_policy() {
+    if !faultsim::enabled() {
+        return;
+    }
+    for policy in CapacityPolicy::ALL {
+        let sys = Arc::new(TmSystem::new(1 << 12));
+        let (htm, hynorec, hytl2) = (
+            HtmSim::new(Arc::clone(&sys)),
+            HybridNOrec::new(Arc::clone(&sys)),
+            HybridTl2::new(Arc::clone(&sys)),
+        );
+        htm.cm().set(6, policy);
+        hynorec.cm().set(6, policy);
+        hytl2.cm().set(6, policy);
+        let backends: [&dyn TmBackend; 3] = [&htm, &hynorec, &hytl2];
+        for tm in backends {
+            let mut ctx = ThreadCtx::new(0);
+            let plan = faultsim::FaultPlan::new(11)
+                .with(faultsim::Site::HtmSpurious, faultsim::FaultSpec::always());
+            faultsim::with_plan(plan, || {
+                for (attempt, left) in [(0, 5), (1, 4), (2, 3)] {
+                    ctx.attempt = attempt;
+                    assert_eq!(tm.begin(&mut ctx), Err(Abort::SPURIOUS), "{}", tm.name());
+                    assert_eq!(ctx.htm_budget, left, "{} {policy:?}", tm.name());
+                }
+            });
+            // Disarmed again, the next attempt begins speculatively on
+            // what the storm left of the budget.
+            ctx.attempt = 3;
+            tm.begin(&mut ctx).unwrap();
+            assert!(!ctx.in_fallback, "{}", tm.name());
+            assert_eq!(ctx.htm_budget, 3, "{}", tm.name());
+            tm.rollback(&mut ctx);
+        }
+    }
 }

@@ -668,7 +668,7 @@ impl<'a> Engine<'a> {
         backend.rollback(&mut self.tasks[ti].ctx);
         self.record(ti as u32, OpKind::Abort, now);
         self.aborts += 1;
-        self.abort_causes[a.code.index()] += 1;
+        self.abort_causes[a.code().index()] += 1;
         if let Some(stripe) = a.stripe() {
             *self.conflict_stripes.entry(stripe).or_insert(0) += 1;
         }

@@ -10,6 +10,7 @@
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::num::NonZeroU64;
 
 /// Why a transaction attempt failed.
 ///
@@ -58,7 +59,7 @@ impl AbortCode {
 
     /// Stable small index of this code, for counter arrays.
     #[inline]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             AbortCode::Conflict => 0,
             AbortCode::Capacity => 1,
@@ -112,22 +113,25 @@ pub const NO_STRIPE: u32 = u32::MAX;
 /// different stripes are the same abort as far as contention management
 /// (and test assertions) are concerned; the stripe is attribution payload
 /// for the conflict observatory, read via [`Abort::stripe`].
-#[derive(Debug, Clone, Copy)]
-pub struct Abort {
-    /// The cause of the abort.
-    pub code: AbortCode,
-    /// Conflicting stripe id ([`NO_STRIPE`] when not attributable). For
-    /// orec-based backends this is the ownership-record index; NOrec and
-    /// the durable backend map the failing address through the shared orec
-    /// geometry so every STM reports in one stripe space; the simulated
-    /// HTM reports its private cache-line index.
-    stripe: u32,
-}
+///
+/// One non-zero word: the code's index plus one in the low byte, the
+/// stripe id in the high 32 bits. A struct of two fields is an aggregate,
+/// and `Result<u64, aggregate>` comes back through a hidden out-pointer,
+/// written as narrow stores; a backend that forwards an inner result then
+/// reloads it wider than it was stored, on every access that succeeded.
+/// As a scalar with a niche, `TxResult<u64>` is a register pair and
+/// `TxResult<()>` a single register (DESIGN.md §12).
+#[derive(Clone, Copy)]
+#[repr(transparent)]
+pub struct Abort(NonZeroU64);
+
+const CODE_MASK: u64 = 0xFF;
+const STRIPE_SHIFT: u32 = 32;
 
 impl PartialEq for Abort {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.code == other.code
+        (self.0.get() ^ other.0.get()) & CODE_MASK == 0
     }
 }
 
@@ -136,78 +140,86 @@ impl Eq for Abort {}
 impl Hash for Abort {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.code.hash(state);
+        self.code().hash(state);
+    }
+}
+
+impl fmt::Debug for Abort {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Abort")
+            .field("code", &self.code())
+            .field("stripe", &self.raw_stripe())
+            .finish()
     }
 }
 
 impl Abort {
     /// Abort due to a data conflict (no stripe attribution; prefer
     /// [`Abort::conflict_at`] when the conflicting stripe is known).
-    pub const CONFLICT: Abort = Abort {
-        code: AbortCode::Conflict,
-        stripe: NO_STRIPE,
-    };
+    pub const CONFLICT: Abort = Abort::pack(AbortCode::Conflict, NO_STRIPE);
     /// Abort due to exceeded speculative capacity.
-    pub const CAPACITY: Abort = Abort {
-        code: AbortCode::Capacity,
-        stripe: NO_STRIPE,
-    };
+    pub const CAPACITY: Abort = Abort::pack(AbortCode::Capacity, NO_STRIPE);
     /// Explicit, user-requested abort.
-    pub const EXPLICIT: Abort = Abort {
-        code: AbortCode::Explicit,
-        stripe: NO_STRIPE,
-    };
+    pub const EXPLICIT: Abort = Abort::pack(AbortCode::Explicit, NO_STRIPE);
     /// Abort because the HTM fallback lock is held.
-    pub const FALLBACK: Abort = Abort {
-        code: AbortCode::Fallback,
-        stripe: NO_STRIPE,
-    };
+    pub const FALLBACK: Abort = Abort::pack(AbortCode::Fallback, NO_STRIPE);
     /// Transient, non-attributable abort.
-    pub const SPURIOUS: Abort = Abort {
-        code: AbortCode::Spurious,
-        stripe: NO_STRIPE,
-    };
+    pub const SPURIOUS: Abort = Abort::pack(AbortCode::Spurious, NO_STRIPE);
     /// Write attempted under a read-only hint; retry in full mode.
-    pub const MODE: Abort = Abort {
-        code: AbortCode::Mode,
-        stripe: NO_STRIPE,
-    };
+    pub const MODE: Abort = Abort::pack(AbortCode::Mode, NO_STRIPE);
     /// The durable journal refused the attempt (crashed or failing PHeap).
-    pub const JOURNAL: Abort = Abort {
-        code: AbortCode::Journal,
-        stripe: NO_STRIPE,
-    };
+    pub const JOURNAL: Abort = Abort::pack(AbortCode::Journal, NO_STRIPE);
+
+    #[inline]
+    const fn pack(code: AbortCode, stripe: u32) -> Self {
+        let word = (stripe as u64) << STRIPE_SHIFT | (code.index() as u64 + 1);
+        match NonZeroU64::new(word) {
+            Some(w) => Abort(w),
+            None => unreachable!(),
+        }
+    }
 
     /// Construct an abort with the given cause and no stripe attribution.
     #[inline]
-    pub fn new(code: AbortCode) -> Self {
-        Abort {
-            code,
-            stripe: NO_STRIPE,
-        }
+    pub const fn new(code: AbortCode) -> Self {
+        Abort::pack(code, NO_STRIPE)
     }
 
     /// A data-conflict abort attributed to stripe `idx`.
     #[inline]
     pub fn conflict_at(idx: usize) -> Self {
-        Abort {
-            code: AbortCode::Conflict,
-            // Saturate rather than wrap: an implausibly large table index
-            // must not alias the sentinel by accident.
-            stripe: u32::try_from(idx).unwrap_or(NO_STRIPE - 1),
-        }
+        // Saturate rather than wrap: an implausibly large table index
+        // must not alias the sentinel by accident.
+        let stripe = u32::try_from(idx).unwrap_or(NO_STRIPE - 1);
+        Abort::pack(AbortCode::Conflict, stripe)
+    }
+
+    /// The cause of the abort.
+    #[inline]
+    pub fn code(self) -> AbortCode {
+        AbortCode::ALL[(self.0.get() & CODE_MASK) as usize - 1]
+    }
+
+    #[inline]
+    fn raw_stripe(self) -> u32 {
+        (self.0.get() >> STRIPE_SHIFT) as u32
     }
 
     /// The conflicting stripe id, when the backend could attribute one.
+    /// For orec-based backends this is the ownership-record index; NOrec
+    /// and the durable backend map the failing address through the shared
+    /// orec geometry so every STM reports in one stripe space; the
+    /// simulated HTM reports its private cache-line index.
     #[inline]
     pub fn stripe(&self) -> Option<u32> {
-        (self.stripe != NO_STRIPE).then_some(self.stripe)
+        let stripe = self.raw_stripe();
+        (stripe != NO_STRIPE).then_some(stripe)
     }
 }
 
 impl fmt::Display for Abort {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "transaction aborted: {}", self.code)?;
+        write!(f, "transaction aborted: {}", self.code())?;
         if let Some(s) = self.stripe() {
             write!(f, " (stripe {s})")?;
         }
@@ -282,6 +294,75 @@ mod tests {
         assert_eq!(Abort::new(AbortCode::Journal), Abort::JOURNAL);
         let huge = Abort::conflict_at(usize::MAX);
         assert!(huge.stripe().is_some(), "saturation must not hit sentinel");
+    }
+
+    #[test]
+    fn results_are_register_sized() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Abort>(), 8);
+        assert_eq!(size_of::<TxResult<u64>>(), 16, "a register pair");
+        assert_eq!(
+            size_of::<TxResult<()>>(),
+            8,
+            "one register: Ok is the niche"
+        );
+    }
+
+    /// Every code × `stripe` through the packed word: both halves come
+    /// back, and equality and hashing see the cause alone.
+    fn check_round_trip(stripe: u32) {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |a: Abort| {
+            let mut h = DefaultHasher::new();
+            a.hash(&mut h);
+            h.finish()
+        };
+        for code in AbortCode::ALL {
+            let a = Abort::pack(code, stripe);
+            assert_eq!(a.code(), code);
+            assert_eq!(a.stripe(), (stripe != NO_STRIPE).then_some(stripe));
+            assert_eq!(a, Abort::new(code), "equality ignores the stripe");
+            assert_eq!(hash(a), hash(Abort::new(code)), "hash follows eq");
+            for other in AbortCode::ALL {
+                assert_eq!(a == Abort::pack(other, stripe), code == other);
+            }
+        }
+    }
+
+    #[test]
+    fn edge_stripes_round_trip() {
+        for stripe in [0, 1, 0xFF, 0x100, NO_STRIPE - 1, NO_STRIPE] {
+            check_round_trip(stripe);
+        }
+        assert_eq!(
+            Abort::conflict_at(usize::MAX).stripe(),
+            Some(NO_STRIPE - 1),
+            "saturates one short of the sentinel"
+        );
+        assert_eq!(Abort::conflict_at(usize::MAX).code(), AbortCode::Conflict);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn any_stripe_round_trips(stripe in 0u32..=u32::MAX, idx in 0usize..=usize::MAX) {
+            check_round_trip(stripe);
+            let at = Abort::conflict_at(idx);
+            proptest::prop_assert_eq!(at.code(), AbortCode::Conflict);
+            let expect = u32::try_from(idx).unwrap_or(NO_STRIPE - 1);
+            proptest::prop_assert_eq!(at.stripe(), (expect != NO_STRIPE).then_some(expect));
+        }
+    }
+
+    #[test]
+    fn debug_still_names_code_and_stripe() {
+        assert_eq!(
+            format!("{:?}", Abort::conflict_at(7)),
+            "Abort { code: Conflict, stripe: 7 }"
+        );
+        assert_eq!(
+            format!("{:?}", Abort::CAPACITY),
+            format!("Abort {{ code: Capacity, stripe: {NO_STRIPE} }}")
+        );
     }
 
     #[test]

@@ -317,7 +317,7 @@ fn retry_ladder<T>(
     if let Some(a) = first_abort {
         // The fast path's aborted first attempt: its issued ops are still
         // in `ctx.ops_*` (nothing resets them between the abort and here).
-        local.record_abort(a.code);
+        local.record_abort(a.code());
         local.record_wasted(ctx.ops_reads, ctx.ops_writes);
         note_conflict(ctx, a);
     }
@@ -328,7 +328,7 @@ fn retry_ladder<T>(
         ctx.ops_reads = 0;
         ctx.ops_writes = 0;
         if let Err(a) = backend.begin(ctx) {
-            local.record_abort(a.code);
+            local.record_abort(a.code());
             note_conflict(ctx, a);
             ctx.attempt += 1;
             backoff(&mut ctx.rng, ctx.attempt);
@@ -349,7 +349,7 @@ fn retry_ladder<T>(
                     }
                     Err(a) => {
                         backend.rollback(ctx);
-                        local.record_abort(a.code);
+                        local.record_abort(a.code());
                         local.record_wasted(ctx.ops_reads, ctx.ops_writes);
                         note_conflict(ctx, a);
                     }
@@ -357,7 +357,7 @@ fn retry_ladder<T>(
             }
             Err(a) => {
                 backend.rollback(ctx);
-                local.record_abort(a.code);
+                local.record_abort(a.code());
                 local.record_wasted(ctx.ops_reads, ctx.ops_writes);
                 note_conflict(ctx, a);
             }

@@ -56,6 +56,6 @@ pub use pheap::{
     Crashed, DurabilityMode, PHeap, PHeapStats, RecoveryReport, CHECKPOINT_EVERY_TXS, FSYNC_NS,
     GROUP_COMMIT_TXS, LOG_APPEND_NS_PER_WORD, RECOVERY_BASE_NS, REPLAY_NS_PER_WORD,
 };
-pub use sets::{ReadSet, WriteSet};
+pub use sets::{LineSet, ReadSet, WriteSet};
 pub use stats::{LocalStats, StatsSnapshot, ThreadStats};
 pub use system::{ThreadCtx, TmSystem, WORK_FLUSH_EVERY};

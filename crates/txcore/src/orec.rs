@@ -103,6 +103,7 @@ impl OrecTable {
     /// caller must remember it to restore on abort). Fails if the record is
     /// already locked, or if its version exceeds `max_version` (the caller's
     /// read snapshot) when `max_version` is `Some`.
+    #[inline]
     pub fn try_lock(
         &self,
         idx: usize,

@@ -14,7 +14,10 @@
 //!   linear-probe table, beyond it;
 //! * `clear` never drops capacity, so a retried transaction reuses every
 //!   allocation of its previous attempt (see the counting-allocator test
-//!   in `crates/stm/tests/alloc_reuse.rs`).
+//!   in `crates/stm/tests/alloc_reuse.rs`) — and it returns the set to the
+//!   inline representation, so having spilled is a property of one
+//!   transaction: the short transaction after a long one scans again, and
+//!   pays nothing for an index it never filled.
 
 use crate::heap::Addr;
 
@@ -45,22 +48,27 @@ impl OpenIndex {
         ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
     }
 
-    /// Whether the owning set has spilled into this index.
+    /// Whether the owning set has spilled into this index since it was
+    /// last cleared.
     #[inline]
-    fn is_built(&self) -> bool {
-        !self.slots.is_empty()
+    fn spilled(&self) -> bool {
+        self.used > 0
     }
 
-    /// Forget every entry but keep the slot allocation.
+    /// Forget every entry but keep the slot allocation. An index nothing
+    /// spilled into since the last clear is not touched.
+    #[inline]
     fn clear(&mut self) {
-        self.slots.fill(0);
-        self.used = 0;
+        if self.used > 0 {
+            self.slots.fill(0);
+            self.used = 0;
+        }
     }
 
     /// Position of the newest entry recorded for `key`.
     #[inline]
     fn get(&self, key: u32) -> Option<u32> {
-        debug_assert!(self.is_built());
+        debug_assert!(self.spilled());
         let mut i = Self::hash(key, self.mask);
         loop {
             let s = self.slots[i];
@@ -116,11 +124,7 @@ impl OpenIndex {
     /// Build the index from scratch over `pairs` (later pairs win).
     #[cold]
     fn build(&mut self, pairs: impl Iterator<Item = (u32, u32)>) {
-        if self.slots.is_empty() {
-            self.grow();
-        } else {
-            self.clear();
-        }
+        self.clear();
         for (key, pos) in pairs {
             self.set(key, pos);
         }
@@ -166,12 +170,8 @@ impl ReadSet {
     pub fn clear(&mut self) {
         self.orecs.clear();
         self.values.clear();
-        if self.orec_index.is_built() {
-            self.orec_index.clear();
-        }
-        if self.value_index.is_built() {
-            self.value_index.clear();
-        }
+        self.orec_index.clear();
+        self.value_index.clear();
     }
 
     /// Record that orec `idx` was observed at `version`. A duplicate of
@@ -187,7 +187,7 @@ impl ReadSet {
         if self.orecs.last() == Some(&(key, version)) {
             return;
         }
-        if self.orec_index.is_built() {
+        if self.orec_index.spilled() {
             if let Some(pos) = self.orec_index.get(key) {
                 if self.orecs[pos as usize].1 == version {
                     return;
@@ -214,7 +214,7 @@ impl ReadSet {
         if self.values.last() == Some(&(a, value)) {
             return;
         }
-        if self.value_index.is_built() {
+        if self.value_index.spilled() {
             if let Some(pos) = self.value_index.get(a.0) {
                 if self.values[pos as usize].1 == value {
                     return;
@@ -284,9 +284,7 @@ impl WriteSet {
     #[inline]
     pub fn clear(&mut self) {
         self.entries.clear();
-        if self.index.is_built() {
-            self.index.clear();
-        }
+        self.index.clear();
     }
 
     /// Number of distinct addresses written.
@@ -304,7 +302,7 @@ impl WriteSet {
     /// Buffer a write of `value` to address `a`, overwriting any earlier
     /// write to the same address.
     pub fn insert(&mut self, a: Addr, value: u64) {
-        if self.index.is_built() {
+        if self.index.spilled() {
             if let Some(pos) = self.index.get(a.0) {
                 self.entries[pos as usize].1 = value;
                 return;
@@ -342,7 +340,7 @@ impl WriteSet {
         if self.entries.is_empty() {
             return None;
         }
-        if self.index.is_built() {
+        if self.index.spilled() {
             self.index.get(a.0).map(|p| self.entries[p as usize].1)
         } else {
             self.entries.iter().find(|e| e.0 == a).map(|e| e.1)
@@ -353,6 +351,78 @@ impl WriteSet {
     #[inline]
     pub fn entries(&self) -> &[(Addr, u64)] {
         &self.entries
+    }
+}
+
+/// The distinct cache lines one speculative attempt has touched: the
+/// simulated HTM's read or write footprint, bounded by a capacity.
+///
+/// Exact — the count of distinct lines, and so the access at which a
+/// capacity abort fires, is that of a plain set — and shaped like the
+/// other two sets: the line of the previous access first (consecutive
+/// words of one record share a line), a linear scan up to [`INLINE_MAX`]
+/// lines, an [`OpenIndex`] probe beyond, so tracking costs by footprint
+/// and not by access count.
+#[derive(Debug, Default, Clone)]
+pub struct LineSet {
+    lines: Vec<u32>,
+    index: OpenIndex,
+}
+
+impl LineSet {
+    /// An empty line set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forget all lines, retaining capacity.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.lines.clear();
+        self.index.clear();
+    }
+
+    /// Number of distinct lines tracked.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// Whether no line has been touched yet.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.lines.is_empty()
+    }
+
+    /// Track `line`. Returns false — and tracks nothing — when the line is
+    /// new and the set already holds `cap` lines.
+    #[inline]
+    pub fn insert(&mut self, line: u32, cap: usize) -> bool {
+        // The inlined part is this one compare; the search is a call.
+        self.lines.last() == Some(&line) || self.insert_searching(line, cap)
+    }
+
+    fn insert_searching(&mut self, line: u32, cap: usize) -> bool {
+        let known = if self.index.spilled() {
+            self.index.get(line).is_some()
+        } else {
+            self.lines.contains(&line)
+        };
+        if known {
+            return true;
+        }
+        if self.lines.len() >= cap {
+            return false;
+        }
+        let pos = self.lines.len() as u32;
+        self.lines.push(line);
+        if self.index.spilled() {
+            self.index.set(line, pos);
+        } else if self.lines.len() > INLINE_MAX {
+            self.index
+                .build(self.lines.iter().enumerate().map(|(i, &l)| (l, i as u32)));
+        }
+        true
     }
 }
 
@@ -433,6 +503,57 @@ mod tests {
     }
 
     #[test]
+    fn a_small_transaction_after_a_large_one_leaves_the_index_untouched() {
+        let mut ws = WriteSet::new();
+        let mut rs = ReadSet::new();
+        for i in 0..40u32 {
+            ws.insert(Addr(i), 1);
+            rs.push_orec(i as usize, 1);
+            rs.push_value(Addr(i), 1);
+        }
+        assert!(ws.index.spilled() && rs.orec_index.spilled() && rs.value_index.spilled());
+        ws.clear();
+        rs.clear();
+        let slots = ws.index.slots.len();
+        assert!(slots > 0, "the allocation is kept");
+        // Three entries scan inline: nothing is hashed into the index, so
+        // the next clear has nothing to wipe.
+        for i in [7u32, 3, 7, 9] {
+            ws.insert(Addr(i), u64::from(i));
+            rs.push_orec(i as usize, 2);
+            rs.push_value(Addr(i), 2);
+        }
+        assert_eq!(ws.len(), 3);
+        assert_eq!(ws.get(Addr(3)), Some(3));
+        for index in [&ws.index, &rs.orec_index, &rs.value_index] {
+            assert!(!index.spilled());
+            assert!(index.slots.iter().all(|&s| s == 0));
+        }
+        assert_eq!(ws.index.slots.len(), slots);
+        // Inline dedup is against the tail only, as in a fresh set.
+        assert_eq!(rs.orecs(), &[(7, 2), (3, 2), (7, 2), (9, 2)]);
+    }
+
+    #[test]
+    fn line_set_counts_distinct_lines_up_to_its_capacity() {
+        let mut ls = LineSet::new();
+        assert!(ls.is_empty());
+        for round in 0..3 {
+            for line in 0..12u32 {
+                assert!(ls.insert(line, 12), "round {round} line {line}");
+            }
+        }
+        assert_eq!(ls.len(), 12);
+        assert!(!ls.insert(99, 12), "a thirteenth line overflows");
+        assert_eq!(ls.len(), 12, "a rejected line is not tracked");
+        assert!(ls.insert(5, 12), "known lines still hit at capacity");
+        ls.clear();
+        assert!(ls.is_empty());
+        assert!(ls.insert(99, 1));
+        assert!(!ls.insert(5, 1));
+    }
+
+    #[test]
     fn read_set_tracks_both_kinds() {
         let mut rs = ReadSet::new();
         assert!(rs.is_empty());
@@ -502,21 +623,29 @@ mod tests {
 
         #[test]
         fn indexed_write_set_matches_linear_scan_model(
-            ops in proptest::collection::vec((0u32..2, 0u32..48, 0u64..1000), 0..300),
+            ops in proptest::collection::vec((0u32..16, 0u32..48, 0u64..1000), 0..400),
         ) {
             // Equivalence against the pre-change linear-scan implementation:
             // same lookups, same entry order, same lengths — interleaving
-            // reads and writes so lookups hit every representation state
-            // (inline, freshly spilled, long-indexed).
+            // reads, writes and clears so lookups hit every representation
+            // state (inline, freshly spilled, long-indexed, and inline
+            // again after a clear that followed a spill).
             let mut ws = WriteSet::new();
             let mut model = LinearWriteSet::default();
-            for (is_write, a, v) in ops {
-                if is_write == 1 {
-                    ws.insert(Addr(a), v);
-                    model.insert(Addr(a), v);
-                } else {
-                    proptest::prop_assert_eq!(ws.get(Addr(a)), model.get(Addr(a)));
+            for (op, a, v) in ops {
+                match op {
+                    0 => {
+                        ws.clear();
+                        model.entries.clear();
+                        proptest::prop_assert!(!ws.index.spilled());
+                    }
+                    1..=8 => {
+                        ws.insert(Addr(a), v);
+                        model.insert(Addr(a), v);
+                    }
+                    _ => proptest::prop_assert_eq!(ws.get(Addr(a)), model.get(Addr(a))),
                 }
+                proptest::prop_assert_eq!(ws.index.spilled(), ws.len() > INLINE_MAX);
             }
             proptest::prop_assert_eq!(ws.entries(), model.entries.as_slice());
         }

@@ -4,7 +4,7 @@ use crate::clock::GlobalClock;
 use crate::conflict::StripeMap;
 use crate::heap::Heap;
 use crate::orec::{OrecTable, OwnerTag};
-use crate::sets::{ReadSet, WriteSet};
+use crate::sets::{LineSet, ReadSet, WriteSet};
 use crate::stats::ThreadStats;
 use crate::util::XorShift64;
 use std::fmt;
@@ -103,9 +103,9 @@ pub struct ThreadCtx {
     /// timestamp extension, NOrec value validation) must ignore the hint.
     pub read_only: bool,
     /// Cache lines touched speculatively (simulated HTM read set).
-    pub read_lines: Vec<u32>,
+    pub read_lines: LineSet,
     /// Cache lines written speculatively (simulated HTM write set).
-    pub write_lines: Vec<u32>,
+    pub write_lines: LineSet,
     /// Greedy contention-manager timestamp (SwissTM).
     pub greedy_ts: u64,
     /// Remaining speculative attempts for the current atomic block (HTM
@@ -162,8 +162,8 @@ impl ThreadCtx {
             attempt: 0,
             in_fallback: false,
             read_only: false,
-            read_lines: Vec::new(),
-            write_lines: Vec::new(),
+            read_lines: LineSet::new(),
+            write_lines: LineSet::new(),
             greedy_ts: 0,
             htm_budget: 0,
             scratch: Vec::new(),
@@ -222,6 +222,7 @@ impl ThreadCtx {
     }
 
     /// Clear all per-attempt logs (called by backends on begin/rollback).
+    #[inline]
     pub fn reset_logs(&mut self) {
         self.read_set.clear();
         self.write_set.clear();
@@ -254,7 +255,7 @@ mod tests {
         ctx.read_set.push_orec(1, 1);
         ctx.write_set.insert(crate::Addr(0), 1);
         ctx.locks.push((0, 0));
-        ctx.read_lines.push(1);
+        ctx.read_lines.insert(1, 8);
         ctx.in_fallback = true;
         ctx.reset_logs();
         assert!(ctx.read_set.is_empty());
