@@ -24,6 +24,11 @@
 //! Scheduling is dynamic (an atomic work index), so uneven task costs
 //! balance across workers; determinism is unaffected because results are
 //! written back by index, not by completion order.
+//!
+//! Every call spawns and joins its workers: worth it for tasks of
+//! milliseconds (the stages above), a loss for tasks of microseconds —
+//! which is why a bagging ensemble's member *predictions*, issued between
+//! every two samples of an exploration, fold on the calling thread.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -38,7 +38,7 @@ impl BaggingEnsemble {
             .collect();
         let members = parx::par_map(&bootstraps, |sample| {
             let rows: Vec<Row> = sample.iter().map(|&r| training.row(r).clone()).collect();
-            CfPredictor::fit(&UtilityMatrix::from_rows(rows), algorithm)
+            CfPredictor::fit(UtilityMatrix::from_rows(rows), algorithm)
         });
         BaggingEnsemble { members }
     }
@@ -56,17 +56,18 @@ impl BaggingEnsemble {
     /// Predictive mean and variance per column for a workload with the
     /// given known ratings. Columns no member can predict are `None`.
     ///
-    /// Member predictions run on the [`parx`] pool; the per-column moments
-    /// are then folded in one streaming pass (Welford) over the members in
-    /// index order — no per-column buffer, and the same accumulation order
-    /// at every job count.
+    /// Members predict on the calling thread, each row folded into the
+    /// per-column moments (Welford) as it is produced, in member order. Not
+    /// on the [`parx`] pool: this is called between every two samples of an
+    /// exploration, and a member predicts in microseconds — less than
+    /// spawning the pool's threads (measured: 129 µs per step pooled, 66 not).
     pub fn predict_stats(&self, known: &Row) -> Vec<Option<(f64, f64)>> {
-        let predictions: Vec<Row> = parx::par_map(&self.members, |m| m.predict_row(known));
-        let ncols = predictions.first().map_or(0, |p| p.len());
+        let mut predictions = self.members.iter().map(|m| m.predict_row(known)).peekable();
+        let ncols = predictions.peek().map_or(0, |p| p.len());
         let mut count = vec![0u32; ncols];
         let mut mean = vec![0.0f64; ncols];
         let mut m2 = vec![0.0f64; ncols];
-        for prediction in &predictions {
+        for prediction in predictions {
             for (c, v) in prediction.iter().enumerate() {
                 if let Some(v) = *v {
                     count[c] += 1;

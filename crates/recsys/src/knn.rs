@@ -1,6 +1,6 @@
 //! User-based K-Nearest-Neighbours collaborative filtering.
 
-use crate::matrix::{Row, UtilityMatrix};
+use crate::matrix::{known_entries, Row, UtilityMatrix};
 use std::fmt;
 
 /// Row-similarity functions (paper §5.1 discusses all three).
@@ -25,17 +25,22 @@ impl Similarity {
 
     /// Similarity between two rows over their co-rated columns; `None` when
     /// fewer than `min_overlap` columns are co-rated.
-    ///
-    /// The kernels stream over the rows without materializing the co-rated
-    /// pairs — this sits on the innermost loop of every KNN query. Each
-    /// accumulator adds terms in column order, the same order the old
-    /// collect-then-sum implementation used, so results are bit-identical.
     pub fn between(self, a: &Row, b: &Row, min_overlap: usize) -> Option<f64> {
+        self.over(&known_entries(a).collect::<Vec<_>>(), b, min_overlap)
+    }
+
+    /// The kernel, with `a` as its known `(column, value)` entries in column
+    /// order: a KNN query knows a handful of columns and meets every
+    /// training row, so it is indexed once and a row costs its overlap.
+    ///
+    /// This is the innermost loop of every KNN query: nothing is
+    /// materialized, and each accumulator adds its terms in column order —
+    /// the order of the collect-then-sum reference implementation
+    /// (`tests/similarity_regression.rs`) — so results are bit-identical.
+    fn over(self, a: &[(usize, f64)], b: &Row, min_overlap: usize) -> Option<f64> {
         let co_rated = || {
-            a.iter().zip(b.iter()).filter_map(|(x, y)| match (x, y) {
-                (Some(x), Some(y)) => Some((*x, *y)),
-                _ => None,
-            })
+            a.iter()
+                .filter_map(|&(c, x)| b.get(c).copied().flatten().map(|y| (x, y)))
         };
         match self {
             Similarity::Euclidean => {
@@ -115,22 +120,9 @@ pub struct KnnModel {
     k: usize,
 }
 
-/// Per-query state for repeated KNN predictions against one known row: the
-/// similarity of the query to every training row (the expensive part of a
-/// KNN query, computed once) plus a reusable neighbour buffer, so
-/// predicting each additional column is allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct SimilarityCache {
-    sims: Vec<Option<f64>>,
-    scratch: Vec<(f64, f64)>, // (similarity, rating)
-}
-
-impl SimilarityCache {
-    /// Similarity to each training row (`None` below the overlap floor).
-    pub fn similarities(&self) -> &[Option<f64>] {
-        &self.sims
-    }
-}
+/// The training rows comparable to one query, most similar first, each with
+/// its similarity to the query.
+type Ranking<'a> = Vec<(f64, &'a Row)>;
 
 impl KnnModel {
     /// Fit (memorize) the training matrix.
@@ -142,61 +134,55 @@ impl KnnModel {
         }
     }
 
-    /// Build (or rebuild, reusing `cache`'s allocations) the per-query
-    /// similarity cache for `known`.
-    pub fn fill_cache(&self, known: &Row, cache: &mut SimilarityCache) {
-        cache.sims.clear();
-        cache.sims.extend(
-            (0..self.training.nrows())
-                .map(|r| self.similarity.between(known, self.training.row(r), 1)),
-        );
+    /// Rank the training rows for `known`: a *stable* sort by |similarity|
+    /// descending over the rows in index order. One ranking serves every
+    /// column — column `c`'s neighbours are the first `k` ranked rows that
+    /// rate `c`, because a stable sort of a subsequence is that subsequence
+    /// of the stable sort (DESIGN.md §5; `tests/knn_regression.rs`).
+    fn ranking(&self, known: &Row) -> Ranking<'_> {
+        let known: Vec<(usize, f64)> = known_entries(known).collect();
+        let mut ranking: Ranking = self
+            .training
+            .rows()
+            .iter()
+            .filter_map(|row| self.similarity.over(&known, row, 1).map(|sim| (sim, row)))
+            .collect();
+        ranking.sort_by(|a, b| b.0.abs().total_cmp(&a.0.abs()));
+        ranking
     }
 
-    /// The per-query similarity cache for `known`.
-    pub fn similarity_cache(&self, known: &Row) -> SimilarityCache {
-        let mut cache = SimilarityCache::default();
-        self.fill_cache(known, &mut cache);
-        cache
-    }
-
-    /// Predict the rating of `col` using a cache previously filled for the
-    /// same known row.
-    pub fn predict_cached(&self, cache: &mut SimilarityCache, col: usize) -> Option<f64> {
-        let neighbours = &mut cache.scratch;
-        neighbours.clear();
-        for (r, sim) in cache.sims.iter().enumerate() {
-            if let (Some(sim), Some(rating)) = (sim, self.training.get(r, col)) {
-                neighbours.push((*sim, rating));
-            }
-        }
-        if neighbours.is_empty() {
-            return None;
-        }
-        neighbours.sort_by(|a, b| b.0.abs().total_cmp(&a.0.abs()));
-        neighbours.truncate(self.k);
-        let wsum: f64 = neighbours.iter().map(|(s, _)| s.abs()).sum();
+    /// The similarity-weighted average of `col` over its `k` best-ranked
+    /// raters; `None` when nobody comparable rates it.
+    fn predict_ranked(&self, ranking: &Ranking, col: usize) -> Option<f64> {
+        let neighbours = || {
+            ranking
+                .iter()
+                .filter_map(|&(sim, row)| row[col].map(|rating| (sim, rating)))
+                .take(self.k)
+        };
+        let wsum: f64 = neighbours().map(|(s, _)| s.abs()).sum();
         if wsum < 1e-12 {
             return None;
         }
-        Some(neighbours.iter().map(|(s, r)| s * r).sum::<f64>() / wsum)
+        Some(neighbours().map(|(s, r)| s * r).sum::<f64>() / wsum)
     }
 
     /// Predict the rating of `col` for a workload with the given known
     /// ratings; `None` when no similar neighbour rates `col`.
     pub fn predict(&self, known: &Row, col: usize) -> Option<f64> {
-        self.predict_cached(&mut self.similarity_cache(known), col)
+        self.predict_ranked(&self.ranking(known), col)
     }
 
     /// Predict every column (known entries are passed through unchanged).
     pub fn predict_row(&self, known: &Row) -> Row {
-        let mut cache = self.similarity_cache(known);
+        let ranking = self.ranking(known);
         (0..self.training.ncols())
             .map(|c| {
                 known
                     .get(c)
                     .copied()
                     .flatten()
-                    .or_else(|| self.predict_cached(&mut cache, c))
+                    .or_else(|| self.predict_ranked(&ranking, c))
             })
             .collect()
     }

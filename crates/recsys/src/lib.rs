@@ -29,7 +29,7 @@ mod predictor;
 mod tuning;
 
 pub use bagging::BaggingEnsemble;
-pub use knn::{KnnModel, Similarity, SimilarityCache};
+pub use knn::{KnnModel, Similarity};
 pub use matrix::{Row, UtilityMatrix};
 pub use metrics::{dfo, mape, mdfo, percentile};
 pub use mf::{MfModel, MfParams};

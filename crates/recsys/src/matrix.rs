@@ -5,6 +5,13 @@ use std::fmt;
 /// One workload's (possibly partial) ratings across all configurations.
 pub type Row = Vec<Option<f64>>;
 
+/// The known `(col, value)` entries of a row, in column order.
+pub(crate) fn known_entries(row: &Row) -> impl Iterator<Item = (usize, f64)> + '_ {
+    row.iter()
+        .enumerate()
+        .filter_map(|(c, v)| v.map(|x| (c, x)))
+}
+
 /// A sparse matrix of ratings; rows are workloads, columns are TM
 /// configurations (paper §5.1).
 ///
@@ -96,10 +103,7 @@ impl UtilityMatrix {
 
     /// Known `(col, value)` entries of row `r`.
     pub fn known_in_row(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.rows[r]
-            .iter()
-            .enumerate()
-            .filter_map(|(c, v)| v.map(|x| (c, x)))
+        known_entries(&self.rows[r])
     }
 
     /// Total number of known entries.

@@ -1,7 +1,7 @@
 //! Matrix-factorization collaborative filtering trained by stochastic
 //! gradient descent (§2.2).
 
-use crate::matrix::{Row, UtilityMatrix};
+use crate::matrix::{known_entries, Row, UtilityMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,11 +84,7 @@ impl MfModel {
         let d = self.params.factors.max(1);
         let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x9E37);
         let mut user: Vec<f64> = (0..d).map(|_| rng.gen_range(-0.1..0.1)).collect();
-        let observed: Vec<(usize, f64)> = known
-            .iter()
-            .enumerate()
-            .filter_map(|(c, v)| v.map(|x| (c, x)))
-            .collect();
+        let observed: Vec<(usize, f64)> = known_entries(known).collect();
         for _ in 0..self.params.epochs {
             for &(i, r) in &observed {
                 let pred: f64 = user

@@ -41,13 +41,14 @@ pub enum CfPredictor {
 }
 
 impl CfPredictor {
-    /// Fit `algorithm` on a training matrix of ratings.
-    pub fn fit(training: &UtilityMatrix, algorithm: CfAlgorithm) -> Self {
+    /// Fit `algorithm` on a training matrix of ratings. The matrix comes by
+    /// value because KNN *is* its training rows (MF only reads them).
+    pub fn fit(training: UtilityMatrix, algorithm: CfAlgorithm) -> Self {
         match algorithm {
             CfAlgorithm::Knn { similarity, k } => {
-                CfPredictor::Knn(KnnModel::fit(training.clone(), similarity, k))
+                CfPredictor::Knn(KnnModel::fit(training, similarity, k))
             }
-            CfAlgorithm::Mf(params) => CfPredictor::Mf(MfModel::fit(training, params)),
+            CfAlgorithm::Mf(params) => CfPredictor::Mf(MfModel::fit(&training, params)),
         }
     }
 
@@ -81,7 +82,7 @@ mod tests {
                 ..MfParams::default()
             }),
         ] {
-            let p = CfPredictor::fit(&training, algo);
+            let p = CfPredictor::fit(training.clone(), algo);
             let row = p.predict_row(&vec![Some(1.5), Some(3.0), None]);
             assert!(row[2].is_some(), "{algo} failed to predict");
         }

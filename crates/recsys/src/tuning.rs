@@ -113,7 +113,7 @@ fn cv_score(
             .map(|r| training.row(r).clone())
             .collect();
         if !fit_rows.is_empty() {
-            let model = CfPredictor::fit(&UtilityMatrix::from_rows(fit_rows), algo);
+            let model = CfPredictor::fit(UtilityMatrix::from_rows(fit_rows), algo);
             for r in (0..nrows).filter(|&r| assignment[r] == fold) {
                 let full = training.row(r);
                 let known_cols: Vec<usize> = full

@@ -235,19 +235,23 @@ impl Controller {
             ));
         }
 
+        // The ratings of `known`, recomputed after every probe — once per
+        // step, shared by the stopping check and the next acquisition round.
+        let mut ratings = self.ratings(&known);
         let mut stop = StopState::new();
         let mut stop_reason = "exhausted";
         while spent.get() < self.settings.max_explorations {
-            let Some((candidates, ratings_known)) = self.candidates(&known, &tried) else {
+            let Some(ratings_known) = &ratings else {
                 break;
             };
+            let candidates = self.candidates(ratings_known, &tried);
             if candidates.is_empty() {
                 break;
             }
             // Score-space ratings are "higher is better" by construction;
             // raw-KPI baselines (RC, none) keep the original direction.
             let inner = self.inner_goal();
-            let best_rating = self.best_of(&ratings_known).unwrap_or(f64::NAN);
+            let best_rating = self.best_of(ratings_known).unwrap_or(f64::NAN);
             let Some((chosen, ei)) =
                 self.settings
                     .acquisition
@@ -281,9 +285,10 @@ impl Controller {
                 ));
                 trace.push(obs::pending_event!(obs::SPAN_END, "name" => "ei.round"));
             }
-            let new_best = self
-                .ratings(&known)
-                .and_then(|r| self.best_of(&r))
+            ratings = self.ratings(&known);
+            let new_best = ratings
+                .as_ref()
+                .and_then(|r| self.best_of(r))
                 .unwrap_or(best_rating);
             stop.record(ei, new_best);
             if self.settings.stopping.should_stop(&stop) {
@@ -302,7 +307,8 @@ impl Controller {
 
         // Final step: explore the model's recommendation if new.
         let inner = self.inner_goal();
-        if let Some((candidates, _)) = self.candidates(&known, &tried) {
+        if let Some(ratings_known) = &ratings {
+            let candidates = self.candidates(ratings_known, &tried);
             let best_candidate =
                 candidates.iter().copied().reduce(
                     |a, b| {
@@ -314,7 +320,7 @@ impl Controller {
                     },
                 );
             if let Some(cand) = best_candidate {
-                let best_explored = self.ratings(&known).and_then(|r| self.best_of(&r));
+                let best_explored = self.best_of(ratings_known);
                 let improves = match best_explored {
                     Some(b) => inner.better(cand.mu, b),
                     None => true,
@@ -435,16 +441,15 @@ impl Controller {
             .reduce(|a, b| inner.best(a, b))
     }
 
-    /// Predictive candidates for all columns not yet sampled (the `tried`
-    /// mask also excludes columns whose sample was discarded as corrupt),
-    /// plus the known ratings row.
-    fn candidates(&self, known_kpis: &Row, tried: &[bool]) -> Option<(Vec<Candidate>, Row)> {
-        let ratings = self.ratings(known_kpis)?;
-        let stats = self.ensemble.predict_stats(&ratings);
-        let candidates = stats
+    /// Predictive candidates, given the known ratings, for all columns not
+    /// yet sampled (`tried` covers the known columns and those whose sample
+    /// was discarded as corrupt).
+    fn candidates(&self, ratings: &Row, tried: &[bool]) -> Vec<Candidate> {
+        let stats = self.ensemble.predict_stats(ratings);
+        stats
             .iter()
             .enumerate()
-            .filter(|(c, _)| known_kpis[*c].is_none() && !tried[*c])
+            .filter(|(c, _)| !tried[*c])
             .filter_map(|(c, s)| {
                 s.map(|(mu, sigma2)| Candidate {
                     index: c,
@@ -452,8 +457,7 @@ impl Controller {
                     sigma2,
                 })
             })
-            .collect();
-        Some((candidates, ratings))
+            .collect()
     }
 }
 

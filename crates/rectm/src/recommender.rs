@@ -35,7 +35,7 @@ impl Recommender {
         };
         normalizer.fit(&scores);
         let ratings = normalizer.transform_matrix(&scores);
-        let predictor = CfPredictor::fit(&ratings, algorithm);
+        let predictor = CfPredictor::fit(ratings, algorithm);
         Recommender {
             normalizer,
             predictor,
