@@ -142,11 +142,8 @@ impl SpecCore {
             return Err(self.cm.charge(ctx, Abort::CAPACITY));
         }
         let idx = self.lines.index_for(addr);
-        if !ctx.locks.iter().any(|&(i, _)| i as usize == idx) {
-            match self.lines.try_lock(idx, ctx.owner_tag(), None) {
-                Ok(prev) => ctx.locks.push((idx as u32, prev)),
-                Err(_) => return Err(self.cm.charge(ctx, Abort::conflict_at(idx))),
-            }
+        if let Err(abort) = self.lines.acquire(idx, ctx.owner_tag(), &mut ctx.locks) {
+            return Err(self.cm.charge(ctx, abort));
         }
         ctx.write_set.insert(addr, val);
         if self.naive_instrumentation {
@@ -355,21 +352,49 @@ mod tests {
         core.rollback(&mut ctx);
     }
 
+    #[test]
+    fn ownership_is_read_off_the_line_orec() {
+        let (sys, core, mut ctx, seq) = setup(HtmGeometry::TINY_FOR_TESTS);
+        let a = sys.heap.alloc(LINE_WORDS * 2);
+        let b = a.field(LINE_WORDS as u32);
+        let (la, lb) = (core.lines.index_for(a), core.lines.index_for(b));
+        assert_eq!(core.lines.index_for(a.field(1)), la);
+        assert_ne!(la, lb);
+        core.lines.store_version(la, 33);
+        core.lines.try_lock(lb, txcore::OwnerTag(9), None).unwrap();
+        core.begin(&sys, &mut ctx, &seq).unwrap();
+        core.write(&sys, &mut ctx, &seq, a, 1).unwrap();
+        // A second word of the line we own: no second lock entry.
+        core.write(&sys, &mut ctx, &seq, a.field(1), 2).unwrap();
+        assert_eq!(ctx.locks, [(la as u32, 33)]);
+        // A line somebody else owns still aborts, and names itself.
+        let abort = core.write(&sys, &mut ctx, &seq, b, 4).unwrap_err();
+        assert_eq!((abort, abort.stripe()), (Abort::CONFLICT, Some(lb as u32)));
+        core.rollback(&mut ctx);
+        assert_eq!(core.lines.load(la), OrecState::Version(33));
+        assert_eq!(core.lines.load(lb), OrecState::Locked(txcore::OwnerTag(9)));
+        assert!(ctx.locks.is_empty());
+    }
+
     proptest::proptest! {
         /// `track` over a `LineSet` against a `BTreeSet` of lines: the same
         /// accept/reject decision and the same distinct-line count after
-        /// every access, whatever the capacity, across the spill from scan
-        /// to index and across `clear`. The decision is what places a
-        /// `Capacity` abort, so it is what must not move.
+        /// every access, whatever the capacity. The clear rate is drawn per
+        /// case: rare clears give attempts of up to 200 distinct lines,
+        /// which grow the table in mid-attempt; frequent ones give hundreds
+        /// of attempts, each probing through the stale slots of the last.
+        /// The decision is what places a `Capacity` abort, so it is what
+        /// must not move.
         #[test]
         fn line_tracking_matches_a_set_model(
-            cap in 0usize..40,
-            ops in proptest::collection::vec((0u32..24, 0u32..48 * LINE_WORDS as u32), 0..400),
+            cap in 0usize..160,
+            clear_rate in 0u32..40,
+            ops in proptest::collection::vec((0u32..256, 0u32..200 * LINE_WORDS as u32), 0..2500),
         ) {
             let mut set = LineSet::new();
             let mut model = std::collections::BTreeSet::new();
             for (op, word) in ops {
-                if op == 0 {
+                if op < clear_rate {
                     set.clear();
                     model.clear();
                 } else {

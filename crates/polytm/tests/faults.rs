@@ -3,13 +3,23 @@
 //! Separate integration binary on purpose: `faultsim::with_plan` arms a
 //! process-global injector, and the crate's unit tests (which assert exact
 //! commit/abort counts) must never share a process with an armed plan.
-//! Within this binary, `with_plan`'s internal lock serializes every test
-//! that installs a plan.
+//! Within this binary every test runs under [`serial`]: `with_plan`'s
+//! internal lock only covers the closure, and several tests call
+//! `poly.apply` before or after it — calls that would otherwise pass the
+//! `switch_apply` site while a sibling's plan is armed and eat its fires.
 
 use polytm::{AdapterHandle, BackendId, PolyTm, ReconfigError, RetryPolicy, SwitchError, TmConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// One test of this binary at a time, whole test body included.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    // The lock guards no data, so a sibling's failed assertion must not
+    // fail this test too.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn small_poly() -> Arc<PolyTm> {
     Arc::new(PolyTm::builder().heap_words(1 << 10).max_threads(2).build())
@@ -17,6 +27,7 @@ fn small_poly() -> Arc<PolyTm> {
 
 #[test]
 fn injected_switch_failure_is_transient_and_has_no_effect() {
+    let _serial = serial();
     if !faultsim::enabled() {
         return;
     }
@@ -41,6 +52,7 @@ fn injected_switch_failure_is_transient_and_has_no_effect() {
 
 #[test]
 fn apply_with_retry_absorbs_transient_faults() {
+    let _serial = serial();
     if !faultsim::enabled() {
         return;
     }
@@ -65,6 +77,7 @@ fn apply_with_retry_absorbs_transient_faults() {
 
 #[test]
 fn exhausted_retries_degrade_to_known_good() {
+    let _serial = serial();
     if !faultsim::enabled() {
         return;
     }
@@ -106,6 +119,7 @@ fn exhausted_retries_degrade_to_known_good() {
 
 #[test]
 fn injected_adapter_panic_is_contained_and_adapter_survives() {
+    let _serial = serial();
     if !faultsim::enabled() {
         return;
     }
@@ -133,6 +147,7 @@ fn injected_adapter_panic_is_contained_and_adapter_survives() {
 
 #[test]
 fn injected_gate_stalls_trip_the_watchdog_then_recovery() {
+    let _serial = serial();
     if !faultsim::enabled() {
         return;
     }
@@ -190,6 +205,7 @@ fn injected_gate_stalls_trip_the_watchdog_then_recovery() {
 /// successful apply actually installed.
 #[test]
 fn chaos_run_completes_without_deadlock_or_lost_updates() {
+    let _serial = serial();
     if !faultsim::enabled() {
         return;
     }

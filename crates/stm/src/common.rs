@@ -20,13 +20,6 @@ pub(crate) fn release_locks_with(ctx: &mut ThreadCtx, table: &OrecTable, wv: u64
     ctx.locks.clear();
 }
 
-/// Whether `ctx` holds the lock on record `idx` (linear scan — write sets of
-/// TM transactions span few stripes).
-#[inline]
-pub(crate) fn holds_lock(ctx: &ThreadCtx, idx: usize) -> bool {
-    ctx.locks.iter().any(|&(i, _)| i as usize == idx)
-}
-
 /// The saved pre-lock version for a record this transaction locked.
 #[inline]
 pub(crate) fn saved_version(ctx: &ThreadCtx, idx: usize) -> Option<u64> {
@@ -48,7 +41,6 @@ mod tests {
         t.store_version(0, 5);
         let prev = t.try_lock(0, OwnerTag(1), None).unwrap();
         ctx.locks.push((0, prev));
-        assert!(holds_lock(&ctx, 0));
         assert_eq!(saved_version(&ctx, 0), Some(5));
         release_saved_locks(&mut ctx, &t);
         assert!(ctx.locks.is_empty());

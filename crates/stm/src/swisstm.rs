@@ -16,7 +16,7 @@
 //! suicide-with-backoff; the performance impact of CM choices is modelled
 //! in the `tmsim` crate (see DESIGN.md).
 
-use crate::common::{holds_lock, release_locks_with, release_saved_locks};
+use crate::common::{release_locks_with, release_saved_locks};
 use std::sync::Arc;
 use txcore::{
     Abort, Addr, BackendKind, OrecState, OrecTable, ThreadCtx, TmBackend, TmSystem, TxResult,
@@ -98,9 +98,10 @@ impl TmBackend for SwissTm {
         }
         // Reading a stripe whose write orec we hold: memory still has the
         // last committed value (writes are buffered) and nobody else can
-        // commit it — stable without logging.
-        let w_idx = self.wlocks().index_for(addr);
-        if holds_lock(ctx, w_idx) {
+        // commit it — stable without logging. A transaction that has not
+        // written holds none, and does not touch the write-orec table.
+        let mine = OrecState::Locked(ctx.owner_tag());
+        if !ctx.locks.is_empty() && self.wlocks().load(self.wlocks().index_for(addr)) == mine {
             return Ok(self.sys.heap.read_raw(addr));
         }
         let r_idx = self.rvers().index_for(addr);
@@ -127,18 +128,10 @@ impl TmBackend for SwissTm {
 
     fn write(&self, ctx: &mut ThreadCtx, addr: Addr, val: u64) -> TxResult<()> {
         let idx = self.wlocks().index_for(addr);
-        if holds_lock(ctx, idx) {
-            ctx.write_set.insert(addr, val);
-            return Ok(());
-        }
-        match self.wlocks().try_lock(idx, ctx.owner_tag(), None) {
-            Ok(prev) => {
-                ctx.locks.push((idx as u32, prev));
-                ctx.write_set.insert(addr, val);
-                Ok(())
-            }
-            Err(_) => Err(Abort::conflict_at(idx)),
-        }
+        self.wlocks()
+            .acquire(idx, ctx.owner_tag(), &mut ctx.locks)?;
+        ctx.write_set.insert(addr, val);
+        Ok(())
     }
 
     fn commit(&self, ctx: &mut ThreadCtx) -> TxResult<()> {
@@ -310,5 +303,37 @@ mod tests {
         assert_eq!(tm.read(&mut ctx, b).unwrap(), 3);
         assert_eq!(ctx.rv, wv);
         assert!(tm.commit(&mut ctx).is_ok());
+    }
+
+    #[test]
+    fn ownership_is_read_off_the_orec_word() {
+        let (sys, tm, mut ctx) = setup();
+        let a = sys.heap.alloc(2); // two words, one stripe
+        sys.heap.alloc(64);
+        let b = sys.heap.alloc(1);
+        let (sa, sb) = (sys.orecs.index_for(a), sys.orecs.index_for(b));
+        assert_eq!(sys.orecs.index_for(a.field(1)), sa);
+        assert_ne!(sa, sb);
+        sys.heap.write_raw(a.field(1), 55);
+        sys.orecs.store_version(sa, 33);
+        sys.orecs.try_lock(sb, OwnerTag(9), None).unwrap();
+        tm.begin(&mut ctx).unwrap();
+        tm.write(&mut ctx, a, 1).unwrap();
+        // The neighbouring word of a stripe we own reads from memory,
+        // unlogged; writing it takes no second lock.
+        assert_eq!(tm.read(&mut ctx, a.field(1)).unwrap(), 55);
+        assert!(ctx.read_set.is_empty());
+        tm.write(&mut ctx, a.field(1), 2).unwrap();
+        assert_eq!(ctx.locks, [(sa as u32, 33)]);
+        // A write orec somebody else owns: readable (logged against the
+        // read orec), not writable — and the abort names it.
+        assert_eq!(tm.read(&mut ctx, b).unwrap(), 0);
+        assert_eq!(ctx.read_set.orecs().len(), 1);
+        let abort = tm.write(&mut ctx, b, 4).unwrap_err();
+        assert_eq!((abort, abort.stripe()), (Abort::CONFLICT, Some(sb as u32)));
+        tm.rollback(&mut ctx);
+        assert_eq!(sys.orecs.load(sa), OrecState::Version(33));
+        assert_eq!(sys.orecs.load(sb), OrecState::Locked(OwnerTag(9)));
+        assert!(ctx.locks.is_empty());
     }
 }

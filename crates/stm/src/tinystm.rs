@@ -10,7 +10,7 @@
 //! * commit validates (unless no concurrent commit happened), writes back
 //!   and stamps the released orecs with a fresh clock value.
 
-use crate::common::{holds_lock, release_locks_with, release_saved_locks, saved_version};
+use crate::common::{release_locks_with, release_saved_locks, saved_version};
 use std::sync::Arc;
 use txcore::{
     Abort, Addr, BackendKind, OrecState, OrecTable, ThreadCtx, TmBackend, TmSystem, TxResult,
@@ -115,20 +115,11 @@ impl TmBackend for TinyStm {
 
     fn write(&self, ctx: &mut ThreadCtx, addr: Addr, val: u64) -> TxResult<()> {
         let idx = self.orecs().index_for(addr);
-        if holds_lock(ctx, idx) {
-            ctx.write_set.insert(addr, val);
-            return Ok(());
-        }
-        match self.orecs().try_lock(idx, ctx.owner_tag(), None) {
-            Ok(prev) => {
-                ctx.locks.push((idx as u32, prev));
-                ctx.write_set.insert(addr, val);
-                Ok(())
-            }
-            // Encounter-time W-W conflict: the suicide contention manager
-            // aborts self (the driver backs off before retrying).
-            Err(_) => Err(Abort::conflict_at(idx)),
-        }
+        // Encounter-time W-W conflict: the suicide contention manager
+        // aborts self (the driver backs off before retrying).
+        self.orecs().acquire(idx, ctx.owner_tag(), &mut ctx.locks)?;
+        ctx.write_set.insert(addr, val);
+        Ok(())
     }
 
     fn commit(&self, ctx: &mut ThreadCtx) -> TxResult<()> {
@@ -269,5 +260,32 @@ mod tests {
             });
         }
         assert_eq!(sys.heap.read_raw(a), 10);
+    }
+
+    #[test]
+    fn ownership_is_read_off_the_orec_word() {
+        let (sys, tm, mut ctx) = setup();
+        let a = sys.heap.alloc(2); // two words, one stripe
+        sys.heap.alloc(64);
+        let b = sys.heap.alloc(1);
+        let (sa, sb) = (sys.orecs.index_for(a), sys.orecs.index_for(b));
+        assert_eq!(sys.orecs.index_for(a.field(1)), sa);
+        assert_ne!(sa, sb);
+        sys.orecs.store_version(sa, 33);
+        sys.orecs.try_lock(sb, OwnerTag(9), None).unwrap();
+        tm.begin(&mut ctx).unwrap();
+        tm.write(&mut ctx, a, 1).unwrap();
+        // A second word of the stripe we own: no second lock entry.
+        tm.write(&mut ctx, a.field(1), 2).unwrap();
+        tm.write(&mut ctx, a, 3).unwrap();
+        assert_eq!(ctx.locks, [(sa as u32, 33)]);
+        assert_eq!(ctx.write_set.len(), 2);
+        // A stripe somebody else owns still aborts, and names itself.
+        let abort = tm.write(&mut ctx, b, 4).unwrap_err();
+        assert_eq!((abort, abort.stripe()), (Abort::CONFLICT, Some(sb as u32)));
+        tm.rollback(&mut ctx);
+        assert_eq!(sys.orecs.load(sa), OrecState::Version(33));
+        assert_eq!(sys.orecs.load(sb), OrecState::Locked(OwnerTag(9)));
+        assert!(ctx.locks.is_empty());
     }
 }

@@ -7,9 +7,15 @@
 //!   unchanged across the value load) — giving opacity without logs of
 //!   values;
 //! * writes are buffered;
-//! * `commit` locks the write-set stripes (in a canonical order), increments
-//!   the clock to obtain `wv`, validates the read set against `rv`, writes
+//! * `commit` locks the write-set stripes in write order, increments the
+//!   clock to obtain `wv`, validates the read set against `rv`, writes
 //!   back, and releases the locks stamped with `wv`.
+//!
+//! The commit needs no lock order: `try_lock` never waits, and a committer
+//! that finds a stripe busy releases what it took before it aborts, so two
+//! crossed write sets cannot wait on each other (Kuznetsov & Ravi,
+//! PAPERS.md). "Locked by me" is a stripe an earlier entry took. The stripe
+//! a commit-time `Conflict` names is the first busy one in write order.
 
 use crate::common::{release_locks_with, release_saved_locks, saved_version};
 use std::sync::Arc;
@@ -118,49 +124,13 @@ impl TmBackend for Tl2 {
             ctx.reset_logs();
             return Ok(());
         }
-        // Single-write fast path: one entry means one stripe, and one lock
-        // needs no canonical ordering — skip the scratch/sort/dedup
-        // machinery entirely. Single-write transactions (counters,
-        // flag flips, pointer swings) are common enough to earn their own
-        // exit.
-        if let &[(a, v)] = ctx.write_set.entries() {
-            let idx = self.orecs().index_for(a) as u32;
-            match self.orecs().try_lock(idx as usize, ctx.owner_tag(), None) {
-                Ok(prev) => ctx.locks.push((idx, prev)),
-                Err(_) => return Err(Abort::conflict_at(idx as usize)),
-            }
-            let wv = self.sys.clock.tick();
-            if wv != ctx.rv + 1 {
-                if let Err(stripe) = self.validate_read_set(ctx) {
-                    release_saved_locks(ctx, self.orecs());
-                    return Err(Abort::conflict_at(stripe));
-                }
-            }
-            self.sys.heap.write_raw(a, v);
-            release_locks_with(ctx, self.orecs(), wv);
-            ctx.reset_logs();
-            return Ok(());
-        }
-        // Lock the write-set stripes in canonical (sorted) order so that
-        // concurrent committers cannot deadlock. The stripe ids go through
-        // the context's reusable scratch buffer: a retried or subsequent
-        // commit reuses its capacity, keeping the commit path free of heap
-        // allocation.
-        ctx.stripe_scratch.clear();
-        for &(a, _) in ctx.write_set.entries() {
-            ctx.stripe_scratch.push(self.orecs().index_for(a) as u32);
-        }
-        ctx.stripe_scratch.sort_unstable();
-        ctx.stripe_scratch.dedup();
         let me = ctx.owner_tag();
-        for i in 0..ctx.stripe_scratch.len() {
-            let idx = ctx.stripe_scratch[i];
-            match self.orecs().try_lock(idx as usize, me, None) {
-                Ok(prev) => ctx.locks.push((idx, prev)),
-                Err(_) => {
-                    release_saved_locks(ctx, self.orecs());
-                    return Err(Abort::conflict_at(idx as usize));
-                }
+        for &(a, _) in ctx.write_set.entries() {
+            let idx = self.orecs().index_for(a);
+            // `Ok` also when an earlier entry already took this stripe.
+            if let Err(abort) = self.orecs().acquire(idx, me, &mut ctx.locks) {
+                release_saved_locks(ctx, self.orecs());
+                return Err(abort);
             }
         }
         let wv = self.sys.clock.tick();
@@ -189,7 +159,7 @@ impl TmBackend for Tl2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txcore::run_tx;
+    use txcore::{run_tx, OrecState};
 
     fn setup() -> (Arc<TmSystem>, Tl2, ThreadCtx) {
         let sys = Arc::new(TmSystem::new(1024));
@@ -323,5 +293,120 @@ mod tests {
         sys.orecs.unlock(idx, 0);
         // Heap untouched by the failed commit.
         assert_eq!(sys.heap.read_raw(a), 0);
+    }
+
+    /// Words of three distinct stripes out of one allocation: `x0`/`x1`
+    /// share a stripe, `y` and `z` have one each.
+    fn three_stripes(sys: &TmSystem) -> ([Addr; 4], [usize; 3]) {
+        let base = sys.heap.alloc(64);
+        let [x0, x1, y, z] = [0, 1, 16, 32].map(|w| base.field(w));
+        let [sx, sy, sz] = [x0, y, z].map(|a| sys.orecs.index_for(a));
+        assert_eq!(sys.orecs.index_for(x1), sx);
+        assert!(sx != sy && sy != sz && sx != sz);
+        ([x0, x1, y, z], [sx, sy, sz])
+    }
+
+    #[test]
+    fn a_stripe_two_entries_share_is_locked_once_and_released_once_at_wv() {
+        let (sys, tm, mut ctx) = setup();
+        let ([x0, x1, y, _], [sx, sy, _]) = three_stripes(&sys);
+        sys.orecs.store_version(sx, 5);
+        tm.begin(&mut ctx).unwrap();
+        // Write order x0, y, x1: the shared stripe comes back after another.
+        tm.write(&mut ctx, x0, 1).unwrap();
+        tm.write(&mut ctx, y, 2).unwrap();
+        tm.write(&mut ctx, x1, 3).unwrap();
+        tm.commit(&mut ctx).unwrap();
+        let wv = sys.clock.now();
+        assert_eq!(wv, 1, "one commit, one tick");
+        assert_eq!(sys.orecs.load(sx), OrecState::Version(wv));
+        assert_eq!(sys.orecs.load(sy), OrecState::Version(wv));
+        assert!(ctx.locks.is_empty());
+        assert_eq!([x0, y, x1].map(|a| sys.heap.read_raw(a)), [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_foreign_lock_on_the_kth_stripe_names_it_and_restores_the_rest() {
+        let (sys, tm, mut ctx) = setup();
+        let ([x0, x1, y, z], [sx, sy, sz]) = three_stripes(&sys);
+        sys.orecs.store_version(sx, 5);
+        sys.orecs.store_version(sy, 7);
+        sys.orecs.try_lock(sz, txcore::OwnerTag(99), None).unwrap();
+        tm.begin(&mut ctx).unwrap();
+        for (a, v) in [(x0, 1), (y, 2), (x1, 3), (z, 4)] {
+            tm.write(&mut ctx, a, v).unwrap();
+        }
+        let abort = tm.commit(&mut ctx).unwrap_err();
+        assert_eq!(abort, Abort::CONFLICT);
+        assert_eq!(abort.stripe(), Some(sz as u32));
+        assert!(ctx.locks.is_empty(), "every taken lock was given back");
+        tm.rollback(&mut ctx);
+        assert_eq!(sys.orecs.load(sx), OrecState::Version(5));
+        assert_eq!(sys.orecs.load(sy), OrecState::Version(7));
+        assert_eq!(
+            sys.orecs.load(sz),
+            OrecState::Locked(txcore::OwnerTag(99)),
+            "the foreign lock is not ours to release"
+        );
+        assert_eq!(sys.clock.now(), 0, "no version was drawn");
+        assert_eq!([x0, y, x1, z].map(|a| sys.heap.read_raw(a)), [0; 4]);
+    }
+
+    /// Takes the first lock of `ctx`'s commit by hand — what the first turn
+    /// of the commit loop does — so two commits can be interleaved lock by
+    /// lock. The real `commit` then finds the stripe "locked by me" and
+    /// carries on from the second entry.
+    fn take_first_lock(sys: &TmSystem, ctx: &mut ThreadCtx) -> usize {
+        let idx = sys.orecs.index_for(ctx.write_set.entries()[0].0);
+        let prev = sys.orecs.try_lock(idx, ctx.owner_tag(), None).unwrap();
+        ctx.locks.push((idx as u32, prev));
+        idx
+    }
+
+    #[test]
+    fn crossed_write_orders_neither_hang_nor_leak_a_lock() {
+        let (sys, tm, mut a) = setup();
+        let mut b = ThreadCtx::new(1);
+        let ([x, _, y, _], [sx, sy, _]) = three_stripes(&sys);
+        let write_all = |ctx: &mut ThreadCtx, order: [Addr; 2], v: u64| {
+            tm.begin(ctx).unwrap();
+            for addr in order {
+                tm.write(ctx, addr, v).unwrap();
+            }
+        };
+        // A writes x then y, B writes y then x.
+        for b_moves_first in [false, true] {
+            write_all(&mut a, [x, y], 10);
+            write_all(&mut b, [y, x], 20);
+            // Each takes its first stripe: A holds x, B holds y — the state
+            // in which ordered *waiting* acquisition would deadlock.
+            assert_eq!(take_first_lock(&sys, &mut a), sx);
+            assert_eq!(take_first_lock(&sys, &mut b), sy);
+            let (first, second, held_by_second) = if b_moves_first {
+                (&mut b, &mut a, sx)
+            } else {
+                (&mut a, &mut b, sy)
+            };
+            // Whoever reaches for its second stripe first finds it busy,
+            // gives back what it holds and aborts; the other then commits.
+            let abort = tm.commit(first).unwrap_err();
+            assert_eq!(abort.stripe(), Some(held_by_second as u32));
+            assert!(first.locks.is_empty());
+            tm.rollback(first);
+            tm.commit(second).unwrap();
+            assert!(second.locks.is_empty());
+            // ... and the loser commits on its retry.
+            let (order, v) = if b_moves_first {
+                ([y, x], 20)
+            } else {
+                ([x, y], 10)
+            };
+            write_all(first, order, v);
+            tm.commit(first).unwrap();
+            let now = sys.clock.now();
+            assert_eq!(sys.orecs.load(sx), OrecState::Version(now));
+            assert_eq!(sys.orecs.load(sy), OrecState::Version(now));
+            assert_eq!([sys.heap.read_raw(x), sys.heap.read_raw(y)], [v, v]);
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Proves the per-transaction fast path never allocates once warm.
 //!
 //! `ReadSet`/`WriteSet`/lock logs are cleared, not dropped, between
-//! attempts, and the commit paths route their stripe sorting through the
-//! context's reusable scratch buffers — so a warmed-up thread must run
+//! attempts, and the one commit that sorts stripe ids (SwissTM's) does so in
+//! the context's reusable scratch buffers — so a warmed-up thread must run
 //! whole retry ladders with zero trips to the allocator. A counting
 //! wrapper around the system allocator enforces exactly that.
 //!

@@ -11,6 +11,7 @@
 //!             = owner thread   (when locked)
 //! ```
 
+use crate::abort::Abort;
 use crate::heap::Addr;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,6 +131,25 @@ impl OrecTable {
                 }
             }
         }
+    }
+
+    /// Lock record `idx` for `owner`, logging `(idx, pre-lock version)` in
+    /// `held` — unless `owner` holds it already, which the record's own
+    /// word says (`Locked(owner)`), so nobody searches `held` to find out.
+    /// A record somebody else holds is a conflict that names it.
+    #[inline]
+    pub fn acquire(
+        &self,
+        idx: usize,
+        owner: OwnerTag,
+        held: &mut Vec<(u32, u64)>,
+    ) -> Result<(), Abort> {
+        match self.try_lock(idx, owner, None) {
+            Ok(prev) => held.push((idx as u32, prev)),
+            Err(OrecState::Locked(o)) if o == owner => {}
+            Err(_) => return Err(Abort::conflict_at(idx)),
+        }
+        Ok(())
     }
 
     /// Release record `idx`, installing `version` as its new version.

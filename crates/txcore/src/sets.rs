@@ -6,8 +6,8 @@
 //! is tuned for the common short TM transaction while staying O(1)
 //! amortized for large ones:
 //!
-//! * entries live in a plain insertion-ordered `Vec` (backends depend on
-//!   that order for canonical lock acquisition and write-back);
+//! * entries live in a plain insertion-ordered `Vec` (backends lock and
+//!   write back in that order);
 //! * lookups use a linear scan while the set is small (at most
 //!   [`INLINE_MAX`] entries — one or two cache lines, cheaper than any
 //!   hash) and spill into an [`OpenIndex`], a private open-addressed
@@ -42,12 +42,31 @@ struct OpenIndex {
     used: usize,
 }
 
-impl OpenIndex {
-    #[inline]
-    fn hash(key: u32, mask: usize) -> usize {
-        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
-    }
+/// Where the probe for `key` starts in a table of `mask + 1` slots
+/// (Fibonacci-multiplied hash).
+#[inline]
+fn home_slot(key: u32, mask: usize) -> usize {
+    ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+}
 
+/// Double `slots` (or seed the table) and rehash the entries `live`
+/// keeps; returns the new mask.
+#[cold]
+fn grow_table(slots: &mut Vec<u64>, live: impl Fn(u64) -> bool) -> usize {
+    let new_len = (slots.len() * 2).max(32);
+    let old = std::mem::replace(slots, vec![0u64; new_len]);
+    let mask = new_len - 1;
+    for s in old.into_iter().filter(|&s| live(s)) {
+        let mut i = home_slot((s >> 32) as u32, mask);
+        while slots[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        slots[i] = s;
+    }
+    mask
+}
+
+impl OpenIndex {
     /// Whether the owning set has spilled into this index since it was
     /// last cleared.
     #[inline]
@@ -69,7 +88,7 @@ impl OpenIndex {
     #[inline]
     fn get(&self, key: u32) -> Option<u32> {
         debug_assert!(self.spilled());
-        let mut i = Self::hash(key, self.mask);
+        let mut i = home_slot(key, self.mask);
         loop {
             let s = self.slots[i];
             if s == 0 {
@@ -85,9 +104,9 @@ impl OpenIndex {
     /// Record `key → pos`, replacing any earlier position for `key`.
     fn set(&mut self, key: u32, pos: u32) {
         if self.used * 2 >= self.slots.len() {
-            self.grow();
+            self.mask = grow_table(&mut self.slots, |s| s != 0);
         }
-        let mut i = Self::hash(key, self.mask);
+        let mut i = home_slot(key, self.mask);
         loop {
             let s = self.slots[i];
             if s == 0 {
@@ -100,24 +119,6 @@ impl OpenIndex {
                 return;
             }
             i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Double the table (or seed it) and rehash the occupied slots.
-    #[cold]
-    fn grow(&mut self) {
-        let new_len = (self.slots.len() * 2).max(32);
-        let old = std::mem::replace(&mut self.slots, vec![0u64; new_len]);
-        self.mask = new_len - 1;
-        for s in old {
-            if s != 0 {
-                let key = (s >> 32) as u32;
-                let mut i = Self::hash(key, self.mask);
-                while self.slots[i] != 0 {
-                    i = (i + 1) & self.mask;
-                }
-                self.slots[i] = s;
-            }
         }
     }
 
@@ -266,8 +267,8 @@ impl ReadSet {
 /// Lookup must be fast because every transactional read first consults the
 /// write set (read-after-write consistency): a linear scan up to
 /// [`INLINE_MAX`] entries, an [`OpenIndex`] probe — O(1) amortized —
-/// beyond. Entries stay in insertion order for canonical lock acquisition
-/// and write-back.
+/// beyond. Entries stay in insertion order for lock acquisition and
+/// write-back.
 #[derive(Debug, Default, Clone)]
 pub struct WriteSet {
     entries: Vec<(Addr, u64)>,
@@ -357,71 +358,106 @@ impl WriteSet {
 /// The distinct cache lines one speculative attempt has touched: the
 /// simulated HTM's read or write footprint, bounded by a capacity.
 ///
-/// Exact — the count of distinct lines, and so the access at which a
-/// capacity abort fires, is that of a plain set — and shaped like the
-/// other two sets: the line of the previous access first (consecutive
-/// words of one record share a line), a linear scan up to [`INLINE_MAX`]
-/// lines, an [`OpenIndex`] probe beyond, so tracking costs by footprint
-/// and not by access count.
-#[derive(Debug, Default, Clone)]
+/// Exact — the distinct-line count, and so the access at which a capacity
+/// abort fires, is a plain set's — in one open-addressed table of
+/// `line << 32 | stamp` slots. A slot is occupied only while its stamp is
+/// the current one, so `clear` is a stamp bump and an access costs the
+/// compare against the previous access (consecutive words of one record
+/// share a line) or one find-or-claim probe. A stale slot ends a probe as
+/// a never-used one does: within one stamp slots are claimed, never
+/// released, so a tracked line's probe path stays occupied (DESIGN.md §9).
+#[derive(Debug, Clone)]
 pub struct LineSet {
-    lines: Vec<u32>,
-    index: OpenIndex,
+    slots: Vec<u64>,
+    mask: usize,
+    /// Current generation; never 0, so a zeroed slot is always stale.
+    stamp: u32,
+    len: usize,
+    /// Slot word of the previous tracked access (stale after a `clear`).
+    last: u64,
+}
+
+impl Default for LineSet {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl LineSet {
     /// An empty line set.
     pub fn new() -> Self {
-        Self::default()
+        LineSet {
+            slots: Vec::new(),
+            mask: 0,
+            stamp: 1,
+            len: 0,
+            last: 0,
+        }
     }
 
     /// Forget all lines, retaining capacity.
     #[inline]
     pub fn clear(&mut self) {
-        self.lines.clear();
-        self.index.clear();
+        if self.len != 0 {
+            self.len = 0;
+            self.stamp = self.stamp.wrapping_add(1);
+            if self.stamp == 0 {
+                self.wipe();
+            }
+        }
+    }
+
+    /// The stamp wrapped: slots of the first generations would read as
+    /// current again, so start over from a zeroed table.
+    #[cold]
+    fn wipe(&mut self) {
+        self.slots.fill(0);
+        self.stamp = 1;
+        self.last = 0;
     }
 
     /// Number of distinct lines tracked.
     #[inline]
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.len
     }
 
     /// Whether no line has been touched yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.len == 0
     }
 
     /// Track `line`. Returns false — and tracks nothing — when the line is
     /// new and the set already holds `cap` lines.
     #[inline]
     pub fn insert(&mut self, line: u32, cap: usize) -> bool {
-        // The inlined part is this one compare; the search is a call.
-        self.lines.last() == Some(&line) || self.insert_searching(line, cap)
+        // The inlined part is this one compare; the probe is a call.
+        let want = (line as u64) << 32 | self.stamp as u64;
+        self.last == want || self.find_or_claim(want, cap)
     }
 
-    fn insert_searching(&mut self, line: u32, cap: usize) -> bool {
-        let known = if self.index.spilled() {
-            self.index.get(line).is_some()
-        } else {
-            self.lines.contains(&line)
-        };
-        if known {
-            return true;
+    fn find_or_claim(&mut self, want: u64, cap: usize) -> bool {
+        if self.len * 2 >= self.slots.len() {
+            self.mask = grow_table(&mut self.slots, |s| s as u32 == self.stamp);
         }
-        if self.lines.len() >= cap {
-            return false;
+        let mut i = home_slot((want >> 32) as u32, self.mask);
+        loop {
+            let s = self.slots[i];
+            if s == want {
+                break;
+            }
+            if s as u32 != self.stamp {
+                if self.len >= cap {
+                    return false;
+                }
+                self.slots[i] = want;
+                self.len += 1;
+                break;
+            }
+            i = (i + 1) & self.mask;
         }
-        let pos = self.lines.len() as u32;
-        self.lines.push(line);
-        if self.index.spilled() {
-            self.index.set(line, pos);
-        } else if self.lines.len() > INLINE_MAX {
-            self.index
-                .build(self.lines.iter().enumerate().map(|(i, &l)| (l, i as u32)));
-        }
+        self.last = want;
         true
     }
 }
@@ -554,6 +590,23 @@ mod tests {
     }
 
     #[test]
+    fn line_set_wipes_its_table_when_the_stamp_wraps() {
+        // Generation 1 fills some slots; 2^32 - 1 clears later the stamp
+        // is 1 again, and those slots must not read as tracked.
+        let mut ls = LineSet::new();
+        for line in 0..5u32 {
+            assert!(ls.insert(line, 8));
+        }
+        ls.stamp = u32::MAX;
+        ls.clear();
+        assert_eq!((ls.stamp, ls.len()), (1, 0));
+        assert!(ls.slots.iter().all(|&s| s == 0) && !ls.slots.is_empty());
+        assert!(ls.insert(99, 1));
+        assert!(!ls.insert(3, 1), "a line of the wiped generation is new");
+        assert!(ls.insert(99, 1));
+    }
+
+    #[test]
     fn read_set_tracks_both_kinds() {
         let mut rs = ReadSet::new();
         assert!(rs.is_empty());
@@ -648,6 +701,38 @@ mod tests {
                 proptest::prop_assert_eq!(ws.index.spilled(), ws.len() > INLINE_MAX);
             }
             proptest::prop_assert_eq!(ws.entries(), model.entries.as_slice());
+        }
+
+        #[test]
+        fn line_set_matches_a_set_model_across_the_stamp_wrap(
+            cap in 0usize..120,
+            clears_left in 0u32..6,
+            ops in proptest::collection::vec((0u32..12, 0u32..100), 0..600),
+        ) {
+            // Starts a few clears short of the wrap, so most cases cross
+            // it — some with a table already grown, some before the first
+            // slot exists — and every decision before, at and after the
+            // wipe must be the plain set's.
+            let mut set = LineSet {
+                stamp: u32::MAX - clears_left,
+                ..LineSet::new()
+            };
+            let mut model = std::collections::BTreeSet::new();
+            for (op, line) in ops {
+                if op == 0 {
+                    set.clear();
+                    model.clear();
+                    proptest::prop_assert!(set.stamp != 0);
+                } else {
+                    let fits = model.contains(&line) || model.len() < cap;
+                    if fits {
+                        model.insert(line);
+                    }
+                    proptest::prop_assert_eq!(set.insert(line, cap), fits);
+                }
+                proptest::prop_assert_eq!(set.len(), model.len());
+                proptest::prop_assert_eq!(set.is_empty(), model.is_empty());
+            }
         }
 
         #[test]

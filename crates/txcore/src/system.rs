@@ -114,9 +114,9 @@ pub struct ThreadCtx {
     /// Scratch buffer for commit-time lock acquisition (saved versions of
     /// secondary-table locks, e.g. SwissTM's read orecs).
     pub scratch: Vec<(u32, u64)>,
-    /// Scratch buffer for commit-time stripe sorting (canonical lock
-    /// order). Owned here so its capacity survives across transactions and
-    /// the commit path never allocates.
+    /// Scratch buffer for SwissTM's commit, which sorts its read-orec ids:
+    /// it *waits* for those locks, so it alone needs a canonical order.
+    /// Owned here so the commit path never allocates.
     pub stripe_scratch: Vec<u32>,
     /// Per-thread PRNG for backoff and simulated-capacity sampling.
     pub rng: XorShift64,
