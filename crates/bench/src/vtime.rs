@@ -238,7 +238,7 @@ mod tests {
             "vtime.machine-b.resize.shrink_ns",
             "vtime.machine-b.resize.grow_ns",
             "vtime.machine-a.conflict.tl2.goodput_pm",
-            "vtime.machine-a.conflict.htm.cause.fallback",
+            "vtime.machine-a.conflict.htm.cause.conflict",
             "vtime.machine-b.conflict.swiss.wasted_vns",
             "vtime.machine-b.conflict.norec.stripe1.id",
         ] {

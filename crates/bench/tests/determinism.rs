@@ -271,7 +271,7 @@ fn vtime_snapshot_section_is_byte_identical_across_job_counts_and_reruns() {
         "{first}"
     );
     assert!(
-        first.contains("\"vtime.machine-a.conflict.htm.cause.fallback\"")
+        first.contains("\"vtime.machine-a.conflict.htm.cause.conflict\"")
             && first.contains("\"vtime.machine-b.conflict.tl2.goodput_pm\""),
         "the vtime section must carry the conflict profile rows: {first}"
     );

@@ -5,6 +5,7 @@ use crate::params::{HtmGeometry, TunableCm};
 use crate::spec::SpecCore;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use txcore::util::spin_until;
 use txcore::{Abort, Addr, BackendKind, ThreadCtx, TmBackend, TmSystem, TxResult};
 
 /// Simulated best-effort HTM with a global-lock fallback.
@@ -53,21 +54,23 @@ impl HtmSim {
         self.core.geometry()
     }
 
+    /// Take the fallback lock, then wait out the hardware commit window.
+    ///
+    /// The CAS is `SeqCst`, and so is the clock load in `hw_drain`: with
+    /// the tick and lock load of `SpecCore::commit` this is Dekker's
+    /// handshake — a hardware committer that did not see the lock odd is
+    /// seen here and waited for; every later one retreats without writing.
     fn acquire_fallback(&self, ctx: &mut ThreadCtx) {
-        loop {
-            let s = self.sys.fallback_seq.load(Ordering::Acquire);
-            if s & 1 == 0
-                && self
-                    .sys
-                    .fallback_seq
-                    .compare_exchange(s, s + 1, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                ctx.start_seq = s + 1;
-                return;
-            }
-            std::thread::yield_now();
-        }
+        let seq = &self.sys.fallback_seq;
+        ctx.start_seq = spin_until(|| {
+            let s = seq.load(Ordering::Acquire);
+            (s & 1 == 0
+                && seq
+                    .compare_exchange(s, s + 1, Ordering::SeqCst, Ordering::Acquire)
+                    .is_ok())
+            .then_some(s + 1)
+        });
+        self.sys.hw_drain();
     }
 }
 
@@ -137,12 +140,11 @@ impl TmBackend for HtmSim {
             ctx.reset_logs();
             return Ok(());
         }
-        // Publishing commit: the write-back window wins the fallback
-        // sequence lock, so it cannot interleave with a fallback path's raw
-        // writes (real HTM gets this atomicity from the cache protocol; the
-        // simulation must serialize explicitly).
-        self.core
-            .commit(&self.sys, ctx, &self.sys.fallback_seq, true)
+        // The write-back cannot interleave with a fallback path's raw
+        // accesses: the fallback waited out the hardware commit window
+        // before its first one (real HTM gets this atomicity from the cache
+        // protocol; the simulation must order explicitly).
+        self.core.commit(&self.sys, ctx, &self.sys.fallback_seq)
     }
 
     fn rollback(&self, ctx: &mut ThreadCtx) {

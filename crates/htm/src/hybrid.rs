@@ -1,12 +1,13 @@
 //! Hybrid NOrec (Dalessandro, Carouge, White, Lev, Moir, Scott, Spear —
 //! ASPLOS 2011): a hardware fast path over an NOrec software slow path.
 //!
-//! Hardware transactions subscribe to NOrec's global sequence lock and
-//! advance it by two when they commit a writer, so software transactions
-//! revalidate (by value) against hardware commits and vice versa. When the
-//! speculative budget drains, the block simply runs as a plain NOrec
-//! transaction — no global mutual exclusion, unlike [`crate::HtmSim`]'s
-//! lock fallback.
+//! Hardware transactions subscribe to NOrec's global sequence lock, which
+//! only software commits advance; software transactions watch the hardware
+//! clock beside it and revalidate (by value) when either moves — the split
+//! counter of the original paper, so one hardware commit does not abort the
+//! others. When the speculative budget drains, the block runs as an NOrec
+//! transaction ([`NOrec::hybrid`]) — no global mutual exclusion, unlike
+//! [`crate::HtmSim`]'s lock fallback.
 
 use crate::params::{HtmGeometry, TunableCm};
 use crate::spec::{track, SpecCore};
@@ -31,7 +32,7 @@ impl HybridNOrec {
     /// A hybrid instance with an explicit simulated cache geometry.
     pub fn with_geometry(sys: Arc<TmSystem>, geom: HtmGeometry) -> Self {
         HybridNOrec {
-            norec: NOrec::new(Arc::clone(&sys)),
+            norec: NOrec::hybrid(Arc::clone(&sys)),
             core: SpecCore::new(geom, false),
             sys,
         }
@@ -128,7 +129,7 @@ impl TmBackend for HybridNOrec {
             }
             return out;
         }
-        self.core.commit(&self.sys, ctx, &self.sys.norec_seq, true)
+        self.core.commit(&self.sys, ctx, &self.sys.norec_seq)
     }
 
     fn rollback(&self, ctx: &mut ThreadCtx) {
@@ -152,11 +153,24 @@ mod tests {
     fn hardware_commit_signals_software_path() {
         let sys = Arc::new(TmSystem::new(1 << 12));
         let tm = HybridNOrec::new(Arc::clone(&sys));
-        let a = sys.heap.alloc(1);
-        let mut ctx = ThreadCtx::new(0);
-        run_tx(&tm, &mut ctx, |tx| tx.write(a, 1));
-        // The hardware commit advanced NOrec's sequence lock.
-        assert_eq!(sys.norec_seq.load(Ordering::Relaxed), 2);
+        let a = sys.heap.alloc(LINE_WORDS);
+        let b = sys.heap.alloc(1);
+        let (mut sw, mut hw) = (ThreadCtx::new(0), ThreadCtx::new(1));
+        // A drained budget: `sw` runs as a software NOrec transaction.
+        sw.attempt = 1;
+        sw.htm_budget = 0;
+        tm.begin(&mut sw).unwrap();
+        assert!(sw.in_fallback);
+        assert_eq!(tm.read(&mut sw, a), Ok(0));
+        run_tx(&tm, &mut hw, |tx| tx.write(a, 1));
+        // The hardware commit left NOrec's sequence lock alone ...
+        assert_eq!(sys.norec_seq.load(Ordering::Relaxed), 0);
+        // ... and the software reader still sees it, through `hw_clock`:
+        // its next read revalidates by value and finds `a` changed.
+        let abort = tm.read(&mut sw, b).unwrap_err();
+        assert_eq!(abort, Abort::CONFLICT);
+        assert_eq!(abort.stripe(), Some(sys.orecs.index_for(a) as u32));
+        tm.rollback(&mut sw);
     }
 
     #[test]

@@ -6,9 +6,18 @@
 //! visibility at commit. Internally it is an encounter-time-locking TM over
 //! a *private* line-granularity orec table, which gives those semantics in
 //! safe portable code.
+//!
+//! The subscription is read-only. Hardware transactions order themselves
+//! through the line table and `TmSystem::hw_clock` alone; towards the
+//! software path a commit announces itself by that same tick, reads the
+//! subscribed sequence lock once more, and reports its end on
+//! `TmSystem::hw_done` — the *hardware commit window* software waits out
+//! after taking the lock (DESIGN.md §9). So a hardware commit never aborts
+//! another hardware transaction it shares no line with.
 
 use crate::params::{HtmGeometry, TunableCm};
 use std::sync::atomic::{AtomicU64, Ordering};
+use txcore::util::spin_until;
 use txcore::{Abort, Addr, LineSet, OrecState, OrecTable, ThreadCtx, TmSystem, TxResult};
 
 /// Words per simulated cache line (64-byte lines of 8-byte words).
@@ -66,15 +75,11 @@ impl SpecCore {
         seq: &AtomicU64,
     ) -> TxResult<()> {
         ctx.reset_logs();
-        loop {
+        ctx.start_seq = spin_until(|| {
             let s = seq.load(Ordering::Acquire);
-            if s & 1 == 0 {
-                ctx.start_seq = s;
-                break;
-            }
-            std::thread::yield_now();
-        }
-        ctx.rv = sys.clock.now();
+            (s & 1 == 0).then_some(s)
+        });
+        ctx.rv = sys.hw_clock.load(Ordering::Acquire);
         Ok(())
     }
 
@@ -174,16 +179,19 @@ impl SpecCore {
 
     /// Commit the speculative attempt.
     ///
-    /// When `publish` is set the commit also advances `seq` by two (odd
-    /// during write-back), which is how a hybrid's hardware path signals
-    /// software transactions to revalidate. Otherwise `seq` is only checked
-    /// for stability.
+    /// A writer ticks `hw_clock` — its version, and its announcement that a
+    /// write-back may follow — validates its lines, and then reads `seq`:
+    /// a software path that took the lock before the tick is seen here and
+    /// the commit retreats; one that takes it after sees the tick and waits
+    /// for the matching `hw_done` bump (`TmSystem::hw_drain`). Tick and
+    /// load are `SeqCst`, as are the software side's lock RMW and clock
+    /// load: the handshake is Dekker's, and needs the single total order.
+    /// `seq` is never written here.
     pub(crate) fn commit(
         &self,
         sys: &TmSystem,
         ctx: &mut ThreadCtx,
         seq: &AtomicU64,
-        publish: bool,
     ) -> TxResult<()> {
         if self.geom.spurious_abort_prob > 0.0 && ctx.rng.next_f64() < self.geom.spurious_abort_prob
         {
@@ -196,39 +204,31 @@ impl SpecCore {
             ctx.reset_logs();
             return Ok(());
         }
-        let wv = sys.clock.tick();
-        if wv != ctx.rv + 1 {
-            if let Err(line) = self.read_set_intact(ctx) {
-                return Err(self.cm.charge(ctx, Abort::conflict_at(line)));
-            }
-        }
-        if publish {
-            // Win the sequence lock for the write-back window, exactly as a
-            // software committer would; losing means a software transaction
-            // raced us.
-            if seq
-                .compare_exchange(
-                    ctx.start_seq,
-                    ctx.start_seq + 1,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_err()
-            {
-                return Err(self.cm.charge(ctx, Abort::FALLBACK));
-            }
-        } else if seq.load(Ordering::Acquire) != ctx.start_seq {
-            return Err(self.cm.charge(ctx, Abort::FALLBACK));
+        let wv = sys.hw_clock.fetch_add(1, Ordering::SeqCst) + 1;
+        let intact = if wv == ctx.rv + 1 {
+            Ok(())
+        } else {
+            self.read_set_intact(ctx)
+        };
+        let retreat = match intact {
+            Err(line) => Some(Abort::conflict_at(line)),
+            Ok(()) if seq.load(Ordering::SeqCst) != ctx.start_seq => Some(Abort::FALLBACK),
+            Ok(()) => None,
+        };
+        if let Some(abort) = retreat {
+            // Nothing was written; the lines go back in `rollback`.
+            sys.hw_done.fetch_add(1, Ordering::Release);
+            return Err(self.cm.charge(ctx, abort));
         }
         for &(a, v) in ctx.write_set.entries() {
             sys.heap.write_raw(a, v);
         }
-        if publish {
-            seq.store(ctx.start_seq + 2, Ordering::Release);
-        }
         for &(idx, _) in &ctx.locks {
             self.lines.unlock(idx as usize, wv);
         }
+        // `Release`: pairs with the `Acquire` load in `TmSystem::hw_quiet`,
+        // which makes the write-back above visible to whoever drained.
+        sys.hw_done.fetch_add(1, Ordering::Release);
         ctx.locks.clear();
         ctx.reset_logs();
         Ok(())
@@ -265,7 +265,7 @@ mod tests {
         let a = sys.heap.alloc(1);
         core.begin(&sys, &mut ctx, &seq).unwrap();
         core.write(&sys, &mut ctx, &seq, a, 9).unwrap();
-        core.commit(&sys, &mut ctx, &seq, false).unwrap();
+        core.commit(&sys, &mut ctx, &seq).unwrap();
         assert_eq!(sys.heap.read_raw(a), 9);
     }
 
@@ -310,7 +310,7 @@ mod tests {
             core.read(&sys, &mut ctx, &seq, a).unwrap();
             core.write(&sys, &mut ctx, &seq, a.field(1), 1).unwrap();
         }
-        core.commit(&sys, &mut ctx, &seq, false).unwrap();
+        core.commit(&sys, &mut ctx, &seq).unwrap();
     }
 
     #[test]
@@ -326,13 +326,20 @@ mod tests {
     }
 
     #[test]
-    fn publishing_commit_advances_sequence() {
+    fn writing_commit_ticks_the_hardware_clock_and_only_reads_the_sequence() {
         let (sys, core, mut ctx, seq) = setup(HtmGeometry::TINY_FOR_TESTS);
         let a = sys.heap.alloc(1);
         core.begin(&sys, &mut ctx, &seq).unwrap();
         core.write(&sys, &mut ctx, &seq, a, 4).unwrap();
-        core.commit(&sys, &mut ctx, &seq, true).unwrap();
-        assert_eq!(seq.load(Ordering::Relaxed), 2);
+        core.commit(&sys, &mut ctx, &seq).unwrap();
+        assert_eq!(seq.load(Ordering::Relaxed), 0, "subscription is read-only");
+        assert_eq!(sys.hw_clock.load(Ordering::Relaxed), 1);
+        assert_eq!(sys.hw_quiet(), Some(1), "the window closed behind it");
+        assert_eq!(
+            core.lines.load(core.lines.index_for(a)),
+            OrecState::Version(1)
+        );
+        assert_eq!(sys.clock.now(), 0, "the STMs' clock is not ours");
     }
 
     #[test]
@@ -345,10 +352,7 @@ mod tests {
         let a = sys.heap.alloc(1);
         core.begin(&sys, &mut ctx, &seq).unwrap();
         core.write(&sys, &mut ctx, &seq, a, 1).unwrap();
-        assert_eq!(
-            core.commit(&sys, &mut ctx, &seq, false),
-            Err(Abort::SPURIOUS)
-        );
+        assert_eq!(core.commit(&sys, &mut ctx, &seq), Err(Abort::SPURIOUS));
         core.rollback(&mut ctx);
     }
 

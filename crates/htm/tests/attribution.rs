@@ -10,7 +10,7 @@
 
 use htm::{CapacityPolicy, HtmGeometry, HtmSim, HybridNOrec, LINE_WORDS};
 use std::sync::Arc;
-use txcore::{run_tx, AbortCode, ThreadCtx, TmSystem};
+use txcore::{run_tx, AbortCode, ThreadCtx, TmBackend, TmSystem};
 
 /// A footprint wider than the geometry is a `Capacity` abort — and under
 /// the `GiveUp` policy exactly one, draining the budget straight into a
@@ -97,10 +97,8 @@ fn htm_conflicts_carry_the_clashing_stripe() {
     let a = sys.heap.alloc(LINE_WORDS);
     let b = sys.heap.alloc(1);
 
-    // The rival must interfere after the victim's *last* access: every
-    // published commit bumps the subscription seqlock, so interference
-    // before another access would surface as `Fallback` there instead of
-    // reaching commit-time line validation.
+    // The rival's hardware commit leaves the subscription seqlock alone, so
+    // wherever it lands the victim reaches commit-time line validation.
     let rival_tm = Arc::clone(&tm);
     run_tx(tm.as_ref(), &mut victim, |tx| {
         let v = tx.read(a)?;
@@ -129,42 +127,60 @@ fn htm_conflicts_carry_the_clashing_stripe() {
     assert_eq!(sys.heap.read_raw(b), 101, "retry saw the rival's value");
 }
 
-/// HybridNOrec has no per-line view of software interference: any rival
-/// commit bumps the global sequence lock, so the victim's abort is
-/// attributed to the *fallback channel*, not mislabelled as a stripe
-/// conflict it cannot actually localize.
+/// Hardware–hardware interference on HybridNOrec is localized like on
+/// `HtmSim`: a hardware commit leaves the subscribed sequence lock alone,
+/// so the victim's abort is a `Conflict` on the line. The hybrid has no
+/// per-line view of *software* commits: one bumps the global sequence lock,
+/// and the victim's abort is attributed to the fallback channel, not
+/// mislabelled as a stripe conflict it cannot actually localize.
 #[test]
 fn hybrid_norec_attributes_seqlock_interference_as_fallback() {
     let sys = Arc::new(TmSystem::new(1 << 16));
     let tm = Arc::new(HybridNOrec::new(Arc::clone(&sys)));
-    let mut victim = ThreadCtx::new(0);
-    let mut rival = ThreadCtx::new(1);
     let a = sys.heap.alloc(LINE_WORDS); // full line: keep b off a's line
     let b = sys.heap.alloc(1);
 
-    let rival_tm = Arc::clone(&tm);
-    run_tx(tm.as_ref(), &mut victim, |tx| {
-        let v = tx.read(a)?;
-        if tx.attempt() == 0 {
-            run_tx(rival_tm.as_ref(), &mut rival, |rtx| {
-                let rv = rtx.read(a)?;
-                rtx.write(a, rv + 100)
-            });
-        }
-        tx.write(b, v + 1)
-    });
+    for (software_rival, cause, other) in [
+        (false, AbortCode::Conflict, AbortCode::Fallback),
+        (true, AbortCode::Fallback, AbortCode::Conflict),
+    ] {
+        let mut victim = ThreadCtx::new(0);
+        let mut rival = ThreadCtx::new(1);
+        let before = sys.heap.read_raw(a);
+        run_tx(tm.as_ref(), &mut victim, |tx| {
+            let v = tx.read(a)?;
+            if tx.attempt() == 0 {
+                if software_rival {
+                    // A drained budget: the rival commits as plain NOrec.
+                    rival.attempt = 1;
+                    rival.htm_budget = 0;
+                    tm.begin(&mut rival).unwrap();
+                    let rv = tm.read(&mut rival, a).unwrap();
+                    tm.write(&mut rival, a, rv + 100).unwrap();
+                    tm.commit(&mut rival).unwrap();
+                } else {
+                    run_tx(tm.as_ref(), &mut rival, |rtx| {
+                        let rv = rtx.read(a)?;
+                        rtx.write(a, rv + 100)
+                    });
+                }
+            }
+            tx.write(b, v + 1)
+        });
 
-    victim.flush_work();
-    let snap = victim.stats.snapshot();
-    assert!(
-        snap.aborts_of(AbortCode::Fallback) >= 1,
-        "seqlock interference is Fallback-coded: {snap:?}"
-    );
-    assert_eq!(
-        snap.total_aborts(),
-        snap.aborts_of(AbortCode::Fallback),
-        "the hybrid must not fabricate stripe conflicts"
-    );
-    assert_eq!(snap.commits, 1);
-    assert_eq!(sys.heap.read_raw(b), 101, "retry saw the rival's value");
+        victim.flush_work();
+        let snap = victim.stats.snapshot();
+        assert_eq!(
+            (snap.aborts_of(cause), snap.aborts_of(other)),
+            (1, 0),
+            "software rival: {software_rival}: {snap:?}"
+        );
+        assert_eq!(snap.total_aborts(), 1, "no other cause is fabricated");
+        assert_eq!(snap.commits, 1);
+        assert_eq!(
+            sys.heap.read_raw(b),
+            before + 101,
+            "retry saw the rival's value"
+        );
+    }
 }

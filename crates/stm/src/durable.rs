@@ -29,6 +29,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use txcore::util::spin_until;
 use txcore::{
     Abort, Addr, BackendKind, DurabilityMode, PHeap, ThreadCtx, TmBackend, TmSystem, TxResult,
     CHECKPOINT_EVERY_TXS, GROUP_COMMIT_TXS,
@@ -103,13 +104,10 @@ impl Durable {
 
     /// Spin until the sequence lock is even and return its value.
     fn wait_even(&self) -> u64 {
-        loop {
+        spin_until(|| {
             let s = self.sys.norec_seq.load(Ordering::Acquire);
-            if s & 1 == 0 {
-                return s;
-            }
-            std::thread::yield_now();
-        }
+            (s & 1 == 0).then_some(s)
+        })
     }
 
     /// Value-based revalidation, exactly as NOrec — including the stripe

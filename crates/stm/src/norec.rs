@@ -11,56 +11,106 @@
 //! NOrec has near-zero per-read overhead and no orec memory, but commits
 //! serialize on the single lock — the classic trade-off ProteusTM exploits
 //! when it selects NOrec for low-thread-count or read-dominated workloads.
+//!
+//! Built with [`NOrec::hybrid`] it is the slow path of `htm::HybridNOrec`.
+//! Hardware commits do not touch the sequence lock; they tick
+//! `TmSystem::hw_clock` and report their end on `hw_done` (DESIGN.md §9).
+//! The snapshot is then the pair (sequence lock, hardware clock): taken
+//! with no hardware commit in its window, re-checked after every value
+//! load, and at commit the window is waited out under the lock. A plain
+//! instance loads neither word.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use txcore::util::spin_until;
 use txcore::{Abort, Addr, BackendKind, ThreadCtx, TmBackend, TmSystem, TxResult};
 
 /// The NOrec backend. See the module docs for the algorithm.
 #[derive(Debug)]
 pub struct NOrec {
     sys: Arc<TmSystem>,
+    /// Whether simulated-hardware transactions run beside this instance.
+    hybrid: bool,
 }
 
 impl NOrec {
     /// A NOrec instance operating on `sys`.
     pub fn new(sys: Arc<TmSystem>) -> Self {
-        NOrec { sys }
+        NOrec { sys, hybrid: false }
+    }
+
+    /// The instance a hybrid runs as its software slow path: its snapshots
+    /// also cover the commits of the hardware fast path.
+    pub fn hybrid(sys: Arc<TmSystem>) -> Self {
+        NOrec { sys, hybrid: true }
     }
 
     /// Spin until the sequence lock is even (no write-back in progress) and
     /// return its value.
     fn wait_even(&self) -> u64 {
-        loop {
+        spin_until(|| {
             let s = self.sys.norec_seq.load(Ordering::Acquire);
-            if s & 1 == 0 {
-                return s;
-            }
-            std::thread::yield_now();
+            (s & 1 == 0).then_some(s)
+        })
+    }
+
+    /// The hardware half of a snapshot: `hw_clock` at a moment with no
+    /// hardware commit in its window. Constant for a plain instance, whose
+    /// `ctx.rv` therefore never differs from [`Self::hw_now`].
+    fn hw_snapshot(&self) -> u64 {
+        if self.hybrid {
+            self.sys.hw_drain()
+        } else {
+            0
         }
     }
 
+    /// `hw_clock` now. `Acquire` is enough after a value load: a hardware
+    /// write-back is a `Release` store sequenced after its tick, so a load
+    /// that saw the value makes this one see the tick.
+    #[inline]
+    fn hw_now(&self) -> u64 {
+        if self.hybrid {
+            self.sys.hw_clock.load(Ordering::Acquire)
+        } else {
+            0
+        }
+    }
+
+    /// Whether a software or hardware commit may have landed since the
+    /// snapshot `(ctx.start_seq, ctx.rv)`.
+    #[inline]
+    fn snapshot_moved(&self, ctx: &ThreadCtx) -> bool {
+        self.sys.norec_seq.load(Ordering::Acquire) != ctx.start_seq || self.hw_now() != ctx.rv
+    }
+
+    /// The first logged location whose value changed, as the abort that
+    /// names its stripe (NOrec has no orecs of its own, but the observatory
+    /// heatmap is keyed by the shared stripe geometry so profiles compare
+    /// across backends).
+    fn clash(&self, ctx: &ThreadCtx) -> Option<Abort> {
+        let changed = |&&(a, v): &&(Addr, u64)| self.sys.heap.read_raw(a) != v;
+        let &(a, _) = ctx.read_set.values().iter().find(changed)?;
+        Some(Abort::conflict_at(self.sys.orecs.index_for(a)))
+    }
+
     /// Value-based revalidation: re-read every logged location and compare.
-    /// On success returns the new (even) snapshot the transaction may adopt.
-    /// A changed value aborts with the clashing address's stripe attributed
-    /// (NOrec has no orecs of its own, but the observatory heatmap is keyed
-    /// by the shared stripe geometry so profiles compare across backends).
-    fn revalidate(&self, ctx: &ThreadCtx) -> Result<u64, Abort> {
+    /// On success the transaction adopts the fresh snapshot.
+    fn revalidate(&self, ctx: &mut ThreadCtx) -> Result<(), Abort> {
         loop {
             let s = self.wait_even();
-            let mut clash = None;
-            for &(a, v) in ctx.read_set.values() {
-                if self.sys.heap.read_raw(a) != v {
-                    clash = Some(a);
-                    break;
-                }
-            }
-            // The snapshot is only valid if the sequence did not move while
-            // we were re-reading.
-            if self.sys.norec_seq.load(Ordering::Acquire) == s {
+            let hw = self.hw_snapshot();
+            let clash = self.clash(ctx);
+            // The scan is only a snapshot if neither word moved while we
+            // were re-reading.
+            if self.sys.norec_seq.load(Ordering::Acquire) == s && self.hw_now() == hw {
                 return match clash {
-                    None => Ok(s),
-                    Some(a) => Err(Abort::conflict_at(self.sys.orecs.index_for(a))),
+                    None => {
+                        ctx.start_seq = s;
+                        ctx.rv = hw;
+                        Ok(())
+                    }
+                    Some(abort) => Err(abort),
                 };
             }
         }
@@ -79,6 +129,7 @@ impl TmBackend for NOrec {
     fn begin(&self, ctx: &mut ThreadCtx) -> TxResult<()> {
         ctx.reset_logs();
         ctx.start_seq = self.wait_even();
+        ctx.rv = self.hw_snapshot();
         Ok(())
     }
 
@@ -88,9 +139,9 @@ impl TmBackend for NOrec {
         }
         let mut val = self.sys.heap.read_raw(addr);
         // If a writer committed since our snapshot, revalidate and re-read
-        // until the value is consistent with an even sequence number.
-        while self.sys.norec_seq.load(Ordering::Acquire) != ctx.start_seq {
-            ctx.start_seq = self.revalidate(ctx)?;
+        // until the value is consistent with the snapshot.
+        while self.snapshot_moved(ctx) {
+            self.revalidate(ctx)?;
             val = self.sys.heap.read_raw(addr);
         }
         ctx.read_set.push_value(addr, val);
@@ -108,18 +159,30 @@ impl TmBackend for NOrec {
             return Ok(());
         }
         // Acquire the sequence lock at our snapshot; if someone committed
-        // in between, revalidate and retry from the fresh snapshot.
-        loop {
-            match self.sys.norec_seq.compare_exchange(
+        // in between, revalidate and retry from the fresh snapshot. `SeqCst`
+        // is the software half of the handshake with a hardware commit's
+        // tick-then-load (`TmSystem::hw_drain`).
+        while self
+            .sys
+            .norec_seq
+            .compare_exchange(
                 ctx.start_seq,
                 ctx.start_seq + 1,
-                Ordering::AcqRel,
+                Ordering::SeqCst,
                 Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(_) => {
-                    ctx.start_seq = self.revalidate(ctx)?;
-                }
+            )
+            .is_err()
+        {
+            self.revalidate(ctx)?;
+        }
+        // Hardware commits that ticked before the lock was ours finish
+        // first; later ones see it odd and retreat. If any ticked since the
+        // snapshot, one scan under the lock decides: nothing else writes.
+        if self.hw_snapshot() != ctx.rv {
+            if let Some(abort) = self.clash(ctx) {
+                // Nothing was written, so the old value is the truth.
+                self.sys.norec_seq.store(ctx.start_seq, Ordering::Release);
+                return Err(abort);
             }
         }
         for &(a, v) in ctx.write_set.entries() {

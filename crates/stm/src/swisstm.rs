@@ -18,6 +18,7 @@
 
 use crate::common::{release_locks_with, release_saved_locks};
 use std::sync::Arc;
+use txcore::util::spin_until;
 use txcore::{
     Abort, Addr, BackendKind, OrecState, OrecTable, ThreadCtx, TmBackend, TmSystem, TxResult,
 };
@@ -154,17 +155,10 @@ impl TmBackend for SwissTm {
         ctx.scratch.clear();
         for i in 0..ctx.stripe_scratch.len() {
             let idx = ctx.stripe_scratch[i];
-            loop {
-                match self.rvers().try_lock(idx as usize, me, None) {
-                    Ok(prev) => {
-                        ctx.scratch.push((idx, prev));
-                        break;
-                    }
-                    // Held briefly by another committer's write-back; the
-                    // canonical acquisition order makes waiting safe.
-                    Err(_) => std::thread::yield_now(),
-                }
-            }
+            // Held briefly by another committer's write-back; the
+            // canonical acquisition order makes waiting safe.
+            let prev = spin_until(|| self.rvers().try_lock(idx as usize, me, None).ok());
+            ctx.scratch.push((idx, prev));
         }
         let wv = self.sys.clock.tick();
         if wv != ctx.rv + 1 {

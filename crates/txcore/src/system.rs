@@ -6,9 +6,9 @@ use crate::heap::Heap;
 use crate::orec::{OrecTable, OwnerTag};
 use crate::sets::{LineSet, ReadSet, WriteSet};
 use crate::stats::ThreadStats;
-use crate::util::XorShift64;
+use crate::util::{spin_until, CachePadded, XorShift64};
 use std::fmt;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default number of ownership records.
@@ -31,14 +31,26 @@ pub struct TmSystem {
     pub orecs: OrecTable,
     /// SwissTM's separate read-version records.
     pub read_vers: OrecTable,
-    /// Global version clock for timestamp-based validation.
-    pub clock: GlobalClock,
+    /// Global version clock for timestamp-based validation. Like every
+    /// shared word below it sits on a cache line of its own: a tick or a
+    /// seqlock flip must not evict the table headers above, which every
+    /// access of every thread loads.
+    pub clock: CachePadded<GlobalClock>,
     /// NOrec's single global sequence lock (even = free, odd = write-back in
     /// progress; the value doubles as the snapshot timestamp).
-    pub norec_seq: AtomicU64,
+    pub norec_seq: CachePadded<AtomicU64>,
     /// The HTM fallback sequence lock (even = free). Hardware transactions
     /// subscribe to it and abort when a fallback path is active.
-    pub fallback_seq: AtomicU64,
+    pub fallback_seq: CachePadded<AtomicU64>,
+    /// The simulated-HTM family's own version clock: the tick that orders a
+    /// hardware commit is also its announcement to the software path.
+    /// `hw_clock - hw_done` hardware commits are between their tick and the
+    /// end of their write-back — the *hardware commit window* (DESIGN.md
+    /// §9), which software waits out with [`TmSystem::hw_drain`].
+    pub hw_clock: CachePadded<AtomicU64>,
+    /// Hardware commits finished: bumped once per `hw_clock` tick, after
+    /// the committer released its lines or retreated without writing.
+    pub hw_done: CachePadded<AtomicU64>,
 }
 
 impl TmSystem {
@@ -54,10 +66,37 @@ impl TmSystem {
             heap: Heap::new(heap_words),
             orecs: OrecTable::new(n_orecs, stripe_words),
             read_vers: OrecTable::new(n_orecs, stripe_words),
-            clock: GlobalClock::new(),
-            norec_seq: AtomicU64::new(0),
-            fallback_seq: AtomicU64::new(0),
+            clock: CachePadded::new(GlobalClock::new()),
+            norec_seq: CachePadded::new(AtomicU64::new(0)),
+            fallback_seq: CachePadded::new(AtomicU64::new(0)),
+            hw_clock: CachePadded::new(AtomicU64::new(0)),
+            hw_done: CachePadded::new(AtomicU64::new(0)),
         }
+    }
+
+    /// `Some(hw_clock)` if no hardware commit is inside its window.
+    ///
+    /// `hw_done` is loaded first: `done(t1) <= clock(t1) <= clock(t2)`, so
+    /// equal values mean every tick up to the returned one had finished at
+    /// `t1` — and the `Acquire` load of `hw_done` pairs with the committers'
+    /// `Release` bumps, so their write-backs are visible. The `SeqCst`
+    /// clock load is the software half of the Dekker handshake with
+    /// `SpecCore::commit`'s tick.
+    #[inline]
+    pub fn hw_quiet(&self) -> Option<u64> {
+        let done = self.hw_done.load(Ordering::Acquire);
+        (self.hw_clock.load(Ordering::SeqCst) == done).then_some(done)
+    }
+
+    /// Wait until the hardware commit window is empty; returns `hw_clock`.
+    ///
+    /// Called by a software path that has just made the subscribed sequence
+    /// lock odd with a `SeqCst` RMW: a hardware committer either ticked
+    /// before that (its tick is seen here and waited for) or reads the lock
+    /// odd after its tick and retreats without writing.
+    #[inline]
+    pub fn hw_drain(&self) -> u64 {
+        spin_until(|| self.hw_quiet())
     }
 }
 

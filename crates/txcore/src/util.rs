@@ -1,5 +1,5 @@
-//! Small shared utilities: cache-line padding, a fast thread-local RNG, and
-//! bounded exponential backoff.
+//! Small shared utilities: cache-line padding, a fast thread-local RNG,
+//! bounded exponential backoff, and the spin-then-yield wait.
 
 use std::ops::{Deref, DerefMut};
 
@@ -92,9 +92,55 @@ pub fn backoff(rng: &mut XorShift64, attempt: u32) {
     }
 }
 
+/// Probes [`spin_until`] makes with `spin_loop` between them before it
+/// starts yielding: a seqlock write-back window lasts a dozen stores, and
+/// `yield_now` is a system call.
+const SPIN_PROBES: u32 = 128;
+
+/// Call `probe` until it returns a value: [`SPIN_PROBES`] busy probes for
+/// the common short wait, then one `yield_now` per probe so a preempted
+/// holder gets the core. The wait behind every sequence-lock and
+/// commit-window spin of the backends; the first probe, which nearly
+/// always succeeds, is all a caller inlines.
+#[inline]
+pub fn spin_until<T>(mut probe: impl FnMut() -> Option<T>) -> T {
+    match probe() {
+        Some(v) => v,
+        None => keep_spinning(probe),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn keep_spinning<T>(mut probe: impl FnMut() -> Option<T>) -> T {
+    let mut probes = 1u32;
+    loop {
+        if probes < SPIN_PROBES {
+            probes += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+        if let Some(v) = probe() {
+            return v;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spin_until_returns_the_first_value_and_outlasts_the_spin_phase() {
+        assert_eq!(spin_until(|| Some(7)), 7);
+        let mut calls = 0u32;
+        let got = spin_until(|| {
+            calls += 1;
+            (calls > SPIN_PROBES + 3).then_some(calls)
+        });
+        assert_eq!(got, SPIN_PROBES + 4);
+    }
 
     #[test]
     fn cache_padded_is_line_aligned() {
