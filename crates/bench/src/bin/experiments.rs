@@ -5,11 +5,11 @@
 //! experiments fig4 fig5         # selected experiments
 //! experiments --quick all       # reduced corpus sizes (CI-friendly)
 //! experiments --jobs 4 fig5     # evaluation worker threads (or PROTEUS_JOBS)
-//! experiments --trace-out t.jsonl fig4   # JSONL telemetry trace (or PROTEUS_TRACE)
-//! experiments --metrics-out m.json fig4  # final metrics snapshot (or PROTEUS_METRICS)
-//! experiments --faults plan.json fig5    # seeded fault injection (or PROTEUS_FAULTS)
-//! experiments --slo default fig4         # arm the SLO engine (or PROTEUS_SLO)
-//! experiments --health-out h.prom fig4   # final SLO health exposition (or PROTEUS_HEALTH)
+//! experiments --trace-out t.jsonl fig4   # JSONL telemetry trace
+//! experiments --metrics-out m.json fig4  # final metrics snapshot
+//! experiments --faults plan.json fig5    # seeded fault injection
+//! experiments --slo default fig4         # arm the SLO engine
+//! experiments --health-out h.prom fig4   # final SLO health exposition
 //! experiments slo-drill                  # deterministic SLO chaos drill
 //! experiments bench-snapshot             # exact regression gate (see below)
 //! experiments vtime             # virtual-time scalability (byte-identical everywhere)
@@ -17,11 +17,11 @@
 //!
 //! Results are bit-identical at every `--jobs` value: the evaluation
 //! pipeline derives all randomness from per-task seeds and folds results
-//! in a fixed order (see the `parx` crate). With `--trace-out PATH` (or
-//! the `PROTEUS_TRACE` environment variable) every adaptation-layer event
-//! — quiescence epochs, configuration switches, CUSUM alarms, EI steps,
-//! per-backend abort counters — is written to PATH as JSON Lines, and a
-//! human-readable summary is printed at the end of the run.
+//! in a fixed order (see the `parx` crate). With `--trace-out PATH` every
+//! adaptation-layer event — quiescence epochs, configuration switches,
+//! CUSUM alarms, EI steps, per-backend abort counters — is written to PATH
+//! as JSON Lines, and a human-readable summary is printed at the end of
+//! the run.
 //!
 //! `bench-snapshot` is special: it runs the fig4/fig5 quick pipelines
 //! traced, writes `BENCH_perf.json`, and gates against the checked-in

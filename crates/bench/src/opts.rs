@@ -1,12 +1,11 @@
 //! Shared flag/environment handling for the `experiments` binary.
 //!
-//! Every knob comes in a flag/env pair (`--jobs`/`PROTEUS_JOBS`,
-//! `--trace-out`/`PROTEUS_TRACE`, `--metrics-out`/`PROTEUS_METRICS`,
-//! `--faults`/`PROTEUS_FAULTS`, `--slo`/`PROTEUS_SLO`,
-//! `--health-out`/`PROTEUS_HEALTH`); the flag always wins so a CI matrix can
-//! export a default and individual legs can still override it. Parsing is
-//! pure (`parse_with` takes the environment as a closure) so the precedence
-//! rules are unit-testable without mutating the process environment.
+//! Every knob is a flag. The worker count alone also has an environment
+//! twin (`--jobs`/`PROTEUS_JOBS`, which `parx` and CI's determinism leg
+//! read); the flag always wins so a CI matrix can export a default and
+//! individual legs can still override it. Parsing is pure (`parse_with`
+//! takes the environment as a closure) so the precedence rule is
+//! unit-testable without mutating the process environment.
 
 use std::ffi::OsString;
 use std::path::PathBuf;
@@ -19,17 +18,17 @@ pub struct Options {
     /// `--jobs N` / `PROTEUS_JOBS`: evaluation worker threads. `None`
     /// leaves the `parx` default (one per core) in place.
     pub jobs: Option<usize>,
-    /// `--trace-out PATH` / `PROTEUS_TRACE`: JSONL telemetry trace.
+    /// `--trace-out PATH`: JSONL telemetry trace.
     pub trace_out: Option<PathBuf>,
-    /// `--metrics-out PATH` / `PROTEUS_METRICS`: final metrics snapshot.
+    /// `--metrics-out PATH`: final metrics snapshot.
     pub metrics_out: Option<PathBuf>,
-    /// `--faults PLAN.json` / `PROTEUS_FAULTS`: seeded fault plan.
+    /// `--faults PLAN.json`: seeded fault plan.
     pub faults: Option<PathBuf>,
-    /// `--slo <default|SPECS>` / `PROTEUS_SLO`: arm the online SLO engine
-    /// with the built-in objectives (`default`) or a spec file.
+    /// `--slo <default|SPECS>`: arm the online SLO engine with the
+    /// built-in objectives (`default`) or a spec file.
     pub slo: Option<String>,
-    /// `--health-out PATH` / `PROTEUS_HEALTH`: write the final SLO health
-    /// exposition (Prometheus text format) to PATH.
+    /// `--health-out PATH`: write the final SLO health exposition
+    /// (Prometheus text format) to PATH.
     pub health_out: Option<PathBuf>,
     /// Positional arguments (experiment names). Unknown `--flags` are
     /// ignored, matching the historical parser.
@@ -58,11 +57,6 @@ impl Options {
                     _ => None,
                 }
             }),
-            trace_out: env("PROTEUS_TRACE").map(PathBuf::from),
-            metrics_out: env("PROTEUS_METRICS").map(PathBuf::from),
-            faults: env("PROTEUS_FAULTS").map(PathBuf::from),
-            slo: env("PROTEUS_SLO").map(|v| v.to_string_lossy().into_owned()),
-            health_out: env("PROTEUS_HEALTH").map(PathBuf::from),
             ..Options::default()
         };
         let mut iter = args.iter();
@@ -146,17 +140,7 @@ mod tests {
 
     #[test]
     fn flags_override_environment() {
-        let env = |k: &str| -> Option<OsString> {
-            match k {
-                "PROTEUS_JOBS" => Some("8".into()),
-                "PROTEUS_TRACE" => Some("env-trace.jsonl".into()),
-                "PROTEUS_METRICS" => Some("env-metrics.json".into()),
-                "PROTEUS_FAULTS" => Some("env-plan.json".into()),
-                "PROTEUS_SLO" => Some("env-specs.slo".into()),
-                "PROTEUS_HEALTH" => Some("env-health.prom".into()),
-                _ => None,
-            }
-        };
+        let env = |k: &str| (k == "PROTEUS_JOBS").then(|| OsString::from("8"));
         let args = s(&[
             "--jobs",
             "2",
@@ -178,14 +162,11 @@ mod tests {
         assert_eq!(o.health_out.as_deref(), Some("flag-health.prom".as_ref()));
         assert_eq!(o.targets, vec!["fig4".to_string()]);
 
-        // Without flags the environment fills the same slots.
+        // Without the flag the environment fills the slot; the other
+        // knobs have no environment twin.
         let o = Options::parse_with(&s(&["fig4"]), env).unwrap();
         assert_eq!(o.jobs, Some(8));
-        assert_eq!(o.trace_out.as_deref(), Some("env-trace.jsonl".as_ref()));
-        assert_eq!(o.metrics_out.as_deref(), Some("env-metrics.json".as_ref()));
-        assert_eq!(o.faults.as_deref(), Some("env-plan.json".as_ref()));
-        assert_eq!(o.slo.as_deref(), Some("env-specs.slo"));
-        assert_eq!(o.health_out.as_deref(), Some("env-health.prom".as_ref()));
+        assert_eq!(o.trace_out, None);
     }
 
     #[test]

@@ -138,17 +138,12 @@ pub fn collect() -> Result<BTreeMap<String, Val>, String> {
             format!("{name}.obs.histogram_updates"),
             Val::U(oh.histogram_updates),
         );
-        for (series, points) in tracetool::perf::windows_by_series(&trace) {
-            let samples: u64 = points.iter().map(|p| p.n).sum();
-            snap.insert(
-                format!("{name}.series.{series}.windows"),
-                Val::U(points.len() as u64),
-            );
-            snap.insert(format!("{name}.series.{series}.samples"), Val::U(samples));
-            snap.insert(
-                format!("{name}.series.{series}.mean"),
-                Val::F(tracetool::perf::overall_mean(&points)),
-            );
+        for (series, points) in trace.windows() {
+            let agg = tracetool::perf::SeriesAgg::of(points);
+            let key = |field: &str| format!("{name}.series.{series}.{field}");
+            snap.insert(key("windows"), Val::U(agg.windows as u64));
+            snap.insert(key("samples"), Val::U(agg.samples));
+            snap.insert(key("mean"), Val::F(agg.mean));
         }
     }
     Ok(snap)

@@ -232,9 +232,10 @@ fn conflicts_view_is_byte_identical_across_job_counts() {
         });
         let text = String::from_utf8(bytes).expect("trace is UTF-8 JSONL");
         let trace = tracetool::parse_trace(&text).expect("trace parses");
+        let view = tracetool::conflicts::Conflicts::new(&trace);
         (
-            tracetool::conflicts::render(&trace),
-            tracetool::conflicts::render_json(&trace),
+            tracetool::conflicts::plain(&view),
+            tracetool::conflicts::json(&view),
         )
     };
     let (plain1, json1) = run(1);

@@ -58,31 +58,13 @@ fn watch_frames_are_invariant_to_chunking_and_mode_consistent() {
     if !obs::telemetry_compiled() {
         return;
     }
-    let text = String::from_utf8(trace).expect("trace is UTF-8 JSONL");
 
     let frames_at = |mode: Mode, chunk: usize| -> Vec<String> {
         let mut w = Watcher::new(mode);
         let mut out = Vec::new();
-        let bytes = text.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            let end = (i + chunk).min(bytes.len());
-            let piece = std::str::from_utf8(&bytes[i..end]);
-            // Chunks may split UTF-8; widen until the slice is valid.
-            match piece {
-                Ok(p) => {
-                    out.extend(w.feed(p).expect("trace parses"));
-                    i = end;
-                }
-                Err(_) => {
-                    let end = (end + 1).min(bytes.len());
-                    out.extend(
-                        w.feed(std::str::from_utf8(&bytes[i..end]).expect("widened slice"))
-                            .expect("trace parses"),
-                    );
-                    i = end;
-                }
-            }
+        // Chunks may split a UTF-8 character: the watcher takes bytes.
+        for piece in trace.chunks(chunk) {
+            out.extend(w.feed(piece).expect("trace parses"));
         }
         out.extend(w.finish());
         out

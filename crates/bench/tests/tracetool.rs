@@ -22,7 +22,7 @@ fn fig4_report_is_byte_identical_across_job_counts_and_runs() {
 
     let report = |text: &str| {
         let trace = tracetool::parse_trace(text).expect("fig4 trace parses");
-        tracetool::report::render(&trace, 0.05)
+        tracetool::report::plain(&tracetool::report::Report::new(&trace, 0.05))
     };
     let a = report(&serial);
     let b = report(&parallel);

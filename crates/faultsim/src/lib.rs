@@ -120,6 +120,7 @@ impl Site {
 
     /// Per-site salt decorrelating the decision streams of different
     /// sites under one plan seed.
+    #[cfg(any(feature = "faults", test))]
     fn salt(self) -> u64 {
         // Arbitrary odd constants; stable forever (part of the
         // reproducibility contract).

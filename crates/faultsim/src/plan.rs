@@ -3,7 +3,7 @@
 //! A plan is the unit of reproducibility: the same plan (same seed)
 //! replays the same fault schedule byte-for-byte. Plans are built in code
 //! (tests) or parsed from the JSON accepted by `experiments --faults
-//! <plan.json>` / `PROTEUS_FAULTS`:
+//! <plan.json>`:
 //!
 //! ```json
 //! {

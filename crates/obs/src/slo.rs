@@ -15,7 +15,7 @@
 //! Like `faultsim`, the engine is armed explicitly ([`install`] /
 //! [`uninstall`]): default traces carry no SLO records, so every
 //! pre-existing byte-identity baseline is undisturbed until a run opts in
-//! (`experiments --slo ...` / `PROTEUS_SLO`).
+//! (`experiments --slo ...`).
 //!
 //! # Spec grammar
 //!
@@ -700,7 +700,7 @@ pub fn firing_csv() -> String {
 }
 
 /// Render the deterministic Prometheus-style text exposition
-/// (`--health-out` / `PROTEUS_HEALTH`): one gauge and six counters per
+/// (`experiments --health-out`): one gauge and six counters per
 /// SLO, sorted by name, integer-valued throughout — equal engine state
 /// yields equal bytes.
 pub fn render_health() -> String {

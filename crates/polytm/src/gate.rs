@@ -236,28 +236,6 @@ impl ThreadGate {
     pub fn observed_epoch(&self, t: usize) -> u64 {
         self.slots[t].epoch.load(Ordering::Acquire)
     }
-
-    /// CAS-loop variant of [`ThreadGate::enter`], kept for the ablation
-    /// bench comparing fetch-and-add against compare-and-swap (paper §4.2
-    /// discusses their relative cost).
-    pub fn enter_cas(&self, t: usize) {
-        let slot = &self.slots[t];
-        loop {
-            let cur = slot.state.load(Ordering::Acquire);
-            if cur & BLOCK != 0 {
-                poll_until(|| slot.state.load(Ordering::Acquire) & BLOCK == 0, None);
-                continue;
-            }
-            if slot
-                .state
-                .compare_exchange(cur, cur + RUN, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.publish_epoch(slot);
-                return;
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for ThreadGate {
@@ -280,7 +258,7 @@ mod tests {
         let g = ThreadGate::new(2);
         g.enter(0);
         g.exit(0);
-        g.enter_cas(1);
+        g.enter(1);
         g.exit(1);
         assert!(!g.is_disabled(0));
     }

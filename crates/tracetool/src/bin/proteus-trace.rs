@@ -1,13 +1,5 @@
-//! `proteus-trace` — decision-quality analyzer for ProteusTM JSONL traces.
-//!
-//! ```text
-//! proteus-trace report <trace.jsonl> [--epsilon E] [--json]
-//! proteus-trace diff <a.jsonl> <b.jsonl>
-//! proteus-trace perf <trace.jsonl>
-//! proteus-trace perf-diff <a.jsonl> <b.jsonl> [--noise F]
-//! proteus-trace conflicts <trace.jsonl> [--json]
-//! proteus-trace watch <trace.jsonl> [--json] [--poll-ms N] [--idle-timeout-ms N]
-//! ```
+//! `proteus-trace` — decision-quality analyzer for ProteusTM JSONL traces;
+//! [`USAGE`] lists the subcommands.
 //!
 //! Exit codes: `report`, `perf` and `conflicts` exit 0 on success, 1 on
 //! schema violations, empty traces, or I/O errors. `diff` exits 0 when the
@@ -15,10 +7,16 @@
 //! `perf-diff` exits 0 when no KPI degraded beyond the noise band, 1 on a
 //! regression or a parse failure. `watch` exits 0 once the end-of-trace
 //! trailer arrives, 1 on a parse error or when the file stops growing
-//! before the trailer (idle timeout). Missing or unknown subcommands print
-//! the usage block and exit 2.
+//! before the trailer (idle timeout). Missing or unknown subcommands,
+//! missing or surplus operands and unusable flag values print the usage
+//! block or one line naming the flag, and exit 2.
 
+use std::io::{Read as _, Seek as _, Write as _};
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::{Duration, Instant};
+use tracetool::watch::{Mode, Watcher};
+use tracetool::{conflicts, diff, perf, report, Trace};
 
 const USAGE: &str = "usage:
   proteus-trace report <trace.jsonl> [--epsilon E] [--json]   single-trace report
@@ -34,346 +32,198 @@ The trace must start with a {\"kind\":\"trace.meta\",\"schema\":N} header
 (written by obs::trace::start); schemas outside the supported range are
 rejected.";
 
-fn load(path: &str) -> Result<tracetool::Trace, String> {
+/// Every subcommand: its name, how many trace paths it takes, and the
+/// flags it understands.
+const SUBCOMMANDS: [(&str, usize, &[&str]); 6] = [
+    ("report", 1, &["--epsilon", "--json"]),
+    ("diff", 2, &[]),
+    ("perf", 1, &[]),
+    ("perf-diff", 2, &["--noise"]),
+    ("conflicts", 1, &["--json"]),
+    ("watch", 1, &["--json", "--poll-ms", "--idle-timeout-ms"]),
+];
+
+/// A parsed command line.
+struct Args {
+    paths: Vec<String>,
+    json: bool,
+    epsilon: f64,
+    noise: f64,
+    poll_ms: u64,
+    idle_timeout_ms: u64,
+}
+
+/// The value of `--name V` / `--name=V`, parsed.
+fn flag<T: FromStr>(name: &str, what: &str, value: Option<&str>) -> Result<T, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{name} needs {what} argument"))
+}
+
+/// A fraction (`--epsilon`, `--noise`). A comparison against NaN is always
+/// false and one against a negative band always true: either would decide
+/// the verdict by itself.
+fn fraction(name: &str, value: Option<&str>) -> Result<f64, String> {
+    let v: f64 = flag(name, "a numeric", value)?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(format!("{name} must be finite and non-negative, got {v}"))
+    }
+}
+
+/// Parse the arguments after the subcommand name: exactly `paths` trace
+/// paths and any of `flags`. The error is what to print before exiting 2.
+fn parse_args(paths: usize, flags: &[&str], rest: &[String]) -> Result<Args, String> {
+    let mut args = Args {
+        paths: Vec::new(),
+        json: false,
+        epsilon: 0.05,
+        noise: 0.05,
+        poll_ms: 50,
+        idle_timeout_ms: 15_000,
+    };
+    let mut rest = rest.iter();
+    while let Some(arg) = rest.next() {
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        if !flags.contains(&name) || (name == "--json" && inline.is_some()) {
+            if args.paths.len() == paths {
+                return Err(format!("unexpected argument {arg:?}\n{USAGE}"));
+            }
+            args.paths.push(arg.clone());
+            continue;
+        }
+        let mut value = || inline.or_else(|| rest.next().map(String::as_str));
+        match name {
+            "--json" => args.json = true,
+            "--epsilon" => args.epsilon = fraction(name, value())?,
+            "--noise" => args.noise = fraction(name, value())?,
+            "--poll-ms" => args.poll_ms = flag(name, "an integer", value())?,
+            "--idle-timeout-ms" => args.idle_timeout_ms = flag(name, "an integer", value())?,
+            _ => unreachable!("{name} is in the subcommand table but not parsed"),
+        }
+    }
+    if args.paths.len() < paths {
+        return Err(USAGE.to_string());
+    }
+    Ok(args)
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match argv.split_first() {
+        None => Err(USAGE.to_string()),
+        Some((name, rest)) => match SUBCOMMANDS.iter().find(|sub| sub.0 == name) {
+            None => Err(format!("unknown subcommand {name:?}\n{USAGE}")),
+            Some(&(name, paths, flags)) => parse_args(paths, flags, rest).map(|a| run(name, &a)),
+        },
+    };
+    match outcome {
+        Err(usage) => {
+            eprintln!("{usage}");
+            ExitCode::from(2)
+        }
+        Ok(Ok(true)) => ExitCode::SUCCESS,
+        Ok(Ok(false)) => ExitCode::from(1),
+        Ok(Err(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::from(1)
+        }
+    }
+}
+
+/// Run one subcommand. `Ok(false)` is a verdict that fails a gate: the
+/// traces differ (`diff`) or a KPI regressed (`perf-diff`).
+fn run(name: &str, args: &Args) -> Result<bool, String> {
+    let path = &args.paths[0];
+    let (text, ok) = match name {
+        "watch" => return run_watch(args),
+        "perf" => (perf::render(&load(path)?), true),
+        "report" | "conflicts" => {
+            let trace = load(path)?;
+            if trace.records.is_empty() && trace.counters.is_empty() {
+                return Err(format!(
+                    "{path}: trace holds a header but no records — nothing to report"
+                ));
+            }
+            let text = match (name, args.json) {
+                ("report", true) => report::json(&report::Report::new(&trace, args.epsilon)),
+                ("report", false) => report::plain(&report::Report::new(&trace, args.epsilon)),
+                (_, true) => conflicts::json(&conflicts::Conflicts::new(&trace)),
+                (_, false) => conflicts::plain(&conflicts::Conflicts::new(&trace)),
+            };
+            (text, true)
+        }
+        _ => {
+            let (a, b) = match (load(path), load(&args.paths[1])) {
+                (Ok(a), Ok(b)) => (a, b),
+                (Err(a), Err(b)) => return Err(format!("{a}\nerror: {b}")),
+                (Err(e), _) | (_, Err(e)) => return Err(e),
+            };
+            match name {
+                "diff" => diff::render(&a, &b),
+                _ => perf::render_diff(&a, &b, args.noise),
+            }
+        }
+    };
+    print!("{text}");
+    Ok(ok)
+}
+
+fn load(path: &str) -> Result<Trace, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     tracetool::parse_trace(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Parse `--flag V` / `--flag=V` as a `u64`, or report a usage error.
-fn int_flag(flag: &str, arg: &str, next: Option<&String>) -> Result<Option<(u64, bool)>, String> {
-    if arg == flag {
-        let v = next
-            .and_then(|v| v.parse::<u64>().ok())
-            .ok_or_else(|| format!("{flag} needs an integer argument"))?;
-        Ok(Some((v, true))) // consumed the next arg
-    } else if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-        let v = v
-            .parse::<u64>()
-            .map_err(|_| format!("{flag} needs an integer argument"))?;
-        Ok(Some((v, false)))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Parse `--flag V` / `--flag=V` as an `f64`, or report a usage error.
-fn float_flag(flag: &str, arg: &str, next: Option<&String>) -> Result<Option<(f64, bool)>, String> {
-    if arg == flag {
-        let v = next
-            .and_then(|v| v.parse::<f64>().ok())
-            .ok_or_else(|| format!("{flag} needs a numeric argument"))?;
-        Ok(Some((v, true))) // consumed the next arg
-    } else if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-        let v = v
-            .parse::<f64>()
-            .map_err(|_| format!("{flag} needs a numeric argument"))?;
-        Ok(Some((v, false)))
-    } else {
-        Ok(None)
-    }
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("report") => {
-            let mut path = None;
-            let mut epsilon = 0.05f64;
-            let mut json = false;
-            let rest = &args[1..];
-            let mut i = 0;
-            while i < rest.len() {
-                let arg = &rest[i];
-                match float_flag("--epsilon", arg, rest.get(i + 1)) {
-                    Ok(Some((v, consumed))) => {
-                        epsilon = v;
-                        i += 1 + usize::from(consumed);
-                        continue;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                }
-                if arg == "--json" {
-                    json = true;
-                } else if path.is_none() {
-                    path = Some(arg.clone());
-                } else {
-                    eprintln!("unexpected argument {arg:?}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-                i += 1;
-            }
-            let Some(path) = path else {
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            };
-            let trace = match load(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(1);
-                }
-            };
-            if trace.records.is_empty() && trace.counters.is_empty() {
-                eprintln!("error: {path}: trace holds a header but no records — nothing to report");
-                return ExitCode::from(1);
-            }
-            if json {
-                print!("{}", tracetool::report::render_json(&trace, epsilon));
-            } else {
-                print!("{}", tracetool::report::render(&trace, epsilon));
-            }
-            ExitCode::SUCCESS
-        }
-        Some("diff") => {
-            let [_, a, b] = args.as_slice() else {
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            };
-            let (a, b) = match (load(a), load(b)) {
-                (Ok(a), Ok(b)) => (a, b),
-                (ra, rb) => {
-                    for e in [ra.err(), rb.err()].into_iter().flatten() {
-                        eprintln!("error: {e}");
-                    }
-                    return ExitCode::from(1);
-                }
-            };
-            let (text, identical) = tracetool::diff::render(&a, &b);
-            print!("{text}");
-            if identical {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Some("perf") => {
-            let [_, path] = args.as_slice() else {
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            };
-            let trace = match load(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(1);
-                }
-            };
-            print!("{}", tracetool::perf::render(&trace));
-            ExitCode::SUCCESS
-        }
-        Some("perf-diff") => {
-            let mut paths: Vec<&String> = Vec::new();
-            let mut noise = 0.05f64;
-            let rest = &args[1..];
-            let mut i = 0;
-            while i < rest.len() {
-                let arg = &rest[i];
-                match float_flag("--noise", arg, rest.get(i + 1)) {
-                    Ok(Some((v, consumed))) => {
-                        noise = v;
-                        i += 1 + usize::from(consumed);
-                        continue;
-                    }
-                    Ok(None) => paths.push(arg),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 1;
-            }
-            let [a, b] = paths.as_slice() else {
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            };
-            let (a, b) = match (load(a), load(b)) {
-                (Ok(a), Ok(b)) => (a, b),
-                (ra, rb) => {
-                    for e in [ra.err(), rb.err()].into_iter().flatten() {
-                        eprintln!("error: {e}");
-                    }
-                    return ExitCode::from(1);
-                }
-            };
-            let (text, ok) = tracetool::perf::render_diff(&a, &b, noise);
-            print!("{text}");
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Some("conflicts") => {
-            let mut path = None;
-            let mut json = false;
-            for arg in &args[1..] {
-                if arg == "--json" {
-                    json = true;
-                } else if path.is_none() {
-                    path = Some(arg.clone());
-                } else {
-                    eprintln!("unexpected argument {arg:?}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            }
-            let Some(path) = path else {
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            };
-            let trace = match load(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(1);
-                }
-            };
-            if trace.records.is_empty() && trace.counters.is_empty() {
-                eprintln!("error: {path}: trace holds a header but no records — nothing to report");
-                return ExitCode::from(1);
-            }
-            if json {
-                print!("{}", tracetool::conflicts::render_json(&trace));
-            } else {
-                print!("{}", tracetool::conflicts::render(&trace));
-            }
-            ExitCode::SUCCESS
-        }
-        Some("watch") => {
-            let mut path = None;
-            let mut json = false;
-            let mut poll_ms = 50u64;
-            let mut idle_timeout_ms = 15_000u64;
-            let rest = &args[1..];
-            let mut i = 0;
-            'args: while i < rest.len() {
-                let arg = &rest[i];
-                for (flag, slot) in [
-                    ("--poll-ms", &mut poll_ms),
-                    ("--idle-timeout-ms", &mut idle_timeout_ms),
-                ] {
-                    match int_flag(flag, arg, rest.get(i + 1)) {
-                        Ok(Some((v, consumed))) => {
-                            *slot = v;
-                            i += 1 + usize::from(consumed);
-                            continue 'args;
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::from(2);
-                        }
-                    }
-                }
-                if arg == "--json" {
-                    json = true;
-                } else if path.is_none() {
-                    path = Some(arg.clone());
-                } else {
-                    eprintln!("unexpected argument {arg:?}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-                i += 1;
-            }
-            let Some(path) = path else {
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            };
-            let mode = if json {
-                tracetool::watch::Mode::Json
-            } else {
-                tracetool::watch::Mode::Plain
-            };
-            match run_watch(&path, mode, poll_ms, idle_timeout_ms) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(1)
-                }
-            }
-        }
-        None => {
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-        Some(other) => {
-            eprintln!("unknown subcommand {other:?}\n{USAGE}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Tail `path`, rendering dashboard frames as windows seal. Returns once
-/// the end-of-trace trailer arrives; errors when the file stops growing
-/// for `idle_timeout_ms` first (the writer died or never materialized),
-/// or on a parse error.
-fn run_watch(
-    path: &str,
-    mode: tracetool::watch::Mode,
-    poll_ms: u64,
-    idle_timeout_ms: u64,
-) -> Result<(), String> {
-    use std::io::Read as _;
-
-    let mut watcher = tracetool::watch::Watcher::new(mode);
+/// Tail the trace, rendering dashboard frames as windows seal. Returns
+/// once the end-of-trace trailer arrives; errors when the file stops
+/// growing for `--idle-timeout-ms` first (the writer died or never
+/// materialized), or on a parse error.
+fn run_watch(args: &Args) -> Result<bool, String> {
+    let path = &args.paths[0];
+    let io = |e: std::io::Error| format!("{path}: {e}");
+    let mode = if args.json { Mode::Json } else { Mode::Plain };
+    let mut watcher = Watcher::new(mode);
     let mut offset = 0u64;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut idle = std::time::Instant::now();
-    let out = std::io::stdout();
+    let mut idle = Instant::now();
+    let show = |frames: Vec<String>| {
+        let mut out = std::io::stdout().lock();
+        for frame in frames {
+            let _ = out.write_all(frame.as_bytes());
+        }
+        let _ = out.flush();
+    };
     loop {
-        let mut grew = false;
+        let mut chunk = Vec::new();
         if let Ok(mut file) = std::fs::File::open(path) {
-            use std::io::Seek as _;
-            let len = file.metadata().map_err(|e| format!("{path}: {e}"))?.len();
+            let len = file.metadata().map_err(io)?.len();
             if len > offset {
-                file.seek(std::io::SeekFrom::Start(offset))
-                    .map_err(|e| format!("{path}: {e}"))?;
-                let mut chunk = Vec::with_capacity((len - offset) as usize);
-                (&mut file)
-                    .take(len - offset)
+                file.seek(std::io::SeekFrom::Start(offset)).map_err(io)?;
+                file.take(len - offset)
                     .read_to_end(&mut chunk)
-                    .map_err(|e| format!("{path}: {e}"))?;
+                    .map_err(io)?;
                 offset = len;
-                pending.extend_from_slice(&chunk);
-                grew = true;
             }
         }
-        if grew {
-            idle = std::time::Instant::now();
-            // Hand the watcher whole lines only, so a chunk ending inside
-            // a multi-byte character cannot corrupt the UTF-8 stream.
-            if let Some(nl) = pending.iter().rposition(|&b| b == b'\n') {
-                let complete: Vec<u8> = pending.drain(..=nl).collect();
-                let text = String::from_utf8(complete)
-                    .map_err(|_| format!("{path}: trace is not valid UTF-8"))?;
-                for frame in watcher.feed(&text).map_err(|e| format!("{path}: {e}"))? {
-                    use std::io::Write as _;
-                    let mut lock = out.lock();
-                    let _ = lock.write_all(frame.as_bytes());
-                    let _ = lock.flush();
-                }
-            }
+        if !chunk.is_empty() {
+            idle = Instant::now();
+            show(watcher.feed(&chunk).map_err(|e| format!("{path}: {e}"))?);
             if watcher.done() {
-                return Ok(());
+                return Ok(true);
             }
-        } else if idle.elapsed() >= std::time::Duration::from_millis(idle_timeout_ms) {
+        } else if idle.elapsed() >= Duration::from_millis(args.idle_timeout_ms) {
             // Flush whatever is open so a truncated trace still shows its
             // last window, then report the stall.
-            for frame in watcher.finish() {
-                use std::io::Write as _;
-                let mut lock = out.lock();
-                let _ = lock.write_all(frame.as_bytes());
-                let _ = lock.flush();
-            }
+            show(watcher.finish());
             return Err(format!(
-                "{path}: no end-of-trace trailer after {idle_timeout_ms}ms idle \
-                 (writer gone?)"
+                "{path}: no end-of-trace trailer after {}ms idle (writer gone?)",
+                args.idle_timeout_ms
             ));
         } else {
-            std::thread::sleep(std::time::Duration::from_millis(poll_ms));
+            std::thread::sleep(Duration::from_millis(args.poll_ms));
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The conflict-observatory view: abort attribution, wasted-work ledger,
 //! hot-stripe tables and goodput timelines (`proteus-trace conflicts`).
 //!
-//! Everything here is a pure fold over one trace's counters, events and
-//! `metrics.window` records, so the view is byte-identical for
-//! byte-identical traces. Two sources feed it:
+//! [`Conflicts::new`] folds one trace's counters, events and
+//! `metrics.window` records into a typed model; [`plain`] and [`json`] only
+//! format it, so the view is byte-identical for byte-identical traces. Two
+//! sources feed it:
 //!
 //! - **Wall-clock runs** dump per-backend counters at trace end
 //!   (`tx.commit.<b>`, `tx.abort.<b>.<cause>`, `tx.work.<b>.ops`,
@@ -13,10 +14,9 @@
 //!   conflict profiles, plus `vtime.conflict` and `conflict.stripe`
 //!   events carrying the per-backend cells and top-K hot stripes.
 
-use crate::perf::{overall_mean, windows_by_series, WindowPoint};
-use crate::report::fnum;
-use crate::{Record, Trace};
-use obs::encode_str;
+use crate::json::Writer;
+use crate::perf::{SeriesAgg, WindowPoint, WINDOW_LIMIT};
+use crate::{banner, elide, section, Record, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -26,9 +26,6 @@ use std::fmt::Write;
 const CAUSE_ORDER: [&str; 7] = [
     "conflict", "capacity", "explicit", "fallback", "spurious", "mode", "journal",
 ];
-
-/// Goodput-timeline windows listed per series before eliding.
-const TIMELINE_LIMIT: usize = 16;
 
 /// One backend's attribution ledger folded from the trace counters.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -66,179 +63,169 @@ impl BackendLedger {
 /// backend name). Counter shapes: `tx.commit.<b>`, `tx.commit.<b>.fallback`,
 /// `tx.abort.<b>.<cause>`, `tx.work.<b>.ops`, `tx.wasted.<b>.ops`.
 pub fn backend_ledgers(trace: &Trace) -> BTreeMap<String, BackendLedger> {
-    let mut out: BTreeMap<String, BackendLedger> = BTreeMap::new();
+    type Ledgers = BTreeMap<String, BackendLedger>;
+    fn of<'a>(out: &'a mut Ledgers, backend: &str) -> &'a mut BackendLedger {
+        out.entry(backend.to_string()).or_default()
+    }
+    let mut out = Ledgers::new();
     for (name, &value) in &trace.counters {
-        if let Some(rest) = name.strip_prefix("tx.commit.") {
-            match rest.strip_suffix(".fallback") {
-                Some(b) => out.entry(b.to_string()).or_default().fallback_commits = value,
-                None if !rest.contains('.') => {
-                    out.entry(rest.to_string()).or_default().commits = value;
-                }
-                None => {}
-            }
-        } else if let Some(rest) = name.strip_prefix("tx.abort.") {
-            if let Some((b, cause)) = rest.split_once('.') {
-                out.entry(b.to_string())
-                    .or_default()
-                    .causes
-                    .insert(cause.to_string(), value);
-            }
-        } else if let Some(rest) = name.strip_prefix("tx.work.") {
-            if let Some(b) = rest.strip_suffix(".ops") {
-                out.entry(b.to_string()).or_default().work_ops = value;
-            }
-        } else if let Some(rest) = name.strip_prefix("tx.wasted.") {
-            if let Some(b) = rest.strip_suffix(".ops") {
-                out.entry(b.to_string()).or_default().wasted_ops = value;
-            }
+        // `tx.<what>.<backend>[.<tail>]`: a backend name holds no dot.
+        let mut parts = name.strip_prefix("tx.").unwrap_or("").splitn(3, '.');
+        let (Some(what), Some(b)) = (parts.next(), parts.next()) else {
+            continue;
+        };
+        match (what, parts.next()) {
+            ("commit", None) => of(&mut out, b).commits = value,
+            ("commit", Some("fallback")) => of(&mut out, b).fallback_commits = value,
+            ("abort", Some(cause)) => drop(of(&mut out, b).causes.insert(cause.to_string(), value)),
+            ("work", Some("ops")) => of(&mut out, b).work_ops = value,
+            ("wasted", Some("ops")) => of(&mut out, b).wasted_ops = value,
+            _ => {}
         }
     }
     out
 }
 
-/// Causes of one ledger in canonical order (unknown slugs after, sorted).
+/// Causes of one ledger that fired, in canonical order (unknown slugs
+/// after, sorted).
 fn ordered_causes(ledger: &BackendLedger) -> Vec<(&str, u64)> {
-    let mut out: Vec<(&str, u64)> = Vec::new();
-    for slug in CAUSE_ORDER {
-        if let Some(&n) = ledger.causes.get(slug) {
-            if n > 0 {
-                out.push((slug, n));
-            }
-        }
-    }
-    for (slug, &n) in &ledger.causes {
-        if n > 0 && !CAUSE_ORDER.contains(&slug.as_str()) {
-            out.push((slug, n));
-        }
-    }
+    let fired = ledger.causes.iter().filter(|(_, &n)| n > 0);
+    let mut out: Vec<(&str, u64)> = fired.map(|(slug, &n)| (slug.as_str(), n)).collect();
+    // Stable, and the map is name-sorted: unknown slugs stay in that order.
+    let rank = |slug: &str| CAUSE_ORDER.iter().position(|&known| known == slug);
+    out.sort_by_key(|(slug, _)| rank(slug).unwrap_or(usize::MAX));
     out
 }
 
 /// One hot-stripe row from a `conflict.stripe` event.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct StripeRow {
-    machine: String,
-    backend: String,
+struct StripeRow<'a> {
+    machine: &'a str,
+    backend: &'a str,
     rank: u64,
     stripe: u64,
     hits: u64,
 }
 
-fn stripe_rows(trace: &Trace) -> Vec<StripeRow> {
-    trace
-        .of_kind("conflict.stripe")
-        .filter_map(|r| {
+/// One `vtime.conflict` event: a backend's exact conflict profile at one
+/// thread count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Cell<'a> {
+    machine: &'a str,
+    backend: &'a str,
+    threads: u64,
+    aborts: u64,
+    goodput_pm: u64,
+    wasted_ops: u64,
+}
+
+/// Everything `proteus-trace conflicts` says about one trace.
+pub struct Conflicts<'a> {
+    /// Per-backend attribution from the counter dump, sorted by backend.
+    ledgers: BTreeMap<String, BackendLedger>,
+    /// Deterministic vtime conflict cells, in stream order.
+    cells: Vec<Cell<'a>>,
+    /// Hot stripes, in stream order.
+    stripes: Vec<StripeRow<'a>>,
+    windows: &'a BTreeMap<String, Vec<WindowPoint>>,
+}
+
+impl<'a> Conflicts<'a> {
+    /// Fold `trace` into the conflict-observatory model.
+    pub fn new(trace: &'a Trace) -> Conflicts<'a> {
+        let cell = |r: &'a Record| Cell {
+            machine: r.str("machine").unwrap_or("-"),
+            backend: r.str("backend").unwrap_or("?"),
+            threads: r.u64("threads").unwrap_or(0),
+            aborts: r.u64("aborts").unwrap_or(0),
+            goodput_pm: r.u64("goodput_pm").unwrap_or(0),
+            wasted_ops: r.u64("wasted_ops").unwrap_or(0),
+        };
+        let stripe = |r: &'a Record| {
             Some(StripeRow {
-                machine: r.str("machine").unwrap_or("-").to_string(),
-                backend: r.str("backend").unwrap_or("?").to_string(),
+                machine: r.str("machine").unwrap_or("-"),
+                backend: r.str("backend").unwrap_or("?"),
                 rank: r.u64("rank")?,
                 stripe: r.u64("stripe")?,
                 hits: r.u64("hits").unwrap_or(0),
             })
-        })
-        .collect()
+        };
+        Conflicts {
+            ledgers: backend_ledgers(trace),
+            cells: trace.of_kind("vtime.conflict").map(cell).collect(),
+            stripes: trace
+                .of_kind("conflict.stripe")
+                .filter_map(stripe)
+                .collect(),
+            windows: trace.windows(),
+        }
+    }
+
+    /// Overall mean of one windowed series, when the trace has it.
+    fn mean(&self, series: &str) -> Option<f64> {
+        self.windows.get(series).map(|pts| SeriesAgg::of(pts).mean)
+    }
+
+    /// The switch/resize latencies of one machine's vtime run, read back
+    /// from its `vtime.<machine>.{switch,resize}.*` windows (hot-stripe
+    /// tables are rendered next to these so heatmaps line up with the
+    /// reconfiguration spans measured in the same run).
+    fn reconfig_line(&self, machine: &str) -> Option<String> {
+        let mean = |metric: &str| self.mean(&format!("vtime.{machine}.{metric}"));
+        Some(format!(
+            "switch {:.0} vns, resize shrink {:.0} vns / grow {:.0} vns",
+            mean("switch.latency_ns")?,
+            mean("resize.shrink_ns").unwrap_or(0.0),
+            mean("resize.grow_ns").unwrap_or(0.0)
+        ))
+    }
 }
 
-fn vtime_cells(trace: &Trace) -> Vec<&Record> {
-    trace.of_kind("vtime.conflict").collect()
-}
+/// Render the conflict-observatory report as text.
+pub fn plain(view: &Conflicts) -> String {
+    let mut out = banner("conflicts");
 
-/// The switch/resize latencies of one machine's vtime run, read back from
-/// its `vtime.<machine>.{switch,resize}.*` windows (hot-stripe tables are
-/// rendered next to these so heatmaps line up with the reconfiguration
-/// spans measured in the same run).
-fn reconfig_line(windows: &BTreeMap<String, Vec<WindowPoint>>, machine: &str) -> Option<String> {
-    let mean = |metric: &str| -> Option<f64> {
-        windows
-            .get(&format!("vtime.{machine}.{metric}"))
-            .map(|pts| overall_mean(pts))
-    };
-    let switch = mean("switch.latency_ns")?;
-    let (shrink, grow) = (
-        mean("resize.shrink_ns").unwrap_or(0.0),
-        mean("resize.grow_ns").unwrap_or(0.0),
-    );
-    Some(format!(
-        "switch {:.0} vns, resize shrink {:.0} vns / grow {:.0} vns",
-        switch, shrink, grow
-    ))
-}
-
-fn section(out: &mut String, title: &str) {
-    let _ = writeln!(out, "\n-- {title} --");
-}
-
-/// Render the conflict-observatory report.
-pub fn render(trace: &Trace) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "=== proteus-trace conflicts (schema {}) ===",
-        trace.schema
-    );
-    let windows = windows_by_series(trace);
-
-    // Per-backend abort attribution + wasted-work ledger (counter dump).
-    let ledgers = backend_ledgers(trace);
     section(&mut out, "abort attribution & wasted work (per backend)");
-    if ledgers.is_empty() {
+    if view.ledgers.is_empty() {
         let _ = writeln!(out, "(no tx.* counters in this trace)");
     } else {
-        let _ = writeln!(
-            out,
-            "  {:<10} {:>8} {:>9} {:>7} {:>10} {:>10} {:>8}",
-            "backend", "commits", "fallback", "aborts", "work_ops", "wasted", "goodput"
-        );
-        for (backend, ledger) in &ledgers {
+        out.push_str("  backend     commits  fallback  aborts   work_ops     wasted  goodput\n");
+        for (backend, l) in &view.ledgers {
+            let goodput = l.goodput_ratio();
             let _ = writeln!(
                 out,
-                "  {:<10} {:>8} {:>9} {:>7} {:>10} {:>10} {:>8.4}",
-                backend,
-                ledger.commits,
-                ledger.fallback_commits,
-                ledger.aborts(),
-                ledger.work_ops,
-                ledger.wasted_ops,
-                ledger.goodput_ratio()
+                "  {backend:<10} {:>8} {:>9} {:>7} {:>10} {:>10} {goodput:>8.4}",
+                l.commits,
+                l.fallback_commits,
+                l.aborts(),
+                l.work_ops,
+                l.wasted_ops
             );
-            let causes = ordered_causes(ledger);
+            let causes = ordered_causes(l);
             if !causes.is_empty() {
                 let list: Vec<String> = causes.iter().map(|(s, n)| format!("{s} x{n}")).collect();
                 let _ = writeln!(out, "    causes: {}", list.join(", "));
             }
         }
-        let (work, wasted): (u64, u64) = ledgers
-            .values()
-            .fold((0, 0), |(w, x), l| (w + l.work_ops, x + l.wasted_ops));
-        if work + wasted > 0 {
+        let work: u64 = view.ledgers.values().map(|l| l.work_ops).sum();
+        let total = work + view.ledgers.values().map(|l| l.wasted_ops).sum::<u64>();
+        if total > 0 {
             let _ = writeln!(
                 out,
-                "  overall goodput: {:.4} ({work} committed / {} total ops)",
-                work as f64 / (work + wasted) as f64,
-                work + wasted
+                "  overall goodput: {:.4} ({work} committed / {total} total ops)",
+                work as f64 / total as f64
             );
         }
     }
 
-    // Deterministic vtime conflict cells, when the trace has a vtime stage.
-    let cells = vtime_cells(trace);
-    if !cells.is_empty() {
+    if !view.cells.is_empty() {
         section(&mut out, "vtime conflict profile (exact cross-host)");
-        let _ = writeln!(
-            out,
-            "  {:<10} {:<8} {:>7} {:>7} {:>11} {:>11}",
-            "machine", "backend", "threads", "aborts", "goodput_pm", "wasted_ops"
-        );
-        for r in &cells {
+        out.push_str("  machine    backend  threads  aborts  goodput_pm  wasted_ops\n");
+        for c in &view.cells {
             let _ = writeln!(
                 out,
                 "  {:<10} {:<8} {:>7} {:>7} {:>11} {:>11}",
-                r.str("machine").unwrap_or("-"),
-                r.str("backend").unwrap_or("?"),
-                r.u64("threads").unwrap_or(0),
-                r.u64("aborts").unwrap_or(0),
-                r.u64("goodput_pm").unwrap_or(0),
-                r.u64("wasted_ops").unwrap_or(0),
+                c.machine, c.backend, c.threads, c.aborts, c.goodput_pm, c.wasted_ops,
             );
         }
     }
@@ -246,84 +233,66 @@ pub fn render(trace: &Trace) -> String {
     // Hot-stripe tables, grouped per (machine, backend) and rendered next
     // to that machine's switch/resize latencies so the heatmap lines up
     // with the reconfiguration spans of the same run.
-    let stripes = stripe_rows(trace);
-    if !stripes.is_empty() {
+    if !view.stripes.is_empty() {
         section(&mut out, "hot stripes (top-K per backend)");
-        let mut by_machine: BTreeMap<&str, Vec<&StripeRow>> = BTreeMap::new();
-        for s in &stripes {
-            by_machine.entry(&s.machine).or_default().push(s);
+        let mut by_machine: BTreeMap<&str, BTreeMap<&str, Vec<&StripeRow>>> = BTreeMap::new();
+        for s in &view.stripes {
+            let by_backend = by_machine.entry(s.machine).or_default();
+            by_backend.entry(s.backend).or_default().push(s);
         }
-        for (machine, rows) in by_machine {
+        for (machine, by_backend) in by_machine {
             let _ = writeln!(out, "  {machine}:");
-            let mut by_backend: BTreeMap<&str, Vec<&&StripeRow>> = BTreeMap::new();
-            for s in &rows {
-                by_backend.entry(&s.backend).or_default().push(s);
-            }
             for (backend, mut rows) in by_backend {
                 rows.sort_by_key(|s| s.rank);
-                let list: Vec<String> = rows
-                    .iter()
-                    .map(|s| format!("stripe {} x{}", s.stripe, s.hits))
-                    .collect();
-                let _ = writeln!(out, "    {:<8} {}", backend, list.join(", "));
+                let hot = |s: &&StripeRow| format!("stripe {} x{}", s.stripe, s.hits);
+                let list: Vec<String> = rows.iter().map(hot).collect();
+                let _ = writeln!(out, "    {backend:<8} {}", list.join(", "));
             }
-            if let Some(line) = reconfig_line(&windows, machine) {
+            if let Some(line) = view.reconfig_line(machine) {
                 let _ = writeln!(out, "    reconfig: {line}");
             }
         }
     }
 
     // Goodput-vs-throughput timeline from the windowed series.
-    if let Some(goodput) = windows.get("goodput.ratio") {
+    if let Some(goodput) = view.windows.get("goodput.ratio") {
         section(&mut out, "goodput timeline (windows)");
-        let tput = windows.get("kpi.throughput");
-        let commits = windows.get("kpi.commits");
-        let at_tick = |pts: Option<&Vec<WindowPoint>>, tick: u64| -> Option<f64> {
-            pts.and_then(|pts| pts.iter().find(|p| p.tick == tick).map(|p| p.mean))
+        let at_tick = |series: &str, tick: u64| -> Option<f64> {
+            let pts = view.windows.get(series)?;
+            pts.iter().find(|p| p.tick == tick).map(|p| p.mean)
         };
-        for p in goodput.iter().take(TIMELINE_LIMIT) {
+        for p in goodput.iter().take(WINDOW_LIMIT) {
             let mut line = format!("  tick {:>5}  goodput {:.4}", p.tick, p.mean);
-            if let Some(v) = at_tick(tput, p.tick) {
+            if let Some(v) = at_tick("kpi.throughput", p.tick) {
                 let _ = write!(line, "  throughput {v:.0}/s");
             }
-            if let Some(v) = at_tick(commits, p.tick) {
+            if let Some(v) = at_tick("kpi.commits", p.tick) {
                 let _ = write!(line, "  commits {v:.0}");
             }
             let _ = writeln!(out, "{line}");
         }
-        if goodput.len() > TIMELINE_LIMIT {
-            let _ = writeln!(
-                out,
-                "  ... ({} more windows)",
-                goodput.len() - TIMELINE_LIMIT
-            );
-        }
+        elide(&mut out, goodput.len(), WINDOW_LIMIT, "windows");
         let _ = writeln!(
             out,
             "  overall: goodput {:.4} over {} windows, wasted.ops mean {:.1}",
-            overall_mean(goodput),
+            SeriesAgg::of(goodput).mean,
             goodput.len(),
-            windows
-                .get("wasted.ops")
-                .map(|pts| overall_mean(pts))
-                .unwrap_or(0.0)
+            view.mean("wasted.ops").unwrap_or(0.0)
         );
     }
 
-    // Windowed abort-cause mix (covers capture traces with no counter dump).
-    let cause_series: Vec<(&String, &Vec<WindowPoint>)> = windows
-        .iter()
-        .filter(|(name, _)| name.starts_with("abort.cause."))
-        .collect();
-    if !cause_series.is_empty() {
+    // Windowed `abort.cause.*` series (covers capture traces, which have no
+    // counter dump).
+    let causes = view.windows.iter();
+    let causes = causes.filter_map(|(name, pts)| Some((name.strip_prefix("abort.cause.")?, pts)));
+    let causes: Vec<(&str, &Vec<WindowPoint>)> = causes.collect();
+    if !causes.is_empty() {
         section(&mut out, "windowed abort-cause mix");
-        for (name, pts) in cause_series {
+        for (slug, pts) in causes {
             let total: f64 = pts.iter().map(|p| p.mean * p.n as f64).sum();
             let _ = writeln!(
                 out,
-                "  {:<24} {:>8.0} across {} windows",
-                name.trim_start_matches("abort.cause."),
-                total,
+                "  {slug:<24} {total:>8.0} across {} windows",
                 pts.len()
             );
         }
@@ -334,118 +303,66 @@ pub fn render(trace: &Trace) -> String {
 /// Render the view as one machine-readable JSON object (`--json`). Key
 /// order is fixed and all maps are name-sorted, so equal traces yield
 /// equal bytes.
-pub fn render_json(trace: &Trace) -> String {
-    let windows = windows_by_series(trace);
-    let mut out = String::from("{\"schema\":");
-    let _ = write!(out, "{}", trace.schema);
+pub fn json(view: &Conflicts) -> String {
+    let mut w = Writer::default();
+    w.open('{').key("schema").raw(obs::SCHEMA_VERSION);
 
-    out.push_str(",\"backends\":{");
-    for (i, (backend, ledger)) in backend_ledgers(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    w.key("backends").open('{');
+    for (backend, l) in &view.ledgers {
+        w.key(backend).open('{').key("commits").raw(l.commits);
+        w.key("fallback_commits").raw(l.fallback_commits);
+        w.key("aborts").raw(l.aborts()).key("causes").open('{');
+        for (slug, n) in ordered_causes(l) {
+            w.key(slug).raw(n);
         }
-        encode_str(&mut out, backend);
-        let _ = write!(
-            out,
-            ":{{\"commits\":{},\"fallback_commits\":{},\"aborts\":{},\"causes\":{{",
-            ledger.commits,
-            ledger.fallback_commits,
-            ledger.aborts()
-        );
-        for (j, (slug, n)) in ordered_causes(ledger).iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            encode_str(&mut out, slug);
-            let _ = write!(out, ":{n}");
-        }
-        let _ = write!(
-            out,
-            "}},\"work_ops\":{},\"wasted_ops\":{},\"goodput_ratio\":",
-            ledger.work_ops, ledger.wasted_ops
-        );
-        fnum(&mut out, ledger.goodput_ratio());
-        out.push('}');
+        w.close('}').key("work_ops").raw(l.work_ops);
+        w.key("wasted_ops").raw(l.wasted_ops);
+        w.key("goodput_ratio").f64(l.goodput_ratio()).close('}');
     }
 
-    out.push_str("},\"vtime\":[");
-    for (i, r) in vtime_cells(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"machine\":");
-        encode_str(&mut out, r.str("machine").unwrap_or("-"));
-        out.push_str(",\"backend\":");
-        encode_str(&mut out, r.str("backend").unwrap_or("?"));
-        let _ = write!(
-            out,
-            ",\"threads\":{},\"aborts\":{},\"goodput_pm\":{},\"wasted_ops\":{}}}",
-            r.u64("threads").unwrap_or(0),
-            r.u64("aborts").unwrap_or(0),
-            r.u64("goodput_pm").unwrap_or(0),
-            r.u64("wasted_ops").unwrap_or(0),
-        );
+    w.close('}').key("vtime").open('[');
+    for c in &view.cells {
+        w.open('{').key("machine").str(c.machine);
+        w.key("backend").str(c.backend);
+        w.key("threads").raw(c.threads);
+        w.key("aborts").raw(c.aborts);
+        w.key("goodput_pm").raw(c.goodput_pm);
+        w.key("wasted_ops").raw(c.wasted_ops).close('}');
     }
 
-    out.push_str("],\"stripes\":[");
-    for (i, s) in stripe_rows(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"machine\":");
-        encode_str(&mut out, &s.machine);
-        out.push_str(",\"backend\":");
-        encode_str(&mut out, &s.backend);
-        let _ = write!(
-            out,
-            ",\"rank\":{},\"stripe\":{},\"hits\":{}}}",
-            s.rank, s.stripe, s.hits
-        );
+    w.close(']').key("stripes").open('[');
+    for s in &view.stripes {
+        w.open('{').key("machine").str(s.machine);
+        w.key("backend").str(s.backend).key("rank").raw(s.rank);
+        w.key("stripe").raw(s.stripe);
+        w.key("hits").raw(s.hits).close('}');
     }
 
-    out.push_str("],\"series\":{");
-    let observed: Vec<(&String, &Vec<WindowPoint>)> = windows
-        .iter()
-        .filter(|(name, _)| {
-            name.starts_with("abort.cause.")
-                || name.as_str() == "wasted.ops"
-                || name.as_str() == "goodput.ratio"
-                || name.as_str() == "conflict.stripe_topk"
-        })
-        .collect();
-    for (i, (name, pts)) in observed.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        encode_str(&mut out, name);
-        let _ = write!(
-            out,
-            ":{{\"windows\":{},\"samples\":{},\"mean\":",
-            pts.len(),
-            pts.iter().map(|p| p.n).sum::<u64>()
-        );
-        fnum(&mut out, overall_mean(pts));
-        out.push('}');
+    w.close(']').key("series").open('{');
+    let observed = |name: &str| {
+        name.starts_with("abort.cause.")
+            || ["wasted.ops", "goodput.ratio", "conflict.stripe_topk"].contains(&name)
+    };
+    for (name, pts) in view.windows.iter().filter(|(name, _)| observed(name)) {
+        w.key(name).open('{');
+        SeriesAgg::of(pts).json(&mut w);
+        w.close('}');
     }
-    out.push_str("}}\n");
-    out
+    w.close('}').close('}');
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_trace;
+    use crate::tests::trace_of;
 
-    fn trace_of(lines: &[&str]) -> Trace {
-        let mut text = format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n",
-            obs::SCHEMA_VERSION
-        );
-        for l in lines {
-            text.push_str(l);
-            text.push('\n');
-        }
-        parse_trace(&text).unwrap()
+    fn render(trace: &Trace) -> String {
+        plain(&Conflicts::new(trace))
+    }
+
+    fn render_json(trace: &Trace) -> String {
+        json(&Conflicts::new(trace))
     }
 
     #[test]

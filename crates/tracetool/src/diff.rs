@@ -7,19 +7,44 @@
 //! diverge.
 
 use crate::spans::SpanForest;
-use crate::Trace;
-use std::collections::BTreeSet;
+use crate::{elide, Record, Trace};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 
 /// How many diverging counters / kinds to list before eliding.
 const DIFF_LIMIT: usize = 40;
 
+/// List the first [`DIFF_LIMIT`] names whose count differs between `a` and
+/// `b` (absent counts as 0), one `row` each. Returns how many names the two
+/// hold together, and how many of them differ.
+fn diff_counts(
+    out: &mut String,
+    what: &str,
+    a: &BTreeMap<String, u64>,
+    b: &BTreeMap<String, u64>,
+    row: impl Fn(&str, u64, u64) -> String,
+) -> (usize, usize) {
+    let names: BTreeSet<&String> = a.keys().chain(b.keys()).collect();
+    let mut diffs = 0;
+    for name in &names {
+        let value = |side: &BTreeMap<String, u64>| side.get(*name).copied().unwrap_or(0);
+        let (va, vb) = (value(a), value(b));
+        if va != vb {
+            diffs += 1;
+            if diffs <= DIFF_LIMIT {
+                let _ = writeln!(out, "{}", row(name, va, vb));
+            }
+        }
+    }
+    elide(out, diffs, DIFF_LIMIT, &format!("{what} diffs"));
+    (names.len(), diffs)
+}
+
 /// Render a structural comparison of `a` and `b`. The boolean is true
 /// when the traces are structurally identical (records and counters).
 pub fn render(a: &Trace, b: &Trace) -> (String, bool) {
-    let mut out = String::new();
+    let mut out = "=== proteus-trace diff ===\n".to_string();
     let mut identical = true;
-    let _ = writeln!(out, "=== proteus-trace diff ===");
     let _ = writeln!(
         out,
         "A: {} records, {} counters | B: {} records, {} counters",
@@ -29,152 +54,96 @@ pub fn render(a: &Trace, b: &Trace) -> (String, bool) {
         b.counters.len(),
     );
 
-    // Per-kind record counts over the union of kinds.
-    let ha = a.kind_histogram();
-    let hb = b.kind_histogram();
-    let kinds: BTreeSet<&str> = ha.keys().chain(hb.keys()).copied().collect();
-    let mut kind_diffs = 0usize;
-    for kind in &kinds {
-        let ca = ha.get(kind).copied().unwrap_or(0);
-        let cb = hb.get(kind).copied().unwrap_or(0);
-        if ca != cb {
-            identical = false;
-            kind_diffs += 1;
-            if kind_diffs <= DIFF_LIMIT {
-                let _ = writeln!(out, "  kind {kind:<28} A={ca} B={cb}");
-            }
-        }
-    }
-    if kind_diffs > DIFF_LIMIT {
-        let _ = writeln!(out, "  ... ({} more kind diffs)", kind_diffs - DIFF_LIMIT);
-    }
+    // Per-kind record counts, then counter values, over the union of names.
+    let (kinds, kind_diffs) = diff_counts(
+        &mut out,
+        "kind",
+        a.kind_histogram(),
+        b.kind_histogram(),
+        |kind, ca, cb| format!("  kind {kind:<28} A={ca} B={cb}"),
+    );
     if kind_diffs == 0 {
-        let _ = writeln!(
-            out,
-            "  per-kind record counts: identical ({} kinds)",
-            kinds.len()
-        );
+        let _ = writeln!(out, "  per-kind record counts: identical ({kinds} kinds)");
     }
-
-    // Counter deltas over the union of names.
-    let names: BTreeSet<&str> = a
-        .counters
-        .keys()
-        .chain(b.counters.keys())
-        .map(String::as_str)
-        .collect();
-    let mut counter_diffs = 0usize;
-    for name in &names {
-        let va = a.counter(name);
-        let vb = b.counter(name);
-        if va != vb {
-            identical = false;
-            counter_diffs += 1;
-            if counter_diffs <= DIFF_LIMIT {
-                let delta = vb as i128 - va as i128;
-                let _ = writeln!(out, "  counter {name:<32} A={va} B={vb} ({delta:+})");
-            }
-        }
+    let (names, counter_diffs) = diff_counts(
+        &mut out,
+        "counter",
+        &a.counters,
+        &b.counters,
+        |name, va, vb| {
+            let delta = vb as i128 - va as i128;
+            format!("  counter {name:<32} A={va} B={vb} ({delta:+})")
+        },
+    );
+    if counter_diffs == 0 && names > 0 {
+        let _ = writeln!(out, "  counters: identical ({names} names)");
     }
-    if counter_diffs > DIFF_LIMIT {
-        let _ = writeln!(
-            out,
-            "  ... ({} more counter diffs)",
-            counter_diffs - DIFF_LIMIT
-        );
-    }
-    if counter_diffs == 0 && !names.is_empty() {
-        let _ = writeln!(out, "  counters: identical ({} names)", names.len());
-    }
+    identical &= kind_diffs + counter_diffs == 0;
 
     // First diverging record, comparing (seq, kind, fields) in order.
-    let mut divergence = None;
-    for (i, (ra, rb)) in a.records.iter().zip(&b.records).enumerate() {
-        if ra.seq != rb.seq || ra.kind != rb.kind || ra.fields != rb.fields {
-            divergence = Some(i);
-            break;
-        }
-    }
-    match divergence {
+    let same = |(ra, rb): (&Record, &Record)| {
+        (ra.seq, &ra.kind, &ra.fields) == (rb.seq, &rb.kind, &rb.fields)
+    };
+    let common = a.records.len().min(b.records.len());
+    match a
+        .records
+        .iter()
+        .zip(&b.records)
+        .position(|pair| !same(pair))
+    {
         Some(i) => {
             identical = false;
-            let ra = &a.records[i];
-            let rb = &b.records[i];
             let _ = writeln!(out, "  first divergence at record {i}:");
-            let _ = writeln!(
-                out,
-                "    A line {}: kind={} {}",
-                ra.line,
-                ra.kind,
-                ra.summary()
-            );
-            let _ = writeln!(
-                out,
-                "    B line {}: kind={} {}",
-                rb.line,
-                rb.kind,
-                rb.summary()
-            );
+            for (side, r) in [("A", &a.records[i]), ("B", &b.records[i])] {
+                let _ = writeln!(
+                    out,
+                    "    {side} line {}: kind={} {}",
+                    r.line,
+                    r.kind,
+                    r.summary()
+                );
+            }
         }
         None if a.records.len() != b.records.len() => {
             identical = false;
-            let (longer, n, extra) = if a.records.len() > b.records.len() {
-                ("A", b.records.len(), &a.records[b.records.len()])
-            } else {
-                ("B", a.records.len(), &b.records[a.records.len()])
+            let (longer, extra) = match a.records.get(common) {
+                Some(extra) => ("A", extra),
+                None => ("B", &b.records[common]),
             };
             let _ = writeln!(
                 out,
-                "  records agree for the first {n}, then {longer} continues: kind={} {}",
+                "  records agree for the first {common}, then {longer} continues: kind={} {}",
                 extra.kind,
                 extra.summary()
             );
         }
         None => {
-            let _ = writeln!(
-                out,
-                "  record streams: identical ({} records)",
-                a.records.len()
-            );
+            let _ = writeln!(out, "  record streams: identical ({common} records)");
         }
     }
 
     // Span-level summary so gate/quiesce regressions stand out even when
     // counts happen to match.
-    let fa = SpanForest::build(&a.records);
-    let fb = SpanForest::build(&b.records);
-    let _ = writeln!(
-        out,
-        "  spans: A={} ({} unclosed) B={} ({} unclosed)",
-        fa.nodes.len(),
-        fa.unclosed(),
-        fb.nodes.len(),
-        fb.unclosed(),
-    );
+    let spans = |t: &Trace| {
+        let forest = SpanForest::build(&t.records);
+        format!("{} ({} unclosed)", forest.nodes.len(), forest.unclosed())
+    };
+    let _ = writeln!(out, "  spans: A={} B={}", spans(a), spans(b));
 
-    let _ = writeln!(
-        out,
-        "verdict: {}",
-        if identical {
-            "structurally identical"
-        } else {
-            "traces differ"
-        }
-    );
+    let verdict = match identical {
+        true => "structurally identical",
+        false => "traces differ",
+    };
+    let _ = writeln!(out, "verdict: {verdict}");
     (out, identical)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_trace;
 
     fn trace_of(body: &str) -> Trace {
-        let text = format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n{body}",
-            obs::SCHEMA_VERSION
-        );
-        parse_trace(&text).unwrap()
+        crate::tests::trace_of(&[body])
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Minimal flat-JSON parser for the obs JSONL dialect.
+//! Minimal flat-JSON parser for the obs JSONL dialect, and the writer the
+//! `--json` views share.
 //!
 //! The trace encoder (`crates/obs/src/event.rs`) emits exactly one flat
 //! object per line whose values are scalars — no nested objects or arrays.
@@ -6,6 +7,8 @@
 //! and rejects everything else with a position-carrying error, which is
 //! what lets `proteus-trace` fail CI on malformed streams instead of
 //! silently misreading them.
+
+use std::fmt::Write as _;
 
 /// A scalar JSON value from a trace record.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,14 +55,6 @@ impl JsonValue {
         }
     }
 
-    /// As a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Compact display form (strings unquoted) for report rendering.
     pub fn display(&self) -> String {
         match self {
@@ -74,7 +69,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -84,15 +79,13 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
+        let b = self.peek()?;
+        self.pos += 1;
+        Some(b)
     }
 
     fn skip_ws(&mut self) {
@@ -101,17 +94,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
+    /// Consume exactly `word`.
     fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(())
         } else {
@@ -120,9 +105,15 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.literal("\"")?;
         let mut out = String::new();
         loop {
+            // Copy the run of ordinary characters up to the next special one.
+            let rest = &self.text[self.pos..];
+            let special = |c| c == '"' || c == '\\' || c < ' ';
+            let run = rest.find(special).unwrap_or(rest.len());
+            out.push_str(&rest[..run]);
+            self.pos += run;
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),
@@ -137,9 +128,8 @@ impl<'a> Parser<'a> {
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
                         let hex = self
-                            .bytes
+                            .text
                             .get(self.pos..self.pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
                             .ok_or_else(|| self.err("truncated \\u escape"))?;
                         let code = u32::from_str_radix(hex, 16)
                             .map_err(|_| self.err("invalid \\u escape"))?;
@@ -152,29 +142,7 @@ impl<'a> Parser<'a> {
                     }
                     _ => return Err(self.err("invalid escape")),
                 },
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(b) => {
-                    // Re-decode multi-byte UTF-8 starting at b.
-                    if b < 0x80 {
-                        out.push(b as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = match b {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            0xF0..=0xF7 => 4,
-                            _ => return Err(self.err("invalid UTF-8")),
-                        };
-                        let slice = self
-                            .bytes
-                            .get(start..start + len)
-                            .ok_or_else(|| self.err("truncated UTF-8"))?;
-                        let s =
-                            std::str::from_utf8(slice).map_err(|_| self.err("invalid UTF-8"))?;
-                        out.push_str(s);
-                        self.pos = start + len;
-                    }
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -195,30 +163,25 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         // Integers wider than 64 bits (e.g. the injector's absurd-KPI
         // constant written in full decimal) fall back to f64, like every
         // JSON reader built on doubles.
-        if float {
-            text.parse::<f64>()
+        let int = match text.strip_prefix('-') {
+            _ if float => None,
+            None => text.parse().ok().map(JsonValue::U64),
+            Some(digits) => digits
+                .parse::<u64>()
+                .ok()
+                .filter(|&v| v <= i64::MAX as u64)
+                .map(|v| JsonValue::I64(-(v as i64))),
+        };
+        match int {
+            Some(v) => Ok(v),
+            None => text
+                .parse()
                 .map(JsonValue::F64)
-                .map_err(|_| self.err("invalid number"))
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            match stripped.parse::<u64>() {
-                Ok(v) if v <= i64::MAX as u64 => Ok(JsonValue::I64(-(v as i64))),
-                _ => text
-                    .parse::<f64>()
-                    .map(JsonValue::F64)
-                    .map_err(|_| self.err("invalid number")),
-            }
-        } else {
-            match text.parse::<u64>() {
-                Ok(v) => Ok(JsonValue::U64(v)),
-                Err(_) => text
-                    .parse::<f64>()
-                    .map(JsonValue::F64)
-                    .map_err(|_| self.err("invalid number")),
-            }
+                .map_err(|_| self.err("invalid number")),
         }
     }
 
@@ -237,38 +200,103 @@ impl<'a> Parser<'a> {
 
 /// Parse one line as a flat JSON object, preserving key order.
 pub fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text: line, pos: 0 };
     p.skip_ws();
-    p.expect(b'{')?;
+    p.literal("{")?;
     let mut out = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let val = p.parse_value()?;
-            out.push((key, val));
-            p.skip_ws();
-            match p.bump() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                _ => return Err(p.err("expected ',' or '}'")),
-            }
+    loop {
+        p.skip_ws();
+        if out.is_empty() && p.peek() == Some(b'}') {
+            p.pos += 1;
+            break;
+        }
+        let key = p.parse_string()?;
+        p.skip_ws();
+        p.literal(":")?;
+        p.skip_ws();
+        out.push((key, p.parse_value()?));
+        p.skip_ws();
+        match p.bump() {
+            Some(b',') => continue,
+            Some(b'}') => break,
+            _ => return Err(p.err("expected ',' or '}'")),
         }
     }
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing data after object"));
     }
     Ok(out)
+}
+
+/// Compact JSON writer for the `--json` views: it owns comma placement,
+/// string escaping ([`obs::encode_str`], the trace's own encoder) and the
+/// float rule, so a renderer only names keys and values.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// The next token follows a sibling (not a key or an opening bracket),
+    /// so it needs a `,` first.
+    comma: bool,
+}
+
+impl Writer {
+    /// Where the next token goes: after a `,` when it follows a sibling.
+    fn next(&mut self) -> &mut String {
+        if std::mem::replace(&mut self.comma, true) {
+            self.out.push(',');
+        }
+        &mut self.out
+    }
+
+    /// Open an object (`{`) or array (`[`) in value position.
+    pub fn open(&mut self, bracket: char) -> &mut Writer {
+        self.next().push(bracket);
+        self.comma = false;
+        self
+    }
+
+    /// Close the innermost object or array with `bracket`.
+    pub fn close(&mut self, bracket: char) -> &mut Writer {
+        self.out.push(bracket);
+        self.comma = true;
+        self
+    }
+
+    /// An object key; the value is whatever is written next.
+    pub fn key(&mut self, key: &str) -> &mut Writer {
+        self.str(key).out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// A value that is its own JSON token: integers, booleans, `null`.
+    pub fn raw(&mut self, token: impl std::fmt::Display) -> &mut Writer {
+        let _ = write!(self.next(), "{token}");
+        self
+    }
+
+    /// A string value.
+    pub fn str(&mut self, s: &str) -> &mut Writer {
+        obs::encode_str(self.next(), s);
+        self
+    }
+
+    /// A float in shortest-roundtrip form, as the trace encodes it;
+    /// non-finite values, which JSON has no token for, become strings.
+    pub fn f64(&mut self, v: f64) -> &mut Writer {
+        if v.is_finite() {
+            self.raw(v)
+        } else {
+            self.str(&v.to_string())
+        }
+    }
+
+    /// The document, newline-terminated.
+    pub fn finish(mut self) -> String {
+        self.out.push('\n');
+        self.out
+    }
 }
 
 #[cfg(test)]
@@ -318,6 +346,23 @@ mod tests {
         assert_eq!(fields[0].1, JsonValue::F64(1e150));
         let fields = parse_object(&format!("{{\"big\":-1{}}}", "0".repeat(30))).unwrap();
         assert_eq!(fields[0].1, JsonValue::F64(-1e30));
+    }
+
+    #[test]
+    fn writer_places_commas_and_spells_nonfinite_floats_as_strings() {
+        let mut w = Writer::default();
+        w.open('{').key("a").raw(1).key("b").open('[');
+        w.f64(0.5)
+            .f64(f64::INFINITY)
+            .str("x\"y")
+            .open('{')
+            .close('}');
+        w.close(']').key("c").open('{').key("d").raw("null");
+        w.close('}').close('}');
+        assert_eq!(
+            w.finish(),
+            "{\"a\":1,\"b\":[0.5,\"inf\",\"x\\\"y\",{}],\"c\":{\"d\":null}}\n"
+        );
     }
 
     #[test]

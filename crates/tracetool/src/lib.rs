@@ -5,13 +5,16 @@
 //! quiescence epochs, configuration switches, CUSUM alarms, EI exploration
 //! steps, CV folds — is a record with a logical sequence number, and span
 //! records add the hierarchy. This crate turns one or two such streams
-//! into deterministic plain-text reports:
+//! into deterministic reports, in three steps with one owner each:
 //!
-//! * [`report::render`] — decision timeline, regret-to-oracle and
-//!   steps-to-within-ε convergence, switch/quiescence span breakdowns and
-//!   a fault-injection audit, from a single trace.
-//! * [`diff::render`] — a structural comparison of two traces (per-kind
-//!   counts, counter deltas, first diverging record).
+//! * [`TraceReader`] is the only code that reads trace bytes: lines,
+//!   header contract, counter dump, end-of-trace marker. [`parse_trace`]
+//!   feeds it a whole file, [`watch::Watcher`] a growing one.
+//! * Each view computes one typed model from the [`Trace`]
+//!   ([`report::Report`], [`conflicts::Conflicts`], a `watch` frame) ...
+//! * ... and formats it twice: `plain(&model)` for people, `json(&model)`
+//!   (through [`json::Writer`]) for machines. [`perf`] and [`diff`] have
+//!   a plain form only.
 //!
 //! Everything is a pure function of the input bytes: same trace, same
 //! report, byte for byte. That property is load-bearing — the repo's
@@ -25,13 +28,16 @@ pub mod conflicts;
 pub mod diff;
 pub mod json;
 pub mod perf;
+pub mod reader;
 pub mod report;
 pub mod spans;
 pub mod watch;
 
 use json::JsonValue;
+pub use perf::WindowPoint;
+pub use reader::TraceReader;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One parsed trace record (event or span begin/end).
 #[derive(Debug, Clone, PartialEq)]
@@ -67,57 +73,69 @@ impl Record {
         self.get(key).and_then(JsonValue::as_str)
     }
 
+    /// Whether this is the `obs.overhead` total record that ends a trace.
+    pub fn is_trailer(&self) -> bool {
+        self.kind == "obs.overhead" && self.str("subsystem") == Some("total")
+    }
+
     /// Compact `k=v` rendering of all fields except `seq`/`kind`.
     pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.fields {
-            if !out.is_empty() {
-                out.push(' ');
-            }
-            out.push_str(k);
-            out.push('=');
-            out.push_str(&v.display());
-        }
-        out
+        let pairs = self
+            .fields
+            .iter()
+            .map(|(k, v)| format!("{k}={}", v.display()));
+        pairs.collect::<Vec<_>>().join(" ")
     }
 }
 
-/// A fully parsed trace.
-#[derive(Debug, Clone, PartialEq)]
+/// A fully parsed trace: the records, plus the folds every view asks for,
+/// built once while reading.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
-    /// Schema version from the `trace.meta` header.
-    pub schema: u32,
-    /// Event and span records, in stream order (header and trailing
-    /// counter dump excluded).
+    /// Event and span records, in stream order (header and counter dump
+    /// excluded).
     pub records: Vec<Record>,
-    /// The trailing counter dump (`{"kind":"counter",...}` lines), sorted
-    /// by name as written by `obs::finish_trace`.
+    /// The counter dump (`{"kind":"counter",...}` lines), sorted by name
+    /// as written by `obs::finish_trace`.
     pub counters: BTreeMap<String, u64>,
+    windows: BTreeMap<String, Vec<WindowPoint>>,
+    kinds: BTreeMap<String, u64>,
 }
 
 impl Trace {
+    /// Append the next record of the stream, updating the folds.
+    fn push(&mut self, record: Record) {
+        *self.kinds.entry(record.kind.clone()).or_insert(0) += 1;
+        if let Some((series, point)) = WindowPoint::of(&record) {
+            self.windows.entry(series).or_default().push(point);
+        }
+        self.records.push(record);
+    }
+
     /// Records of one kind, in stream order.
     pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a Record> {
         self.records.iter().filter(move |r| r.kind == kind)
     }
 
     /// Number of records of one kind.
-    pub fn count_kind(&self, kind: &str) -> usize {
-        self.of_kind(kind).count()
+    pub fn count_kind(&self, kind: &str) -> u64 {
+        self.kinds.get(kind).copied().unwrap_or(0)
     }
 
-    /// A counter from the trailing dump (0 when absent).
+    /// A counter from the dump (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Per-kind record counts, sorted by kind.
-    pub fn kind_histogram(&self) -> BTreeMap<&str, usize> {
-        let mut out = BTreeMap::new();
-        for r in &self.records {
-            *out.entry(r.kind.as_str()).or_insert(0) += 1;
-        }
-        out
+    pub fn kind_histogram(&self) -> &BTreeMap<String, u64> {
+        &self.kinds
+    }
+
+    /// The `metrics.window` points grouped by series name (sorted), in
+    /// stream order within each series.
+    pub fn windows(&self) -> &BTreeMap<String, Vec<WindowPoint>> {
+        &self.windows
     }
 }
 
@@ -136,8 +154,6 @@ pub enum TraceError {
     UnsupportedSchema {
         /// Version found in the stream.
         found: u64,
-        /// The one version this binary reads.
-        supported: u32,
     },
     /// A line failed to parse or lacks mandatory structure.
     Malformed {
@@ -165,142 +181,45 @@ impl fmt::Display for TraceError {
                     None => "an unparseable line".to_string(),
                 }
             ),
-            TraceError::UnsupportedSchema { found, supported } => write!(
+            TraceError::UnsupportedSchema { found } => write!(
                 f,
                 "unsupported trace schema {found} (this proteus-trace \
-                 understands schema {supported}); re-run the \
-                 analyzer from the toolchain that produced the trace"
+                 understands schema {}); re-run the \
+                 analyzer from the toolchain that produced the trace",
+                obs::SCHEMA_VERSION
             ),
             TraceError::Malformed { line, msg } => write!(f, "line {line}: {msg}"),
         }
     }
 }
 
-/// Normalize line-ending and encoding quirks a trace file may pick up in
-/// transit (a checkout with `autocrlf`, an editor save, a shell
-/// redirection on Windows): strip a UTF-8 BOM, turn `\r\n` and lone `\r`
-/// terminators into `\n`. Borrows when the text is already clean — the
-/// common case pays one scan and no allocation.
-fn normalize(text: &str) -> std::borrow::Cow<'_, str> {
-    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
-    if !text.contains('\r') {
-        return std::borrow::Cow::Borrowed(text);
-    }
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == '\r' {
-            if chars.peek() == Some(&'\n') {
-                chars.next();
-            }
-            out.push('\n');
-        } else {
-            out.push(c);
-        }
-    }
-    std::borrow::Cow::Owned(out)
-}
-
-/// Check the schema header, the first non-blank line of every trace
-/// (`line_no` is 1-based). The one statement of the header contract:
-/// [`parse_trace`] and [`watch::Watcher`] both call it.
-///
-/// The line must be the `trace.meta` record with `schema` equal to
-/// [`obs::SCHEMA_VERSION`]; anything else is a hard error — skew between
-/// emitter and analyzer must fail loudly, not produce a half-right report.
-pub(crate) fn check_header(line_no: usize, line: &str) -> Result<(), TraceError> {
-    let header =
-        json::parse_object(line).map_err(|_| TraceError::MissingHeader { first_kind: None })?;
-    let kind = header
-        .iter()
-        .find(|(k, _)| k == "kind")
-        .and_then(|(_, v)| v.as_str());
-    if kind != Some("trace.meta") {
-        return Err(TraceError::MissingHeader {
-            first_kind: kind.map(str::to_string),
-        });
-    }
-    let schema = header
-        .iter()
-        .find(|(k, _)| k == "schema")
-        .and_then(|(_, v)| v.as_u64())
-        .ok_or(TraceError::Malformed {
-            line: line_no,
-            msg: "trace.meta header lacks a numeric \"schema\" field".to_string(),
-        })?;
-    if schema != obs::SCHEMA_VERSION as u64 {
-        return Err(TraceError::UnsupportedSchema {
-            found: schema,
-            supported: obs::SCHEMA_VERSION,
-        });
-    }
-    Ok(())
-}
-
-/// Parse a JSONL trace, enforcing the schema header contract
-/// (`check_header`).
-///
-/// CRLF / lone-CR line endings, trailing whitespace and a UTF-8 BOM are
-/// tolerated (normalized away before parsing).
+/// Parse a whole JSONL trace: feed the [`TraceReader`] everything, finish.
 pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
-    let text = normalize(text);
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let Some((header_idx, header_line)) = lines.next() else {
-        return Err(TraceError::Empty);
-    };
-    check_header(header_idx + 1, header_line)?;
+    let mut reader = TraceReader::default();
+    let mut trace = Trace::default();
+    let mut records = reader.feed(text.as_bytes())?;
+    records.extend(reader.finish()?);
+    records.into_iter().for_each(|r| trace.push(r));
+    trace.counters = reader.into_counters();
+    Ok(trace)
+}
 
-    let mut records = Vec::new();
-    let mut counters = BTreeMap::new();
-    for (idx, line) in lines {
-        let line_no = idx + 1;
-        let fields =
-            json::parse_object(line).map_err(|msg| TraceError::Malformed { line: line_no, msg })?;
-        let mut seq = None;
-        let mut kind = None;
-        let mut rest = Vec::with_capacity(fields.len());
-        for (k, v) in fields {
-            match k.as_str() {
-                "seq" => seq = v.as_u64(),
-                "kind" => kind = v.as_str().map(str::to_string),
-                _ => rest.push((k, v)),
-            }
-        }
-        let kind = kind.ok_or(TraceError::Malformed {
-            line: line_no,
-            msg: "record lacks a \"kind\" field".to_string(),
-        })?;
-        if kind == "counter" {
-            let record = Record {
-                line: line_no,
-                seq,
-                kind,
-                fields: rest,
-            };
-            let (Some(name), Some(value)) = (record.str("name"), record.u64("value")) else {
-                return Err(TraceError::Malformed {
-                    line: line_no,
-                    msg: "counter record lacks name/value".to_string(),
-                });
-            };
-            counters.insert(name.to_string(), value);
-        } else {
-            records.push(Record {
-                line: line_no,
-                seq,
-                kind,
-                fields: rest,
-            });
-        }
+/// The first line of a plain-text view.
+pub(crate) fn banner(view: &str) -> String {
+    let schema = obs::SCHEMA_VERSION;
+    format!("=== proteus-trace {view} (schema {schema}) ===\n")
+}
+
+/// Say how many rows a listing capped at `limit` left out, if any.
+pub(crate) fn elide(out: &mut String, total: usize, limit: usize, what: &str) {
+    if total > limit {
+        let _ = writeln!(out, "  ... ({} more {what})", total - limit);
     }
-    Ok(Trace {
-        schema: obs::SCHEMA_VERSION,
-        records,
-        counters,
-    })
+}
+
+/// Start a titled section of a plain-text view.
+pub(crate) fn section(out: &mut String, title: &str) {
+    let _ = writeln!(out, "\n-- {title} --");
 }
 
 /// Distance-from-optimum of `chosen` against `optimal` — same definition
@@ -325,6 +244,17 @@ mod tests {
         )
     }
 
+    /// A trace of the current schema holding `lines` (the one helper every
+    /// module's tests build their input with).
+    pub(crate) fn trace_of<S: AsRef<str>>(lines: &[S]) -> Trace {
+        let mut text = header() + "\n";
+        for l in lines {
+            text.push_str(l.as_ref());
+            text.push('\n');
+        }
+        parse_trace(&text).unwrap()
+    }
+
     #[test]
     fn parses_header_records_and_counters() {
         let text = format!(
@@ -333,7 +263,6 @@ mod tests {
             header()
         );
         let trace = parse_trace(&text).unwrap();
-        assert_eq!(trace.schema, obs::SCHEMA_VERSION);
         assert_eq!(trace.records.len(), 1);
         assert_eq!(trace.records[0].kind, "config.switch");
         assert_eq!(trace.records[0].seq, Some(0));
@@ -365,13 +294,7 @@ mod tests {
         for found in [1, 2, 3, 99] {
             let text = format!("{{\"kind\":\"trace.meta\",\"schema\":{found}}}\n");
             let err = parse_trace(&text).unwrap_err();
-            assert_eq!(
-                err,
-                TraceError::UnsupportedSchema {
-                    found,
-                    supported: obs::SCHEMA_VERSION
-                }
-            );
+            assert_eq!(err, TraceError::UnsupportedSchema { found });
             let msg = err.to_string();
             assert!(
                 msg.contains(&format!("unsupported trace schema {found} ")),
@@ -405,7 +328,6 @@ mod tests {
             ("bom", &bom),
         ] {
             let got = parse_trace(text).unwrap_or_else(|e| panic!("{label}: {e}"));
-            assert_eq!(got.schema, want.schema, "{label}");
             assert_eq!(got.records.len(), want.records.len(), "{label}");
             assert_eq!(got.records[0].kind, "config.switch", "{label}");
         }

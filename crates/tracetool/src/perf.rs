@@ -10,12 +10,13 @@
 //! Like every view in this crate, both are pure functions of the input
 //! bytes: same trace(s), same output.
 
-use crate::{Record, Trace};
+use crate::json::Writer;
+use crate::{banner, elide, Record, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
-/// How many windows to list per series before eliding.
-const WINDOW_LIMIT: usize = 16;
+/// How many windows a view lists per series before eliding the rest.
+pub(crate) const WINDOW_LIMIT: usize = 16;
 
 /// One parsed `metrics.window` record.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,46 +35,65 @@ pub struct WindowPoint {
     pub max: f64,
     /// Last sample value.
     pub last: f64,
-    /// Sequence number of the window record itself.
-    pub seq: Option<u64>,
 }
 
-fn point_of(r: &Record) -> Option<(String, WindowPoint)> {
-    Some((
-        r.str("series")?.to_string(),
-        WindowPoint {
-            window: r.u64("window")?,
-            tick: r.u64("tick").unwrap_or(0),
-            n: r.u64("n").unwrap_or(0),
-            mean: r.f64("mean").unwrap_or(0.0),
-            min: r.f64("min").unwrap_or(0.0),
-            max: r.f64("max").unwrap_or(0.0),
-            last: r.f64("last").unwrap_or(0.0),
-            seq: r.seq,
-        },
-    ))
+impl WindowPoint {
+    /// The `(series, point)` of a `metrics.window` record; `None` for any
+    /// other record, or one without a series name and window index.
+    pub(crate) fn of(r: &Record) -> Option<(String, WindowPoint)> {
+        if r.kind != "metrics.window" {
+            return None;
+        }
+        Some((
+            r.str("series")?.to_string(),
+            WindowPoint {
+                window: r.u64("window")?,
+                tick: r.u64("tick").unwrap_or(0),
+                n: r.u64("n").unwrap_or(0),
+                mean: r.f64("mean").unwrap_or(0.0),
+                min: r.f64("min").unwrap_or(0.0),
+                max: r.f64("max").unwrap_or(0.0),
+                last: r.f64("last").unwrap_or(0.0),
+            },
+        ))
+    }
 }
 
-/// All window points grouped by series name (sorted), in stream order
-/// within each series.
-pub fn windows_by_series(trace: &Trace) -> BTreeMap<String, Vec<WindowPoint>> {
-    let mut out: BTreeMap<String, Vec<WindowPoint>> = BTreeMap::new();
-    for r in trace.of_kind("metrics.window") {
-        if let Some((series, p)) = point_of(r) {
-            out.entry(series).or_default().push(p);
+/// One series folded over all its windows: what the `--json` views and
+/// the `bench-snapshot` gate report per series.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeriesAgg {
+    /// Windows flushed.
+    pub windows: usize,
+    /// Samples over all windows (`Σ n`).
+    pub samples: u64,
+    /// Sample-weighted mean over all windows (`Σ mean·n / Σ n`, 0 when
+    /// the series holds no sample).
+    pub mean: f64,
+}
+
+impl SeriesAgg {
+    /// Fold the windows of one series.
+    pub fn of(points: &[WindowPoint]) -> SeriesAgg {
+        let samples: u64 = points.iter().map(|p| p.n).sum();
+        let sum: f64 = points.iter().map(|p| p.mean * p.n as f64).sum();
+        SeriesAgg {
+            windows: points.len(),
+            samples,
+            mean: if samples == 0 {
+                0.0
+            } else {
+                sum / samples as f64
+            },
         }
     }
-    out
-}
 
-/// Sample-weighted mean over all windows of a series (`Σ mean·n / Σ n`).
-pub fn overall_mean(points: &[WindowPoint]) -> f64 {
-    let total: u64 = points.iter().map(|p| p.n).sum();
-    if total == 0 {
-        return 0.0;
+    /// Write the three fields as keys of the object `w` has open.
+    pub(crate) fn json(self, w: &mut Writer) {
+        w.key("windows").raw(self.windows);
+        w.key("samples").raw(self.samples);
+        w.key("mean").f64(self.mean);
     }
-    let sum: f64 = points.iter().map(|p| p.mean * p.n as f64).sum();
-    sum / total as f64
 }
 
 /// Which window of the run a record falls in: the index of the window
@@ -102,16 +122,11 @@ fn fmt_val(v: f64) -> String {
 
 /// Render the performance view of one trace.
 pub fn render(trace: &Trace) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "=== proteus-trace perf (schema {}) ===", trace.schema);
+    let mut out = banner("perf");
 
-    let by_series = windows_by_series(trace);
+    let by_series = trace.windows();
     if by_series.is_empty() {
-        let _ = writeln!(
-            out,
-            "no metrics.window records (no KPI sample points ticked during \
-             the run)"
-        );
+        out.push_str("no metrics.window records (no KPI sample points ticked during the run)\n");
     }
     // Virtual-time series get their own compact table below instead of a
     // per-window listing (each holds a single deterministic sample, so
@@ -120,36 +135,24 @@ pub fn render(trace: &Trace) -> String {
         .iter()
         .partition(|(name, _)| name.starts_with("vtime."));
     for (series, points) in general {
-        let samples: u64 = points.iter().map(|p| p.n).sum();
+        let agg = SeriesAgg::of(points);
         let lo = points.iter().map(|p| p.min).fold(f64::INFINITY, f64::min);
-        let hi = points
-            .iter()
-            .map(|p| p.max)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let hi = points.iter().map(|p| p.max).fold(-f64::INFINITY, f64::max);
+        let [mean, lo, hi] = [agg.mean, lo, hi].map(fmt_val);
         let _ = writeln!(
             out,
-            "series {series}: {} windows, {samples} samples, mean={} min={} max={}",
-            points.len(),
-            fmt_val(overall_mean(points)),
-            fmt_val(lo),
-            fmt_val(hi),
+            "series {series}: {} windows, {} samples, mean={mean} min={lo} max={hi}",
+            agg.windows, agg.samples
         );
         for p in points.iter().take(WINDOW_LIMIT) {
+            let [mean, min, max, last] = [p.mean, p.min, p.max, p.last].map(fmt_val);
             let _ = writeln!(
                 out,
-                "  w{:<3} tick={:<5} n={:<5} mean={} min={} max={} last={}",
-                p.window,
-                p.tick,
-                p.n,
-                fmt_val(p.mean),
-                fmt_val(p.min),
-                fmt_val(p.max),
-                fmt_val(p.last),
+                "  w{:<3} tick={:<5} n={:<5} mean={mean} min={min} max={max} last={last}",
+                p.window, p.tick, p.n
             );
         }
-        if points.len() > WINDOW_LIMIT {
-            let _ = writeln!(out, "  ... ({} more windows)", points.len() - WINDOW_LIMIT);
-        }
+        elide(&mut out, points.len(), WINDOW_LIMIT, "windows");
     }
     if !vtime.is_empty() {
         vtime_section(&mut out, &vtime);
@@ -157,37 +160,30 @@ pub fn render(trace: &Trace) -> String {
 
     // Phase alignment: where the adaptation decisions landed relative to
     // the window stream.
-    let mut closes: Vec<(u64, u64)> = Vec::new();
-    for r in trace.of_kind("metrics.window") {
-        if let (Some(seq), Some(w)) = (r.seq, r.u64("window")) {
-            closes.push((seq, w));
-        }
-    }
+    let closes: Vec<(u64, u64)> = trace
+        .of_kind("metrics.window")
+        .filter_map(|r| Some((r.seq?, r.u64("window")?)))
+        .collect();
     let mut phase_lines: Vec<(u64, String)> = Vec::new();
-    for r in trace.of_kind("config.switch") {
+    for r in &trace.records {
+        let name = r.str("name").unwrap_or("");
+        let what = match r.kind.as_str() {
+            "config.switch" => format!(
+                "switch {} -> {}",
+                r.str("from").unwrap_or("?"),
+                r.str("to").unwrap_or("?")
+            ),
+            "span.begin" if name == "switch" || name.starts_with("quiesce") => {
+                format!("span {name} opens")
+            }
+            _ => continue,
+        };
         let Some(seq) = r.seq else { continue };
-        let from = r.str("from").unwrap_or("?");
-        let to = r.str("to").unwrap_or("?");
+        let window = window_at(&closes, seq);
         phase_lines.push((
             seq,
-            format!(
-                "  seq {seq:<6} during window {:<3} switch {from} -> {to}",
-                window_at(&closes, seq)
-            ),
+            format!("  seq {seq:<6} during window {window:<3} {what}"),
         ));
-    }
-    for r in trace.of_kind("span.begin") {
-        let Some(seq) = r.seq else { continue };
-        let name = r.str("name").unwrap_or("");
-        if name == "switch" || name.starts_with("quiesce") {
-            phase_lines.push((
-                seq,
-                format!(
-                    "  seq {seq:<6} during window {:<3} span {name} opens",
-                    window_at(&closes, seq)
-                ),
-            ));
-        }
     }
     if !phase_lines.is_empty() {
         phase_lines.sort();
@@ -200,25 +196,19 @@ pub fn render(trace: &Trace) -> String {
     // Self-overhead audit from the trailing obs.overhead records.
     let audits: Vec<&Record> = trace.of_kind("obs.overhead").collect();
     if audits.is_empty() {
-        let _ = writeln!(
-            out,
-            "no obs.overhead records (capture trace): overhead audit \
-             unavailable"
-        );
+        out.push_str("no obs.overhead records (capture trace): overhead audit unavailable\n");
     } else {
         let _ = writeln!(out, "obs.overhead audit:");
         for r in &audits {
             let sub = r.str("subsystem").unwrap_or("?");
-            let events = r.u64("events").unwrap_or(0);
-            let bytes = r.u64("bytes").unwrap_or(0);
+            let [events, bytes, spans, windows, updates] =
+                ["events", "bytes", "spans", "windows", "histogram_updates"]
+                    .map(|key| r.u64(key).unwrap_or(0));
             if sub == "total" {
                 let _ = writeln!(
                     out,
-                    "  total: {events} records, {bytes} bytes, {} spans, {} windows, \
-                     {} histogram updates",
-                    r.u64("spans").unwrap_or(0),
-                    r.u64("windows").unwrap_or(0),
-                    r.u64("histogram_updates").unwrap_or(0),
+                    "  total: {events} records, {bytes} bytes, {spans} spans, {windows} windows, \
+                     {updates} histogram updates"
                 );
             } else {
                 let _ = writeln!(out, "  {sub:<28} events={events:<8} bytes={bytes}");
@@ -235,21 +225,19 @@ pub fn render(trace: &Trace) -> String {
 /// exact integers on a simulated clock, so they print without decimals.
 fn vtime_section(out: &mut String, vtime: &[(&String, &Vec<WindowPoint>)]) {
     let _ = writeln!(out, "vtime scalability (virtual ns, host-independent):");
-    let mut curves: BTreeMap<(String, String, String), Vec<(u64, f64)>> = BTreeMap::new();
-    let mut singles: Vec<(String, f64)> = Vec::new();
+    let mut curves: BTreeMap<_, Vec<(u64, f64)>> = BTreeMap::new();
+    let mut singles: Vec<(&str, f64)> = Vec::new();
     for (name, points) in vtime {
         let v = points.last().map(|p| p.last).unwrap_or(0.0);
         let parts: Vec<&str> = name.split('.').collect();
-        let threads = (parts.len() == 5)
-            .then(|| parts[3].strip_prefix('t'))
-            .flatten()
-            .and_then(|s| s.parse::<u64>().ok());
-        match threads {
-            Some(n) => curves
-                .entry((parts[1].into(), parts[2].into(), parts[4].into()))
-                .or_default()
-                .push((n, v)),
-            None => singles.push(((*name).clone(), v)),
+        let threads = |t: &str| t.strip_prefix('t')?.parse::<u64>().ok();
+        let curve = match parts[..] {
+            [_, machine, backend, t, metric] => threads(t).map(|n| ((machine, backend, metric), n)),
+            _ => None,
+        };
+        match curve {
+            Some((key, n)) => curves.entry(key).or_default().push((n, v)),
+            None => singles.push((name, v)),
         }
     }
     for ((machine, backend, metric), mut pts) in curves {
@@ -271,16 +259,11 @@ fn vtime_section(out: &mut String, vtime: &[(&String, &Vec<WindowPoint>)]) {
 /// series are reported but never fail the gate.
 fn lower_is_better(series: &str) -> Option<bool> {
     let s = series.to_ascii_lowercase();
-    if ["abort", "latency", "regret", "dfo", "mape", "cusum"]
-        .iter()
-        .any(|k| s.contains(k))
-        || s.ends_with("_ns")
-    {
+    let names = |words: &[&str]| words.iter().any(|word| s.contains(word));
+    if names(&["abort", "latency", "regret", "dfo", "mape", "cusum"]) || s.ends_with("_ns") {
         Some(true)
-    } else if s.contains("throughput") || s.contains("commit") {
-        Some(false)
     } else {
-        None
+        names(&["throughput", "commit"]).then_some(false)
     }
 }
 
@@ -292,11 +275,18 @@ fn lower_is_better(series: &str) -> Option<bool> {
 /// missing from `b` also counts as a degradation — a KPI silently
 /// ceasing to be recorded is exactly what a gate must catch.
 pub fn render_diff(a: &Trace, b: &Trace, noise: f64) -> (String, bool) {
-    let wa = windows_by_series(a);
-    let wb = windows_by_series(b);
-    let mut out = String::new();
+    let (wa, wb) = (a.windows(), b.windows());
+    let mut out = format!("=== proteus-trace perf-diff (noise band {noise}) ===\n");
     let mut ok = true;
-    let _ = writeln!(out, "=== proteus-trace perf-diff (noise band {noise}) ===");
+    // Note a verdict on one line of the report: any degraded one fails the gate.
+    let mut mark = |degraded: bool| {
+        ok &= !degraded;
+        if degraded {
+            "  ** REGRESSION **"
+        } else {
+            ""
+        }
+    };
     let names: std::collections::BTreeSet<&String> = wa.keys().chain(wb.keys()).collect();
     if names.is_empty() {
         let _ = writeln!(out, "no metrics.window records in either trace");
@@ -312,46 +302,32 @@ pub fn render_diff(a: &Trace, b: &Trace, noise: f64) -> (String, bool) {
         };
         if pa.is_empty() || pb.is_empty() {
             let missing_side = if pa.is_empty() { "A" } else { "B" };
-            let degraded = direction.is_some() && pb.is_empty();
-            if degraded {
-                ok = false;
-            }
             let _ = writeln!(
                 out,
                 "  {name}: missing in {missing_side} ({dir_label}){}",
-                if degraded { "  ** REGRESSION **" } else { "" }
+                mark(direction.is_some() && pb.is_empty())
             );
             continue;
         }
-        let ma = overall_mean(pa);
-        let mb = overall_mean(pb);
-        let rel = if ma.abs() < 1e-12 {
-            if mb.abs() < 1e-12 {
-                0.0
-            } else {
-                f64::INFINITY * (mb - ma).signum()
-            }
-        } else {
-            (mb - ma) / ma.abs()
+        let (ma, mb) = (SeriesAgg::of(pa).mean, SeriesAgg::of(pb).mean);
+        let rel = match (ma.abs() < 1e-12, mb.abs() < 1e-12) {
+            (true, true) => 0.0,
+            (true, false) => f64::INFINITY * (mb - ma).signum(),
+            _ => (mb - ma) / ma.abs(),
         };
         let degraded = match direction {
             Some(true) => rel > noise,
             Some(false) => rel < -noise,
             None => false,
         };
-        if degraded {
-            ok = false;
-        }
+        let (na, nb, flag) = (pa.len(), pb.len(), mark(degraded));
         let _ = writeln!(
             out,
-            "  {name}: A mean={} ({} windows) B mean={} ({} windows) delta={:+.2}% \
-             ({dir_label}){}",
+            "  {name}: A mean={} ({na} windows) B mean={} ({nb} windows) delta={:+.2}% \
+             ({dir_label}){flag}",
             fmt_val(ma),
-            pa.len(),
             fmt_val(mb),
-            pb.len(),
-            rel * 100.0,
-            if degraded { "  ** REGRESSION **" } else { "" }
+            rel * 100.0
         );
         // Worst per-window drift, over the windows both runs have.
         let mut worst: Option<(u64, f64)> = None;
@@ -374,55 +350,32 @@ pub fn render_diff(a: &Trace, b: &Trace, noise: f64) -> (String, bool) {
             // A single degraded window fails the gate even when the
             // overall mean absorbs it (e.g. one series value dwarfing the
             // rest): the compare is window-by-window, not mean-by-mean.
-            let window_degraded = direction.is_some() && d > noise;
-            if window_degraded {
-                ok = false;
-            }
+            let flag = mark(direction.is_some() && d > noise);
             if d.abs() > 1e-12 {
-                let _ = writeln!(
-                    out,
-                    "    worst window: w{w} drift {:+.2}%{}",
-                    d * 100.0,
-                    if window_degraded {
-                        "  ** REGRESSION **"
-                    } else {
-                        ""
-                    }
-                );
+                let _ = writeln!(out, "    worst window: w{w} drift {:+.2}%{flag}", d * 100.0);
             }
         }
-        if pa.len() != pb.len() {
+        if na != nb {
             let _ = writeln!(
                 out,
-                "    window count differs (A={} B={}): runs cover different spans",
-                pa.len(),
-                pb.len()
+                "    window count differs (A={na} B={nb}): runs cover different spans"
             );
         }
     }
-    let _ = writeln!(
-        out,
-        "verdict: {}",
-        if ok {
-            "no KPI degraded beyond the noise band"
-        } else {
-            "KPI regression detected"
-        }
-    );
+    let verdict = match ok {
+        true => "no KPI degraded beyond the noise band",
+        false => "KPI regression detected",
+    };
+    let _ = writeln!(out, "verdict: {verdict}");
     (out, ok)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_trace;
 
     fn trace_of(body: &str) -> Trace {
-        let text = format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n{body}",
-            obs::SCHEMA_VERSION
-        );
-        parse_trace(&text).unwrap()
+        crate::tests::trace_of(&[body])
     }
 
     fn window_line(seq: u64, series: &str, window: u64, mean: f64) -> String {

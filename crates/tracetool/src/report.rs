@@ -1,14 +1,17 @@
 //! The single-trace report: decision timeline, convergence vs the oracle,
 //! switch/quiescence breakdowns, fault audit.
 //!
-//! Every section is a pure fold over `Trace::records` (plus the counter
-//! dump), so the report is byte-identical for byte-identical traces — and
-//! because the learning-path trace itself is byte-identical at every
-//! `PROTEUS_JOBS` value, so is the report.
+//! [`Report::new`] folds the trace once into a typed model; [`plain`] and
+//! [`json`] only format it. Every section is a pure fold over
+//! `Trace::records` (plus the counter dump), so the report is
+//! byte-identical for byte-identical traces — and because the
+//! learning-path trace itself is byte-identical at every `PROTEUS_JOBS`
+//! value, so is the report.
 
+use crate::json::Writer;
+use crate::perf::SeriesAgg;
 use crate::spans::SpanForest;
-use crate::{dfo, Record, Trace};
-use obs::encode_str;
+use crate::{banner, dfo, elide, section, Record, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -30,6 +33,9 @@ const DECISION_KINDS: [&str; 11] = [
 /// Timeline rows printed before eliding the rest.
 const TIMELINE_LIMIT: usize = 60;
 
+/// Observation counts at which the mean regret curve is sampled.
+const CHECKPOINTS: [usize; 6] = [1, 2, 3, 5, 8, 12];
+
 /// One exploration replayed behind an `oracle.row` ground-truth record.
 struct OracleRun {
     policy: String,
@@ -45,20 +51,8 @@ impl OracleRun {
     /// Regret (DFO vs the oracle) after the first `n` observations.
     fn regret_after(&self, n: usize) -> Option<f64> {
         let n = n.min(self.observed.len());
-        if n == 0 {
-            return None;
-        }
-        let best = self.observed[..n]
-            .iter()
-            .copied()
-            .reduce(|a, b| {
-                if (self.maximize && b > a) || (!self.maximize && b < a) {
-                    b
-                } else {
-                    a
-                }
-            })
-            .expect("n >= 1");
+        let pick = if self.maximize { f64::max } else { f64::min };
+        let best = self.observed[..n].iter().copied().reduce(pick)?;
         Some(dfo(self.oracle_best, best))
     }
 
@@ -88,22 +82,14 @@ fn oracle_runs(records: &[Record]) -> Vec<OracleRun> {
                 });
             }
             "ei.reference" | "ei.step" => {
-                if let Some(run) = open.as_mut() {
-                    let key = if r.kind == "ei.reference" {
-                        "kpi"
-                    } else {
-                        "actual"
-                    };
-                    if let Some(v) = r.f64(key) {
-                        run.observed.push(v);
-                    }
+                let key = if r.kind == "ei.step" { "actual" } else { "kpi" };
+                if let (Some(run), Some(v)) = (open.as_mut(), r.f64(key)) {
+                    run.observed.push(v);
                 }
             }
             "recommend" => {
-                if let Some(mut run) = open.take() {
-                    run.final_kpi = r.f64("kpi");
-                    runs.push(run);
-                }
+                let final_kpi = r.f64("kpi");
+                runs.extend(open.take().map(|run| OracleRun { final_kpi, ..run }));
             }
             _ => {}
         }
@@ -111,61 +97,142 @@ fn oracle_runs(records: &[Record]) -> Vec<OracleRun> {
     runs
 }
 
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.2}s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2}ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2}us", ns / 1e3)
-    } else {
-        format!("{ns:.0}ns")
+/// fig4 regret curve of one (algorithm, scheme): `fig4.result` rows, whose
+/// `mdfo` *is* the mean regret to the oracle given `k` sampled
+/// configurations.
+struct Fig4Group<'a> {
+    algo: &'a str,
+    scheme: &'a str,
+    /// `(k, mdfo)` in stream order.
+    points: Vec<(u64, Option<f64>)>,
+}
+
+impl Fig4Group<'_> {
+    /// First `k` whose regret is within `epsilon`.
+    fn within(&self, epsilon: f64) -> Option<u64> {
+        let reached = |(_, mdfo): &&(u64, Option<f64>)| mdfo.is_some_and(|v| v <= epsilon);
+        self.points.iter().find(reached).map(|(k, _)| *k)
     }
 }
 
-fn section(out: &mut String, title: &str) {
-    let _ = writeln!(out, "\n-- {title} --");
+/// Convergence of one exploration policy over its oracle-annotated runs.
+struct PolicyStats {
+    policy: String,
+    explorations: usize,
+    mean_final_regret: f64,
+    /// Runs that got within epsilon of the oracle.
+    converged: usize,
+    /// Median observations those runs needed.
+    median_steps: Option<usize>,
+    /// Mean regret after each of [`CHECKPOINTS`] observations.
+    curve: Vec<f64>,
 }
 
-/// Render the full report. `epsilon` is the convergence threshold for the
-/// steps-to-within-ε statistics (the paper's figures use 1–5%).
-pub fn render(trace: &Trace, epsilon: f64) -> String {
-    let forest = SpanForest::build(&trace.records);
-    let mut out = String::new();
+/// Everything `proteus-trace report` says about one trace.
+pub struct Report<'a> {
+    trace: &'a Trace,
+    epsilon: f64,
+    spans: SpanForest,
+    /// In order of first appearance.
+    fig4: Vec<Fig4Group<'a>>,
+    /// Sorted by policy.
+    oracle: Vec<PolicyStats>,
+}
+
+impl<'a> Report<'a> {
+    /// Fold `trace` into the report model. `epsilon` is the convergence
+    /// threshold for the steps-to-within-ε statistics (the paper's figures
+    /// use 1–5%).
+    pub fn new(trace: &'a Trace, epsilon: f64) -> Report<'a> {
+        let mut fig4: Vec<Fig4Group> = Vec::new();
+        for r in trace.of_kind("fig4.result") {
+            let (algo, scheme) = (r.str("algo").unwrap_or("?"), r.str("scheme").unwrap_or("?"));
+            let point = (r.u64("k").unwrap_or(0), r.f64("mdfo"));
+            match fig4
+                .iter_mut()
+                .find(|g| (g.algo, g.scheme) == (algo, scheme))
+            {
+                Some(group) => group.points.push(point),
+                None => fig4.push(Fig4Group {
+                    algo,
+                    scheme,
+                    points: vec![point],
+                }),
+            }
+        }
+
+        let mut by_policy: BTreeMap<String, Vec<OracleRun>> = BTreeMap::new();
+        for run in oracle_runs(&trace.records) {
+            by_policy.entry(run.policy.clone()).or_default().push(run);
+        }
+        let oracle = by_policy
+            .into_iter()
+            .map(|(policy, runs)| {
+                let mean = |of: &dyn Fn(&OracleRun) -> Option<f64>| {
+                    runs.iter().filter_map(of).sum::<f64>() / runs.len() as f64
+                };
+                let mut steps: Vec<usize> = runs
+                    .iter()
+                    .filter_map(|r| r.steps_to_within(epsilon))
+                    .collect();
+                steps.sort_unstable();
+                PolicyStats {
+                    policy,
+                    explorations: runs.len(),
+                    mean_final_regret: mean(&|r| r.final_kpi.map(|k| dfo(r.oracle_best, k))),
+                    converged: steps.len(),
+                    median_steps: steps.get(steps.len().saturating_sub(1) / 2).copied(),
+                    curve: CHECKPOINTS.map(|cp| mean(&|r| r.regret_after(cp))).to_vec(),
+                }
+            })
+            .collect();
+
+        Report {
+            trace,
+            epsilon,
+            spans: SpanForest::build(&trace.records),
+            fig4,
+            oracle,
+        }
+    }
+}
+
+fn fmt_ns(ns: f64) -> String {
+    let units = [(1e9, "s"), (1e6, "ms"), (1e3, "us")];
+    match units.into_iter().find(|(scale, _)| ns >= *scale) {
+        Some((scale, unit)) => format!("{:.2}{unit}", ns / scale),
+        None => format!("{ns:.0}ns"),
+    }
+}
+
+/// `Some(v)` as its token, `None` as `null`.
+fn or_null(v: Option<impl ToString>) -> String {
+    v.map_or("null".to_string(), |v| v.to_string())
+}
+
+/// Render the report as text.
+pub fn plain(report: &Report) -> String {
+    let Report { trace, spans, .. } = report;
+    let mut out = banner("report");
+    let (events, counters) = (trace.records.len(), trace.counters.len());
     let _ = writeln!(
         out,
-        "=== proteus-trace report (schema {}) ===",
-        trace.schema
+        "records: {events} events, {counters} counters, {} spans ({} unclosed, {} orphan ends)",
+        spans.nodes.len(),
+        spans.unclosed(),
+        spans.orphan_ends,
     );
-    let _ = writeln!(
-        out,
-        "records: {} events, {} counters, {} spans ({} unclosed, {} orphan ends)",
-        trace.records.len(),
-        trace.counters.len(),
-        forest.nodes.len(),
-        forest.unclosed(),
-        forest.orphan_ends,
-    );
-    let hist = trace.kind_histogram();
-    for (kind, count) in &hist {
+    for (kind, count) in trace.kind_histogram() {
         let _ = writeln!(out, "  {kind:<28} {count:>8}");
     }
 
     render_timeline(&mut out, trace);
-    render_fig4_convergence(&mut out, trace, epsilon);
-    render_oracle_convergence(&mut out, trace, epsilon);
-    render_switches(&mut out, trace, &forest);
+    render_fig4_convergence(&mut out, report);
+    render_oracle_convergence(&mut out, report);
+    render_switches(&mut out, trace, spans);
     render_fault_audit(&mut out, trace);
     render_recovery_audit(&mut out, trace);
     out
-}
-
-pub(crate) fn fnum(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        encode_str(out, &v.to_string());
-    }
 }
 
 /// Render the report as one machine-readable JSON object (the `--json`
@@ -173,159 +240,72 @@ pub(crate) fn fnum(out: &mut String, v: f64) {
 /// name-sorted, so equal traces yield equal bytes — CI can diff or parse
 /// this without scraping the text report. Floats use the same
 /// shortest-roundtrip encoding as the trace itself.
-pub fn render_json(trace: &Trace, epsilon: f64) -> String {
-    let forest = SpanForest::build(&trace.records);
-    let mut out = String::from("{\"schema\":");
-    let _ = write!(out, "{}", trace.schema);
-    let _ = write!(out, ",\"records\":{}", trace.records.len());
-    let _ = write!(
-        out,
-        ",\"spans\":{{\"count\":{},\"unclosed\":{},\"orphan_ends\":{}}}",
-        forest.nodes.len(),
-        forest.unclosed(),
-        forest.orphan_ends
-    );
+pub fn json(report: &Report) -> String {
+    let Report { trace, spans, .. } = report;
+    let mut w = Writer::default();
+    w.open('{').key("schema").raw(obs::SCHEMA_VERSION);
+    w.key("records").raw(trace.records.len());
+    w.key("spans").open('{').key("count").raw(spans.nodes.len());
+    w.key("unclosed").raw(spans.unclosed());
+    w.key("orphan_ends").raw(spans.orphan_ends).close('}');
 
-    out.push_str(",\"kinds\":{");
-    for (i, (kind, count)) in trace.kind_histogram().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        encode_str(&mut out, kind);
-        let _ = write!(out, ":{count}");
+    w.key("kinds").open('{');
+    for (kind, count) in trace.kind_histogram() {
+        w.key(kind).raw(count);
     }
-    out.push_str("},\"counters\":{");
-    for (i, (name, value)) in trace.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        encode_str(&mut out, name);
-        let _ = write!(out, ":{value}");
+    w.close('}').key("counters").open('{');
+    for (name, value) in &trace.counters {
+        w.key(name).raw(value);
     }
 
-    // fig4 regret curves, in stream order (same grouping as the text view).
-    out.push_str("},\"fig4\":[");
-    let mut groups: Vec<((String, String), Fig4Curve)> = Vec::new();
-    for r in trace.of_kind("fig4.result") {
-        let key = (
-            r.str("algo").unwrap_or("?").to_string(),
-            r.str("scheme").unwrap_or("?").to_string(),
-        );
-        let point = (r.u64("k").unwrap_or(0), r.f64("mdfo"));
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, pts)) => pts.push(point),
-            None => groups.push((key, vec![point])),
-        }
-    }
-    for (i, ((algo, scheme), pts)) in groups.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"algo\":");
-        encode_str(&mut out, algo);
-        out.push_str(",\"scheme\":");
-        encode_str(&mut out, scheme);
-        out.push_str(",\"curve\":[");
-        for (j, (k, mdfo)) in pts.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"k\":{k},\"mdfo\":");
+    w.close('}').key("fig4").open('[');
+    for group in &report.fig4 {
+        w.open('{').key("algo").str(group.algo);
+        w.key("scheme").str(group.scheme).key("curve").open('[');
+        for (k, mdfo) in &group.points {
+            w.open('{').key("k").raw(k).key("mdfo");
             match mdfo {
-                Some(v) => fnum(&mut out, *v),
-                None => out.push_str("null"),
-            }
-            out.push('}');
+                Some(v) => w.f64(*v),
+                None => w.raw("null"),
+            };
+            w.close('}');
         }
-        out.push_str("],\"within_epsilon_k\":");
-        match pts
-            .iter()
-            .find(|(_, mdfo)| mdfo.is_some_and(|v| v <= epsilon))
-        {
-            Some((k, _)) => {
-                let _ = write!(out, "{k}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
+        let eps_k = or_null(group.within(report.epsilon));
+        w.close(']').key("within_epsilon_k").raw(eps_k).close('}');
     }
 
-    // Oracle convergence per policy (sorted by policy).
-    out.push_str("],\"oracle\":[");
-    let runs = oracle_runs(&trace.records);
-    let mut by_policy: BTreeMap<&str, Vec<&OracleRun>> = BTreeMap::new();
-    for run in &runs {
-        by_policy.entry(run.policy.as_str()).or_default().push(run);
-    }
-    for (i, (policy, runs)) in by_policy.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let n = runs.len();
-        let mean_final = runs
-            .iter()
-            .filter_map(|r| r.final_kpi.map(|k| dfo(r.oracle_best, k)))
-            .sum::<f64>()
-            / n as f64;
-        let mut steps: Vec<usize> = runs
-            .iter()
-            .filter_map(|r| r.steps_to_within(epsilon))
-            .collect();
-        steps.sort_unstable();
-        out.push_str("{\"policy\":");
-        encode_str(&mut out, policy);
-        let _ = write!(out, ",\"explorations\":{n},\"mean_final_regret\":");
-        fnum(&mut out, mean_final);
-        let _ = write!(out, ",\"converged\":{},\"median_steps\":", steps.len());
-        match steps.len() {
-            0 => out.push_str("null"),
-            c => {
-                let _ = write!(out, "{}", steps[(c - 1) / 2]);
-            }
-        }
-        out.push('}');
+    w.close(']').key("oracle").open('[');
+    for p in &report.oracle {
+        w.open('{').key("policy").str(&p.policy);
+        w.key("explorations").raw(p.explorations);
+        w.key("mean_final_regret").f64(p.mean_final_regret);
+        w.key("converged").raw(p.converged);
+        w.key("median_steps").raw(or_null(p.median_steps));
+        w.close('}');
     }
 
-    // Time-series windows, one aggregate row per series (schema v3).
-    out.push_str("],\"windows\":[");
-    for (i, (series, points)) in crate::perf::windows_by_series(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"series\":");
-        encode_str(&mut out, series);
-        let _ = write!(
-            out,
-            ",\"windows\":{},\"samples\":{},\"mean\":",
-            points.len(),
-            points.iter().map(|p| p.n).sum::<u64>()
-        );
-        fnum(&mut out, crate::perf::overall_mean(points));
-        out.push('}');
+    // Time-series windows, one aggregate row per series.
+    w.close(']').key("windows").open('[');
+    for (series, points) in trace.windows() {
+        w.open('{').key("series").str(series);
+        SeriesAgg::of(points).json(&mut w);
+        w.close('}');
     }
 
     // Self-overhead audit from the trailing obs.overhead total record.
-    out.push_str("],\"overhead\":");
-    match trace
-        .of_kind("obs.overhead")
-        .find(|r| r.str("subsystem") == Some("total"))
-    {
+    w.close(']').key("overhead");
+    match trace.records.iter().find(|r| r.is_trailer()) {
+        None => w.raw("null"),
         Some(r) => {
-            let _ = write!(
-                out,
-                "{{\"events\":{},\"bytes\":{},\"spans\":{},\"windows\":{},\
-                 \"histogram_updates\":{}}}",
-                r.u64("events").unwrap_or(0),
-                r.u64("bytes").unwrap_or(0),
-                r.u64("spans").unwrap_or(0),
-                r.u64("windows").unwrap_or(0),
-                r.u64("histogram_updates").unwrap_or(0),
-            );
+            w.open('{');
+            for key in ["events", "bytes", "spans", "windows", "histogram_updates"] {
+                w.key(key).raw(r.u64(key).unwrap_or(0));
+            }
+            w.close('}')
         }
-        None => out.push_str("null"),
-    }
-    out.push_str("}\n");
-    out
+    };
+    w.close('}');
+    w.finish()
 }
 
 fn render_timeline(out: &mut String, trace: &Trace) {
@@ -343,98 +323,53 @@ fn render_timeline(out: &mut String, trace: &Trace) {
         let seq = r.seq.map_or("-".to_string(), |s| s.to_string());
         let _ = writeln!(out, "  seq={seq:<7} {:<24} {}", r.kind, r.summary());
     }
-    if decisions.len() > TIMELINE_LIMIT {
-        let _ = writeln!(
-            out,
-            "  ... ({} more decision records)",
-            decisions.len() - TIMELINE_LIMIT
-        );
-    }
+    elide(out, decisions.len(), TIMELINE_LIMIT, "decision records");
 }
 
-/// fig4 regret curve for one (algorithm, scheme): `(k, mdfo)` points.
-type Fig4Curve = Vec<(u64, Option<f64>)>;
-
-fn render_fig4_convergence(out: &mut String, trace: &Trace, epsilon: f64) {
-    // fig4.result rows: mdfo *is* the mean regret to the oracle for a
-    // scheme given k sampled configurations.
-    let mut groups: Vec<((String, String), Fig4Curve)> = Vec::new();
-    for r in trace.of_kind("fig4.result") {
-        let key = (
-            r.str("algo").unwrap_or("?").to_string(),
-            r.str("scheme").unwrap_or("?").to_string(),
-        );
-        let point = (r.u64("k").unwrap_or(0), r.f64("mdfo"));
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, pts)) => pts.push(point),
-            None => groups.push((key, vec![point])),
-        }
-    }
-    if groups.is_empty() {
+fn render_fig4_convergence(out: &mut String, report: &Report) {
+    if report.fig4.is_empty() {
         return;
     }
     section(out, "regret to oracle (fig4: mean DFO vs #sampled configs)");
-    for ((algo, scheme), pts) in &groups {
-        let curve: Vec<String> = pts
+    for group in &report.fig4 {
+        let curve: Vec<String> = group
+            .points
             .iter()
             .map(|(k, mdfo)| match mdfo {
                 Some(v) => format!("k={k}:{v:.4}"),
                 None => format!("k={k}:n/a"),
             })
             .collect();
-        let eps_k = pts
-            .iter()
-            .find(|(_, mdfo)| mdfo.is_some_and(|v| v <= epsilon))
-            .map(|(k, _)| k.to_string())
-            .unwrap_or_else(|| "not reached".to_string());
+        let (algo, scheme, eps) = (group.algo, group.scheme, report.epsilon);
+        let eps_k = group
+            .within(eps)
+            .map_or("not reached".to_string(), |k| k.to_string());
         let _ = writeln!(
             out,
-            "  {algo} / {scheme}: {}  | within eps={epsilon}: k={eps_k}",
+            "  {algo} / {scheme}: {}  | within eps={eps}: k={eps_k}",
             curve.join(" ")
         );
     }
 }
 
-fn render_oracle_convergence(out: &mut String, trace: &Trace, epsilon: f64) {
-    let runs = oracle_runs(&trace.records);
-    if runs.is_empty() {
+fn render_oracle_convergence(out: &mut String, report: &Report) {
+    if report.oracle.is_empty() {
         return;
     }
     section(out, "regret to oracle (explorations vs oracle.row truth)");
-    let mut by_policy: BTreeMap<&str, Vec<&OracleRun>> = BTreeMap::new();
-    for run in &runs {
-        by_policy.entry(run.policy.as_str()).or_default().push(run);
-    }
-    const CHECKPOINTS: [usize; 6] = [1, 2, 3, 5, 8, 12];
-    for (policy, runs) in by_policy {
-        let n = runs.len();
-        let mean_final = runs
-            .iter()
-            .filter_map(|r| r.final_kpi.map(|k| dfo(r.oracle_best, k)))
-            .sum::<f64>()
-            / n as f64;
-        let mut steps: Vec<usize> = runs
-            .iter()
-            .filter_map(|r| r.steps_to_within(epsilon))
-            .collect();
-        steps.sort_unstable();
-        let converged = steps.len();
-        let median_steps = if steps.is_empty() {
-            "n/a".to_string()
-        } else {
-            steps[(converged - 1) / 2].to_string()
-        };
+    for p in &report.oracle {
+        let median_steps = p.median_steps.map_or("n/a".to_string(), |s| s.to_string());
         let curve: Vec<String> = CHECKPOINTS
             .iter()
-            .map(|&cp| {
-                let mean = runs.iter().filter_map(|r| r.regret_after(cp)).sum::<f64>() / n as f64;
-                format!("n={cp}:{mean:.4}")
-            })
+            .zip(&p.curve)
+            .map(|(cp, mean)| format!("n={cp}:{mean:.4}"))
             .collect();
+        let (n, regret, eps) = (p.explorations, p.mean_final_regret, report.epsilon);
         let _ = writeln!(
             out,
-            "  {policy}: {n} explorations, mean final regret {mean_final:.4}, \
-             within eps={epsilon}: {converged}/{n} (median steps {median_steps})",
+            "  {}: {n} explorations, mean final regret {regret:.4}, \
+             within eps={eps}: {}/{n} (median steps {median_steps})",
+            p.policy, p.converged
         );
         let _ = writeln!(out, "    mean regret curve: {}", curve.join(" "));
     }
@@ -464,14 +399,10 @@ fn render_switches(out: &mut String, trace: &Trace, forest: &SpanForest) {
     );
     for name in phase_names {
         if let Some(a) = agg.get(name) {
-            let timing = if a.timed > 0 {
-                format!(
-                    " mean={} max={}",
-                    fmt_ns(a.mean_ns()),
-                    fmt_ns(a.max_ns as f64)
-                )
-            } else {
-                String::new()
+            let (mean, max) = (fmt_ns(a.mean_ns()), fmt_ns(a.max_ns as f64));
+            let timing = match a.timed {
+                0 => String::new(),
+                _ => format!(" mean={mean} max={max}"),
             };
             let _ = writeln!(
                 out,
@@ -480,84 +411,64 @@ fn render_switches(out: &mut String, trace: &Trace, forest: &SpanForest) {
             );
         }
     }
-    let gate_skips = trace
+    let stalls = trace.counter("fault.fired.gate_stall");
+    let skips = trace
         .counter("polytm.gate_skips")
-        .max(trace.count_kind("recovery.gate_skip") as u64);
+        .max(trace.count_kind("recovery.gate_skip"));
     let _ = writeln!(
         out,
-        "  gate stalls: {} injected, {} drain timeouts skipped",
-        trace.counter("fault.fired.gate_stall"),
-        gate_skips,
+        "  gate stalls: {stalls} injected, {skips} drain timeouts skipped"
     );
 }
 
 fn render_fault_audit(out: &mut String, trace: &Trace) {
-    // injected / contained / degraded per fault-injection site. "Injected"
-    // takes the max of the fired counter and the per-injection events, so
-    // capture traces (which carry no counter dump) still audit correctly.
+    let fired = |site: &str| trace.counter(&format!("fault.fired.{site}"));
+    let count = |kind: &str| trace.count_kind(kind);
+    let recovery = |what: &str| trace.count_kind(&format!("recovery.{what}"));
+    // Spurious hardware aborts are contained by the retry ladder; each one
+    // shows up as a per-backend spurious-abort counter.
+    let spurious =
+        |(k, _): &(&String, &u64)| k.starts_with("tx.abort.") && k.ends_with(".spurious");
+    let spurious_aborts = trace
+        .counters
+        .iter()
+        .filter(spurious)
+        .map(|(_, v)| *v)
+        .sum();
+    // Stalls are contained by construction: the quiescence drain either
+    // absorbs the delay or the watchdog skips the thread
+    // (recovery.gate_skip, broken out in the switch section) — the protocol
+    // completes either way, so every injected stall counts as contained.
+    let stalls_contained = fired("gate_stall")
+        .max(recovery("gate_skip"))
+        .max(trace.counter("polytm.gate_skips"));
+    // (site, injected, contained, degraded). "Injected" takes the max of
+    // the fired counter and the per-injection events, so capture traces
+    // (which carry no counter dump) still audit correctly.
+    let injected = |site: &str| fired(site).max(count(&format!("fault.{site}")));
+    let (restarts, contained) = (recovery("adapter_restart"), recovery("adapter_contained"));
     let sites: [(&str, u64, u64, u64); 5] = [
-        (
-            "htm_spurious",
-            trace.counter("fault.fired.htm_spurious"),
-            // Spurious hardware aborts are contained by the retry ladder;
-            // each one shows up as a per-backend spurious-abort counter.
-            trace
-                .counters
-                .iter()
-                .filter(|(k, _)| k.starts_with("tx.abort.") && k.ends_with(".spurious"))
-                .map(|(_, v)| *v)
-                .sum(),
-            0,
-        ),
-        (
-            // Stalls are contained by construction: the quiescence drain
-            // either absorbs the delay or the watchdog skips the thread
-            // (recovery.gate_skip, broken out in the switch section) — the
-            // protocol completes either way, so every injected stall counts
-            // as contained.
-            "gate_stall",
-            trace.counter("fault.fired.gate_stall"),
-            trace
-                .counter("fault.fired.gate_stall")
-                .max(trace.count_kind("recovery.gate_skip") as u64)
-                .max(trace.counter("polytm.gate_skips")),
-            0,
-        ),
+        ("htm_spurious", fired("htm_spurious"), spurious_aborts, 0),
+        ("gate_stall", fired("gate_stall"), stalls_contained, 0),
         (
             "switch_apply",
-            trace
-                .counter("fault.fired.switch_apply")
-                .max(trace.count_kind("fault.switch_apply") as u64),
-            trace.count_kind("recovery.switch_retry") as u64,
-            trace.count_kind("recovery.degraded") as u64,
+            injected("switch_apply"),
+            recovery("switch_retry"),
+            recovery("degraded"),
         ),
         (
             "kpi_corrupt",
-            trace
-                .counter("fault.fired.kpi_corrupt")
-                .max(trace.count_kind("fault.kpi_corrupt") as u64),
-            trace.count_kind("kpi.sanitized") as u64,
+            injected("kpi_corrupt"),
+            count("kpi.sanitized"),
             0,
         ),
-        (
-            "adapter_panic",
-            trace.counter("fault.fired.adapter_panic"),
-            trace.count_kind("recovery.adapter_contained") as u64,
-            trace.count_kind("recovery.adapter_restart") as u64,
-        ),
+        ("adapter_panic", fired("adapter_panic"), contained, restarts),
     ];
-    if sites
-        .iter()
-        .all(|(_, i, c, d)| *i == 0 && *c == 0 && *d == 0)
-    {
+    if sites.iter().all(|&(_, i, c, d)| i + c + d == 0) {
         return;
     }
     section(out, "fault injection audit");
-    let _ = writeln!(
-        out,
-        "  {:<14} {:>9} {:>10} {:>9}  verdict",
-        "site", "injected", "contained", "degraded"
-    );
+    out.push_str("  site            injected  contained  degraded  verdict\n");
     for (site, injected, contained, degraded) in sites {
         // With nothing injected, recovery activity is organic (e.g. KPI
         // sanitization of legitimately-absurd samples), not containment.
@@ -584,8 +495,9 @@ fn render_recovery_audit(out: &mut String, trace: &Trace) {
     // the faultsim `crash_point` site also tick the fired counter;
     // internally-armed ones (the sweep tests' absolute-step trigger) only
     // emit the event, so the crash count takes the max of both signals.
-    let crashes =
-        (trace.count_kind("durable.crash") as u64).max(trace.counter("fault.fired.crash_point"));
+    let crashes = trace
+        .count_kind("durable.crash")
+        .max(trace.counter("fault.fired.crash_point"));
     let recoveries: Vec<&Record> = trace.of_kind("durable.recovery").collect();
     if crashes == 0 && recoveries.is_empty() {
         return;
@@ -597,12 +509,11 @@ fn render_recovery_audit(out: &mut String, trace: &Trace) {
         "  crashes: {crashes} ({injected} via faultsim crash_point)"
     );
     let sum = |key: &str| -> u64 { recoveries.iter().filter_map(|r| r.u64(key)).sum() };
-    let replayed_txs = sum("replayed_txs");
-    let replayed_words = sum("replayed_words");
-    let torn_words = sum("torn_words");
+    let (txs, words) = (sum("replayed_txs"), sum("replayed_words"));
+    let torn = sum("torn_words");
     let _ = writeln!(
         out,
-        "  recoveries: {} (replayed {replayed_txs} txs / {replayed_words} words, discarded {torn_words} torn words)",
+        "  recoveries: {} (replayed {txs} txs / {words} words, discarded {torn} torn words)",
         recoveries.len()
     );
     let recovery_ns = sum("recovery_ns");
@@ -627,26 +538,22 @@ fn render_recovery_audit(out: &mut String, trace: &Trace) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_trace;
+    use crate::tests::trace_of;
 
-    fn trace_of(lines: &[String]) -> Trace {
-        let mut text = format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n",
-            obs::SCHEMA_VERSION
-        );
-        for l in lines {
-            text.push_str(l);
-            text.push('\n');
-        }
-        parse_trace(&text).unwrap()
+    fn render(trace: &Trace, epsilon: f64) -> String {
+        plain(&Report::new(trace, epsilon))
+    }
+
+    fn render_json(trace: &Trace, epsilon: f64) -> String {
+        json(&Report::new(trace, epsilon))
     }
 
     #[test]
     fn fig4_regret_section_reports_curves_and_epsilon_k() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":2,"mape":0.4,"mdfo":0.2}"#.to_string(),
-            r#"{"seq":1,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":5,"mape":0.1,"mdfo":0.03}"#.to_string(),
-            r#"{"seq":2,"kind":"fig4.result","algo":"KNN","scheme":"No norm","k":2,"mape":0.9,"mdfo":0.5}"#.to_string(),
+            r#"{"seq":0,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":2,"mape":0.4,"mdfo":0.2}"#,
+            r#"{"seq":1,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":5,"mape":0.1,"mdfo":0.03}"#,
+            r#"{"seq":2,"kind":"fig4.result","algo":"KNN","scheme":"No norm","k":2,"mape":0.9,"mdfo":0.5}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(text.contains("regret to oracle (fig4"));
@@ -657,11 +564,11 @@ mod tests {
     #[test]
     fn oracle_runs_accumulate_best_so_far_regret() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"oracle.row","row":3,"policy":"EI","best":10,"goal":"maximize"}"#.to_string(),
-            r#"{"seq":1,"kind":"ei.reference","config":0,"kpi":5}"#.to_string(),
-            r#"{"seq":2,"kind":"ei.step","step":1,"config":4,"ei":0.5,"predicted":9.0,"actual":8}"#.to_string(),
-            r#"{"seq":3,"kind":"ei.step","step":2,"config":7,"ei":0.4,"predicted":9.9,"actual":10}"#.to_string(),
-            r#"{"seq":4,"kind":"recommend","config":7,"kpi":10,"explored":3}"#.to_string(),
+            r#"{"seq":0,"kind":"oracle.row","row":3,"policy":"EI","best":10,"goal":"maximize"}"#,
+            r#"{"seq":1,"kind":"ei.reference","config":0,"kpi":5}"#,
+            r#"{"seq":2,"kind":"ei.step","step":1,"config":4,"ei":0.5,"predicted":9.0,"actual":8}"#,
+            r#"{"seq":3,"kind":"ei.step","step":2,"config":7,"ei":0.4,"predicted":9.9,"actual":10}"#,
+            r#"{"seq":4,"kind":"recommend","config":7,"kpi":10,"explored":3}"#,
         ]);
         let runs = oracle_runs(&t.records);
         assert_eq!(runs.len(), 1);
@@ -678,12 +585,10 @@ mod tests {
     #[test]
     fn minimize_goal_tracks_the_minimum() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"oracle.row","row":0,"policy":"EI","best":2,"goal":"minimize"}"#
-                .to_string(),
-            r#"{"seq":1,"kind":"ei.reference","config":0,"kpi":4}"#.to_string(),
-            r#"{"seq":2,"kind":"ei.step","step":1,"config":1,"ei":0.1,"predicted":2.0,"actual":2}"#
-                .to_string(),
-            r#"{"seq":3,"kind":"recommend","config":1,"kpi":2,"explored":2}"#.to_string(),
+            r#"{"seq":0,"kind":"oracle.row","row":0,"policy":"EI","best":2,"goal":"minimize"}"#,
+            r#"{"seq":1,"kind":"ei.reference","config":0,"kpi":4}"#,
+            r#"{"seq":2,"kind":"ei.step","step":1,"config":1,"ei":0.1,"predicted":2.0,"actual":2}"#,
+            r#"{"seq":3,"kind":"recommend","config":1,"kpi":2,"explored":2}"#,
         ]);
         let runs = oracle_runs(&t.records);
         assert_eq!(runs[0].regret_after(1), Some(1.0));
@@ -693,14 +598,12 @@ mod tests {
     #[test]
     fn switch_section_reads_span_durations() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"span.begin","id":1,"name":"switch","from":"a","to":"b"}"#
-                .to_string(),
-            r#"{"seq":1,"kind":"quiesce.start","epoch":1}"#.to_string(),
-            r#"{"seq":2,"kind":"span.begin","id":2,"parent":1,"name":"quiesce.drain"}"#.to_string(),
-            r#"{"seq":3,"kind":"span.end","id":2,"name":"quiesce.drain","duration_ns":1500}"#
-                .to_string(),
-            r#"{"seq":4,"kind":"config.switch","from":"a","to":"b"}"#.to_string(),
-            r#"{"seq":5,"kind":"span.end","id":1,"name":"switch","duration_ns":4000}"#.to_string(),
+            r#"{"seq":0,"kind":"span.begin","id":1,"name":"switch","from":"a","to":"b"}"#,
+            r#"{"seq":1,"kind":"quiesce.start","epoch":1}"#,
+            r#"{"seq":2,"kind":"span.begin","id":2,"parent":1,"name":"quiesce.drain"}"#,
+            r#"{"seq":3,"kind":"span.end","id":2,"name":"quiesce.drain","duration_ns":1500}"#,
+            r#"{"seq":4,"kind":"config.switch","from":"a","to":"b"}"#,
+            r#"{"seq":5,"kind":"span.end","id":1,"name":"switch","duration_ns":4000}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(text.contains("switch latency & gate stalls"));
@@ -712,12 +615,10 @@ mod tests {
     #[test]
     fn fault_audit_counts_injected_contained_degraded() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"fault.switch_apply","to":"b"}"#.to_string(),
-            r#"{"seq":1,"kind":"recovery.switch_retry","attempt":1,"error":"x","backoff_ns":10}"#
-                .to_string(),
-            r#"{"seq":2,"kind":"fault.kpi_corrupt","config":3,"replaced":1.0,"with":"NaN"}"#
-                .to_string(),
-            r#"{"seq":3,"kind":"kpi.sanitized","reason":"nonfinite","config":3}"#.to_string(),
+            r#"{"seq":0,"kind":"fault.switch_apply","to":"b"}"#,
+            r#"{"seq":1,"kind":"recovery.switch_retry","attempt":1,"error":"x","backoff_ns":10}"#,
+            r#"{"seq":2,"kind":"fault.kpi_corrupt","config":3,"replaced":1.0,"with":"NaN"}"#,
+            r#"{"seq":3,"kind":"kpi.sanitized","reason":"nonfinite","config":3}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(text.contains("fault injection audit"));
@@ -731,15 +632,11 @@ mod tests {
     #[test]
     fn recovery_audit_matches_crashes_with_recoveries() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"durable.crash","step":140,"log_words":12,"durable_words":8}"#
-                .to_string(),
-            r#"{"seq":1,"kind":"durable.recovery","replayed_txs":2,"replayed_words":6,"torn_words":1,"recovery_ns":2600}"#
-                .to_string(),
-            r#"{"seq":2,"kind":"durable.crash","step":220,"log_words":4,"durable_words":20}"#
-                .to_string(),
-            r#"{"seq":3,"kind":"durable.recovery","replayed_txs":1,"replayed_words":4,"torn_words":0,"recovery_ns":1400}"#
-                .to_string(),
-            r#"{"seq":4,"kind":"counter","name":"fault.fired.crash_point","value":1}"#.to_string(),
+            r#"{"seq":0,"kind":"durable.crash","step":140,"log_words":12,"durable_words":8}"#,
+            r#"{"seq":1,"kind":"durable.recovery","replayed_txs":2,"replayed_words":6,"torn_words":1,"recovery_ns":2600}"#,
+            r#"{"seq":2,"kind":"durable.crash","step":220,"log_words":4,"durable_words":20}"#,
+            r#"{"seq":3,"kind":"durable.recovery","replayed_txs":1,"replayed_words":4,"torn_words":0,"recovery_ns":1400}"#,
+            r#"{"seq":4,"kind":"counter","name":"fault.fired.crash_point","value":1}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(text.contains("crash recovery audit"), "{text}");
@@ -764,8 +661,7 @@ mod tests {
     #[test]
     fn recovery_audit_flags_a_crash_without_recovery() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"durable.crash","step":9,"log_words":3,"durable_words":0}"#
-                .to_string(),
+            r#"{"seq":0,"kind":"durable.crash","step":9,"log_words":3,"durable_words":0}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(
@@ -776,18 +672,18 @@ mod tests {
 
     #[test]
     fn recovery_audit_absent_without_durable_activity() {
-        let t = trace_of(&[r#"{"seq":0,"kind":"fault.switch_apply","to":"b"}"#.to_string()]);
+        let t = trace_of(&[r#"{"seq":0,"kind":"fault.switch_apply","to":"b"}"#]);
         assert!(!render(&t, 0.05).contains("crash recovery audit"));
     }
 
     #[test]
     fn json_report_is_stable_and_machine_parseable() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":2,"mape":0.4,"mdfo":0.2}"#.to_string(),
-            r#"{"seq":1,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":5,"mape":0.1,"mdfo":0.03}"#.to_string(),
-            r#"{"seq":2,"kind":"metrics.window","series":"fig4.mdfo","window":0,"tick":8,"n":2,"mean":0.115,"min":0.03,"max":0.2,"last":0.03}"#.to_string(),
-            r#"{"seq":3,"kind":"obs.overhead","subsystem":"total","events":3,"bytes":400,"spans":0,"windows":1,"histogram_updates":2}"#.to_string(),
-            r#"{"seq":4,"kind":"counter","name":"tx.commit.tl2","value":7}"#.to_string(),
+            r#"{"seq":0,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":2,"mape":0.4,"mdfo":0.2}"#,
+            r#"{"seq":1,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":5,"mape":0.1,"mdfo":0.03}"#,
+            r#"{"seq":2,"kind":"metrics.window","series":"fig4.mdfo","window":0,"tick":8,"n":2,"mean":0.115,"min":0.03,"max":0.2,"last":0.03}"#,
+            r#"{"seq":3,"kind":"obs.overhead","subsystem":"total","events":3,"bytes":400,"spans":0,"windows":1,"histogram_updates":2}"#,
+            r#"{"seq":4,"kind":"counter","name":"tx.commit.tl2","value":7}"#,
         ]);
         let a = render_json(&t, 0.05);
         assert_eq!(a, render_json(&t, 0.05), "stable bytes");
@@ -808,7 +704,7 @@ mod tests {
 
     #[test]
     fn json_report_without_optional_sections_uses_nulls_and_empties() {
-        let t = trace_of(&[r#"{"seq":0,"kind":"config.switch","to":"b"}"#.to_string()]);
+        let t = trace_of(&[r#"{"seq":0,"kind":"config.switch","to":"b"}"#]);
         let a = render_json(&t, 0.05);
         assert!(a.contains("\"fig4\":[]"));
         assert!(a.contains("\"oracle\":[]"));
@@ -819,8 +715,8 @@ mod tests {
     #[test]
     fn report_is_a_pure_function_of_the_trace() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"config.switch","from":"a","to":"b"}"#.to_string(),
-            r#"{"seq":1,"kind":"recommend","config":1,"kpi":2.5,"explored":4}"#.to_string(),
+            r#"{"seq":0,"kind":"config.switch","from":"a","to":"b"}"#,
+            r#"{"seq":1,"kind":"recommend","config":1,"kpi":2.5,"explored":4}"#,
         ]);
         assert_eq!(render(&t, 0.05), render(&t, 0.05));
         assert!(render(&t, 0.05).contains("decision timeline"));

@@ -17,8 +17,6 @@ pub struct SpanNode {
     pub parent: Option<u64>,
     /// Span name from the begin record (`"?"` when missing).
     pub name: String,
-    /// Index of the begin record in `Trace::records`.
-    pub begin: usize,
     /// Index of the end record, when the span closed.
     pub end: Option<usize>,
     /// Wall-clock duration from the end record, for timed spans on
@@ -56,7 +54,6 @@ impl SpanForest {
                         id,
                         parent,
                         name: r.str("name").unwrap_or("?").to_string(),
-                        begin: idx,
                         end: None,
                         duration_ns: None,
                         children: Vec::new(),
@@ -85,11 +82,6 @@ impl SpanForest {
         self.nodes.values().filter(|n| n.end.is_none()).count()
     }
 
-    /// Spans named `name`, in begin order.
-    pub fn named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanNode> {
-        self.nodes.values().filter(move |n| n.name == name)
-    }
-
     /// Per-name aggregate: (count, closed, timed, total_ns, max_ns),
     /// sorted by name.
     pub fn aggregate(&self) -> BTreeMap<&str, SpanAgg> {
@@ -97,9 +89,7 @@ impl SpanForest {
         for n in self.nodes.values() {
             let agg = out.entry(n.name.as_str()).or_default();
             agg.count += 1;
-            if n.end.is_some() {
-                agg.closed += 1;
-            }
+            agg.closed += n.end.is_some() as usize;
             if let Some(d) = n.duration_ns {
                 agg.timed += 1;
                 agg.total_ns += d;
@@ -139,19 +129,7 @@ impl SpanAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_trace;
-
-    fn trace_of(lines: &[&str]) -> crate::Trace {
-        let mut text = format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n",
-            obs::SCHEMA_VERSION
-        );
-        for l in lines {
-            text.push_str(l);
-            text.push('\n');
-        }
-        parse_trace(&text).unwrap()
-    }
+    use crate::tests::trace_of;
 
     #[test]
     fn rebuilds_nesting_and_durations() {

@@ -1,11 +1,12 @@
 //! `proteus-trace watch` — follow-mode dashboard over a growing JSONL
 //! trace.
 //!
-//! The [`Watcher`] is a **pure incremental parser**: bytes in, rendered
-//! frames out. It buffers partial lines, so the frame stream is a function
-//! of the byte *sequence* alone — feeding a trace in one chunk, per byte,
-//! or in any other split yields identical frames (pinned by tests), which
-//! is what makes `watch` output byte-comparable across `--jobs` values
+//! The [`Watcher`] hands the bytes it is fed to the crate's one
+//! [`TraceReader`] and folds the records that come back into frames. The
+//! reader buffers partial lines, so the frame stream is a function of the
+//! byte *sequence* alone — feeding a trace in one chunk, per byte, or in
+//! any other split yields identical frames (pinned by tests), which is
+//! what makes `watch` output byte-comparable across `--jobs` values
 //! exactly like the trace itself.
 //!
 //! A *frame* covers one flight-recorder window: the `metrics.window`
@@ -16,13 +17,12 @@
 //! record of the *next* window — or by the `obs.overhead` total trailer,
 //! which also marks the trace as complete ([`Watcher::done`]).
 //!
-//! Two render modes: a plain-text dashboard (KPI sparklines, SLO gauges,
-//! active alerts) and a `--json` twin emitting one JSON object per frame
-//! with the same information.
+//! A sealed frame (`Frame`) is rendered one of two ways: a plain-text
+//! dashboard (KPI sparklines, SLO gauges, active alerts) or, with `--json`,
+//! one JSON object per frame with the same information.
 
-use crate::json::{self, JsonValue};
-use crate::TraceError;
-use obs::encode_str;
+use crate::json::{JsonValue, Writer};
+use crate::{Record, TraceError, TraceReader};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -33,9 +33,10 @@ const SPARK_CAPACITY: usize = 32;
 const SPARK_GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
 /// Output mode of a [`Watcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Mode {
     /// Human dashboard frames.
+    #[default]
     Plain,
     /// One JSON object per frame (`--json`).
     Json,
@@ -47,64 +48,64 @@ struct SloRow {
     slo: String,
     state: String,
     ok: bool,
-    /// Raw value token from the trace (byte-exact display).
+    /// Value token as the trace spells it.
     value: String,
     burn_fast_pm: u64,
     burn_slow_pm: u64,
 }
 
-/// One series row of the frame being accumulated.
+/// One series row of a frame.
 #[derive(Debug, Clone)]
 struct SeriesRow {
     name: String,
-    /// Raw mean token from the trace (byte-exact display).
+    /// Mean token as the trace spells it.
     mean: String,
     n: u64,
+    /// Recent window means of the series as of the frame's seal.
+    spark: String,
 }
 
-#[derive(Debug, Clone)]
-struct FrameAccum {
+/// One dashboard frame: what both render modes format.
+#[derive(Debug, Clone, Default)]
+struct Frame {
+    /// 1-based frame number (set when the frame seals).
+    number: u64,
     window: u64,
     tick: u64,
     series: Vec<SeriesRow>,
     slo: Vec<SloRow>,
+    /// Alerts firing after this window: SLO name → window of the fire.
+    alerts: BTreeMap<String, u64>,
+    /// Markers seen since the previous frame.
+    markers: Vec<String>,
 }
 
 /// Incremental follow-mode renderer. Feed it trace bytes as they arrive;
 /// it returns rendered frames as windows seal.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Watcher {
     mode: Mode,
-    buf: String,
-    line_no: usize,
-    header_seen: bool,
-    frame_no: u64,
-    open: Option<FrameAccum>,
+    reader: TraceReader,
+    frames_sealed: u64,
+    open: Option<Frame>,
     /// Ring of recent window means per series, for the sparklines.
     sparks: BTreeMap<String, VecDeque<f64>>,
     /// Alerts currently firing: SLO name → window of the `alert.fire`.
     active: BTreeMap<String, u64>,
     /// Markers seen since the last sealed frame.
     markers: Vec<String>,
-    done: bool,
 }
 
 /// Whether a record kind is surfaced as a dashboard marker.
 fn is_marker(kind: &str) -> bool {
-    kind == "config.switch"
-        || kind == "gate.resize"
-        || kind.starts_with("fault.")
-        || kind.starts_with("recovery.")
-        || kind.starts_with("drill.")
+    let families = ["fault.", "recovery.", "drill."];
+    matches!(kind, "config.switch" | "gate.resize") || families.iter().any(|f| kind.starts_with(f))
 }
 
 /// Render `values` (oldest first) as a sparkline scaled to its own range.
 fn sparkline(values: &VecDeque<f64>) -> String {
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in values {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
+    let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     values
         .iter()
         .map(|&v| {
@@ -124,88 +125,57 @@ impl Watcher {
     pub fn new(mode: Mode) -> Watcher {
         Watcher {
             mode,
-            buf: String::new(),
-            line_no: 0,
-            header_seen: false,
-            frame_no: 0,
-            open: None,
-            sparks: BTreeMap::new(),
-            active: BTreeMap::new(),
-            markers: Vec::new(),
-            done: false,
+            ..Watcher::default()
         }
     }
 
     /// Whether the end-of-trace trailer (`obs.overhead` with
     /// `subsystem:"total"`) has been seen — the stream is complete.
     pub fn done(&self) -> bool {
-        self.done
+        self.reader.done()
     }
 
     /// Feed the next chunk of trace bytes; returns the frames sealed by
-    /// it. Partial trailing lines are buffered, so any chunking of the
-    /// same byte stream yields the same concatenated frame sequence.
-    pub fn feed(&mut self, chunk: &str) -> Result<Vec<String>, TraceError> {
-        self.buf.push_str(chunk);
+    /// it. Any chunking of the same byte stream yields the same
+    /// concatenated frame sequence.
+    pub fn feed(&mut self, chunk: &[u8]) -> Result<Vec<String>, TraceError> {
         let mut frames = Vec::new();
-        while let Some(pos) = self.buf.find('\n') {
-            let line: String = self.buf[..pos].to_string();
-            self.buf.drain(..=pos);
-            self.line_no += 1;
-            let line = line.trim_end_matches('\r').trim();
-            if line.is_empty() {
-                continue;
-            }
-            self.line(line.strip_prefix('\u{feff}').unwrap_or(line), &mut frames)?;
+        for record in self.reader.feed(chunk)? {
+            self.record(&record, &mut frames);
         }
         Ok(frames)
     }
 
     /// Flush: seal the still-open frame, if any (call when the stream has
-    /// ended — on `done()`, timeout, or EOF of a complete file).
+    /// ended — on `done()`, timeout, or EOF of a complete file). A last
+    /// line without its terminator is not parsed: the writer may yet be
+    /// in the middle of it.
     pub fn finish(&mut self) -> Vec<String> {
         let mut frames = Vec::new();
         self.seal(&mut frames);
         frames
     }
 
-    fn line(&mut self, line: &str, frames: &mut Vec<String>) -> Result<(), TraceError> {
-        if !self.header_seen {
-            crate::check_header(self.line_no, line)?;
-            self.header_seen = true;
-            return Ok(());
-        }
-        let fields = json::parse_object(line).map_err(|msg| TraceError::Malformed {
-            line: self.line_no,
-            msg,
-        })?;
-        let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let kind = field("kind").and_then(JsonValue::as_str).unwrap_or("");
-        let u64_of = |key: &str| field(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        let str_of = |key: &str| {
-            field(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or("")
-                .to_string()
-        };
-        let token_of = |key: &str| field(key).map(|v| v.display()).unwrap_or_default();
-        match kind {
+    fn record(&mut self, r: &Record, frames: &mut Vec<String>) {
+        let u64_of = |key: &str| r.u64(key).unwrap_or(0);
+        let str_of = |key: &str| r.str(key).unwrap_or("").to_string();
+        let token_of = |key: &str| r.get(key).map(|v| v.display()).unwrap_or_default();
+        match r.kind.as_str() {
             "metrics.window" => {
                 let window = u64_of("window");
                 if self.open.as_ref().map(|f| f.window) != Some(window) {
                     self.seal(frames);
-                    self.open = Some(FrameAccum {
+                    self.open = Some(Frame {
                         window,
                         tick: u64_of("tick"),
-                        series: Vec::new(),
-                        slo: Vec::new(),
+                        ..Frame::default()
                     });
                 }
                 let name = str_of("series");
-                if let Some(mean) = field("mean").and_then(JsonValue::as_f64) {
+                if let Some(mean) = r.f64("mean") {
                     let ring = self.sparks.entry(name.clone()).or_default();
                     ring.push_back(mean);
-                    while ring.len() > SPARK_CAPACITY {
+                    if ring.len() > SPARK_CAPACITY {
                         ring.pop_front();
                     }
                 }
@@ -214,6 +184,7 @@ impl Watcher {
                         name,
                         mean: token_of("mean"),
                         n: u64_of("n"),
+                        spark: String::new(),
                     });
                 }
             }
@@ -222,7 +193,7 @@ impl Watcher {
                     open.slo.push(SloRow {
                         slo: str_of("slo"),
                         state: str_of("state"),
-                        ok: field("ok").and_then(JsonValue::as_bool).unwrap_or(false),
+                        ok: r.get("ok") == Some(&JsonValue::Bool(true)),
                         value: token_of("value"),
                         burn_fast_pm: u64_of("burn_fast_pm"),
                         burn_slow_pm: u64_of("burn_slow_pm"),
@@ -230,152 +201,100 @@ impl Watcher {
                 }
             }
             "alert.fire" => {
-                self.active.insert(str_of("slo"), u64_of("window"));
-                self.markers
-                    .push(format!("alert.fire slo={}", str_of("slo")));
+                let slo = str_of("slo");
+                self.markers.push(format!("alert.fire slo={slo}"));
+                self.active.insert(slo, u64_of("window"));
             }
             "alert.resolve" => {
-                self.active.remove(&str_of("slo"));
-                self.markers.push(format!(
-                    "alert.resolve slo={} firing_windows={}",
-                    str_of("slo"),
-                    u64_of("firing_windows")
-                ));
+                let (slo, windows) = (str_of("slo"), u64_of("firing_windows"));
+                self.active.remove(&slo);
+                self.markers
+                    .push(format!("alert.resolve slo={slo} firing_windows={windows}"));
             }
-            "obs.overhead" if str_of("subsystem") == "total" => {
-                self.seal(frames);
-                self.done = true;
-            }
-            "obs.overhead" => {}
-            "counter" | "trace.meta" => {}
-            k if is_marker(k) => {
-                let mut m = k.to_string();
-                for (key, v) in &fields {
-                    if key == "seq" || key == "kind" {
-                        continue;
-                    }
-                    let _ = write!(m, " {key}={}", v.display());
-                }
-                self.markers.push(m);
-            }
+            _ if r.is_trailer() => self.seal(frames),
+            kind if is_marker(kind) && r.fields.is_empty() => self.markers.push(kind.to_string()),
+            kind if is_marker(kind) => self.markers.push(format!("{kind} {}", r.summary())),
             _ => {}
         }
-        Ok(())
     }
 
     fn seal(&mut self, frames: &mut Vec<String>) {
-        let Some(frame) = self.open.take() else {
+        let Some(mut frame) = self.open.take() else {
             return;
         };
-        self.frame_no += 1;
-        let markers = std::mem::take(&mut self.markers);
-        let rendered = match self.mode {
-            Mode::Plain => self.render_plain(&frame, &markers),
-            Mode::Json => self.render_json(&frame, &markers),
-        };
-        frames.push(rendered);
+        self.frames_sealed += 1;
+        frame.number = self.frames_sealed;
+        for row in &mut frame.series {
+            let ring = self.sparks.get(&row.name);
+            row.spark = ring.map(sparkline).unwrap_or_default();
+        }
+        frame.alerts = self.active.clone();
+        frame.markers = std::mem::take(&mut self.markers);
+        frames.push(match self.mode {
+            Mode::Plain => plain(&frame),
+            Mode::Json => json(&frame),
+        });
     }
+}
 
-    fn render_plain(&self, frame: &FrameAccum, markers: &[String]) -> String {
-        let mut out = String::new();
+fn plain(f: &Frame) -> String {
+    let mut out = format!("frame {}  window {}  tick {}\n", f.number, f.window, f.tick);
+    for r in &f.series {
         let _ = writeln!(
             out,
-            "frame {}  window {}  tick {}",
-            self.frame_no, frame.window, frame.tick
+            "  {:<28} n={:<4} mean={:<12} {}",
+            r.name, r.n, r.mean, r.spark
         );
-        for row in &frame.series {
-            let spark = self
-                .sparks
-                .get(&row.name)
-                .map(sparkline)
-                .unwrap_or_default();
-            let _ = writeln!(
-                out,
-                "  {:<28} n={:<4} mean={:<12} {spark}",
-                row.name, row.n, row.mean
-            );
-        }
-        for s in &frame.slo {
-            let _ = writeln!(
-                out,
-                "  slo {:<24} {:<8} {} burn={}/{}pm value={}",
-                s.slo,
-                s.state,
-                if s.ok { "ok " } else { "VIOL" },
-                s.burn_fast_pm,
-                s.burn_slow_pm,
-                s.value
-            );
-        }
-        if !self.active.is_empty() {
-            let list: Vec<String> = self
-                .active
-                .iter()
-                .map(|(name, win)| format!("{name} (since window {win})"))
-                .collect();
-            let _ = writeln!(out, "  alerts: {}", list.join(", "));
-        }
-        for m in markers {
-            let _ = writeln!(out, "  marker: {m}");
-        }
-        out.push('\n');
-        out
     }
+    for s in &f.slo {
+        let ok = if s.ok { "ok " } else { "VIOL" };
+        let burn = format!("{}/{}pm", s.burn_fast_pm, s.burn_slow_pm);
+        let _ = writeln!(
+            out,
+            "  slo {:<24} {:<8} {ok} burn={burn} value={}",
+            s.slo, s.state, s.value
+        );
+    }
+    if !f.alerts.is_empty() {
+        let since = |(name, win)| format!("{name} (since window {win})");
+        let list: Vec<String> = f.alerts.iter().map(since).collect();
+        let _ = writeln!(out, "  alerts: {}", list.join(", "));
+    }
+    for m in &f.markers {
+        let _ = writeln!(out, "  marker: {m}");
+    }
+    out + "\n"
+}
 
-    fn render_json(&self, frame: &FrameAccum, markers: &[String]) -> String {
-        let mut out = String::from("{\"frame\":");
-        let _ = write!(out, "{}", self.frame_no);
-        let _ = write!(out, ",\"window\":{},\"tick\":{}", frame.window, frame.tick);
-        out.push_str(",\"series\":[");
-        for (i, row) in frame.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            encode_str(&mut out, &row.name);
-            let _ = write!(out, ",\"n\":{},\"mean\":{},\"spark\":", row.n, row.mean);
-            let spark = self
-                .sparks
-                .get(&row.name)
-                .map(sparkline)
-                .unwrap_or_default();
-            encode_str(&mut out, &spark);
-            out.push('}');
-        }
-        out.push_str("],\"slo\":[");
-        for (i, s) in frame.slo.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"slo\":");
-            encode_str(&mut out, &s.slo);
-            out.push_str(",\"state\":");
-            encode_str(&mut out, &s.state);
-            let _ = write!(
-                out,
-                ",\"ok\":{},\"value\":{},\"burn_fast_pm\":{},\"burn_slow_pm\":{}}}",
-                s.ok, s.value, s.burn_fast_pm, s.burn_slow_pm
-            );
-        }
-        out.push_str("],\"alerts\":[");
-        for (i, (name, win)) in self.active.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"slo\":");
-            encode_str(&mut out, name);
-            let _ = write!(out, ",\"since_window\":{win}}}");
-        }
-        out.push_str("],\"markers\":[");
-        for (i, m) in markers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            encode_str(&mut out, m);
-        }
-        out.push_str("]}\n");
-        out
+fn json(f: &Frame) -> String {
+    let mut w = Writer::default();
+    w.open('{').key("frame").raw(f.number);
+    w.key("window").raw(f.window);
+    w.key("tick").raw(f.tick).key("series").open('[');
+    for row in &f.series {
+        w.open('{').key("name").str(&row.name).key("n").raw(row.n);
+        w.key("mean").raw(&row.mean).key("spark").str(&row.spark);
+        w.close('}');
     }
+    w.close(']').key("slo").open('[');
+    for s in &f.slo {
+        w.open('{').key("slo").str(&s.slo);
+        w.key("state").str(&s.state).key("ok").raw(s.ok);
+        w.key("value").raw(&s.value);
+        w.key("burn_fast_pm").raw(s.burn_fast_pm);
+        w.key("burn_slow_pm").raw(s.burn_slow_pm).close('}');
+    }
+    w.close(']').key("alerts").open('[');
+    for (name, win) in &f.alerts {
+        w.open('{').key("slo").str(name);
+        w.key("since_window").raw(win).close('}');
+    }
+    w.close(']').key("markers").open('[');
+    for m in &f.markers {
+        w.str(m);
+    }
+    w.close(']').close('}');
+    w.finish()
 }
 
 #[cfg(test)]
@@ -428,7 +347,7 @@ mod tests {
         let trace = demo_trace();
         let whole = {
             let mut w = Watcher::new(Mode::Plain);
-            let mut frames = w.feed(&trace).unwrap();
+            let mut frames = w.feed(trace.as_bytes()).unwrap();
             frames.extend(w.finish());
             assert!(w.done());
             frames.concat()
@@ -436,16 +355,8 @@ mod tests {
         for chunk in [1usize, 3, 7, 64] {
             let mut w = Watcher::new(Mode::Plain);
             let mut frames = Vec::new();
-            let bytes = trace.as_bytes();
-            let mut at = 0;
-            while at < bytes.len() {
-                let end = (at + chunk).min(bytes.len());
-                // Chunks split at char boundaries here (trace is ASCII).
-                frames.extend(
-                    w.feed(std::str::from_utf8(&bytes[at..end]).unwrap())
-                        .unwrap(),
-                );
-                at = end;
+            for piece in trace.as_bytes().chunks(chunk) {
+                frames.extend(w.feed(piece).unwrap());
             }
             frames.extend(w.finish());
             assert_eq!(frames.concat(), whole, "chunk size {chunk} diverged");
@@ -455,7 +366,7 @@ mod tests {
     #[test]
     fn plain_frames_carry_series_slo_alerts_and_markers() {
         let mut w = Watcher::new(Mode::Plain);
-        let mut frames = w.feed(&demo_trace()).unwrap();
+        let mut frames = w.feed(demo_trace().as_bytes()).unwrap();
         frames.extend(w.finish());
         assert_eq!(frames.len(), 3, "{frames:?}");
         assert!(frames[0].starts_with("frame 1  window 0  tick 8\n"));
@@ -473,7 +384,7 @@ mod tests {
     #[test]
     fn json_twin_mirrors_the_plain_frames() {
         let mut w = Watcher::new(Mode::Json);
-        let mut frames = w.feed(&demo_trace()).unwrap();
+        let mut frames = w.feed(demo_trace().as_bytes()).unwrap();
         frames.extend(w.finish());
         assert_eq!(frames.len(), 3);
         assert!(frames[0].starts_with("{\"frame\":1,\"window\":0,\"tick\":8,"));
@@ -496,18 +407,32 @@ mod tests {
     fn header_contract_is_enforced() {
         let mut w = Watcher::new(Mode::Plain);
         assert!(matches!(
-            w.feed("{\"seq\":0,\"kind\":\"config.switch\"}\n"),
+            w.feed(b"{\"seq\":0,\"kind\":\"config.switch\"}\n"),
             Err(TraceError::MissingHeader { .. })
         ));
         let mut w = Watcher::new(Mode::Plain);
         assert!(matches!(
-            w.feed("{\"kind\":\"trace.meta\",\"schema\":99}\n"),
-            Err(TraceError::UnsupportedSchema { found: 99, .. })
+            w.feed(b"{\"kind\":\"trace.meta\",\"schema\":99}\n"),
+            Err(TraceError::UnsupportedSchema { found: 99 })
         ));
         let mut w = Watcher::new(Mode::Plain);
         assert!(matches!(
-            w.feed("{\"kind\":\"trace.meta\",\"schema\":3}\n"),
-            Err(TraceError::UnsupportedSchema { found: 3, .. })
+            w.feed(b"{\"kind\":\"trace.meta\",\"schema\":3}\n"),
+            Err(TraceError::UnsupportedSchema { found: 3 })
+        ));
+    }
+
+    #[test]
+    fn a_record_without_a_kind_is_malformed_here_too() {
+        let mut w = Watcher::new(Mode::Plain);
+        let header = format!(
+            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n",
+            obs::SCHEMA_VERSION
+        );
+        assert!(w.feed(header.as_bytes()).unwrap().is_empty());
+        assert!(matches!(
+            w.feed(b"{\"seq\":0,\"series\":\"kpi.x\"}\n"),
+            Err(TraceError::Malformed { line: 2, .. })
         ));
     }
 

@@ -151,3 +151,30 @@ fn watch_rejects_bad_schema_with_1() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("schema"));
 }
+
+#[test]
+fn a_gate_cannot_be_talked_out_of_failing() {
+    // NaN makes every comparison false and a negative band makes every one
+    // true: either would decide the verdict without looking at the trace.
+    let path = tmp("gate.jsonl", &complete_trace());
+    let path = path.to_str().unwrap();
+    for args in [
+        ["perf-diff", path, path, "--noise", "nan"],
+        ["perf-diff", path, path, "--noise", "-1"],
+        ["report", path, "--json", "--epsilon", "nan"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("must be finite and non-negative"),
+            "{stderr}"
+        );
+        assert_eq!(
+            stderr.lines().count(),
+            1,
+            "one line, not the usage: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(path);
+}
