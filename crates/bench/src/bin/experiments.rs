@@ -8,9 +8,6 @@
 //! experiments --trace-out t.jsonl fig4   # JSONL telemetry trace
 //! experiments --metrics-out m.json fig4  # final metrics snapshot
 //! experiments --faults plan.json fig5    # seeded fault injection
-//! experiments --slo default fig4         # arm the SLO engine
-//! experiments --health-out h.prom fig4   # final SLO health exposition
-//! experiments slo-drill                  # deterministic SLO chaos drill
 //! experiments bench-snapshot             # exact regression gate (see below)
 //! experiments vtime             # virtual-time scalability (byte-identical everywhere)
 //! ```
@@ -36,7 +33,7 @@ use std::collections::BTreeMap;
 type Runner = (&'static str, fn(bool));
 
 /// The canonical experiments, in the paper's order.
-const RUNNERS: [Runner; 12] = [
+const RUNNERS: [Runner; 11] = [
     ("table23", |_| bench::table23::run()),
     ("fig1", |_| bench::fig1::run()),
     ("table4", |quick| {
@@ -63,9 +60,6 @@ const RUNNERS: [Runner; 12] = [
     ("vtime", |_| bench::vtime::run()),
     // Durability tax + crash-recovery drill: same exact-integer contract.
     ("durable", |_| bench::durable::run()),
-    // SLO chaos drill: deterministic alert fire/resolve schedule under a
-    // fault plan; healthy (and alert-free) without one. Ignores --quick.
-    ("slo-drill", |_| bench::slodrill::run()),
 ];
 
 /// Aliases: paper artifact name → canonical experiment.
@@ -78,37 +72,6 @@ const ALIASES: [(&str, &str); 3] = [
 fn fail_usage(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
-}
-
-/// Strip the flags the shared [`Options`] parser owns, leaving only the
-/// `bench-snapshot` subcommand's own arguments.
-fn snapshot_rest(args: &[String]) -> Vec<String> {
-    let mut rest = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--quick" | "bench-snapshot" => {}
-            "--jobs" | "--trace-out" | "--metrics-out" | "--faults" | "--slo" | "--health-out" => {
-                let _ = iter.next();
-            }
-            other => {
-                let owned = [
-                    "--jobs=",
-                    "--trace-out=",
-                    "--metrics-out=",
-                    "--faults=",
-                    "--slo=",
-                    "--health-out=",
-                ]
-                .iter()
-                .any(|p| other.starts_with(p));
-                if !owned {
-                    rest.push(a.clone());
-                }
-            }
-        }
-    }
-    rest
 }
 
 fn main() {
@@ -127,21 +90,17 @@ fn main() {
     // snapshot file, so it must be the sole target and cannot be combined
     // with the trace/metrics/faults plumbing below.
     if opts.targets.iter().any(|t| t == "bench-snapshot") {
-        // Other positionals may be values of snapshot-only flags (e.g.
+        // The other targets are its own flags and their values (e.g.
         // `--out x.json`); SnapshotArgs::parse rejects genuine strays.
-        if opts.trace_out.is_some()
-            || opts.metrics_out.is_some()
-            || opts.faults.is_some()
-            || opts.slo.is_some()
-            || opts.health_out.is_some()
-        {
+        if opts.trace_out.is_some() || opts.metrics_out.is_some() || opts.faults.is_some() {
             fail_usage(
                 "bench-snapshot runs its own in-memory traces; \
-                 --trace-out/--metrics-out/--faults/--slo/--health-out do not apply",
+                 --trace-out/--metrics-out/--faults do not apply",
             );
         }
-        let snap_args =
-            SnapshotArgs::parse(&snapshot_rest(&args)).unwrap_or_else(|e| fail_usage(&e));
+        let mut rest = opts.targets.clone();
+        rest.retain(|t| t != "bench-snapshot");
+        let snap_args = SnapshotArgs::parse(&rest).unwrap_or_else(|e| fail_usage(&e));
         match bench::snapshot::run(&snap_args) {
             Ok(true) => return,
             Ok(false) => std::process::exit(1),
@@ -155,8 +114,8 @@ fn main() {
     if opts.targets.is_empty() {
         fail_usage(&format!(
             "usage: experiments [--quick] [--jobs N] [--trace-out PATH] \
-             [--metrics-out PATH] [--faults PLAN.json] [--slo default|SPECS] \
-             [--health-out PATH] <all | bench-snapshot | {} ...>",
+             [--metrics-out PATH] [--faults PLAN.json] \
+             <all | bench-snapshot | {} ...>",
             index.keys().cloned().collect::<Vec<_>>().join(" | ")
         ));
     }
@@ -198,30 +157,6 @@ fn main() {
         }
         None => false,
     };
-    // Arm the SLO engine before the trace starts (mirrors the fault plan):
-    // a malformed spec file exits before any trace file is created, and
-    // every window of the run is evaluated from the first flush on.
-    let slo_armed = match opts.slo.as_deref() {
-        Some("default") => {
-            obs::slo::install(obs::slo::default_specs());
-            true
-        }
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail_usage(&format!("cannot read SLO specs {path}: {e}")));
-            let specs = obs::slo::parse_specs(&text)
-                .unwrap_or_else(|e| fail_usage(&format!("invalid SLO specs {path}: {e}")));
-            obs::slo::install(specs);
-            true
-        }
-        None => false,
-    };
-    if slo_armed && opts.trace_out.is_none() {
-        eprintln!(
-            "warning: --slo without --trace-out; windows only close while \
-             a trace is active, so no objective will ever be evaluated"
-        );
-    }
     let tracing = match &opts.trace_out {
         Some(path) => {
             if !obs::telemetry_compiled() {
@@ -276,26 +211,6 @@ fn main() {
         if let Some(path) = &opts.trace_out {
             println!("trace written to {}", path.display());
         }
-    }
-    // The health exposition reads the live engine, so write it after
-    // finish_trace (whose final partial-window flush is the last SLO
-    // evaluation of the run) but before the engine is disarmed.
-    if let Some(path) = &opts.health_out {
-        if !slo_armed {
-            eprintln!(
-                "warning: --health-out without --slo; {} will report a \
-                 disarmed engine",
-                path.display()
-            );
-        }
-        if let Err(e) = std::fs::write(path, obs::slo::render_health()) {
-            eprintln!("cannot write health file {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        println!("slo health written to {}", path.display());
-    }
-    if slo_armed {
-        obs::slo::uninstall();
     }
 }
 

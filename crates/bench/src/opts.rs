@@ -24,14 +24,9 @@ pub struct Options {
     pub metrics_out: Option<PathBuf>,
     /// `--faults PLAN.json`: seeded fault plan.
     pub faults: Option<PathBuf>,
-    /// `--slo <default|SPECS>`: arm the online SLO engine with the
-    /// built-in objectives (`default`) or a spec file.
-    pub slo: Option<String>,
-    /// `--health-out PATH`: write the final SLO health exposition
-    /// (Prometheus text format) to PATH.
-    pub health_out: Option<PathBuf>,
-    /// Positional arguments (experiment names). Unknown `--flags` are
-    /// ignored, matching the historical parser.
+    /// Every argument no flag above claimed, in order: experiment names —
+    /// and, only when `bench-snapshot` is among them, that subcommand's own
+    /// flags and their values, which `SnapshotArgs::parse` checks.
     pub targets: Vec<String>,
 }
 
@@ -61,43 +56,28 @@ impl Options {
         };
         let mut iter = args.iter();
         while let Some(a) = iter.next() {
-            match a.as_str() {
-                "--quick" => opts.quick = true,
-                "--faults" => {
-                    opts.faults =
-                        Some(take_path(&mut iter, a, "a path to a fault-plan JSON file")?);
-                }
-                "--trace-out" => opts.trace_out = Some(take_path(&mut iter, a, "a path")?),
-                "--metrics-out" => opts.metrics_out = Some(take_path(&mut iter, a, "a path")?),
-                "--health-out" => opts.health_out = Some(take_path(&mut iter, a, "a path")?),
-                "--slo" => {
-                    opts.slo = Some(
-                        iter.next()
-                            .cloned()
-                            .ok_or_else(|| format!("{a} expects `default` or a spec-file path"))?,
-                    );
-                }
-                "--jobs" => {
-                    opts.jobs = Some(parse_jobs(iter.next().map(String::as_str))?);
-                }
-                _ => {
-                    if let Some(v) = a.strip_prefix("--faults=") {
-                        opts.faults = Some(PathBuf::from(v));
-                    } else if let Some(v) = a.strip_prefix("--trace-out=") {
-                        opts.trace_out = Some(PathBuf::from(v));
-                    } else if let Some(v) = a.strip_prefix("--metrics-out=") {
-                        opts.metrics_out = Some(PathBuf::from(v));
-                    } else if let Some(v) = a.strip_prefix("--health-out=") {
-                        opts.health_out = Some(PathBuf::from(v));
-                    } else if let Some(v) = a.strip_prefix("--slo=") {
-                        opts.slo = Some(v.to_string());
-                    } else if let Some(v) = a.strip_prefix("--jobs=") {
-                        opts.jobs = Some(parse_jobs(Some(v))?);
-                    } else if !a.starts_with("--") {
-                        opts.targets.push(a.clone());
-                    }
-                }
+            // Each flag is spelled once; `--x V` and `--x=V` both land here.
+            let (name, inline) = match a.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (a.as_str(), None),
+            };
+            let mut value = || {
+                inline
+                    .or_else(|| iter.next().map(String::as_str))
+                    .ok_or_else(|| format!("{name} expects a value"))
+            };
+            match name {
+                "--quick" if inline.is_none() => opts.quick = true,
+                "--jobs" => opts.jobs = Some(parse_jobs(value()?)?),
+                "--trace-out" => opts.trace_out = Some(PathBuf::from(value()?)),
+                "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value()?)),
+                "--faults" => opts.faults = Some(PathBuf::from(value()?)),
+                _ => opts.targets.push(a.clone()),
             }
+        }
+        let stray = opts.targets.iter().find(|a| a.starts_with("--"));
+        if let (Some(a), false) = (stray, opts.targets.iter().any(|t| t == "bench-snapshot")) {
+            return Err(format!("unknown flag {a}"));
         }
         Ok(opts)
     }
@@ -110,18 +90,9 @@ impl Options {
     }
 }
 
-fn take_path(
-    iter: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-    what: &str,
-) -> Result<PathBuf, String> {
-    iter.next()
-        .map(PathBuf::from)
-        .ok_or_else(|| format!("{flag} expects {what}"))
-}
-
-fn parse_jobs(v: Option<&str>) -> Result<usize, String> {
-    v.and_then(|s| s.parse::<usize>().ok())
+fn parse_jobs(v: &str) -> Result<usize, String> {
+    v.parse::<usize>()
+        .ok()
         .filter(|&n| n > 0)
         .ok_or_else(|| "--jobs expects a positive integer".to_string())
 }
@@ -148,9 +119,6 @@ mod tests {
             "--metrics-out",
             "flag.json",
             "--faults=flag-plan.json",
-            "--slo=default",
-            "--health-out",
-            "flag-health.prom",
             "fig4",
         ]);
         let o = Options::parse_with(&args, env).unwrap();
@@ -158,8 +126,6 @@ mod tests {
         assert_eq!(o.trace_out.as_deref(), Some("flag.jsonl".as_ref()));
         assert_eq!(o.metrics_out.as_deref(), Some("flag.json".as_ref()));
         assert_eq!(o.faults.as_deref(), Some("flag-plan.json".as_ref()));
-        assert_eq!(o.slo.as_deref(), Some("default"));
-        assert_eq!(o.health_out.as_deref(), Some("flag-health.prom".as_ref()));
         assert_eq!(o.targets, vec!["fig4".to_string()]);
 
         // Without the flag the environment fills the slot; the other
@@ -177,6 +143,13 @@ mod tests {
         let o = Options::parse_with(&s(&["--jobs", "3", "all"]), no_env).unwrap();
         assert_eq!(o.jobs, Some(3));
         assert_eq!(o.targets, vec!["all".to_string()]);
+        for flag in ["--jobs", "--trace-out", "--metrics-out", "--faults"] {
+            let spaced = Options::parse_with(&s(&[flag, "3", "all"]), no_env).unwrap();
+            let inline = Options::parse_with(&s(&[&format!("{flag}=3"), "all"]), no_env).unwrap();
+            assert_eq!(spaced, inline, "{flag}");
+            assert_eq!(spaced.targets, ["all"], "{flag} swallowed its value");
+            assert_ne!(spaced, Options::parse_with(&s(&["all"]), no_env).unwrap());
+        }
     }
 
     #[test]
@@ -187,8 +160,6 @@ mod tests {
         assert!(Options::parse_with(&s(&["--trace-out"]), no_env).is_err());
         assert!(Options::parse_with(&s(&["--metrics-out"]), no_env).is_err());
         assert!(Options::parse_with(&s(&["--faults"]), no_env).is_err());
-        assert!(Options::parse_with(&s(&["--slo"]), no_env).is_err());
-        assert!(Options::parse_with(&s(&["--health-out"]), no_env).is_err());
     }
 
     #[test]
@@ -200,8 +171,19 @@ mod tests {
     }
 
     #[test]
-    fn unknown_double_dash_flags_are_ignored() {
-        let o = Options::parse_with(&s(&["--frobnicate", "fig5"]), no_env).unwrap();
-        assert_eq!(o.targets, vec!["fig5".to_string()]);
+    fn unknown_flags_are_errors_unless_bench_snapshot_owns_them() {
+        for stray in [
+            &["--slo", "default", "fig4"][..],
+            &["--slo=default", "fig4"],
+            &["--health-out", "x", "fig4"],
+            &["--trace_out=x", "fig4"],
+            &["--quick=1", "fig5"],
+        ] {
+            let err = Options::parse_with(&s(stray), no_env).unwrap_err();
+            assert_eq!(err, format!("unknown flag {}", stray[0]));
+        }
+        let args = s(&["--jobs=2", "bench-snapshot", "--out", "x.json", "--quick"]);
+        let o = Options::parse_with(&args, no_env).unwrap();
+        assert_eq!(o.targets, s(&["bench-snapshot", "--out", "x.json"]));
     }
 }

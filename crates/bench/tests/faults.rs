@@ -109,6 +109,9 @@ fn table5_completes_under_switch_failures_and_stalls() {
                 text.contains("\"kind\":\"recovery.switch_retry\""),
                 "every injected switch failure must be absorbed by a retry"
             );
+            // The one capture of real `PolyTm::apply` records in the suite.
+            assert!(text.contains("\"kind\":\"config.switch\""));
+            assert!(!text.contains("\"alerts\":"), "retired with the SLO engine");
         }
     });
 }

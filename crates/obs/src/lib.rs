@@ -44,7 +44,6 @@
 mod event;
 pub mod metrics;
 mod ring;
-pub mod slo;
 mod span;
 pub mod summary;
 mod timeseries;
@@ -71,11 +70,11 @@ pub use trace::{
 /// kinds they do not know. Version history: 1 = events + counter dump
 /// (PR 2–3, no header line); 2 = header line + span records; 3 =
 /// windowed time-series (`metrics.window`) + self-overhead audit
-/// (`obs.overhead`) records; 4 = online SLO evaluation (`slo.state`,
-/// `alert.fire`, `alert.resolve` — see [`slo`]) riding behind each
-/// window flush. Analyzers accept exactly this version: emitter and
-/// analyzer ship from one tree, so a trace with any other header is skew
-/// and is rejected.
+/// (`obs.overhead`) records; 4 = three SLO-evaluation kinds and an
+/// `alerts` field, since retired without a bump (a removal is none of
+/// the above; DESIGN.md §13). Analyzers accept exactly this version:
+/// emitter and analyzer ship from one tree, so a trace with any other
+/// header is skew and is rejected.
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// Look up (or register) the windowed time-series `name`. The handle is

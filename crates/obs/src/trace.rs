@@ -124,10 +124,6 @@ pub fn ts_tick() {
 /// Flush the current window of every non-empty series, in name order.
 /// Emits nothing when no series has pending samples (so traces without
 /// KPI sample points stay byte-for-byte as they were under schema v2).
-/// After the `metrics.window` records, the armed SLO engine (if any)
-/// evaluates the same drained aggregates and appends its `slo.state` /
-/// `alert.*` records — still on the serial flush path, so the whole
-/// block inherits the byte-identity guarantee.
 fn flush_windows(tick: u64) {
     let drained = timeseries::drain_windows();
     if drained.is_empty() {
@@ -136,8 +132,7 @@ fn flush_windows(tick: u64) {
     let window = timeseries::next_window_index();
     {
         // Recorder-health bookkeeping, under its own short STATE section
-        // (emit re-locks per record, and the SLO engine takes its lock
-        // before STATE — never hold STATE across either).
+        // (emit re-locks per record — never hold STATE across it).
         let mut state = lock(&STATE);
         if let Some(state) = state.as_mut() {
             state.windows_flushed += 1;
@@ -164,7 +159,6 @@ fn flush_windows(tick: u64) {
             ],
         );
     }
-    crate::slo::evaluate_window(window, tick, &drained);
 }
 
 /// Emit one event into the active trace.
@@ -324,10 +318,6 @@ fn write_line(sink: &mut Sink, json: &str) {
 }
 
 fn start(sink: Sink) {
-    // Reset the SLO engine's rolling state *before* taking STATE: the
-    // engine locks its own mutex and the evaluation path acquires the
-    // locks in the opposite order (engine, then STATE via emit).
-    crate::slo::reset_run();
     let mut state = lock(&STATE);
     metrics::reset();
     timeseries::reset_all();

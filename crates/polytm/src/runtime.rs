@@ -688,10 +688,6 @@ impl PolyTm {
                 "to" => config.to_string(),
                 "quiesced" => switch_algo,
                 "latency_ns" => latency.as_nanos() as u64,
-                // Which SLO alerts were firing while the decision landed —
-                // the watch dashboard correlates reconfigurations with the
-                // objectives that motivated (or suffered) them.
-                "alerts" => obs::slo::firing_csv(),
             );
             obs::histogram("polytm.switch_ns").record(latency.as_nanos() as u64);
             // Flight recorder: the switch protocol is serial under
@@ -823,14 +819,7 @@ impl PolyTm {
         }
         self.parallelism.store(p, Ordering::Release);
         if before != p {
-            // `alerts` mirrors config.switch: resize decisions taken while
-            // an objective is burning are the ones worth a second look.
-            obs::event!(
-                "gate.resize",
-                "from" => before,
-                "to" => p,
-                "alerts" => obs::slo::firing_csv(),
-            );
+            obs::event!("gate.resize", "from" => before, "to" => p);
         }
     }
 

@@ -5,17 +5,13 @@
 //! schema violations, empty traces, or I/O errors. `diff` exits 0 when the
 //! traces are structurally identical, 1 when they differ or fail to parse.
 //! `perf-diff` exits 0 when no KPI degraded beyond the noise band, 1 on a
-//! regression or a parse failure. `watch` exits 0 once the end-of-trace
-//! trailer arrives, 1 on a parse error or when the file stops growing
-//! before the trailer (idle timeout). Missing or unknown subcommands,
-//! missing or surplus operands and unusable flag values print the usage
-//! block or one line naming the flag, and exit 2.
+//! regression, a parse failure or a trace without its end-of-trace
+//! trailer (which the single-trace views report as `INCOMPLETE`, exit 0).
+//! Missing or unknown subcommands, missing or surplus operands and
+//! unusable flag values print the usage block or one line naming the
+//! flag, and exit 2.
 
-use std::io::{Read as _, Seek as _, Write as _};
 use std::process::ExitCode;
-use std::str::FromStr;
-use std::time::{Duration, Instant};
-use tracetool::watch::{Mode, Watcher};
 use tracetool::{conflicts, diff, perf, report, Trace};
 
 const USAGE: &str = "usage:
@@ -24,9 +20,6 @@ const USAGE: &str = "usage:
   proteus-trace perf <trace.jsonl>                            KPI time-series & overhead audit
   proteus-trace perf-diff <a.jsonl> <b.jsonl> [--noise F]     window-by-window KPI gate
   proteus-trace conflicts <trace.jsonl> [--json]              abort attribution & hot stripes
-  proteus-trace watch <trace.jsonl> [--json] [--poll-ms N] [--idle-timeout-ms N]
-                                                              follow-mode dashboard (SLO gauges,
-                                                              sparklines, alerts; schema v4)
 
 The trace must start with a {\"kind\":\"trace.meta\",\"schema\":N} header
 (written by obs::trace::start); schemas outside the supported range are
@@ -34,13 +27,12 @@ rejected.";
 
 /// Every subcommand: its name, how many trace paths it takes, and the
 /// flags it understands.
-const SUBCOMMANDS: [(&str, usize, &[&str]); 6] = [
+const SUBCOMMANDS: [(&str, usize, &[&str]); 5] = [
     ("report", 1, &["--epsilon", "--json"]),
     ("diff", 2, &[]),
     ("perf", 1, &[]),
     ("perf-diff", 2, &["--noise"]),
     ("conflicts", 1, &["--json"]),
-    ("watch", 1, &["--json", "--poll-ms", "--idle-timeout-ms"]),
 ];
 
 /// A parsed command line.
@@ -49,22 +41,15 @@ struct Args {
     json: bool,
     epsilon: f64,
     noise: f64,
-    poll_ms: u64,
-    idle_timeout_ms: u64,
-}
-
-/// The value of `--name V` / `--name=V`, parsed.
-fn flag<T: FromStr>(name: &str, what: &str, value: Option<&str>) -> Result<T, String> {
-    value
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| format!("{name} needs {what} argument"))
 }
 
 /// A fraction (`--epsilon`, `--noise`). A comparison against NaN is always
 /// false and one against a negative band always true: either would decide
 /// the verdict by itself.
 fn fraction(name: &str, value: Option<&str>) -> Result<f64, String> {
-    let v: f64 = flag(name, "a numeric", value)?;
+    let v: f64 = value
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{name} needs a numeric argument"))?;
     if v.is_finite() && v >= 0.0 {
         Ok(v)
     } else {
@@ -80,8 +65,6 @@ fn parse_args(paths: usize, flags: &[&str], rest: &[String]) -> Result<Args, Str
         json: false,
         epsilon: 0.05,
         noise: 0.05,
-        poll_ms: 50,
-        idle_timeout_ms: 15_000,
     };
     let mut rest = rest.iter();
     while let Some(arg) = rest.next() {
@@ -101,8 +84,6 @@ fn parse_args(paths: usize, flags: &[&str], rest: &[String]) -> Result<Args, Str
             "--json" => args.json = true,
             "--epsilon" => args.epsilon = fraction(name, value())?,
             "--noise" => args.noise = fraction(name, value())?,
-            "--poll-ms" => args.poll_ms = flag(name, "an integer", value())?,
-            "--idle-timeout-ms" => args.idle_timeout_ms = flag(name, "an integer", value())?,
             _ => unreachable!("{name} is in the subcommand table but not parsed"),
         }
     }
@@ -140,7 +121,6 @@ fn main() -> ExitCode {
 fn run(name: &str, args: &Args) -> Result<bool, String> {
     let path = &args.paths[0];
     let (text, ok) = match name {
-        "watch" => return run_watch(args),
         "perf" => (perf::render(&load(path)?), true),
         "report" | "conflicts" => {
             let trace = load(path)?;
@@ -165,6 +145,11 @@ fn run(name: &str, args: &Args) -> Result<bool, String> {
             };
             match name {
                 "diff" => diff::render(&a, &b),
+                // A run that died half-way must not pass the gate by absence.
+                _ if !(a.complete && b.complete) => {
+                    let cut = if a.complete { &args.paths[1] } else { path };
+                    return Err(format!("{cut}: incomplete trace, no end-of-trace trailer"));
+                }
                 _ => perf::render_diff(&a, &b, args.noise),
             }
         }
@@ -176,54 +161,4 @@ fn run(name: &str, args: &Args) -> Result<bool, String> {
 fn load(path: &str) -> Result<Trace, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     tracetool::parse_trace(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Tail the trace, rendering dashboard frames as windows seal. Returns
-/// once the end-of-trace trailer arrives; errors when the file stops
-/// growing for `--idle-timeout-ms` first (the writer died or never
-/// materialized), or on a parse error.
-fn run_watch(args: &Args) -> Result<bool, String> {
-    let path = &args.paths[0];
-    let io = |e: std::io::Error| format!("{path}: {e}");
-    let mode = if args.json { Mode::Json } else { Mode::Plain };
-    let mut watcher = Watcher::new(mode);
-    let mut offset = 0u64;
-    let mut idle = Instant::now();
-    let show = |frames: Vec<String>| {
-        let mut out = std::io::stdout().lock();
-        for frame in frames {
-            let _ = out.write_all(frame.as_bytes());
-        }
-        let _ = out.flush();
-    };
-    loop {
-        let mut chunk = Vec::new();
-        if let Ok(mut file) = std::fs::File::open(path) {
-            let len = file.metadata().map_err(io)?.len();
-            if len > offset {
-                file.seek(std::io::SeekFrom::Start(offset)).map_err(io)?;
-                file.take(len - offset)
-                    .read_to_end(&mut chunk)
-                    .map_err(io)?;
-                offset = len;
-            }
-        }
-        if !chunk.is_empty() {
-            idle = Instant::now();
-            show(watcher.feed(&chunk).map_err(|e| format!("{path}: {e}"))?);
-            if watcher.done() {
-                return Ok(true);
-            }
-        } else if idle.elapsed() >= Duration::from_millis(args.idle_timeout_ms) {
-            // Flush whatever is open so a truncated trace still shows its
-            // last window, then report the stall.
-            show(watcher.finish());
-            return Err(format!(
-                "{path}: no end-of-trace trailer after {}ms idle (writer gone?)",
-                args.idle_timeout_ms
-            ));
-        } else {
-            std::thread::sleep(Duration::from_millis(args.poll_ms));
-        }
-    }
 }

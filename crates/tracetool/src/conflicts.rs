@@ -14,9 +14,8 @@
 //!   conflict profiles, plus `vtime.conflict` and `conflict.stripe`
 //!   events carrying the per-backend cells and top-K hot stripes.
 
-use crate::json::Writer;
 use crate::perf::{SeriesAgg, WindowPoint, WINDOW_LIMIT};
-use crate::{banner, elide, section, Record, Trace};
+use crate::{banner, elide, json_head, section, Record, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -128,6 +127,7 @@ pub struct Conflicts<'a> {
     /// Hot stripes, in stream order.
     stripes: Vec<StripeRow<'a>>,
     windows: &'a BTreeMap<String, Vec<WindowPoint>>,
+    complete: bool,
 }
 
 impl<'a> Conflicts<'a> {
@@ -158,6 +158,7 @@ impl<'a> Conflicts<'a> {
                 .filter_map(stripe)
                 .collect(),
             windows: trace.windows(),
+            complete: trace.complete,
         }
     }
 
@@ -183,7 +184,7 @@ impl<'a> Conflicts<'a> {
 
 /// Render the conflict-observatory report as text.
 pub fn plain(view: &Conflicts) -> String {
-    let mut out = banner("conflicts");
+    let mut out = banner("conflicts", view.complete);
 
     section(&mut out, "abort attribution & wasted work (per backend)");
     if view.ledgers.is_empty() {
@@ -304,8 +305,7 @@ pub fn plain(view: &Conflicts) -> String {
 /// order is fixed and all maps are name-sorted, so equal traces yield
 /// equal bytes.
 pub fn json(view: &Conflicts) -> String {
-    let mut w = Writer::default();
-    w.open('{').key("schema").raw(obs::SCHEMA_VERSION);
+    let mut w = json_head(view.complete);
 
     w.key("backends").open('{');
     for (backend, l) in &view.ledgers {

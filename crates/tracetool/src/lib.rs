@@ -9,9 +9,9 @@
 //!
 //! * [`TraceReader`] is the only code that reads trace bytes: lines,
 //!   header contract, counter dump, end-of-trace marker. [`parse_trace`]
-//!   feeds it a whole file, [`watch::Watcher`] a growing one.
+//!   feeds it a whole file.
 //! * Each view computes one typed model from the [`Trace`]
-//!   ([`report::Report`], [`conflicts::Conflicts`], a `watch` frame) ...
+//!   ([`report::Report`], [`conflicts::Conflicts`]) ...
 //! * ... and formats it twice: `plain(&model)` for people, `json(&model)`
 //!   (through [`json::Writer`]) for machines. [`perf`] and [`diff`] have
 //!   a plain form only.
@@ -31,7 +31,6 @@ pub mod perf;
 pub mod reader;
 pub mod report;
 pub mod spans;
-pub mod watch;
 
 use json::JsonValue;
 pub use perf::WindowPoint;
@@ -98,6 +97,10 @@ pub struct Trace {
     /// The counter dump (`{"kind":"counter",...}` lines), sorted by name
     /// as written by `obs::finish_trace`.
     pub counters: BTreeMap<String, u64>,
+    /// Whether the end-of-trace trailer ([`Record::is_trailer`]) was read.
+    /// Without it the writer died or is still running: the counter dump
+    /// is missing and every total is a lower bound.
+    pub complete: bool,
     windows: BTreeMap<String, Vec<WindowPoint>>,
     kinds: BTreeMap<String, u64>,
 }
@@ -200,14 +203,34 @@ pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
     let mut records = reader.feed(text.as_bytes())?;
     records.extend(reader.finish()?);
     records.into_iter().for_each(|r| trace.push(r));
+    trace.complete = reader.done();
     trace.counters = reader.into_counters();
     Ok(trace)
 }
 
-/// The first line of a plain-text view.
-pub(crate) fn banner(view: &str) -> String {
+/// The first line of a plain-text view — and, for a trace without its
+/// trailer, the line that says so: a dead writer is a visible state.
+pub(crate) fn banner(view: &str, complete: bool) -> String {
     let schema = obs::SCHEMA_VERSION;
-    format!("=== proteus-trace {view} (schema {schema}) ===\n")
+    let mut out = format!("=== proteus-trace {view} (schema {schema}) ===\n");
+    if !complete {
+        out.push_str(
+            "INCOMPLETE: no end-of-trace trailer — the writer died or is still running; \
+             counters are missing and totals are lower bounds\n",
+        );
+    }
+    out
+}
+
+/// The opening of a `--json` view: the schema, and `"incomplete":true`
+/// where [`banner`] prints its `INCOMPLETE` line.
+pub(crate) fn json_head(complete: bool) -> json::Writer {
+    let mut w = json::Writer::default();
+    w.open('{').key("schema").raw(obs::SCHEMA_VERSION);
+    if !complete {
+        w.key("incomplete").raw(true);
+    }
+    w
 }
 
 /// Say how many rows a listing capped at `limit` left out, if any.
@@ -330,6 +353,25 @@ mod tests {
             let got = parse_trace(text).unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!(got.records.len(), want.records.len(), "{label}");
             assert_eq!(got.records[0].kind, "config.switch", "{label}");
+        }
+    }
+
+    #[test]
+    fn complete_iff_the_trailer_was_read() {
+        let trailer = |subsystem: &str| {
+            format!("{{\"seq\":1,\"kind\":\"obs.overhead\",\"subsystem\":{subsystem:?}}}")
+        };
+        let cut = format!("{}\n{{\"seq\":0,\"kind\":\"config.switch\"}}\n", header());
+        // Whole-file inputs: the last line may lack its terminator.
+        for (text, complete) in [
+            (format!("{cut}{}\n", trailer("total")), true),
+            (format!("{cut}{}", trailer("total")), true),
+            (format!("{cut}{}\n", trailer("metrics")), false),
+            (cut.clone(), false),
+        ] {
+            for text in [text.replace('\n', "\r\n"), text] {
+                assert_eq!(parse_trace(&text).unwrap().complete, complete, "{text:?}");
+            }
         }
     }
 

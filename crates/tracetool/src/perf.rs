@@ -122,7 +122,7 @@ fn fmt_val(v: f64) -> String {
 
 /// Render the performance view of one trace.
 pub fn render(trace: &Trace) -> String {
-    let mut out = banner("perf");
+    let mut out = banner("perf", trace.complete);
 
     let by_series = trace.windows();
     if by_series.is_empty() {

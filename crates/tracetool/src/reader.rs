@@ -1,9 +1,7 @@
 //! The one reader of trace bytes.
 //!
-//! [`TraceReader`] is incremental — bytes in, [`Record`]s out — so the
-//! batch views ([`crate::parse_trace`]: feed everything, finish) and the
-//! follow-mode dashboard ([`crate::watch::Watcher`]: feed what the file
-//! grew by) parse the same way and fail the same way. Because it buffers
+//! [`TraceReader`] is incremental — bytes in, [`Record`]s out
+//! ([`crate::parse_trace`]: feed everything, finish). Because it buffers
 //! the line still arriving, the record stream is a function of the byte
 //! *sequence* alone: any chunking, even one that splits a multi-byte
 //! character, yields the same records.

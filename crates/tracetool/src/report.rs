@@ -8,10 +8,9 @@
 //! learning-path trace itself is byte-identical at every `PROTEUS_JOBS`
 //! value, so is the report.
 
-use crate::json::Writer;
 use crate::perf::SeriesAgg;
 use crate::spans::SpanForest;
-use crate::{banner, dfo, elide, section, Record, Trace};
+use crate::{banner, dfo, elide, json_head, section, Record, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -213,7 +212,7 @@ fn or_null(v: Option<impl ToString>) -> String {
 /// Render the report as text.
 pub fn plain(report: &Report) -> String {
     let Report { trace, spans, .. } = report;
-    let mut out = banner("report");
+    let mut out = banner("report", trace.complete);
     let (events, counters) = (trace.records.len(), trace.counters.len());
     let _ = writeln!(
         out,
@@ -242,8 +241,7 @@ pub fn plain(report: &Report) -> String {
 /// shortest-roundtrip encoding as the trace itself.
 pub fn json(report: &Report) -> String {
     let Report { trace, spans, .. } = report;
-    let mut w = Writer::default();
-    w.open('{').key("schema").raw(obs::SCHEMA_VERSION);
+    let mut w = json_head(trace.complete);
     w.key("records").raw(trace.records.len());
     w.key("spans").open('{').key("count").raw(spans.nodes.len());
     w.key("unclosed").raw(spans.unclosed());

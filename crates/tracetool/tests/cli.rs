@@ -1,7 +1,7 @@
-//! Exit-code contract of the `proteus-trace` binary (ISSUE 10 satellite):
-//! missing/unknown subcommands print the full usage block and exit 2,
-//! analysis failures exit 1, and `watch` distinguishes a completed trace
-//! (0) from a stalled one (1).
+//! Exit-code contract of the `proteus-trace` binary: missing/unknown
+//! subcommands print the full usage block and exit 2, analysis failures
+//! exit 1, and a trace without its trailer is a visible state — an
+//! `INCOMPLETE` line in the single-trace views, exit 1 from `perf-diff`.
 
 use std::process::Command;
 
@@ -36,7 +36,7 @@ fn no_subcommand_prints_usage_and_exits_2() {
     let out = bin().output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for sub in ["report", "diff", "perf", "perf-diff", "conflicts", "watch"] {
+    for sub in ["report", "diff", "perf", "perf-diff", "conflicts"] {
         assert!(
             stderr.contains(&format!("proteus-trace {sub} ")),
             "usage must list {sub}: {stderr}"
@@ -54,11 +54,16 @@ fn unknown_subcommand_names_itself_and_exits_2() {
         "{stderr}"
     );
     assert!(stderr.contains("usage:"), "{stderr}");
+    // `watch` was a subcommand once; now it is unknown like any other.
+    let out = bin().args(["watch", "t.jsonl"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown subcommand \"watch\"\nusage:"));
 }
 
 #[test]
 fn every_subcommand_rejects_missing_operands_with_2() {
-    for sub in ["report", "diff", "perf", "perf-diff", "conflicts", "watch"] {
+    for sub in ["report", "diff", "perf", "perf-diff", "conflicts"] {
         let out = bin().arg(sub).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{sub} without operands");
     }
@@ -76,80 +81,46 @@ fn unreadable_trace_exits_1() {
     }
 }
 
-#[test]
-fn watch_on_a_complete_trace_renders_frames_and_exits_0() {
-    let path = tmp("complete.jsonl", &complete_trace());
-    let out = bin()
-        .args(["watch", path.to_str().unwrap(), "--idle-timeout-ms", "5000"])
-        .output()
-        .unwrap();
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(out.status.code(), Some(0), "{:?}", out);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("frame 1  window 0  tick 8"), "{stdout}");
-    assert!(stdout.contains("kpi.x"), "{stdout}");
-}
+const WHOLE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/all_sections.jsonl"
+);
 
 #[test]
-fn watch_json_twin_is_one_object_per_frame() {
-    let path = tmp("json.jsonl", &complete_trace());
-    let out = bin()
-        .args([
-            "watch",
-            path.to_str().unwrap(),
-            "--json",
-            "--idle-timeout-ms",
-            "5000",
-        ])
-        .output()
-        .unwrap();
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.starts_with("{\"frame\":1,\"window\":0,\"tick\":8,"),
-        "{stdout}"
+fn a_trace_without_its_trailer_is_a_visible_state() {
+    // The fixture cut after line 60 of 100: the writer "died" before the
+    // counter dump and the `obs.overhead total` trailer.
+    let text = std::fs::read_to_string(WHOLE).unwrap();
+    let cut = tmp(
+        "cut.jsonl",
+        &text.split_inclusive('\n').take(60).collect::<String>(),
     );
-}
-
-#[test]
-fn watch_without_trailer_times_out_with_1() {
-    // Header + one window but no obs.overhead total: the writer "died".
-    let truncated: String = complete_trace()
-        .lines()
-        .filter(|l| !l.contains("obs.overhead"))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    let path = tmp("stalled.jsonl", &truncated);
-    let out = bin()
-        .args([
-            "watch",
-            path.to_str().unwrap(),
-            "--poll-ms",
-            "10",
-            "--idle-timeout-ms",
-            "200",
-        ])
-        .output()
-        .unwrap();
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(out.status.code(), Some(1), "{:?}", out);
-    assert!(String::from_utf8_lossy(&out.stderr).contains("trailer"));
-    // The open window is still flushed before exiting, so a truncated
-    // trace shows its last frame.
-    assert!(String::from_utf8_lossy(&out.stdout).contains("frame 1"));
-}
-
-#[test]
-fn watch_rejects_bad_schema_with_1() {
-    let path = tmp("schema.jsonl", "{\"kind\":\"trace.meta\",\"schema\":99}\n");
-    let out = bin()
-        .args(["watch", path.to_str().unwrap(), "--idle-timeout-ms", "5000"])
-        .output()
-        .unwrap();
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("schema"));
+    let cut = cut.to_str().unwrap();
+    let stdout = |args: &[&str]| {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    for view in ["report", "perf", "conflicts"] {
+        let text = stdout(&[view, cut]);
+        let under_banner = text.lines().nth(1).unwrap();
+        assert!(under_banner.starts_with("INCOMPLETE: no end-of-"), "{text}");
+        assert!(!stdout(&[view, WHOLE]).contains("INCOMPLETE"), "{view}");
+        if view != "perf" {
+            let json = stdout(&[view, cut, "--json"]);
+            assert!(json.starts_with("{\"schema\":4,\"incomplete\":true,"));
+            assert!(!stdout(&[view, WHOLE, "--json"]).contains("incomplete"));
+        }
+    }
+    // A run that died half-way must not pass the gate by absence.
+    for (a, b) in [(WHOLE, cut), (cut, WHOLE), (cut, cut)] {
+        let out = bin().args(["perf-diff", a, b]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.contains(&format!("{cut}: incomplete")), "{stderr}");
+    }
+    let _ = std::fs::remove_file(cut);
 }
 
 #[test]

@@ -8,7 +8,6 @@
 //! of the analyzer must reproduce them byte for byte.
 
 use std::process::Command;
-use tracetool::watch::{Mode, Watcher};
 
 fn path(rel: &str) -> String {
     format!("{}/tests/{rel}", env!("CARGO_MANIFEST_DIR"))
@@ -24,7 +23,7 @@ fn every_view_prints_its_golden_bytes() {
         path("fixtures/all_sections.jsonl"),
         path("fixtures/all_sections_drift.jsonl"),
     );
-    let cases: [(&str, &[&str], i32); 11] = [
+    let cases: [(&str, &[&str], i32); 9] = [
         ("report.txt", &["report", &a], 0),
         ("report.json", &["report", &a, "--json"], 0),
         ("perf.txt", &["perf", &a], 0),
@@ -34,8 +33,6 @@ fn every_view_prints_its_golden_bytes() {
         ("diff_drift.txt", &["diff", &a, &b], 1),
         ("conflicts.txt", &["conflicts", &a], 0),
         ("conflicts.json", &["conflicts", &a, "--json"], 0),
-        ("watch.txt", &["watch", &a], 0),
-        ("watch.json", &["watch", &a, "--json"], 0),
     ];
     for (golden, args, code) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_proteus-trace"))
@@ -48,23 +45,5 @@ fn every_view_prints_its_golden_bytes() {
             read(&format!("golden/{golden}")),
             "{golden} drifted"
         );
-    }
-}
-
-#[test]
-fn watcher_frames_do_not_depend_on_how_the_bytes_arrive() {
-    let trace = read("fixtures/all_sections.jsonl");
-    for (mode, golden) in [(Mode::Plain, "watch.txt"), (Mode::Json, "watch.json")] {
-        let want = read(&format!("golden/{golden}"));
-        for chunk in [1, 7, trace.len()] {
-            let mut watcher = Watcher::new(mode);
-            let mut frames = String::new();
-            for piece in trace.as_bytes().chunks(chunk) {
-                frames.extend(watcher.feed(piece).unwrap());
-            }
-            assert!(watcher.done(), "{golden}: trailer not seen");
-            frames.extend(watcher.finish());
-            assert_eq!(frames, want, "{golden} in {chunk}-byte chunks");
-        }
     }
 }
