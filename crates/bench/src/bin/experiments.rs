@@ -6,7 +6,6 @@
 //! experiments --quick all       # reduced corpus sizes (CI-friendly)
 //! experiments --jobs 4 fig5     # evaluation worker threads (or PROTEUS_JOBS)
 //! experiments --trace-out t.jsonl fig4   # JSONL telemetry trace
-//! experiments --metrics-out m.json fig4  # final metrics snapshot
 //! experiments --faults plan.json fig5    # seeded fault injection
 //! experiments bench-snapshot             # exact regression gate (see below)
 //! experiments vtime             # virtual-time scalability (byte-identical everywhere)
@@ -17,8 +16,7 @@
 //! in a fixed order (see the `parx` crate). With `--trace-out PATH` every
 //! adaptation-layer event — quiescence epochs, configuration switches,
 //! CUSUM alarms, EI steps, per-backend abort counters — is written to PATH
-//! as JSON Lines, and a human-readable summary is printed at the end of
-//! the run.
+//! as JSON Lines; `proteus-trace report|perf|conflicts PATH` reads it.
 //!
 //! `bench-snapshot` is special: it runs the fig4/fig5 quick pipelines
 //! traced, writes `BENCH_perf.json`, and gates against the checked-in
@@ -88,14 +86,14 @@ fn main() {
 
     // The perf gate manages its own in-memory traces and writes its own
     // snapshot file, so it must be the sole target and cannot be combined
-    // with the trace/metrics/faults plumbing below.
+    // with the trace/faults plumbing below.
     if opts.targets.iter().any(|t| t == "bench-snapshot") {
         // The other targets are its own flags and their values (e.g.
         // `--out x.json`); SnapshotArgs::parse rejects genuine strays.
-        if opts.trace_out.is_some() || opts.metrics_out.is_some() || opts.faults.is_some() {
+        if opts.trace_out.is_some() || opts.faults.is_some() {
             fail_usage(
                 "bench-snapshot runs its own in-memory traces; \
-                 --trace-out/--metrics-out/--faults do not apply",
+                 --trace-out/--faults do not apply",
             );
         }
         let mut rest = opts.targets.clone();
@@ -114,7 +112,7 @@ fn main() {
     if opts.targets.is_empty() {
         fail_usage(&format!(
             "usage: experiments [--quick] [--jobs N] [--trace-out PATH] \
-             [--metrics-out PATH] [--faults PLAN.json] \
+             [--faults PLAN.json] \
              <all | bench-snapshot | {} ...>",
             index.keys().cloned().collect::<Vec<_>>().join(" | ")
         ));
@@ -187,29 +185,11 @@ fn main() {
         }
         faultsim::uninstall();
     }
-    // Snapshot metrics *before* finish_trace deactivates the trace but
-    // after every experiment ran; instrumentation only records while a
-    // trace is active, so --metrics-out without --trace-out yields zeros.
-    if let Some(path) = &opts.metrics_out {
-        if !tracing {
-            eprintln!(
-                "warning: --metrics-out without --trace-out; metrics are \
-                 only recorded while a trace is active, so {} will hold zeros",
-                path.display()
-            );
-        }
-        if let Err(e) = std::fs::write(path, obs::summary::metrics_json()) {
-            eprintln!("cannot write metrics file {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        println!("\nmetrics written to {}", path.display());
-    }
     if tracing {
-        let report = obs::finish_trace();
-        println!();
-        print!("{}", obs::summary::render(&report));
+        let audit = obs::finish_trace().overhead;
         if let Some(path) = &opts.trace_out {
-            println!("trace written to {}", path.display());
+            let (path, n, b) = (path.display(), audit.events, audit.bytes);
+            println!("\ntrace written to {path} ({n} records, {b} bytes)");
         }
     }
 }

@@ -20,8 +20,6 @@ pub struct Options {
     pub jobs: Option<usize>,
     /// `--trace-out PATH`: JSONL telemetry trace.
     pub trace_out: Option<PathBuf>,
-    /// `--metrics-out PATH`: final metrics snapshot.
-    pub metrics_out: Option<PathBuf>,
     /// `--faults PLAN.json`: seeded fault plan.
     pub faults: Option<PathBuf>,
     /// Every argument no flag above claimed, in order: experiment names —
@@ -70,7 +68,6 @@ impl Options {
                 "--quick" if inline.is_none() => opts.quick = true,
                 "--jobs" => opts.jobs = Some(parse_jobs(value()?)?),
                 "--trace-out" => opts.trace_out = Some(PathBuf::from(value()?)),
-                "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value()?)),
                 "--faults" => opts.faults = Some(PathBuf::from(value()?)),
                 _ => opts.targets.push(a.clone()),
             }
@@ -116,15 +113,12 @@ mod tests {
             "--jobs",
             "2",
             "--trace-out=flag.jsonl",
-            "--metrics-out",
-            "flag.json",
             "--faults=flag-plan.json",
             "fig4",
         ]);
         let o = Options::parse_with(&args, env).unwrap();
         assert_eq!(o.jobs, Some(2), "flag beats PROTEUS_JOBS");
         assert_eq!(o.trace_out.as_deref(), Some("flag.jsonl".as_ref()));
-        assert_eq!(o.metrics_out.as_deref(), Some("flag.json".as_ref()));
         assert_eq!(o.faults.as_deref(), Some("flag-plan.json".as_ref()));
         assert_eq!(o.targets, vec!["fig4".to_string()]);
 
@@ -143,7 +137,7 @@ mod tests {
         let o = Options::parse_with(&s(&["--jobs", "3", "all"]), no_env).unwrap();
         assert_eq!(o.jobs, Some(3));
         assert_eq!(o.targets, vec!["all".to_string()]);
-        for flag in ["--jobs", "--trace-out", "--metrics-out", "--faults"] {
+        for flag in ["--jobs", "--trace-out", "--faults"] {
             let spaced = Options::parse_with(&s(&[flag, "3", "all"]), no_env).unwrap();
             let inline = Options::parse_with(&s(&[&format!("{flag}=3"), "all"]), no_env).unwrap();
             assert_eq!(spaced, inline, "{flag}");
@@ -158,7 +152,6 @@ mod tests {
         assert!(Options::parse_with(&s(&["--jobs", "0"]), no_env).is_err());
         assert!(Options::parse_with(&s(&["--jobs=none"]), no_env).is_err());
         assert!(Options::parse_with(&s(&["--trace-out"]), no_env).is_err());
-        assert!(Options::parse_with(&s(&["--metrics-out"]), no_env).is_err());
         assert!(Options::parse_with(&s(&["--faults"]), no_env).is_err());
     }
 
@@ -176,6 +169,8 @@ mod tests {
             &["--slo", "default", "fig4"][..],
             &["--slo=default", "fig4"],
             &["--health-out", "x", "fig4"],
+            &["--metrics-out", "x", "fig4"],
+            &["--metrics-out=x", "fig4"],
             &["--trace_out=x", "fig4"],
             &["--quick=1", "fig5"],
         ] {

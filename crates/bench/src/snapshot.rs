@@ -80,24 +80,20 @@ impl SnapshotArgs {
         let mut out = SnapshotArgs::default();
         let mut iter = args.iter();
         while let Some(a) = iter.next() {
-            let take = |iter: &mut std::slice::Iter<'_, String>, flag: &str| {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} expects a value"))
+            let (name, inline) = match a.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (a.as_str(), None),
             };
-            match a.as_str() {
-                "--out" => out.out = PathBuf::from(take(&mut iter, "--out")?),
-                "--baseline" => out.baseline = PathBuf::from(take(&mut iter, "--baseline")?),
-                "--update-baseline" => out.update_baseline = true,
-                other => {
-                    if let Some(v) = other.strip_prefix("--out=") {
-                        out.out = PathBuf::from(v);
-                    } else if let Some(v) = other.strip_prefix("--baseline=") {
-                        out.baseline = PathBuf::from(v);
-                    } else {
-                        return Err(format!("bench-snapshot: unknown argument {other:?}"));
-                    }
-                }
+            let mut value = || {
+                inline
+                    .or_else(|| iter.next().map(String::as_str))
+                    .ok_or_else(|| format!("{name} expects a value"))
+            };
+            match name {
+                "--out" => out.out = PathBuf::from(value()?),
+                "--baseline" => out.baseline = PathBuf::from(value()?),
+                "--update-baseline" if inline.is_none() => out.update_baseline = true,
+                _ => return Err(format!("bench-snapshot: unknown argument {a:?}")),
             }
         }
         Ok(out)
@@ -134,10 +130,6 @@ pub fn collect() -> Result<BTreeMap<String, Val>, String> {
         snap.insert(format!("{name}.obs.bytes"), Val::U(oh.bytes));
         snap.insert(format!("{name}.obs.spans"), Val::U(oh.spans));
         snap.insert(format!("{name}.obs.windows"), Val::U(oh.windows));
-        snap.insert(
-            format!("{name}.obs.histogram_updates"),
-            Val::U(oh.histogram_updates),
-        );
         for (series, points) in trace.windows() {
             let agg = tracetool::perf::SeriesAgg::of(points);
             let key = |field: &str| format!("{name}.series.{series}.{field}");
@@ -290,16 +282,17 @@ pub fn compare(
 }
 
 /// Compare a freshly collected section against its checked-in baseline
-/// file, if one exists.
+/// file; one that cannot be read fails the gate.
 fn gate_against_baseline(snap: &BTreeMap<String, Val>, baseline: &PathBuf) -> Result<bool, String> {
     let baseline_text = match std::fs::read_to_string(baseline) {
         Ok(t) => t,
         Err(e) => {
             println!(
-                "no baseline at {} ({e}); run with --update-baseline to record one",
+                "  FAIL  {}: no baseline ({e}; record one with --update-baseline)",
                 baseline.display()
             );
-            return Ok(true);
+            println!("perf gate: FAIL (nothing to compare against)");
+            return Ok(false);
         }
     };
     let base = parse(&baseline_text)
@@ -413,6 +406,9 @@ mod tests {
         let mut c = base();
         c.insert("fig5.obs.events".into(), Val::U(7));
         assert!(!compare(&c, &b).1, "new deterministic key not in baseline");
+        // A baseline file that is not there fails every key at once.
+        let nowhere = PathBuf::from("no-such-dir/BENCH_perf_baseline.json");
+        assert_eq!(gate_against_baseline(&b, &nowhere), Ok(false));
     }
 
     #[test]
@@ -461,6 +457,8 @@ mod tests {
         assert_eq!(a.out, PathBuf::from("x.json"));
         assert_eq!(a.baseline, PathBuf::from("y.json"));
         assert!(!a.update_baseline);
+        let b = SnapshotArgs::parse(&["--out=x.json".into(), "--baseline".into(), "y.json".into()]);
+        assert_eq!(b, Ok(a), "`--x V` and `--x=V` parse alike");
         assert!(SnapshotArgs::parse(&["--noise".into(), "0.2".into()])
             .unwrap_err()
             .contains("unknown argument"));

@@ -9,16 +9,25 @@
 
 #![cfg(feature = "telemetry")]
 
-fn fig4_trace(jobs: usize) -> String {
-    let (_, bytes) = obs::capture_trace(|| parx::with_jobs(jobs, || bench::fig4::run_with(24)));
-    String::from_utf8(bytes).expect("trace is UTF-8 JSONL")
+/// One fig4 run's trace, and its counters read inside the capture (where
+/// no sibling test can bump the process-global registry).
+fn fig4_trace(jobs: usize) -> (String, Vec<(String, u64)>) {
+    let (counters, bytes) = obs::capture_trace(|| {
+        parx::with_jobs(jobs, || bench::fig4::run_with(24));
+        obs::metrics::counter_snapshot()
+    });
+    let text = String::from_utf8(bytes).expect("trace is UTF-8 JSONL");
+    (text, counters)
 }
 
 #[test]
 fn fig4_report_is_byte_identical_across_job_counts_and_runs() {
-    let serial = fig4_trace(1);
-    let parallel = fig4_trace(4);
-    let again = fig4_trace(4);
+    let (serial, counters) = fig4_trace(1);
+    let (parallel, counters4) = fig4_trace(4);
+    let (again, _) = fig4_trace(4);
+    assert!(!counters.is_empty(), "a traced fig4 bumps counters");
+    assert_eq!(counters, fig4_trace(2).1, "counters differ at jobs=2");
+    assert_eq!(counters, counters4, "counters differ at jobs=4");
 
     let report = |text: &str| {
         let trace = tracetool::parse_trace(text).expect("fig4 trace parses");
@@ -47,8 +56,8 @@ fn fig4_report_is_byte_identical_across_job_counts_and_runs() {
 
 #[test]
 fn fig4_traces_diff_clean_across_job_counts() {
-    let a = tracetool::parse_trace(&fig4_trace(1)).unwrap();
-    let b = tracetool::parse_trace(&fig4_trace(4)).unwrap();
+    let a = tracetool::parse_trace(&fig4_trace(1).0).unwrap();
+    let b = tracetool::parse_trace(&fig4_trace(4).0).unwrap();
     let (text, identical) = tracetool::diff::render(&a, &b);
     assert!(identical, "fig4 traces must diff clean:\n{text}");
     assert!(text.contains("structurally identical"));
@@ -69,7 +78,7 @@ fn analyzer_rejects_schema_drift_loudly() {
     );
 
     // And a real captured trace must carry the current schema header.
-    let trace = fig4_trace(1);
+    let (trace, _) = fig4_trace(1);
     assert!(
         trace.starts_with(&format!(
             "{{\"kind\":\"trace.meta\",\"schema\":{}}}",

@@ -44,21 +44,8 @@ impl HybridNOrec {
     }
 }
 
-/// Cached handle for the software-fallback commit-latency histogram of
-/// `backend`. Worker threads must not emit trace records (DESIGN.md §7,
-/// rule 1), so the cost of running commits in software is profiled as a
-/// histogram; the `OnceLock` keeps registry locking off the commit path.
-fn fallback_commit_ns(
-    cell: &'static OnceLock<&'static obs::Histogram>,
-    backend: &str,
-) -> &'static obs::Histogram {
-    cell.get_or_init(|| obs::histogram(&format!("htm.fallback_commit.{backend}_ns")))
-}
-
-static NOREC_FALLBACK_NS: OnceLock<&'static obs::Histogram> = OnceLock::new();
-static TL2_FALLBACK_NS: OnceLock<&'static obs::Histogram> = OnceLock::new();
-
-/// Cached handle for the matching flight-recorder time-series. Workers may
+/// Cached handle for `backend`'s fallback-commit latency time-series (the
+/// `OnceLock` keeps registry locking off the commit path). Workers may
 /// *record* samples (the series is drained and emitted from the serial
 /// driver on the next window flush) but must never tick or emit here.
 fn fallback_commit_series(
@@ -124,7 +111,6 @@ impl TmBackend for HybridNOrec {
             let out = self.norec.commit(ctx);
             if let (Some(t0), Ok(())) = (t0, &out) {
                 let ns = t0.elapsed().as_nanos() as u64;
-                fallback_commit_ns(&NOREC_FALLBACK_NS, "hybrid-norec").record(ns);
                 fallback_commit_series(&NOREC_FALLBACK_TS, "hybrid-norec").record(ns as f64);
             }
             return out;
@@ -337,7 +323,6 @@ impl TmBackend for HybridTl2 {
             let out = self.tl2.commit(ctx);
             if let (Some(t0), Ok(())) = (t0, &out) {
                 let ns = t0.elapsed().as_nanos() as u64;
-                fallback_commit_ns(&TL2_FALLBACK_NS, "hybrid-tl2").record(ns);
                 fallback_commit_series(&TL2_FALLBACK_TS, "hybrid-tl2").record(ns as f64);
             }
             return out;

@@ -7,14 +7,12 @@
 //!
 //! * **Events** ([`Event`]): structured records with a monotonic *logical*
 //!   sequence number, a kind from a small stable taxonomy (DESIGN.md §7)
-//!   and typed fields. Events flow to an optional JSONL sink (one object
-//!   per line) and to a bounded [`EventRing`] holding the most recent
-//!   events for post-mortem inspection.
+//!   and typed fields. Events flow to a JSONL sink, one object per line.
+//!   That trace is the one record of a run; `proteus-trace` reads it.
 //! * **Metrics** ([`metrics`]): a process-wide registry of named counters,
-//!   gauges and fixed-bucket latency histograms. Counters on the
-//!   deterministic learning path hold logically deterministic values;
-//!   anything wall-clock lives in gauges/histograms, which never enter the
-//!   JSONL stream.
+//!   dumped at the end of the trace. Counters on the deterministic
+//!   learning path hold logically deterministic values; wall-clock
+//!   durations are not recorded (`benchmark/` measures them).
 //! * **Determinism**: traces captured around the learning pipeline are
 //!   byte-identical at every `PROTEUS_JOBS` value because events are only
 //!   emitted from serial driver code, sequence numbers are logical, and no
@@ -43,22 +41,18 @@
 
 mod event;
 pub mod metrics;
-mod ring;
 mod span;
-pub mod summary;
 mod timeseries;
 mod trace;
 
 pub use event::{encode_str, Event, PendingEvent, Value};
-pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
-pub use ring::EventRing;
+pub use metrics::{counter, Counter};
 pub use span::Span;
 pub use timeseries::{TsSeries, TICKS_PER_WINDOW};
 pub use trace::{
-    capture_trace, emit, emit_pending, exemplar, exemplar_snapshot, finish_trace,
-    overhead_snapshot, recent_events, recorder_health, span_begin_detached, span_end_detached,
-    start_trace_file, start_trace_memory, ts_tick, Exemplar, OverheadSnapshot, RecorderHealth,
-    TraceReport, METRICS_WINDOW, SPAN_BEGIN, SPAN_END,
+    capture_trace, emit, emit_pending, finish_trace, span_begin_detached, span_end_detached,
+    start_trace_file, start_trace_memory, ts_tick, OverheadSnapshot, TraceReport, METRICS_WINDOW,
+    SPAN_BEGIN, SPAN_END,
 };
 
 /// Version of the JSONL trace schema, written as the
@@ -72,7 +66,8 @@ pub use trace::{
 /// windowed time-series (`metrics.window`) + self-overhead audit
 /// (`obs.overhead`) records; 4 = three SLO-evaluation kinds and an
 /// `alerts` field, since retired without a bump (a removal is none of
-/// the above; DESIGN.md §13). Analyzers accept exactly this version:
+/// the above; DESIGN.md §13), as was the fifth count of the
+/// `obs.overhead` total (DESIGN.md §7). Analyzers accept exactly this version:
 /// emitter and analyzer ship from one tree, so a trace with any other
 /// header is skew and is rejected.
 pub const SCHEMA_VERSION: u32 = 4;

@@ -5,8 +5,8 @@
 //! fold). Span records obey the same determinism discipline as events:
 //! ids, parent links and sequence numbers are all *logical*, assigned
 //! under the trace lock at emission (or replay) time, so traces stay
-//! byte-identical across `--jobs` values. Wall-clock duration goes to a
-//! `span.<name>_ns` histogram, which never enters the JSONL stream; only
+//! byte-identical across `--jobs` values. Wall-clock duration is not
+//! recorded (`benchmark/` is where time is measured); only
 //! [`Span::timed`] spans — reserved for serial-protocol paths whose
 //! timing is part of the observable protocol, like a configuration
 //! switch — carry a `duration_ns` field on their end record (DESIGN.md
@@ -24,7 +24,7 @@ use crate::trace;
 use std::time::Instant;
 
 /// RAII guard for a scoped span: emits `span.begin` on construction and
-/// `span.end` (plus a `span.<name>_ns` histogram sample) on drop.
+/// `span.end` on drop.
 ///
 /// Construct via [`crate::span!`] / [`crate::timed_span!`], which guard
 /// field evaluation behind [`crate::enabled`]. An inactive guard (no
@@ -106,9 +106,6 @@ impl Drop for Span {
             fields.push(("duration_ns", Value::U64(elapsed)));
         }
         trace::emit(trace::SPAN_END, fields);
-        if crate::enabled() {
-            crate::metrics::histogram(&format!("span.{}_ns", self.name)).record(elapsed);
-        }
     }
 }
 
@@ -117,7 +114,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn guard_emits_paired_records_and_histogram() {
+    fn guard_emits_paired_records() {
         let ((), bytes) = crate::capture_trace(|| {
             let outer = Span::enter("test.outer", vec![("k", Value::from(1u64))]);
             {

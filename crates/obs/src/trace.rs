@@ -1,7 +1,7 @@
 //! Trace lifecycle: start/finish a JSONL trace, emit events into it.
 //!
 //! One trace can be active per process. Starting a trace zeroes the
-//! metrics registry, the global [`EventRing`] and the logical sequence
+//! metrics registry and the logical sequence
 //! counter, so every captured stream is self-contained and starts at
 //! `seq == 0` — a precondition for the byte-identity determinism tests.
 //!
@@ -13,17 +13,13 @@
 
 use crate::event::{Event, PendingEvent, Value};
 use crate::metrics;
-use crate::ring::EventRing;
 use crate::timeseries;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// How many recent events the global ring retains for `recent_events`.
-const RING_CAPACITY: usize = 4096;
+use std::sync::{Mutex, MutexGuard};
 
 enum Sink {
     File(BufWriter<File>),
@@ -34,7 +30,6 @@ struct TraceState {
     sink: Sink,
     seq: u64,
     events: u64,
-    by_kind: BTreeMap<&'static str, u64>,
     /// Next span id to hand out (ids are 1-based; 0 means "no span").
     span_next: u64,
     /// Ids of the currently open *scoped* spans, innermost last. Detached
@@ -50,17 +45,6 @@ struct TraceState {
     spans: u64,
     /// `metrics.window` records emitted.
     windows: u64,
-    /// Seed-deterministic reservoir of notable (slow/aborted/clamped)
-    /// transaction exemplars. Never enters the JSONL stream; surfaced via
-    /// [`TraceReport`] and the metrics snapshot.
-    exemplars: Reservoir,
-    /// Flight-recorder health: non-empty window flushes so far.
-    windows_flushed: u64,
-    /// Flight-recorder health: tick of the most recent window flush.
-    last_window_tick: u64,
-    /// Flight-recorder health: every series name that appeared in a
-    /// flushed window.
-    window_series: std::collections::BTreeSet<String>,
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -69,11 +53,6 @@ static STATE: Mutex<Option<TraceState>> = Mutex::new(None);
 // concurrent tests in one binary can't interleave events into each
 // other's captured streams.
 static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
-
-fn ring() -> &'static EventRing {
-    static RING: OnceLock<EventRing> = OnceLock::new();
-    RING.get_or_init(|| EventRing::new(RING_CAPACITY))
-}
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
@@ -130,20 +109,6 @@ fn flush_windows(tick: u64) {
         return;
     }
     let window = timeseries::next_window_index();
-    {
-        // Recorder-health bookkeeping, under its own short STATE section
-        // (emit re-locks per record — never hold STATE across it).
-        let mut state = lock(&STATE);
-        if let Some(state) = state.as_mut() {
-            state.windows_flushed += 1;
-            state.last_window_tick = tick;
-            for (name, _) in &drained {
-                if !state.window_series.contains(name) {
-                    state.window_series.insert(name.clone());
-                }
-            }
-        }
-    }
     for (name, agg) in &drained {
         emit(
             METRICS_WINDOW,
@@ -264,7 +229,6 @@ fn emit_locked(state: &mut TraceState, kind: &'static str, fields: Vec<(&'static
     };
     state.seq += 1;
     state.events += 1;
-    *state.by_kind.entry(kind).or_insert(0) += 1;
     if kind == SPAN_BEGIN {
         state.spans += 1;
     } else if kind == METRICS_WINDOW {
@@ -277,7 +241,6 @@ fn emit_locked(state: &mut TraceState, kind: &'static str, fields: Vec<(&'static
     sub.0 += 1;
     sub.1 += line_bytes;
     write_line(&mut state.sink, &json);
-    ring().push(event);
 }
 
 /// Replay events that were buffered off the serial path (see
@@ -321,7 +284,6 @@ fn start(sink: Sink) {
     let mut state = lock(&STATE);
     metrics::reset();
     timeseries::reset_all();
-    ring().reset();
     let mut sink = sink;
     // Schema header: always the first line of a telemetry-enabled trace,
     // outside the event sequence (no seq number, not counted in the
@@ -341,17 +303,12 @@ fn start(sink: Sink) {
         sink,
         seq: 0,
         events: 0,
-        by_kind: BTreeMap::new(),
         span_next: 1,
         span_stack: Vec::new(),
         bytes: 0,
         subsystems: BTreeMap::new(),
         spans: 0,
         windows: 0,
-        exemplars: Reservoir::new(),
-        windows_flushed: 0,
-        last_window_tick: 0,
-        window_series: std::collections::BTreeSet::new(),
     });
     ACTIVE.store(true, Ordering::Relaxed);
 }
@@ -369,100 +326,6 @@ pub fn start_trace_memory() {
     start(Sink::Memory(Vec::new()));
 }
 
-/// A reservoir-sampled transaction exemplar: one notable (slow, aborted,
-/// clamped, serialized...) observation kept for post-mortem context.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Exemplar {
-    /// What made it notable (`"monitor.clamp"`, `"tx.serial_escape"`, ...).
-    pub label: &'static str,
-    /// Free-form context (config name, workload, ...).
-    pub detail: String,
-    /// The observation (KPI value, retry count, ...).
-    pub value: f64,
-    /// Sequence number the trace was at when the exemplar was offered — a
-    /// position hint into the JSONL stream.
-    pub seq: u64,
-}
-
-/// How many exemplars the per-trace reservoir retains.
-const EXEMPLAR_CAPACITY: usize = 8;
-
-/// Fixed xorshift64* seed: the reservoir resets to it at every trace
-/// start, so the kept set is a pure function of the offer sequence.
-const EXEMPLAR_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Algorithm-R reservoir with a seed-deterministic RNG.
-#[derive(Debug)]
-struct Reservoir {
-    seen: u64,
-    rng: u64,
-    slots: Vec<Exemplar>,
-}
-
-impl Reservoir {
-    fn new() -> Reservoir {
-        Reservoir {
-            seen: 0,
-            rng: EXEMPLAR_SEED,
-            slots: Vec::new(),
-        }
-    }
-
-    fn next(&mut self) -> u64 {
-        // xorshift64*: fine for sampling, fully deterministic.
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn offer(&mut self, e: Exemplar) {
-        self.seen += 1;
-        if self.slots.len() < EXEMPLAR_CAPACITY {
-            self.slots.push(e);
-        } else {
-            let j = self.next() % self.seen;
-            if (j as usize) < EXEMPLAR_CAPACITY {
-                self.slots[j as usize] = e;
-            }
-        }
-    }
-}
-
-/// Offer a notable observation to the active trace's exemplar reservoir.
-/// No-op without an active trace. Guard call sites with
-/// [`crate::enabled`] so `detail` is not built for nothing.
-///
-/// Exemplars never enter the JSONL stream — they surface in
-/// [`TraceReport::exemplars`], `obs::summary::render` and the metrics
-/// snapshot. Offers from serial driver code are deterministic; offers
-/// from concurrent paths (e.g. the serial-irrevocable escape) are
-/// best-effort and stay off the byte-compared learning path.
-pub fn exemplar(label: &'static str, detail: String, value: f64) {
-    let mut state = lock(&STATE);
-    let Some(state) = state.as_mut() else {
-        return;
-    };
-    let seq = state.seq;
-    state.exemplars.offer(Exemplar {
-        label,
-        detail,
-        value,
-        seq,
-    });
-}
-
-/// Exemplars currently held by the active trace's reservoir (empty when no
-/// trace is active).
-pub fn exemplar_snapshot() -> Vec<Exemplar> {
-    lock(&STATE)
-        .as_ref()
-        .map(|s| s.exemplars.slots.clone())
-        .unwrap_or_default()
-}
-
 /// Instrumentation self-overhead: what the observability layer itself
 /// cost, counted at the emit path (DESIGN.md §7). Covers every record
 /// written through the event path plus the counter dump; the one-line
@@ -478,8 +341,6 @@ pub struct OverheadSnapshot {
     pub spans: u64,
     /// `metrics.window` records among them.
     pub windows: u64,
-    /// Histogram observations recorded since the trace started.
-    pub histogram_updates: u64,
     /// `(subsystem, events, bytes)` rows, sorted by subsystem — the kind
     /// prefix before the first `.`.
     pub per_subsystem: Vec<(String, u64, u64)>,
@@ -491,7 +352,6 @@ fn overhead_of(state: &TraceState) -> OverheadSnapshot {
         bytes: state.bytes,
         spans: state.spans,
         windows: state.windows,
-        histogram_updates: metrics::histogram_update_total(),
         per_subsystem: state
             .subsystems
             .iter()
@@ -500,74 +360,15 @@ fn overhead_of(state: &TraceState) -> OverheadSnapshot {
     }
 }
 
-/// Live overhead accounting for the active trace (zeros when none is
-/// active). The metrics snapshot (`obs::summary::metrics_json`) embeds
-/// this, which is why it exists separately from [`TraceReport`].
-pub fn overhead_snapshot() -> OverheadSnapshot {
-    lock(&STATE).as_ref().map(overhead_of).unwrap_or_default()
-}
-
-/// Flight-recorder health: did the windowed KPI layer actually run, and
-/// how far did it get? A trace whose run sampled KPIs but shows zero
-/// windows (or a stale `last_window_tick`) was silently truncated —
-/// exactly the failure the summary surfaces this for.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecorderHealth {
-    /// Non-empty window flushes (each may carry several series records).
-    pub windows: u64,
-    /// Sample tick of the most recent flush (0 when none happened).
-    pub last_window_tick: u64,
-    /// Distinct series that appeared in at least one flushed window.
-    pub series: u64,
-}
-
-fn recorder_of(state: &TraceState) -> RecorderHealth {
-    RecorderHealth {
-        windows: state.windows_flushed,
-        last_window_tick: state.last_window_tick,
-        series: state.window_series.len() as u64,
-    }
-}
-
-/// Live flight-recorder health for the active trace (zeros when none is
-/// active). Embedded in the metrics snapshot and the end-of-trace
-/// summary.
-pub fn recorder_health() -> RecorderHealth {
-    lock(&STATE).as_ref().map(recorder_of).unwrap_or_default()
-}
-
 /// End-of-trace accounting returned by [`finish_trace`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceReport {
     /// Total events emitted (excluding the trailing counter dump).
     pub events: u64,
-    /// Events per kind, sorted by kind.
-    pub by_kind: Vec<(&'static str, u64)>,
-    /// Events dropped by the bounded ring (the JSONL stream itself never
-    /// drops).
-    pub dropped: u64,
     /// The JSONL bytes, for memory-sink traces only.
     pub bytes: Option<Vec<u8>>,
     /// Instrumentation self-overhead accounting.
     pub overhead: OverheadSnapshot,
-    /// The exemplar reservoir at end of trace.
-    pub exemplars: Vec<Exemplar>,
-    /// Flight-recorder health (windows flushed, last tick, series seen).
-    pub recorder: RecorderHealth,
-}
-
-impl TraceReport {
-    fn empty() -> TraceReport {
-        TraceReport {
-            events: 0,
-            by_kind: Vec::new(),
-            dropped: 0,
-            bytes: None,
-            overhead: OverheadSnapshot::default(),
-            exemplars: Vec::new(),
-            recorder: RecorderHealth::default(),
-        }
-    }
 }
 
 fn end(dump_counters: bool) -> TraceReport {
@@ -577,7 +378,7 @@ fn end(dump_counters: bool) -> TraceReport {
     ACTIVE.store(false, Ordering::Relaxed);
     let taken = lock(&STATE).take();
     let Some(mut state) = taken else {
-        return TraceReport::empty();
+        return TraceReport::default();
     };
     let mut dump_lines = 0u64;
     if dump_counters {
@@ -627,13 +428,11 @@ fn end(dump_counters: bool) -> TraceReport {
                 ("bytes", Value::U64(overhead.bytes)),
                 ("spans", Value::U64(overhead.spans)),
                 ("windows", Value::U64(overhead.windows)),
-                ("histogram_updates", Value::U64(overhead.histogram_updates)),
             ],
         };
         state.seq += 1;
         write_line(&mut state.sink, &total.to_json());
     }
-    let recorder = recorder_of(&state);
     let bytes = match state.sink {
         Sink::File(mut w) => {
             let _ = w.flush();
@@ -643,12 +442,8 @@ fn end(dump_counters: bool) -> TraceReport {
     };
     TraceReport {
         events: state.events,
-        by_kind: state.by_kind.into_iter().collect(),
-        dropped: ring().dropped(),
         bytes,
         overhead,
-        exemplars: state.exemplars.slots,
-        recorder,
     }
 }
 
@@ -657,12 +452,6 @@ fn end(dump_counters: bool) -> TraceReport {
 /// return the accounting. No-op (empty report) when no trace is active.
 pub fn finish_trace() -> TraceReport {
     end(true)
-}
-
-/// Most recent events still buffered in the global ring (oldest first).
-/// Draining: a second call returns only events emitted in between.
-pub fn recent_events() -> Vec<Event> {
-    ring().drain()
 }
 
 #[cfg(test)]
@@ -810,7 +599,6 @@ mod tests {
         emit("test.finish", vec![]);
         let report = finish_trace();
         assert_eq!(report.events, 1);
-        assert_eq!(report.by_kind, vec![("test.finish", 1)]);
         let text = String::from_utf8(report.bytes.unwrap()).unwrap();
         assert!(
             text.contains("\"kind\":\"counter\",\"name\":\"test.trace.finish\",\"value\":1"),
@@ -841,16 +629,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"kind\":\"test.file\""));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn ring_retains_recent_events() {
-        let (_, _) = capture_trace(|| {
-            emit("test.ring", vec![]);
-        });
-        // The ring is global and drained by whoever asks; all we can
-        // assert under concurrent tests is that draining works.
-        let _ = recent_events();
     }
 
     #[test]
@@ -905,8 +683,8 @@ mod tests {
         // Without an active trace, sampling and ticking are no-ops...
         crate::ts_record("test.ts.orphan", 9.0);
         ts_tick();
-        assert_eq!(overhead_snapshot(), OverheadSnapshot::default());
-        assert!(exemplar_snapshot().is_empty());
+        let report = finish_trace();
+        assert_eq!(report.overhead, OverheadSnapshot::default());
         // ...and nothing leaks into the next trace.
         drop(_serial);
         let ((), bytes) = capture_trace(|| {});
@@ -922,10 +700,6 @@ mod tests {
         emit("test.oh.alpha", vec![("x", Value::U64(1))]);
         emit("quiesce.fake", vec![]);
         crate::metrics::counter("test.oh.counter").inc();
-        crate::metrics::histogram("test.oh.hist").record(500);
-        let live = overhead_snapshot();
-        assert_eq!(live.events, 2);
-        assert_eq!(live.histogram_updates, 1);
         let report = finish_trace();
         let text = String::from_utf8(report.bytes.unwrap()).unwrap();
         // Bytes cover every line except the header and the obs.overhead
@@ -947,28 +721,22 @@ mod tests {
         assert_eq!(subs, vec!["counter", "quiesce", "test"]);
         // The audit rides in the finished stream.
         assert!(text.contains("\"kind\":\"obs.overhead\",\"subsystem\":\"quiesce\""));
-        assert!(text.contains("\"subsystem\":\"total\""));
-        assert!(text.contains("\"histogram_updates\":1"));
+        // The total record carries exactly these five fields.
+        let total =
+            format!("\"total\",\"events\":3,\"bytes\":{accounted},\"spans\":0,\"windows\":0}}");
+        assert!(text.trim_end().ends_with(&total), "in: {text}");
     }
 
     #[test]
-    fn exemplar_reservoir_is_seed_deterministic() {
-        let run = || {
-            for i in 0..100u64 {
-                exemplar("test.slow", format!("tx-{i}"), i as f64);
-            }
-            exemplar_snapshot()
-        };
-        let (a, _) = capture_trace(run);
-        let (b, _) = capture_trace(run);
-        assert_eq!(a, b, "same offers, same kept set");
-        assert_eq!(a.len(), EXEMPLAR_CAPACITY);
-        // Reservoir property: later offers displace earlier ones sometimes.
-        assert!(a.iter().any(|e| e.value >= EXEMPLAR_CAPACITY as f64));
-        // Exemplars never enter the JSONL stream.
-        let ((), bytes) = capture_trace(|| {
-            exemplar("test.slow", "tx".to_string(), 1.0);
+    fn spans_leave_the_counters_alone() {
+        let ((before, after), _) = capture_trace(|| {
+            crate::metrics::counter("test.span.registry").inc();
+            let before = crate::metrics::counter_snapshot();
+            drop(crate::Span::enter("test.reg.scoped", vec![]));
+            drop(crate::Span::timed("test.reg.timed", vec![]));
+            span_end_detached(span_begin_detached(vec![]), vec![]);
+            (before, crate::metrics::counter_snapshot())
         });
-        assert!(!String::from_utf8(bytes).unwrap().contains("test.slow"));
+        assert_eq!(before, after, "a span must not bump any counter");
     }
 }

@@ -111,22 +111,13 @@ where
     // Telemetry: counters are recorded *before* the serial/parallel branch
     // so their values are identical at every job count (they are dumped
     // into deterministic traces); the worker count and wall-clock duration
-    // are job-count-dependent by nature and live in a gauge/histogram,
-    // which never enter the JSONL stream.
-    let started = if obs::enabled() {
+    // are job-count-dependent by nature and are not recorded.
+    if obs::enabled() {
         obs::counter("parx.maps").inc();
         obs::counter("parx.tasks").add(n as u64);
-        obs::gauge("parx.workers").set(workers as f64);
-        Some(std::time::Instant::now())
-    } else {
-        None
-    };
+    }
     if workers <= 1 {
-        let out = (0..n).map(f).collect();
-        if let Some(t0) = started {
-            obs::histogram("parx.map_ns").record(t0.elapsed().as_nanos() as u64);
-        }
-        return out;
+        return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let mut out: Vec<Option<U>> = Vec::with_capacity(n);
@@ -159,9 +150,6 @@ where
             }
         }
     });
-    if let Some(t0) = started {
-        obs::histogram("parx.map_ns").record(t0.elapsed().as_nanos() as u64);
-    }
     out.into_iter()
         .map(|slot| slot.expect("every index produced"))
         .collect()

@@ -79,8 +79,6 @@ impl KpiProbe {
                 "aborts" => delta.total_aborts(),
                 "threads" => active_threads,
             );
-            obs::gauge("polytm.kpi.throughput").set(throughput);
-            obs::gauge("polytm.kpi.abort_rate").set(delta.abort_rate());
             // Flight recorder: the probe is sampled from the serial
             // monitoring loop, so it doubles as the KPI sample tick
             // (DESIGN.md §7). Throughput is wall-clock-derived, which is
@@ -101,7 +99,7 @@ impl KpiProbe {
             }
             // Conflict observatory (DESIGN.md §12): per-cause abort
             // breakdown, wasted work and goodput over the same window, and
-            // the hottest stripes as gauges for the end-of-run summary.
+            // the hottest stripe.
             for code in AbortCode::ALL {
                 let n = delta.aborts_of(code);
                 if n > 0 {
@@ -114,11 +112,6 @@ impl KpiProbe {
             if let Some(&(stripe, _)) = top.first() {
                 obs::ts_record("conflict.stripe_topk", stripe as f64);
             }
-            for (i, &(stripe, count)) in top.iter().enumerate() {
-                obs::gauge(&format!("conflict.top_stripe.{}", i + 1)).set(stripe as f64);
-                obs::gauge(&format!("conflict.top_stripe.{}.count", i + 1)).set(count as f64);
-            }
-            obs::gauge("conflict.goodput_ratio").set(delta.goodput_ratio());
             obs::ts_tick();
         }
         WindowKpis {

@@ -473,18 +473,9 @@ impl PolyTm {
         // lock. Holding `reconfig` excludes further switches for the whole
         // serial window.
         let _adapter = self.reconfig.lock();
-        let nth = self.serial_escapes.fetch_add(1, Ordering::Relaxed) + 1;
+        self.serial_escapes.fetch_add(1, Ordering::Relaxed);
         if obs::enabled() {
             obs::counter("polytm.serial_escapes").inc();
-            // Serial escapes are rare and worth a closer look in the
-            // summary. Offers are serialized by `reconfig` but their order
-            // depends on scheduling, so this is best-effort diagnostics;
-            // the deterministic fig4/fig5 pipelines never reach this path.
-            obs::exemplar(
-                "tx.serial_escape",
-                format!("slot={} escape={nth}", worker.slot),
-                nth as f64,
-            );
         }
         let mut drained = Vec::new();
         for t in 0..self.max_threads {
@@ -689,7 +680,6 @@ impl PolyTm {
                 "quiesced" => switch_algo,
                 "latency_ns" => latency.as_nanos() as u64,
             );
-            obs::histogram("polytm.switch_ns").record(latency.as_nanos() as u64);
             // Flight recorder: the switch protocol is serial under
             // `reconfig`, so wall-clock latency is admissible here (rule 3).
             obs::ts_record("switch.latency_ns", latency.as_nanos() as f64);

@@ -137,9 +137,7 @@ impl Controller {
     pub fn optimize(&self, sample: &mut dyn FnMut(usize) -> f64) -> Exploration {
         // Telemetry is *buffered*, never emitted, in this function: it runs
         // inside parx workers (Figs. 5/7), and only serial replay of the
-        // buffer keeps the trace deterministic (DESIGN.md §7, rule 1). The
-        // wall-clock reading feeds a histogram only — never the buffer.
-        let started = obs::enabled().then(std::time::Instant::now);
+        // buffer keeps the trace deterministic (DESIGN.md §7, rule 1).
         let mut trace: Vec<obs::PendingEvent> = Vec::new();
         let mut known: Row = vec![None; self.ncols];
         let mut explored: Vec<(usize, f64)> = Vec::new();
@@ -357,12 +355,6 @@ impl Controller {
                 (self.first_config(), f64::NAN)
             });
         if obs::enabled() {
-            // Recommendation latency is wall-clock and job-count-dependent,
-            // so it goes to the histogram only — never into the event
-            // buffer, which ends up in the deterministic JSONL stream.
-            if let Some(t0) = started {
-                obs::histogram("rectm.recommend_ns").record(t0.elapsed().as_nanos() as u64);
-            }
             obs::counter("rectm.recommendations").inc();
             trace.push(obs::pending_event!(
                 "recommend",

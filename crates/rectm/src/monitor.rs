@@ -165,9 +165,6 @@ impl Monitor {
                     "clamp" => s.clamp_z,
                     "seen" => self.seen,
                 );
-                // Keep a few raw outliers for the summary: the stream only
-                // shows the winsorized value, the exemplar keeps the z.
-                obs::exemplar("kpi.winsorized", format!("z={z:.3} seen={}", self.seen), x);
             }
             z = z.signum() * s.clamp_z;
         }

@@ -201,14 +201,12 @@ pub fn render(trace: &Trace) -> String {
         let _ = writeln!(out, "obs.overhead audit:");
         for r in &audits {
             let sub = r.str("subsystem").unwrap_or("?");
-            let [events, bytes, spans, windows, updates] =
-                ["events", "bytes", "spans", "windows", "histogram_updates"]
-                    .map(|key| r.u64(key).unwrap_or(0));
+            let [events, bytes, spans, windows] =
+                ["events", "bytes", "spans", "windows"].map(|key| r.u64(key).unwrap_or(0));
             if sub == "total" {
                 let _ = writeln!(
                     out,
-                    "  total: {events} records, {bytes} bytes, {spans} spans, {windows} windows, \
-                     {updates} histogram updates"
+                    "  total: {events} records, {bytes} bytes, {spans} spans, {windows} windows"
                 );
             } else {
                 let _ = writeln!(out, "  {sub:<28} events={events:<8} bytes={bytes}");

@@ -296,7 +296,7 @@ pub fn json(report: &Report) -> String {
         None => w.raw("null"),
         Some(r) => {
             w.open('{');
-            for key in ["events", "bytes", "spans", "windows", "histogram_updates"] {
+            for key in ["events", "bytes", "spans", "windows"] {
                 w.key(key).raw(r.u64(key).unwrap_or(0));
             }
             w.close('}')

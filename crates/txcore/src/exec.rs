@@ -23,11 +23,6 @@ pub(crate) struct TxCounters {
     commit: &'static obs::Counter,
     commit_fallback: &'static obs::Counter,
     aborts: [&'static obs::Counter; AbortCode::ALL.len()],
-    /// Wall-clock of *retried* transactions' ladders (first attempt →
-    /// resolution). Worker threads must never emit span records (DESIGN.md
-    /// §7, rule 1), so the per-transaction retry ladder is profiled as a
-    /// histogram instead — histograms never enter the JSONL stream.
-    ladder: &'static obs::Histogram,
     /// Ladders that ran out of budget (the caller's serial-escape signal).
     ladder_exhausted: &'static obs::Counter,
     /// Ops retired by committed attempts (`tx.work.<backend>.ops`).
@@ -47,7 +42,6 @@ impl TxCounters {
             commit_fallback: obs::counter(&format!("tx.commit.{backend}.fallback")),
             aborts: AbortCode::ALL
                 .map(|code| obs::counter(&format!("tx.abort.{backend}.{}", code.slug()))),
-            ladder: obs::histogram(&format!("tx.ladder.{backend}_ns")),
             ladder_exhausted: obs::counter(&format!("tx.ladder.{backend}.exhausted")),
             work_ops: obs::counter(&format!("tx.work.{backend}.ops")),
             wasted_ops: obs::counter(&format!("tx.wasted.{backend}.ops")),
@@ -211,11 +205,6 @@ pub fn try_run_tx<T>(
     // half-recorded ladder either way. The serial drivers only start/stop
     // traces between transactions, which keeps trace bytes identical.
     let telemetry = obs::enabled();
-    // Ladder timing is recorded only for transactions that actually retried
-    // (attempt > 0 at resolution): first-try commits have no ladder and
-    // would swamp the histogram. One `Instant::now` per traced transaction;
-    // nothing at all when telemetry is inactive.
-    let ladder_t0 = telemetry.then(std::time::Instant::now);
     // First attempt, specialized: a first-try commit — the overwhelming
     // majority of transactions — resolves with one shared fetch-add and
     // never touches the ladder accumulator, so the hot path neither zeroes
@@ -250,15 +239,7 @@ pub fn try_run_tx<T>(
     } else {
         None
     };
-    retry_ladder(
-        backend,
-        ctx,
-        budget,
-        first_abort,
-        telemetry,
-        ladder_t0,
-        &mut f,
-    )
+    retry_ladder(backend, ctx, budget, first_abort, telemetry, &mut f)
 }
 
 /// One full transaction attempt: begin, body, commit — rolling back on a
@@ -307,7 +288,6 @@ fn retry_ladder<T>(
     budget: u32,
     first_abort: Option<crate::Abort>,
     telemetry: bool,
-    ladder_t0: Option<std::time::Instant>,
     f: &mut impl FnMut(&mut Tx<'_>) -> TxResult<T>,
 ) -> Option<T> {
     // The whole retry ladder accumulates into these plain stack cells —
@@ -397,15 +377,7 @@ fn retry_ladder<T>(
             if local.fallback_commits > 0 {
                 c.commit_fallback.inc();
             }
-            if ctx.attempt > 0 {
-                if let Some(t0) = ladder_t0 {
-                    c.ladder.record(t0.elapsed().as_nanos() as u64);
-                }
-            }
         } else {
-            if let Some(t0) = ladder_t0 {
-                c.ladder.record(t0.elapsed().as_nanos() as u64);
-            }
             c.ladder_exhausted.inc();
         }
     }
