@@ -6,8 +6,8 @@
 //! * a **write orec** (`TmSystem::orecs`), acquired eagerly at the first
 //!   write so doomed W-W conflicts are caught immediately;
 //! * a **read orec** (`TmSystem::read_vers`), carrying the commit version
-//!   consulted by invisible readers; it is locked only for the short
-//!   write-back window of a commit.
+//!   consulted by invisible readers; it is locked by its write-lock holder,
+//!   by store, for the write-back window (one stripe, one index in both).
 //!
 //! Because writes are buffered, readers may freely read stripes whose write
 //! orec is held by a live writer — R-W conflicts are detected lazily at
@@ -18,7 +18,6 @@
 
 use crate::common::{release_locks_with, release_saved_locks};
 use std::sync::Arc;
-use txcore::util::spin_until;
 use txcore::{
     Abort, Addr, BackendKind, OrecState, OrecTable, ThreadCtx, TmBackend, TmSystem, TxResult,
 };
@@ -32,6 +31,10 @@ pub struct SwissTm {
 impl SwissTm {
     /// A SwissTM instance operating on `sys`.
     pub fn new(sys: Arc<TmSystem>) -> Self {
+        // One stripe, one index in both tables: `commit` relies on it.
+        let a = Addr(12345);
+        debug_assert_eq!(sys.orecs.len(), sys.read_vers.len());
+        debug_assert_eq!(sys.orecs.index_for(a), sys.read_vers.index_for(a));
         SwissTm { sys }
     }
 
@@ -50,21 +53,18 @@ impl SwissTm {
     fn read_set_intact(&self, ctx: &ThreadCtx, r_locks: &[(u32, u64)]) -> Result<(), usize> {
         let me = ctx.owner_tag();
         for &(idx, observed) in ctx.read_set.orecs() {
-            match self.rvers().load(idx as usize) {
-                OrecState::Version(v) => {
-                    if v != observed {
-                        return Err(idx as usize);
-                    }
-                }
+            let intact = match self.rvers().load(idx as usize) {
+                OrecState::Version(v) => v == observed,
+                // Extension holds no read orec (`r_locks` is empty): any
+                // lock is foreign. In commit, ours hides a saved version.
                 OrecState::Locked(o) => {
-                    if o != me {
-                        return Err(idx as usize);
-                    }
-                    let saved = r_locks.iter().find(|&&(i, _)| i == idx).map(|&(_, v)| v);
-                    if saved != Some(observed) {
-                        return Err(idx as usize);
-                    }
+                    !r_locks.is_empty()
+                        && o == me
+                        && r_locks.iter().any(|&(i, v)| i == idx && v == observed)
                 }
+            };
+            if !intact {
+                return Err(idx as usize);
             }
         }
         Ok(())
@@ -101,29 +101,30 @@ impl TmBackend for SwissTm {
         // last committed value (writes are buffered) and nobody else can
         // commit it — stable without logging. A transaction that has not
         // written holds none, and does not touch the write-orec table.
+        // (`idx` is the stripe's index in both tables.)
         let mine = OrecState::Locked(ctx.owner_tag());
-        if !ctx.locks.is_empty() && self.wlocks().load(self.wlocks().index_for(addr)) == mine {
+        let idx = self.rvers().index_for(addr);
+        if !ctx.locks.is_empty() && self.wlocks().load(idx) == mine {
             return Ok(self.sys.heap.read_raw(addr));
         }
-        let r_idx = self.rvers().index_for(addr);
-        let before = self.rvers().load(r_idx);
+        let before = self.rvers().load(idx);
         let OrecState::Version(v1) = before else {
             // A committer is writing this stripe back right now.
-            return Err(Abort::conflict_at(r_idx));
+            return Err(Abort::conflict_at(idx));
         };
         let val = self.sys.heap.read_raw(addr);
-        if self.rvers().load(r_idx) != before {
-            return Err(Abort::conflict_at(r_idx));
+        if self.rvers().load(idx) != before {
+            return Err(Abort::conflict_at(idx));
         }
         if v1 > ctx.rv {
             if let Err(stale) = self.try_extend(ctx) {
                 return Err(Abort::conflict_at(stale));
             }
-            if self.rvers().load(r_idx) != before || v1 > ctx.rv {
-                return Err(Abort::conflict_at(r_idx));
+            if self.rvers().load(idx) != before || v1 > ctx.rv {
+                return Err(Abort::conflict_at(idx));
             }
         }
-        ctx.read_set.push_orec(r_idx, v1);
+        ctx.read_set.push_orec(idx, v1);
         Ok(val)
     }
 
@@ -141,23 +142,13 @@ impl TmBackend for SwissTm {
             return Ok(());
         }
         let me = ctx.owner_tag();
-        // Lock the read orecs of the stripes we are about to write back, in
-        // canonical order (two committers always hold disjoint write orecs,
-        // but their write-back sets can collide on hashed read orecs). Both
-        // the sorted stripe ids and the saved lock versions live in the
-        // context's reusable scratch buffers, so commits never allocate.
-        ctx.stripe_scratch.clear();
-        for &(a, _) in ctx.write_set.entries() {
-            ctx.stripe_scratch.push(self.rvers().index_for(a) as u32);
-        }
-        ctx.stripe_scratch.sort_unstable();
-        ctx.stripe_scratch.dedup();
+        // Lock the read orecs of the stripes we write back — `ctx.locks`:
+        // holding a stripe's write orec entitles us to its read orec, so a
+        // store does it: no CAS, no waiting, no order (DESIGN.md §9). The
+        // saved versions go to the context's scratch: no allocation.
         ctx.scratch.clear();
-        for i in 0..ctx.stripe_scratch.len() {
-            let idx = ctx.stripe_scratch[i];
-            // Held briefly by another committer's write-back; the
-            // canonical acquisition order makes waiting safe.
-            let prev = spin_until(|| self.rvers().try_lock(idx as usize, me, None).ok());
+        for &(idx, _) in &ctx.locks {
+            let prev = self.rvers().lock_held(idx as usize, me);
             ctx.scratch.push((idx, prev));
         }
         let wv = self.sys.clock.tick();
@@ -257,6 +248,11 @@ mod tests {
         let b = sys.heap.alloc(1);
         tm.begin(&mut ctx).unwrap();
         assert_eq!(tm.read(&mut ctx, a).unwrap(), 0);
+        // Distinct pre-lock versions, so a restore that crossed the tables
+        // would show.
+        let sb = sys.orecs.index_for(b);
+        sys.orecs.store_version(sb, 21);
+        sys.read_vers.store_version(sb, 22);
         tm.write(&mut ctx, b, 1).unwrap();
         // Concurrent commit invalidates our read of a (bump the read orec).
         let wv = sys.clock.tick();
@@ -265,21 +261,33 @@ mod tests {
         assert_eq!(tm.commit(&mut ctx), Err(Abort::CONFLICT));
         tm.rollback(&mut ctx);
         assert_eq!(sys.heap.read_raw(b), 0);
+        // The failed commit left neither of b's records locked.
+        assert_eq!(sys.orecs.load(sb), OrecState::Version(21));
+        assert_eq!(sys.read_vers.load(sb), OrecState::Version(22));
     }
 
     #[test]
     fn commit_stamps_both_orec_tables() {
         let (sys, tm, mut ctx) = setup();
-        let a = sys.heap.alloc(1);
-        run_tx(&tm, &mut ctx, |tx| tx.write(a, 2));
-        let w = sys.orecs.load(sys.orecs.index_for(a));
-        let r = sys.read_vers.load(sys.read_vers.index_for(a));
-        match (w, r) {
-            (OrecState::Version(wv), OrecState::Version(rv)) => {
-                assert!(wv > 0);
-                assert_eq!(wv, rv);
-            }
-            other => panic!("expected committed versions, got {other:?}"),
+        let a = sys.heap.alloc(2); // two words, one stripe
+        sys.heap.alloc(64);
+        let b = sys.heap.alloc(1);
+        sys.heap.alloc(64);
+        let c = sys.heap.alloc(1); // never written
+        let [sa, sb, sc] = [a, b, c].map(|x| sys.orecs.index_for(x));
+        assert_eq!(sys.orecs.index_for(a.field(1)), sa);
+        assert!(sa != sb && sa != sc && sb != sc);
+        run_tx(&tm, &mut ctx, |tx| {
+            tx.write(a, 2)?;
+            tx.write(b, 3)?;
+            tx.write(a.field(1), 4)
+        });
+        let wv = sys.clock.now();
+        assert!(wv > 0);
+        for table in [&sys.orecs, &sys.read_vers] {
+            assert_eq!(table.load(sa), OrecState::Version(wv));
+            assert_eq!(table.load(sb), OrecState::Version(wv));
+            assert_eq!(table.load(sc), OrecState::Version(0));
         }
     }
 

@@ -152,6 +152,18 @@ impl OrecTable {
         Ok(())
     }
 
+    /// Lock record `idx` for `owner` by store (`Acquire` load, `Release`
+    /// store, no RMW) and return the version it carried. Precondition: the
+    /// caller holds the same index in the table that guards this one
+    /// (SwissTM's write orecs), so nobody else can be writing this record.
+    #[inline]
+    pub fn lock_held(&self, idx: usize, owner: OwnerTag) -> u64 {
+        let prev = self.recs[idx].load(Ordering::Acquire);
+        debug_assert_eq!(prev & LOCK_BIT, 0, "guarded record already locked");
+        self.recs[idx].store(LOCK_BIT | owner.0, Ordering::Release);
+        prev
+    }
+
     /// Release record `idx`, installing `version` as its new version.
     ///
     /// Used both at commit (with the fresh write version) and on abort (with
@@ -162,8 +174,8 @@ impl OrecTable {
         self.recs[idx].store(version, Ordering::Release);
     }
 
-    /// Store a plain version without any locking protocol (SwissTM's
-    /// read-version table is updated this way under the commit lock).
+    /// Store a plain version without any locking protocol (tests stage a
+    /// concurrent commit this way).
     #[inline]
     pub fn store_version(&self, idx: usize, version: u64) {
         debug_assert_eq!(version & LOCK_BIT, 0, "version overflow into lock bit");
@@ -203,6 +215,19 @@ mod tests {
         assert_eq!(t.load(0), OrecState::Locked(me));
         t.unlock(0, 42);
         assert_eq!(t.load(0), OrecState::Version(42));
+    }
+
+    #[test]
+    fn lock_held_stores_the_owner_and_returns_the_version() {
+        let t = OrecTable::new(16, 4);
+        let me = OwnerTag(5);
+        t.store_version(4, 17);
+        assert_eq!(t.lock_held(4, me), 17);
+        assert_eq!(t.load(4), OrecState::Locked(me));
+        // To everybody else it is a lock like any other.
+        assert_eq!(t.try_lock(4, OwnerTag(6), None), Err(OrecState::Locked(me)));
+        t.unlock(4, 17);
+        assert_eq!(t.load(4), OrecState::Version(17));
     }
 
     #[test]

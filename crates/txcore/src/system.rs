@@ -29,7 +29,8 @@ pub struct TmSystem {
     pub heap: Heap,
     /// Versioned write-lock records (TL2 / TinySTM / SwissTM write locks).
     pub orecs: OrecTable,
-    /// SwissTM's separate read-version records.
+    /// SwissTM's read-version records: same geometry as `orecs`, by
+    /// construction (`with_orecs` builds both) — its commit relies on it.
     pub read_vers: OrecTable,
     /// Global version clock for timestamp-based validation. Like every
     /// shared word below it sits on a cache line of its own: a tick or a
@@ -150,13 +151,10 @@ pub struct ThreadCtx {
     /// Remaining speculative attempts for the current atomic block (HTM
     /// retry budget, managed by the contention manager).
     pub htm_budget: u32,
-    /// Scratch buffer for commit-time lock acquisition (saved versions of
-    /// secondary-table locks, e.g. SwissTM's read orecs).
+    /// Scratch buffer for commit-time lock acquisition: the pre-lock
+    /// versions of SwissTM's read orecs, one per entry of `locks`. Owned
+    /// here so the commit path never allocates.
     pub scratch: Vec<(u32, u64)>,
-    /// Scratch buffer for SwissTM's commit, which sorts its read-orec ids:
-    /// it *waits* for those locks, so it alone needs a canonical order.
-    /// Owned here so the commit path never allocates.
-    pub stripe_scratch: Vec<u32>,
     /// Per-thread PRNG for backoff and simulated-capacity sampling.
     pub rng: XorShift64,
     /// Shared commit/abort counters read by the Monitor.
@@ -206,7 +204,6 @@ impl ThreadCtx {
             greedy_ts: 0,
             htm_budget: 0,
             scratch: Vec::new(),
-            stripe_scratch: Vec::new(),
             rng: XorShift64::new(0x5DEECE66D ^ ((id as u64 + 1) << 16)),
             stats: Arc::new(ThreadStats::new()),
             tx_counters: None,
@@ -311,6 +308,22 @@ mod tests {
         assert_eq!(sys.heap.capacity(), 128);
         assert!(sys.orecs.len() >= 2);
         assert_eq!(sys.clock.now(), 0);
+    }
+
+    #[test]
+    fn both_orec_tables_share_one_geometry() {
+        for sys in [
+            TmSystem::new(8),
+            TmSystem::with_orecs(8, 2, 1),
+            TmSystem::with_orecs(8, 1 << 10, 8),
+        ] {
+            assert_eq!(sys.orecs.len(), sys.read_vers.len());
+            // Consecutive words (stripe boundaries) and far-apart ones.
+            for a in (0..4096).chain((0..1024).map(|i| i * 7919 + (1 << 20))) {
+                let a = crate::Addr(a);
+                assert_eq!(sys.orecs.index_for(a), sys.read_vers.index_for(a));
+            }
+        }
     }
 
     #[test]
