@@ -1,29 +1,35 @@
-//! Algorithm 1: the fetch-and-add thread gate used to adapt the degree of
-//! parallelism and to quiesce all threads before switching TM algorithms.
+//! Algorithm 1: the thread gate used to adapt the degree of parallelism and
+//! to quiesce all threads before switching TM algorithms.
 //!
 //! Each application thread synchronizes with the adapter through a padded
-//! per-slot cache line holding two atomics — a **state word** and an
-//! **epoch word** — and nothing else: no mutex, no condvar, no possible
-//! lost wakeup. Starting a transaction sets the state word's low bit with
-//! a single `fetch_add` (cheaper than a CAS loop — the `gate` Criterion
-//! bench quantifies the difference) and publishes the global quiescence
-//! epoch into the slot's epoch word with at most one release store. The
-//! adapter disables a thread by `fetch_or`-ing the high **block** bit and
-//! *polling* (spin → yield → sleep) until the in-flight transaction
-//! drains; a blocked entrant likewise polls the block bit. Whoever
-//! observes both bits set knows it raced and resolves the race exactly as
-//! the paper prescribes: the entrant withdraws its run bit and waits.
+//! per-slot cache line holding three words — **run**, **block** and
+//! **epoch** — and nothing else: no mutex, no condvar, no possible lost
+//! wakeup. Every word has one writer. `run` is written only by the slot's
+//! own thread: starting a transaction stores 1 into it, ending one stores
+//! 0, so the paper's fetch-and-add on tm-start becomes one `SeqCst` store
+//! and the one on tm-end a plain `Release` store. `block` is written only
+//! by the adapter, which holds `PolyTm`'s reconfiguration lock for it. The
+//! adapter disables a thread by storing 1 into `block` and *polling*
+//! (spin → yield → sleep) until `run` reads 0; a blocked entrant likewise
+//! polls `block`. An entrant that finds `block` set after raising `run`
+//! knows it raced and resolves the race exactly as the paper prescribes:
+//! it withdraws and waits.
 //!
 //! # Memory-ordering contract
 //!
-//! * `enter`'s fetch-and-add is `AcqRel`: when it observes the block bit
-//!   clear, it synchronizes with the adapter's releasing `fetch_and` in
-//!   [`ThreadGate::unblock`], so everything the adapter wrote while the
-//!   thread was blocked (the backend pointer, the config cell) is visible
-//!   to the transaction.
-//! * `exit`'s fetch-sub is `AcqRel`: the adapter's acquiring drain loop in
-//!   [`ThreadGate::await_drained`] that sees the run bit clear therefore
-//!   sees every write of the drained transaction.
+//! * `enter` is Dekker's entry: `run.store(1, SeqCst)`, then
+//!   `block.load(SeqCst)`. The adapter mirrors it: `block.store(1,
+//!   SeqCst)` in [`ThreadGate::block`], then `run.load(SeqCst)` in
+//!   [`ThreadGate::await_drained`]. In the single total order of the four
+//!   `SeqCst` operations one store comes first, so either the entrant sees
+//!   the block and withdraws, or the adapter sees the run flag and waits —
+//!   never both miss.
+//! * `exit` is `run.store(0, Release)`: the adapter's drain load that reads
+//!   it sees every write of the drained transaction.
+//! * [`ThreadGate::unblock`] is `block.store(0, Release)`: the entrant's
+//!   load that reads it synchronizes with it, so everything the adapter
+//!   wrote while the thread was blocked (the backend pointer, the config
+//!   cell, the advanced epoch) is visible to the transaction.
 //! * The slot epoch is published *after* a successful enter with a release
 //!   store. Because the adapter advances the global epoch before
 //!   unblocking (both while the thread cannot be inside a transaction), a
@@ -35,19 +41,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use txcore::util::CachePadded;
 
-/// Low bit: the thread is running a transaction.
-const RUN: u64 = 1;
-/// High bit: the adapter wants the thread blocked.
-const BLOCK: u64 = 1 << 32;
-
-/// Per-thread gate state; one cache line per slot (state + epoch share the
-/// line — they are only ever touched by the owning thread and the single
-/// reconfiguring adapter).
+/// Per-thread gate state; one cache line per slot. Outside a
+/// reconfiguration only the owning thread touches the line, so its stores
+/// stay in that core's cache.
 #[derive(Default)]
 struct Slot {
-    /// Run/block word of Algorithm 1.
-    state: AtomicU64,
-    /// Last global quiescence epoch this slot entered under.
+    /// 1 while the slot's thread is inside a transaction (or trying to
+    /// enter one). Written only by that thread.
+    run: AtomicU64,
+    /// 1 while the adapter wants the thread blocked. Written only by the
+    /// holder of `PolyTm`'s reconfiguration lock.
+    block: AtomicU64,
+    /// Last global quiescence epoch this slot entered under. Written only
+    /// by the slot's thread.
     epoch: AtomicU64,
 }
 
@@ -56,8 +62,8 @@ struct Slot {
 /// ```
 /// use polytm::ThreadGate;
 /// let gate = ThreadGate::new(2);
-/// gate.enter(0);            // tm-start (fetch-and-add on the state word)
-/// gate.exit(0);             // tm-end
+/// gate.enter(0);            // tm-start (one SeqCst store on the run word)
+/// gate.exit(0);             // tm-end (one Release store)
 /// gate.disable(1);          // adapter blocks thread 1 (waits if running)
 /// assert!(gate.is_disabled(1));
 /// gate.enable(1);
@@ -114,9 +120,10 @@ impl ThreadGate {
     }
 
     /// Publish the current global epoch into `t`'s slot. Runs after a
-    /// successful enter: the acquiring fetch-and-add ordered this load
-    /// after the adapter's pre-unblock epoch advance, so the value is
-    /// never staler than the backend the transaction runs on.
+    /// successful enter: the `SeqCst` block load that read `unblock`'s
+    /// release store ordered this load after the adapter's pre-unblock
+    /// epoch advance, so the value is never staler than the backend the
+    /// transaction runs on.
     #[inline]
     fn publish_epoch(&self, slot: &Slot) {
         let g = self.epoch.load(Ordering::Relaxed);
@@ -127,60 +134,68 @@ impl ThreadGate {
 
     /// Called by thread `t` before each transaction; blocks (by polling)
     /// while `t` is disabled (Algorithm 1, `tm-start`).
+    ///
+    /// Slot `t` must not already be entered: a nested transaction or a
+    /// slot shared by two threads is a bug, caught here in debug builds.
     #[inline]
     pub fn enter(&self, t: usize) {
         let slot = &self.slots[t];
+        debug_assert_eq!(
+            slot.run.load(Ordering::Relaxed),
+            0,
+            "gate slot {t} entered twice (nested transaction or shared slot)"
+        );
         loop {
-            let val = slot.state.fetch_add(RUN, Ordering::AcqRel);
-            if val & BLOCK == 0 {
+            slot.run.store(1, Ordering::SeqCst);
+            if slot.block.load(Ordering::SeqCst) == 0 {
                 self.publish_epoch(slot);
                 return;
             }
             // Lost the race with the adapter: withdraw and wait.
-            slot.state.fetch_sub(RUN, Ordering::AcqRel);
-            poll_until(|| slot.state.load(Ordering::Acquire) & BLOCK == 0, None);
+            slot.run.store(0, Ordering::Release);
+            poll_until(|| slot.block.load(Ordering::Acquire) == 0, None);
         }
     }
 
     /// Called by thread `t` after each transaction (Algorithm 1, `tm-end`).
     #[inline]
     pub fn exit(&self, t: usize) {
-        self.slots[t].state.fetch_sub(RUN, Ordering::AcqRel);
+        self.slots[t].run.store(0, Ordering::Release);
     }
 
-    /// Adapter side: set `t`'s block bit without waiting for its in-flight
-    /// transaction. Idempotent (`fetch_or`), so overlapping blocks of the
-    /// same slot cannot accumulate. Pair with [`ThreadGate::await_drained`]
-    /// to quiesce many threads concurrently: block all, then drain all —
+    /// Adapter side: set `t`'s block word without waiting for its in-flight
+    /// transaction. Idempotent, so overlapping blocks of the same slot
+    /// cannot accumulate. Pair with [`ThreadGate::await_drained`] to
+    /// quiesce many threads concurrently: block all, then drain all —
     /// total wait is the *slowest* transaction, not the sum.
+    ///
+    /// `block` has one writer at a time by construction: every `PolyTm`
+    /// path that blocks or unblocks a slot (`apply`, `run_serial`,
+    /// `resume_all`, `pin_thread`, the parallelism resize) holds its
+    /// reconfiguration lock.
     #[inline]
     pub fn block(&self, t: usize) {
-        self.slots[t].state.fetch_or(BLOCK, Ordering::AcqRel);
+        self.slots[t].block.store(1, Ordering::SeqCst);
     }
 
     /// Adapter side: wait (polling) until `t` has no transaction in
     /// flight, or until `deadline`. Returns `true` on drain.
     ///
-    /// Only meaningful after [`ThreadGate::block`]; the acquiring load
-    /// that observes the run bit clear synchronizes with the drained
-    /// transaction's exit.
+    /// Only meaningful after [`ThreadGate::block`]; the load that observes
+    /// the run word clear synchronizes with the drained transaction's exit.
     #[must_use]
     pub fn await_drained(&self, t: usize, deadline: Option<Instant>) -> bool {
         let slot = &self.slots[t];
-        poll_until(
-            || slot.state.load(Ordering::Acquire) & (BLOCK - 1) == 0,
-            deadline,
-        )
+        poll_until(|| slot.run.load(Ordering::SeqCst) == 0, deadline)
     }
 
-    /// Adapter side: clear `t`'s block bit, preserving any concurrent
-    /// entrant's run bit (a plain store of 0 here could clobber a
-    /// withdrawing entrant's fetch-add and underflow the state word).
-    /// No-op when `t` is not blocked. Waiters notice by polling — there is
-    /// no wakeup to lose.
+    /// Adapter side: clear `t`'s block word. No-op when `t` is not
+    /// blocked, and it cannot disturb an entrant: the run word is a
+    /// different word with a different writer. Waiters notice by polling —
+    /// there is no wakeup to lose.
     #[inline]
     pub fn unblock(&self, t: usize) {
-        self.slots[t].state.fetch_and(!BLOCK, Ordering::AcqRel);
+        self.slots[t].block.store(0, Ordering::Release);
     }
 
     /// Adapter side: block thread `t`, waiting until any in-flight
@@ -194,7 +209,7 @@ impl ThreadGate {
     /// Adapter side: like [`ThreadGate::disable`], but give up if `t`'s
     /// in-flight transaction has not drained within `timeout`.
     ///
-    /// On timeout the block bit is rolled back and `false` is returned:
+    /// On timeout the block is rolled back and `false` is returned:
     /// the thread keeps running as if `try_disable` was never called. This
     /// is the quiescence watchdog's primitive — Algorithm 1 assumes
     /// transactions drain promptly, and a stalled or wedged worker would
@@ -216,7 +231,7 @@ impl ThreadGate {
 
     /// Whether thread `t` is currently disabled.
     pub fn is_disabled(&self, t: usize) -> bool {
-        self.slots[t].state.load(Ordering::Acquire) & BLOCK != 0
+        self.slots[t].block.load(Ordering::Acquire) != 0
     }
 
     /// Advance the global quiescence epoch and return the new value.
@@ -314,7 +329,7 @@ mod tests {
         // Stuck thread: the watchdog gives up and rolls the block back.
         g.enter(1);
         assert!(!g.try_disable(1, std::time::Duration::from_millis(5)));
-        assert!(!g.is_disabled(1), "block bit rolled back on timeout");
+        assert!(!g.is_disabled(1), "block rolled back on timeout");
         g.exit(1);
         // After the stall clears, a retry succeeds.
         assert!(g.try_disable(1, std::time::Duration::from_millis(1)));
@@ -327,7 +342,7 @@ mod tests {
         g.enter(0);
         assert!(!g.try_disable(0, std::time::Duration::from_millis(2)));
         g.exit(0);
-        // The thread can keep transacting (no leaked BLOCK bit) ...
+        // The thread can keep transacting (no leaked block) ...
         g.enter(0);
         g.exit(0);
         // ... and a real disable still quiesces it.
@@ -355,10 +370,10 @@ mod tests {
 
     #[test]
     fn enable_preserves_concurrent_entrants_run_bit() {
-        // Regression for the old condvar gate: `enable` used to store 0
-        // into the state word, which could clobber the RUN bit of an
-        // entrant mid-withdrawal and underflow the word on its fetch_sub.
-        // The CAS-free fetch_and only ever clears BLOCK.
+        // Each word has one writer: the entrant alone stores `run`, the
+        // adapter alone stores `block`. So a block/unblock storm against a
+        // thread entering and withdrawing can neither wedge the entrant
+        // (a lost unblock) nor leak a block into the quiet state after it.
         let g = Arc::new(ThreadGate::new(1));
         let stop = Arc::new(AtomicBool::new(false));
         std::thread::scope(|s| {
@@ -376,12 +391,82 @@ mod tests {
             }
             stop.store(true, Ordering::SeqCst);
         });
-        // A wedged or underflowed state word would leave enter spinning or
-        // the run count negative; a clean enter/exit proves neither
-        // happened.
+        // A leaked block would leave enter polling for ever; a clean
+        // enter/exit proves it did not happen.
         g.enter(0);
         g.exit(0);
         assert!(!g.is_disabled(0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "entered twice")]
+    fn entering_an_entered_slot_is_caught() {
+        let g = ThreadGate::new(1);
+        g.enter(0);
+        g.enter(0);
+    }
+
+    /// Runs its closure on drop (the `gate_stress.rs` guard): a failed
+    /// assertion on the adapter side unwinds through it, the entrant
+    /// leaves its loop, and the test fails instead of hanging.
+    struct OnDrop<F: FnMut()>(F);
+
+    impl<F: FnMut()> Drop for OnDrop<F> {
+        fn drop(&mut self) {
+            (self.0)()
+        }
+    }
+
+    #[test]
+    fn dekker_handshake_freezes_the_entrant_in_every_drain() {
+        // The entrant bumps a two-word pair inside the gate, one word at a
+        // time. After every drain the adapter must find the pair equal (no
+        // transaction half done) and unchanged a moment later (nobody got
+        // in): either the adapter's load saw `run`, or the entrant's saw
+        // `block`.
+        const ROUNDS: u32 = 10_000;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let g = ThreadGate::new(1);
+        let pair = [AtomicU64::new(0), AtomicU64::new(0)];
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let _release = OnDrop(|| {
+                stop.store(true, Ordering::Release);
+                g.unblock(0);
+            });
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    g.enter(0);
+                    let n = pair[0].load(Ordering::Relaxed) + 1;
+                    pair[0].store(n, Ordering::Relaxed);
+                    pair[1].store(n, Ordering::Relaxed);
+                    g.exit(0);
+                }
+            });
+            for round in 0..ROUNDS {
+                g.block(0);
+                assert!(
+                    g.await_drained(0, Some(deadline)),
+                    "round {round}: slot failed to drain"
+                );
+                let seen = [0, 1].map(|i| pair[i].load(Ordering::Relaxed));
+                assert_eq!(seen[0], seen[1], "round {round}: torn pair");
+                for _ in 0..16 {
+                    std::hint::spin_loop();
+                }
+                let again = [0, 1].map(|i| pair[i].load(Ordering::Relaxed));
+                assert_eq!(seen, again, "round {round}: entrant ran while drained");
+                g.unblock(0);
+                // Race the next block against a running entrant, not an
+                // idle one — and prove the unblock was not lost.
+                while pair[1].load(Ordering::Relaxed) == seen[1] {
+                    assert!(Instant::now() < deadline, "round {round}: no wakeup");
+                    std::hint::spin_loop();
+                }
+            }
+        });
+        assert!(pair[0].load(Ordering::Relaxed) > 0, "entrant never entered");
     }
 
     #[test]

@@ -390,10 +390,15 @@ impl PolyTm {
 
     /// Register the calling OS thread into `slot`.
     ///
+    /// Each slot must be used by exactly one thread at a time. The gate and
+    /// the statistics rely on it: the slot's run word and its
+    /// [`ThreadStats`] are written with plain stores by that thread alone,
+    /// so two threads sharing a slot would lose updates (debug builds
+    /// catch a doubly entered gate slot).
+    ///
     /// # Panics
     ///
-    /// Panics if `slot` is out of range (each slot must be used by exactly
-    /// one thread at a time).
+    /// Panics if `slot` is out of range.
     pub fn register_thread(&self, slot: usize) -> Worker {
         assert!(slot < self.max_threads, "thread slot {slot} out of range");
         let mut ctx = ThreadCtx::new(slot);
@@ -507,7 +512,12 @@ impl PolyTm {
     /// Forbid PolyTM from *permanently* disabling thread `slot` when tuning
     /// the parallelism degree (paper §4.2: e.g. a server's accept thread).
     /// The thread may still be disabled briefly while switching algorithms.
+    ///
+    /// Takes the reconfiguration lock, like every other path that unblocks
+    /// a slot: a pin that lands mid-switch waits for the switch to finish
+    /// instead of letting its thread in on the old backend.
     pub fn pin_thread(&self, slot: usize) {
+        let _adapter = self.reconfig.lock();
         self.pinned[slot].store(true, Ordering::Release);
         if self.gate.is_disabled(slot) {
             self.gate.enable(slot);
@@ -844,13 +854,6 @@ impl PolyTm {
             .iter()
             .map(|s| s.snapshot())
             .fold(StatsSnapshot::default(), |acc, s| acc.merge(&s))
-    }
-
-    /// Reset all per-thread counters (between profiling windows).
-    pub fn reset_stats(&self) {
-        for s in &self.stats {
-            s.reset();
-        }
     }
 
     /// A KPI probe over this runtime's threads.

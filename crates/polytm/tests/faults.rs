@@ -198,6 +198,77 @@ fn injected_gate_stalls_trip_the_watchdog_then_recovery() {
     assert_eq!(poly.current_config().backend, BackendId::NOrec);
 }
 
+/// `pin_thread` used to unblock its slot without the reconfiguration lock:
+/// a pin that landed while `apply` sat in its drain let a slot that the
+/// parallelism degree had disabled (and the switch had therefore skipped)
+/// run on the old backend in the middle of the switch. A `gate_stall` holds
+/// worker 0 inside a transaction so the drain lasts; slot 1 is pinned
+/// meanwhile, and its first transaction must see the switch landed.
+#[test]
+fn pin_during_a_switch_waits_for_the_switch() {
+    let _serial = serial();
+    if !faultsim::enabled() {
+        return;
+    }
+    let poly = Arc::new(
+        PolyTm::builder()
+            .heap_words(1 << 10)
+            .max_threads(2)
+            .drain_timeout(Duration::from_secs(10))
+            .build(),
+    );
+    // Parallelism 1: slot 1 is disabled, so the switch below skips it.
+    poly.apply(&TmConfig::stm(BackendId::Tl2, 1)).unwrap();
+    let a = poly.system().heap.alloc(1);
+    let plan = faultsim::FaultPlan::new(23).with(
+        faultsim::Site::GateStall,
+        faultsim::FaultSpec::always().fires(1).stall(300),
+    );
+    faultsim::with_plan(plan, || {
+        let switched = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut w = poly.register_thread(0);
+                // The plan's one stall fires right after this gate entry.
+                poly.run_tx(&mut w, |tx| tx.read(a));
+            });
+            // Counted just before the sleep: worker 0 is inside the gate.
+            while faultsim::fired(faultsim::Site::GateStall) == 0 {
+                std::thread::yield_now();
+            }
+            let epochs = poly.quiescence_epochs();
+            let adapter = s.spawn(|| {
+                poly.apply(&TmConfig::stm(BackendId::NOrec, 1)).unwrap();
+            });
+            // Counted under the lock, just before the block loop.
+            while poly.quiescence_epochs() == epochs {
+                std::thread::yield_now();
+            }
+            // Let the block loop finish, so that an unlocked pin could
+            // only land in the drain. The assertion holds for any timing;
+            // this only makes the parent's race certain to show.
+            std::thread::sleep(Duration::from_millis(20));
+            poly.pin_thread(1);
+            let pinned = s.spawn(|| {
+                let mut w = poly.register_thread(1);
+                // Whether the switch had landed when this transaction ran:
+                // `apply` publishes the new config before it drops the lock.
+                let landed = poly.run_tx(&mut w, |_| {
+                    Ok(poly.current_config().backend == BackendId::NOrec)
+                });
+                switched.store(landed, Ordering::Release);
+            });
+            adapter.join().unwrap();
+            pinned.join().unwrap();
+        });
+        assert!(
+            switched.load(Ordering::Acquire),
+            "the pinned slot ran on the old backend while the switch drained"
+        );
+    });
+    assert_eq!(poly.current_config().backend, BackendId::NOrec);
+}
+
 /// End-to-end robustness: workers hammer transactions while an adapter
 /// cycles configurations, with stalls, injected switch failures and adapter
 /// panics all armed at a fixed seed. The run must terminate (no deadlock),

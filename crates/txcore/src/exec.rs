@@ -206,8 +206,9 @@ pub fn try_run_tx<T>(
     // traces between transactions, which keeps trace bytes identical.
     let telemetry = obs::enabled();
     // First attempt, specialized: a first-try commit — the overwhelming
-    // majority of transactions — resolves with one shared fetch-add and
-    // never touches the ladder accumulator, so the hot path neither zeroes
+    // majority of transactions — resolves with one single-writer counter
+    // increment (a load and a store) and never touches the ladder
+    // accumulator, so the hot path neither zeroes
     // a `LocalStats` nor runs the loop's budget bookkeeping. Everything
     // else falls through to the out-of-line retry ladder with its first
     // abort pre-recorded; the backoff draw below keeps the rng sequence
@@ -346,8 +347,8 @@ fn retry_ladder<T>(
         backoff(&mut ctx.rng, ctx.attempt);
     };
     // Resolution: fold the ladder into shared state. The fast path (first-
-    // try commit, no trace) pays a single fetch-add here on top of the
-    // backend's own work; only retried ladders walk the full fold.
+    // try commit, no trace) pays one single-writer increment here on top
+    // of the backend's own work; only retried ladders walk the full fold.
     if ctx.attempt == 0 && outcome.is_some() {
         ctx.stats.record_commit(local.fallback_commits > 0);
     } else {

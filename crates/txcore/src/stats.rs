@@ -1,14 +1,26 @@
 //! Lightweight per-thread transaction statistics.
 //!
 //! PolyTM's Monitor reads these counters concurrently with the application
-//! threads updating them, so they are plain atomics updated with relaxed
-//! ordering (approximate freshness is fine for KPI sampling, exactly as the
-//! paper's lightweight profiling).
+//! threads updating them (approximate freshness is fine for KPI sampling,
+//! exactly as the paper's lightweight profiling).
+//!
+//! # Memory-ordering contract
+//!
+//! A [`ThreadStats`] has **one writer**: the thread owning the
+//! [`ThreadCtx`](crate::ThreadCtx) it hangs off (`PolyTm::register_thread`
+//! hands each slot to one thread at a time). So an increment is not an RMW
+//! but a relaxed load of the writer's own last value and a relaxed store
+//! of the sum — no locked instruction, and no update can be lost because
+//! nobody else stores. Readers use relaxed loads; each field is one
+//! aligned word, so a snapshot cannot tear a counter, and every field read
+//! twice only ever grows.
 
 use crate::abort::AbortCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters maintained by one application thread.
+/// Counters maintained by one application thread — and written by that
+/// thread only: the `record_*` methods and [`ThreadStats::fold`] are
+/// single-writer increments (module docs).
 ///
 /// Cache-line aligned: the `Vec<Arc<ThreadStats>>` the Monitor walks must
 /// not let two threads' counters share a line, or every fold becomes a
@@ -25,6 +37,13 @@ pub struct ThreadStats {
     wasted_writes: AtomicU64,
 }
 
+/// Add `n` to a counter only the calling thread writes: a load and a
+/// store, not a locked RMW (see the module docs).
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
 impl ThreadStats {
     /// Fresh zeroed counters.
     pub fn new() -> Self {
@@ -35,37 +54,35 @@ impl ThreadStats {
     /// under the HTM fallback lock rather than speculatively.
     #[inline]
     pub fn record_commit(&self, via_fallback: bool) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
+        bump(&self.commits, 1);
         if via_fallback {
-            self.fallback_commits.fetch_add(1, Ordering::Relaxed);
+            bump(&self.fallback_commits, 1);
         }
     }
 
     /// Record an aborted attempt with its cause.
     #[inline]
     pub fn record_abort(&self, code: AbortCode) {
-        self.aborts[code.index()].fetch_add(1, Ordering::Relaxed);
+        bump(&self.aborts[code.index()], 1);
     }
 
     /// Fold a batch of work-ledger ops: `committed` ops retired by commits,
     /// `wasted` ops executed by attempts that later rolled back. Batched
     /// (the driver's pending ledger flushes every few transactions) so the
-    /// first-try commit path never pays these RMWs per transaction.
+    /// first-try commit path never pays these stores per transaction.
     #[inline]
     pub fn record_work(&self, committed: (u64, u64), wasted: (u64, u64)) {
         if committed.0 > 0 {
-            self.committed_reads
-                .fetch_add(committed.0, Ordering::Relaxed);
+            bump(&self.committed_reads, committed.0);
         }
         if committed.1 > 0 {
-            self.committed_writes
-                .fetch_add(committed.1, Ordering::Relaxed);
+            bump(&self.committed_writes, committed.1);
         }
         if wasted.0 > 0 {
-            self.wasted_reads.fetch_add(wasted.0, Ordering::Relaxed);
+            bump(&self.wasted_reads, wasted.0);
         }
         if wasted.1 > 0 {
-            self.wasted_writes.fetch_add(wasted.1, Ordering::Relaxed);
+            bump(&self.wasted_writes, wasted.1);
         }
     }
 
@@ -86,36 +103,22 @@ impl ThreadStats {
         }
     }
 
-    /// Reset all counters to zero (used between profiling windows).
-    pub fn reset(&self) {
-        self.commits.store(0, Ordering::Relaxed);
-        self.fallback_commits.store(0, Ordering::Relaxed);
-        for a in &self.aborts {
-            a.store(0, Ordering::Relaxed);
-        }
-        self.committed_reads.store(0, Ordering::Relaxed);
-        self.committed_writes.store(0, Ordering::Relaxed);
-        self.wasted_reads.store(0, Ordering::Relaxed);
-        self.wasted_writes.store(0, Ordering::Relaxed);
-    }
-
     /// Fold a transaction's locally-accumulated events into the shared
-    /// counters: one relaxed RMW per *nonzero* cell, instead of one per
-    /// event. Called at transaction resolution (commit, rollback-exhausted)
+    /// counters: one single-writer increment per *nonzero* cell, instead
+    /// of one per event. Called at transaction resolution (commit, rollback-exhausted)
     /// so the shared view is exact at every transaction boundary — which is
     /// when the Monitor samples.
     #[inline]
     pub fn fold(&self, local: &LocalStats) {
         if local.commits > 0 {
-            self.commits.fetch_add(local.commits, Ordering::Relaxed);
+            bump(&self.commits, local.commits);
         }
         if local.fallback_commits > 0 {
-            self.fallback_commits
-                .fetch_add(local.fallback_commits, Ordering::Relaxed);
+            bump(&self.fallback_commits, local.fallback_commits);
         }
         for (dst, src) in self.aborts.iter().zip(local.aborts) {
             if src > 0 {
-                dst.fetch_add(src, Ordering::Relaxed);
+                bump(dst, src);
             }
         }
         self.record_work(
@@ -343,12 +346,50 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
+    fn counters_read_monotone_under_a_concurrent_reader() {
+        // One writer, one reader: every snapshot is monotone per field
+        // (a load-plus-store increment never publishes a smaller value),
+        // and once the writer is done the counts are exact.
+        const N: u64 = 1_000_000;
         let s = ThreadStats::new();
-        s.record_commit(true);
-        s.record_abort(AbortCode::Spurious);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut local = LocalStats::default();
+                for i in 0..N {
+                    if i % 2 == 0 {
+                        s.record_commit(i % 8 == 0);
+                        s.record_abort(AbortCode::Conflict);
+                    } else {
+                        local.record_commit(false);
+                        local.record_abort(AbortCode::Capacity);
+                        s.fold(&local);
+                        local = LocalStats::default();
+                    }
+                }
+                done.store(true, Ordering::Release);
+            });
+            let mut last = StatsSnapshot::default();
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                let now = s.snapshot();
+                assert!(now.commits >= last.commits, "commits went back");
+                assert!(now.fallback_commits >= last.fallback_commits);
+                for (n, l) in now.aborts.iter().zip(&last.aborts) {
+                    assert!(n >= l, "an abort counter went back");
+                }
+                last = now;
+                if finished {
+                    break;
+                }
+            }
+        });
+        let snap = s.snapshot();
+        assert_eq!(snap.commits, N);
+        assert_eq!(snap.fallback_commits, N / 8);
+        assert_eq!(snap.aborts_of(AbortCode::Conflict), N / 2);
+        assert_eq!(snap.aborts_of(AbortCode::Capacity), N / 2);
+        assert_eq!(snap.total_aborts(), N);
     }
 
     #[test]
@@ -399,8 +440,6 @@ mod tests {
         let d = snap.since(&StatsSnapshot::default());
         assert_eq!(d.total_ops(), 18);
         assert_eq!(snap.merge(&snap).wasted_ops(), 12);
-        s.reset();
-        assert_eq!(s.snapshot().total_ops(), 0);
     }
 
     #[test]

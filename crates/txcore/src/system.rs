@@ -113,8 +113,9 @@ impl fmt::Debug for TmSystem {
 /// Per-thread transaction context: the access logs, snapshot timestamps and
 /// scratch space one thread needs to run transactions on any backend.
 ///
-/// A context is exclusively owned by its thread; the shared pieces
-/// ([`ThreadStats`]) are internally synchronized.
+/// A context is exclusively owned by its thread; the shared piece
+/// ([`ThreadStats`]) is read by the Monitor but written only by this
+/// context's thread.
 pub struct ThreadCtx {
     /// Thread slot id within the runtime (also the lock owner tag).
     pub id: usize,
@@ -182,8 +183,9 @@ pub struct ThreadCtx {
 /// First-try commits buffered in the pending work ledger before it folds
 /// into the shared [`ThreadStats`] — the "window boundary" of the conflict
 /// observatory's fast-path contract (DESIGN.md §12): the one-shot commit
-/// path does plain per-thread adds only, and pays the shared RMWs once per
-/// this many transactions (retried ladders flush exactly, at resolution).
+/// path does plain per-thread adds only, and writes the shared counters
+/// once per this many transactions (retried ladders flush exactly, at
+/// resolution).
 pub const WORK_FLUSH_EVERY: u32 = 64;
 
 impl ThreadCtx {
