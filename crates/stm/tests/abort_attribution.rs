@@ -79,6 +79,55 @@ fn every_stm_attributes_conflicts_to_the_clashing_stripe() {
     }
 }
 
+/// The read log keeps a location read again after another read (x, y, x
+/// logs x twice), and commit validation must still catch a foreign commit
+/// to x — as a `Conflict` naming x's stripe, the first entry that fails.
+/// With no foreign commit the same transaction commits.
+#[test]
+fn validation_covers_a_location_logged_twice() {
+    for staged in [true, false] {
+        for make in BACKENDS {
+            let sys = Arc::new(TmSystem::new(1 << 16));
+            let backend = make(Arc::clone(&sys));
+            let name = backend.name();
+            let (mut victim, mut rival) = (ThreadCtx::new(0), ThreadCtx::new(1));
+            let x = sys.heap.alloc(1);
+            sys.heap.alloc(64);
+            let y = sys.heap.alloc(1);
+            sys.heap.alloc(64);
+            let z = sys.heap.alloc(1);
+            let stripe = |a| sys.orecs.index_for(a);
+            assert!(stripe(x) != stripe(y) && stripe(y) != stripe(z) && stripe(x) != stripe(z));
+
+            backend.begin(&mut victim).unwrap();
+            for a in [x, y, x] {
+                backend.read(&mut victim, a).unwrap();
+            }
+            assert_eq!(victim.read_set.len(), 3, "{name}: x is logged twice");
+            backend.write(&mut victim, z, 1).unwrap();
+            if staged {
+                run_tx(backend.as_ref(), &mut rival, |tx| tx.write(x, 77));
+            }
+            match backend.commit(&mut victim) {
+                Ok(()) => {
+                    assert!(!staged, "{name}: committed over a foreign write to x");
+                    assert_eq!(sys.heap.read_raw(z), 1, "{name}: z written back");
+                }
+                Err(abort) => {
+                    backend.rollback(&mut victim);
+                    assert!(staged, "{name}: aborted with nothing staged: {abort:?}");
+                    assert_eq!(
+                        (abort.code(), abort.stripe()),
+                        (AbortCode::Conflict, Some(stripe(x) as u32)),
+                        "{name}: the conflict names x's stripe"
+                    );
+                    assert_eq!(sys.heap.read_raw(z), 0, "{name}: nothing written back");
+                }
+            }
+        }
+    }
+}
+
 /// `Tx::retry` is the programmer-requested abort: it must be attributed as
 /// `Explicit` on every backend — never folded into `Conflict`.
 #[test]

@@ -1,10 +1,11 @@
 //! Proves the per-transaction fast path never allocates once warm.
 //!
 //! `ReadSet`/`WriteSet`/lock logs are cleared, not dropped, between
-//! attempts, and the one commit that sorts stripe ids (SwissTM's) does so in
-//! the context's reusable scratch buffers — so a warmed-up thread must run
-//! whole retry ladders with zero trips to the allocator. A counting
-//! wrapper around the system allocator enforces exactly that.
+//! attempts — the write set's table included, which a clear only re-stamps
+//! — and SwissTM's commit saves its read orecs' versions in the context's
+//! reusable scratch buffer, so a warmed-up thread must run whole retry
+//! ladders with zero trips to the allocator. A counting wrapper around the
+//! system allocator enforces exactly that.
 //!
 //! Everything lives in ONE `#[test]`: the counter is process-global, and a
 //! sibling test allocating concurrently would make the delta meaningless.
@@ -39,16 +40,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// A workload that exercises every reused buffer: reads (read set), a
-/// spread of writes (write set + stripe scratch + lock log) and forced
-/// retries (the clear-don't-drop path between attempts).
+/// A workload that exercises every reused buffer: reads (read set, one
+/// location logged twice), a spread of writes (write set + commit scratch +
+/// lock log) in two shapes — 12 writes, and 20, past the write-set table's
+/// first growth at 16 — and forced retries (the clear-don't-drop path
+/// between attempts).
 fn churn(backend: &dyn TmBackend, ctx: &mut ThreadCtx, sys: &TmSystem, base: u64, rounds: u32) {
+    let at = |i: u64| txcore::Addr((base + i * 64) as u32);
     for round in 0..rounds {
+        let writes = if round % 2 == 0 { 12 } else { 20 };
         run_tx(backend, ctx, |tx| {
             let mut acc = 0u64;
-            for i in 0..12u64 {
-                acc = acc.wrapping_add(tx.read(txcore::Addr((base + i * 64) as u32))?);
-                tx.write(txcore::Addr((base + i * 64) as u32), acc + round as u64)?;
+            for i in 0..writes {
+                acc = acc.wrapping_add(tx.read(at(i))?);
+                tx.write(at(i), acc + round as u64)?;
+            }
+            // Read-only locations, the first read again after the second.
+            for i in [30, 31, 30] {
+                tx.read(at(i))?;
             }
             if tx.attempt() < 2 {
                 return tx.retry();

@@ -397,20 +397,27 @@ mod tests {
     struct GlobalLockTm {
         sys: Arc<TmSystem>,
         lock: std::sync::atomic::AtomicBool,
+        /// Telemetry counters are process-wide and keyed by this name.
+        name: &'static str,
     }
 
     impl GlobalLockTm {
         fn new(sys: Arc<TmSystem>) -> Self {
+            Self::named(sys, "test-global-lock")
+        }
+
+        fn named(sys: Arc<TmSystem>, name: &'static str) -> Self {
             GlobalLockTm {
                 sys,
                 lock: std::sync::atomic::AtomicBool::new(false),
+                name,
             }
         }
     }
 
     impl TmBackend for GlobalLockTm {
         fn name(&self) -> &'static str {
-            "test-global-lock"
+            self.name
         }
         fn kind(&self) -> BackendKind {
             BackendKind::Stm
@@ -465,10 +472,14 @@ mod tests {
 
     /// The cached-handle path must produce the same counter names and
     /// values the old per-transaction `format!` lookup did.
+    ///
+    /// The capture turns telemetry on process-wide, so this test's backend
+    /// has a name no other test commits on: a sibling's commits would land
+    /// in the counters asserted exactly below.
     #[test]
     fn telemetry_counters_track_commits_and_aborts() {
         let sys = Arc::new(TmSystem::new(16));
-        let tm = GlobalLockTm::new(Arc::clone(&sys));
+        let tm = GlobalLockTm::named(Arc::clone(&sys), "test-telemetry");
         let mut ctx = ThreadCtx::new(0);
         // Assert inside the capture: it holds the process-wide capture
         // lock, so no concurrent test can reset the registry under us.
@@ -480,9 +491,9 @@ mod tests {
                 Ok(())
             });
             if obs::telemetry_compiled() {
-                assert_eq!(obs::counter("tx.commit.test-global-lock").get(), 1);
-                assert_eq!(obs::counter("tx.abort.test-global-lock.explicit").get(), 2);
-                assert_eq!(obs::counter("tx.abort.test-global-lock.conflict").get(), 0);
+                assert_eq!(obs::counter("tx.commit.test-telemetry").get(), 1);
+                assert_eq!(obs::counter("tx.abort.test-telemetry.explicit").get(), 2);
+                assert_eq!(obs::counter("tx.abort.test-telemetry.conflict").get(), 0);
             }
         });
     }

@@ -1,46 +1,22 @@
-//! Transactional access sets: the read log and the redo (write) log.
+//! Transactional access sets: the read log, the redo (write) log and the
+//! simulated HTM's line footprint.
 //!
-//! Both sets sit on the per-transaction fast path — every transactional
-//! read consults the write set first (read-after-write consistency) and
-//! every backend walks the read set at validation time — so their layout
-//! is tuned for the common short TM transaction while staying O(1)
-//! amortized for large ones:
+//! All three sit on the per-access fast path — every transactional read
+//! consults the write set first (read-after-write consistency) and logs
+//! itself in the read log, and every backend walks that log at validation
+//! time — so an access costs O(1) and nothing is rebuilt per transaction:
 //!
-//! * entries live in a plain insertion-ordered `Vec` (backends lock and
-//!   write back in that order);
-//! * lookups use a linear scan while the set is small (at most
-//!   [`INLINE_MAX`] entries — one or two cache lines, cheaper than any
-//!   hash) and spill into an [`OpenIndex`], a private open-addressed
-//!   linear-probe table, beyond it;
+//! * the read log is two plain vecs with no index: a push drops only an
+//!   exact repeat of the newest entry and appends anything else, as the
+//!   TL2, TinySTM and NOrec papers log reads;
+//! * `WriteSet` and `LineSet` share one stamped open-addressed table
+//!   (`StampedTable`): `clear` is a stamp bump, and from the first entry
+//!   on an insert or a lookup is one find-or-claim probe;
 //! * `clear` never drops capacity, so a retried transaction reuses every
-//!   allocation of its previous attempt (see the counting-allocator test
-//!   in `crates/stm/tests/alloc_reuse.rs`) — and it returns the set to the
-//!   inline representation, so having spilled is a property of one
-//!   transaction: the short transaction after a long one scans again, and
-//!   pays nothing for an index it never filled.
+//!   allocation of its previous attempt (see the counting-allocator tests
+//!   in `crates/{stm,htm}/tests/alloc_reuse.rs`).
 
 use crate::heap::Addr;
-
-/// Entry count up to which lookups stay on a linear scan over the entry
-/// array. Short transactions — the common TM case — never pay for hashing
-/// or index maintenance.
-const INLINE_MAX: usize = 8;
-
-/// A private open-addressed index from a `u32` key to the position of its
-/// newest entry in the owning set's entry array.
-///
-/// Slots pack `key << 32 | (pos + 1)` into one `u64` (`0` = empty), so a
-/// probe touches a single flat array with no per-slot indirection. Linear
-/// probing with a Fibonacci-multiplied hash; the table grows at 50% load,
-/// so probes stay O(1) amortized. Replaces the `HashMap<u32, u32>` spill
-/// the write set used to build: same contract, no SipHash and no
-/// per-rehash allocation churn.
-#[derive(Debug, Default, Clone)]
-struct OpenIndex {
-    slots: Vec<u64>,
-    mask: usize,
-    used: usize,
-}
 
 /// Where the probe for `key` starts in a table of `mask + 1` slots
 /// (Fibonacci-multiplied hash).
@@ -49,115 +25,134 @@ fn home_slot(key: u32, mask: usize) -> usize {
     ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
 }
 
-/// Double `slots` (or seed the table) and rehash the entries `live`
-/// keeps; returns the new mask.
-#[cold]
-fn grow_table(slots: &mut Vec<u64>, live: impl Fn(u64) -> bool) -> usize {
-    let new_len = (slots.len() * 2).max(32);
-    let old = std::mem::replace(slots, vec![0u64; new_len]);
-    let mask = new_len - 1;
-    for s in old.into_iter().filter(|&s| live(s)) {
-        let mut i = home_slot((s >> 32) as u32, mask);
-        while slots[i] != 0 {
-            i = (i + 1) & mask;
-        }
-        slots[i] = s;
-    }
-    mask
+/// An open-addressed, linear-probe set of `u32` keys, each slot carrying a
+/// payload `P`: the index of `WriteSet` (payload: the entry's position) and
+/// the whole of `LineSet` (payload: none).
+///
+/// A slot packs `key << 32 | stamp` and counts as occupied only while its
+/// stamp is the table's current one, so `clear` is a stamp bump; the table
+/// is zeroed only when the `u32` stamp wraps, once per 2³² clears. A stale
+/// slot ends a probe exactly as a never-used one does: within one stamp,
+/// slots are claimed and never released, so every slot between a key's
+/// home and the one it claimed held a current key at that moment and still
+/// does — a probe for a tracked key reaches it before it can meet a stale
+/// slot, and a probe that meets one has proved the key absent. The table
+/// grows at 50 % load, so every probe meets one and stays O(1) amortized.
+#[derive(Debug, Clone)]
+struct StampedTable<P> {
+    slots: Vec<(u64, P)>,
+    mask: usize,
+    /// Current generation; never 0, so a zeroed slot is always stale.
+    stamp: u32,
+    /// Keys claimed under the current stamp.
+    len: usize,
 }
 
-impl OpenIndex {
-    /// Whether the owning set has spilled into this index since it was
-    /// last cleared.
+impl<P> Default for StampedTable<P> {
+    fn default() -> Self {
+        StampedTable {
+            slots: Vec::new(),
+            mask: 0,
+            stamp: 1,
+            len: 0,
+        }
+    }
+}
+
+impl<P: Copy + Default> StampedTable<P> {
+    /// The slot word of `key` under the current stamp.
     #[inline]
-    fn spilled(&self) -> bool {
-        self.used > 0
+    fn word(&self, key: u32) -> u64 {
+        (key as u64) << 32 | self.stamp as u64
     }
 
-    /// Forget every entry but keep the slot allocation. An index nothing
-    /// spilled into since the last clear is not touched.
+    /// Forget every key, retaining capacity.
     #[inline]
     fn clear(&mut self) {
-        if self.used > 0 {
-            self.slots.fill(0);
-            self.used = 0;
+        if self.len != 0 {
+            self.len = 0;
+            self.stamp = self.stamp.wrapping_add(1);
+            if self.stamp == 0 {
+                self.wipe();
+            }
         }
     }
 
-    /// Position of the newest entry recorded for `key`.
-    #[inline]
-    fn get(&self, key: u32) -> Option<u32> {
-        debug_assert!(self.spilled());
-        let mut i = home_slot(key, self.mask);
-        loop {
-            let s = self.slots[i];
-            if s == 0 {
-                return None;
-            }
-            if (s >> 32) as u32 == key {
-                return Some(s as u32 - 1);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Record `key → pos`, replacing any earlier position for `key`.
-    fn set(&mut self, key: u32, pos: u32) {
-        if self.used * 2 >= self.slots.len() {
-            self.mask = grow_table(&mut self.slots, |s| s != 0);
-        }
-        let mut i = home_slot(key, self.mask);
-        loop {
-            let s = self.slots[i];
-            if s == 0 {
-                self.slots[i] = (key as u64) << 32 | (pos as u64 + 1);
-                self.used += 1;
-                return;
-            }
-            if (s >> 32) as u32 == key {
-                self.slots[i] = (key as u64) << 32 | (pos as u64 + 1);
-                return;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Build the index from scratch over `pairs` (later pairs win).
+    /// The stamp wrapped: slots of the first generations would read as
+    /// current again, so start over from a zeroed table.
     #[cold]
-    fn build(&mut self, pairs: impl Iterator<Item = (u32, u32)>) {
-        self.clear();
-        for (key, pos) in pairs {
-            self.set(key, pos);
+    fn wipe(&mut self) {
+        self.slots.fill((0, P::default()));
+        self.stamp = 1;
+    }
+
+    /// `Ok` with the slot holding `key`, or `Err` with the stale slot where
+    /// it would be claimed. Needs a stale slot to exist (see `reserve`).
+    #[inline]
+    fn probe(&self, key: u32) -> Result<usize, usize> {
+        let want = self.word(key);
+        let mut i = home_slot(key, self.mask);
+        loop {
+            let s = self.slots[i].0;
+            if s == want {
+                return Ok(i);
+            }
+            if s as u32 != self.stamp {
+                return Err(i);
+            }
+            i = (i + 1) & self.mask;
         }
+    }
+
+    /// Make room to claim one more key.
+    #[inline]
+    fn reserve(&mut self) {
+        if self.len * 2 >= self.slots.len() {
+            self.grow();
+        }
+    }
+
+    /// Double the table (or seed it) and re-claim the current keys.
+    #[cold]
+    fn grow(&mut self) {
+        let new_len = (self.slots.len() * 2).max(32);
+        let old = std::mem::replace(&mut self.slots, vec![(0, P::default()); new_len]);
+        self.mask = new_len - 1;
+        for (s, payload) in old.into_iter().filter(|&(s, _)| s as u32 == self.stamp) {
+            let (Ok(i) | Err(i)) = self.probe((s >> 32) as u32);
+            self.slots[i] = (s, payload);
+        }
+    }
+
+    /// Claim slot `i`, the `Err` of `probe(key)`, for `key`.
+    #[inline]
+    fn claim(&mut self, i: usize, key: u32, payload: P) {
+        self.slots[i] = (self.word(key), payload);
+        self.len += 1;
     }
 }
 
 /// A transaction's read log.
 ///
-/// Two representations coexist because the backends need different
-/// validation styles:
+/// Two logs, because the backends need different validation styles:
 ///
 /// * *orec entries* — `(record index, observed version)` pairs, validated
 ///   against ownership records (TL2, TinySTM, SwissTM);
 /// * *value entries* — `(address, observed value)` pairs, re-read and
 ///   compared for NOrec's value-based validation.
 ///
-/// Both logs deduplicate re-observations, so a transaction that reads the
-/// same stripe in a loop keeps a read set proportional to its *footprint*,
-/// not its read count — and every validation walk (including SwissTM's
-/// snapshot extensions, which re-walk the whole log) shrinks accordingly.
-/// The dedup check is O(1) always: while the log is small it compares
-/// against the *newest* entry only (catching the dominant consecutive
-/// re-read pattern without a scan); once the log spills to its index it
-/// dedups against the newest observation recorded for the key. A
-/// re-observation at a different version/value is appended, preserving
-/// exact validation semantics.
+/// Neither has an index. A push drops only an exact repeat of the log's
+/// newest entry — a loop re-reading the stripe it just read costs one
+/// compare — and appends anything else, an earlier location read again
+/// included, as the original algorithms do. Every logged read is
+/// validated; the first observation of a location is still first in the
+/// log, so a validation walk fails on the entry, and names the stripe, that
+/// a deduplicated log would; and validation costs what the transaction
+/// read.
 #[derive(Debug, Default, Clone)]
 pub struct ReadSet {
     orecs: Vec<(u32, u64)>,
-    orec_index: OpenIndex,
     values: Vec<(Addr, u64)>,
-    value_index: OpenIndex,
 }
 
 impl ReadSet {
@@ -171,69 +166,25 @@ impl ReadSet {
     pub fn clear(&mut self) {
         self.orecs.clear();
         self.values.clear();
-        self.orec_index.clear();
-        self.value_index.clear();
     }
 
-    /// Record that orec `idx` was observed at `version`. A duplicate of
-    /// the newest observation (for the log's tail while inline, for `idx`
-    /// once indexed) is dropped.
+    /// Record that orec `idx` was observed at `version`, unless that is
+    /// the newest entry already.
     #[inline]
     pub fn push_orec(&mut self, idx: usize, version: u64) {
-        let key = idx as u32;
-        // Tail compare first: the hot case is a loop re-reading the stripe
-        // it just read, and it must cost one compare — before any index
-        // bookkeeping. Correct in both representations (the tail is the
-        // newest observation overall, so a tail hit is always a safe drop).
-        if self.orecs.last() == Some(&(key, version)) {
-            return;
-        }
-        if self.orec_index.spilled() {
-            if let Some(pos) = self.orec_index.get(key) {
-                if self.orecs[pos as usize].1 == version {
-                    return;
-                }
-            }
-            let pos = self.orecs.len() as u32;
-            self.orecs.push((key, version));
-            self.orec_index.set(key, pos);
-            return;
-        }
-        self.orecs.push((key, version));
-        if self.orecs.len() > INLINE_MAX {
-            self.orec_index
-                .build(self.orecs.iter().enumerate().map(|(i, e)| (e.0, i as u32)));
+        let e = (idx as u32, version);
+        if self.orecs.last() != Some(&e) {
+            self.orecs.push(e);
         }
     }
 
-    /// Record that address `a` was observed holding `value`. A duplicate
-    /// of the newest observation (for the log's tail while inline, for `a`
-    /// once indexed) is dropped.
+    /// Record that address `a` was observed holding `value`, unless that
+    /// is the newest entry already.
     #[inline]
     pub fn push_value(&mut self, a: Addr, value: u64) {
-        // Tail compare first — see `push_orec`.
-        if self.values.last() == Some(&(a, value)) {
-            return;
-        }
-        if self.value_index.spilled() {
-            if let Some(pos) = self.value_index.get(a.0) {
-                if self.values[pos as usize].1 == value {
-                    return;
-                }
-            }
-            let pos = self.values.len() as u32;
-            self.values.push((a, value));
-            self.value_index.set(a.0, pos);
-            return;
-        }
-        self.values.push((a, value));
-        if self.values.len() > INLINE_MAX {
-            self.value_index.build(
-                self.values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| (e.0 .0, i as u32)),
-            );
+        let e = (a, value);
+        if self.values.last() != Some(&e) {
+            self.values.push(e);
         }
     }
 
@@ -249,7 +200,8 @@ impl ReadSet {
         &self.values
     }
 
-    /// Total number of logged (distinct) reads.
+    /// Total number of logged reads: a location read again after another
+    /// counts again, so this is reads logged, not distinct locations.
     #[inline]
     pub fn len(&self) -> usize {
         self.orecs.len() + self.values.len()
@@ -264,15 +216,15 @@ impl ReadSet {
 
 /// A transaction's redo log: buffered writes applied to the heap at commit.
 ///
+/// Entries stay in insertion order for lock acquisition and write-back.
 /// Lookup must be fast because every transactional read first consults the
-/// write set (read-after-write consistency): a linear scan up to
-/// [`INLINE_MAX`] entries, an [`OpenIndex`] probe — O(1) amortized —
-/// beyond. Entries stay in insertion order for lock acquisition and
-/// write-back.
+/// write set (read-after-write consistency): a `StampedTable` maps each
+/// written address to its entry's position, so an insert or a lookup in a
+/// non-empty set is one probe, and `clear` is a stamp bump.
 #[derive(Debug, Default, Clone)]
 pub struct WriteSet {
     entries: Vec<(Addr, u64)>,
-    index: OpenIndex,
+    index: StampedTable<u32>,
 }
 
 impl WriteSet {
@@ -302,50 +254,30 @@ impl WriteSet {
 
     /// Buffer a write of `value` to address `a`, overwriting any earlier
     /// write to the same address.
+    #[inline]
     pub fn insert(&mut self, a: Addr, value: u64) {
-        if self.index.spilled() {
-            if let Some(pos) = self.index.get(a.0) {
-                self.entries[pos as usize].1 = value;
-                return;
+        self.index.reserve();
+        match self.index.probe(a.0) {
+            Ok(i) => self.entries[self.index.slots[i].1 as usize].1 = value,
+            Err(i) => {
+                self.index.claim(i, a.0, self.entries.len() as u32);
+                self.entries.push((a, value));
             }
-            let pos = self.entries.len() as u32;
-            self.entries.push((a, value));
-            self.index.set(a.0, pos);
-            return;
-        }
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == a) {
-            e.1 = value;
-            return;
-        }
-        self.entries.push((a, value));
-        if self.entries.len() > INLINE_MAX {
-            self.index.build(
-                self.entries
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| (e.0 .0, i as u32)),
-            );
         }
     }
 
     /// The buffered value for `a`, if this transaction wrote it.
-    ///
-    /// Read-only over the current representation (the spill to the index
-    /// happens in [`WriteSet::insert`]), so reads can be issued through a
-    /// shared reference.
     #[inline]
     pub fn get(&self, a: Addr) -> Option<u64> {
         // Empty-set early out: every transactional read consults the write
         // set, and in read-only transactions — the majority in most TM
-        // workloads — this is the whole call.
+        // workloads — this is the whole call. (It also covers the table
+        // that has never been seeded.)
         if self.entries.is_empty() {
             return None;
         }
-        if self.index.spilled() {
-            self.index.get(a.0).map(|p| self.entries[p as usize].1)
-        } else {
-            self.entries.iter().find(|e| e.0 == a).map(|e| e.1)
-        }
+        let i = self.index.probe(a.0).ok()?;
+        Some(self.entries[self.index.slots[i].1 as usize].1)
     }
 
     /// All buffered writes in insertion order.
@@ -359,73 +291,41 @@ impl WriteSet {
 /// simulated HTM's read or write footprint, bounded by a capacity.
 ///
 /// Exact — the distinct-line count, and so the access at which a capacity
-/// abort fires, is a plain set's — in one open-addressed table of
-/// `line << 32 | stamp` slots. A slot is occupied only while its stamp is
-/// the current one, so `clear` is a stamp bump and an access costs the
-/// compare against the previous access (consecutive words of one record
-/// share a line) or one find-or-claim probe. A stale slot ends a probe as
-/// a never-used one does: within one stamp slots are claimed, never
-/// released, so a tracked line's probe path stays occupied (DESIGN.md §9).
-#[derive(Debug, Clone)]
+/// abort fires, is a plain set's — in one `StampedTable` of lines with no
+/// payload. An access costs the compare against the previous access
+/// (consecutive words of one record share a line) or one find-or-claim
+/// probe (DESIGN.md §9).
+#[derive(Debug, Default, Clone)]
 pub struct LineSet {
-    slots: Vec<u64>,
-    mask: usize,
-    /// Current generation; never 0, so a zeroed slot is always stale.
-    stamp: u32,
-    len: usize,
-    /// Slot word of the previous tracked access (stale after a `clear`).
+    table: StampedTable<()>,
+    /// Slot word of the previous tracked access; 0 (never a slot word)
+    /// after a `clear`.
     last: u64,
-}
-
-impl Default for LineSet {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl LineSet {
     /// An empty line set.
     pub fn new() -> Self {
-        LineSet {
-            slots: Vec::new(),
-            mask: 0,
-            stamp: 1,
-            len: 0,
-            last: 0,
-        }
+        Self::default()
     }
 
     /// Forget all lines, retaining capacity.
     #[inline]
     pub fn clear(&mut self) {
-        if self.len != 0 {
-            self.len = 0;
-            self.stamp = self.stamp.wrapping_add(1);
-            if self.stamp == 0 {
-                self.wipe();
-            }
-        }
-    }
-
-    /// The stamp wrapped: slots of the first generations would read as
-    /// current again, so start over from a zeroed table.
-    #[cold]
-    fn wipe(&mut self) {
-        self.slots.fill(0);
-        self.stamp = 1;
+        self.table.clear();
         self.last = 0;
     }
 
     /// Number of distinct lines tracked.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.table.len
     }
 
     /// Whether no line has been touched yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.table.len == 0
     }
 
     /// Track `line`. Returns false — and tracks nothing — when the line is
@@ -433,31 +333,18 @@ impl LineSet {
     #[inline]
     pub fn insert(&mut self, line: u32, cap: usize) -> bool {
         // The inlined part is this one compare; the probe is a call.
-        let want = (line as u64) << 32 | self.stamp as u64;
-        self.last == want || self.find_or_claim(want, cap)
+        self.last == self.table.word(line) || self.find_or_claim(line, cap)
     }
 
-    fn find_or_claim(&mut self, want: u64, cap: usize) -> bool {
-        if self.len * 2 >= self.slots.len() {
-            self.mask = grow_table(&mut self.slots, |s| s as u32 == self.stamp);
-        }
-        let mut i = home_slot((want >> 32) as u32, self.mask);
-        loop {
-            let s = self.slots[i];
-            if s == want {
-                break;
+    fn find_or_claim(&mut self, line: u32, cap: usize) -> bool {
+        self.table.reserve();
+        if let Err(i) = self.table.probe(line) {
+            if self.table.len >= cap {
+                return false;
             }
-            if s as u32 != self.stamp {
-                if self.len >= cap {
-                    return false;
-                }
-                self.slots[i] = want;
-                self.len += 1;
-                break;
-            }
-            i = (i + 1) & self.mask;
+            self.table.claim(i, line, ());
         }
-        self.last = want;
+        self.last = self.table.word(line);
         true
     }
 }
@@ -466,8 +353,8 @@ impl LineSet {
 mod tests {
     use super::*;
 
-    /// The pre-index reference: the linear-scan write set the indexed one
-    /// must be observably equivalent to (modulo speed).
+    /// The linear-scan reference the table-indexed write set must be
+    /// observably equivalent to (modulo speed).
     #[derive(Default)]
     struct LinearWriteSet {
         entries: Vec<(Addr, u64)>,
@@ -498,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn write_set_switches_to_index_transparently() {
+    fn write_set_tracks_every_address_across_growth() {
         let mut ws = WriteSet::new();
         for i in 0..100u32 {
             ws.insert(Addr(i), i as u64);
@@ -506,7 +393,7 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(ws.get(Addr(i)), Some(i as u64));
         }
-        // Overwrites after indexing still work.
+        // Overwrites after growth still work.
         ws.insert(Addr(50), 999);
         assert_eq!(ws.get(Addr(50)), Some(999));
         assert_eq!(ws.len(), 100);
@@ -514,8 +401,8 @@ mod tests {
 
     #[test]
     fn write_set_preserves_insertion_order() {
-        // Backends lock and write back in insertion order; the index spill
-        // must never reorder entries.
+        // Backends lock and write back in insertion order; growing the
+        // table must never reorder entries.
         let mut ws = WriteSet::new();
         let addrs: Vec<u32> = (0..40u32).map(|i| i * 7 % 41).collect();
         for &a in &addrs {
@@ -539,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn a_small_transaction_after_a_large_one_leaves_the_index_untouched() {
+    fn clear_keeps_every_allocation() {
         let mut ws = WriteSet::new();
         let mut rs = ReadSet::new();
         for i in 0..40u32 {
@@ -547,27 +434,31 @@ mod tests {
             rs.push_orec(i as usize, 1);
             rs.push_value(Addr(i), 1);
         }
-        assert!(ws.index.spilled() && rs.orec_index.spilled() && rs.value_index.spilled());
+        let slots = ws.index.slots.len();
+        assert!(slots > 0);
         ws.clear();
         rs.clear();
-        let slots = ws.index.slots.len();
-        assert!(slots > 0, "the allocation is kept");
-        // Three entries scan inline: nothing is hashed into the index, so
-        // the next clear has nothing to wipe.
-        for i in [7u32, 3, 7, 9] {
-            ws.insert(Addr(i), u64::from(i));
-            rs.push_orec(i as usize, 2);
-            rs.push_value(Addr(i), 2);
+        assert_eq!(ws.index.slots.len(), slots, "the table is kept");
+        assert!(ws.entries.capacity() >= 40);
+        assert!(rs.orecs.capacity() >= 40 && rs.values.capacity() >= 40);
+    }
+
+    #[test]
+    fn write_set_wipes_its_table_when_the_stamp_wraps() {
+        // Generation 1 fills some slots; 2^32 - 1 clears later the stamp
+        // is 1 again, and those slots must not read as written.
+        let mut ws = WriteSet::new();
+        for a in 0..5u32 {
+            ws.insert(Addr(a), 10 + a as u64);
         }
-        assert_eq!(ws.len(), 3);
-        assert_eq!(ws.get(Addr(3)), Some(3));
-        for index in [&ws.index, &rs.orec_index, &rs.value_index] {
-            assert!(!index.spilled());
-            assert!(index.slots.iter().all(|&s| s == 0));
-        }
-        assert_eq!(ws.index.slots.len(), slots);
-        // Inline dedup is against the tail only, as in a fresh set.
-        assert_eq!(rs.orecs(), &[(7, 2), (3, 2), (7, 2), (9, 2)]);
+        ws.index.stamp = u32::MAX;
+        ws.clear();
+        assert_eq!((ws.index.stamp, ws.len()), (1, 0));
+        assert!(ws.index.slots.iter().all(|&(s, _)| s == 0) && !ws.index.slots.is_empty());
+        ws.insert(Addr(3), 7);
+        assert_eq!(ws.get(Addr(3)), Some(7));
+        assert_eq!(ws.get(Addr(2)), None, "a wiped address reads unwritten");
+        assert_eq!(ws.entries(), &[(Addr(3), 7)]);
     }
 
     #[test]
@@ -597,10 +488,10 @@ mod tests {
         for line in 0..5u32 {
             assert!(ls.insert(line, 8));
         }
-        ls.stamp = u32::MAX;
+        ls.table.stamp = u32::MAX;
         ls.clear();
-        assert_eq!((ls.stamp, ls.len()), (1, 0));
-        assert!(ls.slots.iter().all(|&s| s == 0) && !ls.slots.is_empty());
+        assert_eq!((ls.table.stamp, ls.len()), (1, 0));
+        assert!(ls.table.slots.iter().all(|&(s, _)| s == 0) && !ls.table.slots.is_empty());
         assert!(ls.insert(99, 1));
         assert!(!ls.insert(3, 1), "a line of the wiped generation is new");
         assert!(ls.insert(99, 1));
@@ -637,25 +528,17 @@ mod tests {
     }
 
     #[test]
-    fn read_set_dedup_survives_index_spill() {
+    fn read_set_appends_a_non_consecutive_re_read_in_order() {
         let mut rs = ReadSet::new();
-        // Spill the orec log past the inline threshold ...
-        for i in 0..(INLINE_MAX as u32 + 4) {
-            rs.push_orec(i as usize, 1);
+        for (idx, a) in [(1usize, 10u32), (1, 10), (2, 20), (1, 10), (1, 10)] {
+            rs.push_orec(idx, 5);
+            rs.push_value(Addr(a), 5);
         }
-        let n = rs.orecs().len();
-        // ... then hammer re-observations: nothing may be appended.
-        for _ in 0..100 {
-            for i in 0..(INLINE_MAX as u32 + 4) {
-                rs.push_orec(i as usize, 1);
-            }
-        }
-        assert_eq!(rs.orecs().len(), n);
-        for i in 0..(INLINE_MAX as u32 + 4) {
-            rs.push_value(Addr(i), 7);
-            rs.push_value(Addr(i), 7);
-        }
-        assert_eq!(rs.values().len(), INLINE_MAX + 4);
+        // Each consecutive repeat is dropped; the re-read of 1 after 2 is
+        // logged again, behind the first observation.
+        assert_eq!(rs.orecs(), &[(1, 5), (2, 5), (1, 5)]);
+        assert_eq!(rs.values(), &[(Addr(10), 5), (Addr(20), 5), (Addr(10), 5)]);
+        assert_eq!(rs.len(), 6, "len counts reads logged, not locations");
     }
 
     proptest::proptest! {
@@ -675,32 +558,35 @@ mod tests {
         }
 
         #[test]
-        fn indexed_write_set_matches_linear_scan_model(
+        fn write_set_matches_a_linear_scan_model_across_the_stamp_wrap(
+            clears_left in 0u32..6,
             ops in proptest::collection::vec((0u32..16, 0u32..48, 0u64..1000), 0..400),
         ) {
-            // Equivalence against the pre-change linear-scan implementation:
-            // same lookups, same entry order, same lengths — interleaving
-            // reads, writes and clears so lookups hit every representation
-            // state (inline, freshly spilled, long-indexed, and inline
-            // again after a clear that followed a spill).
+            // Starts a few clears short of the wrap, so most cases cross
+            // it — some with a table already grown, some before the first
+            // slot exists — and interleaves inserts, lookups and clears so
+            // lookups meet fresh, grown and reused tables: every answer
+            // before, at and after the wipe must be the linear scan's.
             let mut ws = WriteSet::new();
+            ws.index.stamp = u32::MAX - clears_left;
             let mut model = LinearWriteSet::default();
             for (op, a, v) in ops {
                 match op {
                     0 => {
                         ws.clear();
                         model.entries.clear();
-                        proptest::prop_assert!(!ws.index.spilled());
+                        proptest::prop_assert!(ws.index.stamp != 0);
                     }
                     1..=8 => {
                         ws.insert(Addr(a), v);
                         model.insert(Addr(a), v);
                     }
-                    _ => proptest::prop_assert_eq!(ws.get(Addr(a)), model.get(Addr(a))),
+                    _ => {}
                 }
-                proptest::prop_assert_eq!(ws.index.spilled(), ws.len() > INLINE_MAX);
+                proptest::prop_assert_eq!(ws.get(Addr(a)), model.get(Addr(a)));
+                proptest::prop_assert_eq!(ws.entries(), model.entries.as_slice());
+                proptest::prop_assert_eq!(ws.len(), model.entries.len());
             }
-            proptest::prop_assert_eq!(ws.entries(), model.entries.as_slice());
         }
 
         #[test]
@@ -713,16 +599,14 @@ mod tests {
             // it — some with a table already grown, some before the first
             // slot exists — and every decision before, at and after the
             // wipe must be the plain set's.
-            let mut set = LineSet {
-                stamp: u32::MAX - clears_left,
-                ..LineSet::new()
-            };
+            let mut set = LineSet::new();
+            set.table.stamp = u32::MAX - clears_left;
             let mut model = std::collections::BTreeSet::new();
             for (op, line) in ops {
                 if op == 0 {
                     set.clear();
                     model.clear();
-                    proptest::prop_assert!(set.stamp != 0);
+                    proptest::prop_assert!(set.table.stamp != 0);
                 } else {
                     let fits = model.contains(&line) || model.len() < cap;
                     if fits {
@@ -732,22 +616,6 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(set.len(), model.len());
                 proptest::prop_assert_eq!(set.is_empty(), model.is_empty());
-            }
-        }
-
-        #[test]
-        fn open_index_tracks_every_key(keys in proptest::collection::vec(0u32..10_000, 0..400)) {
-            let mut idx = OpenIndex::default();
-            let mut model = std::collections::HashMap::new();
-            for (pos, k) in keys.iter().enumerate() {
-                idx.set(*k, pos as u32);
-                model.insert(*k, pos as u32);
-            }
-            if !model.is_empty() {
-                for (k, pos) in &model {
-                    proptest::prop_assert_eq!(idx.get(*k), Some(*pos));
-                }
-                proptest::prop_assert_eq!(idx.get(10_001), None);
             }
         }
     }
