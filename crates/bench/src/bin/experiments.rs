@@ -6,7 +6,6 @@
 //! experiments --quick all       # reduced corpus sizes (CI-friendly)
 //! experiments --jobs 4 fig5     # evaluation worker threads (or PROTEUS_JOBS)
 //! experiments --trace-out t.jsonl fig4   # JSONL telemetry trace
-//! experiments --faults plan.json fig5    # seeded fault injection
 //! experiments bench-snapshot             # exact regression gate (see below)
 //! experiments vtime             # virtual-time scalability (byte-identical everywhere)
 //! ```
@@ -86,14 +85,14 @@ fn main() {
 
     // The perf gate manages its own in-memory traces and writes its own
     // snapshot file, so it must be the sole target and cannot be combined
-    // with the trace/faults plumbing below.
+    // with the trace plumbing below.
     if opts.targets.iter().any(|t| t == "bench-snapshot") {
         // The other targets are its own flags and their values (e.g.
         // `--out x.json`); SnapshotArgs::parse rejects genuine strays.
-        if opts.trace_out.is_some() || opts.faults.is_some() {
+        if opts.trace_out.is_some() {
             fail_usage(
                 "bench-snapshot runs its own in-memory traces; \
-                 --trace-out/--faults do not apply",
+                 --trace-out does not apply",
             );
         }
         let mut rest = opts.targets.clone();
@@ -112,7 +111,6 @@ fn main() {
     if opts.targets.is_empty() {
         fail_usage(&format!(
             "usage: experiments [--quick] [--jobs N] [--trace-out PATH] \
-             [--faults PLAN.json] \
              <all | bench-snapshot | {} ...>",
             index.keys().cloned().collect::<Vec<_>>().join(" | ")
         ));
@@ -132,29 +130,6 @@ fn main() {
             fail_usage(&format!("unknown experiment: {target}"));
         }
     }
-    // Install the fault plan before the trace starts, so a malformed plan
-    // exits before any trace file is created, and so the plan's fault and
-    // recovery events are in the stream from its first line.
-    let faults_armed = match &opts.faults {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                fail_usage(&format!("cannot read fault plan {}: {e}", path.display()))
-            });
-            let plan = faultsim::FaultPlan::parse_json(&text).unwrap_or_else(|e| {
-                fail_usage(&format!("invalid fault plan {}: {e}", path.display()))
-            });
-            if !faultsim::enabled() {
-                eprintln!(
-                    "warning: built without the `faults` feature; \
-                     the plan in {} will inject nothing",
-                    path.display()
-                );
-            }
-            faultsim::install(&plan);
-            true
-        }
-        None => false,
-    };
     let tracing = match &opts.trace_out {
         Some(path) => {
             if !obs::telemetry_compiled() {
@@ -177,13 +152,6 @@ fn main() {
     for (name, f) in plan {
         banner(name);
         f(opts.quick);
-    }
-    if faults_armed {
-        println!("\nfault injection summary:");
-        for site in faultsim::Site::ALL {
-            println!("  {:<14} fired {:>6}", site.slug(), faultsim::fired(site));
-        }
-        faultsim::uninstall();
     }
     if tracing {
         let audit = obs::finish_trace().overhead;

@@ -20,8 +20,6 @@ pub struct Options {
     pub jobs: Option<usize>,
     /// `--trace-out PATH`: JSONL telemetry trace.
     pub trace_out: Option<PathBuf>,
-    /// `--faults PLAN.json`: seeded fault plan.
-    pub faults: Option<PathBuf>,
     /// Every argument no flag above claimed, in order: experiment names —
     /// and, only when `bench-snapshot` is among them, that subcommand's own
     /// flags and their values, which `SnapshotArgs::parse` checks.
@@ -68,7 +66,6 @@ impl Options {
                 "--quick" if inline.is_none() => opts.quick = true,
                 "--jobs" => opts.jobs = Some(parse_jobs(value()?)?),
                 "--trace-out" => opts.trace_out = Some(PathBuf::from(value()?)),
-                "--faults" => opts.faults = Some(PathBuf::from(value()?)),
                 _ => opts.targets.push(a.clone()),
             }
         }
@@ -109,17 +106,10 @@ mod tests {
     #[test]
     fn flags_override_environment() {
         let env = |k: &str| (k == "PROTEUS_JOBS").then(|| OsString::from("8"));
-        let args = s(&[
-            "--jobs",
-            "2",
-            "--trace-out=flag.jsonl",
-            "--faults=flag-plan.json",
-            "fig4",
-        ]);
+        let args = s(&["--jobs", "2", "--trace-out=flag.jsonl", "fig4"]);
         let o = Options::parse_with(&args, env).unwrap();
         assert_eq!(o.jobs, Some(2), "flag beats PROTEUS_JOBS");
         assert_eq!(o.trace_out.as_deref(), Some("flag.jsonl".as_ref()));
-        assert_eq!(o.faults.as_deref(), Some("flag-plan.json".as_ref()));
         assert_eq!(o.targets, vec!["fig4".to_string()]);
 
         // Without the flag the environment fills the slot; the other
@@ -137,7 +127,7 @@ mod tests {
         let o = Options::parse_with(&s(&["--jobs", "3", "all"]), no_env).unwrap();
         assert_eq!(o.jobs, Some(3));
         assert_eq!(o.targets, vec!["all".to_string()]);
-        for flag in ["--jobs", "--trace-out", "--faults"] {
+        for flag in ["--jobs", "--trace-out"] {
             let spaced = Options::parse_with(&s(&[flag, "3", "all"]), no_env).unwrap();
             let inline = Options::parse_with(&s(&[&format!("{flag}=3"), "all"]), no_env).unwrap();
             assert_eq!(spaced, inline, "{flag}");
@@ -152,7 +142,6 @@ mod tests {
         assert!(Options::parse_with(&s(&["--jobs", "0"]), no_env).is_err());
         assert!(Options::parse_with(&s(&["--jobs=none"]), no_env).is_err());
         assert!(Options::parse_with(&s(&["--trace-out"]), no_env).is_err());
-        assert!(Options::parse_with(&s(&["--faults"]), no_env).is_err());
     }
 
     #[test]
@@ -171,6 +160,7 @@ mod tests {
             &["--health-out", "x", "fig4"],
             &["--metrics-out", "x", "fig4"],
             &["--metrics-out=x", "fig4"],
+            &["--faults", "plan.json", "fig5"],
             &["--trace_out=x", "fig4"],
             &["--quick=1", "fig5"],
         ] {

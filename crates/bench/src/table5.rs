@@ -5,7 +5,7 @@
 use crate::harness::print_table;
 use apps::systems::{Memcached, TpcC};
 use apps::TmApp;
-use polytm::{BackendId, PolyTm, RetryPolicy, TmConfig};
+use polytm::{BackendId, PolyTm, SwitchError, TmConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,18 +44,15 @@ fn reconfig_latency_us(
             } else {
                 BackendId::Tl2
             };
-            // Retry absorbs transient faults (injected or real quiesce
-            // timeouts); with no fault plan armed the first attempt always
-            // succeeds, so the measured latency is unchanged. A switch
-            // whose retries are exhausted has already degraded to the
-            // known-good configuration — the app keeps running, only the
-            // latency sample is lost.
-            match poly.apply_with_retry(&TmConfig::stm(backend, threads), &RetryPolicy::default()) {
+            match poly.apply(&TmConfig::stm(backend, threads)) {
                 Ok(latency) => {
                     total += latency;
                     applied += 1;
                 }
-                Err(polytm::SwitchError::RetriesExhausted { .. }) => {}
+                // A transaction outlived the drain budget and the switch
+                // rolled back: the app keeps running on the old backend,
+                // only the latency sample is lost.
+                Err(SwitchError::QuiesceTimeout { .. }) => {}
                 // Anything else is a bench bug; record it and exit the
                 // scope cleanly so the workers are released before the
                 // panic below (a panic inside the scope would leave them

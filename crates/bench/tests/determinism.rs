@@ -77,6 +77,10 @@ fn fig4_trace_is_byte_identical_across_job_counts() {
             "missing {kind} events in trace"
         );
     }
+    assert!(
+        !text.contains("\"kind\":\"recovery."),
+        "recovery events in a run where nothing failed"
+    );
     assert_eq!(
         serial, parallel,
         "fig4 JSONL trace must be byte-identical at jobs=1 and jobs=4"

@@ -14,10 +14,6 @@
 //! - the whole sweep is deterministic: a second full pass folds to the
 //!   same digest (single-threaded exact-integer work, so the bytes are
 //!   identical at every `--jobs` value and on every host).
-//!
-//! Everything runs in ONE `#[test]`: the faultsim injector slots are
-//! process-global, so a concurrently running sibling test stepping its own
-//! `PHeap` while a `crash_point` plan is armed would crash spuriously.
 
 use std::sync::Arc;
 use stm::Durable;
@@ -128,36 +124,13 @@ fn volatile_image(fx: &Fixture) -> Vec<u64> {
     fx.slots.iter().map(|&a| fx.sys.heap.read_raw(a)).collect()
 }
 
-/// Crash the fixed workload at persistence step `k` (via the internal
-/// trigger when `injected` is false, via an armed faultsim `crash_point`
-/// plan when true), recover — surviving one nested crash mid-recovery
-/// when `recovery_crash` — and verify every invariant. Returns a digest
-/// contribution.
-fn crash_at(mode: DurabilityMode, k: u64, recovery_crash: bool, injected: bool) -> u64 {
+/// Crash the fixed workload at persistence step `k`, recover — surviving
+/// one nested crash mid-recovery when `recovery_crash` — and verify every
+/// invariant. Returns a digest contribution.
+fn crash_at(mode: DurabilityMode, k: u64, recovery_crash: bool) -> u64 {
     let mut fx = fixture(mode);
-    let out;
-    if injected {
-        #[cfg(feature = "faults")]
-        {
-            let plan = faultsim::FaultPlan::new(1).with(
-                faultsim::Site::CrashPoint,
-                faultsim::FaultSpec {
-                    probability: 1.0,
-                    after: k - 1,
-                    max_fires: 1,
-                    stall_ms: 0,
-                },
-            );
-            out = faultsim::with_plan(plan, || drive(&mut fx));
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            unreachable!("injected sweep leg only runs with the faults feature")
-        }
-    } else {
-        fx.tm.pheap().set_crash_at(k);
-        out = drive(&mut fx);
-    }
+    fx.tm.pheap().set_crash_at(k);
+    let out = drive(&mut fx);
     assert!(
         fx.tm.pheap().crashed(),
         "step {k} must be within the workload's persistence tape"
@@ -244,29 +217,31 @@ fn sweep(mode: DurabilityMode) -> u64 {
     for k in 1..=steps {
         // Every third point also crashes mid-recovery: the nested loop is
         // exercised across the whole tape without tripling the runtime.
-        digest = mix(digest ^ crash_at(mode, k, k % 3 == 0, false));
+        digest = mix(digest ^ crash_at(mode, k, k % 3 == 0));
     }
     digest
 }
 
-#[test]
-fn every_crash_point_recovers_to_a_consistent_state() {
-    let buffered = sweep(DurabilityMode::Buffered);
-    let strict = sweep(DurabilityMode::Strict);
-    // Determinism: a full second pass folds to the same digest.
-    assert_eq!(buffered, sweep(DurabilityMode::Buffered));
-    assert_eq!(strict, sweep(DurabilityMode::Strict));
-    assert_ne!(buffered, strict, "the modes produce distinct tapes");
+/// Sweep `mode` twice: the second full pass must fold to the same digest.
+fn sweep_is_deterministic(mode: DurabilityMode) {
+    assert_eq!(
+        sweep(mode),
+        sweep(mode),
+        "{mode:?} sweep is not deterministic"
+    );
+}
 
-    // The faultsim-driven leg: the injected `crash_point` site is
-    // consulted once per persistence step, so a plan firing at occurrence
-    // k must reproduce the internal trigger's outcome exactly.
-    #[cfg(feature = "faults")]
-    for k in [1, 7, 33, 101] {
-        assert_eq!(
-            crash_at(DurabilityMode::Buffered, k, false, true),
-            crash_at(DurabilityMode::Buffered, k, false, false),
-            "injected crash at step {k} diverged from the internal trigger"
-        );
-    }
+#[test]
+fn every_buffered_crash_point_recovers_to_a_consistent_state() {
+    sweep_is_deterministic(DurabilityMode::Buffered);
+}
+
+#[test]
+fn every_strict_crash_point_recovers_to_a_consistent_state() {
+    sweep_is_deterministic(DurabilityMode::Strict);
+    assert_ne!(
+        clean_steps(DurabilityMode::Strict),
+        clean_steps(DurabilityMode::Buffered),
+        "the modes produce distinct tapes"
+    );
 }

@@ -87,3 +87,22 @@ fn analyzer_rejects_schema_drift_loudly() {
         "capture must start with the schema header"
     );
 }
+
+/// Table 5 reconfigures a live PolyTM under load: the suite's one capture
+/// of real `PolyTm::apply` records, which the report's switch section reads.
+#[test]
+fn table5_switches_reach_the_report() {
+    let (_, bytes) = obs::capture_trace(|| bench::table5::run_with(2));
+    let text = String::from_utf8(bytes).expect("trace is UTF-8 JSONL");
+    assert!(
+        text.contains("\"kind\":\"config.switch\""),
+        "table5 must record its switches"
+    );
+    assert!(!text.contains("\"alerts\":"), "retired with the SLO engine");
+    let trace = tracetool::parse_trace(&text).expect("table5 trace parses");
+    let report = tracetool::report::plain(&tracetool::report::Report::new(&trace, 0.05));
+    assert!(
+        report.contains("switch latency & gate stalls"),
+        "missing switch section:\n{report}"
+    );
+}

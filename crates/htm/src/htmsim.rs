@@ -6,7 +6,7 @@ use crate::spec::SpecCore;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use txcore::util::spin_until;
-use txcore::{Abort, Addr, BackendKind, ThreadCtx, TmBackend, TmSystem, TxResult};
+use txcore::{Addr, BackendKind, ThreadCtx, TmBackend, TmSystem, TxResult};
 
 /// Simulated best-effort HTM with a global-lock fallback.
 ///
@@ -97,16 +97,6 @@ impl TmBackend for HtmSim {
             ctx.in_fallback = true;
             return Ok(());
         }
-        // Fault injection: a spurious hardware abort (interrupt, cache
-        // eviction, ...) before the speculative region even starts. It
-        // charges the budget like a real one, so a hostile plan drives the
-        // block into the fallback path rather than spinning forever.
-        if faultsim::armed() && faultsim::should_fire(faultsim::Site::HtmSpurious) {
-            if obs::enabled() {
-                obs::counter("fault.fired.htm_spurious").inc();
-            }
-            return Err(self.cm().charge(ctx, Abort::SPURIOUS));
-        }
         self.core.begin(&self.sys, ctx, &self.sys.fallback_seq)
     }
 
@@ -166,7 +156,7 @@ mod tests {
     use super::*;
     use crate::params::CapacityPolicy;
     use crate::spec::LINE_WORDS;
-    use txcore::{run_tx, AbortCode};
+    use txcore::{run_tx, Abort, AbortCode};
 
     fn setup() -> (Arc<TmSystem>, HtmSim, ThreadCtx) {
         let sys = Arc::new(TmSystem::new(1 << 16));

@@ -79,14 +79,6 @@ impl TmBackend for HybridNOrec {
             ctx.in_fallback = true;
             return Ok(());
         }
-        // Fault injection: spurious hardware abort on the fast path only
-        // (the NOrec slow path is software and cannot abort spuriously).
-        if faultsim::armed() && faultsim::should_fire(faultsim::Site::HtmSpurious) {
-            if obs::enabled() {
-                obs::counter("fault.fired.htm_spurious").inc();
-            }
-            return Err(self.cm().charge(ctx, Abort::SPURIOUS));
-        }
         self.core.begin(&self.sys, ctx, &self.sys.norec_seq)
     }
 
@@ -280,15 +272,6 @@ impl TmBackend for HybridTl2 {
         let software = ctx.htm_budget == 0;
         if software && obs::enabled() {
             obs::counter("htm.budget_exhausted.hybrid-tl2").inc();
-        }
-        // Fault injection: spurious hardware abort, speculative mode only.
-        // Fired before `tl2.begin` so the driver's begin-error path (which
-        // does not roll back) leaves no half-started TL2 transaction.
-        if !software && faultsim::armed() && faultsim::should_fire(faultsim::Site::HtmSpurious) {
-            if obs::enabled() {
-                obs::counter("fault.fired.htm_spurious").inc();
-            }
-            return Err(self.cm.charge(ctx, Abort::SPURIOUS));
         }
         self.tl2.begin(ctx)?; // resets logs (and the in_fallback flag)
         ctx.in_fallback = software;

@@ -4,9 +4,7 @@
 //! paths have abort causes software never produces — `Capacity` when a
 //! footprint overflows the simulated read/write sets — and those must
 //! reach the `run_tx` telemetry under their own code, never collapsed
-//! into `Conflict`. These tests inject no faults, so they can assert
-//! exact counts without arming a `faultsim` plan (see `faults.rs` for why
-//! the two styles must not share a process).
+//! into `Conflict`.
 
 use htm::{CapacityPolicy, HtmGeometry, HtmSim, HybridNOrec, LINE_WORDS};
 use std::sync::Arc;

@@ -12,8 +12,9 @@
 //! What is pinned: aborts raised by the backend's `read`/`write`/`commit`
 //! are charged once (`Capacity` by the policy, anything else one unit),
 //! `Explicit` aborts raised by user code are free, and aborts of a hybrid's
-//! software phase are free. The begin-time `htm_spurious` rung needs an
-//! armed `faultsim` plan and therefore lives in `faults.rs`.
+//! software phase are free. Spurious aborts, which best-effort hardware
+//! raises at commit with `HtmGeometry::spurious_abort_prob`, are pinned on
+//! their own: one unit each, and a storm of them ends in the fallback.
 
 use htm::{CapacityPolicy, HtmGeometry, HtmSim, HybridNOrec, HybridTl2, LINE_WORDS};
 use std::sync::Arc;
@@ -81,8 +82,11 @@ const WIDE_LINES: u32 = HtmGeometry::TINY_FOR_TESTS.write_capacity as u32 + 1;
 
 impl Rig {
     fn new(family: Family, policy: CapacityPolicy) -> Self {
+        Self::with_geometry(family, policy, HtmGeometry::TINY_FOR_TESTS)
+    }
+
+    fn with_geometry(family: Family, policy: CapacityPolicy, geom: HtmGeometry) -> Self {
         let sys = Arc::new(TmSystem::new(1 << 14));
-        let geom = HtmGeometry::TINY_FOR_TESTS;
         let base = sys.heap.alloc(LINE_WORDS * (2 + WIDE_LINES as usize));
         let tm: Box<dyn TmBackend> = match family {
             Family::Htm => {
@@ -253,5 +257,81 @@ fn software_phase_aborts_are_not_charged() {
         assert_eq!(tm.commit(&mut ctx), Err(Abort::CONFLICT), "{family:?}");
         assert_eq!(ctx.htm_budget, 3, "{family:?}: commit abort charged");
         tm.rollback(&mut ctx);
+    }
+}
+
+/// Every speculative commit aborts spuriously: each attempt costs one unit
+/// under every policy, and the block commits in its fallback (software, for
+/// the hybrids) at the attempt the budget reaches zero.
+#[test]
+fn a_spurious_storm_costs_one_unit_per_attempt_and_falls_back() {
+    let storm = HtmGeometry {
+        spurious_abort_prob: 1.0,
+        ..HtmGeometry::TINY_FOR_TESTS
+    };
+    for family in FAMILIES {
+        for policy in CapacityPolicy::ALL {
+            let rig = Rig::with_geometry(family, policy, storm);
+            let body = |tx: &mut Tx<'_>| {
+                let v = tx.read(rig.x)?;
+                tx.write(rig.x, v + 1)
+            };
+            for k in 1..=BUDGET {
+                let mut ctx = ThreadCtx::new(0);
+                let out = try_run_tx(rig.tm.as_ref(), &mut ctx, k, body);
+                let at = format!("{family:?} {policy:?} after {k} attempts");
+                assert_eq!(out, None, "{at}: every speculative commit aborts");
+                assert_eq!(ctx.htm_budget, BUDGET - k, "{at}");
+                let snap = ctx.stats.snapshot();
+                assert_eq!(snap.aborts_of(AbortCode::Spurious), u64::from(k), "{at}");
+                assert_eq!(snap.total_aborts(), u64::from(k), "{at}");
+            }
+            let mut ctx = ThreadCtx::new(0);
+            let mut committed_at = None;
+            run_tx(rig.tm.as_ref(), &mut ctx, |tx| {
+                committed_at = Some(tx.attempt());
+                body(tx)
+            });
+            let at = format!("{family:?} {policy:?}");
+            assert_eq!(committed_at, Some(BUDGET), "{at}");
+            let snap = ctx.stats.snapshot();
+            assert_eq!(
+                snap.aborts_of(AbortCode::Spurious),
+                u64::from(BUDGET),
+                "{at}"
+            );
+            assert_eq!(snap.fallback_commits, 1, "{at}: committed in the fallback");
+        }
+    }
+}
+
+/// The spurious draw comes from the context's seeded stream: the same seed
+/// replays the same aborts, and every block still commits.
+#[test]
+fn spurious_aborts_replay_from_the_context_seed() {
+    let geom = HtmGeometry {
+        spurious_abort_prob: 0.3,
+        ..HtmGeometry::TINY_FOR_TESTS
+    };
+    for family in FAMILIES {
+        let run = || {
+            let rig = Rig::with_geometry(family, CapacityPolicy::Decrease, geom);
+            let mut ctx = ThreadCtx::new(0);
+            for _ in 0..200 {
+                run_tx(rig.tm.as_ref(), &mut ctx, |tx| {
+                    let v = tx.read(rig.x)?;
+                    tx.write(rig.x, v + 1)
+                });
+            }
+            let snap = ctx.stats.snapshot();
+            assert_eq!(snap.commits, 200, "{family:?}");
+            snap.aborts_of(AbortCode::Spurious)
+        };
+        let first = run();
+        assert!(
+            first > 0,
+            "{family:?}: a 30% rate over 200 blocks must abort"
+        );
+        assert_eq!(first, run(), "{family:?}: same seed, same aborts");
     }
 }

@@ -6,15 +6,15 @@
 //! as *issued* the moment `Tx::read`/`Tx::write` is called — a partially
 //! executed attempt that aborts mid-footprint wastes exactly the prefix it
 //! issued. The properties drive contended, capacity-hostile, and
-//! crash-prone workloads under seeded `htm_spurious` / `crash_point`
-//! fault plans and check the ledger books balance to the op.
-//!
-//! Own integration binary: plans are process-global, so these tests must
-//! not share a process with tests asserting exact abort counts.
+//! crash-prone workloads — spurious hardware aborts at a seeded rate
+//! (`HtmGeometry::spurious_abort_prob`), and a persistent heap that dies at
+//! a chosen step (`PHeap::set_crash_at`) — and check the ledger books
+//! balance to the op.
 
 use htm::{CapacityPolicy, HtmGeometry, HtmSim, HybridNOrec, LINE_WORDS};
 use proptest::prelude::*;
 use std::sync::Arc;
+use txcore::util::XorShift64;
 use txcore::{run_tx, try_run_tx, ThreadCtx, TmBackend, TmSystem};
 
 /// Flush the pending ledgers and check the books for one thread.
@@ -39,10 +39,14 @@ fn assert_conserved(name: &str, ctx: &mut ThreadCtx, issued: u64) {
 /// first attempt is interfered with by a rival commit on a shared line
 /// every third transaction, and every fifth transaction is a wide
 /// footprint that overflows the tiny HTM geometry (a no-op stressor for
-/// the STMs). Returns nothing — conservation is asserted per context.
-fn drive_contended(tm: Arc<dyn TmBackend>, sys: Arc<TmSystem>, txs: usize) {
+/// the STMs). `seed` drives both contexts' random streams, which is where
+/// spurious hardware aborts are drawn. Returns nothing — conservation is
+/// asserted per context.
+fn drive_contended(tm: Arc<dyn TmBackend>, sys: Arc<TmSystem>, txs: usize, seed: u64) {
     let mut victim = ThreadCtx::new(0);
     let mut rival = ThreadCtx::new(1);
+    victim.rng = XorShift64::new(seed);
+    rival.rng = XorShift64::new(!seed);
     let a = sys.heap.alloc(LINE_WORDS);
     let b = sys.heap.alloc(1);
     let wide = sys.heap.alloc(LINE_WORDS * 6);
@@ -86,8 +90,8 @@ fn drive_contended(tm: Arc<dyn TmBackend>, sys: Arc<TmSystem>, txs: usize) {
     assert_conserved(&format!("{name}/rival"), &mut rival, issued_r);
 }
 
-/// A Durable backend whose journal dies mid-run (deterministic
-/// `set_crash_at` step picked by the plan seed). Attempts that die in the
+/// A Durable backend whose journal dies mid-run, at the persistence step
+/// `crash_after` steps from now. Attempts that die in the
 /// journal — and begin-refusals on the dead heap, which issue zero ops —
 /// must keep the books balanced.
 fn drive_durable(crash_after: u64, txs: usize) {
@@ -115,39 +119,32 @@ fn drive_durable(crash_after: u64, txs: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Conservation across every backend family under a seeded
-    /// `htm_spurious` fault plan of arbitrary intensity.
+    /// Conservation across every backend family, with spurious hardware
+    /// aborts at an arbitrary rate and seed.
     #[test]
-    fn ledger_balances_under_spurious_plans(
+    fn ledger_balances_under_spurious_aborts(
         seed in 0u64..1_000_000,
         spurious in 0.0f64..0.9,
         txs in 6usize..30,
     ) {
-        if !faultsim::enabled() {
-            return Ok(());
-        }
-        let plan = faultsim::FaultPlan::new(seed).with(
-            faultsim::Site::HtmSpurious,
-            faultsim::FaultSpec::with_probability(spurious),
-        );
-        faultsim::with_plan(plan, || {
-            let sys = Arc::new(TmSystem::new(1 << 12));
-            let tm = HtmSim::with_geometry(Arc::clone(&sys), HtmGeometry::TINY_FOR_TESTS);
-            tm.cm().set(3, CapacityPolicy::Decrease);
-            drive_contended(Arc::new(tm), sys, txs);
+        let storm = |geom: HtmGeometry| HtmGeometry { spurious_abort_prob: spurious, ..geom };
 
-            let sys = Arc::new(TmSystem::new(1 << 12));
-            let tm = Arc::new(HybridNOrec::new(Arc::clone(&sys)));
-            drive_contended(tm, sys, txs);
+        let sys = Arc::new(TmSystem::new(1 << 12));
+        let tm = HtmSim::with_geometry(Arc::clone(&sys), storm(HtmGeometry::TINY_FOR_TESTS));
+        tm.cm().set(3, CapacityPolicy::Decrease);
+        drive_contended(Arc::new(tm), sys, txs, seed);
 
-            let sys = Arc::new(TmSystem::new(1 << 12));
-            let tm = Arc::new(stm::Tl2::new(Arc::clone(&sys)));
-            drive_contended(tm, sys, txs);
+        let sys = Arc::new(TmSystem::new(1 << 12));
+        let tm = HybridNOrec::with_geometry(Arc::clone(&sys), storm(HtmGeometry::default()));
+        drive_contended(Arc::new(tm), sys, txs, seed);
 
-            let sys = Arc::new(TmSystem::new(1 << 12));
-            let tm = Arc::new(stm::NOrec::new(Arc::clone(&sys)));
-            drive_contended(tm, sys, txs);
-        });
+        let sys = Arc::new(TmSystem::new(1 << 12));
+        let tm = Arc::new(stm::Tl2::new(Arc::clone(&sys)));
+        drive_contended(tm, sys, txs, seed);
+
+        let sys = Arc::new(TmSystem::new(1 << 12));
+        let tm = Arc::new(stm::NOrec::new(Arc::clone(&sys)));
+        drive_contended(tm, sys, txs, seed);
     }
 
     /// Conservation on the durable backend across seeded crash points:
@@ -159,39 +156,5 @@ proptest! {
         txs in 4usize..20,
     ) {
         drive_durable(crash_after, txs);
-    }
-
-    /// The `crash_point` fault-plan route (probabilistic injection at
-    /// persistence steps) balances the same books as the deterministic
-    /// `set_crash_at` route.
-    #[test]
-    fn ledger_balances_under_crash_point_plans(
-        seed in 0u64..1_000_000,
-        crash_p in 0.0f64..0.3,
-        txs in 4usize..20,
-    ) {
-        if !faultsim::enabled() {
-            return Ok(());
-        }
-        let plan = faultsim::FaultPlan::new(seed).with(
-            faultsim::Site::CrashPoint,
-            faultsim::FaultSpec::with_probability(crash_p),
-        );
-        faultsim::with_plan(plan, || {
-            let sys = Arc::new(TmSystem::new(1 << 12));
-            let tm = stm::Durable::with_new_pheap(Arc::clone(&sys));
-            let mut ctx = ThreadCtx::new(0);
-            let a = sys.heap.alloc(1);
-            let mut issued = 0u64;
-            for _ in 0..txs {
-                let _ = try_run_tx(&tm, &mut ctx, 3, |tx| {
-                    issued += 1;
-                    let v = tx.read(a)?;
-                    issued += 1;
-                    tx.write(a, v + 1)
-                });
-            }
-            assert_conserved("durable/plan", &mut ctx, issued);
-        });
     }
 }

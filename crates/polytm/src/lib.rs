@@ -45,4 +45,4 @@ pub use config::{BackendId, ConfigSpace, HtmSetting, Kpi, TmConfig};
 pub use energy::EnergyModel;
 pub use gate::ThreadGate;
 pub use profiler::{KpiProbe, WindowKpis};
-pub use runtime::{PolyTm, PolyTmBuilder, ReconfigError, RetryPolicy, SwitchError, Worker};
+pub use runtime::{PolyTm, PolyTmBuilder, SwitchError, Worker};

@@ -52,43 +52,7 @@ pub enum SwitchError {
         /// The thread slot that failed to drain.
         thread: usize,
     },
-    /// A `switch_apply` fault-injection plan rejected the switch before it
-    /// had any effect (only with the `faults` feature and an armed plan).
-    Injected,
-    /// The adapter thread panicked while applying the switch; the panic was
-    /// contained and the adapter restarted, but this request failed.
-    AdapterPanicked,
-    /// The adapter thread is gone and could not be respawned.
-    AdapterUnavailable,
-    /// [`PolyTm::apply_with_retry`] exhausted its retry budget.
-    RetriesExhausted {
-        /// Total `apply` attempts made (including the first).
-        attempts: u32,
-        /// Whether the runtime successfully fell back to the last
-        /// known-good configuration afterwards.
-        degraded: bool,
-    },
 }
-
-impl SwitchError {
-    /// Whether retrying the same switch later can plausibly succeed.
-    ///
-    /// Transient failures (a stalled drain, an injected fault, a contained
-    /// adapter panic) are retried by [`PolyTm::apply_with_retry`];
-    /// deterministic rejections (invalid degree) and terminal states are
-    /// not.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            SwitchError::QuiesceTimeout { .. }
-                | SwitchError::Injected
-                | SwitchError::AdapterPanicked
-        )
-    }
-}
-
-/// Former name of [`SwitchError`], kept for source compatibility.
-pub type ReconfigError = SwitchError;
 
 impl fmt::Display for SwitchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -109,54 +73,11 @@ impl fmt::Display for SwitchError {
             SwitchError::QuiesceTimeout { thread } => {
                 write!(f, "thread {thread} did not drain within the quiescence watchdog budget; switch rolled back")
             }
-            SwitchError::Injected => f.write_str("switch rejected by fault injection"),
-            SwitchError::AdapterPanicked => {
-                f.write_str("adapter thread panicked while switching (contained and restarted)")
-            }
-            SwitchError::AdapterUnavailable => {
-                f.write_str("adapter thread is gone and could not be respawned")
-            }
-            SwitchError::RetriesExhausted { attempts, degraded } => {
-                write!(
-                    f,
-                    "switch failed after {attempts} attempts ({})",
-                    if *degraded {
-                        "degraded to last known-good configuration"
-                    } else {
-                        "degrade to known-good also failed"
-                    }
-                )
-            }
         }
     }
 }
 
 impl Error for SwitchError {}
-
-/// Backoff schedule for [`PolyTm::apply_with_retry`].
-///
-/// A failed transient switch is retried up to `max_retries` times, sleeping
-/// `initial_backoff` before the first retry and doubling (capped at
-/// `max_backoff`) before each subsequent one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the initial attempt (0 = fail fast).
-    pub max_retries: u32,
-    /// Sleep before the first retry.
-    pub initial_backoff: Duration,
-    /// Upper bound on the (doubling) backoff.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-        }
-    }
-}
 
 /// A registered application thread's handle into PolyTM.
 ///
@@ -304,13 +225,12 @@ impl PolyTmBuilder {
             energy: self.energy,
             reconfig: Mutex::new(()),
             config: ConfigCell::new(initial),
-            known_good: ConfigCell::new(initial),
             epochs: AtomicU64::new(0),
             drain_timeout: self.drain_timeout,
             tx_budget: self.tx_retry_budget,
             serial_escapes: AtomicU64::new(0),
         };
-        poly.apply_impl(&initial, false)?;
+        poly.apply(&initial)?;
         Ok(poly)
     }
 }
@@ -337,9 +257,6 @@ pub struct PolyTm {
     /// The active configuration, readable lock-free by probe and monitor
     /// paths (seqlock); written only under `reconfig`.
     config: ConfigCell,
-    /// Last configuration that applied cleanly; the degrade target when a
-    /// switch keeps failing ([`PolyTm::apply_with_retry`]).
-    known_good: ConfigCell,
     /// Quiescence epochs started (one per attempted algorithm switch).
     epochs: AtomicU64,
     /// Watchdog budget for draining one thread during quiescence.
@@ -420,17 +337,6 @@ impl PolyTm {
         mut f: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
     ) -> T {
         self.gate.enter(worker.slot);
-        // Fault injection: stall while holding the RUN bit, violating
-        // Algorithm 1's prompt-drain assumption — exactly what the
-        // quiescence watchdog exists for. Counter only (no event): worker
-        // threads must never write to the trace directly.
-        if faultsim::armed() && faultsim::should_fire(faultsim::Site::GateStall) {
-            if obs::enabled() {
-                obs::counter("fault.fired.gate_stall").inc();
-            }
-            let ms = faultsim::stall_ms(faultsim::Site::GateStall);
-            std::thread::sleep(Duration::from_millis(ms));
-        }
         // Safe: the quiescence protocol guarantees the backend cannot change
         // while any thread holds its RUN bit.
         let backend = &self.backends[self.current.load(Ordering::Acquire)];
@@ -486,8 +392,8 @@ impl PolyTm {
         for t in 0..self.max_threads {
             if t != worker.slot && !self.gate.is_disabled(t) {
                 // Unbounded disable is safe: every RUN holder is inside a
-                // finite transaction attempt (injected stalls are finite
-                // too), and blocked escapees wait on `reconfig` RUN-free.
+                // finite transaction attempt, and blocked escapees wait on
+                // `reconfig` RUN-free.
                 self.gate.disable(t);
                 drained.push(t);
             }
@@ -532,13 +438,9 @@ impl PolyTm {
     /// than the runtime capacity, or zero threads. Fails *rolled back* (the
     /// runtime stays on the previous configuration, fully usable) with
     /// [`SwitchError::QuiesceTimeout`] if a thread does not drain within
-    /// the watchdog budget, or [`SwitchError::Injected`] under a
-    /// `switch_apply` fault plan.
+    /// the watchdog budget, or [`SwitchError::DurableCrashed`] if the
+    /// persistent heap dies while the redo log is drained.
     pub fn apply(&self, config: &TmConfig) -> Result<Duration, SwitchError> {
-        self.apply_impl(config, true)
-    }
-
-    fn apply_impl(&self, config: &TmConfig, injectable: bool) -> Result<Duration, SwitchError> {
         if config.threads == 0 {
             return Err(SwitchError::ZeroThreads);
         }
@@ -550,17 +452,6 @@ impl PolyTm {
         }
         if !config.durability_coherent() {
             return Err(SwitchError::IncoherentDurability);
-        }
-        // Fault injection: fail the switch before it has any effect, as a
-        // transient error the retry path must absorb. Initial construction
-        // is exempt (`injectable: false`): it is not a switch, and there is
-        // no previous configuration to roll back to.
-        if injectable && faultsim::armed() && faultsim::should_fire(faultsim::Site::SwitchApply) {
-            if obs::enabled() {
-                obs::counter("fault.fired.switch_apply").inc();
-                obs::event!("fault.switch_apply", "to" => config.to_string());
-            }
-            return Err(SwitchError::Injected);
         }
         let _adapter = self.reconfig.lock();
         let from = self.config.load();
@@ -680,7 +571,6 @@ impl PolyTm {
             }
         }
         self.config.store(*config);
-        self.known_good.store(*config);
         let latency = started.elapsed();
         if obs::enabled() {
             obs::event!(
@@ -695,83 +585,6 @@ impl PolyTm {
             obs::ts_record("switch.latency_ns", latency.as_nanos() as f64);
         }
         Ok(latency)
-    }
-
-    /// Apply `config`, retrying transient failures with exponential backoff
-    /// and degrading to the last known-good configuration once the budget
-    /// is exhausted (the paper's self-tuning loop must survive a failed
-    /// switch; losing a recommendation is recoverable, wedging is not).
-    ///
-    /// # Errors
-    ///
-    /// Non-transient errors ([`SwitchError::is_transient`] = false) are
-    /// returned immediately. After `policy.max_retries` failed retries the
-    /// runtime re-applies the known-good configuration and returns
-    /// [`SwitchError::RetriesExhausted`], whose `degraded` flag reports
-    /// whether that fallback succeeded.
-    pub fn apply_with_retry(
-        &self,
-        config: &TmConfig,
-        policy: &RetryPolicy,
-    ) -> Result<Duration, SwitchError> {
-        let mut backoff = policy.initial_backoff;
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match self.apply(config) {
-                Ok(latency) => {
-                    if attempts > 1 && obs::enabled() {
-                        obs::counter("polytm.switch_retries_ok").inc();
-                        obs::event!("recovery.switch_retry_ok", "attempts" => attempts);
-                    }
-                    return Ok(latency);
-                }
-                Err(e) if e.is_transient() && attempts <= policy.max_retries => {
-                    if obs::enabled() {
-                        obs::counter("polytm.switch_retries").inc();
-                        obs::event!(
-                            "recovery.switch_retry",
-                            "attempt" => attempts,
-                            "error" => e.to_string(),
-                            "backoff_ns" => backoff.as_nanos() as u64,
-                        );
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(policy.max_backoff);
-                }
-                Err(e) if e.is_transient() => {
-                    let good = self.known_good.load();
-                    // The degrade target itself can hit a transient fault
-                    // (an injected plan does not care which config we
-                    // apply); give it the same number of chances.
-                    let mut degraded = false;
-                    for _ in 0..=policy.max_retries {
-                        if self.apply(&good).is_ok() {
-                            degraded = true;
-                            break;
-                        }
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(policy.max_backoff);
-                    }
-                    if obs::enabled() {
-                        obs::counter("polytm.degraded_switches").inc();
-                        obs::event!(
-                            "recovery.degraded",
-                            "target" => config.to_string(),
-                            "known_good" => good.to_string(),
-                            "ok" => degraded,
-                        );
-                    }
-                    return Err(SwitchError::RetriesExhausted { attempts, degraded });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// The last configuration that applied cleanly (the degrade target).
-    pub fn known_good_config(&self) -> TmConfig {
-        self.known_good.load()
     }
 
     /// Retune only the HTM contention management (no quiescence, and
@@ -1102,7 +915,6 @@ mod tests {
                 .apply(&TmConfig::stm(BackendId::NOrec, 2))
                 .expect_err("the watchdog must abandon the drain");
             assert_eq!(err, SwitchError::QuiesceTimeout { thread: 0 });
-            assert!(err.is_transient());
             // Rolled back: still on the old configuration, fully usable.
             assert_eq!(poly.current_config(), before);
         });
@@ -1185,13 +997,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(50));
             let t0 = Instant::now();
             let cfg = poly.current_config();
-            let good = poly.known_good_config();
             let mut probe = poly.probe();
             let kpi = probe.sample(2);
             let snap = poly.snapshot();
             let waited = t0.elapsed();
             assert_eq!(cfg, before, "switch must not be visible before it lands");
-            assert_eq!(good, before);
             assert!(kpi.throughput >= 0.0);
             assert_eq!(snap.commits, 0);
             assert!(
@@ -1216,7 +1026,6 @@ mod tests {
         bad.durability = DurabilityMode::Buffered;
         let err = poly.apply(&bad).unwrap_err();
         assert_eq!(err, SwitchError::IncoherentDurability);
-        assert!(!err.is_transient());
         assert!(!err.to_string().is_empty());
         assert_eq!(poly.current_config(), before);
         assert_eq!(poly.quiescence_epochs(), 0);
@@ -1263,7 +1072,6 @@ mod tests {
         poly.pheap().set_crash_at(poly.pheap().steps() + 1);
         let err = poly.apply(&TmConfig::stm(BackendId::NOrec, 2)).unwrap_err();
         assert_eq!(err, SwitchError::DurableCrashed);
-        assert!(!err.is_transient());
         // Rolled back: still on the durable configuration.
         assert_eq!(
             poly.current_config(),
@@ -1276,16 +1084,44 @@ mod tests {
         assert_eq!(poly.current_config().backend, BackendId::NOrec);
     }
 
+    /// A switch out of the durable backend quiesces before it drains the
+    /// redo log, so a stalled transaction rolls it back with the log intact;
+    /// the same switch drains it once the stall ends.
     #[test]
-    fn known_good_tracks_last_successful_apply() {
-        let poly = PolyTm::builder().heap_words(1 << 10).max_threads(2).build();
-        let initial = poly.known_good_config();
-        assert_eq!(initial, poly.current_config());
-        poly.apply(&TmConfig::stm(BackendId::NOrec, 1)).unwrap();
-        assert_eq!(poly.known_good_config(), TmConfig::stm(BackendId::NOrec, 1));
-        // A rejected switch does not move the known-good target.
-        let _ = poly.apply(&TmConfig::stm(BackendId::Tl2, 99));
-        assert_eq!(poly.known_good_config(), TmConfig::stm(BackendId::NOrec, 1));
+    fn rolled_back_durable_switch_keeps_the_log() {
+        let poly = PolyTm::builder()
+            .heap_words(1 << 10)
+            .max_threads(2)
+            .drain_timeout(Duration::from_millis(10))
+            .build();
+        let a = poly.system().heap.alloc(1);
+        poly.apply(&TmConfig::durable(2, DurabilityMode::Buffered))
+            .unwrap();
+        let mut w = poly.register_thread(0);
+        poly.run_tx(&mut w, |tx| tx.write(a, 5));
+        let (inside, release) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut w = poly.register_thread(1);
+                poly.run_tx(&mut w, |tx| {
+                    inside.store(true, Ordering::Release);
+                    while !release.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    tx.read(a)
+                });
+            });
+            while !inside.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let out = poly.apply(&TmConfig::stm(BackendId::Tl2, 2));
+            release.store(true, Ordering::Release);
+            assert_eq!(out, Err(SwitchError::QuiesceTimeout { thread: 1 }));
+        });
+        assert_eq!(poly.pheap().read_persisted(a), 0, "the log was not drained");
+        assert_eq!(poly.current_config().backend, BackendId::Durable);
+        poly.apply(&TmConfig::stm(BackendId::Tl2, 2)).unwrap();
+        assert_eq!(poly.pheap().read_persisted(a), 5);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   quiesced and resumed; a watchdog bounds the whole run, so a stuck
 //!   epoch turns into a loud failure instead of a hung test.
 
-use polytm::{BackendId, HtmSetting, PolyTm, RetryPolicy, SwitchError, TmConfig};
+use polytm::{BackendId, HtmSetting, PolyTm, SwitchError, TmConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -162,7 +162,7 @@ fn quiescence_survives_100_random_switches_under_load() {
 /// switches race against held RUN bits. Every `enter`/`try_disable`/
 /// `enable` interleaving is in play: switches that catch a quiet window
 /// succeed outright, switches that catch a stall roll back via the
-/// watchdog and are retried. The run must terminate with no lost updates
+/// watchdog and are tried again. The run must terminate with no lost updates
 /// regardless of which interleavings actually occur.
 #[test]
 fn watchdog_rollbacks_under_stalling_workers_lose_nothing() {
@@ -214,25 +214,25 @@ fn watchdog_rollbacks_under_stalling_workers_lose_nothing() {
             std::thread::yield_now();
         }
 
-        // Generous retry budget: with a 5 ms drain budget and 15 ms stalls
-        // every switch may need several watchdog rollbacks before it lands
-        // in a quiet window, but it must always land eventually.
-        let policy = RetryPolicy {
-            max_retries: 200,
-            initial_backoff: Duration::from_micros(500),
-            max_backoff: Duration::from_millis(4),
-        };
+        // With a 5 ms drain budget and 15 ms stalls a switch may need
+        // several watchdog rollbacks before it lands in a quiet window, but
+        // it must always land eventually.
         let mut rng = StdRng::seed_from_u64(0x057a_11ed);
         for _ in 0..25 {
             let config = random_config(&mut rng, STALLERS);
-            match poly.apply(&config) {
-                Ok(_) => {}
-                Err(SwitchError::QuiesceTimeout { .. }) => {
-                    timeouts.fetch_add(1, Ordering::Relaxed);
-                    poly.apply_with_retry(&config, &policy)
-                        .expect("switch starved: never found a quiet window");
+            loop {
+                match poly.apply(&config) {
+                    Ok(_) => break,
+                    Err(SwitchError::QuiesceTimeout { .. }) => {
+                        timeouts.fetch_add(1, Ordering::Relaxed);
+                        assert!(
+                            Instant::now() < deadline,
+                            "switch starved: never found a quiet window"
+                        );
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    Err(e) => panic!("unexpected switch failure: {e}"),
                 }
-                Err(e) => panic!("unexpected switch failure: {e}"),
             }
         }
     });
@@ -245,12 +245,81 @@ fn watchdog_rollbacks_under_stalling_workers_lose_nothing() {
         "a watchdog rollback lost or duplicated an increment"
     );
     // Not asserted > 0: whether a stall overlaps a drain window is timing-
-    // dependent, and the deterministic overlap case lives in tests/faults.rs.
+    // dependent; the deterministic overlap case is the runtime's unit test
+    // `quiesce_watchdog_rolls_back_stalled_switch`.
     // This run reports how hostile the schedule actually was.
     eprintln!(
         "stall stress: {} quiesce timeouts across 25 switches",
         timeouts.load(Ordering::Relaxed)
     );
+}
+
+/// `pin_thread` used to unblock its slot without the reconfiguration lock:
+/// a pin that landed while `apply` sat in its drain let a slot that the
+/// parallelism degree had disabled (and the switch had therefore skipped)
+/// run on the old backend in the middle of the switch. Worker 0 blocks
+/// inside its transaction until released, so the drain lasts; slot 1 is
+/// pinned meanwhile, and its first transaction must see the switch landed.
+#[test]
+fn pin_during_a_switch_waits_for_the_switch() {
+    let poly = PolyTm::builder()
+        .heap_words(1 << 10)
+        .max_threads(2)
+        .drain_timeout(Duration::from_secs(10))
+        .build();
+    // Parallelism 1: slot 1 is disabled, so the switch below skips it.
+    poly.apply(&TmConfig::stm(BackendId::Tl2, 1)).unwrap();
+    let a = poly.system().heap.alloc(1);
+    let inside = AtomicBool::new(false);
+    let release = AtomicBool::new(false);
+    let switched = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let _release = OnDrop(|| release.store(true, Ordering::Release));
+        s.spawn(|| {
+            let mut w = poly.register_thread(0);
+            poly.run_tx(&mut w, |tx| {
+                inside.store(true, Ordering::Release);
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                tx.read(a)
+            });
+        });
+        while !inside.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        let epochs = poly.quiescence_epochs();
+        let adapter = s.spawn(|| {
+            poly.apply(&TmConfig::stm(BackendId::NOrec, 1)).unwrap();
+        });
+        // Counted under the lock, just before the block loop.
+        while poly.quiescence_epochs() == epochs {
+            std::thread::yield_now();
+        }
+        // Let the block loop finish, so that an unlocked pin could only
+        // land in the drain. The assertion holds for any timing; the sleeps
+        // only make the unlocked pin's race certain to show.
+        std::thread::sleep(Duration::from_millis(20));
+        let pinned = s.spawn(|| {
+            poly.pin_thread(1);
+            let mut w = poly.register_thread(1);
+            // Whether the switch had landed when this transaction ran:
+            // `apply` publishes the new config before it drops the lock.
+            let landed = poly.run_tx(&mut w, |_| {
+                Ok(poly.current_config().backend == BackendId::NOrec)
+            });
+            switched.store(landed, Ordering::Release);
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        release.store(true, Ordering::Release);
+        adapter.join().unwrap();
+        pinned.join().unwrap();
+    });
+    assert!(
+        switched.load(Ordering::Acquire),
+        "the pinned slot ran on the old backend while the switch drained"
+    );
+    assert_eq!(poly.current_config().backend, BackendId::NOrec);
 }
 
 /// Hammers the gate *directly* — no runtime, no backends — while an

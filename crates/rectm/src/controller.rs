@@ -7,7 +7,7 @@ use std::fmt;
 
 /// KPI magnitudes at or beyond this are discarded as corrupt rather than
 /// rated: no physical throughput/abort-rate measurement approaches 1e300,
-/// but an injected or garbage sample easily can.
+/// but a garbage sample easily can.
 const ABSURD_KPI: f64 = 1e300;
 
 /// Knobs of the Controller's SMBO loop.
@@ -128,7 +128,9 @@ impl Controller {
     }
 
     /// Optimize one workload: `sample(config)` runs the workload in that
-    /// configuration and returns the measured raw KPI.
+    /// configuration and returns the measured raw KPI. The KPI is the
+    /// caller's input and is checked: a non-finite or absurd sample is
+    /// discarded, and a discarded reference sample is taken again.
     ///
     /// Implements the §6.3 protocol: profile the reference configuration,
     /// run acquisition-driven exploration until the stopping rule fires,
@@ -143,17 +145,13 @@ impl Controller {
         let mut explored: Vec<(usize, f64)> = Vec::new();
         // Sampled-at-least-once mask, distinct from `known`: a corrupt
         // sample is discarded from the ratings but must not be re-picked by
-        // the acquisition loop, or a hostile plan could pin the Controller
-        // on one configuration forever.
+        // the acquisition loop, or a configuration that always measures
+        // garbage could pin the Controller on it forever.
         let mut tried: Vec<bool> = vec![false; self.ncols];
         // Profiling runs spent, distinct from *surviving* samples and from
         // *distinct* configurations: the exploration budget pays per run,
         // and a discarded corrupt KPI still burned one.
         let spent = std::cell::Cell::new(0usize);
-        // Fault injection uses a *local* stream, not the global counters:
-        // optimizations run concurrently on parx workers, and a per-instance
-        // schedule is what keeps traces byte-identical at every job count.
-        let mut kpi_faults = faultsim::FaultStream::for_site(faultsim::Site::KpiCorrupt);
         let mut seed = self.settings.seed;
         let mut probe = |c: usize,
                          known: &mut Row,
@@ -161,19 +159,7 @@ impl Controller {
                          tried: &mut Vec<bool>,
                          trace: &mut Vec<obs::PendingEvent>| {
             spent.set(spent.get() + 1);
-            let mut kpi = sample(c);
-            if let Some(bad) = kpi_faults.as_mut().and_then(|s| s.corrupt()) {
-                if obs::enabled() {
-                    obs::counter("fault.fired.kpi_corrupt").inc();
-                    trace.push(obs::pending_event!(
-                        "fault.kpi_corrupt",
-                        "config" => c,
-                        "replaced" => kpi,
-                        "with" => bad,
-                    ));
-                }
-                kpi = bad;
-            }
+            let kpi = sample(c);
             tried[c] = true;
             // Sanitization: a non-finite KPI never enters the ratings (it
             // would propagate NaN through normalization into every
@@ -336,7 +322,7 @@ impl Controller {
         }
 
         // `explored` holds finite KPIs only; if every sample this run was
-        // corrupted away, recommend the reference configuration — the
+        // discarded, recommend the reference configuration — the
         // known-safe default — rather than panicking or picking garbage.
         let (recommended, best_kpi) = explored
             .iter()
@@ -488,9 +474,13 @@ mod tests {
     }
 
     fn controller(settings: ControllerSettings) -> Controller {
+        controller_for(Goal::Maximize, settings)
+    }
+
+    fn controller_for(goal: Goal, settings: ControllerSettings) -> Controller {
         Controller::fit(
             &training(),
-            Goal::Maximize,
+            goal,
             Box::new(DistillationNorm::new()),
             CfAlgorithm::Knn {
                 similarity: Similarity::Cosine,
@@ -502,6 +492,7 @@ mod tests {
 
     #[test]
     fn finds_the_optimum_of_a_matching_workload() {
+        let _serial = crate::serial();
         let ctl = controller(ControllerSettings::default());
         // A fresh workload peaking at column 5, scale 3.3.
         let truth: Vec<f64> = (0..8)
@@ -523,6 +514,7 @@ mod tests {
 
     #[test]
     fn exploration_counts_reflect_stopping_epsilon() {
+        let _serial = crate::serial();
         let loose = controller(ControllerSettings {
             stopping: StoppingRule::Cautious { epsilon: 0.15 },
             ..ControllerSettings::default()
@@ -540,6 +532,7 @@ mod tests {
 
     #[test]
     fn never_exceeds_exploration_cap() {
+        let _serial = crate::serial();
         let ctl = controller(ControllerSettings {
             max_explorations: 3,
             stopping: StoppingRule::Cautious { epsilon: 0.0 },
@@ -551,6 +544,7 @@ mod tests {
 
     #[test]
     fn explored_configs_are_unique() {
+        let _serial = crate::serial();
         let ctl = controller(ControllerSettings {
             acquisition: Acquisition::Random,
             max_explorations: 8,
@@ -569,6 +563,7 @@ mod tests {
     /// buffered on the `Exploration` and replayed serially.
     #[test]
     fn optimize_buffers_events_for_serial_emission() {
+        let _serial = crate::serial();
         let ctl = controller(ControllerSettings::default());
         let truth: Vec<f64> = (0..8)
             .map(|c| 3.3 * (10.0 - (c as f64 - 5.0).powi(2)).max(0.5))
@@ -607,8 +602,97 @@ mod tests {
         }
     }
 
+    fn truth(c: usize) -> f64 {
+        3.3 * (10.0 - (c as f64 - 5.0).powi(2)).max(0.5)
+    }
+
+    /// Every rating is a ratio against the reference sample, so a garbage
+    /// reference is measured again instead of ending the exploration.
+    #[test]
+    fn a_nan_reference_sample_is_taken_again() {
+        let _serial = crate::serial();
+        let ctl = controller(ControllerSettings::default());
+        let mut calls = 0;
+        let out = ctl.optimize(&mut |c| {
+            calls += 1;
+            if calls == 1 {
+                f64::NAN
+            } else {
+                truth(c)
+            }
+        });
+        let first = ctl.first_config();
+        assert_eq!(out.explored[0], (first, truth(first)));
+        assert_eq!(out.recommended, 5);
+        assert_eq!(calls, out.explored.len() + 1, "the NaN run was paid for");
+    }
+
+    /// Infinite and absurd samples (which would win every comparison in
+    /// one direction or the other) and NaN never enter the ratings or the
+    /// recommendation, and a configuration whose sample was discarded is
+    /// not picked again.
+    #[test]
+    fn hostile_samples_never_reach_the_recommendation() {
+        let _serial = crate::serial();
+        // The reference (column 3) and the optimum of either goal measure
+        // truthfully.
+        let hostile = |c: usize| match c {
+            0 => Some(f64::INFINITY),
+            2 => Some(f64::NEG_INFINITY),
+            4 => Some(1e308),
+            6 => Some(-1e308),
+            7 => Some(f64::NAN),
+            _ => None,
+        };
+        for (goal, best) in [(Goal::Maximize, 5), (Goal::Minimize, 1)] {
+            let ctl = controller_for(
+                goal,
+                ControllerSettings {
+                    stopping: StoppingRule::Cautious { epsilon: 0.0 },
+                    ..ControllerSettings::default()
+                },
+            );
+            assert_eq!(hostile(ctl.first_config()), None);
+            let mut sampled = Vec::new();
+            let out = ctl.optimize(&mut |c| {
+                sampled.push(c);
+                hostile(c).unwrap_or_else(|| truth(c))
+            });
+            assert!(
+                sampled.iter().any(|&c| hostile(c).is_some()),
+                "{goal:?}: no hostile sample was drawn: {sampled:?}"
+            );
+            let mut seen = std::collections::HashSet::new();
+            assert!(sampled.iter().all(|c| seen.insert(*c)), "{sampled:?}");
+            assert!(out.explored.iter().all(|&(c, _)| hostile(c).is_none()));
+            assert_eq!(
+                (out.recommended, out.best_kpi),
+                (best, truth(best)),
+                "{goal:?}"
+            );
+        }
+    }
+
+    /// Nothing measured: the reference is taken again until the budget is
+    /// spent, and the known-safe reference is recommended.
+    #[test]
+    fn every_sample_poisoned_recommends_the_reference() {
+        let _serial = crate::serial();
+        let ctl = controller(ControllerSettings::default());
+        let mut calls = 0;
+        let out = ctl.optimize(&mut |_| {
+            calls += 1;
+            f64::NAN
+        });
+        assert!(out.explored.is_empty());
+        assert_eq!(out.recommended, ctl.first_config());
+        assert!(out.best_kpi.is_nan());
+        assert_eq!(calls, ControllerSettings::default().max_explorations);
+    }
+
     #[test]
     fn recommendation_is_best_explored() {
+        let _serial = crate::serial();
         let ctl = controller(ControllerSettings::default());
         let truth: Vec<f64> = (0..8)
             .map(|c| 2.0 * (10.0 - (c as f64 - 5.0).powi(2)).max(0.5))

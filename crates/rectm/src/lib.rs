@@ -28,3 +28,16 @@ pub use controller::{Controller, ControllerSettings, Exploration};
 pub use monitor::{Monitor, MonitorSettings};
 pub use recommender::Recommender;
 pub use workflow::{NormalizationChoice, RecTm, RecTmOptions};
+
+/// One test of this binary at a time, whole body included: a trace capture
+/// records every event the process emits, so a sibling test's Monitor
+/// spans would land in another test's capture.
+#[cfg(test)]
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // The lock guards no data, so a sibling's failed assertion must not
+    // fail this test too.
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

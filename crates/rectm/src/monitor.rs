@@ -120,7 +120,7 @@ impl Monitor {
     /// detected (the detector resets itself in that case).
     ///
     /// The sample is sanitized first: non-finite values (a crashed probe, a
-    /// division by a zero window, an injected fault) are dropped and
+    /// division by a zero window) are dropped and
     /// counted, and finite outliers beyond [`MonitorSettings::clamp_z`]
     /// standard deviations are winsorized, so corrupt telemetry degrades
     /// detection latency instead of poisoning the detector state or
@@ -244,6 +244,7 @@ mod tests {
 
     #[test]
     fn stable_stream_never_alarms() {
+        let _serial = crate::serial();
         let mut m = Monitor::with_defaults();
         let vals = (0..200).map(|i| 100.0 + ((i * 7919) % 13) as f64 * 0.3);
         assert_eq!(feed(&mut m, vals), None);
@@ -251,6 +252,7 @@ mod tests {
 
     #[test]
     fn abrupt_drop_is_detected_quickly() {
+        let _serial = crate::serial();
         let mut m = Monitor::with_defaults();
         let stable = (0..30).map(|i| 100.0 + (i % 3) as f64);
         assert_eq!(feed(&mut m, stable), None);
@@ -262,6 +264,7 @@ mod tests {
 
     #[test]
     fn abrupt_rise_is_detected_too() {
+        let _serial = crate::serial();
         let mut m = Monitor::with_defaults();
         feed(&mut m, (0..30).map(|i| 10.0 + (i % 2) as f64 * 0.1));
         assert!(feed(&mut m, (0..20).map(|_| 25.0)).is_some());
@@ -269,6 +272,7 @@ mod tests {
 
     #[test]
     fn smooth_sustained_degradation_is_detected() {
+        let _serial = crate::serial();
         let mut m = Monitor::with_defaults();
         feed(&mut m, (0..30).map(|i| 100.0 + (i % 3) as f64));
         // 1.5% degradation per sample: slow but relentless.
@@ -278,6 +282,7 @@ mod tests {
 
     #[test]
     fn detector_resets_after_alarm_and_relearns() {
+        let _serial = crate::serial();
         let mut m = Monitor::with_defaults();
         feed(&mut m, (0..30).map(|_| 100.0));
         assert!(feed(&mut m, (0..30).map(|_| 30.0)).is_some());
@@ -289,6 +294,7 @@ mod tests {
 
     #[test]
     fn nonfinite_samples_are_dropped_not_learned() {
+        let _serial = crate::serial();
         let mut m = Monitor::with_defaults();
         feed(&mut m, (0..30).map(|_| 100.0));
         let baseline_seen = m.samples();
@@ -305,6 +311,7 @@ mod tests {
 
     #[test]
     fn single_outlier_is_clamped_without_alarm() {
+        let _serial = crate::serial();
         let mut m = Monitor::with_defaults();
         feed(&mut m, (0..30).map(|i| 100.0 + (i % 3) as f64));
         // A lone wild sample (sensor glitch): winsorized, no alarm.
@@ -316,6 +323,7 @@ mod tests {
 
     #[test]
     fn sustained_extreme_shift_still_alarms_through_the_clamp() {
+        let _serial = crate::serial();
         let mut m = Monitor::with_defaults();
         feed(&mut m, (0..30).map(|_| 100.0));
         // Clamped to ±4σ per sample, two samples exceed h = 5.
@@ -328,6 +336,7 @@ mod tests {
 
     #[test]
     fn alarm_windows_are_bracketed_by_detached_spans() {
+        let _serial = crate::serial();
         let ((), bytes) = obs::capture_trace(|| {
             let mut m = Monitor::with_defaults();
             feed(&mut m, (0..30).map(|_| 100.0));
@@ -347,6 +356,7 @@ mod tests {
 
     #[test]
     fn noise_tolerance_scales_with_variance() {
+        let _serial = crate::serial();
         // A noisy-but-stationary stream with ±20% swings must not alarm.
         let mut m = Monitor::with_defaults();
         // splitmix64 finalizer: well-mixed stationary noise.

@@ -193,6 +193,7 @@ mod tests {
 
     #[test]
     fn recommends_high_threads_for_scalable_throughput_workload() {
+        let _serial = crate::serial();
         let rec = Recommender::fit(
             &training(Goal::Maximize),
             Goal::Maximize,
@@ -209,6 +210,7 @@ mod tests {
 
     #[test]
     fn recommends_low_threads_for_anti_scalable_workload() {
+        let _serial = crate::serial();
         let rec = Recommender::fit(
             &training(Goal::Maximize),
             Goal::Maximize,
@@ -229,6 +231,7 @@ mod tests {
 
     #[test]
     fn minimization_kpis_recommend_smallest() {
+        let _serial = crate::serial();
         let rec = Recommender::fit(
             &training(Goal::Minimize),
             Goal::Minimize,
@@ -244,6 +247,7 @@ mod tests {
 
     #[test]
     fn predictions_are_in_kpi_space() {
+        let _serial = crate::serial();
         let rec = Recommender::fit(
             &training(Goal::Maximize),
             Goal::Maximize,
@@ -265,6 +269,7 @@ mod tests {
 
     #[test]
     fn unpredictable_before_reference_sample() {
+        let _serial = crate::serial();
         let rec = Recommender::fit(
             &training(Goal::Maximize),
             Goal::Maximize,

@@ -203,6 +203,7 @@ mod tests {
 
     #[test]
     fn offline_then_online_finds_optima() {
+        let _serial = crate::serial();
         let rectm = RecTm::offline(&training(), opts());
         for (shape, expect) in [
             (vec![1.0, 2.0, 4.0, 6.0, 7.0, 8.0], 5usize),
@@ -216,6 +217,7 @@ mod tests {
 
     #[test]
     fn tuning_selects_an_algorithm_automatically() {
+        let _serial = crate::serial();
         let options = RecTmOptions {
             tuning: TuningOptions {
                 n_candidates: 4,
@@ -230,6 +232,7 @@ mod tests {
 
     #[test]
     fn monitor_integrates() {
+        let _serial = crate::serial();
         let rectm = RecTm::offline(&training(), opts());
         let mut mon = rectm.monitor();
         for _ in 0..30 {

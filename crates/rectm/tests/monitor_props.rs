@@ -1,13 +1,10 @@
 //! Adversarial property tests for the Monitor's sanitized `observe` path.
 //!
 //! The Monitor sits downstream of whatever KPI probe the deployment wires
-//! in, so it must absorb the full range of garbage a broken or injected
-//! probe can emit — NaN, infinities, absurd magnitudes, sign-flipping
-//! extremes — without panicking, without a false-alarm storm, and without
-//! letting the garbage poison its baseline estimates.
-//!
-//! These need no fault plan (the garbage is fed directly), so they are safe
-//! to run alongside any other test in the workspace.
+//! in, so it must absorb the full range of garbage a broken probe can
+//! emit — NaN, infinities, absurd magnitudes, sign-flipping extremes —
+//! without panicking, without a false-alarm storm, and without letting the
+//! garbage poison its baseline estimates.
 
 use proptest::prelude::*;
 use rectm::Monitor;

@@ -20,8 +20,8 @@
 //! Every [`CHECKPOINT_EVERY_TXS`] commits the log is folded into the
 //! persisted image and truncated, bounding replay work at recovery.
 //!
-//! The persistent heap dies at numbered persistence steps (deterministic
-//! [`txcore::PHeap::set_crash_at`] or the `crash_point` faultsim site).
+//! The persistent heap dies at numbered persistence steps
+//! ([`txcore::PHeap::set_crash_at`]).
 //! Once the heap has crashed the backend refuses to begin or commit — the
 //! process model is dead; the recovery driver reboots it with
 //! [`txcore::PHeap::restart`] + [`txcore::PHeap::recover`] and the checker

@@ -1,5 +1,5 @@
 //! The single-trace report: decision timeline, convergence vs the oracle,
-//! switch/quiescence breakdowns, fault audit.
+//! switch/quiescence breakdowns, crash recovery audit.
 //!
 //! [`Report::new`] folds the trace once into a typed model; [`plain`] and
 //! [`json`] only format it. Every section is a pure fold over
@@ -229,7 +229,6 @@ pub fn plain(report: &Report) -> String {
     render_fig4_convergence(&mut out, report);
     render_oracle_convergence(&mut out, report);
     render_switches(&mut out, trace, spans);
-    render_fault_audit(&mut out, trace);
     render_recovery_audit(&mut out, trace);
     out
 }
@@ -409,103 +408,23 @@ fn render_switches(out: &mut String, trace: &Trace, forest: &SpanForest) {
             );
         }
     }
-    let stalls = trace.counter("fault.fired.gate_stall");
     let skips = trace
         .counter("polytm.gate_skips")
         .max(trace.count_kind("recovery.gate_skip"));
-    let _ = writeln!(
-        out,
-        "  gate stalls: {stalls} injected, {skips} drain timeouts skipped"
-    );
-}
-
-fn render_fault_audit(out: &mut String, trace: &Trace) {
-    let fired = |site: &str| trace.counter(&format!("fault.fired.{site}"));
-    let count = |kind: &str| trace.count_kind(kind);
-    let recovery = |what: &str| trace.count_kind(&format!("recovery.{what}"));
-    // Spurious hardware aborts are contained by the retry ladder; each one
-    // shows up as a per-backend spurious-abort counter.
-    let spurious =
-        |(k, _): &(&String, &u64)| k.starts_with("tx.abort.") && k.ends_with(".spurious");
-    let spurious_aborts = trace
-        .counters
-        .iter()
-        .filter(spurious)
-        .map(|(_, v)| *v)
-        .sum();
-    // Stalls are contained by construction: the quiescence drain either
-    // absorbs the delay or the watchdog skips the thread
-    // (recovery.gate_skip, broken out in the switch section) — the protocol
-    // completes either way, so every injected stall counts as contained.
-    let stalls_contained = fired("gate_stall")
-        .max(recovery("gate_skip"))
-        .max(trace.counter("polytm.gate_skips"));
-    // (site, injected, contained, degraded). "Injected" takes the max of
-    // the fired counter and the per-injection events, so capture traces
-    // (which carry no counter dump) still audit correctly.
-    let injected = |site: &str| fired(site).max(count(&format!("fault.{site}")));
-    let (restarts, contained) = (recovery("adapter_restart"), recovery("adapter_contained"));
-    let sites: [(&str, u64, u64, u64); 5] = [
-        ("htm_spurious", fired("htm_spurious"), spurious_aborts, 0),
-        ("gate_stall", fired("gate_stall"), stalls_contained, 0),
-        (
-            "switch_apply",
-            injected("switch_apply"),
-            recovery("switch_retry"),
-            recovery("degraded"),
-        ),
-        (
-            "kpi_corrupt",
-            injected("kpi_corrupt"),
-            count("kpi.sanitized"),
-            0,
-        ),
-        ("adapter_panic", fired("adapter_panic"), contained, restarts),
-    ];
-    if sites.iter().all(|&(_, i, c, d)| i + c + d == 0) {
-        return;
-    }
-    section(out, "fault injection audit");
-    out.push_str("  site            injected  contained  degraded  verdict\n");
-    for (site, injected, contained, degraded) in sites {
-        // With nothing injected, recovery activity is organic (e.g. KPI
-        // sanitization of legitimately-absurd samples), not containment.
-        let verdict = if injected == 0 {
-            "-"
-        } else if degraded > 0 {
-            "degraded"
-        } else if contained >= injected {
-            "contained"
-        } else {
-            "unaccounted"
-        };
-        let _ = writeln!(
-            out,
-            "  {site:<14} {injected:>9} {contained:>10} {degraded:>9}  {verdict}"
-        );
-    }
+    let _ = writeln!(out, "  gate stalls: {skips} drain timeouts skipped");
 }
 
 fn render_recovery_audit(out: &mut String, trace: &Trace) {
     // The durable backend's crash ledger: every `durable.crash` (a modeled
     // process kill at a persistence step, emitted on restart) must be
-    // matched by a completed `durable.recovery` replay. Crashes armed by
-    // the faultsim `crash_point` site also tick the fired counter;
-    // internally-armed ones (the sweep tests' absolute-step trigger) only
-    // emit the event, so the crash count takes the max of both signals.
-    let crashes = trace
-        .count_kind("durable.crash")
-        .max(trace.counter("fault.fired.crash_point"));
+    // matched by a completed `durable.recovery` replay.
+    let crashes = trace.count_kind("durable.crash");
     let recoveries: Vec<&Record> = trace.of_kind("durable.recovery").collect();
     if crashes == 0 && recoveries.is_empty() {
         return;
     }
     section(out, "crash recovery audit");
-    let injected = trace.counter("fault.fired.crash_point");
-    let _ = writeln!(
-        out,
-        "  crashes: {crashes} ({injected} via faultsim crash_point)"
-    );
+    let _ = writeln!(out, "  crashes: {crashes}");
     let sum = |key: &str| -> u64 { recoveries.iter().filter_map(|r| r.u64(key)).sum() };
     let (txs, words) = (sum("replayed_txs"), sum("replayed_words"));
     let torn = sum("torn_words");
@@ -602,29 +521,17 @@ mod tests {
             r#"{"seq":3,"kind":"span.end","id":2,"name":"quiesce.drain","duration_ns":1500}"#,
             r#"{"seq":4,"kind":"config.switch","from":"a","to":"b"}"#,
             r#"{"seq":5,"kind":"span.end","id":1,"name":"switch","duration_ns":4000}"#,
+            r#"{"seq":6,"kind":"recovery.gate_skip","thread":1,"degree":1}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(text.contains("switch latency & gate stalls"));
         assert!(text.contains("config.switch events: 1 (1 quiesce epochs, 0 rollbacks)"));
         assert!(text.contains("quiesce.drain"));
         assert!(text.contains("mean=1.50us"));
-    }
-
-    #[test]
-    fn fault_audit_counts_injected_contained_degraded() {
-        let t = trace_of(&[
-            r#"{"seq":0,"kind":"fault.switch_apply","to":"b"}"#,
-            r#"{"seq":1,"kind":"recovery.switch_retry","attempt":1,"error":"x","backoff_ns":10}"#,
-            r#"{"seq":2,"kind":"fault.kpi_corrupt","config":3,"replaced":1.0,"with":"NaN"}"#,
-            r#"{"seq":3,"kind":"kpi.sanitized","reason":"nonfinite","config":3}"#,
-        ]);
-        let text = render(&t, 0.05);
-        assert!(text.contains("fault injection audit"));
         assert!(
-            text.contains("switch_apply           1          1         0  contained"),
+            text.contains("gate stalls: 1 drain timeouts skipped"),
             "{text}"
         );
-        assert!(text.contains("kpi_corrupt            1          1         0  contained"));
     }
 
     #[test]
@@ -634,14 +541,10 @@ mod tests {
             r#"{"seq":1,"kind":"durable.recovery","replayed_txs":2,"replayed_words":6,"torn_words":1,"recovery_ns":2600}"#,
             r#"{"seq":2,"kind":"durable.crash","step":220,"log_words":4,"durable_words":20}"#,
             r#"{"seq":3,"kind":"durable.recovery","replayed_txs":1,"replayed_words":4,"torn_words":0,"recovery_ns":1400}"#,
-            r#"{"seq":4,"kind":"counter","name":"fault.fired.crash_point","value":1}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(text.contains("crash recovery audit"), "{text}");
-        assert!(
-            text.contains("crashes: 2 (1 via faultsim crash_point)"),
-            "{text}"
-        );
+        assert!(text.contains("crashes: 2\n"), "{text}");
         assert!(
             text.contains("recoveries: 2 (replayed 3 txs / 10 words, discarded 1 torn words)"),
             "{text}"
@@ -670,7 +573,7 @@ mod tests {
 
     #[test]
     fn recovery_audit_absent_without_durable_activity() {
-        let t = trace_of(&[r#"{"seq":0,"kind":"fault.switch_apply","to":"b"}"#]);
+        let t = trace_of(&[r#"{"seq":0,"kind":"config.switch","to":"b"}"#]);
         assert!(!render(&t, 0.05).contains("crash recovery audit"));
     }
 

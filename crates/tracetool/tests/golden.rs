@@ -4,8 +4,9 @@
 //! section of every view; `fixtures/all_sections_drift.jsonl` is the same
 //! trace with one drifted window, one drifted counter and one diverging
 //! record. The files under `golden/` are what the binary printed for them
-//! when the fixtures were written; they are never regenerated — a refactor
-//! of the analyzer must reproduce them byte for byte.
+//! when the fixtures were written, re-recorded only where a view's output
+//! changes on purpose — a refactor of the analyzer must reproduce them byte
+//! for byte.
 
 use std::process::Command;
 

@@ -1,4 +1,4 @@
-//! A simulated persistent heap with a redo log and crash-point injection.
+//! A simulated persistent heap with a redo log and numbered crash points.
 //!
 //! Durable TM backends (the `stm` crate's `Durable`) keep two images of
 //! memory: the **volatile** working image (the ordinary [`Heap`] every
@@ -10,10 +10,8 @@
 //! Every mutation of the persistent state — one log word appended, one
 //! fsync, one word applied to the persisted image, one log truncation,
 //! one word replayed during recovery — is a numbered **persistence step**.
-//! A step can kill the process *model*: either deterministically via
-//! [`PHeap::set_crash_at`] (step `N` dies before its mutation takes
-//! effect), or through the `crash_point` faultsim site when the crate is
-//! built with the `faults` feature and a plan is armed. After a crash
+//! A step can kill the process *model*: [`PHeap::set_crash_at`] makes step
+//! `N` die before its mutation takes effect. After a crash
 //! every persistence operation fails with [`Crashed`] until the harness
 //! calls [`PHeap::restart`].
 //!
@@ -203,18 +201,9 @@ impl PInner {
         }
         self.steps += 1;
         self.stats.steps = self.steps;
-        let internal = self.crash_at == Some(self.steps);
-        // Consult the injector on *every* step so the site's occurrence
-        // numbering stays step-aligned whether or not a step also carries
-        // an internal trigger.
-        #[cfg(feature = "faults")]
-        let injected = faultsim::should_fire(faultsim::Site::CrashPoint);
-        #[cfg(not(feature = "faults"))]
-        let injected = false;
-        if internal || injected {
+        if self.crash_at == Some(self.steps) {
             self.crashed = true;
             self.crash_step = self.steps;
-            obs::counter("fault.fired.crash_point").inc();
             return Err(Crashed);
         }
         Ok(())
@@ -266,8 +255,7 @@ impl PInner {
     }
 }
 
-/// Mix function shared with faultsim's decision streams (splitmix64
-/// finalizer); local copy so txcore works without the `faults` feature.
+/// The splitmix64 finalizer.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -316,9 +304,7 @@ impl PHeap {
     }
 
     /// Arrange for the process model to die at persistence step `step`
-    /// (1-based; the step's mutation never takes effect). Deterministic
-    /// and independent of faultsim, so recovery is testable without the
-    /// `faults` feature; the `crash_point` site is an additional trigger.
+    /// (1-based; the step's mutation never takes effect).
     pub fn set_crash_at(&self, step: u64) {
         self.lock().crash_at = Some(step);
     }

@@ -3,11 +3,8 @@
 //! points never expose a partially-applied transaction in the persisted
 //! image, recovery replays exactly a prefix of the commit order, strict
 //! durability never loses an acknowledged commit, and recovery is
-//! idempotent — including after a crash *during* recovery.
-//!
-//! These properties run without the `faults` feature: the deterministic
-//! [`PHeap::set_crash_at`] step trigger is part of txcore itself, so the
-//! recovery contract is exercised even on no-faults builds.
+//! idempotent — including after a crash *during* recovery. Crashes land
+//! through [`PHeap::set_crash_at`].
 
 use proptest::prelude::*;
 use txcore::{Addr, Heap, PHeap};
