@@ -14,7 +14,9 @@
 //! `Explicit` aborts raised by user code are free, and aborts of a hybrid's
 //! software phase are free. Spurious aborts, which best-effort hardware
 //! raises at commit with `HtmGeometry::spurious_abort_prob`, are pinned on
-//! their own: one unit each, and a storm of them ends in the fallback.
+//! their own: one unit each, and a storm of them ends in the fallback. So is
+//! the access a `Capacity` abort lands on: the first distinct line past the
+//! cap, however often the lines before it were touched again.
 
 use htm::{CapacityPolicy, HtmGeometry, HtmSim, HybridNOrec, HybridTl2, LINE_WORDS};
 use std::sync::Arc;
@@ -80,6 +82,32 @@ struct Rig {
 /// One line more than `TINY_FOR_TESTS` can write speculatively.
 const WIDE_LINES: u32 = HtmGeometry::TINY_FOR_TESTS.write_capacity as u32 + 1;
 
+/// `family` over `sys`, granting every block `BUDGET` attempts under `policy`.
+fn backend(
+    family: Family,
+    sys: Arc<TmSystem>,
+    geom: HtmGeometry,
+    policy: CapacityPolicy,
+) -> Box<dyn TmBackend> {
+    match family {
+        Family::Htm => {
+            let tm = HtmSim::with_geometry(sys, geom);
+            tm.cm().set(BUDGET, policy);
+            Box::new(tm)
+        }
+        Family::HyNOrec => {
+            let tm = HybridNOrec::with_geometry(sys, geom);
+            tm.cm().set(BUDGET, policy);
+            Box::new(tm)
+        }
+        Family::HyTl2 => {
+            let tm = HybridTl2::with_geometry(sys, geom);
+            tm.cm().set(BUDGET, policy);
+            Box::new(tm)
+        }
+    }
+}
+
 impl Rig {
     fn new(family: Family, policy: CapacityPolicy) -> Self {
         Self::with_geometry(family, policy, HtmGeometry::TINY_FOR_TESTS)
@@ -88,26 +116,9 @@ impl Rig {
     fn with_geometry(family: Family, policy: CapacityPolicy, geom: HtmGeometry) -> Self {
         let sys = Arc::new(TmSystem::new(1 << 14));
         let base = sys.heap.alloc(LINE_WORDS * (2 + WIDE_LINES as usize));
-        let tm: Box<dyn TmBackend> = match family {
-            Family::Htm => {
-                let tm = HtmSim::with_geometry(sys, geom);
-                tm.cm().set(BUDGET, policy);
-                Box::new(tm)
-            }
-            Family::HyNOrec => {
-                let tm = HybridNOrec::with_geometry(sys, geom);
-                tm.cm().set(BUDGET, policy);
-                Box::new(tm)
-            }
-            Family::HyTl2 => {
-                let tm = HybridTl2::with_geometry(sys, geom);
-                tm.cm().set(BUDGET, policy);
-                Box::new(tm)
-            }
-        };
         Rig {
             family,
-            tm,
+            tm: backend(family, sys, geom, policy),
             x: base,
             y: base.field(LINE_WORDS as u32),
             wide: base.field(2 * LINE_WORDS as u32),
@@ -333,5 +344,63 @@ fn spurious_aborts_replay_from_the_context_seed() {
             "{family:?}: a 30% rate over 200 blocks must abort"
         );
         assert_eq!(first, run(), "{family:?}: same seed, same aborts");
+    }
+}
+
+/// Read or write `a`, as one access of a footprint.
+fn touch(tx: &mut Tx<'_>, a: Addr, write: bool) -> TxResult<()> {
+    if write {
+        tx.write(a, 1)
+    } else {
+        tx.read(a).map(drop)
+    }
+}
+
+/// Capacity counts distinct lines, not accesses. One attempt re-reads (or
+/// re-writes) three lines, many times the capacity in accesses, then
+/// touches fresh lines: its one `Capacity` abort must land on the access
+/// that brings in the (cap+1)-th distinct line, and the block then commits
+/// in its fallback (`GiveUp`).
+#[test]
+fn the_capacity_abort_lands_on_the_first_distinct_line_past_the_cap() {
+    const HOT: usize = 3;
+    const ROUNDS: usize = 40;
+    let geom = HtmGeometry::TINY_FOR_TESTS;
+    for family in FAMILIES {
+        for (write, cap) in [(false, geom.read_capacity), (true, geom.write_capacity)] {
+            let sys = Arc::new(TmSystem::new(1 << 14));
+            let base = sys.heap.alloc(LINE_WORDS * (cap + 2));
+            let tm = backend(family, sys, geom, CapacityPolicy::GiveUp);
+            // (line, word in line) per access: the hot lines round-robin,
+            // a different word each round, then one fresh line per access.
+            let accesses: Vec<(usize, usize)> = (0..ROUNDS)
+                .flat_map(|r| (0..HOT).map(move |l| (l, r % LINE_WORDS)))
+                .chain((HOT..cap + 2).map(|l| (l, 0)))
+                .collect();
+            let mut ctx = ThreadCtx::new(0);
+            let mut aborted_at = Vec::new();
+            let out = try_run_tx(tm.as_ref(), &mut ctx, 2, |tx| {
+                for (i, &(line, word)) in accesses.iter().enumerate() {
+                    let a = base.field((line * LINE_WORDS + word) as u32);
+                    if let Err(abort) = touch(tx, a, write) {
+                        aborted_at.push((tx.attempt(), i, line));
+                        return Err(abort);
+                    }
+                }
+                Ok(())
+            });
+            let at = format!("{family:?} write={write}");
+            assert_eq!(
+                aborted_at,
+                [(0, ROUNDS * HOT + cap - HOT, cap)],
+                "{at}: one abort, on line {cap}, the first past the cap"
+            );
+            assert_eq!(out, Some(()), "{at}");
+            let snap = ctx.stats.snapshot();
+            assert_eq!(snap.aborts_of(AbortCode::Capacity), 1, "{at}");
+            assert_eq!(snap.total_aborts(), 1, "{at}");
+            assert_eq!(snap.fallback_commits, 1, "{at}: committed in the fallback");
+            assert_eq!(ctx.htm_budget, 0, "{at}");
+        }
     }
 }

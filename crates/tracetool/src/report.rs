@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Event kinds that constitute "decisions" for the timeline section.
-const DECISION_KINDS: [&str; 11] = [
+const DECISION_KINDS: [&str; 8] = [
     "fig4.start",
     "fig4.scheme",
     "config.switch",
@@ -24,9 +24,6 @@ const DECISION_KINDS: [&str; 11] = [
     "explore.start",
     "stop.verdict",
     "recommend",
-    "recovery.switch_retry_ok",
-    "recovery.degraded",
-    "recovery.adapter_restart",
 ];
 
 /// Timeline rows printed before eliding the rest.

@@ -4,14 +4,18 @@
 //! All three sit on the per-access fast path — every transactional read
 //! consults the write set first (read-after-write consistency) and logs
 //! itself in the read log, and every backend walks that log at validation
-//! time — so an access costs O(1) and nothing is rebuilt per transaction:
+//! time — so an access costs O(1) and nothing is zeroed per transaction:
 //!
 //! * the read log is two plain vecs with no index: a push drops only an
 //!   exact repeat of the newest entry and appends anything else, as the
 //!   TL2, TinySTM and NOrec papers log reads;
-//! * `WriteSet` and `LineSet` share one stamped open-addressed table
+//! * `WriteSet` indexes its entries in a stamped open-addressed table
 //!   (`StampedTable`): `clear` is a stamp bump, and from the first entry
 //!   on an insert or a lookup is one find-or-claim probe;
+//! * `LineSet` logs an attempt's accesses in a plain vec until they reach
+//!   its capacity, and only then claims them in the same kind of table:
+//!   below that point an access is a length compare and a push, and an
+//!   attempt that goes exact claims each logged access once;
 //! * `clear` never drops capacity, so a retried transaction reuses every
 //!   allocation of its previous attempt (see the counting-allocator tests
 //!   in `crates/{stm,htm}/tests/alloc_reuse.rs`).
@@ -27,7 +31,7 @@ fn home_slot(key: u32, mask: usize) -> usize {
 
 /// An open-addressed, linear-probe set of `u32` keys, each slot carrying a
 /// payload `P`: the index of `WriteSet` (payload: the entry's position) and
-/// the whole of `LineSet` (payload: none).
+/// the lines of an exact `LineSet` attempt (payload: none).
 ///
 /// A slot packs `key << 32 | stamp` and counts as occupied only while its
 /// stamp is the table's current one, so `clear` is a stamp bump; the table
@@ -290,16 +294,29 @@ impl WriteSet {
 /// The distinct cache lines one speculative attempt has touched: the
 /// simulated HTM's read or write footprint, bounded by a capacity.
 ///
-/// Exact — the distinct-line count, and so the access at which a capacity
-/// abort fires, is a plain set's — in one `StampedTable` of lines with no
-/// payload. An access costs the compare against the previous access
-/// (consecutive words of one record share a line) or one find-or-claim
-/// probe (DESIGN.md §9).
+/// Exact — `insert` accepts a line iff it is already tracked or fewer than
+/// `cap` distinct lines are, so a capacity abort fires on the access a
+/// plain set would name — but lazy about it (DESIGN.md §9). An attempt
+/// starts *lazy*: every access is pushed onto a plain log, repeats
+/// included. While the log holds fewer than `cap` accesses it holds fewer
+/// than `cap` distinct lines, so the answer is "accept" without looking.
+/// The access that finds the log at `cap` or more builds the exact
+/// `StampedTable` of lines from it, and from there the attempt is *exact*:
+/// each access costs a compare against the previous one (consecutive words
+/// of one record share a line) or one find-or-claim probe. Every decision
+/// is the plain set's for any sequence of caps: the log length bounds the
+/// distinct count from above, and the table is exact once built.
 #[derive(Debug, Default, Clone)]
 pub struct LineSet {
+    /// Every access of a lazy attempt, in order.
+    log: Vec<u32>,
+    /// 0 while the attempt is lazy; `usize::MAX` once it is exact, so that
+    /// `log.len() | exact < cap` holds for no cap.
+    exact: usize,
+    /// The attempt's distinct lines once it is exact; empty while lazy.
     table: StampedTable<()>,
-    /// Slot word of the previous tracked access; 0 (never a slot word)
-    /// after a `clear`.
+    /// Slot word of the line the exact path last accepted; 0 (never a slot
+    /// word) while lazy.
     last: u64,
 }
 
@@ -312,31 +329,52 @@ impl LineSet {
     /// Forget all lines, retaining capacity.
     #[inline]
     pub fn clear(&mut self) {
-        self.table.clear();
-        self.last = 0;
+        self.log.clear();
+        if self.exact != 0 {
+            self.table.clear();
+            self.last = 0;
+            self.exact = 0;
+        }
     }
 
     /// Number of distinct lines tracked.
-    #[inline]
     pub fn len(&self) -> usize {
-        self.table.len
+        if self.exact != 0 {
+            return self.table.len;
+        }
+        let mut lines = self.log.clone();
+        lines.sort_unstable();
+        lines.dedup();
+        lines.len()
     }
 
     /// Whether no line has been touched yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.table.len == 0
+        self.log.is_empty() && self.table.len == 0
     }
 
     /// Track `line`. Returns false — and tracks nothing — when the line is
     /// new and the set already holds `cap` lines.
     #[inline]
     pub fn insert(&mut self, line: u32, cap: usize) -> bool {
-        // The inlined part is this one compare; the probe is a call.
-        self.last == self.table.word(line) || self.find_or_claim(line, cap)
+        // The inlined part is this one compare and a push; the exact path
+        // is a call.
+        if (self.log.len() | self.exact) < cap {
+            self.log.push(line);
+            true
+        } else {
+            self.insert_exact(line, cap)
+        }
     }
 
-    fn find_or_claim(&mut self, line: u32, cap: usize) -> bool {
+    fn insert_exact(&mut self, line: u32, cap: usize) -> bool {
+        if self.exact == 0 {
+            self.go_exact();
+        }
+        if self.last == self.table.word(line) {
+            return true;
+        }
         self.table.reserve();
         if let Err(i) = self.table.probe(line) {
             if self.table.len >= cap {
@@ -346,6 +384,19 @@ impl LineSet {
         }
         self.last = self.table.word(line);
         true
+    }
+
+    /// The log reached the capacity: claim its lines in the table, which
+    /// answers for the rest of the attempt.
+    #[cold]
+    fn go_exact(&mut self) {
+        self.exact = usize::MAX;
+        for &line in &self.log {
+            self.table.reserve();
+            if let Err(i) = self.table.probe(line) {
+                self.table.claim(i, line, ());
+            }
+        }
     }
 }
 
@@ -481,13 +532,83 @@ mod tests {
     }
 
     #[test]
+    fn line_set_stays_lazy_for_cap_accesses_over_fewer_lines() {
+        let mut ls = LineSet::new();
+        for i in 0..8u32 {
+            assert!(ls.insert(i % 3, 8), "access {i}");
+        }
+        assert_eq!(ls.exact, 0);
+        assert!(ls.table.slots.is_empty(), "the table is never built");
+        assert_eq!(ls.len(), 3);
+    }
+
+    #[test]
+    fn the_access_that_reaches_cap_goes_exact_and_accepts_iff_room() {
+        // Eight accesses over three lines: the ninth finds the log at the
+        // cap, builds the table, and a new line fits (3 < 8).
+        let mut ls = LineSet::new();
+        for i in 0..8u32 {
+            assert!(ls.insert(i % 3, 8));
+        }
+        assert!(ls.insert(50, 8));
+        assert_eq!((ls.exact, ls.len(), ls.table.len), (usize::MAX, 4, 4));
+        // Eight distinct lines: the ninth access is a new line and does
+        // not fit; a tracked one still does.
+        let mut ls = LineSet::new();
+        for line in 0..8u32 {
+            assert!(ls.insert(line, 8));
+        }
+        assert!(!ls.insert(50, 8));
+        assert_eq!((ls.exact, ls.len()), (usize::MAX, 8));
+        assert!(ls.insert(2, 8));
+        // A cap that drops to the log length switches too, and a cap that
+        // rises again after the switch keeps the attempt exact.
+        let mut ls = LineSet::new();
+        assert!(ls.insert(1, 100) && ls.insert(1, 100));
+        assert!(ls.insert(2, 2), "1 distinct < 2");
+        assert_eq!(ls.exact, usize::MAX);
+        assert!(ls.insert(3, 100));
+        assert!(!ls.insert(4, 3), "3 distinct, cap 3");
+        assert_eq!(
+            (ls.log.len(), ls.len()),
+            (2, 3),
+            "exact accesses are not logged"
+        );
+    }
+
+    #[test]
+    fn clear_after_an_exact_attempt_returns_to_the_log_and_keeps_both_allocations() {
+        let mut ls = LineSet::new();
+        for line in 0..40u32 {
+            assert!(ls.insert(line, 40));
+        }
+        assert!(ls.insert(0, 40));
+        assert_eq!(ls.exact, usize::MAX);
+        let (log_cap, slots) = (ls.log.capacity(), ls.table.slots.len());
+        assert!(log_cap >= 40 && slots > 0);
+        ls.clear();
+        assert!(ls.is_empty());
+        assert_eq!((ls.exact, ls.last, ls.table.len), (0, 0, 0));
+        assert_eq!((ls.log.capacity(), ls.table.slots.len()), (log_cap, slots));
+        assert!(ls.insert(7, 40));
+        assert_eq!(
+            (ls.log.as_slice(), ls.table.len),
+            (&[7][..], 0),
+            "lazy again"
+        );
+    }
+
+    #[test]
     fn line_set_wipes_its_table_when_the_stamp_wraps() {
         // Generation 1 fills some slots; 2^32 - 1 clears later the stamp
-        // is 1 again, and those slots must not read as tracked.
+        // is 1 again, and those slots must not read as tracked. A lazy
+        // attempt leaves the table alone, so this one is driven exact.
         let mut ls = LineSet::new();
         for line in 0..5u32 {
             assert!(ls.insert(line, 8));
         }
+        assert!(ls.insert(0, 5));
+        assert_eq!(ls.table.len, 5);
         ls.table.stamp = u32::MAX;
         ls.clear();
         assert_eq!((ls.table.stamp, ls.len()), (1, 0));
@@ -595,28 +716,50 @@ mod tests {
             clears_left in 0u32..6,
             ops in proptest::collection::vec((0u32..12, 0u32..100), 0..600),
         ) {
-            // Starts a few clears short of the wrap, so most cases cross
-            // it — some with a table already grown, some before the first
-            // slot exists — and every decision before, at and after the
-            // wipe must be the plain set's.
-            let mut set = LineSet::new();
-            set.table.stamp = u32::MAX - clears_left;
-            let mut model = std::collections::BTreeSet::new();
-            for (op, line) in ops {
-                if op == 0 {
-                    set.clear();
-                    model.clear();
-                    proptest::prop_assert!(set.table.stamp != 0);
-                } else {
-                    let fits = model.contains(&line) || model.len() < cap;
-                    if fits {
-                        model.insert(line);
-                    }
-                    proptest::prop_assert_eq!(set.insert(line, cap), fits);
-                }
-                proptest::prop_assert_eq!(set.len(), model.len());
-                proptest::prop_assert_eq!(set.is_empty(), model.is_empty());
-            }
+            // One cap for the whole case.
+            let steps = ops.into_iter().map(|(op, line)| (op == 0, line, cap));
+            line_set_matches_a_set_model(clears_left, steps)?;
         }
+
+        #[test]
+        fn line_set_matches_a_set_model_for_any_cap_sequence(
+            clears_left in 0u32..6,
+            ops in proptest::collection::vec((0u32..40, 0u32..32, 0usize..24), 0..600),
+        ) {
+            // A fresh cap per access: the switch to exact lands wherever
+            // the caps put it, and caps rise and fall on both sides of it.
+            let steps = ops.into_iter().map(|(op, line, cap)| (op == 0, line, cap));
+            line_set_matches_a_set_model(clears_left, steps)?;
+        }
+    }
+
+    /// Drive a `LineSet` and a `BTreeSet` through `(clear?, line, cap)`
+    /// steps from a stamp `clears_left` clears short of the wrap, so most
+    /// cases cross it — some with a table already grown, some before the
+    /// first slot exists: every decision before, at and after the wipe must
+    /// be the plain set's.
+    fn line_set_matches_a_set_model(
+        clears_left: u32,
+        steps: impl Iterator<Item = (bool, u32, usize)>,
+    ) -> proptest::TestCaseResult {
+        let mut set = LineSet::new();
+        set.table.stamp = u32::MAX - clears_left;
+        let mut model = std::collections::BTreeSet::new();
+        for (clear, line, cap) in steps {
+            if clear {
+                set.clear();
+                model.clear();
+                proptest::prop_assert!(set.table.stamp != 0);
+            } else {
+                let fits = model.contains(&line) || model.len() < cap;
+                if fits {
+                    model.insert(line);
+                }
+                proptest::prop_assert_eq!(set.insert(line, cap), fits);
+            }
+            proptest::prop_assert_eq!(set.len(), model.len());
+            proptest::prop_assert_eq!(set.is_empty(), model.is_empty());
+        }
+        Ok(())
     }
 }
