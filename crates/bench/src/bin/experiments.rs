@@ -6,7 +6,6 @@
 //! experiments --quick all       # reduced corpus sizes (CI-friendly)
 //! experiments --jobs 4 fig5     # evaluation worker threads (or PROTEUS_JOBS)
 //! experiments --trace-out t.jsonl fig4   # JSONL telemetry trace
-//! experiments bench-snapshot             # exact regression gate (see below)
 //! experiments vtime             # virtual-time scalability (byte-identical everywhere)
 //! ```
 //!
@@ -16,15 +15,8 @@
 //! adaptation-layer event — quiescence epochs, configuration switches,
 //! CUSUM alarms, EI steps, per-backend abort counters — is written to PATH
 //! as JSON Lines; `proteus-trace report|perf|conflicts PATH` reads it.
-//!
-//! `bench-snapshot` is special: it runs the fig4/fig5 quick pipelines
-//! traced, writes `BENCH_perf.json`, and gates against the checked-in
-//! `BENCH_perf_baseline.json` (options: `--out`, `--baseline`,
-//! `--update-baseline`). It manages its own in-memory traces, so it
-//! cannot be combined with other targets or `--trace-out`.
 
 use bench::opts::Options;
-use bench::snapshot::SnapshotArgs;
 use std::collections::BTreeMap;
 
 type Runner = (&'static str, fn(bool));
@@ -83,35 +75,10 @@ fn main() {
     let opts = Options::parse(&args).unwrap_or_else(|e| fail_usage(&e));
     opts.apply_jobs();
 
-    // The perf gate manages its own in-memory traces and writes its own
-    // snapshot file, so it must be the sole target and cannot be combined
-    // with the trace plumbing below.
-    if opts.targets.iter().any(|t| t == "bench-snapshot") {
-        // The other targets are its own flags and their values (e.g.
-        // `--out x.json`); SnapshotArgs::parse rejects genuine strays.
-        if opts.trace_out.is_some() {
-            fail_usage(
-                "bench-snapshot runs its own in-memory traces; \
-                 --trace-out does not apply",
-            );
-        }
-        let mut rest = opts.targets.clone();
-        rest.retain(|t| t != "bench-snapshot");
-        let snap_args = SnapshotArgs::parse(&rest).unwrap_or_else(|e| fail_usage(&e));
-        match bench::snapshot::run(&snap_args) {
-            Ok(true) => return,
-            Ok(false) => std::process::exit(1),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
     if opts.targets.is_empty() {
         fail_usage(&format!(
             "usage: experiments [--quick] [--jobs N] [--trace-out PATH] \
-             <all | bench-snapshot | {} ...>",
+             <all | {} ...>",
             index.keys().cloned().collect::<Vec<_>>().join(" | ")
         ));
     }

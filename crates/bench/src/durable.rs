@@ -10,12 +10,10 @@
 //!
 //! Like the vtime stage, everything here is **virtual**: log bytes, fsync
 //! counts and recovery latency are modeled integers, byte-identical across
-//! hosts, `--jobs` values and reruns. [`collect`] therefore records no
-//! host context, and the snapshot gate compares `BENCH_durable.json`
-//! exactly (see [`crate::snapshot`]). `--quick` is ignored on purpose.
+//! hosts, `--jobs` values and reruns. The renders are `tmsim`'s golden
+//! fixtures (`crates/tmsim/tests/golden/durable_*.txt`), which pin every
+//! number exactly. `--quick` is ignored on purpose.
 
-use crate::snapshot::Val;
-use std::collections::BTreeMap;
 use tmsim::vtime::REPORT_SEED;
 use tmsim::{durable_report, DurableReport, MachineModel};
 
@@ -74,62 +72,5 @@ pub fn run() {
                 obs::ts_tick();
             }
         }
-    }
-}
-
-/// The `BENCH_durable.json` section: every row of both machines' reports
-/// plus the schema/tool/seed tags. Deliberately **no host context keys**
-/// — the file must be byte-identical on every machine so the gate can
-/// compare it exactly.
-pub fn collect() -> BTreeMap<String, Val> {
-    let mut snap: BTreeMap<String, Val> = BTreeMap::new();
-    snap.insert("schema".into(), Val::U(obs::SCHEMA_VERSION as u64));
-    snap.insert("tool".into(), Val::S("experiments durable".into()));
-    snap.insert("durable.seed".into(), Val::U(REPORT_SEED));
-    for rep in reports() {
-        for (k, v) in rows(&rep) {
-            snap.insert(k, Val::U(v));
-        }
-    }
-    snap
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn collect_carries_no_host_context() {
-        let snap = collect();
-        assert!(!snap.contains_key("host.cores"));
-        assert!(!snap.contains_key("host.os"));
-        assert!(!snap.contains_key("jobs"));
-        for (k, v) in &snap {
-            if k.starts_with("durable.") {
-                assert!(matches!(v, Val::U(_)), "{k} must be an exact integer");
-            }
-        }
-    }
-
-    #[test]
-    fn collect_covers_modes_machines_and_the_drill() {
-        let snap = collect();
-        for key in [
-            "durable.machine-a.volatile.t1.tx_per_sec",
-            "durable.machine-a.strict.t8.fsyncs",
-            "durable.machine-a.buffered.t4.log_words",
-            "durable.machine-a.drill.recovery_ns",
-            "durable.machine-b.strict.t16.checkpoints",
-            "durable.machine-b.drill.replayed_txs",
-        ] {
-            assert!(snap.contains_key(key), "missing {key}");
-        }
-        // Volatile rows never carry journaling metrics.
-        assert!(!snap.contains_key("durable.machine-a.volatile.t1.fsyncs"));
-        // Same process, second collection: identical bytes.
-        assert_eq!(
-            crate::snapshot::render(&snap),
-            crate::snapshot::render(&collect())
-        );
     }
 }

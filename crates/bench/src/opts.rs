@@ -20,9 +20,7 @@ pub struct Options {
     pub jobs: Option<usize>,
     /// `--trace-out PATH`: JSONL telemetry trace.
     pub trace_out: Option<PathBuf>,
-    /// Every argument no flag above claimed, in order: experiment names —
-    /// and, only when `bench-snapshot` is among them, that subcommand's own
-    /// flags and their values, which `SnapshotArgs::parse` checks.
+    /// Every argument no flag above claimed, in order: experiment names.
     pub targets: Vec<String>,
 }
 
@@ -69,8 +67,7 @@ impl Options {
                 _ => opts.targets.push(a.clone()),
             }
         }
-        let stray = opts.targets.iter().find(|a| a.starts_with("--"));
-        if let (Some(a), false) = (stray, opts.targets.iter().any(|t| t == "bench-snapshot")) {
+        if let Some(a) = opts.targets.iter().find(|a| a.starts_with("--")) {
             return Err(format!("unknown flag {a}"));
         }
         Ok(opts)
@@ -153,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_are_errors_unless_bench_snapshot_owns_them() {
+    fn unknown_flags_are_errors() {
         for stray in [
             &["--slo", "default", "fig4"][..],
             &["--slo=default", "fig4"],
@@ -163,12 +160,10 @@ mod tests {
             &["--faults", "plan.json", "fig5"],
             &["--trace_out=x", "fig4"],
             &["--quick=1", "fig5"],
+            &["--update-baseline", "fig4"],
         ] {
             let err = Options::parse_with(&s(stray), no_env).unwrap_err();
             assert_eq!(err, format!("unknown flag {}", stray[0]));
         }
-        let args = s(&["--jobs=2", "bench-snapshot", "--out", "x.json", "--quick"]);
-        let o = Options::parse_with(&args, no_env).unwrap();
-        assert_eq!(o.targets, s(&["bench-snapshot", "--out", "x.json"]));
     }
 }

@@ -262,33 +262,6 @@ fn conflicts_view_is_byte_identical_across_job_counts() {
     assert_eq!((plain1, json1), run(4), "differs at jobs=4");
 }
 
-/// Likewise the `BENCH_vtime.json` section: rendered bytes, not parsed
-/// values, must match across job counts and reruns — this is the file the
-/// snapshot gate compares exactly against a baseline that may have been
-/// recorded on a completely different machine.
-#[test]
-fn vtime_snapshot_section_is_byte_identical_across_job_counts_and_reruns() {
-    let render =
-        |jobs: usize| parx::with_jobs(jobs, || bench::snapshot::render(&bench::vtime::collect()));
-    let first = render(1);
-    assert!(
-        first.contains("\"vtime.machine-b.swiss.t48.virtual_ns\""),
-        "{first}"
-    );
-    assert!(
-        first.contains("\"vtime.machine-a.conflict.htm.cause.conflict\"")
-            && first.contains("\"vtime.machine-b.conflict.tl2.goodput_pm\""),
-        "the vtime section must carry the conflict profile rows: {first}"
-    );
-    assert!(
-        !first.contains("host.") && !first.contains("\"jobs\""),
-        "the vtime section must carry no host context: {first}"
-    );
-    assert_eq!(first, render(2), "snapshot differs at jobs=2");
-    assert_eq!(first, render(4), "snapshot differs at jobs=4");
-    assert_eq!(first, render(1), "same-seed rerun differs");
-}
-
 #[test]
 fn tuner_is_identical_across_job_counts() {
     let training = UtilityMatrix::from_rows(

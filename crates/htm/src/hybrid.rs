@@ -11,7 +11,7 @@
 
 use crate::params::{HtmGeometry, TunableCm};
 use crate::spec::{track, SpecCore};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use stm::NOrec;
 use txcore::{Abort, Addr, BackendKind, ThreadCtx, TmBackend, TmSystem, TxResult};
 
@@ -43,20 +43,6 @@ impl HybridNOrec {
         self.core.cm()
     }
 }
-
-/// Cached handle for `backend`'s fallback-commit latency time-series (the
-/// `OnceLock` keeps registry locking off the commit path). Workers may
-/// *record* samples (the series is drained and emitted from the serial
-/// driver on the next window flush) but must never tick or emit here.
-fn fallback_commit_series(
-    cell: &'static OnceLock<&'static obs::TsSeries>,
-    backend: &str,
-) -> &'static obs::TsSeries {
-    cell.get_or_init(|| obs::ts_series(&format!("htm.fallback_commit.{backend}_ns")))
-}
-
-static NOREC_FALLBACK_TS: OnceLock<&'static obs::TsSeries> = OnceLock::new();
-static TL2_FALLBACK_TS: OnceLock<&'static obs::TsSeries> = OnceLock::new();
 
 impl TmBackend for HybridNOrec {
     fn name(&self) -> &'static str {
@@ -99,13 +85,7 @@ impl TmBackend for HybridNOrec {
 
     fn commit(&self, ctx: &mut ThreadCtx) -> TxResult<()> {
         if ctx.in_fallback {
-            let t0 = obs::enabled().then(std::time::Instant::now);
-            let out = self.norec.commit(ctx);
-            if let (Some(t0), Ok(())) = (t0, &out) {
-                let ns = t0.elapsed().as_nanos() as u64;
-                fallback_commit_series(&NOREC_FALLBACK_TS, "hybrid-norec").record(ns as f64);
-            }
-            return out;
+            return self.norec.commit(ctx);
         }
         self.core.commit(&self.sys, ctx, &self.sys.norec_seq)
     }
@@ -302,13 +282,7 @@ impl TmBackend for HybridTl2 {
 
     fn commit(&self, ctx: &mut ThreadCtx) -> TxResult<()> {
         if ctx.in_fallback {
-            let t0 = obs::enabled().then(std::time::Instant::now);
-            let out = self.tl2.commit(ctx);
-            if let (Some(t0), Ok(())) = (t0, &out) {
-                let ns = t0.elapsed().as_nanos() as u64;
-                fallback_commit_series(&TL2_FALLBACK_TS, "hybrid-tl2").record(ns as f64);
-            }
-            return out;
+            return self.tl2.commit(ctx);
         }
         if self.geom.spurious_abort_prob > 0.0 && ctx.rng.next_f64() < self.geom.spurious_abort_prob
         {

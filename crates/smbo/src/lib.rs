@@ -7,25 +7,23 @@
 //! *stopping rule* decides when further exploration is no longer worth it.
 //!
 //! This crate is model-agnostic: anything that yields `(µ, σ²)` per
-//! candidate plugs in. It provides
+//! candidate plugs in. It provides the pieces; the loop that joins them is
+//! `rectm::Controller`'s. They are
 //!
 //! * the closed-form Gaussian **Expected Improvement**
 //!   `EI = σ · (u·Φ(u) + φ(u))` (§5.2),
 //! * the competing acquisition policies of Fig. 5 (`Variance`, `Greedy`,
 //!   `Random`),
 //! * the **Cautious** stopping criterion and the **Naive** baseline of
-//!   Fig. 6, and
-//! * a generic [`optimize`] driver.
+//!   Fig. 6.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod acquisition;
-mod driver;
 mod gaussian;
 mod stopping;
 
 pub use acquisition::{Acquisition, Candidate};
-pub use driver::{optimize, Objective, SmboOutcome, SmboSettings, Surrogate};
 pub use gaussian::{expected_improvement, norm_cdf, norm_pdf};
 pub use stopping::{StopState, StoppingRule};
 

@@ -308,9 +308,9 @@ impl VtimeReport {
 /// run the exact same virtual work.
 pub const TXS_PER_THREAD: u32 = 24;
 
-/// The canonical scheduler seed of the checked-in report: the golden
-/// fixtures, the `experiments vtime` stage and `BENCH_vtime.json` all use
-/// this seed so their numbers line up exactly.
+/// The canonical scheduler seed of the checked-in reports: the golden
+/// fixtures and the `experiments vtime` and `experiments durable` stages
+/// all use this seed, so the stages print the fixtures' bytes exactly.
 pub const REPORT_SEED: u64 = 7;
 
 /// The fig6-style workload the report runs everywhere.

@@ -1,23 +1,25 @@
-//! Golden-fixture test for the virtual-time scalability report.
+//! Golden-fixture tests for the virtual-time reports.
 //!
 //! The fixtures under `tests/golden/` are the byte-exact renders of both
-//! machines' reports at the canonical seed. Any change to the cost model,
-//! the scheduler, the workload plan or the render format shows up here as
-//! a reviewable diff. Regenerate intentionally with:
+//! machines' scalability, conflict and durability reports at the canonical
+//! seed — the `experiments vtime` and `experiments durable` stdout blocks.
+//! Any change to the cost model, the scheduler, the workload plan or the
+//! render format shows up here as a reviewable diff. Regenerate
+//! intentionally with:
 //!
 //! ```text
-//! UPDATE_VTIME_GOLDEN=1 cargo test -p tmsim --test golden_vtime
+//! UPDATE_GOLDEN=1 cargo test -p tmsim --test golden_vtime
 //! ```
 
 use std::path::Path;
-use tmsim::vtime::{conflict_profile, vtime_report, REPORT_SEED};
+use tmsim::vtime::{conflict_profile, durable_report, vtime_report, REPORT_SEED};
 use tmsim::MachineModel;
 
 fn check_render(machine: &MachineModel, name: &str, got: String) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name);
-    if std::env::var_os("UPDATE_VTIME_GOLDEN").is_some() {
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &got).unwrap();
     }
@@ -25,9 +27,8 @@ fn check_render(machine: &MachineModel, name: &str, got: String) {
         .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
     assert_eq!(
         got, want,
-        "vtime report for {} drifted from its golden fixture; if the \
-         change is intentional, regenerate with UPDATE_VTIME_GOLDEN=1 and \
-         review the diff",
+        "{name} for {} drifted from its golden fixture; if the change is \
+         intentional, regenerate with UPDATE_GOLDEN=1 and review the diff",
         machine.name
     );
 }
@@ -63,5 +64,25 @@ fn machine_b_conflict_profile_matches_golden() {
         &m,
         "vtime_conflict_machine_b.txt",
         conflict_profile(&m, REPORT_SEED).render(),
+    );
+}
+
+#[test]
+fn machine_a_durability_tax_matches_golden() {
+    let m = MachineModel::machine_a();
+    check_render(
+        &m,
+        "durable_machine_a.txt",
+        durable_report(&m, REPORT_SEED).render(),
+    );
+}
+
+#[test]
+fn machine_b_durability_tax_matches_golden() {
+    let m = MachineModel::machine_b();
+    check_render(
+        &m,
+        "durable_machine_b.txt",
+        durable_report(&m, REPORT_SEED).render(),
     );
 }

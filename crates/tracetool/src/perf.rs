@@ -60,7 +60,7 @@ impl WindowPoint {
 }
 
 /// One series folded over all its windows: what the `--json` views and
-/// the `bench-snapshot` gate report per series.
+/// the fig4/fig5 snapshot gate (`bench::snapshot`) report per series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesAgg {
     /// Windows flushed.
