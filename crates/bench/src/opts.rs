@@ -1,13 +1,10 @@
-//! Shared flag/environment handling for the `experiments` binary.
+//! Flag handling for the `experiments` binary.
 //!
-//! Every knob is a flag. The worker count alone also has an environment
-//! twin (`--jobs`/`PROTEUS_JOBS`, which `parx` and CI's determinism leg
-//! read); the flag always wins so a CI matrix can export a default and
-//! individual legs can still override it. Parsing is pure (`parse_with`
-//! takes the environment as a closure) so the precedence rule is
-//! unit-testable without mutating the process environment.
+//! Every knob is a flag. `--jobs` installs its count through
+//! [`parx::set_jobs`], which wins over the `PROTEUS_JOBS` environment
+//! variable that `parx` reads itself when no flag was given, so a CI matrix
+//! can export a default and individual legs can still override it.
 
-use std::ffi::OsString;
 use std::path::PathBuf;
 
 /// Parsed `experiments` command line.
@@ -15,8 +12,8 @@ use std::path::PathBuf;
 pub struct Options {
     /// `--quick`: reduced corpus sizes (CI-friendly).
     pub quick: bool,
-    /// `--jobs N` / `PROTEUS_JOBS`: evaluation worker threads. `None`
-    /// leaves the `parx` default (one per core) in place.
+    /// `--jobs N`: evaluation worker threads. `None` leaves the `parx`
+    /// default (`PROTEUS_JOBS`, else one per core) in place.
     pub jobs: Option<usize>,
     /// `--trace-out PATH`: JSONL telemetry trace.
     pub trace_out: Option<PathBuf>,
@@ -25,29 +22,9 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parse `args` (without the program name) against the process
-    /// environment.
+    /// Parse `args` (without the program name).
     pub fn parse(args: &[String]) -> Result<Options, String> {
-        Self::parse_with(args, |k| std::env::var_os(k))
-    }
-
-    /// Parse `args` against an explicit environment (for tests).
-    pub fn parse_with(
-        args: &[String],
-        env: impl Fn(&str) -> Option<OsString>,
-    ) -> Result<Options, String> {
-        let mut opts = Options {
-            jobs: env("PROTEUS_JOBS").and_then(|v| {
-                let parsed = v.to_str().and_then(|s| s.parse::<usize>().ok());
-                match parsed {
-                    Some(n) if n > 0 => Some(n),
-                    // Invalid env values are diagnosed (and ignored) by
-                    // parx::jobs_from_env; don't double-report here.
-                    _ => None,
-                }
-            }),
-            ..Options::default()
-        };
+        let mut opts = Options::default();
         let mut iter = args.iter();
         while let Some(a) = iter.next() {
             // Each flag is spelled once; `--x V` and `--x=V` both land here.
@@ -92,61 +69,45 @@ fn parse_jobs(v: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
 
-    fn s(args: &[&str]) -> Vec<String> {
-        args.iter().map(|a| a.to_string()).collect()
-    }
-
-    fn no_env(_: &str) -> Option<OsString> {
-        None
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        Options::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
     fn flags_override_environment() {
-        let env = |k: &str| (k == "PROTEUS_JOBS").then(|| OsString::from("8"));
-        let args = s(&["--jobs", "2", "--trace-out=flag.jsonl", "fig4"]);
-        let o = Options::parse_with(&args, env).unwrap();
-        assert_eq!(o.jobs, Some(2), "flag beats PROTEUS_JOBS");
+        // The environment has no say here: `parx` reads `PROTEUS_JOBS`
+        // only when `apply_jobs` installed no count.
+        let o = parse(&["--jobs", "2", "--trace-out=flag.jsonl", "fig4"]).unwrap();
+        assert_eq!(o.jobs, Some(2));
         assert_eq!(o.trace_out.as_deref(), Some("flag.jsonl".as_ref()));
         assert_eq!(o.targets, vec!["fig4".to_string()]);
-
-        // Without the flag the environment fills the slot; the other
-        // knobs have no environment twin.
-        let o = Options::parse_with(&s(&["fig4"]), env).unwrap();
-        assert_eq!(o.jobs, Some(8));
-        assert_eq!(o.trace_out, None);
+        let o = parse(&["fig4"]).unwrap();
+        assert_eq!((o.jobs, o.trace_out), (None, None));
     }
 
     #[test]
     fn both_flag_spellings_parse() {
-        let o = Options::parse_with(&s(&["--jobs=3", "--quick", "all"]), no_env).unwrap();
+        let o = parse(&["--jobs=3", "--quick", "all"]).unwrap();
         assert_eq!(o.jobs, Some(3));
         assert!(o.quick);
-        let o = Options::parse_with(&s(&["--jobs", "3", "all"]), no_env).unwrap();
+        let o = parse(&["--jobs", "3", "all"]).unwrap();
         assert_eq!(o.jobs, Some(3));
         assert_eq!(o.targets, vec!["all".to_string()]);
         for flag in ["--jobs", "--trace-out"] {
-            let spaced = Options::parse_with(&s(&[flag, "3", "all"]), no_env).unwrap();
-            let inline = Options::parse_with(&s(&[&format!("{flag}=3"), "all"]), no_env).unwrap();
+            let spaced = parse(&[flag, "3", "all"]).unwrap();
+            let inline = parse(&[&format!("{flag}=3"), "all"]).unwrap();
             assert_eq!(spaced, inline, "{flag}");
             assert_eq!(spaced.targets, ["all"], "{flag} swallowed its value");
-            assert_ne!(spaced, Options::parse_with(&s(&["all"]), no_env).unwrap());
+            assert_ne!(spaced, parse(&["all"]).unwrap());
         }
     }
 
     #[test]
     fn errors_on_missing_or_bad_values() {
-        assert!(Options::parse_with(&s(&["--jobs"]), no_env).is_err());
-        assert!(Options::parse_with(&s(&["--jobs", "0"]), no_env).is_err());
-        assert!(Options::parse_with(&s(&["--jobs=none"]), no_env).is_err());
-        assert!(Options::parse_with(&s(&["--trace-out"]), no_env).is_err());
-    }
-
-    #[test]
-    fn invalid_env_jobs_is_ignored_not_fatal() {
-        let env =
-            |k: &str| -> Option<OsString> { (k == "PROTEUS_JOBS").then(|| OsString::from("zero")) };
-        let o = Options::parse_with(&s(&["fig4"]), env).unwrap();
-        assert_eq!(o.jobs, None);
+        assert!(parse(&["--jobs"]).is_err());
+        assert!(parse(&["--jobs", "0"]).is_err());
+        assert!(parse(&["--jobs=none"]).is_err());
+        assert!(parse(&["--trace-out"]).is_err());
     }
 
     #[test]
@@ -162,7 +123,7 @@ mod tests {
             &["--quick=1", "fig5"],
             &["--update-baseline", "fig4"],
         ] {
-            let err = Options::parse_with(&s(stray), no_env).unwrap_err();
+            let err = parse(stray).unwrap_err();
             assert_eq!(err, format!("unknown flag {}", stray[0]));
         }
     }

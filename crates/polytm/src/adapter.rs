@@ -8,10 +8,8 @@
 //! unwind.
 
 use crate::config::TmConfig;
-use crate::runtime::{PolyTm, SwitchError};
-use parking_lot::Mutex;
-use std::sync::mpsc;
-use std::sync::Arc;
+use crate::runtime::{lock, PolyTm, SwitchError};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -107,7 +105,7 @@ impl AdapterHandle {
             .send(Command::Reconfig(ReconfigRequest { config, reply }));
         match rx.recv() {
             Ok(result) => result,
-            Err(_) => match self.join.lock().take().map(JoinHandle::join) {
+            Err(_) => match lock(&self.join).take().map(JoinHandle::join) {
                 Some(Err(panic)) => std::panic::resume_unwind(panic),
                 _ => panic!("the adapter thread is gone"),
             },
@@ -118,7 +116,7 @@ impl AdapterHandle {
 impl Drop for AdapterHandle {
     fn drop(&mut self) {
         let _ = self.tx.send(Command::Stop);
-        if let Some(j) = self.join.lock().take() {
+        if let Some(j) = lock(&self.join).take() {
             let _ = j.join();
         }
     }

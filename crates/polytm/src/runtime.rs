@@ -6,11 +6,10 @@ use crate::energy::EnergyModel;
 use crate::gate::ThreadGate;
 use crate::profiler::KpiProbe;
 use htm::{HtmGeometry, HtmSim, HybridNOrec, HybridTl2};
-use parking_lot::Mutex;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use stm::{Durable, NOrec, SwissTm, TinyStm, Tl2};
 use txcore::{
@@ -78,6 +77,14 @@ impl fmt::Display for SwitchError {
 }
 
 impl Error for SwitchError {}
+
+/// Take `m`, recovering from poison. Neither of PolyTM's mutexes guards
+/// data a holder's panic can leave half-written (`reconfig` guards `()`,
+/// the adapter's `join` an `Option` that is only taken), so poison carries
+/// no information.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A registered application thread's handle into PolyTM.
 ///
@@ -383,7 +390,7 @@ impl PolyTm {
         // deadlock against us: it finishes its switch, then we take the
         // lock. Holding `reconfig` excludes further switches for the whole
         // serial window.
-        let _adapter = self.reconfig.lock();
+        let _adapter = lock(&self.reconfig);
         self.serial_escapes.fetch_add(1, Ordering::Relaxed);
         if obs::enabled() {
             obs::counter("polytm.serial_escapes").inc();
@@ -423,7 +430,7 @@ impl PolyTm {
     /// a slot: a pin that lands mid-switch waits for the switch to finish
     /// instead of letting its thread in on the old backend.
     pub fn pin_thread(&self, slot: usize) {
-        let _adapter = self.reconfig.lock();
+        let _adapter = lock(&self.reconfig);
         self.pinned[slot].store(true, Ordering::Release);
         if self.gate.is_disabled(slot) {
             self.gate.enable(slot);
@@ -453,7 +460,7 @@ impl PolyTm {
         if !config.durability_coherent() {
             return Err(SwitchError::IncoherentDurability);
         }
-        let _adapter = self.reconfig.lock();
+        let _adapter = lock(&self.reconfig);
         let from = self.config.load();
         let started = Instant::now();
         // A durability-mode change (Buffered ⇄ Strict included) takes the
@@ -590,7 +597,7 @@ impl PolyTm {
     /// Retune only the HTM contention management (no quiescence, and
     /// readers of the configuration stay lock-free — paper §4.3).
     pub fn set_htm_setting(&self, setting: HtmSetting) {
-        let _adapter = self.reconfig.lock();
+        let _adapter = lock(&self.reconfig);
         self.set_htm_locked(setting);
         let cfg = self.config.load();
         if cfg.htm.is_some() {
@@ -652,7 +659,7 @@ impl PolyTm {
 
     /// Re-enable every thread (used to drain workers at shutdown).
     pub fn resume_all(&self) {
-        let _adapter = self.reconfig.lock();
+        let _adapter = lock(&self.reconfig);
         for t in 0..self.max_threads {
             if self.gate.is_disabled(t) {
                 self.gate.enable(t);
@@ -954,6 +961,32 @@ mod tests {
         let v = poly.run_tx(&mut w, |tx| tx.read(a));
         assert_eq!(v, 1);
         assert_eq!(poly.serial_escapes(), 1);
+    }
+
+    #[test]
+    fn a_panic_in_a_serial_block_does_not_wedge_switches() {
+        // The panic unwinds through `run_serial` while it holds `reconfig`
+        // and poisons it; every later switch must still take it.
+        let poly = PolyTm::builder()
+            .heap_words(1 << 10)
+            .max_threads(1)
+            .tx_retry_budget(1)
+            .build();
+        let mut w = poly.register_thread(0);
+        let mut tries = 0u32;
+        let serial = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            poly.run_tx(&mut w, |tx| -> TxResult<()> {
+                tries += 1;
+                if tries == 1 {
+                    return tx.retry();
+                }
+                panic!("a bug in the application's serial block");
+            })
+        }));
+        assert!(serial.is_err());
+        assert_eq!(poly.serial_escapes(), 1);
+        poly.apply(&TmConfig::stm(BackendId::NOrec, 1)).unwrap();
+        assert_eq!(poly.current_config().backend, BackendId::NOrec);
     }
 
     #[test]

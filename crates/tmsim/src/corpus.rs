@@ -4,11 +4,10 @@
 use crate::workload::{WorkloadFamily, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One concrete workload: a family instance with perturbed parameters
 /// (different inputs, update ratios, data sizes...).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Corpus-wide identifier (also the noise seed).
     pub id: u64,

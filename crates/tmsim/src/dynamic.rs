@@ -2,11 +2,10 @@
 //! resource interference (Fig. 9, substituting the `stress` Unix tool).
 
 use crate::workload::WorkloadSpec;
-use serde::{Deserialize, Serialize};
 
 /// An application whose workload changes over (virtual) time: a sequence of
 /// phases, each holding a workload for a duration in seconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhasedApp {
     /// Application name (e.g. `red-black-tree`).
     pub name: String,
@@ -47,7 +46,7 @@ impl PhasedApp {
 
 /// External machine pressure (the Fig. 9 scenario): competing CPU load,
 /// memory-bandwidth pressure and I/O interrupt load, each in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Interference {
     /// Fraction of CPU stolen by a competing process.
     pub cpu: f64,

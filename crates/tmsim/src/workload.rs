@@ -4,11 +4,10 @@
 //! they are, however, exactly what the Wang-et-al-style ML baselines of
 //! Fig. 7 train on — mirroring the paper's methodological contrast.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The synthetic analogue of one TM application workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Intrinsic (uninstrumented, single-thread) transaction duration in
     /// microseconds.
@@ -49,7 +48,7 @@ impl Default for WorkloadSpec {
 
 /// The 15 application families of Table 1, with the workload character the
 /// paper (and the STAMP characterization) attributes to each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum WorkloadFamily {
     // STAMP

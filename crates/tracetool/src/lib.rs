@@ -4,37 +4,36 @@
 //! The trace is the stack's flight recorder: every adaptation decision —
 //! quiescence epochs, configuration switches, CUSUM alarms, EI exploration
 //! steps, CV folds — is a record with a logical sequence number, and span
-//! records add the hierarchy. This crate turns one or two such streams
-//! into deterministic reports, in three steps with one owner each:
+//! records add the hierarchy. This crate turns one such stream into
+//! deterministic reports, in three steps with one owner each:
 //!
-//! * [`TraceReader`] is the only code that reads trace bytes: lines,
-//!   header contract, counter dump, end-of-trace marker. [`parse_trace`]
-//!   feeds it a whole file.
+//! * [`parse_trace`] is the only code that reads trace text: lines,
+//!   header contract, counter dump, end-of-trace marker.
 //! * Each view computes one typed model from the [`Trace`]
 //!   ([`report::Report`], [`conflicts::Conflicts`]) ...
 //! * ... and formats it twice: `plain(&model)` for people, `json(&model)`
-//!   (through [`json::Writer`]) for machines. [`perf`] and [`diff`] have
-//!   a plain form only.
+//!   (through [`json::Writer`]) for machines. [`perf`] has a plain form
+//!   only.
 //!
 //! Everything is a pure function of the input bytes: same trace, same
 //! report, byte for byte. That property is load-bearing — the repo's
 //! determinism tests compare analyzer output across `PROTEUS_JOBS` values
-//! (`crates/bench/tests/tracetool.rs`).
+//! (`crates/bench/tests/tracetool.rs`). Two traces are compared with
+//! `cmp`, never with a view.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conflicts;
-pub mod diff;
 pub mod json;
 pub mod perf;
-pub mod reader;
+mod reader;
 pub mod report;
 pub mod spans;
 
 use json::JsonValue;
 pub use perf::WindowPoint;
-pub use reader::TraceReader;
+pub use reader::parse_trace;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -194,18 +193,6 @@ impl fmt::Display for TraceError {
             TraceError::Malformed { line, msg } => write!(f, "line {line}: {msg}"),
         }
     }
-}
-
-/// Parse a whole JSONL trace: feed the [`TraceReader`] everything, finish.
-pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
-    let mut reader = TraceReader::default();
-    let mut trace = Trace::default();
-    let mut records = reader.feed(text.as_bytes())?;
-    records.extend(reader.finish()?);
-    records.into_iter().for_each(|r| trace.push(r));
-    trace.complete = reader.done();
-    trace.counters = reader.into_counters();
-    Ok(trace)
 }
 
 /// The first line of a plain-text view — and, for a trace without its

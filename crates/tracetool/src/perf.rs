@@ -1,14 +1,12 @@
-//! Performance views over a trace's `metrics.window` records.
+//! The performance view over a trace's `metrics.window` records.
 //!
 //! [`render`] turns one trace into the KPI time-series view: per-series
 //! window tables aligned with the switch/quiesce decisions that happened
 //! between them, plus the instrumentation self-overhead audit from the
-//! trailing `obs.overhead` records. [`render_diff`] compares two runs
-//! window-by-window and reports (with a non-zero verdict) when a KPI
-//! degraded beyond a noise band — the core of the perf-regression gate.
+//! trailing `obs.overhead` records.
 //!
-//! Like every view in this crate, both are pure functions of the input
-//! bytes: same trace(s), same output.
+//! Like every view in this crate, it is a pure function of the input
+//! bytes: same trace, same output.
 
 use crate::json::Writer;
 use crate::{banner, elide, Record, Trace};
@@ -252,122 +250,6 @@ fn vtime_section(out: &mut String, vtime: &[(&String, &Vec<WindowPoint>)]) {
     }
 }
 
-/// Whether a lower value of this series is better (for regression
-/// direction). `None` when the series has no known direction — such
-/// series are reported but never fail the gate.
-fn lower_is_better(series: &str) -> Option<bool> {
-    let s = series.to_ascii_lowercase();
-    let names = |words: &[&str]| words.iter().any(|word| s.contains(word));
-    if names(&["abort", "latency", "regret", "dfo", "mape", "cusum"]) || s.ends_with("_ns") {
-        Some(true)
-    } else {
-        names(&["throughput", "commit"]).then_some(false)
-    }
-}
-
-/// Compare two runs window-by-window. Returns the report and `true` when
-/// no KPI degraded beyond `noise` (a fraction: 0.05 = 5%). A directional
-/// series fails the gate when its overall mean degrades beyond the band
-/// *or* any single aligned window does — a localized spike must not hide
-/// under a large overall mean. A directional series present in `a` but
-/// missing from `b` also counts as a degradation — a KPI silently
-/// ceasing to be recorded is exactly what a gate must catch.
-pub fn render_diff(a: &Trace, b: &Trace, noise: f64) -> (String, bool) {
-    let (wa, wb) = (a.windows(), b.windows());
-    let mut out = format!("=== proteus-trace perf-diff (noise band {noise}) ===\n");
-    let mut ok = true;
-    // Note a verdict on one line of the report: any degraded one fails the gate.
-    let mut mark = |degraded: bool| {
-        ok &= !degraded;
-        if degraded {
-            "  ** REGRESSION **"
-        } else {
-            ""
-        }
-    };
-    let names: std::collections::BTreeSet<&String> = wa.keys().chain(wb.keys()).collect();
-    if names.is_empty() {
-        let _ = writeln!(out, "no metrics.window records in either trace");
-    }
-    for name in names {
-        let pa = wa.get(name).map(Vec::as_slice).unwrap_or(&[]);
-        let pb = wb.get(name).map(Vec::as_slice).unwrap_or(&[]);
-        let direction = lower_is_better(name);
-        let dir_label = match direction {
-            Some(true) => "lower-better",
-            Some(false) => "higher-better",
-            None => "undirected",
-        };
-        if pa.is_empty() || pb.is_empty() {
-            let missing_side = if pa.is_empty() { "A" } else { "B" };
-            let _ = writeln!(
-                out,
-                "  {name}: missing in {missing_side} ({dir_label}){}",
-                mark(direction.is_some() && pb.is_empty())
-            );
-            continue;
-        }
-        let (ma, mb) = (SeriesAgg::of(pa).mean, SeriesAgg::of(pb).mean);
-        let rel = match (ma.abs() < 1e-12, mb.abs() < 1e-12) {
-            (true, true) => 0.0,
-            (true, false) => f64::INFINITY * (mb - ma).signum(),
-            _ => (mb - ma) / ma.abs(),
-        };
-        let degraded = match direction {
-            Some(true) => rel > noise,
-            Some(false) => rel < -noise,
-            None => false,
-        };
-        let (na, nb, flag) = (pa.len(), pb.len(), mark(degraded));
-        let _ = writeln!(
-            out,
-            "  {name}: A mean={} ({na} windows) B mean={} ({nb} windows) delta={:+.2}% \
-             ({dir_label}){flag}",
-            fmt_val(ma),
-            fmt_val(mb),
-            rel * 100.0
-        );
-        // Worst per-window drift, over the windows both runs have.
-        let mut worst: Option<(u64, f64)> = None;
-        for (x, y) in pa.iter().zip(pb) {
-            let d = if x.mean.abs() < 1e-12 {
-                0.0
-            } else {
-                (y.mean - x.mean) / x.mean.abs()
-            };
-            let signed = match direction {
-                Some(true) => d,
-                Some(false) => -d,
-                None => d.abs(),
-            };
-            if worst.is_none_or(|(_, w)| signed > w) {
-                worst = Some((x.window, signed));
-            }
-        }
-        if let Some((w, d)) = worst {
-            // A single degraded window fails the gate even when the
-            // overall mean absorbs it (e.g. one series value dwarfing the
-            // rest): the compare is window-by-window, not mean-by-mean.
-            let flag = mark(direction.is_some() && d > noise);
-            if d.abs() > 1e-12 {
-                let _ = writeln!(out, "    worst window: w{w} drift {:+.2}%{flag}", d * 100.0);
-            }
-        }
-        if na != nb {
-            let _ = writeln!(
-                out,
-                "    window count differs (A={na} B={nb}): runs cover different spans"
-            );
-        }
-    }
-    let verdict = match ok {
-        true => "no KPI degraded beyond the noise band",
-        false => "KPI regression detected",
-    };
-    let _ = writeln!(out, "verdict: {verdict}");
-    (out, ok)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,73 +330,5 @@ mod tests {
         ));
         assert!(text.contains("no metrics.window records"));
         assert!(text.contains("overhead audit unavailable"));
-    }
-
-    #[test]
-    fn diff_of_identical_traces_is_clean() {
-        let body = window_line(0, "kpi.abort_rate", 0, 0.25);
-        let (text, ok) = render_diff(&trace_of(&body), &trace_of(&body), 0.05);
-        assert!(ok, "{text}");
-        assert!(text.contains("no KPI degraded"));
-    }
-
-    #[test]
-    fn diff_flags_degradation_beyond_noise_in_the_right_direction() {
-        let a = trace_of(&window_line(0, "kpi.abort_rate", 0, 0.20));
-        let worse = trace_of(&window_line(0, "kpi.abort_rate", 0, 0.30));
-        let better = trace_of(&window_line(0, "kpi.abort_rate", 0, 0.10));
-        // Lower-is-better series: going up fails, going down passes.
-        let (text, ok) = render_diff(&a, &worse, 0.05);
-        assert!(!ok, "{text}");
-        assert!(text.contains("** REGRESSION **"));
-        let (text, ok) = render_diff(&a, &better, 0.05);
-        assert!(ok, "{text}");
-        // Within the noise band: passes.
-        let (_, ok) = render_diff(&a, &worse, 0.60);
-        assert!(ok);
-        // Higher-is-better series: going down fails.
-        let ta = trace_of(&window_line(0, "kpi.throughput", 0, 100.0));
-        let tb = trace_of(&window_line(0, "kpi.throughput", 0, 80.0));
-        let (text, ok) = render_diff(&ta, &tb, 0.05);
-        assert!(!ok, "{text}");
-    }
-
-    #[test]
-    fn diff_flags_a_single_degraded_window_hidden_by_the_overall_mean() {
-        // Window 1 carries almost all the mass, so tripling window 0
-        // barely moves the overall mean — the per-window check must still
-        // catch it.
-        let a = trace_of(&format!(
-            "{}{}",
-            window_line(0, "kpi.abort_rate", 0, 0.01),
-            window_line(1, "kpi.abort_rate", 1, 1000.0)
-        ));
-        let b = trace_of(&format!(
-            "{}{}",
-            window_line(0, "kpi.abort_rate", 0, 0.03),
-            window_line(1, "kpi.abort_rate", 1, 1000.0)
-        ));
-        let (text, ok) = render_diff(&a, &b, 0.05);
-        assert!(!ok, "{text}");
-        assert!(text.contains("worst window: w0"), "{text}");
-        assert!(text.contains("** REGRESSION **"), "{text}");
-        // The same spike in an undirected series never gates.
-        let ua = trace_of(&window_line(0, "some.gauge", 0, 0.01));
-        let ub = trace_of(&window_line(0, "some.gauge", 0, 0.03));
-        let (text, ok) = render_diff(&ua, &ub, 0.05);
-        assert!(ok, "{text}");
-    }
-
-    #[test]
-    fn diff_fails_when_a_directional_series_disappears() {
-        let a = trace_of(&window_line(0, "kpi.throughput", 0, 100.0));
-        let b = trace_of("{\"seq\":0,\"kind\":\"config.switch\",\"to\":\"b\"}\n");
-        let (text, ok) = render_diff(&a, &b, 0.05);
-        assert!(!ok, "{text}");
-        assert!(text.contains("missing in B"));
-        // The reverse (new series appearing) is not a regression.
-        let (text, ok) = render_diff(&b, &a, 0.05);
-        assert!(ok, "{text}");
-        assert!(text.contains("missing in A"));
     }
 }

@@ -1,7 +1,7 @@
 //! Exit-code contract of the `proteus-trace` binary: missing/unknown
 //! subcommands print the full usage block and exit 2, analysis failures
 //! exit 1, and a trace without its trailer is a visible state — an
-//! `INCOMPLETE` line in the single-trace views, exit 1 from `perf-diff`.
+//! `INCOMPLETE` line under every view's banner.
 
 use std::process::Command;
 
@@ -36,12 +36,20 @@ fn no_subcommand_prints_usage_and_exits_2() {
     let out = bin().output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for sub in ["report", "diff", "perf", "perf-diff", "conflicts"] {
-        assert!(
-            stderr.contains(&format!("proteus-trace {sub} ")),
-            "usage must list {sub}: {stderr}"
-        );
-    }
+    let listed: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("proteus-trace "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(listed, ["report", "perf", "conflicts"], "{stderr}");
+    let header = format!(
+        "{{\"kind\":\"trace.meta\",\"schema\":{}}}",
+        obs::SCHEMA_VERSION
+    );
+    assert!(
+        stderr.contains(&header),
+        "usage must name the schema: {stderr}"
+    );
 }
 
 #[test]
@@ -54,16 +62,23 @@ fn unknown_subcommand_names_itself_and_exits_2() {
         "{stderr}"
     );
     assert!(stderr.contains("usage:"), "{stderr}");
-    // `watch` was a subcommand once; now it is unknown like any other.
-    let out = bin().args(["watch", "t.jsonl"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown subcommand \"watch\"\nusage:"));
+    // These were subcommands once; now they are unknown like any other.
+    for (sub, operands) in [
+        ("watch", &["t.jsonl"][..]),
+        ("diff", &["a.jsonl", "b.jsonl"]),
+        ("perf-diff", &["a.jsonl", "b.jsonl"]),
+    ] {
+        let out = bin().arg(sub).args(operands).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{sub}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("unknown subcommand {sub:?}\nusage:");
+        assert!(stderr.contains(&want), "{stderr}");
+    }
 }
 
 #[test]
 fn every_subcommand_rejects_missing_operands_with_2() {
-    for sub in ["report", "diff", "perf", "perf-diff", "conflicts"] {
+    for sub in ["report", "perf", "conflicts"] {
         let out = bin().arg(sub).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{sub} without operands");
     }
@@ -112,14 +127,6 @@ fn a_trace_without_its_trailer_is_a_visible_state() {
             assert!(!stdout(&[view, WHOLE, "--json"]).contains("incomplete"));
         }
     }
-    // A run that died half-way must not pass the gate by absence.
-    for (a, b) in [(WHOLE, cut), (cut, WHOLE), (cut, cut)] {
-        let out = bin().args(["perf-diff", a, b]).output().unwrap();
-        assert_eq!(out.status.code(), Some(1), "{out:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(stderr.lines().count(), 1, "{stderr}");
-        assert!(stderr.contains(&format!("{cut}: incomplete")), "{stderr}");
-    }
     let _ = std::fs::remove_file(cut);
 }
 
@@ -127,12 +134,18 @@ fn a_trace_without_its_trailer_is_a_visible_state() {
 fn a_gate_cannot_be_talked_out_of_failing() {
     // NaN makes every comparison false and a negative band makes every one
     // true: either would decide the verdict without looking at the trace.
+    // `--noise` is a flag of no view: it is an operand too many.
     let path = tmp("gate.jsonl", &complete_trace());
     let path = path.to_str().unwrap();
+    let out = bin()
+        .args(["report", path, "--noise", "0.1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
     for args in [
-        ["perf-diff", path, path, "--noise", "nan"],
-        ["perf-diff", path, path, "--noise", "-1"],
         ["report", path, "--json", "--epsilon", "nan"],
+        ["report", path, "--epsilon", "-1", "--json"],
+        ["report", path, "--json", "--epsilon", "inf"],
     ] {
         let out = bin().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
