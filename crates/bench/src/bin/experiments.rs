@@ -99,13 +99,6 @@ fn main() {
     }
     let tracing = match &opts.trace_out {
         Some(path) => {
-            if !obs::telemetry_compiled() {
-                eprintln!(
-                    "warning: built without the `telemetry` feature; \
-                     {} will contain no events",
-                    path.display()
-                );
-            }
             if let Err(e) = obs::start_trace_file(path) {
                 fail_usage(&format!("cannot open trace file {}: {e}", path.display()));
             }

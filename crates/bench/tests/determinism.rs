@@ -54,21 +54,20 @@ fn bagging_fit_and_predict_are_identical_across_job_counts() {
     );
 }
 
-/// The telemetry stream itself is part of the determinism contract: the
+/// The trace stream itself is part of the determinism contract: the
 /// fig4 workflow must emit a byte-identical JSONL trace at every job
 /// count. Events are only emitted from serial driver code with logical
 /// sequence numbers, so the captured bytes — not just the parsed events —
 /// must match exactly. `capture_trace` serializes captures internally, so
 /// concurrent tests in this binary cannot interleave events into either
 /// stream.
-#[cfg(feature = "telemetry")]
 #[test]
 fn fig4_trace_is_byte_identical_across_job_counts() {
     let (_, serial) = obs::capture_trace(|| parx::with_jobs(1, || bench::fig4::run_with(24)));
     let (_, parallel) = obs::capture_trace(|| parx::with_jobs(4, || bench::fig4::run_with(24)));
     assert!(
         !serial.is_empty(),
-        "fig4 must emit telemetry events while a trace is active"
+        "fig4 must emit events while a trace is active"
     );
     let text = String::from_utf8(serial.clone()).expect("trace is UTF-8 JSONL");
     for kind in ["fig4.start", "fig4.scheme", "fig4.result"] {
@@ -92,14 +91,13 @@ fn fig4_trace_is_byte_identical_across_job_counts() {
 /// `recommend`, …) on the returned `Exploration` and the bench replays
 /// them at the serial fold point, so this stream too must be byte-identical
 /// at every job count — and free of wall-clock fields.
-#[cfg(feature = "telemetry")]
 #[test]
 fn fig5_trace_is_byte_identical_across_job_counts() {
     let (_, serial) = obs::capture_trace(|| parx::with_jobs(1, || bench::fig5::run_with(12)));
     let (_, parallel) = obs::capture_trace(|| parx::with_jobs(4, || bench::fig5::run_with(12)));
     assert!(
         !serial.is_empty(),
-        "fig5 must emit controller telemetry while a trace is active"
+        "fig5 must emit controller events while a trace is active"
     );
     let text = String::from_utf8(serial.clone()).expect("trace is UTF-8 JSONL");
     for kind in [
@@ -128,7 +126,6 @@ fn fig5_trace_is_byte_identical_across_job_counts() {
 /// records are keyed by logical sample tick and emitted only at serial
 /// tick points, so the window stream — and the `proteus-trace perf` view
 /// derived from it — must be byte-identical at jobs 1, 2, and 4.
-#[cfg(feature = "telemetry")]
 #[test]
 fn metrics_windows_and_perf_view_are_byte_identical_across_job_counts() {
     let run = |jobs: usize| {
@@ -178,8 +175,8 @@ fn metrics_windows_and_perf_view_are_byte_identical_across_job_counts() {
 /// The vtime stage's contract is stronger than the rest of the suite's:
 /// its numbers live on a *simulated* clock, so not just the stream shape
 /// but every value must be byte-identical across job counts and across
-/// two same-seed runs in the same process.
-#[cfg(feature = "telemetry")]
+/// two same-seed runs in the same process. The `proteus-trace perf` view
+/// renders the scalability table and the switch-latency series from it.
 #[test]
 fn vtime_trace_is_byte_identical_across_job_counts_and_reruns() {
     let run = |jobs: usize| {
@@ -189,7 +186,7 @@ fn vtime_trace_is_byte_identical_across_job_counts_and_reruns() {
     let first = run(1);
     assert!(
         !first.is_empty(),
-        "vtime must emit telemetry while a trace is active"
+        "vtime must emit events while a trace is active"
     );
     let text = String::from_utf8(first.clone()).expect("trace is UTF-8 JSONL");
     for needle in [
@@ -217,6 +214,42 @@ fn vtime_trace_is_byte_identical_across_job_counts_and_reruns() {
         "vtime trace must be byte-identical at jobs=4"
     );
     assert_eq!(first, run(1), "same-seed rerun must reproduce the bytes");
+
+    let trace = tracetool::parse_trace(&text).expect("vtime trace parses");
+    let perf = tracetool::perf::render(&trace);
+    for needle in [
+        "vtime scalability (virtual ns, host-independent):",
+        "machine-b swiss",
+        "vtime.machine-a.switch.latency_ns = ",
+    ] {
+        assert!(perf.contains(needle), "perf view lacks {needle:?}:\n{perf}");
+    }
+}
+
+/// The durable stage runs on the same virtual clock as vtime, so its trace
+/// is byte-identical across job counts, and the report closes the loop: its
+/// crash-recovery drill must show up as an audit whose verdict is
+/// "recovered".
+#[test]
+fn durable_trace_is_byte_identical_and_its_audit_recovers() {
+    let run = |jobs: usize| {
+        let (_, bytes) = obs::capture_trace(|| parx::with_jobs(jobs, bench::durable::run));
+        String::from_utf8(bytes).expect("trace is UTF-8 JSONL")
+    };
+    let text = run(1);
+    assert_eq!(
+        text,
+        run(4),
+        "durable trace must be byte-identical at jobs=1 and jobs=4"
+    );
+    let trace = tracetool::parse_trace(&text).expect("durable trace parses");
+    let report = tracetool::report::plain(&tracetool::report::Report::new(&trace, 0.05));
+    for needle in ["crash recovery audit", "verdict: recovered"] {
+        assert!(
+            report.contains(needle),
+            "report lacks {needle:?}:\n{report}"
+        );
+    }
 }
 
 /// The conflict observatory rides the same rails: the `proteus-trace
@@ -224,7 +257,6 @@ fn vtime_trace_is_byte_identical_across_job_counts_and_reruns() {
 /// byte-identical at jobs 1, 2, and 4. The vtime stage exercises every
 /// section of the view — per-backend ledgers, the exact cross-host vtime
 /// cells, hot-stripe tables, and the windowed cause mix.
-#[cfg(feature = "telemetry")]
 #[test]
 fn conflicts_view_is_byte_identical_across_job_counts() {
     let run = |jobs: usize| {

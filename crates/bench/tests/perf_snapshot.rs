@@ -8,9 +8,6 @@
 //! UPDATE_GOLDEN=1 cargo test -p bench --test perf_snapshot
 //! ```
 
-// Without telemetry the trace is empty and every count would drift.
-#![cfg(feature = "telemetry")]
-
 use std::path::Path;
 
 #[test]

@@ -7,8 +7,6 @@
 //! traces captured with `obs::capture_trace`, which is exactly what the
 //! `proteus-trace` binary does after reading the file.
 
-#![cfg(feature = "telemetry")]
-
 /// One fig4 run's trace, and its counters read inside the capture (where
 /// no sibling test can bump the process-global registry).
 fn fig4_trace(jobs: usize) -> (String, Vec<(String, u64)>) {
@@ -31,12 +29,20 @@ fn fig4_report_is_byte_identical_across_job_counts_and_runs() {
 
     let report = |text: &str| {
         let trace = tracetool::parse_trace(text).expect("fig4 trace parses");
-        tracetool::report::plain(&tracetool::report::Report::new(&trace, 0.05))
+        let report = tracetool::report::Report::new(&trace, 0.05);
+        (
+            tracetool::report::plain(&report),
+            tracetool::report::json(&report),
+        )
     };
-    let a = report(&serial);
-    let b = report(&parallel);
-    let c = report(&again);
+    let (a, a_json) = report(&serial);
+    let (b, b_json) = report(&parallel);
+    let (c, _) = report(&again);
     assert_eq!(a, b, "report must not depend on the job count");
+    assert_eq!(
+        a_json, b_json,
+        "report --json must not depend on the job count"
+    );
     assert_eq!(b, c, "report must be stable across repeated runs");
 
     // The report surfaces the fig4 regret-to-oracle curves and the
@@ -96,4 +102,27 @@ fn table5_switches_reach_the_report() {
         report.contains("switch latency & gate stalls"),
         "missing switch section:\n{report}"
     );
+}
+
+/// Table 4 drives real transactions through `run_tx` on every backend: the
+/// attribution counters it bumps must fold into the conflicts view's
+/// per-backend ledger table. A capture has no counter dump, so the counters
+/// are read inside it, as `fig4_trace` does. The numbers are wall-clock, so
+/// only the shape is checked.
+#[test]
+fn table4_counters_fold_into_backend_ledgers() {
+    let (counters, bytes) = obs::capture_trace(|| {
+        bench::table4::run_with(500);
+        obs::metrics::counter_snapshot()
+    });
+    let text = String::from_utf8(bytes).expect("trace is UTF-8 JSONL");
+    let mut trace = tracetool::parse_trace(&text).expect("table4 trace parses");
+    trace.counters.extend(counters);
+    let view = tracetool::conflicts::plain(&tracetool::conflicts::Conflicts::new(&trace));
+    for needle in ["  tl2 ", "overall goodput:"] {
+        assert!(
+            view.contains(needle),
+            "conflicts view lacks {needle:?}:\n{view}"
+        );
+    }
 }

@@ -19,9 +19,8 @@
 //!   wall-clock field exists on that path (`crates/bench/tests/
 //!   determinism.rs` enforces this).
 //! * **Cost**: every instrumentation site is guarded by [`enabled`]. With
-//!   the `telemetry` cargo feature off it is `const false` and the site
-//!   compiles out; with the feature on but no trace active it is one
-//!   relaxed atomic load.
+//!   no trace active that guard is one relaxed atomic load and the site
+//!   does nothing else.
 //!
 //! # Example
 //!
@@ -31,10 +30,8 @@
 //!     42
 //! });
 //! assert_eq!(out, 42);
-//! if obs::telemetry_compiled() {
-//!     let text = String::from_utf8(trace).unwrap();
-//!     assert!(text.contains("\"kind\":\"demo.tick\""));
-//! }
+//! let text = String::from_utf8(trace).unwrap();
+//! assert!(text.contains("\"kind\":\"demo.tick\""));
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,37 +87,21 @@ pub fn ts_record(name: &str, v: f64) {
     }
 }
 
-/// Whether the `telemetry` cargo feature was compiled in.
-pub const fn telemetry_compiled() -> bool {
-    cfg!(feature = "telemetry")
-}
-
-/// Fast-path guard: `true` only while a trace is active *and* the
-/// `telemetry` feature is compiled in.
+/// Fast-path guard: `true` only while a trace is active.
 ///
 /// Instrumentation sites check this before building any event fields or
-/// metric names, so an inactive pipeline costs one relaxed atomic load and
-/// a feature-disabled build costs nothing at all.
-#[cfg(feature = "telemetry")]
+/// metric names, so an inactive pipeline costs one relaxed atomic load.
 #[inline(always)]
 pub fn enabled() -> bool {
     trace::active()
 }
 
-/// Fast-path guard (feature off): always `false`, letting the optimizer
-/// remove every guarded instrumentation site.
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-pub const fn enabled() -> bool {
-    false
-}
-
-/// Emit a structured event if telemetry is enabled.
+/// Emit a structured event if a trace is active.
 ///
 /// Fields are `"key" => value` pairs; values can be any type with a
 /// [`Value`] conversion (unsigned/signed integers, `f64`, `bool`, strings).
 /// The whole expansion is guarded by [`enabled`], so arguments are not
-/// evaluated when telemetry is off.
+/// evaluated when no trace is active.
 ///
 /// ```
 /// obs::event!("config.switch", "from" => "TL2:8t", "to" => "NOrec:4t");
@@ -134,7 +115,7 @@ macro_rules! event {
     };
 }
 
-/// Open a scoped [`Span`] if telemetry is enabled (else an inactive guard).
+/// Open a scoped [`Span`] if a trace is active (else an inactive guard).
 ///
 /// Same `"key" => value` field syntax as [`event!`]; the begin record gets
 /// a logical `id` (and `parent` when nested inside another scoped span),
@@ -189,19 +170,9 @@ macro_rules! pending_event {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn disabled_by_default() {
-        // No trace has been started in this test, so the guard is off
-        // (other tests start traces, but they serialize on the capture
-        // lock and always finish them).
-        if !crate::telemetry_compiled() {
-            assert!(!crate::enabled());
-        }
-    }
-
-    #[test]
     fn event_macro_compiles_with_mixed_field_types() {
-        // Must type-check regardless of the feature. Runs inside a capture
-        // so the emits can't leak into a concurrent test's trace.
+        // Runs inside a capture so the emits can't leak into a concurrent
+        // test's trace.
         let (_, bytes) = crate::capture_trace(|| {
             crate::event!(
                 "test.mixed",
@@ -214,10 +185,8 @@ mod tests {
             );
             crate::event!("test.bare");
         });
-        if crate::telemetry_compiled() {
-            // Schema header + the two events.
-            assert_eq!(String::from_utf8(bytes).unwrap().lines().count(), 3);
-        }
+        // Schema header + the two events.
+        assert_eq!(String::from_utf8(bytes).unwrap().lines().count(), 3);
     }
 
     #[test]
@@ -226,12 +195,8 @@ mod tests {
             let _outer = crate::span!("test.macro.outer", "step" => 1u64);
             let _inner = crate::timed_span!("test.macro.inner");
         });
-        if crate::telemetry_compiled() {
-            let text = String::from_utf8(bytes).unwrap();
-            assert_eq!(text.matches("span.begin").count(), 2);
-            assert_eq!(text.matches("span.end").count(), 2);
-        } else {
-            assert!(bytes.is_empty());
-        }
+        let text = String::from_utf8(bytes).unwrap();
+        assert_eq!(text.matches("span.begin").count(), 2);
+        assert_eq!(text.matches("span.end").count(), 2);
     }
 }

@@ -28,7 +28,7 @@ use std::time::Instant;
 ///
 /// Construct via [`crate::span!`] / [`crate::timed_span!`], which guard
 /// field evaluation behind [`crate::enabled`]. An inactive guard (no
-/// trace, or telemetry compiled out) costs nothing on drop.
+/// trace active) costs nothing on drop.
 ///
 /// ```
 /// let ((), bytes) = obs::capture_trace(|| {
@@ -36,11 +36,9 @@ use std::time::Instant;
 ///     let _drain = obs::span!("quiesce.drain");
 ///     // ... phase body ...
 /// });
-/// if obs::telemetry_compiled() {
-///     let text = String::from_utf8(bytes).unwrap();
-///     assert!(text.contains("\"kind\":\"span.begin\""));
-///     assert!(text.contains("\"parent\":1")); // drain nests under switch
-/// }
+/// let text = String::from_utf8(bytes).unwrap();
+/// assert!(text.contains("\"kind\":\"span.begin\""));
+/// assert!(text.contains("\"parent\":1")); // drain nests under switch
 /// ```
 #[must_use = "a span closes when dropped; binding it to `_` closes it immediately"]
 pub struct Span {
@@ -80,7 +78,7 @@ impl Span {
         }
     }
 
-    /// A guard that does nothing on drop (used when telemetry is off).
+    /// A guard that does nothing on drop (used when no trace is active).
     pub fn inactive() -> Span {
         Span {
             name: "",
@@ -122,18 +120,14 @@ mod tests {
             }
             drop(outer);
         });
-        if crate::telemetry_compiled() {
-            let text = String::from_utf8(bytes).unwrap();
-            assert_eq!(text.matches("\"kind\":\"span.begin\"").count(), 2);
-            assert_eq!(text.matches("\"kind\":\"span.end\"").count(), 2);
-            assert!(text.contains("\"parent\":1"));
-            assert!(
-                !text.contains("duration_ns"),
-                "plain spans must not leak wall-clock into the stream"
-            );
-        } else {
-            assert!(bytes.is_empty());
-        }
+        let text = String::from_utf8(bytes).unwrap();
+        assert_eq!(text.matches("\"kind\":\"span.begin\"").count(), 2);
+        assert_eq!(text.matches("\"kind\":\"span.end\"").count(), 2);
+        assert!(text.contains("\"parent\":1"));
+        assert!(
+            !text.contains("duration_ns"),
+            "plain spans must not leak wall-clock into the stream"
+        );
     }
 
     #[test]
@@ -141,10 +135,8 @@ mod tests {
         let ((), bytes) = crate::capture_trace(|| {
             let _s = Span::timed("test.timed", vec![]);
         });
-        if crate::telemetry_compiled() {
-            let text = String::from_utf8(bytes).unwrap();
-            assert!(text.contains("\"duration_ns\":"));
-        }
+        let text = String::from_utf8(bytes).unwrap();
+        assert!(text.contains("\"duration_ns\":"));
     }
 
     #[test]
@@ -153,9 +145,7 @@ mod tests {
             let s = Span::inactive();
             assert!(!s.is_active());
         });
-        if crate::telemetry_compiled() {
-            assert!(!String::from_utf8(bytes).unwrap().contains("span."));
-        }
+        assert!(!String::from_utf8(bytes).unwrap().contains("span."));
     }
 
     #[test]
@@ -171,10 +161,8 @@ mod tests {
             ];
             crate::emit_pending(&buffered);
         });
-        if crate::telemetry_compiled() {
-            let text = String::from_utf8(bytes).unwrap();
-            assert!(text.contains("\"id\":1,\"name\":\"explore\""));
-            assert!(text.contains("\"id\":2,\"parent\":1,\"name\":\"ei.round\""));
-        }
+        let text = String::from_utf8(bytes).unwrap();
+        assert!(text.contains("\"id\":1,\"name\":\"explore\""));
+        assert!(text.contains("\"id\":2,\"parent\":1,\"name\":\"ei.round\""));
     }
 }

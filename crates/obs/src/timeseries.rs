@@ -72,8 +72,7 @@ fn f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
 
 impl TsSeries {
     /// Record one sample into the current window. No-op unless a trace is
-    /// active (and the `telemetry` feature is compiled in), so stray
-    /// handles cost one relaxed load on the untraced path.
+    /// active, so stray handles cost one relaxed load on the untraced path.
     #[inline]
     pub fn record(&self, v: f64) {
         if !crate::enabled() {

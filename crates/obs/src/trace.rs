@@ -59,9 +59,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Whether a trace is currently active (the hot-path guard behind
-/// [`crate::enabled`]). With the feature off, `enabled()` is const-false
-/// and never calls this.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+/// [`crate::enabled`]).
 #[inline(always)]
 pub(crate) fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
@@ -257,9 +255,7 @@ fn emit_locked(state: &mut TraceState, kind: &'static str, fields: Vec<(&'static
 ///     let buffered = vec![obs::pending_event!("demo.buffered", "i" => 1u64)];
 ///     obs::emit_pending(&buffered);
 /// });
-/// if obs::telemetry_compiled() {
-///     assert!(String::from_utf8(bytes).unwrap().contains("demo.buffered"));
-/// }
+/// assert!(String::from_utf8(bytes).unwrap().contains("demo.buffered"));
 /// ```
 pub fn emit_pending(events: &[PendingEvent]) {
     for e in events {
@@ -285,20 +281,17 @@ fn start(sink: Sink) {
     metrics::reset();
     timeseries::reset_all();
     let mut sink = sink;
-    // Schema header: always the first line of a telemetry-enabled trace,
-    // outside the event sequence (no seq number, not counted in the
-    // report). `proteus-trace` refuses streams whose header is missing or
-    // names a schema it does not understand. A feature-off build emits no
-    // header so feature-off captures stay byte-empty.
-    if cfg!(feature = "telemetry") {
-        write_line(
-            &mut sink,
-            &format!(
-                "{{\"kind\":\"trace.meta\",\"schema\":{}}}",
-                crate::SCHEMA_VERSION
-            ),
-        );
-    }
+    // Schema header: always the first line of a trace, outside the event
+    // sequence (no seq number, not counted in the report). `proteus-trace`
+    // refuses streams whose header is missing or names a schema it does
+    // not understand.
+    write_line(
+        &mut sink,
+        &format!(
+            "{{\"kind\":\"trace.meta\",\"schema\":{}}}",
+            crate::SCHEMA_VERSION
+        ),
+    );
     *state = Some(TraceState {
         sink,
         seq: 0,
@@ -502,23 +495,19 @@ mod tests {
         let (_, b) = capture_trace(run);
         assert_eq!(out, "done");
         assert_eq!(a, b, "identical runs must capture identical bytes");
-        if crate::telemetry_compiled() {
-            let text = String::from_utf8(a).unwrap();
-            let lines: Vec<&str> = text.lines().collect();
-            assert_eq!(lines.len(), 3);
-            assert_eq!(
-                lines[0],
-                format!(
-                    "{{\"kind\":\"trace.meta\",\"schema\":{}}}",
-                    crate::SCHEMA_VERSION
-                ),
-                "first line must be the schema header"
-            );
-            assert!(lines[1].starts_with("{\"seq\":0,\"kind\":\"test.trace\""));
-            assert!(lines[2].contains("\"label\":\"x\""));
-        } else {
-            assert!(a.is_empty());
-        }
+        let text = String::from_utf8(a).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert_eq!(
+            lines[0],
+            format!(
+                "{{\"kind\":\"trace.meta\",\"schema\":{}}}",
+                crate::SCHEMA_VERSION
+            ),
+            "first line must be the schema header"
+        );
+        assert!(lines[1].starts_with("{\"seq\":0,\"kind\":\"test.trace\""));
+        assert!(lines[2].contains("\"label\":\"x\""));
     }
 
     #[test]
@@ -584,11 +573,9 @@ mod tests {
         let ((), bytes) = capture_trace(|| {
             emit(SPAN_END, vec![("name", Value::from("orphan"))]);
         });
-        if crate::telemetry_compiled() {
-            let text = String::from_utf8(bytes).unwrap();
-            let line = text.lines().find(|l| l.contains("orphan")).unwrap();
-            assert!(!line.contains("\"id\""));
-        }
+        let text = String::from_utf8(bytes).unwrap();
+        let line = text.lines().find(|l| l.contains("orphan")).unwrap();
+        assert!(!line.contains("\"id\""));
     }
 
     #[test]
@@ -646,23 +633,21 @@ mod tests {
         let (_, a) = capture_trace(run);
         let (_, b) = capture_trace(run);
         assert_eq!(a, b, "window records must be byte-stable");
-        if crate::telemetry_compiled() {
-            let text = String::from_utf8(a).unwrap();
-            let windows: Vec<&str> = text
-                .lines()
-                .filter(|l| l.contains("\"kind\":\"metrics.window\""))
-                .collect();
-            assert_eq!(windows.len(), 2, "one full + one partial window: {text}");
-            assert!(windows[0].contains("\"series\":\"test.ts.kpi\""));
-            assert!(windows[0].contains("\"window\":0"));
-            assert!(windows[0].contains("\"n\":8"));
-            assert!(windows[0].contains("\"mean\":3.5"));
-            assert!(windows[0].contains("\"min\":0"));
-            assert!(windows[0].contains("\"max\":7"));
-            assert!(windows[1].contains("\"window\":1"));
-            assert!(windows[1].contains("\"n\":1"));
-            assert!(windows[1].contains("\"last\":100"));
-        }
+        let text = String::from_utf8(a).unwrap();
+        let windows: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"kind\":\"metrics.window\""))
+            .collect();
+        assert_eq!(windows.len(), 2, "one full + one partial window: {text}");
+        assert!(windows[0].contains("\"series\":\"test.ts.kpi\""));
+        assert!(windows[0].contains("\"window\":0"));
+        assert!(windows[0].contains("\"n\":8"));
+        assert!(windows[0].contains("\"mean\":3.5"));
+        assert!(windows[0].contains("\"min\":0"));
+        assert!(windows[0].contains("\"max\":7"));
+        assert!(windows[1].contains("\"window\":1"));
+        assert!(windows[1].contains("\"n\":1"));
+        assert!(windows[1].contains("\"last\":100"));
     }
 
     #[test]

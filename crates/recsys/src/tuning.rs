@@ -298,18 +298,14 @@ mod tests {
             String::from_utf8_lossy(&direct)
         );
         let (_, replayed) = obs::capture_trace(|| report.emit_trace());
-        if obs::telemetry_compiled() {
-            let text = String::from_utf8(replayed).unwrap();
-            assert!(text.contains("\"name\":\"cv.search\""));
-            assert_eq!(text.matches("\"name\":\"cv.candidate\"").count(), 6);
-            assert!(text.contains("\"name\":\"cv.fold\""));
-            assert!(text.contains("\"kind\":\"cv.best\""));
-            // Replaying the same buffer twice yields identical bytes.
-            let (_, again) = obs::capture_trace(|| report.emit_trace());
-            assert_eq!(String::from_utf8(again).unwrap(), text);
-        } else {
-            assert!(report.trace.is_empty());
-        }
+        let text = String::from_utf8(replayed).unwrap();
+        assert!(text.contains("\"name\":\"cv.search\""));
+        assert_eq!(text.matches("\"name\":\"cv.candidate\"").count(), 6);
+        assert!(text.contains("\"name\":\"cv.fold\""));
+        assert!(text.contains("\"kind\":\"cv.best\""));
+        // Replaying the same buffer twice yields identical bytes.
+        let (_, again) = obs::capture_trace(|| report.emit_trace());
+        assert_eq!(String::from_utf8(again).unwrap(), text);
     }
 
     #[test]

@@ -569,7 +569,7 @@ mod tests {
             .map(|c| 3.3 * (10.0 - (c as f64 - 5.0).powi(2)).max(0.5))
             .collect();
         let (out, direct) = obs::capture_trace(|| ctl.optimize(&mut |c| truth[c]));
-        // The capture contains at most the schema header the trace itself
+        // The capture contains only the schema header the trace itself
         // writes — optimize must add nothing to it.
         assert!(
             String::from_utf8_lossy(&direct)
@@ -579,27 +579,23 @@ mod tests {
             String::from_utf8_lossy(&direct)
         );
         let (_, replayed) = obs::capture_trace(|| out.emit_trace());
-        if obs::telemetry_compiled() {
-            let text = String::from_utf8(replayed).unwrap();
-            for kind in [
-                "explore.start",
-                "ei.reference",
-                "ei.step",
-                "stop.verdict",
-                "recommend",
-            ] {
-                assert!(
-                    text.contains(&format!("\"kind\":\"{kind}\"")),
-                    "missing {kind} in replayed trace: {text}"
-                );
-            }
+        let text = String::from_utf8(replayed).unwrap();
+        for kind in [
+            "explore.start",
+            "ei.reference",
+            "ei.step",
+            "stop.verdict",
+            "recommend",
+        ] {
             assert!(
-                !text.contains("latency_ns"),
-                "wall-clock fields are banned from the deterministic stream"
+                text.contains(&format!("\"kind\":\"{kind}\"")),
+                "missing {kind} in replayed trace: {text}"
             );
-        } else {
-            assert!(out.trace.is_empty());
         }
+        assert!(
+            !text.contains("latency_ns"),
+            "wall-clock fields are banned from the deterministic stream"
+        );
     }
 
     fn truth(c: usize) -> f64 {

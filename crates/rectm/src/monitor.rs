@@ -346,12 +346,10 @@ mod tests {
             feed(&mut m, (0..15).map(|_| 30.0));
             m.reset();
         });
-        if obs::telemetry_compiled() {
-            let text = String::from_utf8(bytes).unwrap();
-            assert_eq!(text.matches("\"name\":\"monitor.window\"").count(), 4);
-            assert!(text.contains("\"alarmed\":true"));
-            assert!(text.contains("\"alarmed\":false"));
-        }
+        let text = String::from_utf8(bytes).unwrap();
+        assert_eq!(text.matches("\"name\":\"monitor.window\"").count(), 4);
+        assert!(text.contains("\"alarmed\":true"));
+        assert!(text.contains("\"alarmed\":false"));
     }
 
     #[test]

@@ -144,8 +144,8 @@ impl Trace {
 /// Why a trace failed to parse.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceError {
-    /// The stream has no lines at all (e.g. a `--no-default-features`
-    /// build wrote it, or the path was wrong).
+    /// The stream has no lines at all (the writer died before its schema
+    /// header, or the path was wrong).
     Empty,
     /// The first line is not a `trace.meta` schema header.
     MissingHeader {
@@ -171,8 +171,7 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::Empty => write!(
                 f,
-                "empty trace: no lines at all (was the emitter built \
-                 without the `telemetry` feature?)"
+                "empty trace: no lines at all, not even the schema header"
             ),
             TraceError::MissingHeader { first_kind } => write!(
                 f,

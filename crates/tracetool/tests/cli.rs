@@ -86,14 +86,22 @@ fn every_subcommand_rejects_missing_operands_with_2() {
 
 #[test]
 fn unreadable_trace_exits_1() {
-    for sub in ["report", "perf", "conflicts"] {
-        let out = bin()
-            .args([sub, "/nonexistent/trace.jsonl"])
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(1), "{sub} on a missing file");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
+    // A missing file, an empty one, and one from an unknown schema.
+    let empty = tmp("empty.jsonl", "");
+    let future = tmp("future.jsonl", "{\"kind\":\"trace.meta\",\"schema\":999}\n");
+    for path in [
+        "/nonexistent/trace.jsonl",
+        empty.to_str().unwrap(),
+        future.to_str().unwrap(),
+    ] {
+        for sub in ["report", "perf", "conflicts"] {
+            let out = bin().args([sub, path]).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{sub} on {path}");
+            assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
+        }
     }
+    let _ = std::fs::remove_file(empty);
+    let _ = std::fs::remove_file(future);
 }
 
 const WHOLE: &str = concat!(

@@ -490,11 +490,9 @@ mod tests {
                 }
                 Ok(())
             });
-            if obs::telemetry_compiled() {
-                assert_eq!(obs::counter("tx.commit.test-telemetry").get(), 1);
-                assert_eq!(obs::counter("tx.abort.test-telemetry.explicit").get(), 2);
-                assert_eq!(obs::counter("tx.abort.test-telemetry.conflict").get(), 0);
-            }
+            assert_eq!(obs::counter("tx.commit.test-telemetry").get(), 1);
+            assert_eq!(obs::counter("tx.abort.test-telemetry.explicit").get(), 2);
+            assert_eq!(obs::counter("tx.abort.test-telemetry.conflict").get(), 0);
         });
     }
 
