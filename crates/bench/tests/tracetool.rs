@@ -97,6 +97,16 @@ fn table5_switches_reach_the_report() {
     );
     assert!(!text.contains("\"alerts\":"), "retired with the SLO engine");
     let trace = tracetool::parse_trace(&text).expect("table5 trace parses");
+    // `apply` reads the clock only while traced: every traced switch must
+    // still carry its wall time.
+    for rec in trace.records.iter().filter(|r| r.kind == "config.switch") {
+        let latency = rec.u64("latency_ns");
+        assert!(
+            latency > Some(0),
+            "line {}: latency_ns {latency:?}",
+            rec.line
+        );
+    }
     let report = tracetool::report::plain(&tracetool::report::Report::new(&trace, 0.05));
     assert!(
         report.contains("switch latency & gate stalls"),

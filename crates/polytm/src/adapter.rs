@@ -2,26 +2,18 @@
 //! change the TM configuration").
 //!
 //! Reconfiguration requests are sent over a channel; the adapter applies
-//! them with the quiescence machinery and reports the measured latency back
-//! to the requester (the data of Table 5). A panic in the adapter is the
-//! requester's panic: the requester joins the dead thread and resumes its
-//! unwind.
+//! them with the quiescence machinery and replies with the outcome. A
+//! panic in the adapter is the requester's panic: the requester joins the
+//! dead thread and resumes its unwind.
 
 use crate::config::TmConfig;
 use crate::runtime::{lock, PolyTm, SwitchError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// A reconfiguration request, as carried on the adapter's channel.
-#[derive(Debug)]
-pub struct ReconfigRequest {
-    config: TmConfig,
-    reply: mpsc::Sender<Result<Duration, SwitchError>>,
-}
 
 enum Command {
-    Reconfig(ReconfigRequest),
+    /// Apply the configuration and send `apply`'s outcome back.
+    Reconfig(TmConfig, mpsc::Sender<Result<(), SwitchError>>),
     Stop,
 }
 
@@ -37,20 +29,20 @@ fn serve(poly: &PolyTm, rx: &mpsc::Receiver<Command>) {
     let mut ticks: u64 = 0;
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            Command::Reconfig(req) => {
-                let result = poly.apply(&req.config);
+            Command::Reconfig(config, reply) => {
+                let result = poly.apply(&config);
                 if obs::enabled() {
                     obs::event!(
                         "adapter.tick",
                         "tick" => ticks,
-                        "config" => req.config.to_string(),
+                        "config" => config.to_string(),
                         "ok" => result.is_ok(),
                     );
                     obs::counter("polytm.adapter.ticks").inc();
                 }
                 ticks += 1;
                 // The requester may have given up; ignore.
-                let _ = req.reply.send(result);
+                let _ = reply.send(result);
             }
             Command::Stop => break,
         }
@@ -86,8 +78,7 @@ impl AdapterHandle {
         })
     }
 
-    /// Ask the adapter to apply `config`, blocking until done; returns the
-    /// reconfiguration latency.
+    /// Ask the adapter to apply `config`, blocking until done.
     ///
     /// # Errors
     ///
@@ -96,13 +87,11 @@ impl AdapterHandle {
     /// # Panics
     ///
     /// Resumes the adapter thread's panic if `apply` panicked there.
-    pub fn reconfigure(&self, config: TmConfig) -> Result<Duration, SwitchError> {
+    pub fn reconfigure(&self, config: TmConfig) -> Result<(), SwitchError> {
         let (reply, rx) = mpsc::channel();
         // A send can only fail if the adapter is gone, and then so is the
         // reply's sender: the `recv` below reports both.
-        let _ = self
-            .tx
-            .send(Command::Reconfig(ReconfigRequest { config, reply }));
+        let _ = self.tx.send(Command::Reconfig(config, reply));
         match rx.recv() {
             Ok(result) => result,
             Err(_) => match lock(&self.join).take().map(JoinHandle::join) {
@@ -128,14 +117,12 @@ mod tests {
     use crate::config::BackendId;
 
     #[test]
-    fn adapter_applies_configs_and_reports_latency() {
+    fn adapter_applies_configs_and_replies() {
         let poly = Arc::new(PolyTm::builder().heap_words(1 << 10).max_threads(2).build());
         let adapter = AdapterHandle::spawn(Arc::clone(&poly));
-        let latency = adapter
-            .reconfigure(TmConfig::stm(BackendId::SwissTm, 1))
-            .unwrap();
-        assert!(latency < Duration::from_secs(1));
-        assert_eq!(poly.current_config().backend, BackendId::SwissTm);
+        let config = TmConfig::stm(BackendId::SwissTm, 1);
+        assert_eq!(adapter.reconfigure(config), Ok(()));
+        assert_eq!(poly.current_config(), config);
         assert_eq!(poly.parallelism(), 1);
     }
 

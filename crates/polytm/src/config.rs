@@ -2,6 +2,7 @@
 
 use htm::CapacityPolicy;
 use std::fmt;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use txcore::DurabilityMode;
 
 /// Identifies one of PolyTM's encapsulated TM implementations.
@@ -206,34 +207,28 @@ impl fmt::Display for TmConfig {
 /// word only ensures a reader never *returns* a mix of two
 /// configurations.
 ///
-/// Ordering: the writer bumps the sequence to odd with an `AcqRel` RMW
-/// (its acquire half keeps the field stores from hoisting above the
-/// marker), publishes fields with release stores, then bumps to even with
-/// a release RMW (keeping them from sinking below). The reader's acquire
-/// loads chain in program order, so its second sequence read cannot
-/// observe field values from a later write.
-#[derive(Debug)]
+/// Ordering: the one writer stores the odd sequence, then a `Release`
+/// fence keeps the field stores from hoisting above the marker; it
+/// publishes the fields, then stores the even sequence with `Release`
+/// (keeping them from sinking below). The reader's acquire loads chain in
+/// program order, so its second sequence read cannot observe field values
+/// from a later write.
+#[derive(Debug, Default)]
 pub(crate) struct ConfigCell {
-    seq: std::sync::atomic::AtomicU64,
-    backend: std::sync::atomic::AtomicU64,
-    threads: std::sync::atomic::AtomicU64,
+    seq: AtomicU64,
+    backend: AtomicU64,
+    threads: AtomicU64,
     /// Packed `Option<HtmSetting>`: bit 63 = present, bits 33..=35 the
     /// policy's position in [`CapacityPolicy::ALL`], low 32 bits the
     /// budget. Zero = `None`.
-    htm: std::sync::atomic::AtomicU64,
+    htm: AtomicU64,
     /// [`DurabilityMode::index`] of the durability dimension.
-    durability: std::sync::atomic::AtomicU64,
+    durability: AtomicU64,
 }
 
 impl ConfigCell {
     pub(crate) fn new(c: TmConfig) -> Self {
-        let cell = ConfigCell {
-            seq: std::sync::atomic::AtomicU64::new(0),
-            backend: std::sync::atomic::AtomicU64::new(0),
-            threads: std::sync::atomic::AtomicU64::new(0),
-            htm: std::sync::atomic::AtomicU64::new(0),
-            durability: std::sync::atomic::AtomicU64::new(0),
-        };
+        let cell = ConfigCell::default();
         cell.store(c);
         cell
     }
@@ -264,22 +259,23 @@ impl ConfigCell {
 
     /// Publish a new configuration. Callers must hold the runtime's
     /// reconfiguration lock — concurrent writers would corrupt the
-    /// sequence protocol.
+    /// sequence protocol (debug builds catch one that finds it odd).
     pub(crate) fn store(&self, c: TmConfig) {
-        use std::sync::atomic::Ordering;
-        self.seq.fetch_add(1, Ordering::AcqRel); // odd: write in progress
+        let seq = self.seq.load(Ordering::Relaxed);
+        debug_assert_eq!(seq & 1, 0, "config cell written by two threads at once");
+        self.seq.store(seq + 1, Ordering::Relaxed); // odd: write in progress
+        fence(Ordering::Release);
         self.backend
             .store(c.backend.index() as u64, Ordering::Release);
         self.threads.store(c.threads as u64, Ordering::Release);
         self.htm.store(Self::encode_htm(c.htm), Ordering::Release);
         self.durability
             .store(c.durability.index() as u64, Ordering::Release);
-        self.seq.fetch_add(1, Ordering::Release); // even: stable
+        self.seq.store(seq + 2, Ordering::Release); // even: stable
     }
 
     /// Lock-free consistent snapshot of the configuration.
     pub(crate) fn load(&self) -> TmConfig {
-        use std::sync::atomic::Ordering;
         loop {
             let s1 = self.seq.load(Ordering::Acquire);
             if s1 & 1 == 1 {

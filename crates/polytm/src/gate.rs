@@ -189,6 +189,19 @@ impl ThreadGate {
         poll_until(|| slot.run.load(Ordering::SeqCst) == 0, deadline)
     }
 
+    /// Adapter side: [`ThreadGate::await_drained`] to a deadline `timeout`
+    /// after the first failed poll, kept in `deadline` unless already set.
+    pub(crate) fn await_drained_within(
+        &self,
+        t: usize,
+        timeout: Duration,
+        deadline: &mut Option<Instant>,
+    ) -> bool {
+        let drained = || self.slots[t].run.load(Ordering::SeqCst) == 0;
+        let mut shared = || Some(*deadline.get_or_insert_with(|| Instant::now() + timeout));
+        drained() || poll_until(drained, shared())
+    }
+
     /// Adapter side: clear `t`'s block word. No-op when `t` is not
     /// blocked, and it cannot disturb an entrant: the run word is a
     /// different word with a different writer. Waiters notice by polling —
@@ -217,7 +230,7 @@ impl ThreadGate {
     #[must_use]
     pub fn try_disable(&self, t: usize, timeout: Duration) -> bool {
         self.block(t);
-        if self.await_drained(t, Some(Instant::now() + timeout)) {
+        if self.await_drained_within(t, timeout, &mut None) {
             return true;
         }
         self.unblock(t);
@@ -237,9 +250,12 @@ impl ThreadGate {
     /// Advance the global quiescence epoch and return the new value.
     /// Called once per algorithm switch, after every thread is blocked and
     /// drained and the new backend is installed, *before* unblocking — so
-    /// a slot that observes the new epoch runs on the new backend.
+    /// a slot that observes the new epoch runs on the new backend. One
+    /// writer (`PolyTm::apply`, under `reconfig`): a load, a `Release` store.
     pub fn advance_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
+        let next = self.epoch.load(Ordering::Relaxed) + 1;
+        self.epoch.store(next, Ordering::Release);
+        next
     }
 
     /// The current global quiescence epoch.
@@ -326,9 +342,16 @@ mod tests {
         assert!(g.try_disable(0, std::time::Duration::from_millis(1)));
         assert!(g.is_disabled(0));
         g.enable(0);
-        // Stuck thread: the watchdog gives up and rolls the block back.
+        // Stuck thread: the watchdog gives up and rolls the block back,
+        // but only once the whole timeout has passed.
         g.enter(1);
+        let t0 = Instant::now();
         assert!(!g.try_disable(1, std::time::Duration::from_millis(5)));
+        let waited = t0.elapsed();
+        assert!(
+            waited >= Duration::from_millis(5),
+            "gave up after {waited:?}"
+        );
         assert!(!g.is_disabled(1), "block rolled back on timeout");
         g.exit(1);
         // After the stall clears, a retry succeeds.

@@ -40,7 +40,7 @@ mod gate;
 mod profiler;
 mod runtime;
 
-pub use adapter::{AdapterHandle, ReconfigRequest};
+pub use adapter::AdapterHandle;
 pub use config::{BackendId, ConfigSpace, HtmSetting, Kpi, TmConfig};
 pub use energy::EnergyModel;
 pub use gate::ThreadGate;

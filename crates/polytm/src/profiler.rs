@@ -130,7 +130,7 @@ impl KpiProbe {
     }
 }
 
-fn aggregate(stats: &[Arc<ThreadStats>]) -> StatsSnapshot {
+pub(crate) fn aggregate(stats: &[Arc<ThreadStats>]) -> StatsSnapshot {
     stats
         .iter()
         .map(|s| s.snapshot())

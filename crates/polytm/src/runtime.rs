@@ -264,7 +264,7 @@ pub struct PolyTm {
     /// The active configuration, readable lock-free by probe and monitor
     /// paths (seqlock); written only under `reconfig`.
     config: ConfigCell,
-    /// Quiescence epochs started (one per attempted algorithm switch).
+    /// Quiescence epochs started (one per attempted switch); written under `reconfig`.
     epochs: AtomicU64,
     /// Watchdog budget for draining one thread during quiescence.
     drain_timeout: Duration,
@@ -437,7 +437,8 @@ impl PolyTm {
         }
     }
 
-    /// Apply a full configuration; returns the reconfiguration latency.
+    /// Apply a full configuration. Callers time it: only a trace or a drain
+    /// that has to wait reads the clock.
     ///
     /// # Errors
     ///
@@ -447,7 +448,7 @@ impl PolyTm {
     /// [`SwitchError::QuiesceTimeout`] if a thread does not drain within
     /// the watchdog budget, or [`SwitchError::DurableCrashed`] if the
     /// persistent heap dies while the redo log is drained.
-    pub fn apply(&self, config: &TmConfig) -> Result<Duration, SwitchError> {
+    pub fn apply(&self, config: &TmConfig) -> Result<(), SwitchError> {
         if config.threads == 0 {
             return Err(SwitchError::ZeroThreads);
         }
@@ -462,7 +463,8 @@ impl PolyTm {
         }
         let _adapter = lock(&self.reconfig);
         let from = self.config.load();
-        let started = Instant::now();
+        let started = obs::enabled().then(Instant::now);
+        let elapsed_ns = || started.map_or(0, |s| s.elapsed().as_nanos() as u64);
         // A durability-mode change (Buffered ⇄ Strict included) takes the
         // full quiescence fence even when the backend pointer is unchanged:
         // the redo log is drained with no commit in flight, so no
@@ -480,10 +482,11 @@ impl PolyTm {
             "to" => config.to_string(),
             "quiesced" => switch_algo,
         );
-        if switch_algo {
+        let resume = if switch_algo {
             let epoch = {
                 let _prepare = obs::span!("quiesce.prepare");
-                let epoch = self.epochs.fetch_add(1, Ordering::Relaxed);
+                let epoch = self.epochs.load(Ordering::Relaxed);
+                self.epochs.store(epoch + 1, Ordering::Relaxed);
                 obs::event!(
                     "quiesce.start",
                     "epoch" => epoch,
@@ -495,11 +498,12 @@ impl PolyTm {
             // Quiesce *every* thread (pinned ones included — brief by
             // design), swap the function-pointer table, resume. All block
             // bits are set first and only then drained against one shared
-            // deadline, so the total wait is the *slowest* in-flight
-            // transaction, not the sum over threads. On timeout every
-            // thread blocked by this pass is unblocked and the switch is
-            // abandoned before the backend pointer moves, so no thread can
-            // ever run on a half-switched runtime.
+            // deadline, taken at the first poll that finds a thread running,
+            // so the total wait is the *slowest* in-flight transaction, not
+            // the sum over threads. On timeout every thread blocked by this
+            // pass is unblocked and the switch is abandoned before the
+            // backend pointer moves, so no thread can ever run on a
+            // half-switched runtime.
             let mut blocked = Vec::new();
             {
                 let _drain = obs::timed_span!("quiesce.drain", "epoch" => epoch);
@@ -509,9 +513,9 @@ impl PolyTm {
                         blocked.push(t);
                     }
                 }
-                let deadline = Instant::now() + self.drain_timeout;
+                let (timeout, mut deadline) = (self.drain_timeout, None);
                 for &t in &blocked {
-                    if !self.gate.await_drained(t, Some(deadline)) {
+                    if !self.gate.await_drained_within(t, timeout, &mut deadline) {
                         for &u in &blocked {
                             self.gate.unblock(u);
                         }
@@ -521,7 +525,7 @@ impl PolyTm {
                                 "recovery.quiesce_rollback",
                                 "epoch" => epoch,
                                 "thread" => t,
-                                "waited_ns" => started.elapsed().as_nanos() as u64,
+                                "waited_ns" => elapsed_ns(),
                             );
                         }
                         return Err(SwitchError::QuiesceTimeout { thread: t });
@@ -564,34 +568,32 @@ impl PolyTm {
             obs::event!(
                 "quiesce.end",
                 "epoch" => epoch,
-                "duration_ns" => started.elapsed().as_nanos() as u64,
+                "duration_ns" => elapsed_ns(),
             );
-            let _resume = obs::timed_span!("quiesce.resume", "epoch" => epoch);
-            self.set_parallelism_locked(config.threads);
-            if let Some(setting) = config.htm {
-                self.set_htm_locked(setting);
-            }
+            obs::timed_span!("quiesce.resume", "epoch" => epoch)
         } else {
-            self.set_parallelism_locked(config.threads);
-            if let Some(setting) = config.htm {
-                self.set_htm_locked(setting);
-            }
+            obs::Span::inactive()
+        };
+        self.set_parallelism_locked(config.threads);
+        if let Some(setting) = config.htm {
+            self.set_htm_locked(setting);
         }
+        drop(resume);
         self.config.store(*config);
-        let latency = started.elapsed();
         if obs::enabled() {
+            let latency_ns = elapsed_ns();
             obs::event!(
                 "config.switch",
                 "from" => from.to_string(),
                 "to" => config.to_string(),
                 "quiesced" => switch_algo,
-                "latency_ns" => latency.as_nanos() as u64,
+                "latency_ns" => latency_ns,
             );
             // Flight recorder: the switch protocol is serial under
             // `reconfig`, so wall-clock latency is admissible here (rule 3).
-            obs::ts_record("switch.latency_ns", latency.as_nanos() as f64);
+            obs::ts_record("switch.latency_ns", latency_ns as f64);
         }
-        Ok(latency)
+        Ok(())
     }
 
     /// Retune only the HTM contention management (no quiescence, and
@@ -670,10 +672,7 @@ impl PolyTm {
 
     /// Aggregate statistics across every registered thread.
     pub fn snapshot(&self) -> StatsSnapshot {
-        self.stats
-            .iter()
-            .map(|s| s.snapshot())
-            .fold(StatsSnapshot::default(), |acc, s| acc.merge(&s))
+        crate::profiler::aggregate(&self.stats)
     }
 
     /// A KPI probe over this runtime's threads.
@@ -930,6 +929,59 @@ mod tests {
         // And with the stall gone, the same switch goes through.
         poly.apply(&TmConfig::stm(BackendId::NOrec, 2)).unwrap();
         assert_eq!(poly.current_config().backend, BackendId::NOrec);
+    }
+
+    /// Two workers stall inside transactions: slot 0 drains 95 ms into the
+    /// switch, slot 1 not before it returns (or 2 s, so that a drain with
+    /// no deadline fails instead of hanging). One deadline, taken at the
+    /// first failed poll and shared by every blocked slot, gives up 100 ms
+    /// in; a deadline per slot would wait until 195 ms.
+    #[test]
+    fn quiesce_watchdog_shares_one_deadline_across_stalled_slots() {
+        const TIMEOUT: Duration = Duration::from_millis(100);
+        let poly = PolyTm::builder()
+            .heap_words(1 << 10)
+            .max_threads(2)
+            .drain_timeout(TIMEOUT)
+            .build();
+        let a = poly.system().heap.alloc(1);
+        let inside = [AtomicBool::new(false), AtomicBool::new(false)];
+        let release = AtomicBool::new(false);
+        let started = std::sync::OnceLock::new();
+        std::thread::scope(|s| {
+            for slot in 0..2 {
+                let (poly, inside, release, started) = (&poly, &inside, &release, &started);
+                let stall = [Duration::from_millis(95), Duration::from_secs(2)][slot];
+                s.spawn(move || {
+                    let mut w = poly.register_thread(slot);
+                    poly.run_tx(&mut w, |tx| {
+                        inside[slot].store(true, Ordering::Release);
+                        let over = |t0: &Instant| t0.elapsed() >= stall;
+                        while !release.load(Ordering::Acquire) && !started.get().is_some_and(over) {
+                            std::thread::yield_now();
+                        }
+                        tx.read(a)
+                    });
+                });
+            }
+            while !inside.iter().all(|f| f.load(Ordering::Acquire)) {
+                std::thread::yield_now();
+            }
+            let t0 = *started.get_or_init(Instant::now);
+            let out = poly.apply(&TmConfig::stm(BackendId::NOrec, 2));
+            let waited = t0.elapsed();
+            release.store(true, Ordering::Release);
+            assert!(
+                matches!(out, Err(SwitchError::QuiesceTimeout { .. })),
+                "{out:?}"
+            );
+            assert!(waited >= TIMEOUT, "gave up early, after {waited:?}");
+            assert!(
+                waited < Duration::from_millis(190),
+                "not one shared deadline: waited {waited:?}"
+            );
+        });
+        assert_eq!(poly.current_config().backend, BackendId::Tl2);
     }
 
     #[test]
