@@ -198,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn read_only_workload_never_changes_size() {
+    fn lookup_only_workload_never_changes_size() {
         let poly = Arc::new(PolyTm::builder().heap_words(1 << 18).max_threads(2).build());
         let params = DsParams {
             update_pct: 0,

@@ -102,9 +102,6 @@ fn main() {
             if let Err(e) = obs::start_trace_file(path) {
                 fail_usage(&format!("cannot open trace file {}: {e}", path.display()));
             }
-            // The hot-stripe heatmap is process-global; clear it with the
-            // metrics registry so each capture reports its own conflicts.
-            txcore::conflict::reset();
             true
         }
         None => false,

@@ -77,10 +77,9 @@ pub fn run() {
         }
     }
     // Conflict observatory (DESIGN.md §12): the deterministic per-machine
-    // conflict profiles. The series reuse the wall-clock observatory names
-    // (`abort.cause.*`, `wasted.ops`, `goodput.ratio`,
-    // `conflict.stripe_topk`) so `proteus-trace conflicts` reads both
-    // sources the same way — here every sample is derived from exact
+    // conflict profiles, as the windowed series `proteus-trace conflicts`
+    // reads (`abort.cause.*`, `wasted.ops`, `goodput.ratio`,
+    // `conflict.stripe_topk`). Every sample is derived from exact
     // integers, so the windows are byte-identical across hosts.
     for profile in profiles() {
         print!("{}", profile.render());
@@ -106,10 +105,10 @@ pub fn run() {
                 // Exactly-rounded division of exact integers: identical
                 // bytes on every IEEE-754 host.
                 obs::ts_record("goodput.ratio", cell.goodput_permille as f64 / 1000.0);
-                if let Some(&(stripe, _)) = cell.top_stripes.first() {
+                if let Some(&(stripe, _)) = cell.hot_stripes.first() {
                     obs::ts_record("conflict.stripe_topk", stripe as f64);
                 }
-                for (rank, &(stripe, hits)) in cell.top_stripes.iter().enumerate() {
+                for (rank, &(stripe, hits)) in cell.hot_stripes.iter().enumerate() {
                     obs::event!(
                         "conflict.stripe",
                         "machine" => profile.machine,

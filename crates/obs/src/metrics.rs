@@ -65,9 +65,9 @@ pub fn counter_snapshot() -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Non-zero counters whose name starts with `prefix`, sorted by name.
-/// Used by KPI sample points that fan one logical quantity out over a
-/// name family (e.g. per-backend commit counters `tx.commit.*`).
+/// Non-zero counters whose name starts with `prefix`, sorted by name: one
+/// logical quantity fanned out over a name family (e.g. per-backend
+/// commit counters `tx.commit.*`).
 pub fn counters_with_prefix(prefix: &str) -> Vec<(String, u64)> {
     registry()
         .iter()

@@ -56,7 +56,7 @@ impl Span {
     /// Open a scoped span whose end record carries a wall-clock
     /// `duration_ns` field.
     ///
-    /// Only for serial-protocol paths (e.g. the adapter thread's switch
+    /// Only for serial-protocol paths (e.g. `PolyTm::apply`'s switch
     /// path) that never appear in byte-compared deterministic traces —
     /// the same carve-out as `config.switch`'s `latency_ns`.
     pub fn timed(name: &'static str, fields: Vec<(&'static str, Value)>) -> Span {

@@ -194,10 +194,9 @@ impl fmt::Display for TmConfig {
 
 /// A seqlock-style atomic cell holding one [`TmConfig`].
 ///
-/// Probe and monitor paths (`PolyTm::current_config`, `KpiProbe`) read the
-/// active configuration on every sample; guarding it with a `Mutex` made
-/// every probe contend with — and block behind — an in-progress algorithm
-/// switch. This cell makes reads wait-free in the uncontended case and
+/// Monitor paths (`PolyTm::current_config`) read the active configuration
+/// on every sample; guarding it with a `Mutex` made every read contend
+/// with — and block behind — an in-progress algorithm switch. This cell makes reads wait-free in the uncontended case and
 /// lock-free always: a reader retries only while a writer is mid-publish
 /// (a handful of stores).
 ///

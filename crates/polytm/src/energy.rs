@@ -6,8 +6,6 @@
 //! that makes EDP a *different* optimization target from throughput (more
 //! threads can raise throughput while hurting energy efficiency).
 
-use std::time::Duration;
-
 /// Linear package-power model: `P = base + per_thread · active`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
@@ -34,37 +32,6 @@ impl EnergyModel {
     pub fn power_watts(&self, active_threads: usize) -> f64 {
         self.base_watts + self.per_thread_watts * active_threads as f64
     }
-
-    /// Energy in joules consumed over `elapsed` with `active_threads`.
-    pub fn energy_joules(&self, elapsed: Duration, active_threads: usize) -> f64 {
-        self.power_watts(active_threads) * elapsed.as_secs_f64()
-    }
-
-    /// Energy-delay product (J·s), the paper's energy-efficiency KPI.
-    pub fn edp(&self, elapsed: Duration, active_threads: usize) -> f64 {
-        self.energy_joules(elapsed, active_threads) * elapsed.as_secs_f64()
-    }
-
-    /// Throughput per joule (the KPI of Fig. 1a), given commits and elapsed.
-    pub fn throughput_per_joule(
-        &self,
-        commits: u64,
-        elapsed: Duration,
-        active_threads: usize,
-    ) -> f64 {
-        let e = self.energy_joules(elapsed, active_threads);
-        if e <= 0.0 {
-            0.0
-        } else {
-            commits as f64 / e
-        }
-    }
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel::HASWELL_LIKE
-    }
 }
 
 #[cfg(test)]
@@ -76,26 +43,5 @@ mod tests {
         let m = EnergyModel::HASWELL_LIKE;
         assert!(m.power_watts(8) > m.power_watts(1));
         assert!((m.power_watts(0) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn edp_is_energy_times_time() {
-        let m = EnergyModel::default();
-        let t = Duration::from_secs(2);
-        let e = m.energy_joules(t, 4);
-        assert!((m.edp(t, 4) - e * 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn more_threads_same_commits_is_less_efficient() {
-        let m = EnergyModel::default();
-        let t = Duration::from_secs(1);
-        assert!(m.throughput_per_joule(1000, t, 2) > m.throughput_per_joule(1000, t, 8));
-    }
-
-    #[test]
-    fn zero_elapsed_throughput_per_joule_is_zero() {
-        let m = EnergyModel::default();
-        assert_eq!(m.throughput_per_joule(10, Duration::ZERO, 0), 0.0);
     }
 }

@@ -12,8 +12,10 @@
 //! 3. the **HTM contention management** (retry budget + capacity policy) —
 //!    lock-free, since different policies can coexist safely (§4.3).
 //!
-//! It also profiles commits/aborts per thread and derives the KPIs
-//! (throughput, execution time, EDP) that RecTM optimizes.
+//! The paper's adapter thread is whichever thread calls [`PolyTm::apply`].
+//! Profiling is the per-thread commit/abort counters: [`PolyTm::snapshot`]
+//! folds them, and a window's KPIs are the difference of two snapshots
+//! (`StatsSnapshot::since`).
 //!
 //! # Example
 //!
@@ -33,16 +35,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adapter;
 mod config;
 mod energy;
 mod gate;
-mod profiler;
 mod runtime;
 
-pub use adapter::AdapterHandle;
 pub use config::{BackendId, ConfigSpace, HtmSetting, Kpi, TmConfig};
 pub use energy::EnergyModel;
 pub use gate::ThreadGate;
-pub use profiler::{KpiProbe, WindowKpis};
 pub use runtime::{PolyTm, PolyTmBuilder, SwitchError, Worker};

@@ -1,11 +1,9 @@
 //! The PolyTM runtime: backend registry, safe mode switching, parallelism
-//! adaptation and KPI profiling behind one transactional interface.
+//! adaptation and per-thread statistics behind one transactional interface.
 
-use crate::config::{BackendId, ConfigCell, HtmSetting, TmConfig};
-use crate::energy::EnergyModel;
+use crate::config::{BackendId, ConfigCell, TmConfig};
 use crate::gate::ThreadGate;
-use crate::profiler::KpiProbe;
-use htm::{HtmGeometry, HtmSim, HybridNOrec, HybridTl2};
+use htm::{HtmSim, HybridNOrec, HybridTl2};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -19,10 +17,9 @@ use txcore::{
 
 /// A configuration-switch request that PolyTM cannot honour.
 ///
-/// Returned (never panicked) from every switching entry point —
-/// [`PolyTm::apply`], [`crate::AdapterHandle::reconfigure`] and
-/// [`PolyTmBuilder::try_build`] — so callers on the adaptation path can
-/// recover instead of unwinding mid-run.
+/// Returned (never panicked) from both switching entry points —
+/// [`PolyTm::apply`] and [`PolyTmBuilder::try_build`] — so callers on the
+/// adaptation path can recover instead of unwinding mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchError {
     /// The requested parallelism degree exceeds the registered capacity.
@@ -78,11 +75,10 @@ impl fmt::Display for SwitchError {
 
 impl Error for SwitchError {}
 
-/// Take `m`, recovering from poison. Neither of PolyTM's mutexes guards
-/// data a holder's panic can leave half-written (`reconfig` guards `()`,
-/// the adapter's `join` an `Option` that is only taken), so poison carries
-/// no information.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Take `m`, recovering from poison. PolyTM's one mutex, `reconfig`,
+/// guards `()`, which a holder's panic cannot leave half-written, so
+/// poison carries no information.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -113,13 +109,12 @@ impl fmt::Debug for Worker {
     }
 }
 
-/// Builder for [`PolyTm`] (heap size, thread capacity, models).
+/// Builder for [`PolyTm`] (heap size, thread capacity, initial
+/// configuration, watchdog and retry budgets).
 #[derive(Debug)]
 pub struct PolyTmBuilder {
     heap_words: usize,
     max_threads: usize,
-    geometry: HtmGeometry,
-    energy: EnergyModel,
     initial: Option<TmConfig>,
     drain_timeout: Duration,
     tx_retry_budget: u32,
@@ -135,18 +130,6 @@ impl PolyTmBuilder {
     /// Maximum number of registered application threads.
     pub fn max_threads(mut self, n: usize) -> Self {
         self.max_threads = n;
-        self
-    }
-
-    /// Simulated HTM cache geometry.
-    pub fn htm_geometry(mut self, geom: HtmGeometry) -> Self {
-        self.geometry = geom;
-        self
-    }
-
-    /// Energy model used for the EDP KPI.
-    pub fn energy_model(mut self, model: EnergyModel) -> Self {
-        self.energy = model;
         self
     }
 
@@ -197,9 +180,9 @@ impl PolyTmBuilder {
             .initial
             .unwrap_or(TmConfig::stm(BackendId::Tl2, self.max_threads));
         let sys = Arc::new(TmSystem::new(self.heap_words));
-        let htm = Arc::new(HtmSim::with_geometry(Arc::clone(&sys), self.geometry));
-        let hybrid = Arc::new(HybridNOrec::with_geometry(Arc::clone(&sys), self.geometry));
-        let hybrid_tl2 = Arc::new(HybridTl2::with_geometry(Arc::clone(&sys), self.geometry));
+        let htm = Arc::new(HtmSim::new(Arc::clone(&sys)));
+        let hybrid = Arc::new(HybridNOrec::new(Arc::clone(&sys)));
+        let hybrid_tl2 = Arc::new(HybridTl2::new(Arc::clone(&sys)));
         let durable = Arc::new(Durable::with_new_pheap(Arc::clone(&sys)));
         let backends: [Arc<dyn TmBackend>; 8] = [
             Arc::new(Tl2::new(Arc::clone(&sys))),
@@ -229,7 +212,6 @@ impl PolyTmBuilder {
                 .map(|_| AtomicBool::new(false))
                 .collect(),
             stats,
-            energy: self.energy,
             reconfig: Mutex::new(()),
             config: ConfigCell::new(initial),
             epochs: AtomicU64::new(0),
@@ -256,13 +238,12 @@ pub struct PolyTm {
     parallelism: AtomicUsize,
     pinned: Vec<AtomicBool>,
     stats: Vec<Arc<ThreadStats>>,
-    energy: EnergyModel,
     /// Serializes adapters; application threads never take it, except a
     /// worker escaping to serial-irrevocable mode (which holds no RUN bit
     /// while waiting, so it cannot deadlock against a draining adapter).
     reconfig: Mutex<()>,
-    /// The active configuration, readable lock-free by probe and monitor
-    /// paths (seqlock); written only under `reconfig`.
+    /// The active configuration, readable lock-free by monitor paths
+    /// (seqlock); written only under `reconfig`.
     config: ConfigCell,
     /// Quiescence epochs started (one per attempted switch); written under `reconfig`.
     epochs: AtomicU64,
@@ -280,8 +261,6 @@ impl PolyTm {
         PolyTmBuilder {
             heap_words: 1 << 20,
             max_threads: 8,
-            geometry: HtmGeometry::default(),
-            energy: EnergyModel::default(),
             initial: None,
             drain_timeout: Duration::from_secs(1),
             tx_retry_budget: 1 << 16,
@@ -300,16 +279,11 @@ impl PolyTm {
 
     /// The current configuration.
     ///
-    /// Lock-free: served from an atomic snapshot, so probe and monitor
-    /// threads never block behind an in-progress switch (which holds the
-    /// reconfiguration lock for the whole quiescence protocol).
+    /// Lock-free: served from an atomic snapshot, so monitor threads never
+    /// block behind an in-progress switch (which holds the reconfiguration
+    /// lock for the whole quiescence protocol).
     pub fn current_config(&self) -> TmConfig {
         self.config.load()
-    }
-
-    /// The energy model in use.
-    pub fn energy_model(&self) -> EnergyModel {
-        self.energy
     }
 
     /// Register the calling OS thread into `slot`.
@@ -353,32 +327,6 @@ impl PolyTm {
             Some(value) => value,
             None => self.run_serial(worker, f),
         }
-    }
-
-    /// Like [`PolyTm::run_tx`], declaring the block read-only.
-    ///
-    /// On backends that never revalidate a running transaction's reads
-    /// (TL2) the declaration skips read-set maintenance entirely — the
-    /// fastest way through the runtime for the read-dominated blocks most
-    /// TM workloads are made of. `BENCHMARK.json` reports the instrumented
-    /// cost this trims as `stm.tl2.read_ref` and `polytm.empty_tx_ref.tl2`;
-    /// none of its workloads declares a block read-only.
-    /// The hint is safe, not trusted: a block that writes anyway takes one
-    /// `mode` abort and retries fully instrumented, and backends that
-    /// revalidate mid-transaction simply ignore the hint. See
-    /// [`txcore::run_read_tx`].
-    pub fn run_read_tx<T>(
-        &self,
-        worker: &mut Worker,
-        f: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
-    ) -> T {
-        worker.ctx.read_only = true;
-        let out = self.run_tx(worker, f);
-        // `run_tx` may resolve via the serial escape; either way the hint
-        // must not leak into the worker's next, undeclared block. (A write
-        // under the hint already cleared it inside the backend.)
-        worker.ctx.read_only = false;
-        out
     }
 
     /// The serial-irrevocable escape hatch: run `f` with every other thread
@@ -439,6 +387,12 @@ impl PolyTm {
 
     /// Apply a full configuration. Callers time it: only a trace or a drain
     /// that has to wait reads the clock.
+    ///
+    /// The calling thread is the paper's adapter thread (§4); concurrent
+    /// callers serialise on the reconfiguration lock. Only a change of
+    /// backend or durability mode quiesces: a new parallelism degree goes
+    /// through the gate, and a new [`HtmSetting`](crate::HtmSetting) on
+    /// the same backend retunes contention management lock-free (§4.3).
     ///
     /// # Errors
     ///
@@ -575,8 +529,10 @@ impl PolyTm {
             obs::Span::inactive()
         };
         self.set_parallelism_locked(config.threads);
-        if let Some(setting) = config.htm {
-            self.set_htm_locked(setting);
+        if let Some(s) = config.htm {
+            for cm in [self.htm.cm(), self.hybrid.cm(), self.hybrid_tl2.cm()] {
+                cm.set(s.budget, s.policy);
+            }
         }
         drop(resume);
         self.config.store(*config);
@@ -594,26 +550,6 @@ impl PolyTm {
             obs::ts_record("switch.latency_ns", latency_ns as f64);
         }
         Ok(())
-    }
-
-    /// Retune only the HTM contention management (no quiescence, and
-    /// readers of the configuration stay lock-free — paper §4.3).
-    pub fn set_htm_setting(&self, setting: HtmSetting) {
-        let _adapter = lock(&self.reconfig);
-        self.set_htm_locked(setting);
-        let cfg = self.config.load();
-        if cfg.htm.is_some() {
-            self.config.store(TmConfig {
-                htm: Some(setting),
-                ..cfg
-            });
-        }
-    }
-
-    fn set_htm_locked(&self, setting: HtmSetting) {
-        self.htm.cm().set(setting.budget, setting.policy);
-        self.hybrid.cm().set(setting.budget, setting.policy);
-        self.hybrid_tl2.cm().set(setting.budget, setting.policy);
     }
 
     fn set_parallelism_locked(&self, p: usize) {
@@ -670,26 +606,19 @@ impl PolyTm {
         self.parallelism.store(self.max_threads, Ordering::Release);
     }
 
-    /// Aggregate statistics across every registered thread.
+    /// Aggregate statistics across every registered thread: sum of the
+    /// per-thread counters. A window's KPIs are the difference of two
+    /// snapshots ([`StatsSnapshot::since`]).
     pub fn snapshot(&self) -> StatsSnapshot {
-        crate::profiler::aggregate(&self.stats)
-    }
-
-    /// A KPI probe over this runtime's threads.
-    pub fn probe(&self) -> KpiProbe {
-        KpiProbe::new(self.stats.clone(), self.energy)
+        self.stats
+            .iter()
+            .fold(StatsSnapshot::default(), |acc, s| acc.merge(&s.snapshot()))
     }
 
     /// Direct access to a backend (for overhead ablations that bypass the
     /// runtime; normal code uses [`PolyTm::run_tx`]).
     pub fn backend(&self, id: BackendId) -> &Arc<dyn TmBackend> {
         &self.backends[id.index()]
-    }
-
-    /// The durable redo-log backend (typed; also reachable through
-    /// [`PolyTm::backend`] with [`BackendId::Durable`]).
-    pub fn durable_backend(&self) -> &Arc<Durable> {
-        &self.durable
     }
 
     /// The simulated persistent heap backing [`BackendId::Durable`].
@@ -710,6 +639,7 @@ impl fmt::Debug for PolyTm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HtmSetting;
     use txcore::DurabilityMode;
 
     /// A coherent single-point configuration for any backend.
@@ -736,28 +666,6 @@ mod tests {
         });
         assert_eq!(v, 12);
         assert_eq!(poly.snapshot().commits, 1);
-    }
-
-    #[test]
-    fn run_read_tx_commits_and_clears_the_hint() {
-        let poly = PolyTm::builder().heap_words(1 << 10).max_threads(2).build();
-        let a = poly.system().heap.alloc(2);
-        poly.system().heap.write_raw(a, 3);
-        poly.system().heap.write_raw(a.field(1), 4);
-        let mut w = poly.register_thread(0);
-        let sum = poly.run_read_tx(&mut w, |tx| Ok(tx.read(a)? + tx.read(a.field(1))?));
-        assert_eq!(sum, 7);
-        // An undeclared writing block right after must be fully logged and
-        // commit without a mode abort.
-        let v = poly.run_tx(&mut w, |tx| {
-            let v = tx.read(a)?;
-            tx.write(a, v + 10)?;
-            tx.read(a)
-        });
-        assert_eq!(v, 13);
-        let snap = poly.snapshot();
-        assert_eq!(snap.commits, 2);
-        assert_eq!(snap.total_aborts(), 0);
     }
 
     #[test]
@@ -875,17 +783,21 @@ mod tests {
         assert_eq!(poly.run_tx(&mut w, |tx| tx.read(a)), 0);
     }
 
+    /// Paper §4.3: contention-management parameters can coexist, so
+    /// retuning them on the running backend never drains a thread.
     #[test]
-    fn htm_setting_updates_are_lock_free_and_recorded() {
+    fn htm_retune_on_the_same_backend_never_quiesces() {
         let poly = PolyTm::builder().heap_words(1 << 10).max_threads(2).build();
         poly.apply(&TmConfig::htm(BackendId::Htm, 2, HtmSetting::DEFAULT))
             .unwrap();
+        let epochs = poly.quiescence_epochs();
         let s = HtmSetting {
             budget: 16,
             policy: htm::CapacityPolicy::Halve,
         };
-        poly.set_htm_setting(s);
+        poly.apply(&TmConfig::htm(BackendId::Htm, 2, s)).unwrap();
         assert_eq!(poly.current_config().htm, Some(s));
+        assert_eq!(poly.quiescence_epochs(), epochs, "a retune is not a switch");
     }
 
     #[test]
@@ -1045,9 +957,9 @@ mod tests {
     fn probing_never_blocks_behind_inflight_switch() {
         // A switch that cannot finish (a worker stalls inside its
         // transaction, and the drain budget is huge) holds `reconfig` for
-        // seconds. Probe/monitor reads must still return immediately from
-        // the atomic config snapshot — the old Mutex<TmConfig> made them
-        // queue behind the adapter.
+        // seconds. Monitor reads (config and stats) must still return
+        // immediately — the config from its seqlock snapshot; the old
+        // Mutex<TmConfig> made them queue behind the adapter.
         let poly = Arc::new(
             PolyTm::builder()
                 .heap_words(1 << 10)
@@ -1082,16 +994,13 @@ mod tests {
             std::thread::sleep(Duration::from_millis(50));
             let t0 = Instant::now();
             let cfg = poly.current_config();
-            let mut probe = poly.probe();
-            let kpi = probe.sample(2);
             let snap = poly.snapshot();
             let waited = t0.elapsed();
             assert_eq!(cfg, before, "switch must not be visible before it lands");
-            assert!(kpi.throughput >= 0.0);
             assert_eq!(snap.commits, 0);
             assert!(
                 waited < Duration::from_secs(2),
-                "probe paths blocked behind the in-flight switch for {waited:?}"
+                "monitor reads blocked behind the in-flight switch for {waited:?}"
             );
             release.store(true, Ordering::SeqCst);
             adapter.join().unwrap().unwrap();

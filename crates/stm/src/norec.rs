@@ -221,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn read_only_commit_does_not_touch_sequence() {
+    fn a_commit_without_writes_does_not_touch_sequence() {
         let (sys, tm, mut ctx) = setup();
         let a = sys.heap.alloc(1);
         run_tx(&tm, &mut ctx, |tx| tx.read(a));

@@ -95,25 +95,11 @@ impl TmBackend for Tl2 {
         if after != before || v1 > ctx.rv {
             return Err(Abort::conflict_at(idx));
         }
-        // Read-only blocks skip the read log altogether — the TL2 paper's
-        // read-only optimization. Each read just validated itself against
-        // `rv`, and TL2 never revisits past reads mid-transaction; the log's
-        // only consumer is writer commit validation, which a read-only
-        // block never reaches.
-        if !ctx.read_only {
-            ctx.read_set.push_orec(idx, v1);
-        }
+        ctx.read_set.push_orec(idx, v1);
         Ok(val)
     }
 
     fn write(&self, ctx: &mut ThreadCtx, addr: Addr, val: u64) -> TxResult<()> {
-        if ctx.read_only {
-            // The block lied about being read-only: earlier reads were not
-            // logged, so commit validation could not cover them. Drop the
-            // hint and restart fully instrumented.
-            ctx.read_only = false;
-            return Err(Abort::MODE);
-        }
         ctx.write_set.insert(addr, val);
         Ok(())
     }
@@ -189,49 +175,6 @@ mod tests {
             tx.read(a)
         });
         assert_eq!(seen, 42);
-    }
-
-    #[test]
-    fn read_only_mode_skips_the_read_log() {
-        let (sys, tm, mut ctx) = setup();
-        let a = sys.heap.alloc(2);
-        sys.heap.write_raw(a, 11);
-        sys.heap.write_raw(a.field(1), 22);
-        let sum = txcore::run_read_tx(&tm, &mut ctx, |tx| Ok(tx.read(a)? + tx.read(a.field(1))?));
-        assert_eq!(sum, 33);
-        assert_eq!(ctx.stats.snapshot().commits, 1);
-        assert_eq!(ctx.stats.snapshot().total_aborts(), 0);
-        // The hint must not leak past the block.
-        assert!(!ctx.read_only);
-        // Prove the log really was skipped: replay the block by hand.
-        ctx.read_only = true;
-        tm.begin(&mut ctx).unwrap();
-        tm.read(&mut ctx, a).unwrap();
-        tm.read(&mut ctx, a.field(1)).unwrap();
-        assert!(ctx.read_set.is_empty());
-        tm.commit(&mut ctx).unwrap();
-        ctx.read_only = false;
-    }
-
-    #[test]
-    fn write_under_read_only_hint_restarts_fully_instrumented() {
-        let (sys, tm, mut ctx) = setup();
-        let a = sys.heap.alloc(1);
-        sys.heap.write_raw(a, 5);
-        let out = txcore::run_read_tx(&tm, &mut ctx, |tx| {
-            let v = tx.read(a)?;
-            tx.write(a, v + 1)?;
-            Ok(v)
-        });
-        // The block still commits correctly — one Mode abort, then a fully
-        // instrumented retry whose reads are logged and validated.
-        assert_eq!(out, 5);
-        assert_eq!(sys.heap.read_raw(a), 6);
-        let snap = ctx.stats.snapshot();
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.aborts_of(txcore::AbortCode::Mode), 1);
-        assert_eq!(snap.total_aborts(), 1);
-        assert!(!ctx.read_only);
     }
 
     #[test]

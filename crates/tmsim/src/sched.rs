@@ -6,7 +6,7 @@
 //!
 //! # How it works
 //!
-//! Each simulated thread is a [`Task`] state machine; a binary heap of
+//! Each simulated thread is a `Task` state machine; a binary heap of
 //! `(virtual time, seeded priority, task)` events picks what runs next.
 //! Popping an event executes exactly one step of that task — one call into
 //! the real backend (`begin`, `read`, `write`, `commit`, `rollback`) or
@@ -232,11 +232,12 @@ impl SimOutcome {
             .unwrap_or(1000)
     }
 
-    /// Modeled virtual ticks thrown away by rolled-back attempts
-    /// ([`txcore::conflict::modeled_vticks`] — pure integers, byte-exact
-    /// cross-host).
+    /// Modeled virtual ticks thrown away by rolled-back attempts: 8 ns per
+    /// read (the TL2 row of `model`'s cost table) and per write (the middle
+    /// of the backends' 6–12 ns range) — pure integers, byte-exact
+    /// cross-host.
     pub fn wasted_vticks(&self) -> u64 {
-        txcore::conflict::modeled_vticks(self.wasted_reads, self.wasted_writes)
+        (self.wasted_reads + self.wasted_writes) * 8 * TICKS_PER_NS
     }
 }
 

@@ -3,7 +3,7 @@
 //! The discrete-event scheduler in [`crate::sched`] executes the *real*
 //! backend code paths, but charges time on a **virtual clock** instead of
 //! the host's: every operation costs a fixed number of *vticks* (1/1024 ns)
-//! derived from the same [`crate::model`] coefficients the analytical model
+//! derived from the same `crate::model` coefficients the analytical model
 //! uses, scaled by the simulated machine's SMT efficiency, socket factors
 //! and Amdahl limit. Because every arithmetic step here is either exact
 //! integer math or an IEEE-754 exactly-rounded f64 primitive (`+ - * /`,
@@ -166,7 +166,7 @@ pub fn op_costs(
 }
 
 /// [`op_costs`] plus the commit-time durability tax of `config`'s
-/// [`DurabilityMode`](txcore::DurabilityMode). For volatile configs this is
+/// [`DurabilityMode`]. For volatile configs this is
 /// bit-identical to [`op_costs`] (the tax is exactly zero), so the classic
 /// vtime curves are unchanged; durable configs pay the modeled
 /// log-append/fsync/checkpoint cost on every commit. Like the analytical
@@ -439,7 +439,7 @@ pub struct ConflictCell {
     pub abort_causes: [u64; AbortCode::ALL.len()],
     /// Top-[`CONFLICT_TOP_K`] `(stripe, conflicts)`, count descending then
     /// stripe ascending.
-    pub top_stripes: Vec<(u32, u64)>,
+    pub hot_stripes: Vec<(u32, u64)>,
     /// Ops retired by committed attempts.
     pub committed_ops: u64,
     /// Ops executed and discarded by rolled-back attempts.
@@ -514,7 +514,7 @@ impl ConflictProfile {
                 }
             );
             let stripes: Vec<String> = cell
-                .top_stripes
+                .hot_stripes
                 .iter()
                 .map(|&(s, n)| format!("stripe {s} x{n}"))
                 .collect();
@@ -563,14 +563,14 @@ pub fn conflict_profile(machine: &MachineModel, seed: u64) -> ConflictProfile {
                 record_ops: false,
                 scenario: Scenario::Steady,
             });
-            let mut top_stripes = out.conflict_stripes.clone();
-            top_stripes.truncate(CONFLICT_TOP_K);
+            let mut hot_stripes = out.conflict_stripes.clone();
+            hot_stripes.truncate(CONFLICT_TOP_K);
             ConflictCell {
                 backend: b,
                 commits: out.commits,
                 aborts: out.aborts,
                 abort_causes: out.abort_causes,
-                top_stripes,
+                hot_stripes,
                 committed_ops: out.committed_ops(),
                 wasted_ops: out.wasted_ops(),
                 goodput_permille: out.goodput_permille(),
@@ -908,13 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn virtual_clock_matches_the_wasted_work_model() {
-        // The wasted-work ledger models vticks with txcore's constant; a
-        // drift between the two clocks would silently skew wasted_vns.
-        assert_eq!(TICKS_PER_NS, txcore::conflict::VTICKS_PER_NS);
-    }
-
-    #[test]
     fn conflict_profile_is_deterministic_and_conserves_attribution() {
         let m = MachineModel::machine_a();
         let a = conflict_profile(&m, REPORT_SEED);
@@ -930,10 +923,10 @@ mod tests {
                 cell.backend
             );
             assert!(cell.goodput_permille <= 1000);
-            assert!(cell.top_stripes.len() <= CONFLICT_TOP_K);
+            assert!(cell.hot_stripes.len() <= CONFLICT_TOP_K);
             // Top stripes are a prefix of a total order: count descending,
             // stripe ascending on ties.
-            for w in cell.top_stripes.windows(2) {
+            for w in cell.hot_stripes.windows(2) {
                 assert!(w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0));
             }
             if cell.aborts == 0 {
@@ -967,7 +960,7 @@ mod tests {
                 "{:?}: contended aborts should include conflicts",
                 cell.backend
             );
-            assert!(!cell.top_stripes.is_empty(), "{:?}", cell.backend);
+            assert!(!cell.hot_stripes.is_empty(), "{:?}", cell.backend);
             assert!(cell.wasted_ops > 0, "{:?}", cell.backend);
             assert!(cell.goodput_permille < 1000, "{:?}", cell.backend);
         }

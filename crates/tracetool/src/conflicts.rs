@@ -8,11 +8,12 @@
 //!
 //! - **Wall-clock runs** dump per-backend counters at trace end
 //!   (`tx.commit.<b>`, `tx.abort.<b>.<cause>`, `tx.work.<b>.ops`,
-//!   `tx.wasted.<b>.ops`) and flush `abort.cause.*` / `wasted.ops` /
-//!   `goodput.ratio` windows from the KPI probe.
-//! - **The vtime stage** emits the same series from its exact-integer
-//!   conflict profiles, plus `vtime.conflict` and `conflict.stripe`
-//!   events carrying the per-backend cells and top-K hot stripes.
+//!   `tx.wasted.<b>.ops`).
+//! - **The vtime stage** flushes `abort.cause.*` / `wasted.ops` /
+//!   `goodput.ratio` / `conflict.stripe_topk` windows from its
+//!   exact-integer conflict profiles, plus `vtime.conflict` and
+//!   `conflict.stripe` events carrying the per-backend cells and top-K hot
+//!   stripes.
 
 use crate::perf::{SeriesAgg, WindowPoint, WINDOW_LIMIT};
 use crate::{banner, elide, json_head, section, Record, Trace};
@@ -22,8 +23,8 @@ use std::fmt::Write;
 /// Canonical abort-cause order. Mirrors `txcore::AbortCode::ALL`; the
 /// analyzer deliberately has no txcore dependency (it only *reads*
 /// traces), so the order is pinned here and unknown causes sort after it.
-const CAUSE_ORDER: [&str; 7] = [
-    "conflict", "capacity", "explicit", "fallback", "spurious", "mode", "journal",
+const CAUSE_ORDER: [&str; 6] = [
+    "conflict", "capacity", "explicit", "fallback", "spurious", "journal",
 ];
 
 /// One backend's attribution ledger folded from the trace counters.

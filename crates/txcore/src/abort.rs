@@ -33,11 +33,6 @@ pub enum AbortCode {
     /// Transient abort with no attributable data conflict (the simulated
     /// analogue of interrupts/TLB shootdowns that abort real HTM).
     Spurious,
-    /// The attempt ran under a read-only hint ([`crate::run_read_tx`]) but
-    /// the block attempted a write; it is retried with full read-set
-    /// instrumentation. Frequent `mode` aborts mean a caller is passing the
-    /// hint for blocks that are not actually read-only.
-    Mode,
     /// Durable-journal pressure: the persistent heap refused the commit
     /// (crashed redo log, failed persistence step). Distinct from
     /// [`AbortCode::Explicit`] so a dying journal is never mistaken for a
@@ -47,13 +42,12 @@ pub enum AbortCode {
 
 impl AbortCode {
     /// All codes, in a stable order (useful for per-code statistics).
-    pub const ALL: [AbortCode; 7] = [
+    pub const ALL: [AbortCode; 6] = [
         AbortCode::Conflict,
         AbortCode::Capacity,
         AbortCode::Explicit,
         AbortCode::Fallback,
         AbortCode::Spurious,
-        AbortCode::Mode,
         AbortCode::Journal,
     ];
 
@@ -66,8 +60,7 @@ impl AbortCode {
             AbortCode::Explicit => 2,
             AbortCode::Fallback => 3,
             AbortCode::Spurious => 4,
-            AbortCode::Mode => 5,
-            AbortCode::Journal => 6,
+            AbortCode::Journal => 5,
         }
     }
 
@@ -82,7 +75,6 @@ impl AbortCode {
             AbortCode::Explicit => "explicit",
             AbortCode::Fallback => "fallback",
             AbortCode::Spurious => "spurious",
-            AbortCode::Mode => "mode",
             AbortCode::Journal => "journal",
         }
     }
@@ -96,7 +88,6 @@ impl fmt::Display for AbortCode {
             AbortCode::Explicit => "explicit",
             AbortCode::Fallback => "fallback lock held",
             AbortCode::Spurious => "spurious",
-            AbortCode::Mode => "write under read-only hint",
             AbortCode::Journal => "durable journal pressure",
         };
         f.write_str(s)
@@ -104,7 +95,7 @@ impl fmt::Display for AbortCode {
 }
 
 /// Sentinel stripe id for aborts with no attributable location (capacity,
-/// spurious, explicit, mode, journal, fallback-lock takes).
+/// spurious, explicit, journal, fallback-lock takes).
 pub const NO_STRIPE: u32 = u32::MAX;
 
 /// A transaction attempt was aborted and must be retried (or given up).
@@ -165,8 +156,6 @@ impl Abort {
     pub const FALLBACK: Abort = Abort::pack(AbortCode::Fallback, NO_STRIPE);
     /// Transient, non-attributable abort.
     pub const SPURIOUS: Abort = Abort::pack(AbortCode::Spurious, NO_STRIPE);
-    /// Write attempted under a read-only hint; retry in full mode.
-    pub const MODE: Abort = Abort::pack(AbortCode::Mode, NO_STRIPE);
     /// The durable journal refused the attempt (crashed or failing PHeap).
     pub const JOURNAL: Abort = Abort::pack(AbortCode::Journal, NO_STRIPE);
 

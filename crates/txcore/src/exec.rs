@@ -70,18 +70,6 @@ fn counters(ctx: &mut ThreadCtx, backend: &dyn TmBackend) -> TxCounters {
 /// orders of magnitude below this.
 const LIVELOCK_LIMIT: u32 = 50_000_000;
 
-/// Buffer an attributed conflict's stripe id in the thread's hot-stripe
-/// map, draining to the global table when the buffer fills. Only called
-/// from the cold retry ladder — aborts already left the fast path.
-#[inline]
-fn note_conflict(ctx: &mut ThreadCtx, a: Abort) {
-    if let Some(stripe) = a.stripe() {
-        if ctx.conflicts.note(stripe) {
-            ctx.conflicts.drain_into_global();
-        }
-    }
-}
-
 /// Handle through which an atomic block performs its memory accesses.
 ///
 /// Obtained from [`run_tx`]; mirrors the instrumented loads/stores the GCC
@@ -152,34 +140,6 @@ pub fn run_tx<T>(
     mut f: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
 ) -> T {
     match try_run_tx(backend, ctx, LIVELOCK_LIMIT, &mut f) {
-        Some(value) => value,
-        None => panic!("transaction livelock on backend {}", backend.name()),
-    }
-}
-
-/// Like [`run_tx`], declaring the block read-only.
-///
-/// Backends that never revalidate a running transaction's reads (TL2) use
-/// the declaration to skip read-set maintenance — the nanosecond fast path
-/// for the read-dominated transactions that dominate most TM workloads.
-/// The hint is safe, not trusted: a block that writes anyway is aborted
-/// with [`AbortCode::Mode`] once and transparently retried with full
-/// instrumentation, so it still commits correctly (at the cost of one
-/// `tx.abort.<backend>.mode` tick — a sign the caller should stop passing
-/// the hint for that block).
-///
-/// # Panics
-///
-/// Panics on implausible livelock, as [`run_tx`].
-pub fn run_read_tx<T>(
-    backend: &dyn TmBackend,
-    ctx: &mut ThreadCtx,
-    mut f: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
-) -> T {
-    ctx.read_only = true;
-    let out = try_run_tx(backend, ctx, LIVELOCK_LIMIT, &mut f);
-    ctx.read_only = false;
-    match out {
         Some(value) => value,
         None => panic!("transaction livelock on backend {}", backend.name()),
     }
@@ -300,7 +260,6 @@ fn retry_ladder<T>(
         // in `ctx.ops_*` (nothing resets them between the abort and here).
         local.record_abort(a.code());
         local.record_wasted(ctx.ops_reads, ctx.ops_writes);
-        note_conflict(ctx, a);
     }
     let outcome = loop {
         if ctx.attempt >= budget {
@@ -310,7 +269,6 @@ fn retry_ladder<T>(
         ctx.ops_writes = 0;
         if let Err(a) = backend.begin(ctx) {
             local.record_abort(a.code());
-            note_conflict(ctx, a);
             ctx.attempt += 1;
             backoff(&mut ctx.rng, ctx.attempt);
             continue;
@@ -332,7 +290,6 @@ fn retry_ladder<T>(
                         backend.rollback(ctx);
                         local.record_abort(a.code());
                         local.record_wasted(ctx.ops_reads, ctx.ops_writes);
-                        note_conflict(ctx, a);
                     }
                 }
             }
@@ -340,7 +297,6 @@ fn retry_ladder<T>(
                 backend.rollback(ctx);
                 local.record_abort(a.code());
                 local.record_wasted(ctx.ops_reads, ctx.ops_writes);
-                note_conflict(ctx, a);
             }
         }
         ctx.attempt += 1;
@@ -355,8 +311,8 @@ fn retry_ladder<T>(
         ctx.stats.fold(&local);
     }
     // Ladder resolution is a window boundary for the conflict observatory:
-    // flush the pending fast-path ledger and drain the hot-stripe buffer,
-    // so shared state is exact after every retried transaction.
+    // flush the pending fast-path ledger, so shared state is exact after
+    // every retried transaction.
     ctx.flush_work();
     if telemetry {
         let c = counters(ctx, backend);

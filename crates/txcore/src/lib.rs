@@ -36,7 +36,6 @@
 mod abort;
 mod backend;
 mod clock;
-pub mod conflict;
 mod exec;
 mod heap;
 mod orec;
@@ -49,7 +48,7 @@ pub mod util;
 pub use abort::{Abort, AbortCode, TxResult, NO_STRIPE};
 pub use backend::{BackendKind, TmBackend};
 pub use clock::GlobalClock;
-pub use exec::{run_read_tx, run_tx, try_run_tx, Tx};
+pub use exec::{run_tx, try_run_tx, Tx};
 pub use heap::{Addr, Heap, NULL_ADDR};
 pub use orec::{OrecState, OrecTable, OwnerTag};
 pub use pheap::{

@@ -1,7 +1,6 @@
 //! Shared TM system state and the per-thread transaction context.
 
 use crate::clock::GlobalClock;
-use crate::conflict::StripeMap;
 use crate::heap::Heap;
 use crate::orec::{OrecTable, OwnerTag};
 use crate::sets::{LineSet, ReadSet, WriteSet};
@@ -133,16 +132,6 @@ pub struct ThreadCtx {
     pub attempt: u32,
     /// Whether the current attempt runs under the HTM fallback lock.
     pub in_fallback: bool,
-    /// Whether the current atomic block was declared read-only
-    /// ([`crate::run_read_tx`]). Backends that never revalidate a running
-    /// transaction's reads (TL2: a stale read aborts on the spot) use this
-    /// to skip read-set maintenance entirely — the log exists only to feed
-    /// writer commit validation, which a read-only block never runs. A
-    /// backend that sees a write under this hint clears it and aborts with
-    /// [`AbortCode::Mode`](crate::AbortCode::Mode), so the retry runs fully
-    /// instrumented. Backends that revalidate mid-transaction (TinySTM
-    /// timestamp extension, NOrec value validation) must ignore the hint.
-    pub read_only: bool,
     /// Cache lines touched speculatively (simulated HTM read set).
     pub read_lines: LineSet,
     /// Cache lines written speculatively (simulated HTM write set).
@@ -175,9 +164,6 @@ pub struct ThreadCtx {
     pub(crate) pending_committed_writes: u64,
     /// First-try commits since the last ledger flush (flush cadence).
     pub(crate) pending_txs: u32,
-    /// Per-thread hot-stripe accumulator for attributed conflict aborts
-    /// (drained into the global [`crate::conflict`] table at cold points).
-    pub(crate) conflicts: StripeMap,
 }
 
 /// First-try commits buffered in the pending work ledger before it folds
@@ -200,7 +186,6 @@ impl ThreadCtx {
             start_seq: 0,
             attempt: 0,
             in_fallback: false,
-            read_only: false,
             read_lines: LineSet::new(),
             write_lines: LineSet::new(),
             greedy_ts: 0,
@@ -214,7 +199,6 @@ impl ThreadCtx {
             pending_committed_reads: 0,
             pending_committed_writes: 0,
             pending_txs: 0,
-            conflicts: StripeMap::default(),
         }
     }
 
@@ -232,9 +216,7 @@ impl ThreadCtx {
         }
     }
 
-    /// Fold the pending work ledger into the shared [`ThreadStats`] and
-    /// drain this thread's hot-stripe buffer into the global
-    /// [`crate::conflict`] table.
+    /// Fold the pending work ledger into the shared [`ThreadStats`].
     ///
     /// The driver flushes automatically at retry-ladder resolution and
     /// every [`WORK_FLUSH_EVERY`] first-try commits; serial drivers call
@@ -250,7 +232,6 @@ impl ThreadCtx {
             self.pending_committed_writes = 0;
         }
         self.pending_txs = 0;
-        self.conflicts.drain_into_global();
     }
 
     /// The tag identifying this thread as a lock owner.

@@ -97,7 +97,7 @@ pub fn backoff(rng: &mut XorShift64, attempt: u32) {
 /// `yield_now` is a system call.
 const SPIN_PROBES: u32 = 128;
 
-/// Call `probe` until it returns a value: [`SPIN_PROBES`] busy probes for
+/// Call `probe` until it returns a value: `SPIN_PROBES` busy probes for
 /// the common short wait, then one `yield_now` per probe so a preempted
 /// holder gets the core. The wait behind every sequence-lock and
 /// commit-window spin of the backends; the first probe, which nearly
