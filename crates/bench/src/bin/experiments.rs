@@ -4,7 +4,7 @@
 //! experiments all               # everything (a few minutes in --release)
 //! experiments fig4 fig5         # selected experiments
 //! experiments --quick all       # reduced corpus sizes (CI-friendly)
-//! experiments --jobs 4 fig5     # evaluation worker threads (or PROTEUS_JOBS)
+//! experiments --jobs 4 fig5     # evaluation worker threads
 //! experiments --trace-out t.jsonl fig4   # JSONL telemetry trace
 //! experiments vtime             # virtual-time scalability (byte-identical everywhere)
 //! ```
@@ -73,7 +73,6 @@ fn main() {
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = Options::parse(&args).unwrap_or_else(|e| fail_usage(&e));
-    opts.apply_jobs();
 
     if opts.targets.is_empty() {
         fail_usage(&format!(
@@ -106,9 +105,15 @@ fn main() {
         }
         None => false,
     };
-    for (name, f) in plan {
-        banner(name);
-        f(opts.quick);
+    let run = || {
+        for (name, f) in plan {
+            banner(name);
+            f(opts.quick);
+        }
+    };
+    match opts.jobs {
+        Some(n) => parx::with_jobs(n, run),
+        None => run(),
     }
     if tracing {
         let audit = obs::finish_trace().overhead;

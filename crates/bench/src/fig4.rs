@@ -124,7 +124,7 @@ fn eval_scheme(
         });
         // Emitted at this serial fold point — never from the parallel
         // closures above — so the trace is byte-identical at every
-        // PROTEUS_JOBS value (crates/bench/tests/determinism.rs).
+        // `--jobs` value (crates/bench/tests/determinism.rs).
         obs::event!(
             "fig4.result",
             "algo" => algo_name,

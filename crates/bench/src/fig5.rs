@@ -82,7 +82,7 @@ fn policy_sweep(bench: &Bench, train: &[usize], test: &[usize], with_mape: bool)
             parx::par_map(test, |&row| exploration_order(&ctl, bench, row));
         // Replay each worker's buffered telemetry here, at the serial fold
         // point, in test order — never from the parallel closures above —
-        // so the JSONL stream is byte-identical at every PROTEUS_JOBS
+        // so the JSONL stream is byte-identical at every `--jobs`
         // value (crates/bench/tests/determinism.rs). The oracle.row event
         // ahead of each exploration gives `proteus-trace` the ground-truth
         // optimum its regret curves are computed against.
@@ -97,7 +97,7 @@ fn policy_sweep(bench: &Bench, train: &[usize], test: &[usize], with_mape: bool)
             order.emit_trace();
             // Flight recorder: final-exploration DFO per workload, one tick
             // per replayed row. Sampled and ticked at this serial point, so
-            // the windows are byte-identical at every PROTEUS_JOBS value.
+            // the windows are byte-identical at every `--jobs` value.
             let dfo = prefix_dfo(bench, row, &order.explored, order.explored.len());
             if dfo.is_finite() {
                 obs::ts_record("fig5.final_dfo", dfo);

@@ -4,7 +4,7 @@
 use polytm::{Kpi, TmConfig};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
-use recsys::{Row, UtilityMatrix};
+use recsys::UtilityMatrix;
 use smbo::Goal;
 use tmsim::{corpus_with_families, MachineModel, PerfModel, Workload, WorkloadFamily};
 
@@ -113,15 +113,6 @@ impl Bench {
     /// Distance-from-optimum of choosing `col` for `row`.
     pub fn dfo(&self, row: usize, col: usize) -> f64 {
         recsys::dfo(self.best_kpi(row), self.truth[row][col])
-    }
-
-    /// Mask a row down to the given known columns.
-    pub fn masked_row(&self, row: usize, known_cols: &[usize]) -> Row {
-        let mut out: Row = vec![None; self.configs.len()];
-        for &c in known_cols {
-            out[c] = Some(self.truth[row][c]);
-        }
-        out
     }
 
     /// `k` distinct random columns, forcing `forced` (if any) to be among

@@ -1,9 +1,7 @@
 //! Flag handling for the `experiments` binary.
 //!
-//! Every knob is a flag. `--jobs` installs its count through
-//! [`parx::set_jobs`], which wins over the `PROTEUS_JOBS` environment
-//! variable that `parx` reads itself when no flag was given, so a CI matrix
-//! can export a default and individual legs can still override it.
+//! Every knob is a flag, and no flag has an environment twin. `--jobs N`
+//! becomes a [`parx::with_jobs`] scope around the whole plan.
 
 use std::path::PathBuf;
 
@@ -13,7 +11,7 @@ pub struct Options {
     /// `--quick`: reduced corpus sizes (CI-friendly).
     pub quick: bool,
     /// `--jobs N`: evaluation worker threads. `None` leaves the `parx`
-    /// default (`PROTEUS_JOBS`, else one per core) in place.
+    /// default (one per core) in place.
     pub jobs: Option<usize>,
     /// `--trace-out PATH`: JSONL telemetry trace.
     pub trace_out: Option<PathBuf>,
@@ -49,13 +47,6 @@ impl Options {
         }
         Ok(opts)
     }
-
-    /// Install the side-effecting options (worker count) into the process.
-    pub fn apply_jobs(&self) {
-        if let Some(n) = self.jobs {
-            parx::set_jobs(n);
-        }
-    }
 }
 
 fn parse_jobs(v: &str) -> Result<usize, String> {
@@ -75,8 +66,7 @@ mod tests {
 
     #[test]
     fn flags_override_environment() {
-        // The environment has no say here: `parx` reads `PROTEUS_JOBS`
-        // only when `apply_jobs` installed no count.
+        // The environment has no say: every knob is a flag.
         let o = parse(&["--jobs", "2", "--trace-out=flag.jsonl", "fig4"]).unwrap();
         assert_eq!(o.jobs, Some(2));
         assert_eq!(o.trace_out.as_deref(), Some("flag.jsonl".as_ref()));

@@ -14,23 +14,33 @@
 //! enforces exactly that, as `crates/stm/tests/alloc_reuse.rs` does for the
 //! software backends.
 //!
-//! Everything lives in ONE `#[test]`: the counter is process-global, and a
-//! sibling test allocating concurrently would make the delta meaningless.
+//! The counter is per thread, so only the test thread's own allocations
+//! count: neither libtest's main thread nor a sibling test can charge one
+//! to a backend, and tests need not share one `#[test]`.
 
 use htm::{HtmGeometry, HtmSim, HybridNOrec, HybridTl2, LINE_WORDS};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 use txcore::{run_tx, Addr, ThreadCtx, TmBackend, TmSystem};
 
-/// Counts every allocation and reallocation; frees are not interesting.
+/// Counts every allocation and reallocation of the calling thread; frees
+/// are not interesting.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `const`-initialised and without a destructor, so touching it never
+    /// allocates or registers anything: safe inside the allocator.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -41,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded unchanged; the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -107,9 +117,9 @@ fn warm_speculative_transactions_do_not_allocate() {
         }
 
         for b in &backends {
-            let before = ALLOCS.load(Ordering::Relaxed);
+            let before = ALLOCS.with(Cell::get);
             churn(b.as_ref(), &mut ctx, 64, lines, passes);
-            let after = ALLOCS.load(Ordering::Relaxed);
+            let after = ALLOCS.with(Cell::get);
             assert_eq!(
                 after - before,
                 0,

@@ -14,7 +14,7 @@
 //!   learning path hold logically deterministic values; wall-clock
 //!   durations are not recorded (`benchmark/` measures them).
 //! * **Determinism**: traces captured around the learning pipeline are
-//!   byte-identical at every `PROTEUS_JOBS` value because events are only
+//!   byte-identical at every `--jobs` value because events are only
 //!   emitted from serial driver code, sequence numbers are logical, and no
 //!   wall-clock field exists on that path (`crates/bench/tests/
 //!   determinism.rs` enforces this).
@@ -39,17 +39,15 @@
 mod event;
 pub mod metrics;
 mod span;
-mod timeseries;
 mod trace;
 
 pub use event::{encode_str, Event, PendingEvent, Value};
 pub use metrics::{counter, Counter};
 pub use span::Span;
-pub use timeseries::{TsSeries, TICKS_PER_WINDOW};
 pub use trace::{
     capture_trace, emit, emit_pending, finish_trace, span_begin_detached, span_end_detached,
-    start_trace_file, start_trace_memory, ts_tick, OverheadSnapshot, TraceReport, METRICS_WINDOW,
-    SPAN_BEGIN, SPAN_END,
+    start_trace_file, start_trace_memory, ts_record, ts_tick, OverheadSnapshot, TraceReport,
+    METRICS_WINDOW, SPAN_BEGIN, SPAN_END, TICKS_PER_WINDOW,
 };
 
 /// Version of the JSONL trace schema, written as the
@@ -68,24 +66,6 @@ pub use trace::{
 /// emitter and analyzer ship from one tree, so a trace with any other
 /// header is skew and is rejected.
 pub const SCHEMA_VERSION: u32 = 4;
-
-/// Look up (or register) the windowed time-series `name`. The handle is
-/// `&'static`, so hot paths can cache it (the same leak-once registration
-/// scheme as [`metrics`]).
-pub fn ts_series(name: &str) -> &'static TsSeries {
-    timeseries::series(name)
-}
-
-/// Record one sample into the time-series `name` (registering it on first
-/// use). Convenience for cold sample points; hot paths should cache the
-/// [`ts_series`] handle instead of paying the registry lock per sample.
-/// No-op unless [`enabled`].
-#[inline]
-pub fn ts_record(name: &str, v: f64) {
-    if enabled() {
-        timeseries::series(name).record(v);
-    }
-}
 
 /// Fast-path guard: `true` only while a trace is active.
 ///

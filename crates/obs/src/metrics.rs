@@ -65,21 +65,10 @@ pub fn counter_snapshot() -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Non-zero counters whose name starts with `prefix`, sorted by name: one
-/// logical quantity fanned out over a name family (e.g. per-backend
-/// commit counters `tx.commit.*`).
-pub fn counters_with_prefix(prefix: &str) -> Vec<(String, u64)> {
-    registry()
-        .iter()
-        .filter(|(name, c)| name.starts_with(prefix) && c.get() > 0)
-        .map(|(name, c)| (name.clone(), c.get()))
-        .collect()
-}
-
 /// Zero every registered counter (registrations are kept, so `&'static`
-/// handles stay valid). Called by [`crate::start_trace_file`] and friends
-/// so each trace reports only its own run.
-pub fn reset() {
+/// handles stay valid). Called when a trace starts, so each trace reports
+/// only its own run.
+pub(crate) fn reset() {
     for c in registry().values() {
         c.reset();
     }
@@ -100,23 +89,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         // Same name returns the same handle.
         assert_eq!(counter("test.metrics.counter").get(), 5);
-    }
-
-    #[test]
-    fn prefix_scan_filters_and_sorts() {
-        let _serial = crate::trace::hold_capture_lock_for_test();
-        counter("test.prefix.b").add(2);
-        counter("test.prefix.a").inc();
-        let _zero = counter("test.prefix.zero");
-        counter("test.other").inc();
-        let got = counters_with_prefix("test.prefix.");
-        assert_eq!(
-            got,
-            vec![
-                ("test.prefix.a".to_string(), 1),
-                ("test.prefix.b".to_string(), 2)
-            ]
-        );
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! counter, so every captured stream is self-contained and starts at
 //! `seq == 0` — a precondition for the byte-identity determinism tests.
 //!
+//! The trace is also the flight recorder of KPI time-series: [`ts_record`]
+//! folds a sample into its series' current window, [`ts_tick`] advances
+//! the logical sample tick, and every [`TICKS_PER_WINDOW`] ticks each
+//! non-empty series flushes as one `metrics.window` record, sorted by
+//! name. Windows are keyed by ticks, not wall clock, and live in the trace
+//! state: they start at window 0, tick 0 with every trace (DESIGN.md §7).
+//!
 //! [`finish_trace`] appends a sorted dump of non-zero counters to the
 //! stream; [`capture_trace`] deliberately does **not** (concurrent tests
 //! in the same binary would otherwise leak their counter increments into
@@ -13,7 +20,6 @@
 
 use crate::event::{Event, PendingEvent, Value};
 use crate::metrics;
-use crate::timeseries;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -45,6 +51,43 @@ struct TraceState {
     spans: u64,
     /// `metrics.window` records emitted.
     windows: u64,
+    /// Each series' window being accumulated, by name. A series enters on
+    /// its first sample and leaves when its window flushes.
+    series: BTreeMap<String, Window>,
+    /// Logical KPI sample tick, advanced by [`ts_tick`].
+    tick: u64,
+    /// Index the next flushed window gets.
+    window_next: u64,
+}
+
+/// Number of sample ticks aggregated into one `metrics.window` record.
+pub const TICKS_PER_WINDOW: u64 = 8;
+
+/// One series' aggregate over the current window.
+struct Window {
+    n: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    last: f64,
+}
+
+impl Window {
+    const EMPTY: Window = Window {
+        n: 0,
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        last: 0.0,
+    };
+
+    fn fold(&mut self, v: f64) {
+        self.n += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.last = v;
+    }
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -83,42 +126,69 @@ pub const SPAN_END: &str = "span.end";
 /// flush.
 pub const METRICS_WINDOW: &str = "metrics.window";
 
-/// Advance the global KPI sample tick. Call from **serial driver code
-/// only** (DESIGN.md §7, rule 1): crossing a
-/// [`crate::TICKS_PER_WINDOW`] boundary flushes every non-empty
-/// [`crate::TsSeries`] as `metrics.window` records, which assigns sequence
-/// numbers. No-op when no trace is active.
+/// Record one sample into the time-series `name`'s current window. Safe
+/// from any thread: the sample folds under the trace lock, so a window's
+/// count and sum always agree. Never emits (only [`ts_tick`] and the end
+/// of the trace flush windows). No-op unless [`crate::enabled`].
+pub fn ts_record(name: &str, v: f64) {
+    if !crate::enabled() {
+        return;
+    }
+    let mut state = lock(&STATE);
+    let Some(state) = state.as_mut() else {
+        return;
+    };
+    match state.series.get_mut(name) {
+        Some(w) => w.fold(v),
+        None => {
+            let mut w = Window::EMPTY;
+            w.fold(v);
+            state.series.insert(name.to_string(), w);
+        }
+    }
+}
+
+/// Advance the KPI sample tick. Call from **serial driver code only**
+/// (DESIGN.md §7, rule 1): crossing a [`TICKS_PER_WINDOW`] boundary
+/// flushes every non-empty series as `metrics.window` records, which
+/// assigns sequence numbers. No-op when no trace is active.
 pub fn ts_tick() {
     if !crate::enabled() {
         return;
     }
-    let t = timeseries::advance_tick();
-    if t.is_multiple_of(timeseries::TICKS_PER_WINDOW) {
-        flush_windows(t);
+    let mut state = lock(&STATE);
+    let Some(state) = state.as_mut() else {
+        return;
+    };
+    state.tick += 1;
+    if state.tick.is_multiple_of(TICKS_PER_WINDOW) {
+        flush_windows(state);
     }
 }
 
 /// Flush the current window of every non-empty series, in name order.
 /// Emits nothing when no series has pending samples (so traces without
 /// KPI sample points stay byte-for-byte as they were under schema v2).
-fn flush_windows(tick: u64) {
-    let drained = timeseries::drain_windows();
-    if drained.is_empty() {
+fn flush_windows(state: &mut TraceState) {
+    let series = std::mem::take(&mut state.series);
+    if series.is_empty() {
         return;
     }
-    let window = timeseries::next_window_index();
-    for (name, agg) in &drained {
-        emit(
+    let (window, tick) = (state.window_next, state.tick);
+    state.window_next += 1;
+    for (name, w) in series {
+        emit_locked(
+            state,
             METRICS_WINDOW,
             vec![
-                ("series", Value::Str(name.clone())),
+                ("series", Value::Str(name)),
                 ("window", Value::U64(window)),
                 ("tick", Value::U64(tick)),
-                ("n", Value::U64(agg.n)),
-                ("mean", Value::F64(agg.sum / agg.n as f64)),
-                ("min", Value::F64(agg.min)),
-                ("max", Value::F64(agg.max)),
-                ("last", Value::F64(agg.last)),
+                ("n", Value::U64(w.n)),
+                ("mean", Value::F64(w.sum / w.n as f64)),
+                ("min", Value::F64(w.min)),
+                ("max", Value::F64(w.max)),
+                ("last", Value::F64(w.last)),
             ],
         );
     }
@@ -279,7 +349,6 @@ fn write_line(sink: &mut Sink, json: &str) {
 fn start(sink: Sink) {
     let mut state = lock(&STATE);
     metrics::reset();
-    timeseries::reset_all();
     let mut sink = sink;
     // Schema header: always the first line of a trace, outside the event
     // sequence (no seq number, not counted in the report). `proteus-trace`
@@ -302,6 +371,9 @@ fn start(sink: Sink) {
         subsystems: BTreeMap::new(),
         spans: 0,
         windows: 0,
+        series: BTreeMap::new(),
+        tick: 0,
+        window_next: 0,
     });
     ACTIVE.store(true, Ordering::Relaxed);
 }
@@ -365,14 +437,13 @@ pub struct TraceReport {
 }
 
 fn end(dump_counters: bool) -> TraceReport {
-    // Flush the partial window first: flushing emits records, which needs
-    // the trace state still in place.
-    flush_windows(timeseries::current_tick());
     ACTIVE.store(false, Ordering::Relaxed);
     let taken = lock(&STATE).take();
     let Some(mut state) = taken else {
         return TraceReport::default();
     };
+    // The partial window flushes first, ahead of the counter dump.
+    flush_windows(&mut state);
     let mut dump_lines = 0u64;
     if dump_counters {
         for (name, value) in metrics::counter_snapshot() {
@@ -621,13 +692,12 @@ mod tests {
     #[test]
     fn ticks_flush_windows_and_partial_windows_flush_at_end() {
         let run = || {
-            let s = crate::ts_series("test.ts.kpi");
-            for i in 0..timeseries::TICKS_PER_WINDOW {
-                s.record(i as f64);
+            for i in 0..TICKS_PER_WINDOW {
+                ts_record("test.ts.kpi", i as f64);
                 ts_tick();
             }
             // One more sample without a full window: must flush at end.
-            s.record(100.0);
+            ts_record("test.ts.kpi", 100.0);
             ts_tick();
         };
         let (_, a) = capture_trace(run);
@@ -663,10 +733,46 @@ mod tests {
     }
 
     #[test]
+    fn samples_from_other_threads_land_in_exactly_one_window() {
+        // DESIGN.md §7 lets any thread record; only ticks are serial.
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 5_000;
+        let ((), bytes) = capture_trace(|| {
+            let done = std::sync::atomic::AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        for _ in 0..PER_THREAD {
+                            ts_record("test.ts.threads", 1.0);
+                        }
+                        done.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+                while done.load(Ordering::Relaxed) < THREADS {
+                    ts_tick();
+                }
+            });
+        });
+        let text = String::from_utf8(bytes).unwrap();
+        let mut recorded = 0;
+        for w in text
+            .lines()
+            .filter(|l| l.contains("\"kind\":\"metrics.window\""))
+        {
+            let n = w.split("\"n\":").nth(1).and_then(|r| r.split(',').next());
+            recorded += n.and_then(|n| n.parse::<u64>().ok()).expect(w);
+            for field in ["mean", "min", "max"] {
+                assert!(w.contains(&format!("\"{field}\":1,")), "torn window: {w}");
+            }
+        }
+        assert_eq!(recorded, THREADS * PER_THREAD, "in: {text}");
+    }
+
+    #[test]
     fn no_trace_means_zero_windows_and_zero_overhead() {
         let _serial = lock(&CAPTURE_LOCK);
         // Without an active trace, sampling and ticking are no-ops...
-        crate::ts_record("test.ts.orphan", 9.0);
+        ts_record("test.ts.orphan", 9.0);
         ts_tick();
         let report = finish_trace();
         assert_eq!(report.overhead, OverheadSnapshot::default());

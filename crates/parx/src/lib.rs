@@ -12,10 +12,10 @@
 //!   As long as each task is a pure function of its index (all the call
 //!   sites in this workspace derive their RNG seeds from stable ids),
 //!   the output is byte-identical for every job count, including 1.
-//! * The pool size comes from, in priority order: a thread-local
-//!   [`with_jobs`] override (used by tests), a process-wide [`set_jobs`]
-//!   value (set by the `experiments --jobs N` flag), the `PROTEUS_JOBS`
-//!   environment variable, and finally [`std::thread::available_parallelism`].
+//! * The pool size is the calling thread's [`with_jobs`] scope (the
+//!   `experiments --jobs N` flag runs the whole plan inside one, and the
+//!   determinism tests open one per job count), otherwise
+//!   [`std::thread::available_parallelism`].
 //! * Nested calls run serially: a `par_map` issued from inside a worker
 //!   does not spawn further threads, so parallelizing an outer loop never
 //!   oversubscribes the machine through inner loops that are also wired
@@ -33,9 +33,6 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Process-wide job count; 0 = not yet resolved.
-static GLOBAL_JOBS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// Per-thread override installed by [`with_jobs`]; 0 = none.
     static LOCAL_JOBS: Cell<usize> = const { Cell::new(0) };
@@ -43,48 +40,23 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Resolve the job count from the environment: `PROTEUS_JOBS` if set to a
-/// positive integer, otherwise the machine's available parallelism.
-fn env_jobs() -> usize {
-    if let Ok(v) = std::env::var("PROTEUS_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("parx: ignoring invalid PROTEUS_JOBS={v:?}");
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The number of worker threads parallel maps will use right now.
+/// The number of worker threads parallel maps will use right now: 1
+/// inside a pool worker, else the caller's [`with_jobs`] scope, else the
+/// machine's available parallelism.
 pub fn jobs() -> usize {
     if IN_WORKER.with(Cell::get) {
         return 1;
     }
-    let local = LOCAL_JOBS.with(Cell::get);
-    if local > 0 {
-        return local;
+    match LOCAL_JOBS.with(Cell::get) {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     }
-    let global = GLOBAL_JOBS.load(Ordering::Relaxed);
-    if global > 0 {
-        return global;
-    }
-    let resolved = env_jobs();
-    // Cache; a concurrent set_jobs/first-resolve simply wins the race.
-    let _ = GLOBAL_JOBS.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed);
-    GLOBAL_JOBS.load(Ordering::Relaxed)
-}
-
-/// Set the process-wide job count (the `--jobs N` flag). `n` is clamped
-/// to at least 1.
-pub fn set_jobs(n: usize) {
-    GLOBAL_JOBS.store(n.max(1), Ordering::Relaxed);
 }
 
 /// Run `f` with the calling thread's job count forced to `n`, restoring
-/// the previous override afterwards (panic-safe). Used by the determinism
-/// tests to compare job counts within one process without races.
+/// the previous override afterwards (panic-safe). `experiments --jobs N`
+/// runs its plan in one such scope; the determinism tests compare job
+/// counts within one process without races.
 pub fn with_jobs<T>(n: usize, f: impl FnOnce() -> T) -> T {
     struct Restore(usize);
     impl Drop for Restore {

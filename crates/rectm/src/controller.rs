@@ -72,7 +72,7 @@ impl Exploration {
     ///
     /// Call from **serial driver code only** — sequence numbers are
     /// assigned here, in replay order, which is what keeps the JSONL
-    /// stream byte-identical at every `PROTEUS_JOBS` value when
+    /// stream byte-identical at every `--jobs` value when
     /// optimizations ran on the worker pool.
     pub fn emit_trace(&self) {
         obs::emit_pending(&self.trace);

@@ -7,23 +7,33 @@
 //! ladders with zero trips to the allocator. A counting wrapper around the
 //! system allocator enforces exactly that.
 //!
-//! Everything lives in ONE `#[test]`: the counter is process-global, and a
-//! sibling test allocating concurrently would make the delta meaningless.
+//! The counter is per thread, so only the test thread's own allocations
+//! count: neither libtest's main thread nor a sibling test can charge one
+//! to a backend, and tests need not share one `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 use stm::{NOrec, SwissTm, TinyStm, Tl2};
 use txcore::{run_tx, ThreadCtx, TmBackend, TmSystem};
 
-/// Counts every allocation and reallocation; frees are not interesting.
+/// Counts every allocation and reallocation of the calling thread; frees
+/// are not interesting.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `const`-initialised and without a destructor, so touching it never
+    /// allocates or registers anything: safe inside the allocator.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -86,9 +96,9 @@ fn warm_transactions_do_not_allocate() {
     }
 
     for b in &backends {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = ALLOCS.with(Cell::get);
         churn(b.as_ref(), &mut ctx, &sys, 0, 64);
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = ALLOCS.with(Cell::get);
         assert_eq!(
             after - before,
             0,

@@ -17,7 +17,7 @@
 //!
 //! Everything is a pure function of the input bytes: same trace, same
 //! report, byte for byte. That property is load-bearing — the repo's
-//! determinism tests compare analyzer output across `PROTEUS_JOBS` values
+//! determinism tests compare analyzer output across `--jobs` values
 //! (`crates/bench/tests/tracetool.rs`). Two traces are compared with
 //! `cmp`, never with a view.
 

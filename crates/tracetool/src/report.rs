@@ -5,7 +5,7 @@
 //! [`json`] only format it. Every section is a pure fold over
 //! `Trace::records` (plus the counter dump), so the report is
 //! byte-identical for byte-identical traces — and because the
-//! learning-path trace itself is byte-identical at every `PROTEUS_JOBS`
+//! learning-path trace itself is byte-identical at every `--jobs`
 //! value, so is the report.
 
 use crate::perf::SeriesAgg;

@@ -139,12 +139,6 @@ impl Heap {
     pub fn write_raw(&self, a: Addr, v: u64) {
         self.words[a.index()].store(v, Ordering::Release);
     }
-
-    /// Atomically compare-and-swap a word (used by lock-based fallbacks).
-    #[inline]
-    pub fn cas_raw(&self, a: Addr, current: u64, new: u64) -> Result<u64, u64> {
-        self.words[a.index()].compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
-    }
 }
 
 impl fmt::Debug for Heap {
