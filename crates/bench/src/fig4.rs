@@ -188,9 +188,10 @@ pub fn run_with(n: usize) {
     println!(
         "(Shape target: no-norm and norm-wrt-max are far worse; RC sits in\n\
          between; distillation tracks the ideal oracle closely. Under\n\
-         KNN-cosine, no-norm and norm-wrt-max coincide analytically — the\n\
-         similarity and the weighted average are invariant to one global\n\
-         constant; the MF table separates them. MF over raw KPIs diverges\n\
+         KNN-cosine, the similarity and the weighted average cancel\n\
+         norm-wrt-max's one global constant, but not its inversion: it\n\
+         rates scores (1 / exec time), no-norm rates raw exec times, and\n\
+         that alone separates the two rows. MF over raw KPIs diverges\n\
          (NaN) — SGD over-fits the largest-scale rows, exactly the failure\n\
          mode §5.1 describes.)"
     );

@@ -37,38 +37,47 @@ impl Default for MfParams {
 /// user vector against the frozen item factors.
 #[derive(Debug, Clone)]
 pub struct MfModel {
-    item_factors: Vec<Vec<f64>>, // ncols × d
+    item_factors: Vec<f64>, // ncols × d, row-major
     params: MfParams,
+}
+
+/// `Σ p·q` in index order — every prediction and SGD error term.
+fn dot(p: &[f64], q: &[f64]) -> f64 {
+    p.iter().zip(q).map(|(p, q)| p * q).sum()
 }
 
 impl MfModel {
     /// Train item factors on the training matrix's known entries.
+    ///
+    /// Both factor matrices are flat and row-major with stride `d`, drawn
+    /// user by user and then item by item; each known entry is stored as
+    /// the offsets of its two factor rows.
     pub fn fit(training: &UtilityMatrix, params: MfParams) -> Self {
         let d = params.factors.max(1);
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut users: Vec<Vec<f64>> = (0..training.nrows())
-            .map(|_| (0..d).map(|_| rng.gen_range(-0.1..0.1)).collect())
+        let mut users: Vec<f64> = (0..training.nrows() * d)
+            .map(|_| rng.gen_range(-0.1..0.1))
             .collect();
-        let mut items: Vec<Vec<f64>> = (0..training.ncols())
-            .map(|_| (0..d).map(|_| rng.gen_range(-0.1..0.1)).collect())
+        let mut items: Vec<f64> = (0..training.ncols() * d)
+            .map(|_| rng.gen_range(-0.1..0.1))
             .collect();
         let entries: Vec<(usize, usize, f64)> = (0..training.nrows())
-            .flat_map(|r| {
+            .flat_map(move |r| {
                 training
                     .known_in_row(r)
-                    .map(move |(c, v)| (r, c, v))
-                    .collect::<Vec<_>>()
+                    .map(move |(c, v)| (r * d, c * d, v))
             })
             .collect();
+        let (lr, reg) = (params.learning_rate, params.regularization);
         for _ in 0..params.epochs {
             for &(u, i, r) in &entries {
-                let pred: f64 = users[u].iter().zip(&items[i]).map(|(p, q)| p * q).sum();
-                let err = r - pred;
-                for f in 0..d {
-                    let pu = users[u][f];
-                    let qi = items[i][f];
-                    users[u][f] += params.learning_rate * (err * qi - params.regularization * pu);
-                    items[i][f] += params.learning_rate * (err * pu - params.regularization * qi);
+                let pu = &mut users[u..u + d];
+                let qi = &mut items[i..i + d];
+                let err = r - dot(pu, qi);
+                for (p, q) in pu.iter_mut().zip(qi.iter_mut()) {
+                    let (p0, q0) = (*p, *q);
+                    *p += lr * (err * q0 - reg * p0);
+                    *q += lr * (err * p0 - reg * q0);
                 }
             }
         }
@@ -84,31 +93,27 @@ impl MfModel {
         let d = self.params.factors.max(1);
         let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x9E37);
         let mut user: Vec<f64> = (0..d).map(|_| rng.gen_range(-0.1..0.1)).collect();
-        let observed: Vec<(usize, f64)> = known_entries(known).collect();
+        let observed: Vec<(&[f64], f64)> = known_entries(known)
+            .map(|(i, r)| (&self.item_factors[i * d..(i + 1) * d], r))
+            .collect();
+        let (lr, reg) = (self.params.learning_rate, self.params.regularization);
         for _ in 0..self.params.epochs {
-            for &(i, r) in &observed {
-                let pred: f64 = user
-                    .iter()
-                    .zip(&self.item_factors[i])
-                    .map(|(p, q)| p * q)
-                    .sum();
-                let err = r - pred;
-                for (pu, qi) in user.iter_mut().zip(&self.item_factors[i]) {
-                    *pu +=
-                        self.params.learning_rate * (err * qi - self.params.regularization * *pu);
+            for &(qi, r) in &observed {
+                let err = r - dot(&user, qi);
+                for (pu, q) in user.iter_mut().zip(qi) {
+                    *pu += lr * (err * q - reg * *pu);
                 }
             }
         }
-        (0..self.item_factors.len())
-            .map(|i| {
-                known.get(i).copied().flatten().or_else(|| {
-                    Some(
-                        user.iter()
-                            .zip(&self.item_factors[i])
-                            .map(|(p, q)| p * q)
-                            .sum(),
-                    )
-                })
+        self.item_factors
+            .chunks_exact(d)
+            .enumerate()
+            .map(|(i, qi)| {
+                known
+                    .get(i)
+                    .copied()
+                    .flatten()
+                    .or_else(|| Some(dot(&user, qi)))
             })
             .collect()
     }

@@ -263,20 +263,42 @@ impl Normalization for DistillationNorm {
     }
 
     fn fit(&mut self, training: &UtilityMatrix) {
-        let ncols = training.ncols();
+        // Each row's (max, min) KPI, once: a row's largest rating `v / s`
+        // is `max / s` for `s > 0` and `min / s` for `s < 0`, because
+        // rounded division by a fixed divisor is monotone. `f64::max` and
+        // `f64::min` skip NaN as the per-entry fold does.
+        let extremes: Vec<(f64, f64)> = (0..training.nrows())
+            .map(|r| {
+                training
+                    .known_in_row(r)
+                    .fold((f64::NEG_INFINITY, f64::INFINITY), |(hi, lo), (_, v)| {
+                        (hi.max(v), lo.min(v))
+                    })
+            })
+            .collect();
         let mut best: Option<(usize, f64)> = None;
-        for candidate in 0..ncols {
+        let mut maxima = Vec::with_capacity(training.nrows());
+        for candidate in 0..training.ncols() {
             // Rows that know the candidate column participate.
-            let mut maxima = Vec::new();
-            for r in 0..training.nrows() {
+            maxima.clear();
+            for (r, &(hi, lo)) in extremes.iter().enumerate() {
                 let Some(reference) = training.get(r, candidate) else {
                     continue;
                 };
                 let s = guard_scale(reference);
-                let m = training
-                    .known_in_row(r)
-                    .map(|(_, v)| v / s)
-                    .fold(f64::NEG_INFINITY, f64::max);
+                let m = if !s.is_finite() {
+                    // An infinite reference rates finite entries 0, where
+                    // `max / s` may be `inf / inf` = NaN; a NaN one rates
+                    // nothing. Either way, scan the entries.
+                    training
+                        .known_in_row(r)
+                        .map(|(_, v)| v / s)
+                        .fold(f64::NEG_INFINITY, f64::max)
+                } else if s > 0.0 {
+                    hi / s
+                } else {
+                    lo / s
+                };
                 if m.is_finite() {
                     maxima.push(m);
                 }

@@ -13,6 +13,10 @@
 //!    particular it stays inside [row-min, row-max] / reference and is
 //!    finite and positive for positive KPIs.
 //! 3. **Round trip**: `to_kpi` inverts `to_ratings` on every known entry.
+//!
+//! The fit itself is pinned to the per-candidate original kept verbatim
+//! below, on matrices no KPI source produces: holes, ±0, negative and
+//! infinite KPIs, and references small enough to hit the 1e-12 guard.
 
 use proptest::prelude::*;
 use recsys::{DistillationNorm, Normalization, Row, UtilityMatrix};
@@ -29,6 +33,85 @@ fn matrix(nrows: usize, ncols: usize, vals: &[f64]) -> UtilityMatrix {
 
 fn rel_close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+fn guard_scale(s: f64) -> f64 {
+    if s.abs() < 1e-12 {
+        1e-12
+    } else {
+        s
+    }
+}
+
+/// The original `DistillationNorm::fit`, kept verbatim as the reference:
+/// per candidate column, divide every known entry of every row that knows
+/// the candidate by the row's reference, and keep the row's maximum.
+fn reference_fit(training: &UtilityMatrix) -> Option<usize> {
+    let ncols = training.ncols();
+    let mut best: Option<(usize, f64)> = None;
+    for candidate in 0..ncols {
+        // Rows that know the candidate column participate.
+        let mut maxima = Vec::new();
+        for r in 0..training.nrows() {
+            let Some(reference) = training.get(r, candidate) else {
+                continue;
+            };
+            let s = guard_scale(reference);
+            let m = training
+                .known_in_row(r)
+                .map(|(_, v)| v / s)
+                .fold(f64::NEG_INFINITY, f64::max);
+            if m.is_finite() {
+                maxima.push(m);
+            }
+        }
+        if maxima.is_empty() {
+            continue;
+        }
+        let mean = maxima.iter().sum::<f64>() / maxima.len() as f64;
+        let var = maxima.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / maxima.len() as f64;
+        let dispersion = if mean.abs() < 1e-12 {
+            f64::INFINITY
+        } else {
+            var / mean
+        };
+        if best.is_none_or(|(_, d)| dispersion < d) {
+            best = Some((candidate, dispersion));
+        }
+    }
+    best.map(|(c, _)| c)
+}
+
+/// An adversarial entry: `kind` picks a hole, ±0, ±inf, a value under the
+/// 1e-12 guard, or `x` itself (either sign).
+fn adversarial(kind: u8, x: f64) -> Option<f64> {
+    match kind {
+        0 => None,
+        1 => Some(0.0),
+        2 => Some(-0.0),
+        3 => Some(f64::INFINITY),
+        4 => Some(f64::NEG_INFINITY),
+        5 => Some(x * 1e-15),
+        _ => Some(x),
+    }
+}
+
+/// A row whose reference is +inf rates its finite entries 0 (`v / inf`)
+/// and its infinite ones NaN, which `f64::max` skips: the row still
+/// contributes a finite maximum of 0. Here that 0 is what makes column 0
+/// worse than column 1; dividing the row's maximum by the reference would
+/// give `inf / inf` = NaN, drop the row, and tie column 0 at dispersion 0.
+#[test]
+fn infinite_reference_rates_finite_entries_zero() {
+    let m = UtilityMatrix::from_rows(vec![
+        vec![Some(f64::INFINITY), Some(1.0)],
+        vec![Some(1.0), Some(1.0)],
+        vec![Some(1.0), Some(1.0)],
+    ]);
+    let mut n = DistillationNorm::new();
+    n.fit(&m);
+    assert_eq!(reference_fit(&m), Some(1));
+    assert_eq!(n.reference_col(), Some(1));
 }
 
 proptest! {
@@ -166,5 +249,34 @@ proptest! {
         let rated = n.to_ratings(&sparse).unwrap();
         prop_assert_eq!(rated[cstar], Some(1.0));
         prop_assert_eq!(rated.iter().flatten().count(), 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The fitted reference column is the per-candidate original's, on
+    /// matrices with holes, ±0, negative and infinite KPIs and references
+    /// under 1e-12.
+    #[test]
+    fn reference_matches_the_per_candidate_original(
+        nrows in 1usize..8,
+        ncols in 1usize..7,
+        cells in prop::collection::vec((0u8..12, -1000.0f64..1000.0), 42),
+    ) {
+        let rows = (0..nrows)
+            .map(|r| {
+                (0..ncols)
+                    .map(|c| {
+                        let (kind, x) = cells[r * ncols + c];
+                        adversarial(kind, x)
+                    })
+                    .collect()
+            })
+            .collect();
+        let m = UtilityMatrix::from_rows(rows);
+        let mut n = DistillationNorm::new();
+        n.fit(&m);
+        prop_assert_eq!(n.reference_col(), reference_fit(&m), "matrix {:?}", m);
     }
 }

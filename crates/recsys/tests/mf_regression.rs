@@ -1,0 +1,163 @@
+//! MF predictions are pinned *bit for bit*: Fig. 4's MF table, every CV
+//! score of the random-search tuner and so every RecTM learner choice is a
+//! function of these `Option<f64>`s. The flat-factor kernel must draw the
+//! same initial factors, visit the entries in the same order, and evaluate
+//! the same per-factor expressions and dot-product order as the nested-`Vec`
+//! implementation kept verbatim below.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use recsys::{MfModel, MfParams, Row, UtilityMatrix};
+
+/// The original `MfModel::fit`, kept verbatim as the reference: one `Vec`
+/// per user and per item, indexed per factor. Returns the item factors.
+fn reference_fit(training: &UtilityMatrix, params: MfParams) -> Vec<Vec<f64>> {
+    let d = params.factors.max(1);
+    let mut rng = StdRng::seed_from_u64(params.seed);
+    let mut users: Vec<Vec<f64>> = (0..training.nrows())
+        .map(|_| (0..d).map(|_| rng.gen_range(-0.1..0.1)).collect())
+        .collect();
+    let mut items: Vec<Vec<f64>> = (0..training.ncols())
+        .map(|_| (0..d).map(|_| rng.gen_range(-0.1..0.1)).collect())
+        .collect();
+    let entries: Vec<(usize, usize, f64)> = (0..training.nrows())
+        .flat_map(|r| {
+            training
+                .known_in_row(r)
+                .map(move |(c, v)| (r, c, v))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    for _ in 0..params.epochs {
+        for &(u, i, r) in &entries {
+            let pred: f64 = users[u].iter().zip(&items[i]).map(|(p, q)| p * q).sum();
+            let err = r - pred;
+            for f in 0..d {
+                let pu = users[u][f];
+                let qi = items[i][f];
+                users[u][f] += params.learning_rate * (err * qi - params.regularization * pu);
+                items[i][f] += params.learning_rate * (err * pu - params.regularization * qi);
+            }
+        }
+    }
+    items
+}
+
+/// The original `MfModel::predict_row`, kept verbatim as the reference.
+fn reference_predict_row(item_factors: &[Vec<f64>], params: MfParams, known: &Row) -> Row {
+    let d = params.factors.max(1);
+    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x9E37);
+    let mut user: Vec<f64> = (0..d).map(|_| rng.gen_range(-0.1..0.1)).collect();
+    let observed: Vec<(usize, f64)> = known
+        .iter()
+        .enumerate()
+        .filter_map(|(c, v)| v.map(|x| (c, x)))
+        .collect();
+    for _ in 0..params.epochs {
+        for &(i, r) in &observed {
+            let pred: f64 = user.iter().zip(&item_factors[i]).map(|(p, q)| p * q).sum();
+            let err = r - pred;
+            for (pu, qi) in user.iter_mut().zip(&item_factors[i]) {
+                *pu += params.learning_rate * (err * qi - params.regularization * *pu);
+            }
+        }
+    }
+    (0..item_factors.len())
+        .map(|i| {
+            known
+                .get(i)
+                .copied()
+                .flatten()
+                .or_else(|| Some(user.iter().zip(&item_factors[i]).map(|(p, q)| p * q).sum()))
+        })
+        .collect()
+}
+
+/// Bit patterns, so that `-0.0` vs `0.0` and NaN payloads count too.
+fn bits(row: &[Option<f64>]) -> Vec<Option<u64>> {
+    row.iter().map(|v| v.map(f64::to_bits)).collect()
+}
+
+/// Hyper-parameters over the tuner's ranges and beyond: `d` in 1..=12 (odd
+/// widths leave a scalar tail after any paired loop), a few epochs, and
+/// some learning rates large enough to diverge, as MF over raw KPIs does in
+/// Fig. 4.
+fn random_params(rng: &mut StdRng) -> MfParams {
+    MfParams {
+        factors: rng.gen_range(1..=12),
+        learning_rate: if rng.gen_bool(0.2) {
+            rng.gen_range(0.5..2.0)
+        } else {
+            rng.gen_range(0.001..0.1)
+        },
+        regularization: rng.gen_range(0.0..0.2),
+        epochs: rng.gen_range(0..=12),
+        seed: rng.gen(),
+    }
+}
+
+/// A training matrix that is full or has holes; a fifth of the cases are on
+/// a KPI-like scale of thousands.
+fn random_training(rng: &mut StdRng, case: usize) -> UtilityMatrix {
+    let nrows = rng.gen_range(1..=10);
+    let ncols = rng.gen_range(1..=16);
+    let density = [1.0, 0.3, 0.7][case % 3];
+    let scale = if case % 5 == 4 { 5000.0 } else { 5.0 };
+    let rows = (0..nrows)
+        .map(|_| {
+            (0..ncols)
+                .map(|_| rng.gen_bool(density).then(|| rng.gen_range(-scale..scale)))
+                .collect()
+        })
+        .collect();
+    UtilityMatrix::from_rows(rows)
+}
+
+/// A query knowing no column, exactly one, or many.
+fn random_query(rng: &mut StdRng, ncols: usize, case: usize) -> Row {
+    let mut known: Row = vec![None; ncols];
+    match case % 3 {
+        0 => {}
+        1 => known[rng.gen_range(0..ncols)] = Some(rng.gen_range(-5.0..5.0)),
+        _ => {
+            for v in &mut known {
+                if rng.gen_bool(0.6) {
+                    *v = Some(rng.gen_range(-5.0..5.0));
+                }
+            }
+        }
+    }
+    known
+}
+
+#[test]
+fn flat_factors_match_the_nested_reference_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x4D_46);
+    // What the cases are there to cover; asserted below so that a change
+    // to the generator cannot silently stop covering it.
+    let (mut odd_d, mut holed, mut many_known, mut non_finite) = (0, 0, 0, 0);
+    for case in 0..240 {
+        let params = random_params(&mut rng);
+        let training = random_training(&mut rng, case);
+        let model = MfModel::fit(&training, params);
+        let items = reference_fit(&training, params);
+        odd_d += usize::from(params.factors % 2 == 1);
+        holed += usize::from(training.known_count() < training.nrows() * training.ncols());
+        for q in 0..3 {
+            let known = random_query(&mut rng, training.ncols(), case + q);
+            let want = reference_predict_row(&items, params, &known);
+            let got = model.predict_row(&known);
+            many_known += usize::from(known.iter().flatten().count() > 1);
+            non_finite += usize::from(want.iter().flatten().any(|v| !v.is_finite()));
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "case {case} query {q} diverged\n params={params:?}\n known={known:?}\n training={training:?}"
+            );
+        }
+    }
+    assert!(odd_d >= 80, "odd d in only {odd_d} cases");
+    assert!(holed >= 80, "holed matrices in only {holed} cases");
+    assert!(many_known >= 80, "many-known queries in only {many_known}");
+    assert!(non_finite >= 5, "diverged predictions in only {non_finite}");
+}
