@@ -11,11 +11,12 @@
 use crate::harness::{f3, print_table, TRACE_FAMILIES};
 use polytm::{Kpi, TmConfig};
 use recsys::{CfAlgorithm, Similarity};
-use rectm::{Controller, ControllerSettings, Monitor, NormalizationChoice};
+use rectm::{Controller, ControllerSettings, Monitor, NormalizationChoice, Tick};
 use smbo::{Acquisition, StoppingRule};
 use tmsim::{corpus_with_families, MachineModel, PerfModel, WorkloadFamily, WorkloadSpec};
 
-const PHASE_TICKS: usize = 30;
+/// Monitor ticks (virtual seconds) per phase, in Fig. 8 and Fig. 9.
+pub const PHASE_TICKS: usize = 30;
 
 /// One Fig. 8 scenario.
 pub struct Scenario {
@@ -193,18 +194,52 @@ pub fn online_controller(
     )
 }
 
+/// What one phase of an on-line run did, folded from its tick record.
+pub struct PhaseFold {
+    /// Mean KPI over the phase's ticks, explorations included.
+    pub mean: f64,
+    /// Exploration ticks in the phase.
+    pub explorations: usize,
+    /// The configuration of the phase's last steady tick, if any.
+    pub settled: Option<TmConfig>,
+}
+
+/// The phase a tick runs in: `PHASE_TICKS` ticks each, and a round that
+/// runs past the end counts in the last phase.
+pub fn phase_of(tick: usize, phases: usize) -> usize {
+    (tick / PHASE_TICKS).min(phases - 1)
+}
+
+/// Fold an on-line record over `configs` into `phases` phases of
+/// `PHASE_TICKS` ticks.
+pub fn fold_phases(record: &[Tick], configs: &[TmConfig], phases: usize) -> Vec<PhaseFold> {
+    (0..phases)
+        .map(|p| {
+            let ticks: Vec<&Tick> = (0..record.len())
+                .filter(|&t| phase_of(t, phases) == p)
+                .map(|t| &record[t])
+                .collect();
+            PhaseFold {
+                mean: ticks.iter().map(|t| t.kpi).sum::<f64>() / ticks.len().max(1) as f64,
+                explorations: ticks.iter().filter(|t| t.exploring).count(),
+                settled: ticks
+                    .iter()
+                    .rev()
+                    .find(|t| !t.exploring)
+                    .map(|t| configs[t.config]),
+            }
+        })
+        .collect()
+}
+
 /// Result of simulating one scenario.
 pub struct SimResult {
-    /// Mean ProteusTM throughput per phase.
-    pub proteus_mean: [f64; 3],
+    /// ProteusTM's run, folded per phase.
+    pub phases: Vec<PhaseFold>,
     /// The optimal configuration of each phase and its throughput.
     pub optima: [(TmConfig, f64); 3],
     /// Index of the Best-Fixed-on-Average configuration.
     pub bfa: TmConfig,
-    /// Explorations spent per phase.
-    pub explorations: [usize; 3],
-    /// Configuration ProteusTM settled on per phase.
-    pub settled: [TmConfig; 3],
 }
 
 /// Simulate one scenario: virtual time in 1-second Monitor ticks.
@@ -236,70 +271,25 @@ pub fn simulate(scn: &Scenario, seed: u64) -> SimResult {
         })
         .unwrap();
 
-    let mut monitor = Monitor::with_defaults();
-    let mut sums = [0.0f64; 3];
-    let mut counts = [0usize; 3];
-    let mut explorations = [0usize; 3];
-    let mut settled = [configs[0]; 3];
-    let mut current = 0usize; // current config index
-    let mut needs_optimization = true;
-    let mut t = 0usize; // virtual seconds (Monitor ticks)
-    while t < 3 * PHASE_TICKS {
-        let phase = t / PHASE_TICKS;
-        let spec = &scn.phases[phase];
-        if needs_optimization {
-            // Profiling: each exploration costs one tick of running at the
-            // explored configuration.
-            let mut local = t as u64;
-            let out = ctl.optimize(&mut |idx| {
-                let kpi = model.noisy_kpi(
-                    9_000 + phase as u64,
-                    spec,
-                    &configs[idx],
-                    idx,
-                    Kpi::Throughput,
-                    local,
-                );
-                local += 1;
-                kpi
-            });
-            // Serial adaptation loop: replay the buffered telemetry now.
-            out.emit_trace();
-            explorations[phase] += out.explored.len();
-            for (off, &(_, kpi)) in out.explored.iter().enumerate() {
-                let p = ((t + off) / PHASE_TICKS).min(2);
-                sums[p] += kpi;
-                counts[p] += 1;
-            }
-            t += out.explored.len();
-            current = out.recommended;
-            settled[phase] = configs[current];
-            monitor.reset();
-            needs_optimization = false;
-            continue;
-        }
-        let kpi = model.noisy_kpi(
-            9_000 + phase as u64,
-            spec,
-            &configs[current],
-            current,
-            Kpi::Throughput,
-            t as u64,
-        );
-        sums[phase] += kpi;
-        counts[phase] += 1;
-        t += 1;
-        if monitor.observe(kpi) {
-            needs_optimization = true;
-        }
-    }
-    let proteus_mean = std::array::from_fn(|p| sums[p] / counts[p].max(1) as f64);
+    let record = ctl.run_online(
+        &mut Monitor::with_defaults(),
+        3 * PHASE_TICKS,
+        &mut |idx, t| {
+            let phase = phase_of(t, 3);
+            model.noisy_kpi(
+                9_000 + phase as u64,
+                &scn.phases[phase],
+                &configs[idx],
+                idx,
+                Kpi::Throughput,
+                t as u64,
+            )
+        },
+    );
     SimResult {
-        proteus_mean,
+        phases: fold_phases(&record, configs, 3),
         optima,
         bfa: configs[bfa_idx],
-        explorations,
-        settled,
     }
 }
 
@@ -316,9 +306,9 @@ pub fn run() {
                 format!("workload {}", p + 1),
                 format!("{}", res.optima[p].0),
                 f3(res.optima[p].1),
-                f3(res.proteus_mean[p]),
-                format!("{}", res.settled[p]),
-                res.explorations[p].to_string(),
+                f3(res.phases[p].mean),
+                res.phases[p].settled.map_or("-".into(), |c| c.to_string()),
+                res.phases[p].explorations.to_string(),
             ];
             // MDFO of each phase-optimal config evaluated in phase p, plus BFA.
             for q in 0..3 {
@@ -363,12 +353,12 @@ mod tests {
         let scn = &scenarios()[0];
         let res = simulate(scn, 99);
         for p in 0..3 {
-            let dfo = 1.0 - res.proteus_mean[p] / res.optima[p].1;
+            let dfo = 1.0 - res.phases[p].mean / res.optima[p].1;
             // Mean includes exploration dips; stay within 40% per phase.
             assert!(
                 dfo < 0.4,
                 "phase {p}: mean {} vs optimum {}",
-                res.proteus_mean[p],
+                res.phases[p].mean,
                 res.optima[p].1
             );
         }

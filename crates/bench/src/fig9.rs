@@ -7,13 +7,11 @@
 //! changes to the Monitor, so ProteusTM re-tunes for them just the same
 //! (e.g. dropping the thread count while a CPU hog runs).
 
-use crate::fig8::online_controller;
+use crate::fig8::{fold_phases, online_controller, phase_of, PHASE_TICKS};
 use crate::harness::{f3, print_table};
-use polytm::{Kpi, TmConfig};
+use polytm::Kpi;
 use rectm::Monitor;
 use tmsim::{Interference, MachineModel, PerfModel, WorkloadFamily};
-
-const PHASE_TICKS: usize = 30;
 
 /// Run Figure 9.
 pub fn run() {
@@ -31,87 +29,46 @@ pub fn run() {
         ("io pressure", Interference::io_pressure(0.9)),
     ];
 
-    // Ground truth per window (interference changes the optimum).
-    let truth: Vec<Vec<f64>> = windows
+    let record = ctl.run_online(
+        &mut Monitor::with_defaults(),
+        windows.len() * PHASE_TICKS,
+        &mut |idx, t| {
+            let w = phase_of(t, windows.len());
+            model.noisy_kpi(
+                7_000 + w as u64,
+                &spec,
+                &configs[idx],
+                idx,
+                Kpi::Throughput,
+                t as u64,
+            ) * windows[w]
+                .1
+                .throughput_factor(configs[idx].threads, machine.hw_threads)
+        },
+    );
+
+    let rows: Vec<Vec<String>> = windows
         .iter()
-        .map(|(_, itf)| {
-            configs
+        .zip(fold_phases(&record, configs, windows.len()))
+        .map(|((name, itf), fold)| {
+            // The window's optimum: interference changes it.
+            let best = configs
                 .iter()
                 .map(|c| {
                     model.throughput(&spec, c)
                         * itf.throughput_factor(c.threads, machine.hw_threads)
                 })
-                .collect()
+                .fold(0.0, f64::max);
+            vec![
+                name.to_string(),
+                f3(best),
+                f3(fold.mean),
+                format!("{:.0}%", (1.0 - fold.mean / best) * 100.0),
+                fold.settled.map_or("-".into(), |c| c.to_string()),
+                fold.explorations.to_string(),
+            ]
         })
         .collect();
-
-    let mut monitor = Monitor::with_defaults();
-    let mut current = 0usize;
-    let mut needs_opt = true;
-    let mut sums = vec![0.0f64; windows.len()];
-    let mut counts = vec![0usize; windows.len()];
-    let mut settled: Vec<TmConfig> = vec![configs[0]; windows.len()];
-    let mut expl = vec![0usize; windows.len()];
-    let mut t = 0usize;
-    let total = windows.len() * PHASE_TICKS;
-    let measure = |idx: usize, w: usize, sample: u64| {
-        model.noisy_kpi(
-            7_000 + w as u64,
-            &spec,
-            &configs[idx],
-            idx,
-            Kpi::Throughput,
-            sample,
-        ) * windows[w]
-            .1
-            .throughput_factor(configs[idx].threads, machine.hw_threads)
-    };
-    while t < total {
-        let w = t / PHASE_TICKS;
-        if needs_opt {
-            let mut local = t as u64;
-            let out = ctl.optimize(&mut |idx| {
-                let kpi = measure(idx, w, local);
-                local += 1;
-                kpi
-            });
-            // Serial adaptation loop: replay the buffered telemetry now.
-            out.emit_trace();
-            for (off, &(_, kpi)) in out.explored.iter().enumerate() {
-                let p = ((t + off) / PHASE_TICKS).min(windows.len() - 1);
-                sums[p] += kpi;
-                counts[p] += 1;
-            }
-            expl[w] += out.explored.len();
-            t += out.explored.len();
-            current = out.recommended;
-            settled[w] = configs[current];
-            monitor.reset();
-            needs_opt = false;
-            continue;
-        }
-        let kpi = measure(current, w, t as u64);
-        sums[w] += kpi;
-        counts[w] += 1;
-        t += 1;
-        if monitor.observe(kpi) {
-            needs_opt = true;
-        }
-    }
-
-    let mut rows = Vec::new();
-    for (w, (name, _)) in windows.iter().enumerate() {
-        let best = truth[w].iter().cloned().fold(0.0, f64::max);
-        let mean = sums[w] / counts[w].max(1) as f64;
-        rows.push(vec![
-            name.to_string(),
-            f3(best),
-            f3(mean),
-            format!("{:.0}%", (1.0 - mean / best) * 100.0),
-            format!("{}", settled[w]),
-            expl[w].to_string(),
-        ]);
-    }
     print_table(
         "Fig 9 — static TPC-C under external interference (Machine A)",
         &[
@@ -129,12 +86,4 @@ pub fn run() {
          re-tunes — e.g. fewer threads under the CPU hog — and stays close\n\
          to each window's optimum.)"
     );
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fig9_runs() {
-        super::run();
-    }
 }

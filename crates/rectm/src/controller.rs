@@ -450,7 +450,7 @@ impl fmt::Debug for Controller {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use recsys::{DistillationNorm, Similarity};
 
@@ -473,7 +473,7 @@ mod tests {
         UtilityMatrix::from_rows(rows)
     }
 
-    fn controller(settings: ControllerSettings) -> Controller {
+    pub(crate) fn controller(settings: ControllerSettings) -> Controller {
         controller_for(Goal::Maximize, settings)
     }
 
@@ -598,7 +598,7 @@ mod tests {
         );
     }
 
-    fn truth(c: usize) -> f64 {
+    pub(crate) fn truth(c: usize) -> f64 {
         3.3 * (10.0 - (c as f64 - 5.0).powi(2)).max(0.5)
     }
 

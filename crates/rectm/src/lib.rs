@@ -15,17 +15,19 @@
 //!
 //! [`RecTm`] wires them into the Algorithm 2 workflow: off-line training on
 //! a base set of applications, then on-line profiling + recommendation per
-//! incoming workload.
+//! incoming workload; [`Controller::run_online`] is its on-line loop.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod controller;
 mod monitor;
+mod online;
 mod recommender;
 mod workflow;
 
 pub use controller::{Controller, ControllerSettings, Exploration};
 pub use monitor::{Monitor, MonitorSettings};
+pub use online::Tick;
 pub use recommender::Recommender;
 pub use workflow::{NormalizationChoice, RecTm, RecTmOptions};
 

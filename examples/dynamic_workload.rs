@@ -1,6 +1,6 @@
 //! A miniature Figure 8 on the real stack: a red-black-tree application
-//! whose workload shifts twice; ProteusTM's Monitor notices and the
-//! Controller re-tunes.
+//! whose workload shifts twice while `ProteusTm::run_managed` runs the
+//! on-line loop; the Monitor notices and the Controller re-tunes.
 //!
 //! ```text
 //! cargo run --release --example dynamic_workload
@@ -61,11 +61,14 @@ impl TmApp for PhasedRbt {
     }
 }
 
+/// Monitor ticks per application phase.
+const PHASE_TICKS: usize = 40;
+
 fn main() {
     let threads = 4;
     println!("training ProteusTM off-line...");
     let proteus = ProteusTm::builder()
-        .heap_words(1 << 22)
+        .heap_words(1 << 23)
         .max_threads(threads)
         .kpi(Kpi::Throughput)
         .build();
@@ -76,39 +79,38 @@ fn main() {
     });
     let app_dyn: Arc<dyn TmApp> = app.clone();
 
-    let quantum = Duration::from_millis(50);
-    let measure = |cfg: &TmConfig| {
-        drive(
-            &poly,
-            &app_dyn,
-            AppWorkload {
-                threads: cfg.threads.min(threads),
-                duration: quantum,
-                ..AppWorkload::default()
-            },
-        )
-        .throughput
-    };
+    // One tick runs the application for 25 ms in the tick's configuration;
+    // the workload shifts every `PHASE_TICKS` ticks.
+    let phase_of = |tick: usize| (tick / PHASE_TICKS).min(2);
+    let quantum = Duration::from_millis(25);
+    let record = proteus.run_managed(
+        &mut |cfg: &TmConfig, tick| {
+            app.phase.store(phase_of(tick) as u64, Ordering::Relaxed);
+            drive(
+                &poly,
+                &app_dyn,
+                AppWorkload {
+                    threads: cfg.threads.min(threads),
+                    duration: quantum,
+                    ..AppWorkload::default()
+                },
+            )
+            .throughput
+        },
+        3 * PHASE_TICKS,
+    );
 
-    let mut monitor = proteus.monitor();
-    for phase in 0..3u64 {
-        app.phase.store(phase, Ordering::Relaxed);
-        println!("\n--- phase {} ({:?}) ---", phase + 1, app.params());
-        // The Monitor notices the shift (simulated here by re-optimizing at
-        // each phase start; in steady state it samples the KPI stream).
-        let outcome = proteus.optimize(&mut |cfg: &TmConfig| measure(cfg));
+    for phase in 0..3 {
+        let ticks: Vec<usize> = (0..record.len())
+            .filter(|&t| phase_of(t) == phase)
+            .collect();
+        let alarms: Vec<&usize> = ticks.iter().filter(|&&t| record[t].alarm).collect();
         println!(
-            "settled on {} after {} explorations",
-            outcome.chosen,
-            outcome.exploration.len()
+            "phase {}: {:>2} explorations, alarms at ticks {alarms:?}, {} at phase end",
+            phase + 1,
+            ticks.iter().filter(|&&t| record[t].exploring).count(),
+            proteus.space()[record[ticks[ticks.len() - 1]].config],
         );
-        monitor.reset();
-        // Steady state: run a few Monitor windows at the chosen config.
-        for tick in 0..4 {
-            let x = measure(&outcome.chosen);
-            let changed = monitor.observe(x);
-            println!("  tick {tick}: {x:>12.0} tx/s  (change detected: {changed})");
-        }
     }
     let len = {
         let tm = stm::Tl2::new(Arc::clone(poly.system()));

@@ -2,7 +2,7 @@
 
 use polytm::{ConfigSpace, Kpi, PolyTm, TmConfig};
 use recsys::UtilityMatrix;
-use rectm::{Exploration, Monitor, RecTm, RecTmOptions};
+use rectm::{Exploration, Monitor, RecTm, RecTmOptions, Tick};
 use smbo::Goal;
 use std::fmt;
 use std::sync::Arc;
@@ -202,50 +202,29 @@ impl ProteusTm {
         self.rectm.monitor()
     }
 
-    /// The complete online loop of the paper (Fig. 2): optimize once, then
-    /// alternate Monitor windows and re-optimizations for `ticks` windows.
-    ///
-    /// Each tick, `measure` runs the application for one profiling quantum
-    /// in the *current* configuration and returns the KPI; when the
-    /// Adaptive-CUSUM Monitor flags a behaviour change, a new optimization
-    /// round runs (its explorations also call `measure`, after applying
-    /// each candidate).
+    /// The complete online loop of the paper (Fig. 2),
+    /// [`rectm::Controller::run_online`] on this runtime: each tick applies
+    /// its configuration, and `measure(config, tick)` runs the application
+    /// for one profiling quantum in it and returns the KPI. The record
+    /// holds every tick, explorations included; the last tick's
+    /// configuration is left applied.
     pub fn run_managed(
         &self,
-        measure: &mut dyn FnMut(&TmConfig) -> f64,
+        measure: &mut dyn FnMut(&TmConfig, usize) -> f64,
         ticks: usize,
-    ) -> ManagedReport {
-        let mut monitor = self.monitor();
-        let mut rounds = vec![self.optimize(measure)];
-        let mut kpi_history = Vec::with_capacity(ticks);
-        let mut changes_detected = 0;
-        for _ in 0..ticks {
-            let current = self.poly.current_config();
-            let kpi = measure(&current);
-            kpi_history.push(kpi);
-            if monitor.observe(kpi) {
-                changes_detected += 1;
-                rounds.push(self.optimize(measure));
-                // `observe` reset the detector; it re-learns the new level.
-            }
-        }
-        ManagedReport {
-            rounds,
-            kpi_history,
-            changes_detected,
-        }
+    ) -> Vec<Tick> {
+        self.rectm
+            .controller()
+            .run_online(&mut self.monitor(), ticks, &mut |idx, tick| {
+                let config = &self.configs[idx];
+                if *config != self.poly.current_config() {
+                    self.poly
+                        .apply(config)
+                        .expect("space is clamped to runtime capacity");
+                }
+                measure(config, tick)
+            })
     }
-}
-
-/// What a [`ProteusTm::run_managed`] session did.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ManagedReport {
-    /// Every optimization round, in order (the first is the initial one).
-    pub rounds: Vec<OptimizeOutcome>,
-    /// The KPI observed at each steady-state Monitor tick.
-    pub kpi_history: Vec<f64>,
-    /// How many behaviour changes the Monitor flagged.
-    pub changes_detected: usize,
 }
 
 impl fmt::Debug for ProteusTm {
@@ -281,13 +260,12 @@ mod tests {
             .max_threads(2)
             .training_workloads(20)
             .build();
-        // A synthetic application whose performance regime flips halfway
-        // through: configuration quality inverts, so the Monitor must flag
-        // the change and a second optimization round must run.
-        let mut tick = 0usize;
-        let report = p.run_managed(
-            &mut |c: &TmConfig| {
-                tick += 1;
+        // A synthetic application whose performance regime flips at tick
+        // 60: configuration quality inverts, so the Monitor must flag the
+        // change and a second optimization round must run.
+        let record = p.run_managed(
+            &mut |c: &TmConfig, tick| {
+                assert_eq!(*c, p.poly().current_config(), "tick {tick}");
                 let base = c.threads as f64 * 100.0;
                 if tick < 60 {
                     base
@@ -295,14 +273,20 @@ mod tests {
                     1.0 / c.threads as f64 * 25.0 // collapse: regime change
                 }
             },
-            80,
+            100,
         );
-        assert_eq!(report.kpi_history.len(), 80);
-        assert!(
-            report.changes_detected >= 1,
-            "the regime flip must be detected"
-        );
-        assert_eq!(report.rounds.len(), 1 + report.changes_detected);
+        assert!(record.len() >= 100);
+        let alarms: Vec<usize> = (0..record.len()).filter(|&t| record[t].alarm).collect();
+        assert!(!alarms.is_empty(), "the regime flip must be detected");
+        for &t in &alarms {
+            assert!(
+                record.get(t + 1).is_none_or(|next| next.exploring),
+                "the alarm at tick {t} starts no round"
+            );
+        }
+        let last_steady = record.iter().rev().find(|t| !t.exploring).unwrap();
+        assert!(!record.last().unwrap().exploring, "the run ends steady");
+        assert_eq!(p.poly().current_config(), p.space()[last_steady.config]);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 
 mod facade;
 
-pub use facade::{ManagedReport, OptimizeOutcome, ProteusTm, ProteusTmBuilder};
+pub use facade::{OptimizeOutcome, ProteusTm, ProteusTmBuilder};
 
 // Re-export the subsystem crates under their paper names.
 pub use apps;
@@ -60,5 +60,5 @@ pub use txcore;
 
 // The most commonly used types, flattened for convenience.
 pub use polytm::{BackendId, ConfigSpace, HtmSetting, Kpi, PolyTm, TmConfig};
-pub use rectm::{Exploration, Monitor, RecTm};
+pub use rectm::{Exploration, Monitor, RecTm, Tick};
 pub use smbo::Goal;
