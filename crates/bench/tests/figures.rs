@@ -1,14 +1,20 @@
-//! Golden fixture for the on-line figures: the stdout of
-//! `experiments fig8 fig9`, byte-exact.
+//! Golden fixtures for the figures: the stdout of `experiments`, byte-exact.
 //!
-//! Both figures run the on-line loop (Algorithm 2) on the analytical model
-//! with fixed seeds and no wall clock, so every row is deterministic. Any
-//! change to the loop, the Monitor, the Controller or the render format
-//! shows up here as a reviewable diff. Regenerate intentionally with:
+//! Every figure here is deterministic: the off-line figures (Table 2/3,
+//! Figs. 1 and 4–7) fold their per-workload work in a fixed order at any
+//! `--jobs`, and the on-line figures (8 and 9) run Algorithm 2 on the
+//! analytical model with fixed seeds and no wall clock. Each printed number
+//! has this one exact gate; any change to the model, the recommender, the
+//! loop or the render format shows up here as a reviewable diff.
+//! Regenerate intentionally with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p bench --test figures
 //! ```
+//!
+//! and run the test again without the variable: a golden checked at two
+//! job counts is rewritten by the last one, so only that second run
+//! compares them.
 
 use std::path::Path;
 use std::process::Command;
@@ -39,4 +45,25 @@ fn check_stdout(args: &[&str], name: &str) {
 #[test]
 fn fig8_and_fig9_match_golden() {
     check_stdout(&["fig8", "fig9"], "fig8_fig9.txt");
+}
+
+#[test]
+fn table23_and_fig1_match_golden() {
+    check_stdout(&["table23", "fig1"], "table23_fig1.txt");
+}
+
+/// The learning figures fan their per-workload evaluation out on the parx
+/// pool, so one golden at two job counts is also their cross-`--jobs`
+/// byte comparison.
+#[test]
+fn quick_fig4_fig5_fig6_match_golden_at_jobs_1_and_4() {
+    for jobs in ["1", "4"] {
+        let args = ["--quick", "--jobs", jobs, "fig4", "fig5", "fig6"];
+        check_stdout(&args, "quick_fig4_fig5_fig6.txt");
+    }
+}
+
+#[test]
+fn quick_fig7_matches_golden() {
+    check_stdout(&["--quick", "--jobs", "4", "fig7"], "quick_fig7.txt");
 }
