@@ -103,11 +103,3 @@ pub fn run() {
          best for another — no configuration dominates.)"
     );
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fig1_runs() {
-        super::run();
-    }
-}

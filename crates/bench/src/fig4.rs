@@ -41,7 +41,6 @@ struct SchemeResult {
 fn eval_scheme(
     bench: &Bench,
     choice: NormalizationChoice,
-    algo_name: &str,
     algo: CfAlgorithm,
     train: &[usize],
     test: &[usize],
@@ -122,29 +121,6 @@ fn eval_scheme(
         } else {
             dfos.iter().sum::<f64>() / dfos.len() as f64
         });
-        // Emitted at this serial fold point — never from the parallel
-        // closures above — so the trace is byte-identical at every
-        // `--jobs` value (crates/bench/tests/determinism.rs).
-        obs::event!(
-            "fig4.result",
-            "algo" => algo_name,
-            "scheme" => choice.label(),
-            "k" => k,
-            "mape" => *mape_by_k.last().unwrap(),
-            "mdfo" => *mdfo_by_k.last().unwrap(),
-        );
-        // Flight recorder: one logical tick per (scheme, k) fold. Both the
-        // sample and the tick happen at this serial point, so the
-        // `metrics.window` records inherit fig4's byte-identity guarantee.
-        let m = *mape_by_k.last().unwrap();
-        if m.is_finite() {
-            obs::ts_record("fig4.mape", m);
-        }
-        let d = *mdfo_by_k.last().unwrap();
-        if d.is_finite() {
-            obs::ts_record("fig4.mdfo", d);
-        }
-        obs::ts_tick();
     }
     SchemeResult {
         mape_by_k,
@@ -156,14 +132,12 @@ fn eval_scheme(
 pub fn run_with(n: usize) {
     let bench = Bench::new(MachineModel::machine_a(), Kpi::ExecTime, n, 0xF164);
     let (train, test) = bench.split(0.3, 42);
-    obs::event!("fig4.start", "workloads" => n, "test_rows" => test.len());
     let headers = ["normalization", "k=2", "k=3", "k=5", "k=10", "k=20"];
     for (algo_name, algo) in [("KNN cosine", knn()), ("MF-SGD", mf())] {
         let mut mape_rows = Vec::new();
         let mut mdfo_rows = Vec::new();
         for choice in NormalizationChoice::ALL {
-            obs::event!("fig4.scheme", "algo" => algo_name, "scheme" => choice.label());
-            let res = eval_scheme(&bench, choice, algo_name, algo, &train, &test);
+            let res = eval_scheme(&bench, choice, algo, &train, &test);
             let label = choice.label().to_string();
             let mut r1 = vec![label.clone()];
             r1.extend(res.mape_by_k.iter().map(|v| f3(*v)));
@@ -200,12 +174,4 @@ pub fn run_with(n: usize) {
 /// Run Figure 4 at the paper's corpus size.
 pub fn run() {
     run_with(300);
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fig4_smoke() {
-        super::run_with(24);
-    }
 }

@@ -83,26 +83,9 @@ fn policy_sweep(bench: &Bench, train: &[usize], test: &[usize], with_mape: bool)
         // Replay each worker's buffered telemetry here, at the serial fold
         // point, in test order — never from the parallel closures above —
         // so the JSONL stream is byte-identical at every `--jobs`
-        // value (crates/bench/tests/determinism.rs). The oracle.row event
-        // ahead of each exploration gives `proteus-trace` the ground-truth
-        // optimum its regret curves are computed against.
-        for (&row, order) in test.iter().zip(&orders) {
-            obs::event!(
-                "oracle.row",
-                "row" => row,
-                "policy" => acq.label(),
-                "best" => bench.best_kpi(row),
-                "goal" => bench.goal_label(),
-            );
+        // value (crates/bench/tests/determinism.rs).
+        for order in &orders {
             order.emit_trace();
-            // Flight recorder: final-exploration DFO per workload, one tick
-            // per replayed row. Sampled and ticked at this serial point, so
-            // the windows are byte-identical at every `--jobs` value.
-            let dfo = prefix_dfo(bench, row, &order.explored, order.explored.len());
-            if dfo.is_finite() {
-                obs::ts_record("fig5.final_dfo", dfo);
-            }
-            obs::ts_tick();
         }
         // MDFO per budget.
         let mut row_out = vec![acq.label().to_string()];
@@ -186,12 +169,4 @@ pub fn run_with(n: usize) {
 /// Run Figure 5 at a paper-comparable corpus size.
 pub fn run() {
     run_with(120);
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fig5_smoke() {
-        super::run_with(16);
-    }
 }

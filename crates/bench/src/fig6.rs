@@ -92,11 +92,3 @@ pub fn run_with(n: usize) {
 pub fn run() {
     run_with(120);
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fig6_smoke() {
-        super::run_with(16);
-    }
-}

@@ -69,14 +69,6 @@ fn run_split(bench: &Bench, train_frac: f64, seed: u64) {
     let mut proteus_dfo = Vec::with_capacity(test.len());
     let mut proteus_expl = Vec::with_capacity(test.len());
     for (&row, out) in test.iter().zip(&explorations) {
-        // Ground truth for the analyzer's regret-to-oracle curves.
-        obs::event!(
-            "oracle.row",
-            "row" => row,
-            "policy" => "ei-cautious",
-            "best" => bench.best_kpi(row),
-            "goal" => bench.goal_label(),
-        );
         out.emit_trace();
         proteus_dfo.push(bench.dfo(row, out.recommended));
         proteus_expl.push(out.explored.len() as f64);
@@ -157,12 +149,4 @@ pub fn run_with(n: usize) {
 /// Run Figure 7 at the paper's corpus size.
 pub fn run() {
     run_with(300);
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fig7_smoke() {
-        super::run_with(30);
-    }
 }

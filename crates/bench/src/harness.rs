@@ -93,14 +93,6 @@ impl Bench {
         )
     }
 
-    /// The goal as a stable lowercase label (for trace records).
-    pub fn goal_label(&self) -> &'static str {
-        match self.goal {
-            Goal::Maximize => "maximize",
-            Goal::Minimize => "minimize",
-        }
-    }
-
     /// Best KPI of a row (respecting the goal).
     pub fn best_kpi(&self, row: usize) -> f64 {
         let it = self.truth[row].iter().copied();
@@ -133,14 +125,7 @@ impl Bench {
 }
 
 /// Render an aligned plain-text table.
-///
-/// When the `EXPERIMENTS_CSV_DIR` environment variable is set, the table is
-/// additionally written as a CSV file named after the title into that
-/// directory (for plotting the figures outside the terminal).
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    if let Ok(dir) = std::env::var("EXPERIMENTS_CSV_DIR") {
-        let _ = write_csv(&dir, title, headers, rows);
-    }
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -162,54 +147,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row.clone());
     }
-}
-
-fn write_csv(
-    dir: &str,
-    title: &str,
-    headers: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let slug: String = title
-        .chars()
-        .map(|c| {
-            if c.is_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '-'
-            }
-        })
-        .collect::<String>()
-        .split('-')
-        .filter(|s| !s.is_empty())
-        .collect::<Vec<_>>()
-        .join("-")
-        .chars()
-        .take(72)
-        .collect();
-    let path = std::path::Path::new(dir).join(format!("{slug}.csv"));
-    let mut out = String::new();
-    let quote = |cell: &str| {
-        if cell.contains([',', '"']) {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
-        }
-    };
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| quote(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    std::fs::write(path, out)
 }
 
 /// Format a float with 3 significant-ish decimals.

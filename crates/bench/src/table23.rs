@@ -52,11 +52,3 @@ pub fn run() {
         &rows,
     );
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn table23_runs() {
-        super::run();
-    }
-}

@@ -1,8 +1,8 @@
-//! The fig4/fig5 trace snapshot against the checked-in
+//! The fig5 trace snapshot against the checked-in
 //! `BENCH_perf_baseline.json` at the repository root (see
-//! [`bench::snapshot`] for how each key is gated). A binary of its own with
-//! one test, because the trace it captures is process-global. Re-record
-//! the baseline intentionally with:
+//! [`bench::snapshot`] for the keys; each is gated exactly). A binary of
+//! its own with one test, because the trace it captures is process-global.
+//! Re-record the baseline intentionally with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p bench --test perf_snapshot
@@ -11,15 +11,15 @@
 use std::path::Path;
 
 #[test]
-fn fig4_fig5_trace_snapshot_matches_baseline() {
-    let snap = bench::snapshot::collect().unwrap_or_else(|e| panic!("snapshot: {e}"));
+fn fig5_trace_snapshot_matches_baseline() {
+    let snap = bench::snapshot::collect();
     let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf_baseline.json");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&baseline, bench::snapshot::render(&snap)).unwrap();
     }
     if let Err(verdict) = bench::snapshot::gate(&snap, &baseline) {
         panic!(
-            "the fig4/fig5 trace snapshot fails its baseline gate:\n{}\n\
+            "the fig5 trace snapshot fails its baseline gate:\n{}\n\
              if the change is intentional, regenerate with UPDATE_GOLDEN=1 and \
              review the diff",
             verdict.trim_end()

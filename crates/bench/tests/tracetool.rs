@@ -1,17 +1,16 @@
 //! The analyzer inherits the trace's determinism guarantee: `proteus-trace
-//! report` over a fig4 trace must be byte-identical at every job count and
-//! across repeated runs, and must actually surface the decision-quality
-//! numbers (regret to the oracle, steps-to-within-ε) the ISSUE promises.
+//! report` over a fig5 trace must be byte-identical at every job count and
+//! across repeated runs, plain and `--json`.
 //!
-//! These tests run the analyzer in-process (`tracetool::report::render`) on
-//! traces captured with `obs::capture_trace`, which is exactly what the
-//! `proteus-trace` binary does after reading the file.
+//! These tests run the analyzer in-process (`tracetool::report::plain` and
+//! `::json`) on traces captured with `obs::capture_trace`, which is exactly
+//! what the `proteus-trace` binary does after reading the file.
 
-/// One fig4 run's trace, and its counters read inside the capture (where
+/// One fig5 run's trace, and its counters read inside the capture (where
 /// no sibling test can bump the process-global registry).
-fn fig4_trace(jobs: usize) -> (String, Vec<(String, u64)>) {
+fn fig5_trace(jobs: usize) -> (String, Vec<(String, u64)>) {
     let (counters, bytes) = obs::capture_trace(|| {
-        parx::with_jobs(jobs, || bench::fig4::run_with(24));
+        parx::with_jobs(jobs, || bench::fig5::run_with(12));
         obs::metrics::counter_snapshot()
     });
     let text = String::from_utf8(bytes).expect("trace is UTF-8 JSONL");
@@ -19,17 +18,17 @@ fn fig4_trace(jobs: usize) -> (String, Vec<(String, u64)>) {
 }
 
 #[test]
-fn fig4_report_is_byte_identical_across_job_counts_and_runs() {
-    let (serial, counters) = fig4_trace(1);
-    let (parallel, counters4) = fig4_trace(4);
-    let (again, _) = fig4_trace(4);
-    assert!(!counters.is_empty(), "a traced fig4 bumps counters");
-    assert_eq!(counters, fig4_trace(2).1, "counters differ at jobs=2");
+fn fig5_report_is_byte_identical_across_job_counts_and_runs() {
+    let (serial, counters) = fig5_trace(1);
+    let (parallel, counters4) = fig5_trace(4);
+    let (again, _) = fig5_trace(4);
+    assert!(!counters.is_empty(), "a traced fig5 bumps counters");
+    assert_eq!(counters, fig5_trace(2).1, "counters differ at jobs=2");
     assert_eq!(counters, counters4, "counters differ at jobs=4");
 
     let report = |text: &str| {
-        let trace = tracetool::parse_trace(text).expect("fig4 trace parses");
-        let report = tracetool::report::Report::new(&trace, 0.05);
+        let trace = tracetool::parse_trace(text).expect("fig5 trace parses");
+        let report = tracetool::report::Report::new(&trace);
         (
             tracetool::report::plain(&report),
             tracetool::report::json(&report),
@@ -44,20 +43,7 @@ fn fig4_report_is_byte_identical_across_job_counts_and_runs() {
         "report --json must not depend on the job count"
     );
     assert_eq!(b, c, "report must be stable across repeated runs");
-
-    // The report surfaces the fig4 regret-to-oracle curves and the
-    // steps-to-within-ε verdicts, one row per (algorithm, scheme).
-    assert!(
-        a.contains("regret to oracle (fig4"),
-        "missing regret section:\n{a}"
-    );
-    assert!(a.contains("KNN cosine / "), "missing KNN rows:\n{a}");
-    assert!(a.contains("MF-SGD / "), "missing MF rows:\n{a}");
-    assert!(
-        a.contains("within eps=0.05: k="),
-        "missing steps-to-within-eps verdicts:\n{a}"
-    );
-    assert!(a.contains("k=2:"), "missing regret curve points:\n{a}");
+    assert!(a.contains("explore.start"), "missing timeline rows:\n{a}");
 }
 
 #[test]
@@ -75,7 +61,7 @@ fn analyzer_rejects_schema_drift_loudly() {
     );
 
     // And a real captured trace must carry the current schema header.
-    let (trace, _) = fig4_trace(1);
+    let (trace, _) = fig5_trace(1);
     assert!(
         trace.starts_with(&format!(
             "{{\"kind\":\"trace.meta\",\"schema\":{}}}",
@@ -107,7 +93,7 @@ fn table5_switches_reach_the_report() {
             rec.line
         );
     }
-    let report = tracetool::report::plain(&tracetool::report::Report::new(&trace, 0.05));
+    let report = tracetool::report::plain(&tracetool::report::Report::new(&trace));
     assert!(
         report.contains("switch latency & gate stalls"),
         "missing switch section:\n{report}"
@@ -117,7 +103,7 @@ fn table5_switches_reach_the_report() {
 /// Table 4 drives real transactions through `run_tx` on every backend: the
 /// attribution counters it bumps must fold into the conflicts view's
 /// per-backend ledger table. A capture has no counter dump, so the counters
-/// are read inside it, as `fig4_trace` does. The numbers are wall-clock, so
+/// are read inside it, as `fig5_trace` does. The numbers are wall-clock, so
 /// only the shape is checked.
 #[test]
 fn table4_counters_fold_into_backend_ledgers() {

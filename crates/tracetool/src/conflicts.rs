@@ -479,7 +479,7 @@ mod tests {
 
     #[test]
     fn empty_trace_renders_gracefully() {
-        let t = trace_of(&[r#"{"seq":0,"kind":"fig4.start","rows":1}"#]);
+        let t = trace_of(&[r#"{"seq":0,"kind":"explore.start","config":1}"#]);
         let text = render(&t);
         assert!(text.contains("(no tx.* counters in this trace)"), "{text}");
         let a = render_json(&t);

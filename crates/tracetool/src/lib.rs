@@ -231,17 +231,6 @@ pub(crate) fn section(out: &mut String, title: &str) {
     let _ = writeln!(out, "\n-- {title} --");
 }
 
-/// Distance-from-optimum of `chosen` against `optimal` — same definition
-/// as `recsys::dfo` (duplicated to keep this crate's dependency surface at
-/// `obs` only): relative KPI gap, 0 when the optimum is (near) zero.
-pub fn dfo(optimal: f64, chosen: f64) -> f64 {
-    if optimal.abs() < 1e-12 {
-        0.0
-    } else {
-        (optimal - chosen).abs() / optimal.abs()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,13 +357,5 @@ mod tests {
             TraceError::Malformed { line, .. } => assert_eq!(line, 2),
             other => panic!("expected Malformed, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn dfo_matches_the_recsys_definition() {
-        assert_eq!(dfo(10.0, 10.0), 0.0);
-        assert_eq!(dfo(10.0, 5.0), 0.5);
-        assert_eq!(dfo(10.0, 12.0), 0.2);
-        assert_eq!(dfo(0.0, 5.0), 0.0);
     }
 }

@@ -57,8 +57,8 @@ impl WindowPoint {
     }
 }
 
-/// One series folded over all its windows: what the `--json` views and
-/// the fig4/fig5 snapshot gate (`bench::snapshot`) report per series.
+/// One series folded over all its windows: what the `--json` views report
+/// per series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesAgg {
     /// Windows flushed.
