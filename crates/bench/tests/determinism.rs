@@ -9,15 +9,8 @@
 
 use bench::harness::Bench;
 use polytm::Kpi;
-use recsys::{BaggingEnsemble, CfAlgorithm, Row, Similarity, TuningOptions, UtilityMatrix};
+use recsys::{BaggingEnsemble, CfAlgorithm, MfParams, Row, TuningOptions, UtilityMatrix};
 use tmsim::MachineModel;
-
-fn knn() -> CfAlgorithm {
-    CfAlgorithm::Knn {
-        similarity: Similarity::Cosine,
-        k: 5,
-    }
-}
 
 #[test]
 fn truth_matrix_is_identical_across_job_counts() {
@@ -30,8 +23,11 @@ fn truth_matrix_is_identical_across_job_counts() {
     assert_eq!(serial, parallel, "truth matrices must match bit-for-bit");
 }
 
+/// MF members are the ones fitted on the pool (KNN members share one model
+/// and fit nothing).
 #[test]
 fn bagging_fit_and_predict_are_identical_across_job_counts() {
+    let mf = CfAlgorithm::Mf(MfParams::default());
     let training = UtilityMatrix::from_rows(
         (1..=12)
             .map(|r| {
@@ -43,10 +39,10 @@ fn bagging_fit_and_predict_are_identical_across_job_counts() {
     );
     let known: Row = vec![Some(0.2), Some(0.45), None, None, None, None, None, None];
     let serial = parx::with_jobs(1, || {
-        BaggingEnsemble::fit(&training, knn(), 10, 77).predict_stats(&known)
+        BaggingEnsemble::fit(&training, mf, 10, 77).predict_stats(&known)
     });
     let parallel = parx::with_jobs(4, || {
-        BaggingEnsemble::fit(&training, knn(), 10, 77).predict_stats(&known)
+        BaggingEnsemble::fit(&training, mf, 10, 77).predict_stats(&known)
     });
     assert_eq!(
         serial, parallel,

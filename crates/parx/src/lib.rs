@@ -1,7 +1,7 @@
 //! Deterministic parallel map over scoped threads.
 //!
 //! The ProteusTM learning pipeline is embarrassingly parallel at several
-//! layers — ground-truth KPI matrix generation, bagging-ensemble training,
+//! layers — ground-truth KPI matrix generation, MF bagging-ensemble training,
 //! random-search cross-validation, and the per-test-workload experiment
 //! loops — but every one of those stages must stay *bit-identical* to its
 //! serial execution so that experiments are reproducible regardless of the

@@ -5,8 +5,10 @@
 //! statistics over an ensemble of CF learners, each trained on a random
 //! subset of the training rows (Breiman-style bagging).
 
+use crate::knn::{KnnModel, Ranking};
 use crate::matrix::{Row, UtilityMatrix};
-use crate::predictor::{CfAlgorithm, CfPredictor};
+use crate::mf::MfModel;
+use crate::predictor::CfAlgorithm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -14,7 +16,20 @@ use rand::{Rng, SeedableRng};
 /// samples of the training rows.
 #[derive(Debug, Clone)]
 pub struct BaggingEnsemble {
-    members: Vec<CfPredictor>,
+    members: Members,
+}
+
+#[derive(Debug, Clone)]
+enum Members {
+    /// A KNN member *is* its training rows, so the members share one model
+    /// over the training matrix and each keeps only its bootstrap sample,
+    /// as row indices in draw order.
+    Knn {
+        model: KnnModel,
+        bootstraps: Vec<Vec<usize>>,
+    },
+    /// MF members are fitted models, one per bootstrap sample.
+    Mf(Vec<MfModel>),
 }
 
 impl BaggingEnsemble {
@@ -22,8 +37,9 @@ impl BaggingEnsemble {
     /// sample (sampling rows with replacement) of `training`.
     ///
     /// The bootstrap row indices for every member are drawn serially from
-    /// one seeded RNG — the exact stream a fully serial fit would draw —
-    /// and only the (independent) member fits run on the [`parx`] pool, so
+    /// one seeded RNG — the exact stream a fully serial fit would draw. KNN
+    /// members keep them and share one copy of the rows; MF members are
+    /// fitted on the [`parx`] pool (independent fits of milliseconds), so
     /// the ensemble is bit-identical at every job count.
     pub fn fit(
         training: &UtilityMatrix,
@@ -36,50 +52,101 @@ impl BaggingEnsemble {
         let bootstraps: Vec<Vec<usize>> = (0..n_members.max(1))
             .map(|_| (0..nrows).map(|_| rng.gen_range(0..nrows)).collect())
             .collect();
-        let members = parx::par_map(&bootstraps, |sample| {
-            let rows: Vec<Row> = sample.iter().map(|&r| training.row(r).clone()).collect();
-            CfPredictor::fit(UtilityMatrix::from_rows(rows), algorithm)
-        });
+        let members = match algorithm {
+            // Built by `from_rows`, as a member's own sample matrix would
+            // be, so that a matrix with no rows also predicts no columns.
+            CfAlgorithm::Knn { similarity, k } => Members::Knn {
+                model: KnnModel::fit(
+                    UtilityMatrix::from_rows(training.rows().to_vec()),
+                    similarity,
+                    k,
+                ),
+                bootstraps,
+            },
+            CfAlgorithm::Mf(params) => Members::Mf(parx::par_map(&bootstraps, |sample| {
+                let rows: Vec<Row> = sample.iter().map(|&r| training.row(r).clone()).collect();
+                MfModel::fit(&UtilityMatrix::from_rows(rows), params)
+            })),
+        };
         BaggingEnsemble { members }
     }
 
     /// Number of ensemble members.
     pub fn len(&self) -> usize {
-        self.members.len()
+        match &self.members {
+            Members::Knn { bootstraps, .. } => bootstraps.len(),
+            Members::Mf(models) => models.len(),
+        }
     }
 
     /// Whether the ensemble has no members (never true once fitted).
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.len() == 0
     }
 
     /// Predictive mean and variance per column for a workload with the
     /// given known ratings. Columns no member can predict are `None`.
     ///
-    /// Members predict on the calling thread, each row folded into the
-    /// per-column moments (Welford) as it is produced, in member order. Not
-    /// on the [`parx`] pool: this is called between every two samples of an
-    /// exploration, and a member predicts in microseconds — less than
-    /// spawning the pool's threads (measured: 129 µs per step pooled, 66 not).
+    /// Each member's prediction is folded into the per-column moments
+    /// (Welford) as it is produced, in member order, on the calling thread:
+    /// this runs between every two samples of an exploration, and a member
+    /// predicts in microseconds — less than spawning the [`parx`] pool's
+    /// threads costs.
+    ///
+    /// KNN members rank the query's neighbourhood together. Every training
+    /// row's similarity is computed once, and the rows are sorted by
+    /// |similarity| once; each row's *dense rank* in that order (rows of
+    /// equal |similarity| share one) is its sort key. A member's ranking is
+    /// then a counting sort of its bootstrap positions by `(rank, position)`,
+    /// which is exactly the stable sort by |similarity| the member would
+    /// make of its own rows, ties and repeated rows included (DESIGN.md §5).
     pub fn predict_stats(&self, known: &Row) -> Vec<Option<(f64, f64)>> {
-        let mut predictions = self.members.iter().map(|m| m.predict_row(known)).peekable();
-        let ncols = predictions.peek().map_or(0, |p| p.len());
-        let mut count = vec![0u32; ncols];
-        let mut mean = vec![0.0f64; ncols];
-        let mut m2 = vec![0.0f64; ncols];
-        for prediction in predictions {
-            for (c, v) in prediction.iter().enumerate() {
-                if let Some(v) = *v {
-                    count[c] += 1;
-                    let delta = v - mean[c];
-                    mean[c] += delta / count[c] as f64;
-                    m2[c] += delta * (v - mean[c]);
+        match &self.members {
+            Members::Knn { model, bootstraps } => {
+                let ranking = model.rank_by(known, |r, _| r);
+                // Per training row: its dense rank and its similarity.
+                let mut rank: Vec<Option<(usize, f64)>> = vec![None; model.training().nrows()];
+                let mut ranks = 0;
+                for (i, &(sim, r)) in ranking.iter().enumerate() {
+                    if i == 0 || sim.abs().total_cmp(&ranking[i - 1].0.abs()).is_ne() {
+                        ranks += 1;
+                    }
+                    rank[r] = Some((ranks - 1, sim));
                 }
+                let mut moments = Moments::new(model.training().ncols());
+                let mut next = vec![0usize; ranks + 1];
+                let mut member: Ranking = Vec::with_capacity(rank.len());
+                for bootstrap in bootstraps {
+                    // Counting sort: count the rows of each rank, then
+                    // `next[k]` is where rank `k`'s next row goes.
+                    next.fill(0);
+                    for &r in bootstrap {
+                        if let Some((k, _)) = rank[r] {
+                            next[k + 1] += 1;
+                        }
+                    }
+                    for k in 1..=ranks {
+                        next[k] += next[k - 1];
+                    }
+                    member.clear();
+                    member.resize(next[ranks], (0.0, UNSET));
+                    for &r in bootstrap {
+                        if let Some((k, sim)) = rank[r] {
+                            member[next[k]] = (sim, model.training().row(r));
+                            next[k] += 1;
+                        }
+                    }
+                    moments.fold(model.predict_ranked(known, &member));
+                }
+                moments.finish()
+            }
+            Members::Mf(models) => {
+                let mut predictions = models.iter().map(|m| m.predict_row(known)).peekable();
+                let mut moments = Moments::new(predictions.peek().map_or(0, Vec::len));
+                predictions.for_each(|p| moments.fold(p));
+                moments.finish()
             }
         }
-        (0..ncols)
-            .map(|c| (count[c] > 0).then(|| (mean[c], m2[c] / count[c] as f64)))
-            .collect()
     }
 
     /// Ensemble-mean prediction per column (ignoring variance).
@@ -87,6 +154,46 @@ impl BaggingEnsemble {
         self.predict_stats(known)
             .into_iter()
             .map(|s| s.map(|(m, _)| m))
+            .collect()
+    }
+}
+
+/// What a counting sort's slot holds until its row is placed.
+const UNSET: &Row = &Vec::new();
+
+/// Per-column count, mean and sum of squared deviations of the members'
+/// predictions, folded one prediction at a time (Welford).
+struct Moments {
+    count: Vec<u32>,
+    mean: Vec<f64>,
+    m2: Vec<f64>,
+}
+
+impl Moments {
+    fn new(ncols: usize) -> Self {
+        Moments {
+            count: vec![0; ncols],
+            mean: vec![0.0; ncols],
+            m2: vec![0.0; ncols],
+        }
+    }
+
+    fn fold(&mut self, prediction: impl IntoIterator<Item = Option<f64>>) {
+        for (c, v) in prediction.into_iter().enumerate() {
+            if let Some(v) = v {
+                self.count[c] += 1;
+                let delta = v - self.mean[c];
+                self.mean[c] += delta / self.count[c] as f64;
+                self.m2[c] += delta * (v - self.mean[c]);
+            }
+        }
+    }
+
+    /// Mean and population variance per column; `None` where no member
+    /// predicted.
+    fn finish(self) -> Vec<Option<(f64, f64)>> {
+        (0..self.count.len())
+            .map(|c| (self.count[c] > 0).then(|| (self.mean[c], self.m2[c] / self.count[c] as f64)))
             .collect()
     }
 }

@@ -122,7 +122,7 @@ pub struct KnnModel {
 
 /// The training rows comparable to one query, most similar first, each with
 /// its similarity to the query.
-type Ranking<'a> = Vec<(f64, &'a Row)>;
+pub(crate) type Ranking<'a> = Vec<(f64, &'a Row)>;
 
 impl KnnModel {
     /// Fit (memorize) the training matrix.
@@ -134,26 +134,47 @@ impl KnnModel {
         }
     }
 
+    /// The memorized training rows.
+    pub(crate) fn training(&self) -> &UtilityMatrix {
+        &self.training
+    }
+
     /// Rank the training rows for `known`: a *stable* sort by |similarity|
-    /// descending over the rows in index order. One ranking serves every
-    /// column — column `c`'s neighbours are the first `k` ranked rows that
-    /// rate `c`, because a stable sort of a subsequence is that subsequence
-    /// of the stable sort (DESIGN.md §5; `tests/knn_regression.rs`).
-    fn ranking(&self, known: &Row) -> Ranking<'_> {
+    /// descending over the rows in index order, each ranked row carried as
+    /// `tag(index, row)`. One ranking serves every column — column `c`'s
+    /// neighbours are the first `k` ranked rows that rate `c`, because a
+    /// stable sort of a subsequence is that subsequence of the stable sort
+    /// (DESIGN.md §5; `tests/knn_regression.rs`).
+    pub(crate) fn rank_by<'a, T>(
+        &'a self,
+        known: &Row,
+        tag: impl Fn(usize, &'a Row) -> T,
+    ) -> Vec<(f64, T)> {
         let known: Vec<(usize, f64)> = known_entries(known).collect();
-        let mut ranking: Ranking = self
+        let mut ranking: Vec<(f64, T)> = self
             .training
             .rows()
             .iter()
-            .filter_map(|row| self.similarity.over(&known, row, 1).map(|sim| (sim, row)))
+            .enumerate()
+            .filter_map(|(r, row)| {
+                self.similarity
+                    .over(&known, row, 1)
+                    .map(|sim| (sim, tag(r, row)))
+            })
             .collect();
         ranking.sort_by(|a, b| b.0.abs().total_cmp(&a.0.abs()));
         ranking
     }
 
+    /// [`Self::rank_by`] for the model's own rows.
+    fn ranking(&self, known: &Row) -> Ranking<'_> {
+        self.rank_by(known, |_, row| row)
+    }
+
     /// The similarity-weighted average of `col` over its `k` best-ranked
-    /// raters; `None` when nobody comparable rates it.
-    fn predict_ranked(&self, ranking: &Ranking, col: usize) -> Option<f64> {
+    /// raters; `None` when nobody comparable rates it. `ranking` may hold a
+    /// row more than once (a bootstrap sample does): each entry counts.
+    fn average(&self, ranking: &[(f64, &Row)], col: usize) -> Option<f64> {
         let neighbours = || {
             ranking
                 .iter()
@@ -167,24 +188,32 @@ impl KnnModel {
         Some(neighbours().map(|(s, r)| s * r).sum::<f64>() / wsum)
     }
 
+    /// Every column's prediction from `ranking`, in column order (known
+    /// entries are passed through unchanged). [`Self::predict_row`] ranks
+    /// the training rows themselves; a bagging member ranks its bootstrap.
+    pub(crate) fn predict_ranked<'a>(
+        &'a self,
+        known: &'a Row,
+        ranking: &'a [(f64, &'a Row)],
+    ) -> impl Iterator<Item = Option<f64>> + 'a {
+        (0..self.training.ncols()).map(move |c| {
+            known
+                .get(c)
+                .copied()
+                .flatten()
+                .or_else(|| self.average(ranking, c))
+        })
+    }
+
     /// Predict the rating of `col` for a workload with the given known
     /// ratings; `None` when no similar neighbour rates `col`.
     pub fn predict(&self, known: &Row, col: usize) -> Option<f64> {
-        self.predict_ranked(&self.ranking(known), col)
+        self.average(&self.ranking(known), col)
     }
 
     /// Predict every column (known entries are passed through unchanged).
     pub fn predict_row(&self, known: &Row) -> Row {
-        let ranking = self.ranking(known);
-        (0..self.training.ncols())
-            .map(|c| {
-                known
-                    .get(c)
-                    .copied()
-                    .flatten()
-                    .or_else(|| self.predict_ranked(&ranking, c))
-            })
-            .collect()
+        self.predict_ranked(known, &self.ranking(known)).collect()
     }
 }
 

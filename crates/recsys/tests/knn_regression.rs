@@ -4,6 +4,8 @@
 //! the same order, break similarity ties the same way, and add the same
 //! terms in the same order as the implementation kept verbatim below.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recsys::{BaggingEnsemble, CfAlgorithm, KnnModel, Row, Similarity, UtilityMatrix};
@@ -155,63 +157,178 @@ fn predict_row_matches_reference_bit_for_bit() {
     assert!(unrated >= 50, "unrated columns in only {unrated} cases");
 }
 
+/// One ensemble case: the reference fold of [`reference_predict_row`]
+/// members against `BaggingEnsemble::predict_stats` at `parx` jobs 1 and 4
+/// (where the members are computed must not show). Returns the bootstraps.
+fn check_ensemble(
+    training: &UtilityMatrix,
+    similarity: Similarity,
+    k: usize,
+    known: &Row,
+    seed: u64,
+    case: &str,
+) -> Vec<Vec<usize>> {
+    let n_members = 10;
+    let (want, bootstraps) = common::reference_ensemble(training, n_members, seed, |sample| {
+        reference_predict_row(sample, similarity, k, known)
+    });
+    for jobs in [1, 4] {
+        let got = common::stats_bits(parx::with_jobs(jobs, || {
+            BaggingEnsemble::fit(
+                training,
+                CfAlgorithm::Knn { similarity, k },
+                n_members,
+                seed,
+            )
+            .predict_stats(known)
+        }));
+        assert_eq!(
+            got, want,
+            "{similarity:?} k={k} jobs={jobs} diverged ({case})\n known={known:?}\n training={training:?}"
+        );
+    }
+    bootstraps
+}
+
 /// `BaggingEnsemble::predict_stats` is a Welford fold, in member order, of
 /// the members' predictions; member `m` is trained on the `m`-th bootstrap
-/// drawn from one `StdRng` seeded with the ensemble seed. Where the member
-/// predictions are computed (pool or calling thread) must not show.
+/// drawn from one `StdRng` seeded with the ensemble seed. The members share
+/// one ranking of the training rows, so the cases cover what a shared
+/// ranking has to survive.
 #[test]
 fn predict_stats_matches_reference_fold_at_every_job_count() {
     let mut rng = StdRng::seed_from_u64(0xBA_66);
-    for case in 0..30 {
+    // What the cases are there to cover; asserted below so that a change
+    // to the generator cannot silently stop covering it.
+    let (mut member_ties, mut all_tied, mut k_beyond_distinct, mut unrated, mut complete) =
+        (0, 0, 0, 0, 0);
+    let abs_bits = |sim: Option<f64>| sim.map(|s| s.abs().to_bits());
+    let mut cover = |training: &UtilityMatrix,
+                     similarity: Similarity,
+                     k: usize,
+                     known: &Row,
+                     bootstraps: &[Vec<usize>]| {
+        let sims: Vec<Option<f64>> = (0..training.nrows())
+            .map(|r| similarity.between(known, training.row(r), 1))
+            .collect();
+        member_ties += usize::from(bootstraps.iter().any(|b| {
+            b.iter().any(|&r| {
+                b.iter()
+                    .any(|&s| s != r && sims[r].is_some() && abs_bits(sims[s]) == abs_bits(sims[r]))
+            })
+        }));
+        all_tied += usize::from(
+            training.nrows() > 1
+                && known.iter().flatten().count() == 1
+                && sims
+                    .iter()
+                    .all(|s| s.is_some() && abs_bits(*s) == abs_bits(sims[0])),
+        );
+        k_beyond_distinct += usize::from(bootstraps.iter().any(|b| {
+            let mut distinct = b.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            k > distinct.len()
+        }));
+        unrated += usize::from(
+            (0..training.ncols())
+                .any(|c| (0..training.nrows()).all(|r| training.get(r, c).is_none())),
+        );
+        complete += usize::from(
+            training.nrows() == 60 && training.ncols() == 130 && training.known_count() == 60 * 130,
+        );
+    };
+
+    // Random shapes: duplicated rows, holes, a column nobody rates.
+    for case in 0..60 {
         let training = random_training(&mut rng, case);
         let known = random_query(&mut rng, training.ncols());
         let similarity = Similarity::ALL[case % 3];
         let k = 1 + case % 5;
-        let (n_members, seed) = (10, 1000 + case as u64);
-
-        let nrows = training.nrows();
-        let mut draw = StdRng::seed_from_u64(seed);
-        let ncols = training.ncols();
-        let (mut count, mut mean, mut m2) =
-            (vec![0u32; ncols], vec![0.0f64; ncols], vec![0.0f64; ncols]);
-        for _ in 0..n_members {
-            let sample: Vec<Row> = (0..nrows)
-                .map(|_| training.row(draw.gen_range(0..nrows)).clone())
-                .collect();
-            let prediction =
-                reference_predict_row(&UtilityMatrix::from_rows(sample), similarity, k, &known);
-            for (c, v) in prediction.iter().enumerate() {
-                if let Some(v) = *v {
-                    count[c] += 1;
-                    let delta = v - mean[c];
-                    mean[c] += delta / count[c] as f64;
-                    m2[c] += delta * (v - mean[c]);
-                }
-            }
-        }
-        let want: Vec<Option<(u64, u64)>> = (0..ncols)
-            .map(|c| {
-                (count[c] > 0).then(|| (mean[c].to_bits(), (m2[c] / count[c] as f64).to_bits()))
-            })
-            .collect();
-
-        for jobs in [1, 4] {
-            let got: Vec<Option<(u64, u64)>> = parx::with_jobs(jobs, || {
-                BaggingEnsemble::fit(
-                    &training,
-                    CfAlgorithm::Knn { similarity, k },
-                    n_members,
-                    seed,
-                )
-                .predict_stats(&known)
-            })
-            .into_iter()
-            .map(|s| s.map(|(mu, var)| (mu.to_bits(), var.to_bits())))
-            .collect();
-            assert_eq!(
-                got, want,
-                "{similarity:?} k={k} jobs={jobs} diverged (case {case})"
-            );
-        }
+        let seed = 1000 + case as u64;
+        let bootstraps = check_ensemble(
+            &training,
+            similarity,
+            k,
+            &known,
+            seed,
+            &format!("case {case}"),
+        );
+        cover(&training, similarity, k, &known, &bootstraps);
     }
+
+    // The distillation reference step: every row rates the reference
+    // column 1, and the query knows only that column, so every row ties.
+    for case in 0..12 {
+        let mut training = random_training(&mut rng, case);
+        let reference = rng.gen_range(0..training.ncols());
+        for r in 0..training.nrows() {
+            training.set(r, reference, 1.0);
+        }
+        let mut known: Row = vec![None; training.ncols()];
+        known[reference] = Some(1.0);
+        let similarity = [Similarity::Euclidean, Similarity::Cosine][case % 2];
+        let k = 1 + case % 3;
+        let seed = 2000 + case as u64;
+        let bootstraps = check_ensemble(
+            &training,
+            similarity,
+            k,
+            &known,
+            seed,
+            &format!("reference step {case}"),
+        );
+        cover(&training, similarity, k, &known, &bootstraps);
+    }
+
+    // The benchmark tuner's shape: a complete 60 × 130 matrix distilled by
+    // reference column 17, under the learner `tune_cf` picks there, queried
+    // at the reference step and after a few more samples.
+    let training = UtilityMatrix::from_rows(
+        (0..60)
+            .map(|_| {
+                (0..130)
+                    .map(|c| {
+                        Some(if c == 17 {
+                            1.0
+                        } else {
+                            rng.gen_range(0.0..2.0)
+                        })
+                    })
+                    .collect()
+            })
+            .collect(),
+    );
+    let mut known: Row = vec![None; 130];
+    for (step, c) in [17, 3, 88, 129, 54].into_iter().enumerate() {
+        known[c] = Some(if c == 17 {
+            1.0
+        } else {
+            rng.gen_range(0.0..2.0)
+        });
+        let bootstraps = check_ensemble(
+            &training,
+            Similarity::Euclidean,
+            1,
+            &known,
+            3000,
+            &format!("60 x 130 step {step}"),
+        );
+        cover(&training, Similarity::Euclidean, 1, &known, &bootstraps);
+    }
+
+    assert!(
+        member_ties >= 30,
+        "distinct rows tying inside a bootstrap in only {member_ties} cases"
+    );
+    assert!(all_tied >= 10, "every row tied in only {all_tied} cases");
+    assert!(
+        k_beyond_distinct >= 12,
+        "k > distinct rows of a member in only {k_beyond_distinct} cases"
+    );
+    assert!(unrated >= 20, "unrated columns in only {unrated} cases");
+    assert!(
+        complete >= 5,
+        "complete 60 x 130 matrix in only {complete} cases"
+    );
 }

@@ -5,9 +5,11 @@
 //! the same per-factor expressions and dot-product order as the nested-`Vec`
 //! implementation kept verbatim below.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recsys::{MfModel, MfParams, Row, UtilityMatrix};
+use recsys::{BaggingEnsemble, CfAlgorithm, MfModel, MfParams, Row, UtilityMatrix};
 
 /// The original `MfModel::fit`, kept verbatim as the reference: one `Vec`
 /// per user and per item, indexed per factor. Returns the item factors.
@@ -160,4 +162,34 @@ fn flat_factors_match_the_nested_reference_bit_for_bit() {
     assert!(holed >= 80, "holed matrices in only {holed} cases");
     assert!(many_known >= 80, "many-known queries in only {many_known}");
     assert!(non_finite >= 5, "diverged predictions in only {non_finite}");
+}
+
+/// An MF `BaggingEnsemble` is a Welford fold, in member order, of models
+/// fitted on the bootstraps drawn from one `StdRng` seeded with the
+/// ensemble seed; the fits run on the `parx` pool, which must not show.
+#[test]
+fn mf_ensemble_matches_reference_fold_at_every_job_count() {
+    let mut rng = StdRng::seed_from_u64(0x4D_46_BA);
+    let mut many_known = 0;
+    for case in 0..30 {
+        let params = random_params(&mut rng);
+        let training = random_training(&mut rng, case);
+        let known = random_query(&mut rng, training.ncols(), case);
+        many_known += usize::from(known.iter().flatten().count() > 1);
+        let (n_members, seed) = (10, 4000 + case as u64);
+        let (want, _) = common::reference_ensemble(&training, n_members, seed, |sample| {
+            reference_predict_row(&reference_fit(sample, params), params, &known)
+        });
+        for jobs in [1, 4] {
+            let got = common::stats_bits(parx::with_jobs(jobs, || {
+                BaggingEnsemble::fit(&training, CfAlgorithm::Mf(params), n_members, seed)
+                    .predict_stats(&known)
+            }));
+            assert_eq!(
+                got, want,
+                "case {case} jobs={jobs} diverged\n params={params:?}\n known={known:?}\n training={training:?}"
+            );
+        }
+    }
+    assert!(many_known >= 8, "many-known queries in only {many_known}");
 }

@@ -83,13 +83,16 @@ impl Acquisition {
                 *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
                 candidates[i]
             }
-            _ => *candidates
-                .iter()
-                .max_by(|a, b| {
-                    self.score(a, best, goal)
-                        .total_cmp(&self.score(b, best, goal))
-                })
-                .expect("non-empty"),
+            // One score per candidate; among equal scores the last wins
+            // (`max_by`'s rule).
+            _ => {
+                candidates
+                    .iter()
+                    .map(|&c| (self.score(&c, best, goal), c))
+                    .max_by(|a, b| a.0.total_cmp(&b.0))
+                    .expect("non-empty")
+                    .1
+            }
         };
         let ei = Acquisition::ExpectedImprovement.score(&chosen, best, goal);
         Some((chosen, ei))
@@ -150,6 +153,34 @@ mod tests {
             .select(&candidates(), 10.0, Goal::Maximize, &mut seed)
             .unwrap();
         assert_eq!(c.index, 2);
+    }
+
+    #[test]
+    fn the_last_of_equal_scores_wins() {
+        let tied: Vec<Candidate> = (0..4)
+            .map(|index| Candidate {
+                index,
+                mu: if index == 0 { 20.0 } else { 5.0 },
+                sigma2: 1.0,
+            })
+            .collect();
+        for acquisition in [
+            Acquisition::ExpectedImprovement,
+            Acquisition::Variance,
+            Acquisition::Greedy,
+        ] {
+            let mut seed = 1;
+            let (c, _) = acquisition
+                .select(&tied[1..], 10.0, Goal::Minimize, &mut seed)
+                .unwrap();
+            assert_eq!(c.index, 3, "{}", acquisition.label());
+        }
+        // A later tie does not displace a strictly better score.
+        let mut seed = 1;
+        let (c, _) = Acquisition::Greedy
+            .select(&tied, 10.0, Goal::Maximize, &mut seed)
+            .unwrap();
+        assert_eq!(c.index, 0);
     }
 
     #[test]
