@@ -22,15 +22,9 @@ use std::collections::BTreeMap;
 type Runner = (&'static str, fn(bool));
 
 /// The canonical experiments, in the order `all` runs them.
-const RUNNERS: [Runner; 12] = [
+const RUNNERS: [Runner; 10] = [
     ("table23", |_| bench::table23::run()),
     ("fig1", |_| bench::fig1::run()),
-    ("table4", |quick| {
-        bench::table4::run_with(if quick { 2_000 } else { 40_000 })
-    }),
-    ("table5", |quick| {
-        bench::table5::run_with(if quick { 5 } else { 20 })
-    }),
     ("fig4", |quick| {
         bench::fig4::run_with(if quick { 60 } else { 300 })
     }),

@@ -6,6 +6,9 @@
 //! `::json`) on traces captured with `obs::capture_trace`, which is exactly
 //! what the `proteus-trace` binary does after reading the file.
 
+use polytm::{BackendId, HtmSetting, PolyTm, TmConfig};
+use txcore::DurabilityMode;
+
 /// One fig5 run's trace, and its counters read inside the capture (where
 /// no sibling test can bump the process-global registry).
 fn fig5_trace(jobs: usize) -> (String, Vec<(String, u64)>) {
@@ -71,21 +74,54 @@ fn analyzer_rejects_schema_drift_loudly() {
     );
 }
 
-/// Table 5 reconfigures a live PolyTM under load: the suite's one capture
-/// of real `PolyTm::apply` records, which the report's switch section reads.
-#[test]
-fn table5_switches_reach_the_report() {
-    let (_, bytes) = obs::capture_trace(|| bench::table5::run_with(2));
+/// The suite's one live runtime: a `PolyTm` applies each of the seven
+/// volatile backends in turn and runs a few hundred one-read, one-write
+/// transactions on each. Its counters are read inside the capture, as
+/// `fig5_trace` does.
+fn switching_trace() -> tracetool::Trace {
+    let (counters, bytes) = obs::capture_trace(|| {
+        let poly = PolyTm::builder().heap_words(1 << 12).max_threads(1).build();
+        let word = poly.system().heap.alloc(1);
+        let mut worker = poly.register_thread(0);
+        for backend in BackendId::ALL
+            .into_iter()
+            .filter(|&b| b != BackendId::Durable)
+        {
+            let config = TmConfig {
+                backend,
+                threads: 1,
+                htm: backend.is_hardware().then_some(HtmSetting::DEFAULT),
+                durability: DurabilityMode::Volatile,
+            };
+            poly.apply(&config).expect("a volatile config applies");
+            for _ in 0..300 {
+                poly.run_tx(&mut worker, |tx| {
+                    let v = tx.read(word)?;
+                    tx.write(word, v + 1)
+                });
+            }
+        }
+        obs::metrics::counter_snapshot()
+    });
     let text = String::from_utf8(bytes).expect("trace is UTF-8 JSONL");
-    assert!(
-        text.contains("\"kind\":\"config.switch\""),
-        "table5 must record its switches"
-    );
     assert!(!text.contains("\"alerts\":"), "retired with the SLO engine");
-    let trace = tracetool::parse_trace(&text).expect("table5 trace parses");
-    // `apply` reads the clock only while traced: every traced switch must
-    // still carry its wall time.
-    for rec in trace.records.iter().filter(|r| r.kind == "config.switch") {
+    let mut trace = tracetool::parse_trace(&text).expect("switching trace parses");
+    trace.counters.extend(counters);
+    trace
+}
+
+/// `apply` reads the clock only while traced: every traced switch must
+/// still carry its wall time, and the report's switch section reads them.
+#[test]
+fn traced_switches_carry_latency_and_reach_the_report() {
+    let trace = switching_trace();
+    let switches: Vec<_> = trace
+        .records
+        .iter()
+        .filter(|r| r.kind == "config.switch")
+        .collect();
+    assert!(!switches.is_empty(), "every apply records a switch");
+    for rec in switches {
         let latency = rec.u64("latency_ns");
         assert!(
             latency > Some(0),
@@ -100,20 +136,12 @@ fn table5_switches_reach_the_report() {
     );
 }
 
-/// Table 4 drives real transactions through `run_tx` on every backend: the
-/// attribution counters it bumps must fold into the conflicts view's
-/// per-backend ledger table. A capture has no counter dump, so the counters
-/// are read inside it, as `fig5_trace` does. The numbers are wall-clock, so
-/// only the shape is checked.
+/// The attribution counters `run_tx` bumps on every backend must fold into
+/// the conflicts view's per-backend ledger table. The numbers are
+/// wall-clock, so only the shape is checked.
 #[test]
-fn table4_counters_fold_into_backend_ledgers() {
-    let (counters, bytes) = obs::capture_trace(|| {
-        bench::table4::run_with(500);
-        obs::metrics::counter_snapshot()
-    });
-    let text = String::from_utf8(bytes).expect("trace is UTF-8 JSONL");
-    let mut trace = tracetool::parse_trace(&text).expect("table4 trace parses");
-    trace.counters.extend(counters);
+fn backend_counters_fold_into_the_conflicts_ledger() {
+    let trace = switching_trace();
     let view = tracetool::conflicts::plain(&tracetool::conflicts::Conflicts::new(&trace));
     for needle in ["  tl2 ", "overall goodput:"] {
         assert!(

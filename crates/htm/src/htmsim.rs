@@ -36,7 +36,8 @@ impl HtmSim {
     }
 
     /// The "HTM-naive" variant that routes speculative accesses through the
-    /// full STM-style instrumentation (Table 4's dual-path ablation).
+    /// full STM-style instrumentation: the paper's dual-code-path ablation
+    /// (DESIGN.md §5 records why it stays).
     pub fn new_naive(sys: Arc<TmSystem>) -> Self {
         HtmSim {
             sys,
@@ -164,18 +165,24 @@ mod tests {
         (sys, tm, ThreadCtx::new(0))
     }
 
+    /// On the optimized path and on the dual-code-path ablation's
+    /// instrumented one (`new_naive`) alike.
     #[test]
     fn small_transactions_commit_speculatively() {
-        let (sys, tm, mut ctx) = setup();
-        let a = sys.heap.alloc(1);
-        run_tx(&tm, &mut ctx, |tx| {
-            let v = tx.read(a)?;
-            tx.write(a, v + 1)
-        });
-        assert_eq!(sys.heap.read_raw(a), 1);
-        let snap = ctx.stats.snapshot();
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.fallback_commits, 0);
+        let (sys, tm, _) = setup();
+        let naive = HtmSim::new_naive(Arc::clone(&sys));
+        for tm in [tm, naive] {
+            let mut ctx = ThreadCtx::new(0);
+            let a = sys.heap.alloc(1);
+            run_tx(&tm, &mut ctx, |tx| {
+                let v = tx.read(a)?;
+                tx.write(a, v + 1)
+            });
+            assert_eq!(sys.heap.read_raw(a), 1);
+            let snap = ctx.stats.snapshot();
+            assert_eq!(snap.commits, 1);
+            assert_eq!(snap.fallback_commits, 0);
+        }
     }
 
     #[test]

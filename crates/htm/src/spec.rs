@@ -44,7 +44,7 @@ pub(crate) struct SpecCore {
     cm: TunableCm,
     /// When set, every speculative access performs the redundant value
     /// logging a fully-instrumented (STM) code path would — the
-    /// "HTM-naive" configuration of Table 4's dual-path ablation.
+    /// "HTM-naive" configuration of the dual-code-path ablation.
     naive_instrumentation: bool,
 }
 
