@@ -57,6 +57,15 @@ struct Slot {
     epoch: AtomicU64,
 }
 
+impl Slot {
+    /// Whether the slot's thread has no transaction in flight: the
+    /// adapter's `SeqCst` run-word load of the memory-ordering contract.
+    #[inline]
+    fn drained(&self) -> bool {
+        self.run.load(Ordering::SeqCst) == 0
+    }
+}
+
 /// The per-thread gate (Algorithm 1).
 ///
 /// ```
@@ -186,7 +195,16 @@ impl ThreadGate {
     #[must_use]
     pub fn await_drained(&self, t: usize, deadline: Option<Instant>) -> bool {
         let slot = &self.slots[t];
-        poll_until(|| slot.run.load(Ordering::SeqCst) == 0, deadline)
+        poll_until(|| slot.drained(), deadline)
+    }
+
+    /// Adapter side: whether `t` has no transaction in flight, without
+    /// waiting — the `SeqCst` run-word load [`ThreadGate::await_drained`]
+    /// polls, so it pairs with [`ThreadGate::block`] the same way.
+    #[inline]
+    #[must_use]
+    pub fn is_drained(&self, t: usize) -> bool {
+        self.slots[t].drained()
     }
 
     /// Adapter side: [`ThreadGate::await_drained`] to a deadline `timeout`
@@ -197,7 +215,7 @@ impl ThreadGate {
         timeout: Duration,
         deadline: &mut Option<Instant>,
     ) -> bool {
-        let drained = || self.slots[t].run.load(Ordering::SeqCst) == 0;
+        let drained = || self.is_drained(t);
         let mut shared = || Some(*deadline.get_or_insert_with(|| Instant::now() + timeout));
         drained() || poll_until(drained, shared())
     }
@@ -515,8 +533,10 @@ mod tests {
         let g = ThreadGate::new(1);
         g.enter(0);
         g.block(0);
+        assert!(!g.is_drained(0));
         assert!(!g.await_drained(0, Some(Instant::now() + Duration::from_millis(2))));
         g.exit(0);
+        assert!(g.is_drained(0));
         assert!(g.await_drained(0, Some(Instant::now() + Duration::from_millis(100))));
         g.unblock(0);
     }

@@ -76,8 +76,9 @@ impl fmt::Display for SwitchError {
 impl Error for SwitchError {}
 
 /// Take `m`, recovering from poison. PolyTM's one mutex, `reconfig`,
-/// guards `()`, which a holder's panic cannot leave half-written, so
-/// poison carries no information.
+/// guards only `apply`'s scratch list of the slots it blocked, which every
+/// use clears before it writes, so whatever a holder's panic left in it is
+/// never read: poison carries no information.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -212,7 +213,7 @@ impl PolyTmBuilder {
                 .map(|_| AtomicBool::new(false))
                 .collect(),
             stats,
-            reconfig: Mutex::new(()),
+            reconfig: Mutex::new(Vec::with_capacity(self.max_threads)),
             config: ConfigCell::new(initial),
             epochs: AtomicU64::new(0),
             drain_timeout: self.drain_timeout,
@@ -241,7 +242,9 @@ pub struct PolyTm {
     /// Serializes adapters; application threads never take it, except a
     /// worker escaping to serial-irrevocable mode (which holds no RUN bit
     /// while waiting, so it cannot deadlock against a draining adapter).
-    reconfig: Mutex<()>,
+    /// Holds the scratch list of slots a switch blocks, so `apply`
+    /// allocates nothing.
+    reconfig: Mutex<Vec<usize>>,
     /// The active configuration, readable lock-free by monitor paths
     /// (seqlock); written only under `reconfig`.
     config: ConfigCell,
@@ -415,7 +418,7 @@ impl PolyTm {
         if !config.durability_coherent() {
             return Err(SwitchError::IncoherentDurability);
         }
-        let _adapter = lock(&self.reconfig);
+        let mut adapter = lock(&self.reconfig);
         let from = self.config.load();
         let started = obs::enabled().then(Instant::now);
         let elapsed_ns = || started.map_or(0, |s| s.elapsed().as_nanos() as u64);
@@ -458,7 +461,8 @@ impl PolyTm {
             // pass is unblocked and the switch is abandoned before the
             // backend pointer moves, so no thread can ever run on a
             // half-switched runtime.
-            let mut blocked = Vec::new();
+            let blocked = &mut *adapter;
+            blocked.clear();
             {
                 let _drain = obs::timed_span!("quiesce.drain", "epoch" => epoch);
                 for t in 0..self.max_threads {
@@ -468,9 +472,9 @@ impl PolyTm {
                     }
                 }
                 let (timeout, mut deadline) = (self.drain_timeout, None);
-                for &t in &blocked {
+                for &t in blocked.iter() {
                     if !self.gate.await_drained_within(t, timeout, &mut deadline) {
-                        for &u in &blocked {
+                        for &u in blocked.iter() {
                             self.gate.unblock(u);
                         }
                         if obs::enabled() {
@@ -494,7 +498,7 @@ impl PolyTm {
             if durability_change && from.durability.is_durable() {
                 let (log, _) = self.durable.pheap().log_snapshot();
                 if self.durable.drain().is_err() {
-                    for &u in &blocked {
+                    for &u in blocked.iter() {
                         self.gate.unblock(u);
                     }
                     return Err(SwitchError::DurableCrashed);

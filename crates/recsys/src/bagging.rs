@@ -88,24 +88,32 @@ impl BaggingEnsemble {
     /// given known ratings. Columns no member can predict are `None`.
     ///
     /// Each member's prediction is folded into the per-column moments
-    /// (Welford) as it is produced, in member order, on the calling thread:
-    /// this runs between every two samples of an exploration, and a member
-    /// predicts in microseconds — less than spawning the [`parx`] pool's
-    /// threads costs.
+    /// (Welford) in member order, on the calling thread: this runs between
+    /// every two samples of an exploration, and a member predicts in
+    /// microseconds — less than spawning the [`parx`] pool's threads costs.
+    /// While every prediction covers every column (always, on a complete
+    /// matrix) the fold is one pass over plain `f64`s with one count per
+    /// member.
     ///
     /// KNN members rank the query's neighbourhood together. Every training
     /// row's similarity is computed once, and the rows are sorted by
     /// |similarity| once; each row's *dense rank* in that order (rows of
     /// equal |similarity| share one) is its sort key. A member's ranking is
-    /// then a counting sort of its bootstrap positions by `(rank, position)`,
-    /// which is exactly the stable sort by |similarity| the member would
-    /// make of its own rows, ties and repeated rows included (DESIGN.md §5).
+    /// its bootstrap positions sorted by `(rank, position)`, which is exactly
+    /// the stable sort by |similarity| the member would make of its own rows,
+    /// ties and repeated rows included (DESIGN.md §5). Its *prefix* — the
+    /// first `k` ranked rows, its `k` smallest keys — are the neighbours of
+    /// every column all of them rate, so members with the same prefix share
+    /// one prediction of those columns. Only a column that some prefix row
+    /// leaves unrated makes a member build its whole ranking (a counting
+    /// sort) and walk it.
     pub fn predict_stats(&self, known: &Row) -> Vec<Option<(f64, f64)>> {
         match &self.members {
             Members::Knn { model, bootstraps } => {
+                let training = model.training();
                 let ranking = model.rank_by(known, |r, _| r);
                 // Per training row: its dense rank and its similarity.
-                let mut rank: Vec<Option<(usize, f64)>> = vec![None; model.training().nrows()];
+                let mut rank: Vec<Option<(usize, f64)>> = vec![None; training.nrows()];
                 let mut ranks = 0;
                 for (i, &(sim, r)) in ranking.iter().enumerate() {
                     if i == 0 || sim.abs().total_cmp(&ranking[i - 1].0.abs()).is_ne() {
@@ -113,37 +121,75 @@ impl BaggingEnsemble {
                     }
                     rank[r] = Some((ranks - 1, sim));
                 }
-                let mut moments = Moments::new(model.training().ncols());
+                let k = model.k();
+                let mut moments = Moments::new(training.ncols());
+                let mut shared: Vec<Shared> = Vec::new();
+                // A member's prefix so far, as `(rank, similarity, row)`.
+                let mut prefix: Vec<(usize, f64, usize)> = Vec::with_capacity(k + 1);
                 let mut next = vec![0usize; ranks + 1];
-                let mut member: Ranking = Vec::with_capacity(rank.len());
+                let mut member: Ranking = Vec::new();
                 for bootstrap in bootstraps {
-                    // Counting sort: count the rows of each rank, then
-                    // `next[k]` is where rank `k`'s next row goes.
-                    next.fill(0);
+                    // The `k` smallest `(rank, position)` keys: positions
+                    // come in order, so a row goes after the kept rows of
+                    // its rank.
+                    prefix.clear();
                     for &r in bootstrap {
-                        if let Some((k, _)) = rank[r] {
-                            next[k + 1] += 1;
+                        if let Some((q, sim)) = rank[r] {
+                            let at = prefix.partition_point(|&(p, _, _)| p <= q);
+                            if at < k {
+                                prefix.insert(at, (q, sim, r));
+                                prefix.truncate(k);
+                            }
                         }
                     }
-                    for k in 1..=ranks {
-                        next[k] += next[k - 1];
+                    let s = match shared
+                        .iter()
+                        .position(|s| s.rows.iter().eq(prefix.iter().map(|(_, _, r)| r)))
+                    {
+                        Some(i) => &shared[i],
+                        None => {
+                            shared.push(Shared::new(model, known, &prefix));
+                            &shared[shared.len() - 1]
+                        }
+                    };
+                    if s.walk.is_empty() {
+                        moments.fold(&s.prediction);
+                        continue;
+                    }
+                    // Counting sort: count the rows of each rank, then
+                    // `next[q]` is where rank `q`'s next row goes.
+                    next.fill(0);
+                    for &r in bootstrap {
+                        if let Some((q, _)) = rank[r] {
+                            next[q + 1] += 1;
+                        }
+                    }
+                    for q in 1..=ranks {
+                        next[q] += next[q - 1];
                     }
                     member.clear();
                     member.resize(next[ranks], (0.0, UNSET));
                     for &r in bootstrap {
-                        if let Some((k, sim)) = rank[r] {
-                            member[next[k]] = (sim, model.training().row(r));
-                            next[k] += 1;
+                        if let Some((q, sim)) = rank[r] {
+                            member[next[q]] = (sim, training.row(r));
+                            next[q] += 1;
                         }
                     }
-                    moments.fold(model.predict_ranked(known, &member));
+                    let mut walked = s.prediction.clone();
+                    for &c in &s.walk {
+                        walked.set(c, model.average(&member, c));
+                    }
+                    moments.fold(&walked);
                 }
                 moments.finish()
             }
             Members::Mf(models) => {
-                let mut predictions = models.iter().map(|m| m.predict_row(known)).peekable();
-                let mut moments = Moments::new(predictions.peek().map_or(0, Vec::len));
-                predictions.for_each(|p| moments.fold(p));
+                let mut predictions = models
+                    .iter()
+                    .map(|m| Prediction::from_row(&m.predict_row(known)))
+                    .peekable();
+                let mut moments = Moments::new(predictions.peek().map_or(0, |p| p.values.len()));
+                predictions.for_each(|p| moments.fold(&p));
                 moments.finish()
             }
         }
@@ -161,9 +207,96 @@ impl BaggingEnsemble {
 /// What a counting sort's slot holds until its row is placed.
 const UNSET: &Row = &Vec::new();
 
+/// What the KNN members with one prefix share.
+struct Shared {
+    /// The prefix's training rows, in ranking order.
+    rows: Vec<usize>,
+    /// Known entries, and the prefix's average of every column all its rows
+    /// rate; the `walk` columns are left for each member to fill.
+    prediction: Prediction,
+    /// The unknown columns some prefix row leaves unrated.
+    walk: Vec<usize>,
+}
+
+impl Shared {
+    /// The prediction of a prefix given as `(rank, similarity, row)`.
+    fn new(model: &KnnModel, known: &Row, prefix: &[(usize, f64, usize)]) -> Self {
+        let training = model.training();
+        let neighbours: Ranking = prefix
+            .iter()
+            .map(|&(_, sim, r)| (sim, training.row(r)))
+            .collect();
+        let ncols = training.ncols();
+        let mut prediction = Prediction::new(ncols);
+        let mut walk = Vec::new();
+        for c in 0..ncols {
+            match known.get(c).copied().flatten() {
+                Some(v) => prediction.set(c, Some(v)),
+                None if neighbours.iter().all(|(_, row)| row[c].is_some()) => {
+                    prediction.set(c, model.average(&neighbours, c));
+                }
+                None => walk.push(c),
+            }
+        }
+        Shared {
+            rows: prefix.iter().map(|&(_, _, r)| r).collect(),
+            prediction,
+            walk,
+        }
+    }
+}
+
+/// One member's prediction: a plain value per column, and the columns it
+/// leaves unpredicted.
+#[derive(Clone)]
+struct Prediction {
+    values: Vec<f64>,
+    /// Per column, whether it is unpredicted; empty while none is.
+    gaps: Vec<bool>,
+}
+
+impl Prediction {
+    /// Every column predicted, as 0.
+    fn new(ncols: usize) -> Self {
+        Prediction {
+            values: vec![0.0; ncols],
+            gaps: Vec::new(),
+        }
+    }
+
+    fn from_row(row: &[Option<f64>]) -> Self {
+        let mut p = Prediction::new(row.len());
+        for (c, &v) in row.iter().enumerate() {
+            p.set(c, v);
+        }
+        p
+    }
+
+    fn set(&mut self, c: usize, v: Option<f64>) {
+        match v {
+            Some(v) => {
+                self.values[c] = v;
+                if let Some(gap) = self.gaps.get_mut(c) {
+                    *gap = false;
+                }
+            }
+            None => {
+                if self.gaps.is_empty() {
+                    self.gaps = vec![false; self.values.len()];
+                }
+                self.gaps[c] = true;
+            }
+        }
+    }
+}
+
 /// Per-column count, mean and sum of squared deviations of the members'
 /// predictions, folded one prediction at a time (Welford).
 struct Moments {
+    /// Predictions folded: every column's count until one has a gap.
+    folded: u32,
+    /// Per-column counts from the first prediction with a gap on; empty
+    /// until then.
     count: Vec<u32>,
     mean: Vec<f64>,
     m2: Vec<f64>,
@@ -172,18 +305,32 @@ struct Moments {
 impl Moments {
     fn new(ncols: usize) -> Self {
         Moments {
-            count: vec![0; ncols],
+            folded: 0,
+            count: Vec::new(),
             mean: vec![0.0; ncols],
             m2: vec![0.0; ncols],
         }
     }
 
-    fn fold(&mut self, prediction: impl IntoIterator<Item = Option<f64>>) {
-        for (c, v) in prediction.into_iter().enumerate() {
-            if let Some(v) = v {
+    fn fold(&mut self, p: &Prediction) {
+        self.folded += 1;
+        if self.count.is_empty() && p.gaps.is_empty() {
+            let n = f64::from(self.folded);
+            for ((&v, mean), m2) in p.values.iter().zip(&mut self.mean).zip(&mut self.m2) {
+                let delta = v - *mean;
+                *mean += delta / n;
+                *m2 += delta * (v - *mean);
+            }
+            return;
+        }
+        if self.count.is_empty() {
+            self.count = vec![self.folded - 1; self.mean.len()];
+        }
+        for (c, &v) in p.values.iter().enumerate() {
+            if p.gaps.get(c) != Some(&true) {
                 self.count[c] += 1;
                 let delta = v - self.mean[c];
-                self.mean[c] += delta / self.count[c] as f64;
+                self.mean[c] += delta / f64::from(self.count[c]);
                 self.m2[c] += delta * (v - self.mean[c]);
             }
         }
@@ -192,8 +339,11 @@ impl Moments {
     /// Mean and population variance per column; `None` where no member
     /// predicted.
     fn finish(self) -> Vec<Option<(f64, f64)>> {
-        (0..self.count.len())
-            .map(|c| (self.count[c] > 0).then(|| (self.mean[c], self.m2[c] / self.count[c] as f64)))
+        (0..self.mean.len())
+            .map(|c| {
+                let n = self.count.get(c).copied().unwrap_or(self.folded);
+                (n > 0).then(|| (self.mean[c], self.m2[c] / f64::from(n)))
+            })
             .collect()
     }
 }

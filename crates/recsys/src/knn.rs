@@ -139,6 +139,11 @@ impl KnnModel {
         &self.training
     }
 
+    /// Neighbours averaged per column.
+    pub(crate) fn k(&self) -> usize {
+        self.k
+    }
+
     /// Rank the training rows for `known`: a *stable* sort by |similarity|
     /// descending over the rows in index order, each ranked row carried as
     /// `tag(index, row)`. One ranking serves every column — column `c`'s
@@ -174,7 +179,7 @@ impl KnnModel {
     /// The similarity-weighted average of `col` over its `k` best-ranked
     /// raters; `None` when nobody comparable rates it. `ranking` may hold a
     /// row more than once (a bootstrap sample does): each entry counts.
-    fn average(&self, ranking: &[(f64, &Row)], col: usize) -> Option<f64> {
+    pub(crate) fn average(&self, ranking: &[(f64, &Row)], col: usize) -> Option<f64> {
         let neighbours = || {
             ranking
                 .iter()
@@ -188,23 +193,6 @@ impl KnnModel {
         Some(neighbours().map(|(s, r)| s * r).sum::<f64>() / wsum)
     }
 
-    /// Every column's prediction from `ranking`, in column order (known
-    /// entries are passed through unchanged). [`Self::predict_row`] ranks
-    /// the training rows themselves; a bagging member ranks its bootstrap.
-    pub(crate) fn predict_ranked<'a>(
-        &'a self,
-        known: &'a Row,
-        ranking: &'a [(f64, &'a Row)],
-    ) -> impl Iterator<Item = Option<f64>> + 'a {
-        (0..self.training.ncols()).map(move |c| {
-            known
-                .get(c)
-                .copied()
-                .flatten()
-                .or_else(|| self.average(ranking, c))
-        })
-    }
-
     /// Predict the rating of `col` for a workload with the given known
     /// ratings; `None` when no similar neighbour rates `col`.
     pub fn predict(&self, known: &Row, col: usize) -> Option<f64> {
@@ -213,7 +201,16 @@ impl KnnModel {
 
     /// Predict every column (known entries are passed through unchanged).
     pub fn predict_row(&self, known: &Row) -> Row {
-        self.predict_ranked(known, &self.ranking(known)).collect()
+        let ranking = self.ranking(known);
+        (0..self.training.ncols())
+            .map(|c| {
+                known
+                    .get(c)
+                    .copied()
+                    .flatten()
+                    .or_else(|| self.average(&ranking, c))
+            })
+            .collect()
     }
 }
 

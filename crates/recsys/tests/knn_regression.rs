@@ -202,6 +202,12 @@ fn predict_stats_matches_reference_fold_at_every_job_count() {
     // to the generator cannot silently stop covering it.
     let (mut member_ties, mut all_tied, mut k_beyond_distinct, mut unrated, mut complete) =
         (0, 0, 0, 0, 0);
+    // What the shared prefixes have to survive: members whose first `k`
+    // ranked rows agree but whose rankings differ past them, a column some
+    // prefix row leaves unrated (the member walks its ranking), prefix
+    // weights summing below 1e-12, and fewer comparable rows than `k`.
+    let (mut shared_prefix, mut walked, mut weightless_prefix, mut k_beyond_comparable) =
+        (0, 0, 0, 0);
     let abs_bits = |sim: Option<f64>| sim.map(|s| s.abs().to_bits());
     let mut cover = |training: &UtilityMatrix,
                      similarity: Similarity,
@@ -237,6 +243,39 @@ fn predict_stats_matches_reference_fold_at_every_job_count() {
         complete += usize::from(
             training.nrows() == 60 && training.ncols() == 130 && training.known_count() == 60 * 130,
         );
+        // Each member's ranking as training rows: its comparable rows,
+        // stable-sorted by |similarity|. Its prefix is the first `k`.
+        let rankings: Vec<Vec<usize>> = bootstraps
+            .iter()
+            .map(|b| {
+                let mut ranked: Vec<usize> =
+                    b.iter().copied().filter(|&r| sims[r].is_some()).collect();
+                ranked.sort_by(|&x, &y| {
+                    let abs = |r: usize| sims[r].map_or(0.0, f64::abs);
+                    abs(y).total_cmp(&abs(x))
+                });
+                ranked
+            })
+            .collect();
+        let prefix = |m: usize| &rankings[m][..k.min(rankings[m].len())];
+        shared_prefix += usize::from(
+            (0..rankings.len())
+                .any(|a| (0..a).any(|b| prefix(a) == prefix(b) && rankings[a] != rankings[b])),
+        );
+        walked += usize::from((0..rankings.len()).any(|m| {
+            (0..training.ncols()).any(|c| {
+                known[c].is_none() && prefix(m).iter().any(|&r| training.get(r, c).is_none())
+            })
+        }));
+        weightless_prefix += usize::from((0..rankings.len()).any(|m| {
+            !prefix(m).is_empty()
+                && prefix(m)
+                    .iter()
+                    .map(|&r| sims[r].map_or(0.0, f64::abs))
+                    .sum::<f64>()
+                    < 1e-12
+        }));
+        k_beyond_comparable += usize::from(rankings.iter().any(|r| k > r.len()));
     };
 
     // Random shapes: duplicated rows, holes, a column nobody rates.
@@ -279,6 +318,44 @@ fn predict_stats_matches_reference_fold_at_every_job_count() {
             &format!("reference step {case}"),
         );
         cover(&training, similarity, k, &known, &bootstraps);
+    }
+
+    // Zero similarities: cosine rates a row whose two query columns read
+    // `(a, -a)` against the query's `(x, x)` exactly 0, so a member that
+    // drew only such rows has a prefix of zero weight.
+    for case in 0..12 {
+        let ncols = rng.gen_range(3..=10);
+        let x = rng.gen_range(0.5..50.0);
+        let mut known: Row = vec![None; ncols];
+        known[0] = Some(x);
+        known[1] = Some(x);
+        let nrows = rng.gen_range(3..=8);
+        let training = UtilityMatrix::from_rows(
+            (0..nrows)
+                .map(|r| {
+                    let mut row = random_row(&mut rng, ncols, 0.7);
+                    let a = rng.gen_range(0.5..50.0);
+                    row[0] = Some(a);
+                    row[1] = Some(if r < case % 3 {
+                        rng.gen_range(0.5..50.0)
+                    } else {
+                        -a
+                    });
+                    row
+                })
+                .collect(),
+        );
+        let k = 1 + case % 3;
+        let seed = 2500 + case as u64;
+        let bootstraps = check_ensemble(
+            &training,
+            Similarity::Cosine,
+            k,
+            &known,
+            seed,
+            &format!("zero similarity {case}"),
+        );
+        cover(&training, Similarity::Cosine, k, &known, &bootstraps);
     }
 
     // The benchmark tuner's shape: a complete 60 × 130 matrix distilled by
@@ -330,5 +407,21 @@ fn predict_stats_matches_reference_fold_at_every_job_count() {
     assert!(
         complete >= 5,
         "complete 60 x 130 matrix in only {complete} cases"
+    );
+    assert!(
+        shared_prefix >= 30,
+        "one prefix, different rankings in only {shared_prefix} cases"
+    );
+    assert!(
+        walked >= 30,
+        "a prefix row leaving a column unrated in only {walked} cases"
+    );
+    assert!(
+        weightless_prefix >= 6,
+        "a prefix of weight below 1e-12 in only {weightless_prefix} cases"
+    );
+    assert!(
+        k_beyond_comparable >= 10,
+        "k > comparable rows of a member in only {k_beyond_comparable} cases"
     );
 }

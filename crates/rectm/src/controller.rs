@@ -3,6 +3,7 @@
 use crate::recommender::{from_score, row_to_scores, to_scores};
 use recsys::{BaggingEnsemble, CfAlgorithm, Normalization, Row, UtilityMatrix};
 use smbo::{Acquisition, Candidate, Goal, StopState, StoppingRule};
+use std::borrow::Cow;
 use std::fmt;
 
 /// KPI magnitudes at or beyond this are discarded as corrupt rather than
@@ -87,6 +88,10 @@ pub struct Controller {
     goal: Goal,
     ncols: usize,
     settings: ControllerSettings,
+    /// The ratings of a workload whose only sample is the reference, and
+    /// the candidates they give: computed once per fit, because under a
+    /// ratio scheme every workload's first step sees the same ratings.
+    first_step: Option<(Row, Vec<Candidate>)>,
 }
 
 impl Controller {
@@ -107,13 +112,28 @@ impl Controller {
         normalizer.fit(&scores);
         let ratings = normalizer.transform_matrix(&scores);
         let ensemble = BaggingEnsemble::fit(&ratings, algorithm, settings.n_bags, settings.seed);
-        Controller {
+        let mut controller = Controller {
             normalizer,
             ensemble,
             goal,
             ncols: training_kpis.ncols(),
             settings,
+            first_step: None,
+        };
+        let first = controller.first_config();
+        if first < controller.ncols {
+            // The reference sampled at KPI 1: a ratio scheme rates any
+            // other reference KPI (bar a guarded near-zero one) the same.
+            let mut known: Row = vec![None; controller.ncols];
+            known[first] = Some(1.0);
+            let mut tried = vec![false; controller.ncols];
+            tried[first] = true;
+            controller.first_step = controller.ratings(&known).map(|ratings| {
+                let candidates = controller.predict_candidates(&ratings, &tried);
+                (ratings, candidates)
+            });
         }
+        controller
     }
 
     /// The configuration profiled first (the normalization's reference, or
@@ -421,8 +441,28 @@ impl Controller {
 
     /// Predictive candidates, given the known ratings, for all columns not
     /// yet sampled (`tried` covers the known columns and those whose sample
-    /// was discarded as corrupt).
-    fn candidates(&self, ratings: &Row, tried: &[bool]) -> Vec<Candidate> {
+    /// was discarded as corrupt): the fitted first step's when it applies.
+    fn candidates(&self, ratings: &Row, tried: &[bool]) -> Cow<'_, [Candidate]> {
+        match self.cached_first_step(ratings, tried) {
+            Some(candidates) => Cow::Borrowed(candidates),
+            None => Cow::Owned(self.predict_candidates(ratings, tried)),
+        }
+    }
+
+    /// The candidates computed at fit, if only the reference has been
+    /// tried and `ratings` are bit for bit the ones they were computed from.
+    fn cached_first_step(&self, ratings: &Row, tried: &[bool]) -> Option<&[Candidate]> {
+        let (cached, candidates) = self.first_step.as_ref()?;
+        let first = self.first_config();
+        let only_reference = tried.iter().enumerate().all(|(c, &t)| t == (c == first));
+        let same =
+            |(a, b): (&Option<f64>, &Option<f64>)| a.map(f64::to_bits) == b.map(f64::to_bits);
+        (only_reference && ratings.len() == cached.len() && ratings.iter().zip(cached).all(same))
+            .then_some(candidates.as_slice())
+    }
+
+    /// [`Self::candidates`], computed from the ensemble.
+    fn predict_candidates(&self, ratings: &Row, tried: &[bool]) -> Vec<Candidate> {
         let stats = self.ensemble.predict_stats(ratings);
         stats
             .iter()
@@ -684,6 +724,77 @@ pub(crate) mod tests {
         assert_eq!(out.recommended, ctl.first_config());
         assert!(out.best_kpi.is_nan());
         assert_eq!(calls, ControllerSettings::default().max_explorations);
+    }
+
+    /// The reference-only step's candidates are computed once per fit. For
+    /// every normalisation and goal: where they apply, they are bit for bit
+    /// a cold computation; where the reference-only ratings depend on the
+    /// KPI, or a guarded zero reference changes them, they are not used;
+    /// and once a second configuration is tried they never are.
+    #[test]
+    fn first_step_cache_is_a_cold_call_or_unused() {
+        let _serial = crate::serial();
+        let schemes: [fn() -> Box<dyn Normalization + Send + Sync>; 5] = [
+            || Box::new(recsys::NoNorm),
+            || Box::new(recsys::GlobalMaxNorm::new()),
+            || Box::new(recsys::IdealNorm),
+            || Box::new(recsys::RcNorm::new()),
+            || Box::new(DistillationNorm::new()),
+        ];
+        let bits = |c: &[Candidate]| -> Vec<(usize, u64, u64)> {
+            c.iter()
+                .map(|c| (c.index, c.mu.to_bits(), c.sigma2.to_bits()))
+                .collect()
+        };
+        let mut hits = 0;
+        for scheme in schemes {
+            for goal in [Goal::Maximize, Goal::Minimize] {
+                let ctl = Controller::fit(
+                    &training(),
+                    goal,
+                    scheme(),
+                    CfAlgorithm::Knn {
+                        similarity: Similarity::Cosine,
+                        k: 3,
+                    },
+                    ControllerSettings::default(),
+                );
+                let name = ctl.normalizer.name();
+                // Ratio schemes rate the reference 1 and RC rates it minus
+                // its column mean, whatever the KPI; none and norm-wrt-max
+                // carry the KPI into the rating.
+                let kpi_free = matches!(name, "ideal" | "rc-diff" | "distillation");
+                let first = ctl.first_config();
+                let mut tried = vec![false; ctl.ncols()];
+                tried[first] = true;
+                for kpi in [1.0, 3.7, 250.0, 0.0] {
+                    let mut known: Row = vec![None; ctl.ncols()];
+                    known[first] = Some(kpi);
+                    let ratings = ctl.ratings(&known).expect("the reference is known");
+                    let cold = ctl.predict_candidates(&ratings, &tried);
+                    // A zero throughput scales by the 1e-12 guard instead.
+                    let guarded = kpi == 0.0 && goal == Goal::Maximize && name != "rc-diff";
+                    let cached = ctl.cached_first_step(&ratings, &tried);
+                    assert_eq!(
+                        cached.is_some(),
+                        kpi == 1.0 || (kpi_free && !guarded),
+                        "{name} {goal:?} kpi {kpi}"
+                    );
+                    if let Some(cached) = cached {
+                        hits += 1;
+                        assert!(!cached.is_empty(), "{name} {goal:?} kpi {kpi}");
+                        assert_eq!(bits(cached), bits(&cold), "{name} {goal:?} kpi {kpi}");
+                        assert_eq!(bits(&ctl.candidates(&ratings, &tried)), bits(&cold));
+                    }
+                    let mut second = tried.clone();
+                    second[(first + 1) % ctl.ncols()] = true;
+                    assert!(ctl.cached_first_step(&ratings, &second).is_none());
+                }
+            }
+        }
+        // none and norm-wrt-max at KPI 1 only; ideal and distillation bar
+        // Maximize's zero; RC always.
+        assert_eq!(hits, 2 + 2 + 7 + 8 + 7);
     }
 
     #[test]

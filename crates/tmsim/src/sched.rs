@@ -25,9 +25,9 @@
 //!    woken by the event that releases it; the real spin loops are only
 //!    ever entered when they cannot spin.
 //! 3. Adapter actions (quiesce, switch, resize) run at scheduled virtual
-//!    times through the same event heap, and drain checks use
-//!    [`ThreadGate::await_drained`] with an immediate deadline — a pure
-//!    poll whose result depends only on gate state.
+//!    times through the same event heap, and drain checks are
+//!    [`ThreadGate::is_drained`] — a pure poll whose result depends only
+//!    on gate state.
 
 use crate::machine::MachineModel;
 use crate::vtime::{op_costs_for_config, splitmix64, OpCosts, TICKS_PER_NS};
@@ -39,7 +39,6 @@ use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 use stm::{Durable, NOrec, SwissTm, TinyStm, Tl2};
 use txcore::{Abort, AbortCode, Addr, DurabilityMode, PHeapStats, ThreadCtx, TmBackend, TmSystem};
 
@@ -720,13 +719,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Non-blocking drain poll of one slot ([`ThreadGate::await_drained`]
-    /// with an immediate deadline: the wall clock only bounds the poll, it
-    /// never feeds a result).
-    fn drained(&self, slot: usize) -> bool {
-        self.gate.await_drained(slot, Some(Instant::now()))
-    }
-
     /// Advance the adapter state machine after a step at `now`.
     fn adapter_poll(&mut self, now: u64) {
         match self.adapter {
@@ -741,7 +733,7 @@ impl<'a> Engine<'a> {
                 }
             }
             Adapter::SwitchDraining { to, started } => {
-                if (0..self.n).all(|s| self.drained(s)) {
+                if (0..self.n).all(|s| self.gate.is_drained(s)) {
                     // Quiesced: install the new backend and advance the
                     // epoch inside the drained window, exactly like the
                     // real adapter.
@@ -786,7 +778,7 @@ impl<'a> Engine<'a> {
                 }
             }
             Adapter::ResizeDraining { to, started } => {
-                if (to..self.n).all(|s| self.drained(s)) {
+                if (to..self.n).all(|s| self.gate.is_drained(s)) {
                     self.gate.advance_epoch();
                     self.shrink_latency =
                         Some((now - started + self.costs.resize_apply) / TICKS_PER_NS);
