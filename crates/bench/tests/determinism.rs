@@ -164,7 +164,7 @@ fn durable_trace_is_byte_identical_and_its_audit_recovers() {
         "durable trace must be byte-identical at jobs=1 and jobs=4"
     );
     let trace = tracetool::parse_trace(&text).expect("durable trace parses");
-    let report = tracetool::report::plain(&tracetool::report::Report::new(&trace));
+    let report = tracetool::report::render(&trace);
     for needle in ["crash recovery audit", "verdict: recovered"] {
         assert!(
             report.contains(needle),
@@ -174,7 +174,7 @@ fn durable_trace_is_byte_identical_and_its_audit_recovers() {
 }
 
 /// The conflict observatory rides the same rails: the `proteus-trace
-/// conflicts` view (plain and JSON) over a captured trace must be
+/// conflicts` view over a captured trace must be
 /// byte-identical at jobs 1, 2, and 4. The vtime stage exercises every
 /// section of the view — per-backend ledgers, the exact cross-host vtime
 /// cells, hot-stripe tables, and the windowed cause mix.
@@ -184,13 +184,9 @@ fn conflicts_view_is_byte_identical_across_job_counts() {
         let (_, bytes) = obs::capture_trace(|| parx::with_jobs(jobs, bench::vtime::run));
         let text = String::from_utf8(bytes).expect("trace is UTF-8 JSONL");
         let trace = tracetool::parse_trace(&text).expect("trace parses");
-        let view = tracetool::conflicts::Conflicts::new(&trace);
-        (
-            tracetool::conflicts::plain(&view),
-            tracetool::conflicts::json(&view),
-        )
+        tracetool::conflicts::render(&trace)
     };
-    let (plain1, json1) = run(1);
+    let view = run(1);
     for section in [
         "abort attribution & wasted work",
         "vtime conflict profile",
@@ -198,16 +194,12 @@ fn conflicts_view_is_byte_identical_across_job_counts() {
         "goodput timeline",
     ] {
         assert!(
-            plain1.contains(section),
-            "conflicts view must render its {section:?} section:\n{plain1}"
+            view.contains(section),
+            "conflicts view must render its {section:?} section:\n{view}"
         );
     }
-    assert!(
-        json1.contains("\"vtime\":") && json1.contains("\"stripes\":"),
-        "JSON view carries the vtime cells and stripe tables: {json1}"
-    );
-    assert_eq!((plain1.clone(), json1.clone()), run(2), "differs at jobs=2");
-    assert_eq!((plain1, json1), run(4), "differs at jobs=4");
+    assert_eq!(view, run(2), "differs at jobs=2");
+    assert_eq!(view, run(4), "differs at jobs=4");
 }
 
 #[test]

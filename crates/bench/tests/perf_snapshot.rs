@@ -1,28 +1,23 @@
-//! The fig5 trace snapshot against the checked-in
-//! `BENCH_perf_baseline.json` at the repository root (see
-//! [`bench::snapshot`] for the keys; each is gated exactly). A binary of
-//! its own with one test, because the trace it captures is process-global.
-//! Re-record the baseline intentionally with:
+//! The fig5 trace snapshot: what the tracer records for the fig5 quick
+//! pipeline on a small fixed corpus — its record count and its own event,
+//! byte, span and window totals. Every number is an integer,
+//! byte-identical at every `--jobs` value and on every host, so each must
+//! match exactly: any drift is a real behaviour change, not noise. The
+//! figure's own numbers are not here; its stdout golden (`tests/figures.rs`)
+//! pins them, and wall-clock performance is measured in `benchmark/`.
 //!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test -p bench --test perf_snapshot
-//! ```
-
-use std::path::Path;
+//! A binary of its own with one test, because `obs::finish_trace` dumps
+//! process-global counters.
 
 #[test]
 fn fig5_trace_snapshot_matches_baseline() {
-    let snap = bench::snapshot::collect();
-    let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf_baseline.json");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&baseline, bench::snapshot::render(&snap)).unwrap();
-    }
-    if let Err(verdict) = bench::snapshot::gate(&snap, &baseline) {
-        panic!(
-            "the fig5 trace snapshot fails its baseline gate:\n{}\n\
-             if the change is intentional, regenerate with UPDATE_GOLDEN=1 and \
-             review the diff",
-            verdict.trim_end()
-        );
-    }
+    obs::start_trace_memory();
+    bench::fig5::run_with(12);
+    let report = obs::finish_trace();
+    let oh = &report.overhead;
+    assert_eq!(
+        [report.events, oh.events, oh.bytes, oh.spans, oh.windows],
+        [4032, 4035, 410051, 1280, 0],
+        "fig5 trace: [trace.events, obs.events, obs.bytes, obs.spans, obs.windows]"
+    );
 }

@@ -1,10 +1,10 @@
 //! The analyzer inherits the trace's determinism guarantee: `proteus-trace
 //! report` over a fig5 trace must be byte-identical at every job count and
-//! across repeated runs, plain and `--json`.
+//! across repeated runs.
 //!
-//! These tests run the analyzer in-process (`tracetool::report::plain` and
-//! `::json`) on traces captured with `obs::capture_trace`, which is exactly
-//! what the `proteus-trace` binary does after reading the file.
+//! These tests run the analyzer in-process (`tracetool::report::render`) on
+//! traces captured with `obs::capture_trace`, which is exactly what the
+//! `proteus-trace` binary does after reading the file.
 
 use polytm::{BackendId, HtmSetting, PolyTm, TmConfig};
 use txcore::DurabilityMode;
@@ -31,20 +31,10 @@ fn fig5_report_is_byte_identical_across_job_counts_and_runs() {
 
     let report = |text: &str| {
         let trace = tracetool::parse_trace(text).expect("fig5 trace parses");
-        let report = tracetool::report::Report::new(&trace);
-        (
-            tracetool::report::plain(&report),
-            tracetool::report::json(&report),
-        )
+        tracetool::report::render(&trace)
     };
-    let (a, a_json) = report(&serial);
-    let (b, b_json) = report(&parallel);
-    let (c, _) = report(&again);
+    let (a, b, c) = (report(&serial), report(&parallel), report(&again));
     assert_eq!(a, b, "report must not depend on the job count");
-    assert_eq!(
-        a_json, b_json,
-        "report --json must not depend on the job count"
-    );
     assert_eq!(b, c, "report must be stable across repeated runs");
     assert!(a.contains("explore.start"), "missing timeline rows:\n{a}");
 }
@@ -129,7 +119,7 @@ fn traced_switches_carry_latency_and_reach_the_report() {
             rec.line
         );
     }
-    let report = tracetool::report::plain(&tracetool::report::Report::new(&trace));
+    let report = tracetool::report::render(&trace);
     assert!(
         report.contains("switch latency & gate stalls"),
         "missing switch section:\n{report}"
@@ -142,7 +132,7 @@ fn traced_switches_carry_latency_and_reach_the_report() {
 #[test]
 fn backend_counters_fold_into_the_conflicts_ledger() {
     let trace = switching_trace();
-    let view = tracetool::conflicts::plain(&tracetool::conflicts::Conflicts::new(&trace));
+    let view = tracetool::conflicts::render(&trace);
     for needle in ["  tl2 ", "overall goodput:"] {
         assert!(
             view.contains(needle),

@@ -83,9 +83,8 @@ impl Value {
 }
 
 /// Append `s` to `out` as a JSON string literal with the mandatory
-/// escapes. The one string encoder of the trace format: the emitter and
-/// every `--json` view of `proteus-trace` call it, so they cannot drift.
-pub fn encode_str(out: &mut String, s: &str) {
+/// escapes. The one string encoder of the trace format.
+fn encode_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -41,7 +41,7 @@ pub mod metrics;
 mod span;
 mod trace;
 
-pub use event::{encode_str, Event, PendingEvent, Value};
+pub use event::{Event, PendingEvent, Value};
 pub use metrics::{counter, Counter};
 pub use span::Span;
 pub use trace::{

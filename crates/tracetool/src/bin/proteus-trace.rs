@@ -10,47 +10,34 @@ use std::process::ExitCode;
 use tracetool::{conflicts, perf, report, Trace};
 
 const USAGE: &str = "usage:
-  proteus-trace report <trace.jsonl> [--json]      single-trace report
-  proteus-trace perf <trace.jsonl>                 KPI time-series & overhead audit
-  proteus-trace conflicts <trace.jsonl> [--json]   abort attribution & hot stripes
+  proteus-trace report <trace.jsonl>      single-trace report
+  proteus-trace perf <trace.jsonl>        KPI time-series & overhead audit
+  proteus-trace conflicts <trace.jsonl>   abort attribution & hot stripes
 
 The trace must start with a {\"kind\":\"trace.meta\",\"schema\":4} header
 (written by obs::trace::start); any other schema is rejected.";
 
-/// Every subcommand and whether it understands `--json`, its one flag.
-const SUBCOMMANDS: [(&str, bool); 3] = [("report", true), ("perf", false), ("conflicts", true)];
-
-/// A parsed command line.
-struct Args {
-    path: String,
-    json: bool,
-}
-
-/// Parse the arguments after the subcommand name: exactly one trace path,
-/// and `--json` where `json_flag` allows it. The error is what to print
-/// before exiting 2.
-fn parse_args(json_flag: bool, rest: &[String]) -> Result<Args, String> {
-    let (mut path, mut json) = (None, false);
-    for arg in rest {
-        if json_flag && arg == "--json" {
-            json = true;
-        } else if path.is_some() {
-            return Err(format!("unexpected argument {arg:?}\n{USAGE}"));
-        } else {
-            path = Some(arg.clone());
-        }
+/// The view a subcommand prints.
+fn view(name: &str) -> Option<fn(&Trace) -> String> {
+    match name {
+        "report" => Some(report::render),
+        "perf" => Some(perf::render),
+        "conflicts" => Some(conflicts::render),
+        _ => None,
     }
-    let path = path.ok_or(USAGE)?;
-    Ok(Args { path, json })
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let outcome = match argv.split_first() {
         None => Err(USAGE.to_string()),
-        Some((name, rest)) => match SUBCOMMANDS.iter().find(|sub| sub.0 == name) {
+        Some((name, rest)) => match view(name) {
             None => Err(format!("unknown subcommand {name:?}\n{USAGE}")),
-            Some(&(name, json_flag)) => parse_args(json_flag, rest).map(|a| run(name, &a)),
+            Some(view) => match rest {
+                [path] => Ok(run(name, view, path)),
+                [] => Err(USAGE.to_string()),
+                [_, extra, ..] => Err(format!("unexpected argument {extra:?}\n{USAGE}")),
+            },
         },
     };
     match outcome {
@@ -66,23 +53,15 @@ fn main() -> ExitCode {
     }
 }
 
-/// Run one subcommand.
-fn run(name: &str, args: &Args) -> Result<(), String> {
-    let path = &args.path;
+/// Run one subcommand: read the trace at `path` and print its `view`.
+fn run(name: &str, view: fn(&Trace) -> String, path: &str) -> Result<(), String> {
     let trace = load(path)?;
-    let text = match (name, args.json) {
-        ("perf", _) => perf::render(&trace),
-        _ if trace.records.is_empty() && trace.counters.is_empty() => {
-            return Err(format!(
-                "{path}: trace holds a header but no records — nothing to report"
-            ));
-        }
-        ("report", true) => report::json(&report::Report::new(&trace)),
-        ("report", false) => report::plain(&report::Report::new(&trace)),
-        (_, true) => conflicts::json(&conflicts::Conflicts::new(&trace)),
-        (_, false) => conflicts::plain(&conflicts::Conflicts::new(&trace)),
-    };
-    print!("{text}");
+    if name != "perf" && trace.records.is_empty() && trace.counters.is_empty() {
+        return Err(format!(
+            "{path}: trace holds a header but no records — nothing to report"
+        ));
+    }
+    print!("{}", view(&trace));
     Ok(())
 }
 

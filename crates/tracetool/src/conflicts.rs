@@ -1,10 +1,9 @@
 //! The conflict-observatory view: abort attribution, wasted-work ledger,
 //! hot-stripe tables and goodput timelines (`proteus-trace conflicts`).
 //!
-//! [`Conflicts::new`] folds one trace's counters, events and
-//! `metrics.window` records into a typed model; [`plain`] and [`json`] only
-//! format it, so the view is byte-identical for byte-identical traces. Two
-//! sources feed it:
+//! [`render`] folds one trace's counters, events and `metrics.window`
+//! records into a typed model and formats it, so the view is
+//! byte-identical for byte-identical traces. Two sources feed it:
 //!
 //! - **Wall-clock runs** dump per-backend counters at trace end
 //!   (`tx.commit.<b>`, `tx.abort.<b>.<cause>`, `tx.work.<b>.ops`,
@@ -16,7 +15,7 @@
 //!   stripes.
 
 use crate::perf::{SeriesAgg, WindowPoint, WINDOW_LIMIT};
-use crate::{banner, elide, json_head, section, Record, Trace};
+use crate::{banner, elide, section, Record, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -120,7 +119,7 @@ struct Cell<'a> {
 }
 
 /// Everything `proteus-trace conflicts` says about one trace.
-pub struct Conflicts<'a> {
+struct Conflicts<'a> {
     /// Per-backend attribution from the counter dump, sorted by backend.
     ledgers: BTreeMap<String, BackendLedger>,
     /// Deterministic vtime conflict cells, in stream order.
@@ -128,12 +127,11 @@ pub struct Conflicts<'a> {
     /// Hot stripes, in stream order.
     stripes: Vec<StripeRow<'a>>,
     windows: &'a BTreeMap<String, Vec<WindowPoint>>,
-    complete: bool,
 }
 
 impl<'a> Conflicts<'a> {
     /// Fold `trace` into the conflict-observatory model.
-    pub fn new(trace: &'a Trace) -> Conflicts<'a> {
+    fn new(trace: &'a Trace) -> Conflicts<'a> {
         let cell = |r: &'a Record| Cell {
             machine: r.str("machine").unwrap_or("-"),
             backend: r.str("backend").unwrap_or("?"),
@@ -159,7 +157,6 @@ impl<'a> Conflicts<'a> {
                 .filter_map(stripe)
                 .collect(),
             windows: trace.windows(),
-            complete: trace.complete,
         }
     }
 
@@ -183,9 +180,10 @@ impl<'a> Conflicts<'a> {
     }
 }
 
-/// Render the conflict-observatory report as text.
-pub fn plain(view: &Conflicts) -> String {
-    let mut out = banner("conflicts", view.complete);
+/// Render the conflict-observatory view of one trace.
+pub fn render(trace: &Trace) -> String {
+    let view = Conflicts::new(trace);
+    let mut out = banner("conflicts", trace.complete);
 
     section(&mut out, "abort attribution & wasted work (per backend)");
     if view.ledgers.is_empty() {
@@ -302,69 +300,10 @@ pub fn plain(view: &Conflicts) -> String {
     out
 }
 
-/// Render the view as one machine-readable JSON object (`--json`). Key
-/// order is fixed and all maps are name-sorted, so equal traces yield
-/// equal bytes.
-pub fn json(view: &Conflicts) -> String {
-    let mut w = json_head(view.complete);
-
-    w.key("backends").open('{');
-    for (backend, l) in &view.ledgers {
-        w.key(backend).open('{').key("commits").raw(l.commits);
-        w.key("fallback_commits").raw(l.fallback_commits);
-        w.key("aborts").raw(l.aborts()).key("causes").open('{');
-        for (slug, n) in ordered_causes(l) {
-            w.key(slug).raw(n);
-        }
-        w.close('}').key("work_ops").raw(l.work_ops);
-        w.key("wasted_ops").raw(l.wasted_ops);
-        w.key("goodput_ratio").f64(l.goodput_ratio()).close('}');
-    }
-
-    w.close('}').key("vtime").open('[');
-    for c in &view.cells {
-        w.open('{').key("machine").str(c.machine);
-        w.key("backend").str(c.backend);
-        w.key("threads").raw(c.threads);
-        w.key("aborts").raw(c.aborts);
-        w.key("goodput_pm").raw(c.goodput_pm);
-        w.key("wasted_ops").raw(c.wasted_ops).close('}');
-    }
-
-    w.close(']').key("stripes").open('[');
-    for s in &view.stripes {
-        w.open('{').key("machine").str(s.machine);
-        w.key("backend").str(s.backend).key("rank").raw(s.rank);
-        w.key("stripe").raw(s.stripe);
-        w.key("hits").raw(s.hits).close('}');
-    }
-
-    w.close(']').key("series").open('{');
-    let observed = |name: &str| {
-        name.starts_with("abort.cause.")
-            || ["wasted.ops", "goodput.ratio", "conflict.stripe_topk"].contains(&name)
-    };
-    for (name, pts) in view.windows.iter().filter(|(name, _)| observed(name)) {
-        w.key(name).open('{');
-        SeriesAgg::of(pts).json(&mut w);
-        w.close('}');
-    }
-    w.close('}').close('}');
-    w.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::trace_of;
-
-    fn render(trace: &Trace) -> String {
-        plain(&Conflicts::new(trace))
-    }
-
-    fn render_json(trace: &Trace) -> String {
-        json(&Conflicts::new(trace))
-    }
 
     #[test]
     fn ledgers_fold_the_counter_dump() {
@@ -448,42 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn json_view_is_stable_and_balanced() {
-        let t = trace_of(&[
-            r#"{"seq":0,"kind":"counter","name":"tx.commit.tl2","value":90}"#,
-            r#"{"seq":1,"kind":"counter","name":"tx.abort.tl2.conflict","value":10}"#,
-            r#"{"seq":2,"kind":"counter","name":"tx.work.tl2.ops","value":900}"#,
-            r#"{"seq":3,"kind":"counter","name":"tx.wasted.tl2.ops","value":100}"#,
-            r#"{"seq":4,"kind":"vtime.conflict","machine":"machine-a","backend":"TL2","threads":8,"aborts":6,"goodput_pm":975,"wasted_ops":160}"#,
-            r#"{"seq":5,"kind":"conflict.stripe","machine":"machine-a","backend":"TL2","rank":1,"stripe":31497,"hits":2}"#,
-            r#"{"seq":6,"kind":"metrics.window","series":"goodput.ratio","window":0,"tick":4,"n":2,"mean":0.95,"min":0.9,"max":1.0,"last":1.0}"#,
-        ]);
-        let a = render_json(&t);
-        assert_eq!(a, render_json(&t), "stable bytes");
-        assert!(a.starts_with(&format!("{{\"schema\":{}", obs::SCHEMA_VERSION)));
-        assert!(
-            a.contains("\"tl2\":{\"commits\":90,\"fallback_commits\":0,\"aborts\":10,\"causes\":{\"conflict\":10},\"work_ops\":900,\"wasted_ops\":100,\"goodput_ratio\":0.9}"),
-            "{a}"
-        );
-        assert!(a.contains("\"machine\":\"machine-a\""), "{a}");
-        assert!(a.contains("\"stripe\":31497"), "{a}");
-        assert!(
-            a.contains("\"goodput.ratio\":{\"windows\":1,\"samples\":2,\"mean\":0.95}"),
-            "{a}"
-        );
-        assert!(a.ends_with("}\n"));
-        let opens = a.matches(['{', '[']).count();
-        let closes = a.matches(['}', ']']).count();
-        assert_eq!(opens, closes);
-    }
-
-    #[test]
     fn empty_trace_renders_gracefully() {
         let t = trace_of(&[r#"{"seq":0,"kind":"explore.start","config":1}"#]);
         let text = render(&t);
         assert!(text.contains("(no tx.* counters in this trace)"), "{text}");
-        let a = render_json(&t);
-        assert!(a.contains("\"backends\":{}"), "{a}");
-        assert!(a.contains("\"vtime\":[]"), "{a}");
     }
 }

@@ -1,5 +1,4 @@
-//! Minimal flat-JSON parser for the obs JSONL dialect, and the writer the
-//! `--json` views share.
+//! Minimal flat-JSON parser for the obs JSONL dialect.
 //!
 //! The trace encoder (`crates/obs/src/event.rs`) emits exactly one flat
 //! object per line whose values are scalars — no nested objects or arrays.
@@ -7,8 +6,6 @@
 //! and rejects everything else with a position-carrying error, which is
 //! what lets `proteus-trace` fail CI on malformed streams instead of
 //! silently misreading them.
-
-use std::fmt::Write as _;
 
 /// A scalar JSON value from a trace record.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,7 +196,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Parse one line as a flat JSON object, preserving key order.
-pub fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
+pub(crate) fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
     let mut p = Parser { text: line, pos: 0 };
     p.skip_ws();
     p.literal("{")?;
@@ -227,76 +224,6 @@ pub fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
         return Err(p.err("trailing data after object"));
     }
     Ok(out)
-}
-
-/// Compact JSON writer for the `--json` views: it owns comma placement,
-/// string escaping ([`obs::encode_str`], the trace's own encoder) and the
-/// float rule, so a renderer only names keys and values.
-#[derive(Debug, Default)]
-pub struct Writer {
-    out: String,
-    /// The next token follows a sibling (not a key or an opening bracket),
-    /// so it needs a `,` first.
-    comma: bool,
-}
-
-impl Writer {
-    /// Where the next token goes: after a `,` when it follows a sibling.
-    fn next(&mut self) -> &mut String {
-        if std::mem::replace(&mut self.comma, true) {
-            self.out.push(',');
-        }
-        &mut self.out
-    }
-
-    /// Open an object (`{`) or array (`[`) in value position.
-    pub fn open(&mut self, bracket: char) -> &mut Writer {
-        self.next().push(bracket);
-        self.comma = false;
-        self
-    }
-
-    /// Close the innermost object or array with `bracket`.
-    pub fn close(&mut self, bracket: char) -> &mut Writer {
-        self.out.push(bracket);
-        self.comma = true;
-        self
-    }
-
-    /// An object key; the value is whatever is written next.
-    pub fn key(&mut self, key: &str) -> &mut Writer {
-        self.str(key).out.push(':');
-        self.comma = false;
-        self
-    }
-
-    /// A value that is its own JSON token: integers, booleans, `null`.
-    pub fn raw(&mut self, token: impl std::fmt::Display) -> &mut Writer {
-        let _ = write!(self.next(), "{token}");
-        self
-    }
-
-    /// A string value.
-    pub fn str(&mut self, s: &str) -> &mut Writer {
-        obs::encode_str(self.next(), s);
-        self
-    }
-
-    /// A float in shortest-roundtrip form, as the trace encodes it;
-    /// non-finite values, which JSON has no token for, become strings.
-    pub fn f64(&mut self, v: f64) -> &mut Writer {
-        if v.is_finite() {
-            self.raw(v)
-        } else {
-            self.str(&v.to_string())
-        }
-    }
-
-    /// The document, newline-terminated.
-    pub fn finish(mut self) -> String {
-        self.out.push('\n');
-        self.out
-    }
 }
 
 #[cfg(test)]
@@ -346,23 +273,6 @@ mod tests {
         assert_eq!(fields[0].1, JsonValue::F64(1e150));
         let fields = parse_object(&format!("{{\"big\":-1{}}}", "0".repeat(30))).unwrap();
         assert_eq!(fields[0].1, JsonValue::F64(-1e30));
-    }
-
-    #[test]
-    fn writer_places_commas_and_spells_nonfinite_floats_as_strings() {
-        let mut w = Writer::default();
-        w.open('{').key("a").raw(1).key("b").open('[');
-        w.f64(0.5)
-            .f64(f64::INFINITY)
-            .str("x\"y")
-            .open('{')
-            .close('}');
-        w.close(']').key("c").open('{').key("d").raw("null");
-        w.close('}').close('}');
-        assert_eq!(
-            w.finish(),
-            "{\"a\":1,\"b\":[0.5,\"inf\",\"x\\\"y\",{}],\"c\":{\"d\":null}}\n"
-        );
     }
 
     #[test]

@@ -5,15 +5,12 @@
 //! quiescence epochs, configuration switches, CUSUM alarms, EI exploration
 //! steps, CV folds — is a record with a logical sequence number, and span
 //! records add the hierarchy. This crate turns one such stream into
-//! deterministic reports, in three steps with one owner each:
+//! deterministic reports, in two steps with one owner each:
 //!
 //! * [`parse_trace`] is the only code that reads trace text: lines,
 //!   header contract, counter dump, end-of-trace marker.
-//! * Each view computes one typed model from the [`Trace`]
-//!   ([`report::Report`], [`conflicts::Conflicts`]) ...
-//! * ... and formats it twice: `plain(&model)` for people, `json(&model)`
-//!   (through [`json::Writer`]) for machines. [`perf`] has a plain form
-//!   only.
+//! * Each view ([`report`], [`perf`], [`conflicts`]) is one
+//!   `render(&Trace) -> String`: one plain text.
 //!
 //! Everything is a pure function of the input bytes: same trace, same
 //! report, byte for byte. That property is load-bearing — the repo's
@@ -206,17 +203,6 @@ pub(crate) fn banner(view: &str, complete: bool) -> String {
         );
     }
     out
-}
-
-/// The opening of a `--json` view: the schema, and `"incomplete":true`
-/// where [`banner`] prints its `INCOMPLETE` line.
-pub(crate) fn json_head(complete: bool) -> json::Writer {
-    let mut w = json::Writer::default();
-    w.open('{').key("schema").raw(obs::SCHEMA_VERSION);
-    if !complete {
-        w.key("incomplete").raw(true);
-    }
-    w
 }
 
 /// Say how many rows a listing capped at `limit` left out, if any.

@@ -8,7 +8,6 @@
 //! Like every view in this crate, it is a pure function of the input
 //! bytes: same trace, same output.
 
-use crate::json::Writer;
 use crate::{banner, elide, Record, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -57,8 +56,7 @@ impl WindowPoint {
     }
 }
 
-/// One series folded over all its windows: what the `--json` views report
-/// per series.
+/// One series folded over all its windows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesAgg {
     /// Windows flushed.
@@ -84,13 +82,6 @@ impl SeriesAgg {
                 sum / samples as f64
             },
         }
-    }
-
-    /// Write the three fields as keys of the object `w` has open.
-    pub(crate) fn json(self, w: &mut Writer) {
-        w.key("windows").raw(self.windows);
-        w.key("samples").raw(self.samples);
-        w.key("mean").f64(self.mean);
     }
 }
 

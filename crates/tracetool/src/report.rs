@@ -1,16 +1,13 @@
 //! The single-trace report: decision timeline, switch/quiescence
-//! breakdowns, crash recovery audit.
+//! breakdowns, crash recovery audit, counter dump.
 //!
-//! [`Report::new`] folds the trace once into a typed model; [`plain`] and
-//! [`json`] only format it. Every section is a pure fold over
-//! `Trace::records` (plus the counter dump), so the report is
-//! byte-identical for byte-identical traces — and because the
-//! learning-path trace itself is byte-identical at every `--jobs`
-//! value, so is the report.
+//! Every section of [`render`] is a pure fold over `Trace::records` (plus
+//! the counter dump), so the report is byte-identical for byte-identical
+//! traces — and because the learning-path trace itself is byte-identical
+//! at every `--jobs` value, so is the report.
 
-use crate::perf::SeriesAgg;
 use crate::spans::SpanForest;
-use crate::{banner, elide, json_head, section, Record, Trace};
+use crate::{banner, elide, section, Record, Trace};
 use std::fmt::Write;
 
 /// Event kinds that constitute "decisions" for the timeline section.
@@ -26,22 +23,6 @@ const DECISION_KINDS: [&str; 6] = [
 /// Timeline rows printed before eliding the rest.
 const TIMELINE_LIMIT: usize = 60;
 
-/// Everything `proteus-trace report` says about one trace.
-pub struct Report<'a> {
-    trace: &'a Trace,
-    spans: SpanForest,
-}
-
-impl<'a> Report<'a> {
-    /// Fold `trace` into the report model.
-    pub fn new(trace: &'a Trace) -> Report<'a> {
-        Report {
-            trace,
-            spans: SpanForest::build(&trace.records),
-        }
-    }
-}
-
 fn fmt_ns(ns: f64) -> String {
     let units = [(1e9, "s"), (1e6, "ms"), (1e3, "us")];
     match units.into_iter().find(|(scale, _)| ns >= *scale) {
@@ -50,9 +31,9 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Render the report as text.
-pub fn plain(report: &Report) -> String {
-    let Report { trace, spans } = report;
+/// Render the report of one trace.
+pub fn render(trace: &Trace) -> String {
+    let spans = SpanForest::build(&trace.records);
     let mut out = banner("report", trace.complete);
     let (events, counters) = (trace.records.len(), trace.counters.len());
     let _ = writeln!(
@@ -67,55 +48,10 @@ pub fn plain(report: &Report) -> String {
     }
 
     render_timeline(&mut out, trace);
-    render_switches(&mut out, trace, spans);
+    render_switches(&mut out, trace, &spans);
     render_recovery_audit(&mut out, trace);
+    render_counters(&mut out, trace);
     out
-}
-
-/// Render the report as one machine-readable JSON object (the `--json`
-/// flag of `proteus-trace report`). Key order is fixed and all maps are
-/// name-sorted, so equal traces yield equal bytes — CI can diff or parse
-/// this without scraping the text report. Floats use the same
-/// shortest-roundtrip encoding as the trace itself.
-pub fn json(report: &Report) -> String {
-    let Report { trace, spans } = report;
-    let mut w = json_head(trace.complete);
-    w.key("records").raw(trace.records.len());
-    w.key("spans").open('{').key("count").raw(spans.nodes.len());
-    w.key("unclosed").raw(spans.unclosed());
-    w.key("orphan_ends").raw(spans.orphan_ends).close('}');
-
-    w.key("kinds").open('{');
-    for (kind, count) in trace.kind_histogram() {
-        w.key(kind).raw(count);
-    }
-    w.close('}').key("counters").open('{');
-    for (name, value) in &trace.counters {
-        w.key(name).raw(value);
-    }
-
-    // Time-series windows, one aggregate row per series.
-    w.close('}').key("windows").open('[');
-    for (series, points) in trace.windows() {
-        w.open('{').key("series").str(series);
-        SeriesAgg::of(points).json(&mut w);
-        w.close('}');
-    }
-
-    // Self-overhead audit from the trailing obs.overhead total record.
-    w.close(']').key("overhead");
-    match trace.records.iter().find(|r| r.is_trailer()) {
-        None => w.raw("null"),
-        Some(r) => {
-            w.open('{');
-            for key in ["events", "bytes", "spans", "windows"] {
-                w.key(key).raw(r.u64(key).unwrap_or(0));
-            }
-            w.close('}')
-        }
-    };
-    w.close('}');
-    w.finish()
 }
 
 fn render_timeline(out: &mut String, trace: &Trace) {
@@ -216,18 +152,22 @@ fn render_recovery_audit(out: &mut String, trace: &Trace) {
     let _ = writeln!(out, "  verdict: {verdict}");
 }
 
+/// The counter dump, sorted by name; absent when the trace has none (a
+/// capture, or a writer that died before `obs::finish_trace`).
+fn render_counters(out: &mut String, trace: &Trace) {
+    if trace.counters.is_empty() {
+        return;
+    }
+    section(out, "counters");
+    for (name, value) in &trace.counters {
+        let _ = writeln!(out, "  {name:<28} {value:>8}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::trace_of;
-
-    fn render(trace: &Trace) -> String {
-        plain(&Report::new(trace))
-    }
-
-    fn render_json(trace: &Trace) -> String {
-        json(&Report::new(trace))
-    }
 
     #[test]
     fn switch_section_reads_span_durations() {
@@ -295,39 +235,20 @@ mod tests {
     }
 
     #[test]
-    fn json_report_is_stable_and_machine_parseable() {
+    fn counters_section_lists_the_dump_sorted_by_name() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"config.switch","from":"a","to":"b"}"#,
-            r#"{"seq":1,"kind":"config.switch","from":"b","to":"a"}"#,
-            r#"{"seq":2,"kind":"metrics.window","series":"switch.latency_ns","window":0,"tick":8,"n":2,"mean":0.115,"min":0.03,"max":0.2,"last":0.03}"#,
-            r#"{"seq":3,"kind":"obs.overhead","subsystem":"total","events":3,"bytes":400,"spans":0,"windows":1,"histogram_updates":2}"#,
-            r#"{"seq":4,"kind":"counter","name":"tx.commit.tl2","value":7}"#,
+            r#"{"seq":0,"kind":"config.switch","to":"b"}"#,
+            r#"{"seq":1,"kind":"counter","name":"tx.commit.tl2","value":7}"#,
+            r#"{"seq":2,"kind":"counter","name":"parx.maps","value":65}"#,
         ]);
-        let a = render_json(&t);
-        assert_eq!(a, render_json(&t), "stable bytes");
-        assert!(a.starts_with(&format!("{{\"schema\":{}", obs::SCHEMA_VERSION)));
-        assert!(
-            a.contains("\"kinds\":{\"config.switch\":2,\"metrics.window\":1,\"obs.overhead\":1}")
-        );
-        assert!(a.contains("\"counters\":{\"tx.commit.tl2\":7},\"windows\":["));
-        assert!(a.contains(
-            "\"series\":\"switch.latency_ns\",\"windows\":1,\"samples\":2,\"mean\":0.115"
-        ));
-        assert!(a.contains("\"overhead\":{\"events\":3,\"bytes\":400,"));
-        assert!(a.ends_with("}\n"));
-        // The flat-object parser cannot parse nested JSON, but the output
-        // must at least be structurally balanced.
-        let opens = a.matches(['{', '[']).count();
-        let closes = a.matches(['}', ']']).count();
-        assert_eq!(opens, closes);
-    }
+        let text = render(&t);
+        let tail = "\n-- counters --\n  parx.maps                          65\n  \
+                    tx.commit.tl2                       7\n";
+        assert!(text.ends_with(tail), "{text}");
 
-    #[test]
-    fn json_report_without_optional_sections_uses_nulls_and_empties() {
         let t = trace_of(&[r#"{"seq":0,"kind":"config.switch","to":"b"}"#]);
-        let a = render_json(&t);
-        assert!(a.contains("\"windows\":[]"));
-        assert!(a.contains("\"overhead\":null"));
+        let text = render(&t);
+        assert!(!text.contains("-- counters --"), "{text}");
     }
 
     #[test]

@@ -129,29 +129,27 @@ fn a_trace_without_its_trailer_is_a_visible_state() {
         let under_banner = text.lines().nth(1).unwrap();
         assert!(under_banner.starts_with("INCOMPLETE: no end-of-"), "{text}");
         assert!(!stdout(&[view, WHOLE]).contains("INCOMPLETE"), "{view}");
-        if view != "perf" {
-            let json = stdout(&[view, cut, "--json"]);
-            assert!(json.starts_with("{\"schema\":4,\"incomplete\":true,"));
-            assert!(!stdout(&[view, WHOLE, "--json"]).contains("incomplete"));
-        }
     }
     let _ = std::fs::remove_file(cut);
 }
 
 #[test]
 fn a_gate_cannot_be_talked_out_of_failing() {
-    // No view takes a threshold a caller could widen: `--noise` and
-    // `--epsilon` are flags of no view, so each is an operand too many.
+    // No view takes a flag: a threshold a caller could widen (`--noise`,
+    // `--epsilon`) or a second output form (`--json`) is an operand too
+    // many.
     let path = tmp("gate.jsonl", &complete_trace());
     let path = path.to_str().unwrap();
-    for flag in ["--noise", "--epsilon"] {
-        let out = bin().args(["report", path, flag, "0.1"]).output().unwrap();
-        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("unexpected argument {flag:?}")),
-            "{stderr}"
-        );
+    for view in ["report", "perf", "conflicts"] {
+        for flag in ["--noise", "--epsilon", "--json"] {
+            let out = bin().args([view, path, flag, "0.1"]).output().unwrap();
+            assert_eq!(out.status.code(), Some(2), "{view} {flag}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("unexpected argument {flag:?}")),
+                "{stderr}"
+            );
+        }
     }
     let _ = std::fs::remove_file(path);
 }

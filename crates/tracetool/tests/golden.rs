@@ -19,16 +19,10 @@ fn read(rel: &str) -> String {
 #[test]
 fn every_view_prints_its_golden_bytes() {
     let a = path("fixtures/all_sections.jsonl");
-    let cases: [(&str, &[&str]); 5] = [
-        ("report.txt", &["report", &a]),
-        ("report.json", &["report", &a, "--json"]),
-        ("perf.txt", &["perf", &a]),
-        ("conflicts.txt", &["conflicts", &a]),
-        ("conflicts.json", &["conflicts", &a, "--json"]),
-    ];
-    for (golden, args) in cases {
+    for view in ["report", "perf", "conflicts"] {
+        let golden = format!("{view}.txt");
         let out = Command::new(env!("CARGO_BIN_EXE_proteus-trace"))
-            .args(args)
+            .args([view, a.as_str()])
             .output()
             .unwrap();
         assert_eq!(out.status.code(), Some(0), "{golden}: {out:?}");
