@@ -1,9 +1,9 @@
 //! `experiments vtime` — the deterministic virtual-time scalability stage.
 //!
 //! Runs [`tmsim::vtime_report`] for both Table 2 machines at the canonical
-//! seed, prints the golden-fixture renders, and — when a trace is active —
-//! publishes every curve point and switch/resize latency through the
-//! flight recorder as `vtime.*` time-series windows.
+//! seed and prints the golden-fixture renders; under an active trace each
+//! machine leaves one `vtime.report` event, and each conflict cell one
+//! `vtime.conflict` event and its `conflict.stripe` ranks.
 //!
 //! Unlike every other stage, the numbers here are **virtual nanoseconds**
 //! on a simulated clock: byte-identical across hosts, `--jobs` values and
@@ -32,55 +32,22 @@ fn profiles() -> [ConflictProfile; 2] {
     ]
 }
 
-/// Run the stage: print both machines' reports and, under an active
-/// trace, publish every row as a `vtime.*` series sample.
+/// Run the stage: print both machines' reports and conflict profiles
+/// and, under an active trace, record them as events.
 pub fn run() {
     for rep in reports() {
         print!("{}", rep.render());
         println!();
-        if obs::enabled() {
-            obs::event!(
-                "vtime.report",
-                "machine" => rep.machine,
-                "seed" => rep.seed,
-                "curves" => rep.curves.len() as u64,
-            );
-            for curve in &rep.curves {
-                // One tick per curve point: windows flush at fixed
-                // logical boundaries, independent of the host.
-                let b = curve.backend.label().to_ascii_lowercase();
-                for p in &curve.points {
-                    let key =
-                        |metric: &str| format!("vtime.{}.{b}.t{}.{metric}", rep.machine, p.threads);
-                    obs::ts_record(&key("tx_per_sec"), p.tx_per_sec as f64);
-                    obs::ts_record(&key("aborts"), p.aborts as f64);
-                    obs::ts_record(&key("virtual_ns"), p.virtual_ns as f64);
-                    if curve.backend.is_hardware() {
-                        obs::ts_record(&key("fallbacks"), p.fallbacks as f64);
-                    }
-                    obs::ts_tick();
-                }
-            }
-            obs::ts_record(
-                &format!("vtime.{}.switch.latency_ns", rep.machine),
-                rep.switch.latency_ns as f64,
-            );
-            obs::ts_record(
-                &format!("vtime.{}.resize.shrink_ns", rep.machine),
-                rep.resize.shrink_ns as f64,
-            );
-            obs::ts_record(
-                &format!("vtime.{}.resize.grow_ns", rep.machine),
-                rep.resize.grow_ns as f64,
-            );
-            obs::ts_tick();
-        }
+        obs::event!(
+            "vtime.report",
+            "machine" => rep.machine,
+            "seed" => rep.seed,
+            "curves" => rep.curves.len() as u64,
+        );
     }
     // Conflict observatory (DESIGN.md §12): the deterministic per-machine
-    // conflict profiles, as the windowed series `proteus-trace conflicts`
-    // reads (`abort.cause.*`, `wasted.ops`, `goodput.ratio`,
-    // `conflict.stripe_topk`). Every sample is derived from exact
-    // integers, so the windows are byte-identical across hosts.
+    // conflict profiles, one `vtime.conflict` event per cell and its
+    // hottest stripes, which `proteus-trace conflicts` reads.
     for profile in profiles() {
         print!("{}", profile.render());
         println!();
@@ -95,19 +62,6 @@ pub fn run() {
                     "goodput_pm" => cell.goodput_permille,
                     "wasted_ops" => cell.wasted_ops,
                 );
-                for code in txcore::AbortCode::ALL {
-                    let n = cell.abort_causes[code.index()];
-                    if n > 0 {
-                        obs::ts_record(&format!("abort.cause.{}", code.slug()), n as f64);
-                    }
-                }
-                obs::ts_record("wasted.ops", cell.wasted_ops as f64);
-                // Exactly-rounded division of exact integers: identical
-                // bytes on every IEEE-754 host.
-                obs::ts_record("goodput.ratio", cell.goodput_permille as f64 / 1000.0);
-                if let Some(&(stripe, _)) = cell.hot_stripes.first() {
-                    obs::ts_record("conflict.stripe_topk", stripe as f64);
-                }
                 for (rank, &(stripe, hits)) in cell.hot_stripes.iter().enumerate() {
                     obs::event!(
                         "conflict.stripe",
@@ -118,7 +72,6 @@ pub fn run() {
                         "hits" => hits,
                     );
                 }
-                obs::ts_tick();
             }
         }
     }

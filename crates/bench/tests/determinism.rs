@@ -96,8 +96,9 @@ fn fig5_trace_is_byte_identical_across_job_counts() {
 /// The vtime stage's contract is stronger than the rest of the suite's:
 /// its numbers live on a *simulated* clock, so not just the stream shape
 /// but every value must be byte-identical across job counts and across
-/// two same-seed runs in the same process. The `proteus-trace perf` view
-/// renders the scalability table and the switch-latency series from it.
+/// two same-seed runs in the same process. Its numbers are stdout goldens;
+/// the trace holds one event per report and per conflict cell, and no
+/// windowed restatement of either.
 #[test]
 fn vtime_trace_is_byte_identical_across_job_counts_and_reruns() {
     let run = |jobs: usize| {
@@ -112,18 +113,15 @@ fn vtime_trace_is_byte_identical_across_job_counts_and_reruns() {
     let text = String::from_utf8(first.clone()).expect("trace is UTF-8 JSONL");
     for needle in [
         "\"kind\":\"vtime.report\"",
-        "\"series\":\"vtime.machine-a.tl2.t1.tx_per_sec\"",
-        "\"series\":\"vtime.machine-b.swiss.t48.virtual_ns\"",
-        "\"series\":\"vtime.machine-a.switch.latency_ns\"",
         "\"kind\":\"vtime.conflict\"",
         "\"kind\":\"conflict.stripe\"",
-        "\"series\":\"abort.cause.conflict\"",
-        "\"series\":\"wasted.ops\"",
-        "\"series\":\"goodput.ratio\"",
-        "\"series\":\"conflict.stripe_topk\"",
     ] {
         assert!(text.contains(needle), "missing {needle} in trace");
     }
+    assert!(
+        !text.contains("\"kind\":\"metrics."),
+        "no windowed series is written"
+    );
     assert_eq!(
         first,
         run(2),
@@ -135,16 +133,6 @@ fn vtime_trace_is_byte_identical_across_job_counts_and_reruns() {
         "vtime trace must be byte-identical at jobs=4"
     );
     assert_eq!(first, run(1), "same-seed rerun must reproduce the bytes");
-
-    let trace = tracetool::parse_trace(&text).expect("vtime trace parses");
-    let perf = tracetool::perf::render(&trace);
-    for needle in [
-        "vtime scalability (virtual ns, host-independent):",
-        "machine-b swiss",
-        "vtime.machine-a.switch.latency_ns = ",
-    ] {
-        assert!(perf.contains(needle), "perf view lacks {needle:?}:\n{perf}");
-    }
 }
 
 /// The durable stage runs on the same virtual clock as vtime, so its trace
@@ -177,7 +165,7 @@ fn durable_trace_is_byte_identical_and_its_audit_recovers() {
 /// conflicts` view over a captured trace must be
 /// byte-identical at jobs 1, 2, and 4. The vtime stage exercises every
 /// section of the view — per-backend ledgers, the exact cross-host vtime
-/// cells, hot-stripe tables, and the windowed cause mix.
+/// cells and hot-stripe tables.
 #[test]
 fn conflicts_view_is_byte_identical_across_job_counts() {
     let run = |jobs: usize| {
@@ -191,7 +179,6 @@ fn conflicts_view_is_byte_identical_across_job_counts() {
         "abort attribution & wasted work",
         "vtime conflict profile",
         "hot stripes",
-        "goodput timeline",
     ] {
         assert!(
             view.contains(section),

@@ -1,6 +1,6 @@
 //! The fig5 trace snapshot: what the tracer records for the fig5 quick
 //! pipeline on a small fixed corpus — its record count and its own event,
-//! byte, span and window totals. Every number is an integer,
+//! byte and span totals. Every number is an integer,
 //! byte-identical at every `--jobs` value and on every host, so each must
 //! match exactly: any drift is a real behaviour change, not noise. The
 //! figure's own numbers are not here; its stdout golden (`tests/figures.rs`)
@@ -16,8 +16,8 @@ fn fig5_trace_snapshot_matches_baseline() {
     let report = obs::finish_trace();
     let oh = &report.overhead;
     assert_eq!(
-        [report.events, oh.events, oh.bytes, oh.spans, oh.windows],
-        [4032, 4035, 410051, 1280, 0],
-        "fig5 trace: [trace.events, obs.events, obs.bytes, obs.spans, obs.windows]"
+        [report.events, oh.events, oh.bytes, oh.spans],
+        [4032, 4034, 409979, 1280],
+        "fig5 trace: [trace.events, obs.events, obs.bytes, obs.spans]"
     );
 }

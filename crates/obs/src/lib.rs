@@ -46,8 +46,7 @@ pub use metrics::{counter, Counter};
 pub use span::Span;
 pub use trace::{
     capture_trace, emit, emit_pending, finish_trace, span_begin_detached, span_end_detached,
-    start_trace_file, start_trace_memory, ts_record, ts_tick, OverheadSnapshot, TraceReport,
-    METRICS_WINDOW, SPAN_BEGIN, SPAN_END, TICKS_PER_WINDOW,
+    start_trace_file, start_trace_memory, OverheadSnapshot, TraceReport, SPAN_BEGIN, SPAN_END,
 };
 
 /// Version of the JSONL trace schema, written as the
@@ -58,11 +57,12 @@ pub use trace::{
 /// kind. Adding a new event kind is *not* a schema bump — analyzers skip
 /// kinds they do not know. Version history: 1 = events + counter dump
 /// (PR 2–3, no header line); 2 = header line + span records; 3 =
-/// windowed time-series (`metrics.window`) + self-overhead audit
-/// (`obs.overhead`) records; 4 = three SLO-evaluation kinds and an
-/// `alerts` field, since retired without a bump (a removal is none of
-/// the above; DESIGN.md §13), as was the fifth count of the
-/// `obs.overhead` total (DESIGN.md §7). Analyzers accept exactly this version:
+/// windowed KPI time-series + self-overhead audit (`obs.overhead`)
+/// records; 4 = three SLO-evaluation kinds and an `alerts` field, since
+/// retired without a bump (a removal is none of the above; DESIGN.md
+/// §13), as were the fifth count of the `obs.overhead` total and, later,
+/// the time-series window records with the total's `windows` count
+/// (DESIGN.md §7). Analyzers accept exactly this version:
 /// emitter and analyzer ship from one tree, so a trace with any other
 /// header is skew and is rejected.
 pub const SCHEMA_VERSION: u32 = 4;

@@ -5,13 +5,6 @@
 //! counter, so every captured stream is self-contained and starts at
 //! `seq == 0` — a precondition for the byte-identity determinism tests.
 //!
-//! The trace is also the flight recorder of KPI time-series: [`ts_record`]
-//! folds a sample into its series' current window, [`ts_tick`] advances
-//! the logical sample tick, and every [`TICKS_PER_WINDOW`] ticks each
-//! non-empty series flushes as one `metrics.window` record, sorted by
-//! name. Windows are keyed by ticks, not wall clock, and live in the trace
-//! state: they start at window 0, tick 0 with every trace (DESIGN.md §7).
-//!
 //! [`finish_trace`] appends a sorted dump of non-zero counters to the
 //! stream; [`capture_trace`] deliberately does **not** (concurrent tests
 //! in the same binary would otherwise leak their counter increments into
@@ -49,45 +42,6 @@ struct TraceState {
     subsystems: BTreeMap<&'static str, (u64, u64)>,
     /// `span.begin` records emitted (span count).
     spans: u64,
-    /// `metrics.window` records emitted.
-    windows: u64,
-    /// Each series' window being accumulated, by name. A series enters on
-    /// its first sample and leaves when its window flushes.
-    series: BTreeMap<String, Window>,
-    /// Logical KPI sample tick, advanced by [`ts_tick`].
-    tick: u64,
-    /// Index the next flushed window gets.
-    window_next: u64,
-}
-
-/// Number of sample ticks aggregated into one `metrics.window` record.
-pub const TICKS_PER_WINDOW: u64 = 8;
-
-/// One series' aggregate over the current window.
-struct Window {
-    n: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    last: f64,
-}
-
-impl Window {
-    const EMPTY: Window = Window {
-        n: 0,
-        sum: 0.0,
-        min: f64::INFINITY,
-        max: f64::NEG_INFINITY,
-        last: 0.0,
-    };
-
-    fn fold(&mut self, v: f64) {
-        self.n += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.last = v;
-    }
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -118,81 +72,6 @@ pub const SPAN_BEGIN: &str = "span.begin";
 /// and attaches the popped `id`, pairing the record with its
 /// [`SPAN_BEGIN`]. Detached spans close via [`span_end_detached`] instead.
 pub const SPAN_END: &str = "span.end";
-
-/// Event kind of one flushed time-series window (schema v3): fields
-/// `series`, `window` (0-based index), `tick` (tick at flush), `n`,
-/// `mean`, `min`, `max`, `last`. Emitted from serial code only — either a
-/// [`ts_tick`] crossing a window boundary or the end-of-trace partial
-/// flush.
-pub const METRICS_WINDOW: &str = "metrics.window";
-
-/// Record one sample into the time-series `name`'s current window. Safe
-/// from any thread: the sample folds under the trace lock, so a window's
-/// count and sum always agree. Never emits (only [`ts_tick`] and the end
-/// of the trace flush windows). No-op unless [`crate::enabled`].
-pub fn ts_record(name: &str, v: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    let mut state = lock(&STATE);
-    let Some(state) = state.as_mut() else {
-        return;
-    };
-    match state.series.get_mut(name) {
-        Some(w) => w.fold(v),
-        None => {
-            let mut w = Window::EMPTY;
-            w.fold(v);
-            state.series.insert(name.to_string(), w);
-        }
-    }
-}
-
-/// Advance the KPI sample tick. Call from **serial driver code only**
-/// (DESIGN.md §7, rule 1): crossing a [`TICKS_PER_WINDOW`] boundary
-/// flushes every non-empty series as `metrics.window` records, which
-/// assigns sequence numbers. No-op when no trace is active.
-pub fn ts_tick() {
-    if !crate::enabled() {
-        return;
-    }
-    let mut state = lock(&STATE);
-    let Some(state) = state.as_mut() else {
-        return;
-    };
-    state.tick += 1;
-    if state.tick.is_multiple_of(TICKS_PER_WINDOW) {
-        flush_windows(state);
-    }
-}
-
-/// Flush the current window of every non-empty series, in name order.
-/// Emits nothing when no series has pending samples (so traces without
-/// KPI sample points stay byte-for-byte as they were under schema v2).
-fn flush_windows(state: &mut TraceState) {
-    let series = std::mem::take(&mut state.series);
-    if series.is_empty() {
-        return;
-    }
-    let (window, tick) = (state.window_next, state.tick);
-    state.window_next += 1;
-    for (name, w) in series {
-        emit_locked(
-            state,
-            METRICS_WINDOW,
-            vec![
-                ("series", Value::Str(name)),
-                ("window", Value::U64(window)),
-                ("tick", Value::U64(tick)),
-                ("n", Value::U64(w.n)),
-                ("mean", Value::F64(w.sum / w.n as f64)),
-                ("min", Value::F64(w.min)),
-                ("max", Value::F64(w.max)),
-                ("last", Value::F64(w.last)),
-            ],
-        );
-    }
-}
 
 /// Emit one event into the active trace.
 ///
@@ -299,8 +178,6 @@ fn emit_locked(state: &mut TraceState, kind: &'static str, fields: Vec<(&'static
     state.events += 1;
     if kind == SPAN_BEGIN {
         state.spans += 1;
-    } else if kind == METRICS_WINDOW {
-        state.windows += 1;
     }
     let json = event.to_json();
     let line_bytes = json.len() as u64 + 1; // trailing newline
@@ -370,10 +247,6 @@ fn start(sink: Sink) {
         bytes: 0,
         subsystems: BTreeMap::new(),
         spans: 0,
-        windows: 0,
-        series: BTreeMap::new(),
-        tick: 0,
-        window_next: 0,
     });
     ACTIVE.store(true, Ordering::Relaxed);
 }
@@ -398,14 +271,12 @@ pub fn start_trace_memory() {
 /// excluded (the snapshot is taken before they are written).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OverheadSnapshot {
-    /// Records emitted (events + spans + windows + counter-dump lines).
+    /// Records emitted (events + spans + counter-dump lines).
     pub events: u64,
     /// JSONL bytes written, trailing newlines included.
     pub bytes: u64,
     /// `span.begin` records among them.
     pub spans: u64,
-    /// `metrics.window` records among them.
-    pub windows: u64,
     /// `(subsystem, events, bytes)` rows, sorted by subsystem — the kind
     /// prefix before the first `.`.
     pub per_subsystem: Vec<(String, u64, u64)>,
@@ -416,7 +287,6 @@ fn overhead_of(state: &TraceState) -> OverheadSnapshot {
         events: state.events,
         bytes: state.bytes,
         spans: state.spans,
-        windows: state.windows,
         per_subsystem: state
             .subsystems
             .iter()
@@ -442,8 +312,6 @@ fn end(dump_counters: bool) -> TraceReport {
     let Some(mut state) = taken else {
         return TraceReport::default();
     };
-    // The partial window flushes first, ahead of the counter dump.
-    flush_windows(&mut state);
     let mut dump_lines = 0u64;
     if dump_counters {
         for (name, value) in metrics::counter_snapshot() {
@@ -491,7 +359,6 @@ fn end(dump_counters: bool) -> TraceReport {
                 ("events", Value::U64(overhead.events)),
                 ("bytes", Value::U64(overhead.bytes)),
                 ("spans", Value::U64(overhead.spans)),
-                ("windows", Value::U64(overhead.windows)),
             ],
         };
         state.seq += 1;
@@ -690,98 +557,17 @@ mod tests {
     }
 
     #[test]
-    fn ticks_flush_windows_and_partial_windows_flush_at_end() {
-        let run = || {
-            for i in 0..TICKS_PER_WINDOW {
-                ts_record("test.ts.kpi", i as f64);
-                ts_tick();
-            }
-            // One more sample without a full window: must flush at end.
-            ts_record("test.ts.kpi", 100.0);
-            ts_tick();
-        };
-        let (_, a) = capture_trace(run);
-        let (_, b) = capture_trace(run);
-        assert_eq!(a, b, "window records must be byte-stable");
-        let text = String::from_utf8(a).unwrap();
-        let windows: Vec<&str> = text
-            .lines()
-            .filter(|l| l.contains("\"kind\":\"metrics.window\""))
-            .collect();
-        assert_eq!(windows.len(), 2, "one full + one partial window: {text}");
-        assert!(windows[0].contains("\"series\":\"test.ts.kpi\""));
-        assert!(windows[0].contains("\"window\":0"));
-        assert!(windows[0].contains("\"n\":8"));
-        assert!(windows[0].contains("\"mean\":3.5"));
-        assert!(windows[0].contains("\"min\":0"));
-        assert!(windows[0].contains("\"max\":7"));
-        assert!(windows[1].contains("\"window\":1"));
-        assert!(windows[1].contains("\"n\":1"));
-        assert!(windows[1].contains("\"last\":100"));
-    }
-
-    #[test]
-    fn empty_series_emit_no_window_records() {
-        let ((), bytes) = capture_trace(|| {
-            // Ticks advance but nothing was recorded: the stream must stay
-            // exactly as it was under schema v2 (no metrics.window lines).
-            for _ in 0..20 {
-                ts_tick();
-            }
-        });
-        assert!(!String::from_utf8(bytes).unwrap().contains("metrics.window"));
-    }
-
-    #[test]
-    fn samples_from_other_threads_land_in_exactly_one_window() {
-        // DESIGN.md §7 lets any thread record; only ticks are serial.
-        const THREADS: u64 = 4;
-        const PER_THREAD: u64 = 5_000;
-        let ((), bytes) = capture_trace(|| {
-            let done = std::sync::atomic::AtomicU64::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..THREADS {
-                    s.spawn(|| {
-                        for _ in 0..PER_THREAD {
-                            ts_record("test.ts.threads", 1.0);
-                        }
-                        done.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-                while done.load(Ordering::Relaxed) < THREADS {
-                    ts_tick();
-                }
-            });
-        });
-        let text = String::from_utf8(bytes).unwrap();
-        let mut recorded = 0;
-        for w in text
-            .lines()
-            .filter(|l| l.contains("\"kind\":\"metrics.window\""))
-        {
-            let n = w.split("\"n\":").nth(1).and_then(|r| r.split(',').next());
-            recorded += n.and_then(|n| n.parse::<u64>().ok()).expect(w);
-            for field in ["mean", "min", "max"] {
-                assert!(w.contains(&format!("\"{field}\":1,")), "torn window: {w}");
-            }
-        }
-        assert_eq!(recorded, THREADS * PER_THREAD, "in: {text}");
-    }
-
-    #[test]
     fn no_trace_means_zero_windows_and_zero_overhead() {
         let _serial = lock(&CAPTURE_LOCK);
-        // Without an active trace, sampling and ticking are no-ops...
-        ts_record("test.ts.orphan", 9.0);
-        ts_tick();
+        // Without an active trace, emitting is a no-op...
+        emit("test.oh.orphan", vec![("v", Value::F64(9.0))]);
         let report = finish_trace();
         assert_eq!(report.overhead, OverheadSnapshot::default());
         // ...and nothing leaks into the next trace.
         drop(_serial);
         let ((), bytes) = capture_trace(|| {});
         let text = String::from_utf8(bytes).unwrap();
-        assert!(!text.contains("metrics.window"));
-        assert!(!text.contains("test.ts.orphan"));
+        assert!(!text.contains("test.oh.orphan"));
     }
 
     #[test]
@@ -812,9 +598,8 @@ mod tests {
         assert_eq!(subs, vec!["counter", "quiesce", "test"]);
         // The audit rides in the finished stream.
         assert!(text.contains("\"kind\":\"obs.overhead\",\"subsystem\":\"quiesce\""));
-        // The total record carries exactly these five fields.
-        let total =
-            format!("\"total\",\"events\":3,\"bytes\":{accounted},\"spans\":0,\"windows\":0}}");
+        // The total record carries exactly these four fields.
+        let total = format!("\"total\",\"events\":3,\"bytes\":{accounted},\"spans\":0}}");
         assert!(text.trim_end().ends_with(&total), "in: {text}");
     }
 

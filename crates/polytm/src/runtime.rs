@@ -477,15 +477,12 @@ impl PolyTm {
                         for &u in blocked.iter() {
                             self.gate.unblock(u);
                         }
-                        if obs::enabled() {
-                            obs::counter("polytm.quiesce_rollbacks").inc();
-                            obs::event!(
-                                "recovery.quiesce_rollback",
-                                "epoch" => epoch,
-                                "thread" => t,
-                                "waited_ns" => elapsed_ns(),
-                            );
-                        }
+                        obs::event!(
+                            "recovery.quiesce_rollback",
+                            "epoch" => epoch,
+                            "thread" => t,
+                            "waited_ns" => elapsed_ns(),
+                        );
                         return Err(SwitchError::QuiesceTimeout { thread: t });
                     }
                 }
@@ -540,19 +537,15 @@ impl PolyTm {
         }
         drop(resume);
         self.config.store(*config);
-        if obs::enabled() {
-            let latency_ns = elapsed_ns();
-            obs::event!(
-                "config.switch",
-                "from" => from.to_string(),
-                "to" => config.to_string(),
-                "quiesced" => switch_algo,
-                "latency_ns" => latency_ns,
-            );
-            // Flight recorder: the switch protocol is serial under
-            // `reconfig`, so wall-clock latency is admissible here (rule 3).
-            obs::ts_record("switch.latency_ns", latency_ns as f64);
-        }
+        // The switch protocol is serial under `reconfig`, so wall-clock
+        // latency is admissible here (DESIGN.md §7, rule 3).
+        obs::event!(
+            "config.switch",
+            "from" => from.to_string(),
+            "to" => config.to_string(),
+            "quiesced" => switch_algo,
+            "latency_ns" => elapsed_ns(),
+        );
         Ok(())
     }
 
@@ -573,8 +566,7 @@ impl PolyTm {
                 // will not drain stays enabled (the degree is then slightly
                 // higher than requested until the next resize — a degraded
                 // but live outcome, unlike an unbounded wait).
-                if !self.gate.try_disable(t, self.drain_timeout) && obs::enabled() {
-                    obs::counter("polytm.gate_skips").inc();
+                if !self.gate.try_disable(t, self.drain_timeout) {
                     obs::event!("recovery.gate_skip", "thread" => t, "degree" => p);
                 }
             }

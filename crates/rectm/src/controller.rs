@@ -191,7 +191,6 @@ impl Controller {
                 known[c] = Some(kpi);
                 explored.push((c, kpi));
             } else if obs::enabled() {
-                obs::counter("rectm.kpi.discarded").inc();
                 trace.push(obs::pending_event!(
                     "kpi.sanitized",
                     "reason" => if kpi.is_finite() { "absurd" } else { "nonfinite" },
@@ -361,7 +360,6 @@ impl Controller {
                 (self.first_config(), f64::NAN)
             });
         if obs::enabled() {
-            obs::counter("rectm.recommendations").inc();
             trace.push(obs::pending_event!(
                 "recommend",
                 "config" => recommended,

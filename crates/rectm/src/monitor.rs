@@ -129,10 +129,7 @@ impl Monitor {
         let s = self.settings;
         if !x.is_finite() {
             self.dropped += 1;
-            if obs::enabled() {
-                obs::counter("rectm.kpi.nonfinite").inc();
-                obs::event!("kpi.sanitized", "reason" => "nonfinite", "seen" => self.seen);
-            }
+            obs::event!("kpi.sanitized", "reason" => "nonfinite", "seen" => self.seen);
             return false;
         }
         if self.seen < s.warmup {
@@ -156,16 +153,13 @@ impl Monitor {
         let mut z = (x - self.mean) / sigma;
         if s.clamp_z > 0.0 && z.abs() > s.clamp_z {
             self.clamped += 1;
-            if obs::enabled() {
-                obs::counter("rectm.kpi.clamped").inc();
-                obs::event!(
-                    "kpi.sanitized",
-                    "reason" => "outlier",
-                    "z" => z,
-                    "clamp" => s.clamp_z,
-                    "seen" => self.seen,
-                );
-            }
+            obs::event!(
+                "kpi.sanitized",
+                "reason" => "outlier",
+                "z" => z,
+                "clamp" => s.clamp_z,
+                "seen" => self.seen,
+            );
             z = z.signum() * s.clamp_z;
         }
         // The winsorized sample: what the CUSUM sums and the EWMA baseline
@@ -173,25 +167,15 @@ impl Monitor {
         let x = self.mean + z * sigma;
         self.g_pos = (self.g_pos + z - s.slack_k).max(0.0);
         self.g_neg = (self.g_neg - z - s.slack_k).max(0.0);
-        if obs::enabled() {
-            // Flight recorder: the detector statistic, one tick per
-            // post-warmup sample. `observe` only runs on serial monitoring
-            // paths (DESIGN.md §7), so the tick may flush window records.
-            obs::ts_record("monitor.cusum", self.g_pos.max(self.g_neg));
-            obs::ts_tick();
-        }
         if self.g_pos > s.threshold_h || self.g_neg > s.threshold_h {
-            if obs::enabled() {
-                obs::event!(
-                    "cusum.alarm",
-                    "sample" => x,
-                    "g_pos" => self.g_pos,
-                    "g_neg" => self.g_neg,
-                    "mean" => self.mean,
-                    "seen" => self.seen,
-                );
-                obs::counter("rectm.cusum.alarms").inc();
-            }
+            obs::event!(
+                "cusum.alarm",
+                "sample" => x,
+                "g_pos" => self.g_pos,
+                "g_neg" => self.g_neg,
+                "mean" => self.mean,
+                "seen" => self.seen,
+            );
             if self.window != 0 {
                 obs::span_end_detached(
                     self.window,

@@ -7,11 +7,10 @@
 //! or surplus operands print the usage block and exit 2.
 
 use std::process::ExitCode;
-use tracetool::{conflicts, perf, report, Trace};
+use tracetool::{conflicts, report, Trace};
 
 const USAGE: &str = "usage:
   proteus-trace report <trace.jsonl>      single-trace report
-  proteus-trace perf <trace.jsonl>        KPI time-series & overhead audit
   proteus-trace conflicts <trace.jsonl>   abort attribution & hot stripes
 
 The trace must start with a {\"kind\":\"trace.meta\",\"schema\":4} header
@@ -21,7 +20,6 @@ The trace must start with a {\"kind\":\"trace.meta\",\"schema\":4} header
 fn view(name: &str) -> Option<fn(&Trace) -> String> {
     match name {
         "report" => Some(report::render),
-        "perf" => Some(perf::render),
         "conflicts" => Some(conflicts::render),
         _ => None,
     }
@@ -34,7 +32,7 @@ fn main() -> ExitCode {
         Some((name, rest)) => match view(name) {
             None => Err(format!("unknown subcommand {name:?}\n{USAGE}")),
             Some(view) => match rest {
-                [path] => Ok(run(name, view, path)),
+                [path] => Ok(run(view, path)),
                 [] => Err(USAGE.to_string()),
                 [_, extra, ..] => Err(format!("unexpected argument {extra:?}\n{USAGE}")),
             },
@@ -54,9 +52,9 @@ fn main() -> ExitCode {
 }
 
 /// Run one subcommand: read the trace at `path` and print its `view`.
-fn run(name: &str, view: fn(&Trace) -> String, path: &str) -> Result<(), String> {
+fn run(view: fn(&Trace) -> String, path: &str) -> Result<(), String> {
     let trace = load(path)?;
-    if name != "perf" && trace.records.is_empty() && trace.counters.is_empty() {
+    if trace.records.is_empty() && trace.counters.is_empty() {
         return Err(format!(
             "{path}: trace holds a header but no records — nothing to report"
         ));

@@ -1,21 +1,18 @@
-//! The conflict-observatory view: abort attribution, wasted-work ledger,
-//! hot-stripe tables and goodput timelines (`proteus-trace conflicts`).
+//! The conflict-observatory view: abort attribution, wasted-work ledger
+//! and hot-stripe tables (`proteus-trace conflicts`).
 //!
-//! [`render`] folds one trace's counters, events and `metrics.window`
-//! records into a typed model and formats it, so the view is
-//! byte-identical for byte-identical traces. Two sources feed it:
+//! [`render`] folds one trace's counters and events into a typed model and
+//! formats it, so the view is byte-identical for byte-identical traces.
+//! Two sources feed it:
 //!
 //! - **Wall-clock runs** dump per-backend counters at trace end
 //!   (`tx.commit.<b>`, `tx.abort.<b>.<cause>`, `tx.work.<b>.ops`,
 //!   `tx.wasted.<b>.ops`).
-//! - **The vtime stage** flushes `abort.cause.*` / `wasted.ops` /
-//!   `goodput.ratio` / `conflict.stripe_topk` windows from its
-//!   exact-integer conflict profiles, plus `vtime.conflict` and
-//!   `conflict.stripe` events carrying the per-backend cells and top-K hot
+//! - **The vtime stage** emits `vtime.conflict` and `conflict.stripe`
+//!   events carrying its exact-integer per-backend cells and top-K hot
 //!   stripes.
 
-use crate::perf::{SeriesAgg, WindowPoint, WINDOW_LIMIT};
-use crate::{banner, elide, section, Record, Trace};
+use crate::{banner, section, Record, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -126,7 +123,6 @@ struct Conflicts<'a> {
     cells: Vec<Cell<'a>>,
     /// Hot stripes, in stream order.
     stripes: Vec<StripeRow<'a>>,
-    windows: &'a BTreeMap<String, Vec<WindowPoint>>,
 }
 
 impl<'a> Conflicts<'a> {
@@ -156,27 +152,7 @@ impl<'a> Conflicts<'a> {
                 .of_kind("conflict.stripe")
                 .filter_map(stripe)
                 .collect(),
-            windows: trace.windows(),
         }
-    }
-
-    /// Overall mean of one windowed series, when the trace has it.
-    fn mean(&self, series: &str) -> Option<f64> {
-        self.windows.get(series).map(|pts| SeriesAgg::of(pts).mean)
-    }
-
-    /// The switch/resize latencies of one machine's vtime run, read back
-    /// from its `vtime.<machine>.{switch,resize}.*` windows (hot-stripe
-    /// tables are rendered next to these so heatmaps line up with the
-    /// reconfiguration spans measured in the same run).
-    fn reconfig_line(&self, machine: &str) -> Option<String> {
-        let mean = |metric: &str| self.mean(&format!("vtime.{machine}.{metric}"));
-        Some(format!(
-            "switch {:.0} vns, resize shrink {:.0} vns / grow {:.0} vns",
-            mean("switch.latency_ns")?,
-            mean("resize.shrink_ns").unwrap_or(0.0),
-            mean("resize.grow_ns").unwrap_or(0.0)
-        ))
     }
 }
 
@@ -230,9 +206,7 @@ pub fn render(trace: &Trace) -> String {
         }
     }
 
-    // Hot-stripe tables, grouped per (machine, backend) and rendered next
-    // to that machine's switch/resize latencies so the heatmap lines up
-    // with the reconfiguration spans of the same run.
+    // Hot-stripe tables, grouped per (machine, backend).
     if !view.stripes.is_empty() {
         section(&mut out, "hot stripes (top-K per backend)");
         let mut by_machine: BTreeMap<&str, BTreeMap<&str, Vec<&StripeRow>>> = BTreeMap::new();
@@ -248,53 +222,6 @@ pub fn render(trace: &Trace) -> String {
                 let list: Vec<String> = rows.iter().map(hot).collect();
                 let _ = writeln!(out, "    {backend:<8} {}", list.join(", "));
             }
-            if let Some(line) = view.reconfig_line(machine) {
-                let _ = writeln!(out, "    reconfig: {line}");
-            }
-        }
-    }
-
-    // Goodput-vs-throughput timeline from the windowed series.
-    if let Some(goodput) = view.windows.get("goodput.ratio") {
-        section(&mut out, "goodput timeline (windows)");
-        let at_tick = |series: &str, tick: u64| -> Option<f64> {
-            let pts = view.windows.get(series)?;
-            pts.iter().find(|p| p.tick == tick).map(|p| p.mean)
-        };
-        for p in goodput.iter().take(WINDOW_LIMIT) {
-            let mut line = format!("  tick {:>5}  goodput {:.4}", p.tick, p.mean);
-            if let Some(v) = at_tick("kpi.throughput", p.tick) {
-                let _ = write!(line, "  throughput {v:.0}/s");
-            }
-            if let Some(v) = at_tick("kpi.commits", p.tick) {
-                let _ = write!(line, "  commits {v:.0}");
-            }
-            let _ = writeln!(out, "{line}");
-        }
-        elide(&mut out, goodput.len(), WINDOW_LIMIT, "windows");
-        let _ = writeln!(
-            out,
-            "  overall: goodput {:.4} over {} windows, wasted.ops mean {:.1}",
-            SeriesAgg::of(goodput).mean,
-            goodput.len(),
-            view.mean("wasted.ops").unwrap_or(0.0)
-        );
-    }
-
-    // Windowed `abort.cause.*` series (covers capture traces, which have no
-    // counter dump).
-    let causes = view.windows.iter();
-    let causes = causes.filter_map(|(name, pts)| Some((name.strip_prefix("abort.cause.")?, pts)));
-    let causes: Vec<(&str, &Vec<WindowPoint>)> = causes.collect();
-    if !causes.is_empty() {
-        section(&mut out, "windowed abort-cause mix");
-        for (slug, pts) in causes {
-            let total: f64 = pts.iter().map(|p| p.mean * p.n as f64).sum();
-            let _ = writeln!(
-                out,
-                "  {slug:<24} {total:>8.0} across {} windows",
-                pts.len()
-            );
         }
     }
     out
@@ -352,7 +279,6 @@ mod tests {
             r#"{"seq":0,"kind":"vtime.conflict","machine":"machine-a","backend":"TL2","threads":8,"aborts":6,"goodput_pm":975,"wasted_ops":160}"#,
             r#"{"seq":1,"kind":"conflict.stripe","machine":"machine-a","backend":"TL2","rank":1,"stripe":31497,"hits":2}"#,
             r#"{"seq":2,"kind":"conflict.stripe","machine":"machine-a","backend":"TL2","rank":2,"stripe":32586,"hits":2}"#,
-            r#"{"seq":3,"kind":"metrics.window","series":"vtime.machine-a.switch.latency_ns","window":0,"tick":9,"n":1,"mean":50000,"min":50000,"max":50000,"last":50000}"#,
         ]);
         let text = render(&t);
         assert!(text.contains("vtime conflict profile"), "{text}");
@@ -363,25 +289,6 @@ mod tests {
         assert!(text.contains("hot stripes"), "{text}");
         assert!(
             text.contains("TL2      stripe 31497 x2, stripe 32586 x2"),
-            "{text}"
-        );
-        assert!(text.contains("reconfig: switch 50000 vns"), "{text}");
-    }
-
-    #[test]
-    fn goodput_timeline_pairs_windows_by_tick() {
-        let t = trace_of(&[
-            r#"{"seq":0,"kind":"metrics.window","series":"goodput.ratio","window":0,"tick":4,"n":2,"mean":0.95,"min":0.9,"max":1.0,"last":1.0}"#,
-            r#"{"seq":1,"kind":"metrics.window","series":"kpi.throughput","window":0,"tick":4,"n":2,"mean":1200,"min":1000,"max":1400,"last":1400}"#,
-            r#"{"seq":2,"kind":"metrics.window","series":"wasted.ops","window":0,"tick":4,"n":2,"mean":35,"min":30,"max":40,"last":30}"#,
-        ]);
-        let text = render(&t);
-        assert!(
-            text.contains("tick     4  goodput 0.9500  throughput 1200/s"),
-            "{text}"
-        );
-        assert!(
-            text.contains("overall: goodput 0.9500 over 1 windows, wasted.ops mean 35.0"),
             "{text}"
         );
     }

@@ -1,7 +1,7 @@
 //! `proteus-trace`: a decision-quality analyzer for the JSONL telemetry
 //! stream emitted by the ProteusTM stack (`crates/obs`).
 //!
-//! The trace is the stack's flight recorder: every adaptation decision —
+//! The trace is the stack's record of a run: every adaptation decision —
 //! quiescence epochs, configuration switches, CUSUM alarms, EI exploration
 //! steps, CV folds — is a record with a logical sequence number, and span
 //! records add the hierarchy. This crate turns one such stream into
@@ -9,7 +9,7 @@
 //!
 //! * [`parse_trace`] is the only code that reads trace text: lines,
 //!   header contract, counter dump, end-of-trace marker.
-//! * Each view ([`report`], [`perf`], [`conflicts`]) is one
+//! * Each view ([`report`], [`conflicts`]) is one
 //!   `render(&Trace) -> String`: one plain text.
 //!
 //! Everything is a pure function of the input bytes: same trace, same
@@ -23,13 +23,11 @@
 
 pub mod conflicts;
 pub mod json;
-pub mod perf;
 mod reader;
 pub mod report;
 pub mod spans;
 
 use json::JsonValue;
-pub use perf::WindowPoint;
 pub use reader::parse_trace;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -56,11 +54,6 @@ impl Record {
     /// `key` as u64.
     pub fn u64(&self, key: &str) -> Option<u64> {
         self.get(key).and_then(JsonValue::as_u64)
-    }
-
-    /// `key` as f64 (integers widen).
-    pub fn f64(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(JsonValue::as_f64)
     }
 
     /// `key` as a string slice.
@@ -97,7 +90,6 @@ pub struct Trace {
     /// Without it the writer died or is still running: the counter dump
     /// is missing and every total is a lower bound.
     pub complete: bool,
-    windows: BTreeMap<String, Vec<WindowPoint>>,
     kinds: BTreeMap<String, u64>,
 }
 
@@ -105,9 +97,6 @@ impl Trace {
     /// Append the next record of the stream, updating the folds.
     fn push(&mut self, record: Record) {
         *self.kinds.entry(record.kind.clone()).or_insert(0) += 1;
-        if let Some((series, point)) = WindowPoint::of(&record) {
-            self.windows.entry(series).or_default().push(point);
-        }
         self.records.push(record);
     }
 
@@ -121,20 +110,9 @@ impl Trace {
         self.kinds.get(kind).copied().unwrap_or(0)
     }
 
-    /// A counter from the dump (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
     /// Per-kind record counts, sorted by kind.
     pub fn kind_histogram(&self) -> &BTreeMap<String, u64> {
         &self.kinds
-    }
-
-    /// The `metrics.window` points grouped by series name (sorted), in
-    /// stream order within each series.
-    pub fn windows(&self) -> &BTreeMap<String, Vec<WindowPoint>> {
-        &self.windows
     }
 }
 
@@ -251,8 +229,8 @@ mod tests {
         assert_eq!(trace.records[0].kind, "config.switch");
         assert_eq!(trace.records[0].seq, Some(0));
         assert_eq!(trace.records[0].str("to"), Some("b"));
-        assert_eq!(trace.counter("tx.commit.tl2"), 7);
-        assert_eq!(trace.counter("absent"), 0);
+        assert_eq!(trace.counters.get("tx.commit.tl2"), Some(&7));
+        assert_eq!(trace.counters.get("absent"), None);
     }
 
     #[test]

@@ -102,7 +102,7 @@ mod tests {
         let trace = parse_trace(&mixed).unwrap();
         assert_eq!(trace.records[0].str("s"), Some("é▄"));
         assert_eq!((trace.records[0].line, trace.records[1].line), (2, 5));
-        assert_eq!(trace.counter("c"), 3);
+        assert_eq!(trace.counters.get("c"), Some(&3));
         assert!(trace.complete);
 
         let good = format!("{HEADER}\n{{\"kind\":\"a\"}}\n");

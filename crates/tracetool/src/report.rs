@@ -1,5 +1,6 @@
 //! The single-trace report: decision timeline, switch/quiescence
-//! breakdowns, crash recovery audit, counter dump.
+//! breakdowns, crash recovery audit, counter dump, and the trace's own
+//! self-overhead audit.
 //!
 //! Every section of [`render`] is a pure fold over `Trace::records` (plus
 //! the counter dump), so the report is byte-identical for byte-identical
@@ -51,6 +52,7 @@ pub fn render(trace: &Trace) -> String {
     render_switches(&mut out, trace, &spans);
     render_recovery_audit(&mut out, trace);
     render_counters(&mut out, trace);
+    render_overhead(&mut out, trace);
     out
 }
 
@@ -108,9 +110,7 @@ fn render_switches(out: &mut String, trace: &Trace, forest: &SpanForest) {
             );
         }
     }
-    let skips = trace
-        .counter("polytm.gate_skips")
-        .max(trace.count_kind("recovery.gate_skip"));
+    let skips = trace.count_kind("recovery.gate_skip");
     let _ = writeln!(out, "  gate stalls: {skips} drain timeouts skipped");
 }
 
@@ -161,6 +161,29 @@ fn render_counters(out: &mut String, trace: &Trace) {
     section(out, "counters");
     for (name, value) in &trace.counters {
         let _ = writeln!(out, "  {name:<28} {value:>8}");
+    }
+}
+
+/// The instrumentation self-overhead audit from the trailing
+/// `obs.overhead` records: one row per subsystem, then the total. Absent
+/// when the trace has none (a capture, or a writer that died first).
+fn render_overhead(out: &mut String, trace: &Trace) {
+    let mut audits = trace.of_kind("obs.overhead").peekable();
+    if audits.peek().is_none() {
+        return;
+    }
+    section(out, "obs.overhead");
+    for r in audits {
+        let sub = r.str("subsystem").unwrap_or("?");
+        let [events, bytes, spans] = ["events", "bytes", "spans"].map(|k| r.u64(k).unwrap_or(0));
+        if sub == "total" {
+            let _ = writeln!(
+                out,
+                "  total: {events} records, {bytes} bytes, {spans} spans"
+            );
+        } else {
+            let _ = writeln!(out, "  {sub:<28} events={events:<8} bytes={bytes}");
+        }
     }
 }
 
@@ -249,6 +272,26 @@ mod tests {
         let t = trace_of(&[r#"{"seq":0,"kind":"config.switch","to":"b"}"#]);
         let text = render(&t);
         assert!(!text.contains("-- counters --"), "{text}");
+    }
+
+    #[test]
+    fn overhead_section_lists_subsystems_then_the_total() {
+        let t = trace_of(&[
+            r#"{"seq":0,"kind":"config.switch","to":"b"}"#,
+            r#"{"seq":1,"kind":"counter","name":"parx.maps","value":65}"#,
+            r#"{"seq":2,"kind":"obs.overhead","subsystem":"config","events":1,"bytes":40}"#,
+            r#"{"seq":3,"kind":"obs.overhead","subsystem":"counter","events":1,"bytes":60}"#,
+            r#"{"seq":4,"kind":"obs.overhead","subsystem":"total","events":2,"bytes":100,"spans":0}"#,
+        ]);
+        let text = render(&t);
+        let tail = "\n-- obs.overhead --\n  \
+                    config                       events=1        bytes=40\n  \
+                    counter                      events=1        bytes=60\n  \
+                    total: 2 records, 100 bytes, 0 spans\n";
+        assert!(text.ends_with(tail), "{text}");
+
+        let t = trace_of(&[r#"{"seq":0,"kind":"config.switch","to":"b"}"#]);
+        assert!(!render(&t).contains("-- obs.overhead --"));
     }
 
     #[test]

@@ -14,10 +14,7 @@ fn complete_trace() -> String {
         "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n",
         obs::SCHEMA_VERSION
     );
-    t.push_str(
-        "{\"seq\":0,\"kind\":\"metrics.window\",\"series\":\"kpi.x\",\"window\":0,\
-         \"tick\":8,\"n\":8,\"mean\":0.5,\"min\":0,\"max\":1,\"last\":1}\n",
-    );
+    t.push_str("{\"seq\":0,\"kind\":\"config.switch\",\"from\":\"TL2:8t\",\"to\":\"NOrec:4t\"}\n");
     t.push_str(
         "{\"seq\":1,\"kind\":\"obs.overhead\",\"subsystem\":\"total\",\"events\":1,\
          \"bytes\":10}\n",
@@ -41,7 +38,7 @@ fn no_subcommand_prints_usage_and_exits_2() {
         .filter_map(|l| l.trim().strip_prefix("proteus-trace "))
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    assert_eq!(listed, ["report", "perf", "conflicts"], "{stderr}");
+    assert_eq!(listed, ["report", "conflicts"], "{stderr}");
     let header = format!(
         "{{\"kind\":\"trace.meta\",\"schema\":{}}}",
         obs::SCHEMA_VERSION
@@ -67,6 +64,7 @@ fn unknown_subcommand_names_itself_and_exits_2() {
         ("watch", &["t.jsonl"][..]),
         ("diff", &["a.jsonl", "b.jsonl"]),
         ("perf-diff", &["a.jsonl", "b.jsonl"]),
+        ("perf", &["t.jsonl"]),
     ] {
         let out = bin().arg(sub).args(operands).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{sub}");
@@ -78,7 +76,7 @@ fn unknown_subcommand_names_itself_and_exits_2() {
 
 #[test]
 fn every_subcommand_rejects_missing_operands_with_2() {
-    for sub in ["report", "perf", "conflicts"] {
+    for sub in ["report", "conflicts"] {
         let out = bin().arg(sub).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{sub} without operands");
     }
@@ -94,7 +92,7 @@ fn unreadable_trace_exits_1() {
         empty.to_str().unwrap(),
         future.to_str().unwrap(),
     ] {
-        for sub in ["report", "perf", "conflicts"] {
+        for sub in ["report", "conflicts"] {
             let out = bin().args([sub, path]).output().unwrap();
             assert_eq!(out.status.code(), Some(1), "{sub} on {path}");
             assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
@@ -111,7 +109,7 @@ const WHOLE: &str = concat!(
 
 #[test]
 fn a_trace_without_its_trailer_is_a_visible_state() {
-    // The fixture cut after line 60 of 100: the writer "died" before the
+    // The fixture cut after line 60 of 80: the writer "died" before the
     // counter dump and the `obs.overhead total` trailer.
     let text = std::fs::read_to_string(WHOLE).unwrap();
     let cut = tmp(
@@ -124,7 +122,7 @@ fn a_trace_without_its_trailer_is_a_visible_state() {
         assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
         String::from_utf8(out.stdout).unwrap()
     };
-    for view in ["report", "perf", "conflicts"] {
+    for view in ["report", "conflicts"] {
         let text = stdout(&[view, cut]);
         let under_banner = text.lines().nth(1).unwrap();
         assert!(under_banner.starts_with("INCOMPLETE: no end-of-"), "{text}");
@@ -140,7 +138,7 @@ fn a_gate_cannot_be_talked_out_of_failing() {
     // many.
     let path = tmp("gate.jsonl", &complete_trace());
     let path = path.to_str().unwrap();
-    for view in ["report", "perf", "conflicts"] {
+    for view in ["report", "conflicts"] {
         for flag in ["--noise", "--epsilon", "--json"] {
             let out = bin().args([view, path, flag, "0.1"]).output().unwrap();
             assert_eq!(out.status.code(), Some(2), "{view} {flag}: {out:?}");

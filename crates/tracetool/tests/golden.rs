@@ -19,7 +19,7 @@ fn read(rel: &str) -> String {
 #[test]
 fn every_view_prints_its_golden_bytes() {
     let a = path("fixtures/all_sections.jsonl");
-    for view in ["report", "perf", "conflicts"] {
+    for view in ["report", "conflicts"] {
         let golden = format!("{view}.txt");
         let out = Command::new(env!("CARGO_BIN_EXE_proteus-trace"))
             .args([view, a.as_str()])
