@@ -7,19 +7,10 @@
 //! passes this test unmodified; one that moves a prediction by one ulp
 //! somewhere in 600 explorations almost surely does not.
 
-use polytm::Kpi;
-use recsys::UtilityMatrix;
+mod tuner_section;
+
 use rectm::{ControllerSettings, Exploration, NormalizationChoice, RecTm, RecTmOptions};
 use smbo::Acquisition;
-use tmsim::{corpus, MachineModel, PerfModel, Workload};
-
-/// The benchmark's tuner section (`benchmark/src/tuner.rs`): the training
-/// corpus, and held-out workloads under noise ids training never uses.
-const TRAIN_WORKLOADS: usize = 60;
-const TRAIN_SEED: u64 = 0xBA5E;
-const HELD_OUT: usize = 40;
-const HELD_OUT_SEED: u64 = 0x7E57_0005;
-const HELD_OUT_ID_BASE: u64 = 1_000_000;
 
 /// The model-driven acquisition policies (Random consults no prediction).
 const ACQUISITIONS: [Acquisition; 3] = [
@@ -73,20 +64,6 @@ const RECORDED: [(NormalizationChoice, [u64; 3]); 5] = [
     ),
 ];
 
-fn kpi_rows(model: &PerfModel, ws: &[Workload], id_base: u64) -> Vec<Vec<f64>> {
-    let space = model.machine().config_space();
-    ws.iter()
-        .map(|w| {
-            space
-                .configs()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| model.noisy_kpi(id_base + w.id, &w.spec, c, i, Kpi::Throughput, 0))
-                .collect()
-        })
-        .collect()
-}
-
 fn fnv(hash: &mut u64, word: u64) {
     for byte in word.to_le_bytes() {
         *hash = (*hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3);
@@ -109,14 +86,7 @@ fn hash_decisions(decisions: &[Exploration]) -> u64 {
 
 #[test]
 fn decisions_match_the_recorded_hashes() {
-    let model = PerfModel::new(MachineModel::machine_a());
-    let train = UtilityMatrix::from_rows(
-        kpi_rows(&model, &corpus(TRAIN_WORKLOADS, TRAIN_SEED), 0)
-            .into_iter()
-            .map(|row| row.into_iter().map(Some).collect())
-            .collect(),
-    );
-    let truth = kpi_rows(&model, &corpus(HELD_OUT, HELD_OUT_SEED), HELD_OUT_ID_BASE);
+    let (train, truth) = tuner_section::train_and_truth();
 
     let mut lines = Vec::new();
     for (normalization, recorded) in RECORDED {

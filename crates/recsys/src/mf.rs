@@ -81,6 +81,9 @@ impl MfModel {
                 }
             }
         }
+        if obs::enabled() {
+            obs::counter("recsys.mf.sgd_steps").add((params.epochs * entries.len()) as u64);
+        }
         MfModel {
             item_factors: items,
             params,
