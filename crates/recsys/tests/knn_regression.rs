@@ -208,6 +208,10 @@ fn predict_stats_matches_reference_fold_at_every_job_count() {
     // weights summing below 1e-12, and fewer comparable rows than `k`.
     let (mut shared_prefix, mut walked, mut weightless_prefix, mut k_beyond_comparable) =
         (0, 0, 0, 0);
+    // Members whose best |similarity| is shared by distinct rows they drew
+    // at different positions: a prefix walk takes that group's rows in draw
+    // order, at k = 1 and at k > 1.
+    let (mut tied_best_k1, mut tied_best_k_more) = (0, 0);
     let abs_bits = |sim: Option<f64>| sim.map(|s| s.abs().to_bits());
     let mut cover = |training: &UtilityMatrix,
                      similarity: Similarity,
@@ -276,6 +280,18 @@ fn predict_stats_matches_reference_fold_at_every_job_count() {
                     < 1e-12
         }));
         k_beyond_comparable += usize::from(rankings.iter().any(|r| k > r.len()));
+        let tied_best = rankings.iter().any(|ranked| {
+            ranked.first().is_some_and(|&top| {
+                ranked
+                    .iter()
+                    .any(|&r| r != top && abs_bits(sims[r]) == abs_bits(sims[top]))
+            })
+        });
+        if k == 1 {
+            tied_best_k1 += usize::from(tied_best);
+        } else {
+            tied_best_k_more += usize::from(tied_best);
+        }
     };
 
     // Random shapes: duplicated rows, holes, a column nobody rates.
@@ -419,6 +435,14 @@ fn predict_stats_matches_reference_fold_at_every_job_count() {
     assert!(
         weightless_prefix >= 6,
         "a prefix of weight below 1e-12 in only {weightless_prefix} cases"
+    );
+    assert!(
+        tied_best_k1 >= 10,
+        "a member's best rows tied at k = 1 in only {tied_best_k1} cases"
+    );
+    assert!(
+        tied_best_k_more >= 30,
+        "a member's best rows tied at k > 1 in only {tied_best_k_more} cases"
     );
     assert!(
         k_beyond_comparable >= 10,

@@ -24,7 +24,7 @@ mod gaussian;
 mod stopping;
 
 pub use acquisition::{Acquisition, Candidate};
-pub use gaussian::{expected_improvement, norm_cdf, norm_pdf};
+pub use gaussian::{ei_upper_bound, expected_improvement, norm_cdf, norm_pdf};
 pub use stopping::{StopState, StoppingRule};
 
 /// Whether the optimized KPI is maximized (throughput) or minimized
