@@ -88,16 +88,20 @@ impl TpcC {
         let wh = rng.next_below(self.n_warehouses);
         let d = rng.next_below(DISTRICTS_PER_WH);
         let c = rng.next_below(CUSTOMERS_PER_DIST);
-        let items: Vec<(u64, u64)> = (0..self.ol_cnt)
-            .map(|_| (rng.next_below(ITEMS), rng.next_below(5) + 1))
-            .collect();
+        // `ol_cnt` is at most 15, so the order lines fit on the stack.
+        let ol_cnt = self.ol_cnt as usize;
+        let mut lines = [(0u64, 0u64); 15];
+        for line in &mut lines[..ol_cnt] {
+            *line = (rng.next_below(ITEMS), rng.next_below(5) + 1);
+        }
+        let items = &lines[..ol_cnt];
         let d_base = self.district_base(wh, d);
         let c_base = self.customer_base(wh, d, c);
         let (districts, customers, stock) = (self.districts, self.customers, self.stock);
         poly.run_tx(worker, |tx| -> TxResult<()> {
             let oid = tx.read(districts.field(d_base + D_NEXT_OID))?;
             tx.write(districts.field(d_base + D_NEXT_OID), oid + 1)?;
-            for &(item, qty) in &items {
+            for &(item, qty) in items {
                 let s_base = self.stock_base(wh, item);
                 let s_qty = tx.read(stock.field(s_base + S_QTY))?;
                 // TPC-C's replenishment rule: wrap low stock back up.

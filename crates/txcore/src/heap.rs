@@ -6,6 +6,7 @@
 //! a sequence of machine words protected by hashed ownership records, while
 //! letting the whole stack stay in safe Rust.
 
+use crate::util::CachePadded;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -73,7 +74,9 @@ impl From<u32> for Addr {
 /// ```
 pub struct Heap {
     words: Box<[AtomicU64]>,
-    next: AtomicUsize,
+    /// The bump counter sits on a cache line of its own: an allocation must
+    /// not evict `words`, which every access of every thread loads.
+    next: CachePadded<AtomicUsize>,
 }
 
 impl Heap {
@@ -87,7 +90,7 @@ impl Heap {
         v.resize_with(capacity, || AtomicU64::new(0));
         Heap {
             words: v.into_boxed_slice(),
-            next: AtomicUsize::new(0),
+            next: CachePadded::new(AtomicUsize::new(0)),
         }
     }
 
@@ -203,6 +206,16 @@ mod tests {
         for w in all.windows(2) {
             assert!(w[1] - w[0] >= 10, "overlapping allocations");
         }
+    }
+
+    #[test]
+    fn bump_counter_has_its_own_cache_line() {
+        let line = |offset: usize| offset / 64;
+        assert_ne!(
+            line(std::mem::offset_of!(Heap, next)),
+            line(std::mem::offset_of!(Heap, words))
+        );
+        assert_eq!(std::mem::align_of::<Heap>() % 64, 0);
     }
 
     #[test]
