@@ -48,9 +48,14 @@ fn registry() -> std::sync::MutexGuard<'static, BTreeMap<String, &'static Counte
     REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Look up (or register) the counter `name`.
+/// Look up (or register) the counter `name`. Only the first call for a
+/// name allocates: a lookup of a known name borrows it as the key.
 pub fn counter(name: &str) -> &'static Counter {
-    registry()
+    let mut registry = registry();
+    if let Some(&c) = registry.get(name) {
+        return c;
+    }
+    registry
         .entry(name.to_string())
         .or_insert_with(|| Box::leak(Box::default()))
 }

@@ -5,7 +5,7 @@
 //! statistics over an ensemble of CF learners, each trained on a random
 //! subset of the training rows (Breiman-style bagging).
 
-use crate::knn::{weighted_mean, KnnModel, Ranking};
+use crate::knn::{KnnModel, Ranking};
 use crate::matrix::{Row, UtilityMatrix};
 use crate::mf::MfModel;
 use crate::predictor::CfAlgorithm;
@@ -25,6 +25,7 @@ enum Members {
     /// over the training matrix and each keeps only its bootstrap sample.
     Knn {
         model: KnnModel,
+        dense: DenseRows,
         samples: Vec<Sample>,
     },
     /// MF members are fitted models, one per bootstrap sample.
@@ -60,6 +61,7 @@ impl BaggingEnsemble {
                     similarity,
                     k,
                 ),
+                dense: DenseRows::new(training),
                 samples: bootstraps.iter().map(|b| Sample::new(b, nrows)).collect(),
             },
             CfAlgorithm::Mf(params) => Members::Mf(parx::par_map(&bootstraps, |sample| {
@@ -103,14 +105,19 @@ impl BaggingEnsemble {
     /// the first `k` rows of its ranking, found by walking the shared ranking
     /// until `k` are taken — are the neighbours of every column all of them
     /// rate, so members with the same prefix share one prediction of those
-    /// columns. Only a column that some prefix row leaves unrated makes a
-    /// member walk its whole ranking.
+    /// columns, made in one pass over the prefix rows' dense copies. Only a
+    /// column that some prefix row leaves unrated makes a member walk its
+    /// whole ranking.
     pub fn predict_stats(&self, known: &Row) -> Vec<Option<(f64, f64)>> {
         if obs::enabled() {
             obs::counter("recsys.bagging.predictions").inc();
         }
         match &self.members {
-            Members::Knn { model, samples } => {
+            Members::Knn {
+                model,
+                dense,
+                samples,
+            } => {
                 let training = model.training();
                 let ranking = model.rank_by(known, |r, _| r);
                 let k = model.k();
@@ -132,7 +139,7 @@ impl BaggingEnsemble {
                     {
                         Some(i) => &shared[i],
                         None => {
-                            shared.push(Shared::new(model, known, &prefix));
+                            shared.push(Shared::new(dense, known, &prefix));
                             &shared[shared.len() - 1]
                         }
                     };
@@ -249,6 +256,36 @@ impl Sample {
     }
 }
 
+/// The training ratings as one row-major block, 0.0 where a rating is
+/// unrated, and each row's unrated columns (none on a complete matrix).
+#[derive(Debug, Clone)]
+struct DenseRows {
+    ncols: usize,
+    ratings: Vec<f64>,
+    unrated: Vec<Vec<usize>>,
+}
+
+impl DenseRows {
+    fn new(training: &UtilityMatrix) -> Self {
+        let rows = training.rows();
+        // Sized up front: a flattened iterator would grow it step by step.
+        let mut ratings = Vec::with_capacity(rows.len() * training.ncols());
+        ratings.extend(rows.iter().flatten().map(|v| v.unwrap_or(0.0)));
+        DenseRows {
+            ncols: training.ncols(),
+            ratings,
+            unrated: rows
+                .iter()
+                .map(|row| (0..row.len()).filter(|&c| row[c].is_none()).collect())
+                .collect(),
+        }
+    }
+
+    fn row(&self, r: usize) -> &[f64] {
+        &self.ratings[r * self.ncols..(r + 1) * self.ncols]
+    }
+}
+
 /// What the KNN members with one prefix share.
 struct Shared {
     /// The prefix's training rows, in ranking order.
@@ -256,31 +293,54 @@ struct Shared {
     /// Known entries, and the prefix's average of every column all its rows
     /// rate; the `walk` columns are left for each member to fill.
     prediction: Prediction,
-    /// The unknown columns some prefix row leaves unrated.
+    /// The unknown columns some prefix row leaves unrated, ascending.
     walk: Vec<usize>,
 }
 
 impl Shared {
     /// The prediction of a prefix given as `(similarity, row)`.
-    fn new(model: &KnnModel, known: &Row, prefix: &[(f64, usize)]) -> Self {
-        let training = model.training();
-        let ncols = training.ncols();
-        // A column every prefix row rates has the whole prefix as its
-        // neighbours, so all such columns share `KnnModel::average`'s
-        // weight sum.
+    ///
+    /// A column every prefix row rates has the whole prefix as its
+    /// neighbours, so every column is summed in one pass per prefix row:
+    /// from `-0.0`, adding `sim · rating` in prefix order, then divided by
+    /// the prefix's `Σ|sim|` — exactly `KnnModel::average`'s `Sum<f64>`,
+    /// which folds from `-0.0` in iterator order (DESIGN.md §5). A column
+    /// some prefix row leaves unrated sums that row's 0.0 too; it is a
+    /// `walk` column, which every member that reads this prefix overwrites.
+    fn new(dense: &DenseRows, known: &Row, prefix: &[(f64, usize)]) -> Self {
+        let ncols = dense.ncols;
+        let unknown = |c: usize| known.get(c).copied().flatten().is_none();
+        let mut walk: Vec<usize> = prefix
+            .iter()
+            .flat_map(|&(_, r)| &dense.unrated[r])
+            .copied()
+            .filter(|&c| unknown(c))
+            .collect();
+        walk.sort_unstable();
+        walk.dedup();
+        let mut values = vec![-0.0; ncols];
+        for &(sim, r) in prefix {
+            for (v, &rating) in values.iter_mut().zip(dense.row(r)) {
+                *v += sim * rating;
+            }
+        }
         let wsum: f64 = prefix.iter().map(|&(sim, _)| sim.abs()).sum();
-        let mut prediction = Prediction::new(ncols);
-        let mut walk = Vec::new();
-        for c in 0..ncols {
-            match known.get(c).copied().flatten() {
-                Some(v) => prediction.set(c, Some(v)),
-                None if prefix.iter().all(|&(_, r)| training.row(r)[c].is_some()) => {
-                    let rated = prefix
-                        .iter()
-                        .filter_map(|&(sim, r)| training.row(r)[c].map(|rating| (sim, rating)));
-                    prediction.set(c, weighted_mean(wsum, rated));
-                }
-                None => walk.push(c),
+        for v in &mut values {
+            *v /= wsum;
+        }
+        let mut prediction = Prediction {
+            values,
+            gaps: Vec::new(),
+        };
+        // `weighted_mean`'s `None`: no weight to average by.
+        if wsum < 1e-12 {
+            for c in (0..ncols).filter(|&c| unknown(c) && walk.binary_search(&c).is_err()) {
+                prediction.set(c, None);
+            }
+        }
+        for (c, &v) in known.iter().take(ncols).enumerate() {
+            if let Some(v) = v {
+                prediction.set(c, Some(v));
             }
         }
         Shared {
@@ -439,6 +499,76 @@ mod tests {
         let (mean, var) = stats[0].unwrap();
         assert_eq!(mean, 0.3, "known entries pass through every member");
         assert_eq!(var, 0.0);
+    }
+
+    /// `Shared::new` against `KnnModel::average` over the prefix, bit for
+    /// bit and per column (the ensemble's fold would hide the sign of a
+    /// zero): a zero rating under a negative similarity must stay `-0.0`,
+    /// a prefix of weight below 1e-12 leaves gaps, and a column some
+    /// prefix row leaves unrated is walked, not averaged.
+    #[test]
+    fn prefix_pass_matches_average() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let value = |rng: &mut StdRng| match rng.gen_range(0..6) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-5.0..5.0),
+        };
+        let mut negative_zero = 0;
+        for case in 0..400 {
+            let ncols = rng.gen_range(1..=8);
+            let training = UtilityMatrix::from_rows(
+                (0..rng.gen_range(1..=6))
+                    .map(|_| {
+                        (0..ncols)
+                            .map(|_| rng.gen_bool(0.85).then(|| value(&mut rng)))
+                            .collect()
+                    })
+                    .collect(),
+            );
+            let known: Row = (0..ncols)
+                .map(|_| rng.gen_bool(0.3).then(|| value(&mut rng)))
+                .collect();
+            let prefix: Vec<(f64, usize)> = (0..rng.gen_range(0..=3))
+                .map(|_| {
+                    let sim = match rng.gen_range(0..5) {
+                        0 => 0.0,
+                        1 => rng.gen_range(-1e-13..1e-13),
+                        _ => rng.gen_range(-1.0..1.0),
+                    };
+                    (sim, rng.gen_range(0..training.nrows()))
+                })
+                .collect();
+            let shared = Shared::new(&DenseRows::new(&training), &known, &prefix);
+            let model = KnnModel::fit(training.clone(), Similarity::Cosine, prefix.len());
+            let ranking: Vec<(f64, &Row)> = prefix
+                .iter()
+                .map(|&(sim, r)| (sim, training.row(r)))
+                .collect();
+            for c in 0..ncols {
+                let walked =
+                    known[c].is_none() && prefix.iter().any(|&(_, r)| training.get(r, c).is_none());
+                assert_eq!(shared.walk.contains(&c), walked, "case {case} column {c}");
+                if walked {
+                    continue;
+                }
+                let want = known[c].or_else(|| model.average(&ranking, c));
+                let gap = shared.prediction.gaps.get(c) == Some(&true);
+                let got = (!gap).then(|| shared.prediction.values[c]);
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "case {case} column {c}: prefix {prefix:?}, known {known:?}, training {training:?}"
+                );
+                negative_zero += usize::from(
+                    known[c].is_none() && want.is_some_and(|v| v.to_bits() == (-0.0f64).to_bits()),
+                );
+            }
+        }
+        assert!(
+            negative_zero >= 20,
+            "a -0.0 average in only {negative_zero} columns"
+        );
     }
 
     #[test]

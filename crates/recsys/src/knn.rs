@@ -216,10 +216,7 @@ impl KnnModel {
 
 /// `Σ s·r / wsum` over `(similarity, rating)` neighbours whose `Σ |s|` is
 /// `wsum`; `None` when `wsum` is below 1e-12.
-pub(crate) fn weighted_mean(
-    wsum: f64,
-    neighbours: impl Iterator<Item = (f64, f64)>,
-) -> Option<f64> {
+fn weighted_mean(wsum: f64, neighbours: impl Iterator<Item = (f64, f64)>) -> Option<f64> {
     if wsum < 1e-12 {
         return None;
     }

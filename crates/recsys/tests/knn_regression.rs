@@ -190,6 +190,23 @@ fn check_ensemble(
     bootstraps
 }
 
+/// Each member's ranking as training rows: its comparable rows (those with
+/// a similarity in `sims`), stable-sorted by |similarity|. Its prefix is
+/// the first `k`.
+fn member_rankings(sims: &[Option<f64>], bootstraps: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    bootstraps
+        .iter()
+        .map(|b| {
+            let mut ranked: Vec<usize> = b.iter().copied().filter(|&r| sims[r].is_some()).collect();
+            ranked.sort_by(|&x, &y| {
+                let abs = |r: usize| sims[r].map_or(0.0, f64::abs);
+                abs(y).total_cmp(&abs(x))
+            });
+            ranked
+        })
+        .collect()
+}
+
 /// `BaggingEnsemble::predict_stats` is a Welford fold, in member order, of
 /// the members' predictions; member `m` is trained on the `m`-th bootstrap
 /// drawn from one `StdRng` seeded with the ensemble seed. The members share
@@ -218,9 +235,7 @@ fn predict_stats_matches_reference_fold_at_every_job_count() {
                      k: usize,
                      known: &Row,
                      bootstraps: &[Vec<usize>]| {
-        let sims: Vec<Option<f64>> = (0..training.nrows())
-            .map(|r| similarity.between(known, training.row(r), 1))
-            .collect();
+        let sims = similarities(training, similarity, known);
         member_ties += usize::from(bootstraps.iter().any(|b| {
             b.iter().any(|&r| {
                 b.iter()
@@ -247,20 +262,7 @@ fn predict_stats_matches_reference_fold_at_every_job_count() {
         complete += usize::from(
             training.nrows() == 60 && training.ncols() == 130 && training.known_count() == 60 * 130,
         );
-        // Each member's ranking as training rows: its comparable rows,
-        // stable-sorted by |similarity|. Its prefix is the first `k`.
-        let rankings: Vec<Vec<usize>> = bootstraps
-            .iter()
-            .map(|b| {
-                let mut ranked: Vec<usize> =
-                    b.iter().copied().filter(|&r| sims[r].is_some()).collect();
-                ranked.sort_by(|&x, &y| {
-                    let abs = |r: usize| sims[r].map_or(0.0, f64::abs);
-                    abs(y).total_cmp(&abs(x))
-                });
-                ranked
-            })
-            .collect();
+        let rankings = member_rankings(&sims, bootstraps);
         let prefix = |m: usize| &rankings[m][..k.min(rankings[m].len())];
         shared_prefix += usize::from(
             (0..rankings.len())
@@ -448,4 +450,164 @@ fn predict_stats_matches_reference_fold_at_every_job_count() {
         k_beyond_comparable >= 10,
         "k > comparable rows of a member in only {k_beyond_comparable} cases"
     );
+}
+
+/// The shapes `Shared::new`'s dense pass over a prefix has to survive, one
+/// hand-built case each, every one against the reference fold at every job
+/// count: a prefix row leaving an unknown column unrated (its 0.0 enters
+/// the dense sum, and every member reading the prefix must overwrite that
+/// column from its own ranking), a prefix of weight below 1e-12 (the
+/// columns it rates are gaps, its unrated ones still walked), a zero
+/// rating under a negative cosine similarity (the product is `-0.0`, and
+/// the sum starts at `-0.0` as `Sum<f64>` does), and `k > 1` over
+/// bootstraps that draw a row more than once.
+///
+/// The Welford fold adds each prediction to a mean that starts at `+0.0`,
+/// so the sign of a zero prediction never reaches `predict_stats`; the
+/// member predictions themselves are pinned bit for bit by `recsys`'s
+/// `bagging::tests::prefix_pass_matches_average`.
+#[test]
+fn dense_prefix_pass_matches_reference_fold_at_every_job_count() {
+    let mut rng = StdRng::seed_from_u64(0xDE_45E);
+    // Per case, how many seeds gave some member the shape the case is for.
+    let mut hits = [0usize; 4];
+    for seed in 0..8u64 {
+        // A prefix row leaves an unknown column unrated: the query matches
+        // row 0 exactly at columns 0 and 1, and row 0 rates neither 4 nor 5.
+        let mut training: Vec<Row> = (0..6).map(|_| random_row(&mut rng, 6, 1.0)).collect();
+        training[0][4] = None;
+        training[0][5] = None;
+        training[3][5] = None;
+        let training = UtilityMatrix::from_rows(training);
+        let mut known: Row = vec![None; 6];
+        known[0] = training.get(0, 0);
+        known[1] = training.get(0, 1);
+        for k in [1, 2] {
+            let b = check_ensemble(
+                &training,
+                Similarity::Euclidean,
+                k,
+                &known,
+                4000 + seed,
+                "unrated prefix column",
+            );
+            let sims = similarities(&training, Similarity::Euclidean, &known);
+            hits[0] += usize::from(member_rankings(&sims, &b).iter().any(|r| {
+                r[..k.min(r.len())]
+                    .iter()
+                    .any(|&row| training.get(row, 4).is_none())
+            }));
+        }
+
+        // A prefix of weight below 1e-12: cosine rates every row whose
+        // query columns read `(a, -a)` against the query's `(x, x)` exactly
+        // 0; row 0 alone has weight, and row 1 leaves column 3 unrated.
+        let x = rng.gen_range(0.5..50.0);
+        let training = UtilityMatrix::from_rows(
+            (0..5)
+                .map(|r| {
+                    let mut row = random_row(&mut rng, 5, 1.0);
+                    let a = rng.gen_range(0.5..50.0);
+                    row[0] = Some(a);
+                    row[1] = Some(if r == 0 { a } else { -a });
+                    if r == 1 {
+                        row[3] = None;
+                    }
+                    row
+                })
+                .collect(),
+        );
+        let known: Row = vec![Some(x), Some(x), None, None, None];
+        for k in [1, 2] {
+            let b = check_ensemble(
+                &training,
+                Similarity::Cosine,
+                k,
+                &known,
+                4100 + seed,
+                "weightless prefix",
+            );
+            let sims = similarities(&training, Similarity::Cosine, &known);
+            hits[1] += usize::from(member_rankings(&sims, &b).iter().any(|r| {
+                let prefix = &r[..k.min(r.len())];
+                !prefix.is_empty()
+                    && prefix
+                        .iter()
+                        .map(|&row| sims[row].unwrap().abs())
+                        .sum::<f64>()
+                        < 1e-12
+            }));
+        }
+
+        // A zero rating under a negative cosine similarity: rows 0..3
+        // point away from the query and rate column 2 as 0.0.
+        let training = UtilityMatrix::from_rows(
+            (0..6)
+                .map(|r| {
+                    let mut row = random_row(&mut rng, 4, 1.0);
+                    if r < 3 {
+                        row[0] = Some(-rng.gen_range(0.5..50.0));
+                        row[1] = Some(-rng.gen_range(0.5..50.0));
+                        row[2] = Some(0.0);
+                    }
+                    row
+                })
+                .collect(),
+        );
+        let known: Row = vec![Some(x), Some(rng.gen_range(0.5..50.0)), None, None];
+        let b = check_ensemble(
+            &training,
+            Similarity::Cosine,
+            1,
+            &known,
+            4200 + seed,
+            "negative zero",
+        );
+        let sims = similarities(&training, Similarity::Cosine, &known);
+        hits[2] += usize::from(member_rankings(&sims, &b).iter().any(|r| {
+            r.first()
+                .is_some_and(|&row| sims[row].unwrap() < 0.0 && training.get(row, 2) == Some(0.0))
+        }));
+
+        // `k > 1` with repeated draws: three rows, so every bootstrap
+        // repeats one, and `k = 3` takes it twice into some prefix.
+        let training =
+            UtilityMatrix::from_rows((0..3).map(|_| random_row(&mut rng, 5, 0.8)).collect());
+        let known = random_query(&mut rng, 5);
+        for similarity in Similarity::ALL {
+            let b = check_ensemble(
+                &training,
+                similarity,
+                3,
+                &known,
+                4300 + seed,
+                "repeated draws",
+            );
+            let sims = similarities(&training, similarity, &known);
+            hits[3] += usize::from(member_rankings(&sims, &b).iter().any(|r| {
+                let prefix = &r[..3.min(r.len())];
+                prefix
+                    .iter()
+                    .enumerate()
+                    .any(|(i, row)| prefix[..i].contains(row))
+            }));
+        }
+    }
+    let names = [
+        "a prefix row leaving an unknown column unrated",
+        "a prefix of weight below 1e-12",
+        "a negative similarity over a zero rating",
+        "a row repeated in a prefix at k = 3",
+    ];
+    // Of 16, 16, 8 and 24 ensembles.
+    for ((name, n), floor) in names.iter().zip(hits).zip([12, 12, 6, 16]) {
+        assert!(n >= floor, "{name} in only {n} cases ({hits:?})");
+    }
+}
+
+/// Every training row's similarity to `known`, `None` where it has none.
+fn similarities(training: &UtilityMatrix, similarity: Similarity, known: &Row) -> Vec<Option<f64>> {
+    (0..training.nrows())
+        .map(|r| similarity.between(known, training.row(r), 1))
+        .collect()
 }

@@ -59,17 +59,23 @@ pub(crate) fn improvement(mu: f64, best: f64, goal: Goal) -> f64 {
 }
 
 /// An upper bound on [`expected_improvement`] with the same arguments that
-/// needs neither `Φ` nor `φ`: `σ·(max(u, 0) + φ(0))`, and the improvement
-/// itself where EI is that (`σ ≤ 1e-12`).
+/// needs neither `Φ` nor `φ`. With `u` the improvement over `σ` it is
+/// `σ·(u + φ(0))` where `u ≥ 0`, and `σ·φ(0)·(1 + ε) / (1 + x + x²/2)` with
+/// `x = u²/2` where `u < 0` (`eˣ ≥ 1 + x + x²/2`); where EI is the
+/// improvement itself (`σ ≤ 1e-12`), the improvement.
 ///
 /// It holds for the computed values, not just the real ones: the `Φ` used
 /// here lies in `[0, 1]`, so `u·Φ(u) ≤ max(u, 0)`, and `φ(u) ≤ φ(0)`; each
 /// step of EI's expression then rounds a value no larger than the same step
-/// of the bound's, and rounding is monotone (DESIGN.md §5).
+/// of the bound's, and rounding is monotone. In the tail `u·Φ(u) ≤ 0`, so
+/// EI ≤ `σ·φ(u)` as computed, and the slack `ε` covers the few roundings of
+/// both sides where `x → 0` and the real gap, about `x³/6`, is below one
+/// ulp. Where `x` or `x²` overflows the bound is 0, and so is EI
+/// (DESIGN.md §5).
 ///
 /// ```
 /// use smbo::{ei_upper_bound, expected_improvement, Goal};
-/// for (mu, sigma) in [(8.0, 1.0), (12.0, 0.5), (10.0, 3.0), (9.0, 0.0)] {
+/// for (mu, sigma) in [(8.0, 1.0), (12.0, 0.5), (10.0, 3.0), (9.0, 0.0), (40.0, 1e-6)] {
 ///     let ei = expected_improvement(mu, sigma, 10.0, Goal::Minimize);
 ///     assert!(ei <= ei_upper_bound(mu, sigma, 10.0, Goal::Minimize));
 /// }
@@ -79,8 +85,17 @@ pub fn ei_upper_bound(mu: f64, sigma: f64, best: f64, goal: Goal) -> f64 {
     if sigma <= 1e-12 {
         return improvement.max(0.0);
     }
-    sigma * ((improvement / sigma).max(0.0) + PDF_AT_0)
+    let u = improvement / sigma;
+    if u < 0.0 {
+        // `x` as `norm_pdf` computes it.
+        let x = u * u / 2.0;
+        return sigma * PDF_AT_0 * (1.0 + TAIL_SLACK) / (1.0 + x + x * x / 2.0);
+    }
+    sigma * (u.max(0.0) + PDF_AT_0)
 }
+
+/// `ε` of [`ei_upper_bound`]'s tail, 2⁻⁴⁰: 4,096 ulps of relative slack.
+const TAIL_SLACK: f64 = 4096.0 * f64::EPSILON;
 
 /// `norm_pdf(0.0)`, bit for bit.
 const PDF_AT_0: f64 = 0.398_942_280_401_432_7;
