@@ -1,6 +1,9 @@
 //! A transactional hash map with separate chaining (short transactions,
-//! naturally low contention — an HTM-friendly workload).
+//! naturally low contention — an HTM-friendly workload). A removed entry
+//! goes on the map's free list, linked through `NEXT`, and the next insert
+//! takes it back.
 
+use super::freelist::FreeList;
 use txcore::{Addr, Heap, Tx, TxResult};
 
 // Entry layout (3 words).
@@ -8,7 +11,8 @@ const KEY: u32 = 0;
 const VAL: u32 = 1;
 const NEXT: u32 = 2;
 
-// Header layout: bucket count, size, then the bucket array.
+// Header layout: bucket count, size, the bucket array, then the free-list
+// head (after the buckets, so that no bucket moves).
 const H_NBUCKETS: u32 = 0;
 const H_SIZE: u32 = 1;
 const H_BUCKETS: u32 = 2;
@@ -32,6 +36,7 @@ fn hash(key: u64) -> u64 {
 pub struct HashMap {
     header: Addr,
     nbuckets: u64,
+    free: FreeList,
 }
 
 impl HashMap {
@@ -39,13 +44,19 @@ impl HashMap {
     /// two).
     pub fn create(heap: &Heap, nbuckets: usize) -> Self {
         let nbuckets = nbuckets.next_power_of_two().max(2) as u64;
-        let header = heap.alloc(2 + nbuckets as usize);
+        let header = heap.alloc(3 + nbuckets as usize);
         heap.write_raw(header.field(H_NBUCKETS), nbuckets);
         heap.write_raw(header.field(H_SIZE), 0);
         for b in 0..nbuckets {
             heap.write_raw(header.field(H_BUCKETS + b as u32), NULL);
         }
-        HashMap { header, nbuckets }
+        let free = header.field(H_BUCKETS + nbuckets as u32);
+        heap.write_raw(free, NULL);
+        HashMap {
+            header,
+            nbuckets,
+            free: FreeList::new(free, NULL, NEXT, ENTRY_WORDS),
+        }
     }
 
     fn bucket(&self, key: u64) -> Addr {
@@ -87,7 +98,7 @@ impl HashMap {
             }
             cur = tx.read(a(cur).field(NEXT))?;
         }
-        let entry = heap.alloc(ENTRY_WORDS);
+        let entry = self.free.pop(tx, heap)?;
         tx.write(entry.field(KEY), key)?;
         tx.write(entry.field(VAL), value)?;
         tx.write(entry.field(NEXT), head)?;
@@ -97,7 +108,8 @@ impl HashMap {
         Ok(true)
     }
 
-    /// Remove `key`; returns the removed value, if present.
+    /// Remove `key`; returns the removed value, if present. The unlinked
+    /// entry goes on the free list inside this transaction.
     pub fn remove(&self, tx: &mut Tx<'_>, key: u64) -> TxResult<Option<u64>> {
         let bucket = self.bucket(key);
         let mut prev: Option<u64> = None;
@@ -110,6 +122,7 @@ impl HashMap {
                     None => tx.write(bucket, next)?,
                     Some(p) => tx.write(a(p).field(NEXT), next)?,
                 }
+                self.free.push(tx, cur)?;
                 let size = tx.read(self.header.field(H_SIZE))?;
                 tx.write(self.header.field(H_SIZE), size - 1)?;
                 return Ok(Some(val));

@@ -1,7 +1,10 @@
 //! A sorted singly-linked list: the classic "large read set, serial by
 //! nature" TM microbenchmark (long traversals make it STM-hostile at high
-//! thread counts and HTM-capacity-hostile for large lists).
+//! thread counts and HTM-capacity-hostile for large lists). A removed node
+//! goes on the list's free list, linked through `NEXT`, and the next insert
+//! takes it back.
 
+use super::freelist::FreeList;
 use txcore::{Addr, Heap, Tx, TxResult};
 
 // Node layout (3 words).
@@ -9,9 +12,10 @@ const KEY: u32 = 0;
 const VAL: u32 = 1;
 const NEXT: u32 = 2;
 
-// Header layout (2 words): head pointer + size.
+// Header layout (3 words): head pointer, size, free-list head.
 const H_HEAD: u32 = 0;
 const H_SIZE: u32 = 1;
+const H_FREE: u32 = 2;
 
 const NODE_WORDS: usize = 3;
 const NULL: u64 = u64::MAX;
@@ -25,15 +29,20 @@ fn a(ptr: u64) -> Addr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkedList {
     header: Addr,
+    free: FreeList,
 }
 
 impl LinkedList {
     /// Allocate an empty list.
     pub fn create(heap: &Heap) -> Self {
-        let header = heap.alloc(2);
+        let header = heap.alloc(3);
         heap.write_raw(header.field(H_HEAD), NULL);
         heap.write_raw(header.field(H_SIZE), 0);
-        LinkedList { header }
+        heap.write_raw(header.field(H_FREE), NULL);
+        LinkedList {
+            header,
+            free: FreeList::new(header.field(H_FREE), NULL, NEXT, NODE_WORDS),
+        }
     }
 
     /// Number of keys.
@@ -79,7 +88,7 @@ impl LinkedList {
             prev = Some(cur);
             cur = tx.read(a(cur).field(NEXT))?;
         }
-        let node = heap.alloc(NODE_WORDS);
+        let node = self.free.pop(tx, heap)?;
         tx.write(node.field(KEY), key)?;
         tx.write(node.field(VAL), value)?;
         tx.write(node.field(NEXT), cur)?;
@@ -92,7 +101,8 @@ impl LinkedList {
         Ok(true)
     }
 
-    /// Remove `key`; returns whether it was present.
+    /// Remove `key`; returns whether it was present. The unlinked node goes
+    /// on the free list inside this transaction.
     pub fn remove(&self, tx: &mut Tx<'_>, key: u64) -> TxResult<bool> {
         let mut prev: Option<u64> = None;
         let mut cur = tx.read(self.header.field(H_HEAD))?;
@@ -104,6 +114,7 @@ impl LinkedList {
                     None => tx.write(self.header.field(H_HEAD), next)?,
                     Some(p) => tx.write(a(p).field(NEXT), next)?,
                 }
+                self.free.push(tx, cur)?;
                 let size = tx.read(self.header.field(H_SIZE))?;
                 tx.write(self.header.field(H_SIZE), size - 1)?;
                 return Ok(true);

@@ -3,8 +3,10 @@
 //! CLRS-style with parent pointers and a per-tree NIL sentinel node, which
 //! keeps the delete fix-up free of null special cases. Every access goes
 //! through the transaction handle, so the structure is linearizable under
-//! any backend that provides opacity.
+//! any backend that provides opacity. A removed node goes on the tree's
+//! free list, linked through `LEFT`, and the next insert takes it back.
 
+use super::freelist::FreeList;
 use txcore::{Addr, Heap, Tx, TxResult};
 
 // Node layout (6 words).
@@ -15,10 +17,11 @@ const RIGHT: u32 = 3;
 const PARENT: u32 = 4;
 const COLOR: u32 = 5;
 
-// Header layout (3 words).
+// Header layout (4 words). An empty free list holds the NIL sentinel.
 const H_ROOT: u32 = 0;
 const H_NIL: u32 = 1;
 const H_SIZE: u32 = 2;
+const H_FREE: u32 = 3;
 
 const RED: u64 = 1;
 const BLACK: u64 = 0;
@@ -32,17 +35,18 @@ fn a(ptr: u64) -> Addr {
 
 /// A red-black tree rooted in the transactional heap.
 ///
-/// The handle itself is a plain address and freely copyable; all mutable
+/// The handle itself is a few plain words and freely copyable; all mutable
 /// state lives in the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RedBlackTree {
     header: Addr,
+    free: FreeList,
 }
 
 impl RedBlackTree {
     /// Allocate an empty tree (header + NIL sentinel) in `heap`.
     pub fn create(heap: &Heap) -> Self {
-        let header = heap.alloc(3);
+        let header = heap.alloc(4);
         let nil = heap.alloc(NODE_WORDS);
         heap.write_raw(nil.field(COLOR), BLACK);
         heap.write_raw(nil.field(LEFT), nil.0 as u64);
@@ -51,7 +55,11 @@ impl RedBlackTree {
         heap.write_raw(header.field(H_ROOT), nil.0 as u64);
         heap.write_raw(header.field(H_NIL), nil.0 as u64);
         heap.write_raw(header.field(H_SIZE), 0);
-        RedBlackTree { header }
+        heap.write_raw(header.field(H_FREE), nil.0 as u64);
+        RedBlackTree {
+            header,
+            free: FreeList::new(header.field(H_FREE), nil.0 as u64, LEFT, NODE_WORDS),
+        }
     }
 
     fn nil(&self, tx: &mut Tx<'_>) -> TxResult<u64> {
@@ -140,8 +148,10 @@ impl RedBlackTree {
     /// Insert `key → value`. Returns `false` (updating the value in place)
     /// when the key was already present.
     ///
-    /// Allocation is non-transactional: nodes allocated by aborted attempts
-    /// leak, which is benign for benchmarking (see [`Heap::alloc`]).
+    /// The new node is the first on the tree's free list, taken inside this
+    /// transaction, or a [`Heap::alloc`] when the list is empty. Allocation
+    /// is non-transactional: a fresh node of an aborted attempt leaks, which
+    /// is benign for benchmarking.
     pub fn insert(&self, tx: &mut Tx<'_>, heap: &Heap, key: u64, value: u64) -> TxResult<bool> {
         let nil = self.nil(tx)?;
         let mut y = nil;
@@ -159,7 +169,7 @@ impl RedBlackTree {
                 tx.read(a(x).field(RIGHT))?
             };
         }
-        let z = heap.alloc(NODE_WORDS);
+        let z = self.free.pop(tx, heap)?;
         let zp = z.0 as u64;
         tx.write(z.field(KEY), key)?;
         tx.write(z.field(VAL), value)?;
@@ -253,8 +263,8 @@ impl RedBlackTree {
         }
     }
 
-    /// Remove `key`; returns whether it was present. Node memory is leaked
-    /// (no reclamation in TM benchmarks).
+    /// Remove `key`; returns whether it was present. The unlinked node goes
+    /// on the tree's free list inside this transaction.
     pub fn remove(&self, tx: &mut Tx<'_>, key: u64) -> TxResult<bool> {
         let nil = self.nil(tx)?;
         let mut z = self.root(tx)?;
@@ -305,6 +315,7 @@ impl RedBlackTree {
         if y_color == BLACK {
             self.delete_fixup(tx, nil, x)?;
         }
+        self.free.push(tx, z)?;
         let size = tx.read(self.header.field(H_SIZE))?;
         tx.write(self.header.field(H_SIZE), size - 1)?;
         Ok(true)
@@ -444,7 +455,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use stm::Tl2;
-    use txcore::{run_tx, ThreadCtx, TmSystem};
+    use txcore::{run_tx, ThreadCtx, TmBackend, TmSystem};
 
     fn setup() -> (Arc<TmSystem>, Tl2, ThreadCtx, RedBlackTree) {
         let sys = Arc::new(TmSystem::new(1 << 18));
@@ -520,6 +531,92 @@ mod tests {
             tree.check_invariants(&sys.heap);
         }
         assert_eq!(tree.check_invariants(&sys.heap), 64);
+    }
+
+    type MakeBackend = fn(Arc<TmSystem>) -> Box<dyn TmBackend>;
+
+    /// The node holding `key`, found by a raw walk while nothing runs.
+    fn node_of(heap: &Heap, tree: RedBlackTree, key: u64) -> Addr {
+        let mut x = heap.read_raw(tree.header.field(H_ROOT));
+        loop {
+            let k = heap.read_raw(a(x).field(KEY));
+            if k == key {
+                return a(x);
+            }
+            x = heap.read_raw(a(x).field(if key < k { LEFT } else { RIGHT }));
+        }
+    }
+
+    /// Reader A has read node X's key. B removes that key, which puts X on
+    /// the free list, and C's insert of a new key takes X back. A's next
+    /// read of X must abort: it may never see C's key.
+    fn doomed_reader_aborts_on_recycled_node(
+        sys: &TmSystem,
+        tm: &dyn TmBackend,
+        reader_on_software_path: bool,
+    ) {
+        let heap = &sys.heap;
+        let tree = RedBlackTree::create(heap);
+        let (mut ra, mut wb, mut wc) = (ThreadCtx::new(0), ThreadCtx::new(1), ThreadCtx::new(2));
+        for k in 1..=8u64 {
+            run_tx(tm, &mut wb, |tx| tree.insert(tx, heap, k * 10, k));
+        }
+        let x = node_of(heap, tree, 50);
+        if reader_on_software_path {
+            // A drained budget: the hybrids run A as a software transaction.
+            ra.attempt = 1;
+            ra.htm_budget = 0;
+        }
+        tm.begin(&mut ra).unwrap();
+        assert_eq!(ra.in_fallback, reader_on_software_path);
+        assert_eq!(tm.read(&mut ra, x.field(KEY)), Ok(50));
+
+        assert!(run_tx(tm, &mut wb, |tx| tree.remove(tx, 50)));
+        assert_eq!(heap.read_raw(tree.header.field(H_FREE)), x.0 as u64);
+        assert!(run_tx(tm, &mut wc, |tx| tree.insert(tx, heap, 55, 9)));
+        assert_eq!(heap.read_raw(x.field(KEY)), 55, "C's insert took X back");
+
+        let next = tm.read(&mut ra, x.field(KEY));
+        assert!(
+            next.is_err(),
+            "{}: the doomed reader saw {next:?}",
+            tm.name()
+        );
+        tm.rollback(&mut ra);
+        assert_eq!(tree.check_invariants(heap), 8);
+    }
+
+    #[test]
+    fn a_doomed_reader_aborts_on_a_recycled_node_on_every_stm() {
+        let backends: [MakeBackend; 5] = [
+            |s| Box::new(Tl2::new(s)),
+            |s| Box::new(stm::TinyStm::new(s)),
+            |s| Box::new(stm::NOrec::new(s)),
+            |s| Box::new(stm::SwissTm::new(s)),
+            |s| Box::new(stm::Durable::with_new_pheap(s)),
+        ];
+        for make in backends {
+            let sys = Arc::new(TmSystem::new(1 << 14));
+            doomed_reader_aborts_on_recycled_node(&sys, &*make(Arc::clone(&sys)), false);
+        }
+    }
+
+    /// The HTM family: every backend's speculative path, and the hybrids'
+    /// software paths. `HtmSim`'s lock fallback runs alone, so it has no
+    /// doomed reader to test.
+    #[test]
+    fn a_doomed_reader_aborts_on_a_recycled_node_on_the_htm_family() {
+        let backends: [(MakeBackend, &[bool]); 3] = [
+            (|s| Box::new(htm::HtmSim::new(s)), &[false]),
+            (|s| Box::new(htm::HybridNOrec::new(s)), &[false, true]),
+            (|s| Box::new(htm::HybridTl2::new(s)), &[false, true]),
+        ];
+        for (make, paths) in backends {
+            for &software in paths {
+                let sys = Arc::new(TmSystem::new(1 << 14));
+                doomed_reader_aborts_on_recycled_node(&sys, &*make(Arc::clone(&sys)), software);
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! A transactional skip list (probabilistic balanced search structure).
+//! A removed node goes on the list's free list, linked through its level-0
+//! forward pointer, and the next insert takes it back.
 
+use super::freelist::FreeList;
 use txcore::{Addr, Heap, Tx, TxResult};
 
 /// Maximum tower height.
@@ -11,9 +14,10 @@ const VAL: u32 = 1;
 const LEVEL: u32 = 2;
 const FWD: u32 = 3;
 
-// Header layout: head-node pointer, size.
+// Header layout: head-node pointer, size, free-list head.
 const H_HEAD: u32 = 0;
 const H_SIZE: u32 = 1;
+const H_FREE: u32 = 2;
 
 const NODE_WORDS: usize = 3 + MAX_LEVEL;
 const NULL: u64 = u64::MAX;
@@ -27,12 +31,13 @@ fn a(ptr: u64) -> Addr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkipList {
     header: Addr,
+    free: FreeList,
 }
 
 impl SkipList {
     /// Allocate an empty skip list (header + head tower).
     pub fn create(heap: &Heap) -> Self {
-        let header = heap.alloc(2);
+        let header = heap.alloc(3);
         let head = heap.alloc(NODE_WORDS);
         heap.write_raw(head.field(KEY), 0);
         heap.write_raw(head.field(LEVEL), MAX_LEVEL as u64);
@@ -41,7 +46,11 @@ impl SkipList {
         }
         heap.write_raw(header.field(H_HEAD), head.0 as u64);
         heap.write_raw(header.field(H_SIZE), 0);
-        SkipList { header }
+        heap.write_raw(header.field(H_FREE), NULL);
+        SkipList {
+            header,
+            free: FreeList::new(header.field(H_FREE), NULL, FWD, NODE_WORDS),
+        }
     }
 
     /// Number of keys.
@@ -101,7 +110,7 @@ impl SkipList {
             return Ok(false);
         }
         let level = Self::level_for(key);
-        let node = heap.alloc(NODE_WORDS);
+        let node = self.free.pop(tx, heap)?;
         tx.write(node.field(KEY), key)?;
         tx.write(node.field(VAL), value)?;
         tx.write(node.field(LEVEL), level as u64)?;
@@ -115,7 +124,8 @@ impl SkipList {
         Ok(true)
     }
 
-    /// Remove `key`; returns whether it was present.
+    /// Remove `key`; returns whether it was present. The unlinked node goes
+    /// on the free list inside this transaction.
     pub fn remove(&self, tx: &mut Tx<'_>, key: u64) -> TxResult<bool> {
         let (preds, cand) = self.find_preds(tx, key)?;
         if cand == NULL || tx.read(a(cand).field(KEY))? != key {
@@ -129,6 +139,7 @@ impl SkipList {
                 tx.write(a(pred).field(FWD + l as u32), next)?;
             }
         }
+        self.free.push(tx, cand)?;
         let size = tx.read(self.header.field(H_SIZE))?;
         tx.write(self.header.field(H_SIZE), size - 1)?;
         Ok(true)

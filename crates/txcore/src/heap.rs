@@ -60,10 +60,11 @@ impl From<u32> for Addr {
 
 /// A shared, word-addressed memory region accessed by transactions.
 ///
-/// Allocation is a simple thread-safe bump allocator: TM benchmarks allocate
-/// records up front or during execution and never free (the standard
-/// arrangement for TM microbenchmarks, where reclamation is orthogonal to
-/// the synchronization being studied).
+/// Allocation is a simple thread-safe bump allocator that never frees a
+/// word. Reuse is the application's business: the linked structures of
+/// `apps::structures` keep the nodes they unlink on transactional free
+/// lists of their own and take them back on insert (DESIGN.md §5), so the
+/// TM layer carries no allocator policy.
 ///
 /// ```
 /// use txcore::Heap;

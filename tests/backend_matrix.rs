@@ -6,9 +6,9 @@ use apps::structures::RedBlackTree;
 use apps::systems::{Memcached, Sb7Mix, StmBench7, TpcC};
 use apps::{drive, AppWorkload, TmApp};
 use polytm::{BackendId, HtmSetting, PolyTm, TmConfig, Worker};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use txcore::util::XorShift64;
-use txcore::TxResult;
 
 fn all_configs(threads: usize) -> Vec<TmConfig> {
     BackendId::ALL
@@ -67,8 +67,14 @@ fn every_kernel_runs_on_every_backend() {
 
 #[test]
 fn red_black_tree_invariants_hold_on_every_backend() {
+    /// Gets, inserts and removes on 200 keys. It keeps the keys' net count
+    /// and its high-water mark, and the insert attempts that aborted: each
+    /// may have leaked the fresh node it allocated.
     struct RbtApp {
         tree: RedBlackTree,
+        live: AtomicI64,
+        live_max: AtomicI64,
+        aborted_inserts: AtomicU64,
     }
     impl TmApp for RbtApp {
         fn name(&self) -> &'static str {
@@ -82,32 +88,73 @@ fn red_black_tree_invariants_hold_on_every_backend() {
                     poly.run_tx(worker, |tx| self.tree.get(tx, key));
                 }
                 5..=7 => {
-                    poly.run_tx(worker, |tx| -> TxResult<()> {
-                        self.tree.insert(tx, heap, key, key)?;
-                        Ok(())
+                    let mut attempts = 0;
+                    let inserted = poly.run_tx(worker, |tx| {
+                        attempts += 1;
+                        self.tree.insert(tx, heap, key, key)
                     });
+                    self.aborted_inserts
+                        .fetch_add(attempts - 1, Ordering::Relaxed);
+                    if inserted {
+                        let now = self.live.fetch_add(1, Ordering::Relaxed) + 1;
+                        self.live_max.fetch_max(now, Ordering::Relaxed);
+                    }
                 }
                 _ => {
-                    poly.run_tx(worker, |tx| self.tree.remove(tx, key));
+                    if poly.run_tx(worker, |tx| self.tree.remove(tx, key)) {
+                        self.live.fetch_sub(1, Ordering::Relaxed);
+                    }
                 }
             }
         }
     }
-    for config in all_configs(3) {
-        let poly = Arc::new(PolyTm::builder().heap_words(1 << 20).max_threads(3).build());
+    const THREADS: usize = 4;
+    /// Words of one tree node (`NODE_WORDS` in `apps::structures::rbt`).
+    const NODE_WORDS: usize = 6;
+    for config in all_configs(THREADS) {
+        let poly = Arc::new(
+            PolyTm::builder()
+                .heap_words(1 << 20)
+                .max_threads(THREADS)
+                .build(),
+        );
         poly.apply(&config).unwrap();
-        let tree = RedBlackTree::create(&poly.system().heap);
-        let app: Arc<dyn TmApp> = Arc::new(RbtApp { tree });
+        let heap = &poly.system().heap;
+        let tree = RedBlackTree::create(heap);
+        let created = heap.allocated();
+        let rbt = Arc::new(RbtApp {
+            tree,
+            live: AtomicI64::new(0),
+            live_max: AtomicI64::new(0),
+            aborted_inserts: AtomicU64::new(0),
+        });
+        let app: Arc<dyn TmApp> = rbt.clone();
         drive(
             &poly,
             &app,
             AppWorkload {
-                threads: 3,
+                threads: THREADS,
                 ops_per_thread: Some(300),
                 ..AppWorkload::default()
             },
         );
-        tree.check_invariants(&poly.system().heap);
+        let keys = tree.check_invariants(heap) as i64;
+        assert_eq!(
+            keys,
+            rbt.live.load(Ordering::Relaxed),
+            "{config}: inserts minus removes"
+        );
+        // Removed nodes are recycled, so the tree allocates no more nodes
+        // than were ever live at once, plus the fresh nodes of aborted
+        // attempts. The high-water mark is read after each commit, so up
+        // to one committed insert per thread may be missing from it.
+        let nodes = (heap.allocated() - created) / NODE_WORDS;
+        let live_max = rbt.live_max.load(Ordering::Relaxed) as usize + THREADS;
+        let leaks = rbt.aborted_inserts.load(Ordering::Relaxed) as usize;
+        assert!(
+            nodes <= live_max + leaks,
+            "{config}: {nodes} nodes allocated, at most {live_max} live at once, {leaks} aborted inserts"
+        );
     }
 }
 
