@@ -38,12 +38,13 @@ impl FreeList {
     }
 
     /// A node for an insert: the first free one, or a fresh allocation
-    /// when the list is empty. Its fields hold stale values; the caller
-    /// writes every field it reads later.
+    /// when the list is empty — through `Tx::alloc`, so that an aborted
+    /// attempt's node goes to the thread's next one. Its fields hold stale
+    /// values; the caller writes every field it reads later.
     pub(crate) fn pop(&self, tx: &mut Tx<'_>, heap: &Heap) -> TxResult<Addr> {
         let node = tx.read(self.head)?;
         if node == self.empty {
-            return Ok(heap.alloc(self.words as usize));
+            return Ok(tx.alloc(heap, self.words as usize));
         }
         let node = Addr(node as u32);
         let next = tx.read(node.field(self.link))?;

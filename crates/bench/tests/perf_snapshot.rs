@@ -17,7 +17,7 @@ fn fig5_trace_snapshot_matches_baseline() {
     let oh = &report.overhead;
     assert_eq!(
         [report.events, oh.events, oh.bytes, oh.spans],
-        [4032, 4042, 410568, 1280],
+        [4032, 4041, 410499, 1280],
         "fig5 trace: [trace.events, obs.events, obs.bytes, obs.spans]"
     );
 }

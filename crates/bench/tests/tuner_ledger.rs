@@ -3,7 +3,8 @@
 //! tuner section, stage by stage, as exact integers.
 //!
 //! * Work columns are per-call `obs` counters, read with a trace active:
-//!   similarity kernels and comparison sorts (`KnnModel::rank_by`),
+//!   similarity kernels (`KnnModel::rank`) and fallback sorts (a walk
+//!   past a ranking's sorted prefix sorts the rest, `Ranking::sort_rest`),
 //!   ensemble predictions, distinct KNN prefixes and the bootstrap entries
 //!   examined to find them (`BaggingEnsemble::predict_stats`), selections,
 //!   candidates offered and candidates scored (`Acquisition::select`), and

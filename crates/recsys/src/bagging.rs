@@ -32,6 +32,27 @@ enum Members {
     Mf(Vec<MfModel>),
 }
 
+/// Everything one [`BaggingEnsemble::predict_stats_in`] builds: the
+/// ranking, the members' prefixes and the predictions they share, a
+/// walking member's own prediction, the Welford moments and the stats row.
+/// It keeps its buffers from call to call, and
+/// [`BaggingEnsemble::workspace`] sizes them for the ensemble up front, so
+/// a caller that predicts once per step allocates nothing past its first
+/// call — KNN members at least; each MF member builds its predicted row.
+#[derive(Debug, Default)]
+pub struct EnsembleWorkspace {
+    ranking: Ranking,
+    /// A member's prefix, then its whole ranking if it walks.
+    member: Ranking,
+    /// A tie group's draws, for [`Sample::walk`].
+    group: Vec<(usize, f64, usize)>,
+    prefixes: Prefixes,
+    /// A member's prediction, where it is not its prefix's.
+    own: OwnPrediction,
+    moments: Moments,
+    stats: Vec<Option<(f64, f64)>>,
+}
+
 impl BaggingEnsemble {
     /// Fit `n_members` learners (the paper uses 10), each on a bootstrap
     /// sample (sampling rows with replacement) of `training`.
@@ -53,14 +74,14 @@ impl BaggingEnsemble {
             .map(|_| (0..nrows).map(|_| rng.gen_range(0..nrows)).collect())
             .collect();
         let members = match algorithm {
-            // Built by `from_rows`, as a member's own sample matrix would
-            // be, so that a matrix with no rows also predicts no columns.
             CfAlgorithm::Knn { similarity, k } => Members::Knn {
-                model: KnnModel::fit(
-                    UtilityMatrix::from_rows(training.rows().to_vec()),
-                    similarity,
-                    k,
-                ),
+                // A matrix with no rows predicts no columns, as a member's
+                // own sample matrix (built by `from_rows`) would.
+                model: if nrows == 0 {
+                    KnnModel::of(&UtilityMatrix::default(), similarity, k)
+                } else {
+                    KnnModel::of(training, similarity, k)
+                },
                 dense: DenseRows::new(training),
                 samples: bootstraps.iter().map(|b| Sample::new(b, nrows)).collect(),
             },
@@ -85,8 +106,33 @@ impl BaggingEnsemble {
         self.len() == 0
     }
 
+    /// A workspace sized for this ensemble's predictions.
+    pub fn workspace(&self) -> EnsembleWorkspace {
+        let Members::Knn { model, samples, .. } = &self.members else {
+            return EnsembleWorkspace::default();
+        };
+        let (nrows, ncols) = (model.nrows(), model.ncols());
+        let prefix = model.k().min(nrows);
+        EnsembleWorkspace {
+            ranking: Ranking::with_capacity(nrows),
+            member: Ranking::with_capacity(nrows),
+            group: Vec::with_capacity(nrows),
+            prefixes: Prefixes::with_capacity(samples.len(), prefix, ncols),
+            own: OwnPrediction::with_capacity(ncols),
+            moments: Moments::with_capacity(ncols),
+            stats: Vec::with_capacity(ncols),
+        }
+    }
+
     /// Predictive mean and variance per column for a workload with the
     /// given known ratings. Columns no member can predict are `None`.
+    pub fn predict_stats(&self, known: &Row) -> Vec<Option<(f64, f64)>> {
+        let mut workspace = self.workspace();
+        self.predict_stats_in(known, &mut workspace);
+        workspace.stats
+    }
+
+    /// [`Self::predict_stats`], built in `workspace`.
     ///
     /// Each member's prediction is folded into the per-column moments
     /// (Welford) in member order, on the calling thread: this runs between
@@ -97,81 +143,82 @@ impl BaggingEnsemble {
     /// member.
     ///
     /// KNN members rank the query's neighbourhood together. Every training
-    /// row's similarity is computed once, and the rows are sorted by
-    /// |similarity| once. A member's ranking is that ranking's groups of
-    /// equal |similarity| in order, each group's rows in the order the member
-    /// drew them, repeats included: exactly the stable sort by |similarity|
-    /// the member would make of its own rows (DESIGN.md §5). Its *prefix* —
-    /// the first `k` rows of its ranking, found by walking the shared ranking
-    /// until `k` are taken — are the neighbours of every column all of them
-    /// rate, so members with the same prefix share one prediction of those
-    /// columns, made in one pass over the prefix rows' dense copies. Only a
-    /// column that some prefix row leaves unrated makes a member walk its
-    /// whole ranking.
-    pub fn predict_stats(&self, known: &Row) -> Vec<Option<(f64, f64)>> {
+    /// row's similarity is computed once, and the rows are ranked once, as
+    /// far as a member's walk reaches. A member's ranking is that ranking's
+    /// groups of equal |similarity| in order, each group's rows in the order
+    /// the member drew them, repeats included: exactly the stable sort by
+    /// |similarity| the member would make of its own rows (DESIGN.md §5).
+    /// Its *prefix* — the first `k` rows of its ranking, found by walking
+    /// the shared ranking until `k` are taken — are the neighbours of every
+    /// column all of them rate, so members with the same prefix share one
+    /// prediction of those columns, made in one pass over the prefix rows'
+    /// dense copies. Only a column that some prefix row leaves unrated makes
+    /// a member walk its whole ranking.
+    pub fn predict_stats_in<'w>(
+        &self,
+        known: &Row,
+        workspace: &'w mut EnsembleWorkspace,
+    ) -> &'w [Option<(f64, f64)>] {
         if obs::enabled() {
             obs::counter("recsys.bagging.predictions").inc();
         }
+        let EnsembleWorkspace {
+            ranking,
+            member,
+            group,
+            prefixes,
+            own,
+            moments,
+            stats,
+        } = workspace;
         match &self.members {
             Members::Knn {
                 model,
                 dense,
                 samples,
             } => {
-                let training = model.training();
-                let ranking = model.rank_by(known, |r, _| r);
+                model.rank(known, ranking);
                 let k = model.k();
-                let mut moments = Moments::new(training.ncols());
-                let mut shared: Vec<Shared> = Vec::new();
-                // A member's prefix, its whole ranking when it walks, as
-                // `(similarity, row)`, and a walk's scratch.
-                let mut prefix = Vec::with_capacity(k);
-                let mut all = Vec::new();
-                let mut group = Vec::new();
-                let mut member: Ranking = Vec::new();
+                moments.reset(model.ncols());
+                prefixes.reset(model.ncols());
                 // Ranked rows looked at to find the members' prefixes.
                 let mut scanned = 0;
                 for sample in samples {
-                    scanned += sample.walk(&ranking, k, &mut prefix, &mut group);
-                    let s = match shared
-                        .iter()
-                        .position(|s| s.rows.iter().eq(prefix.iter().map(|(_, r)| r)))
-                    {
-                        Some(i) => &shared[i],
-                        None => {
-                            shared.push(Shared::new(dense, known, &prefix));
-                            &shared[shared.len() - 1]
-                        }
-                    };
-                    if s.walk.is_empty() {
-                        moments.fold(&s.prediction);
+                    scanned += member.fill_ordered(|out| sample.walk(ranking, k, out, group));
+                    let prefix = member.entries();
+                    let p = prefixes
+                        .find(prefix)
+                        .unwrap_or_else(|| prefixes.push(dense, known, prefix));
+                    if prefixes.walk(p).is_empty() {
+                        moments.fold(prefixes.prediction(p));
                         continue;
                     }
-                    sample.walk(&ranking, usize::MAX, &mut all, &mut group);
-                    member.clear();
-                    member.extend(all.iter().map(|&(sim, r)| (sim, training.row(r))));
-                    let mut walked = s.prediction.clone();
-                    for &c in &s.walk {
-                        walked.set(c, model.average(&member, c));
+                    member.fill_ordered(|out| sample.walk(ranking, usize::MAX, out, group));
+                    own.copy_from(prefixes.prediction(p));
+                    for &c in prefixes.walk(p) {
+                        own.set(c, model.average(member, c));
                     }
-                    moments.fold(&walked);
+                    moments.fold(own.prediction());
                 }
                 if obs::enabled() {
-                    obs::counter("recsys.bagging.prefixes").add(shared.len() as u64);
+                    obs::counter("recsys.bagging.prefixes").add(prefixes.len() as u64);
                     obs::counter("recsys.bagging.scanned").add(scanned as u64);
                 }
-                moments.finish()
             }
             Members::Mf(models) => {
-                let mut predictions = models
-                    .iter()
-                    .map(|m| Prediction::from_row(&m.predict_row(known)))
-                    .peekable();
-                let mut moments = Moments::new(predictions.peek().map_or(0, |p| p.values.len()));
-                predictions.for_each(|p| moments.fold(&p));
-                moments.finish()
+                moments.reset(0);
+                for (m, model) in models.iter().enumerate() {
+                    let row = model.predict_row(known);
+                    if m == 0 {
+                        moments.reset(row.len());
+                    }
+                    own.copy_row(&row);
+                    moments.fold(own.prediction());
+                }
             }
         }
+        moments.finish(stats);
+        stats
     }
 
     /// Ensemble-mean prediction per column (ignoring variance).
@@ -216,13 +263,13 @@ impl Sample {
     }
 
     /// The first `limit` entries of this member's ranking into `out`, as
-    /// `(similarity, row)`, given the shared `ranking` of the training rows
-    /// (stable by |similarity|). Each group of equal |similarity| in it
-    /// contributes its rows in the order of their positions here, each as
-    /// often as it was drawn. Returns the ranked rows looked at.
+    /// `(similarity, row)`, given the shared `ranking` of the training rows.
+    /// Each group of equal |similarity| in it contributes its rows in the
+    /// order of their positions here, each as often as it was drawn.
+    /// Returns the ranked rows looked at.
     fn walk(
         &self,
-        ranking: &[(f64, usize)],
+        ranking: &mut Ranking,
         limit: usize,
         out: &mut Vec<(f64, usize)>,
         group: &mut Vec<(usize, f64, usize)>,
@@ -230,20 +277,16 @@ impl Sample {
         out.clear();
         let mut i = 0;
         while i < ranking.len() && out.len() < limit {
-            let abs = ranking[i].0.abs();
-            let end = i + ranking[i..]
-                .iter()
-                .position(|(sim, _)| sim.abs().total_cmp(&abs).is_ne())
-                .unwrap_or(ranking.len() - i);
+            let end = ranking.group_end(i);
             let room = limit - out.len();
             if end == i + 1 {
                 // One row: each draw of it, in any order.
-                let (sim, r) = ranking[i];
+                let (sim, r) = ranking.entries()[i];
                 let drawn = self.positions(r).len();
                 out.extend(std::iter::repeat_n((sim, r), drawn.min(room)));
             } else {
                 group.clear();
-                for &(sim, r) in &ranking[i..end] {
+                for &(sim, r) in &ranking.entries()[i..end] {
                     group.extend(self.positions(r).iter().map(|&p| (p, sim, r)));
                 }
                 // Positions are unique: an unstable sort is the same order.
@@ -286,19 +329,79 @@ impl DenseRows {
     }
 }
 
-/// What the KNN members with one prefix share.
-struct Shared {
-    /// The prefix's training rows, in ranking order.
+/// The members' distinct prefixes, each with what the members that share
+/// it share: its prediction and its walk columns. Flat blocks, one slot of
+/// `ncols` values per prefix, that keep their capacity from call to call.
+#[derive(Debug, Default)]
+struct Prefixes {
+    ncols: usize,
+    /// Per prefix, where its rows and walk columns end, and whether its
+    /// prediction leaves a column unpredicted.
+    ends: Vec<(usize, usize, bool)>,
+    /// The prefixes' training rows, each prefix's in ranking order.
     rows: Vec<usize>,
-    /// Known entries, and the prefix's average of every column all its rows
-    /// rate; the `walk` columns are left for each member to fill.
-    prediction: Prediction,
-    /// The unknown columns some prefix row leaves unrated, ascending.
+    /// The unknown columns some row of the prefix leaves unrated, ascending.
     walk: Vec<usize>,
+    /// Known entries, and the prefix's average of every column all its
+    /// rows rate; the walk columns are left for each member to fill.
+    values: Vec<f64>,
+    /// Per column, whether it is unpredicted.
+    gaps: Vec<bool>,
 }
 
-impl Shared {
-    /// The prediction of a prefix given as `(similarity, row)`.
+impl Prefixes {
+    fn with_capacity(prefixes: usize, rows: usize, ncols: usize) -> Self {
+        Prefixes {
+            ncols,
+            ends: Vec::with_capacity(prefixes),
+            rows: Vec::with_capacity(prefixes * rows),
+            walk: Vec::with_capacity(prefixes * ncols),
+            values: Vec::with_capacity(prefixes * ncols),
+            gaps: Vec::with_capacity(prefixes * ncols),
+        }
+    }
+
+    fn reset(&mut self, ncols: usize) {
+        self.ncols = ncols;
+        self.ends.clear();
+        self.rows.clear();
+        self.walk.clear();
+        self.values.clear();
+        self.gaps.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Where prefix `p`'s rows and walk columns start.
+    fn starts(&self, p: usize) -> (usize, usize) {
+        p.checked_sub(1)
+            .map_or((0, 0), |q| (self.ends[q].0, self.ends[q].1))
+    }
+
+    fn walk(&self, p: usize) -> &[usize] {
+        &self.walk[self.starts(p).1..self.ends[p].1]
+    }
+
+    fn prediction(&self, p: usize) -> Prediction<'_> {
+        let slot = p * self.ncols..(p + 1) * self.ncols;
+        Prediction {
+            values: &self.values[slot.clone()],
+            gaps: self.ends[p].2.then(|| &self.gaps[slot]),
+        }
+    }
+
+    /// The prefix with `prefix`'s rows, if there is one yet.
+    fn find(&self, prefix: &[(f64, usize)]) -> Option<usize> {
+        (0..self.len()).find(|&p| {
+            self.rows[self.starts(p).0..self.ends[p].0]
+                .iter()
+                .eq(prefix.iter().map(|(_, r)| r))
+        })
+    }
+
+    /// Add the prefix given as `(similarity, row)`; returns its index.
     ///
     /// A column every prefix row rates has the whole prefix as its
     /// neighbours, so every column is summed in one pass per prefix row:
@@ -306,120 +409,162 @@ impl Shared {
     /// the prefix's `Σ|sim|` — exactly `KnnModel::average`'s `Sum<f64>`,
     /// which folds from `-0.0` in iterator order (DESIGN.md §5). A column
     /// some prefix row leaves unrated sums that row's 0.0 too; it is a
-    /// `walk` column, which every member that reads this prefix overwrites.
-    fn new(dense: &DenseRows, known: &Row, prefix: &[(f64, usize)]) -> Self {
-        let ncols = dense.ncols;
+    /// walk column, which every member that reads this prefix overwrites.
+    fn push(&mut self, dense: &DenseRows, known: &Row, prefix: &[(f64, usize)]) -> usize {
+        let ncols = self.ncols;
         let unknown = |c: usize| known.get(c).copied().flatten().is_none();
-        let mut walk: Vec<usize> = prefix
-            .iter()
-            .flat_map(|&(_, r)| &dense.unrated[r])
-            .copied()
-            .filter(|&c| unknown(c))
-            .collect();
-        walk.sort_unstable();
-        walk.dedup();
-        let mut values = vec![-0.0; ncols];
+        self.rows.extend(prefix.iter().map(|&(_, r)| r));
+        let walk_start = self.walk.len();
+        if prefix.iter().any(|&(_, r)| !dense.unrated[r].is_empty()) {
+            let unrated = |c: usize| {
+                prefix
+                    .iter()
+                    .any(|&(_, r)| dense.unrated[r].binary_search(&c).is_ok())
+            };
+            self.walk
+                .extend((0..ncols).filter(|&c| unknown(c) && unrated(c)));
+        }
+        let walk = &self.walk[walk_start..];
+
+        let slot = self.values.len();
+        self.values.resize(slot + ncols, -0.0);
+        self.gaps.resize(slot + ncols, false);
+        let values = &mut self.values[slot..];
+        let gaps = &mut self.gaps[slot..];
         for &(sim, r) in prefix {
             for (v, &rating) in values.iter_mut().zip(dense.row(r)) {
                 *v += sim * rating;
             }
         }
         let wsum: f64 = prefix.iter().map(|&(sim, _)| sim.abs()).sum();
-        for v in &mut values {
+        for v in values.iter_mut() {
             *v /= wsum;
         }
-        let mut prediction = Prediction {
-            values,
-            gaps: Vec::new(),
-        };
         // `weighted_mean`'s `None`: no weight to average by.
+        let mut gapped = false;
         if wsum < 1e-12 {
             for c in (0..ncols).filter(|&c| unknown(c) && walk.binary_search(&c).is_err()) {
-                prediction.set(c, None);
+                gaps[c] = true;
+                gapped = true;
             }
         }
         for (c, &v) in known.iter().take(ncols).enumerate() {
             if let Some(v) = v {
-                prediction.set(c, Some(v));
+                values[c] = v;
+                gaps[c] = false;
             }
         }
-        Shared {
-            rows: prefix.iter().map(|&(_, r)| r).collect(),
-            prediction,
-            walk,
-        }
+        self.ends.push((self.rows.len(), self.walk.len(), gapped));
+        self.ends.len() - 1
     }
 }
 
-/// One member's prediction: a plain value per column, and the columns it
-/// leaves unpredicted.
-#[derive(Clone)]
-struct Prediction {
+/// One member's prediction: a plain value per column, and per column
+/// whether it is unpredicted — `None` while no column is.
+#[derive(Clone, Copy)]
+struct Prediction<'a> {
+    values: &'a [f64],
+    gaps: Option<&'a [bool]>,
+}
+
+/// A member's own prediction, built in place.
+#[derive(Debug, Default)]
+struct OwnPrediction {
     values: Vec<f64>,
-    /// Per column, whether it is unpredicted; empty while none is.
     gaps: Vec<bool>,
+    /// Whether some column was ever set unpredicted.
+    gapped: bool,
 }
 
-impl Prediction {
-    /// Every column predicted, as 0.
-    fn new(ncols: usize) -> Self {
-        Prediction {
-            values: vec![0.0; ncols],
-            gaps: Vec::new(),
+impl OwnPrediction {
+    fn with_capacity(ncols: usize) -> Self {
+        OwnPrediction {
+            values: Vec::with_capacity(ncols),
+            gaps: Vec::with_capacity(ncols),
+            gapped: false,
         }
     }
 
-    fn from_row(row: &[Option<f64>]) -> Self {
-        let mut p = Prediction::new(row.len());
-        for (c, &v) in row.iter().enumerate() {
-            p.set(c, v);
+    fn copy_from(&mut self, p: Prediction<'_>) {
+        self.values.clear();
+        self.values.extend_from_slice(p.values);
+        self.gaps.clear();
+        match p.gaps {
+            Some(gaps) => self.gaps.extend_from_slice(gaps),
+            None => self.gaps.resize(p.values.len(), false),
         }
-        p
+        self.gapped = p.gaps.is_some();
+    }
+
+    /// Every column of `row`, unpredicted where it is `None`.
+    fn copy_row(&mut self, row: &[Option<f64>]) {
+        self.values.clear();
+        self.values.extend(row.iter().map(|v| v.unwrap_or(0.0)));
+        self.gaps.clear();
+        self.gaps.extend(row.iter().map(Option::is_none));
+        self.gapped = row.iter().any(Option::is_none);
     }
 
     fn set(&mut self, c: usize, v: Option<f64>) {
         match v {
             Some(v) => {
                 self.values[c] = v;
-                if let Some(gap) = self.gaps.get_mut(c) {
-                    *gap = false;
-                }
+                self.gaps[c] = false;
             }
             None => {
-                if self.gaps.is_empty() {
-                    self.gaps = vec![false; self.values.len()];
-                }
                 self.gaps[c] = true;
+                self.gapped = true;
             }
+        }
+    }
+
+    fn prediction(&self) -> Prediction<'_> {
+        Prediction {
+            values: &self.values,
+            gaps: self.gapped.then_some(self.gaps.as_slice()),
         }
     }
 }
 
 /// Per-column count, mean and sum of squared deviations of the members'
 /// predictions, folded one prediction at a time (Welford).
+#[derive(Debug, Default)]
 struct Moments {
     /// Predictions folded: every column's count until one has a gap.
     folded: u32,
-    /// Per-column counts from the first prediction with a gap on; empty
-    /// until then.
+    /// Whether a prediction with a gap has been folded: per-column counts
+    /// are in `count` from then on.
+    counted: bool,
     count: Vec<u32>,
     mean: Vec<f64>,
     m2: Vec<f64>,
 }
 
 impl Moments {
-    fn new(ncols: usize) -> Self {
+    fn with_capacity(ncols: usize) -> Self {
         Moments {
             folded: 0,
-            count: Vec::new(),
-            mean: vec![0.0; ncols],
-            m2: vec![0.0; ncols],
+            counted: false,
+            count: Vec::with_capacity(ncols),
+            mean: Vec::with_capacity(ncols),
+            m2: Vec::with_capacity(ncols),
         }
     }
 
-    fn fold(&mut self, p: &Prediction) {
+    fn reset(&mut self, ncols: usize) {
+        self.folded = 0;
+        self.counted = false;
+        for v in [&mut self.mean, &mut self.m2] {
+            v.clear();
+            v.resize(ncols, 0.0);
+        }
+        self.count.clear();
+        self.count.resize(ncols, 0);
+    }
+
+    fn fold(&mut self, p: Prediction<'_>) {
         self.folded += 1;
-        if self.count.is_empty() && p.gaps.is_empty() {
+        if !self.counted && p.gaps.is_none() {
             let n = f64::from(self.folded);
             for ((&v, mean), m2) in p.values.iter().zip(&mut self.mean).zip(&mut self.m2) {
                 let delta = v - *mean;
@@ -428,11 +573,12 @@ impl Moments {
             }
             return;
         }
-        if self.count.is_empty() {
-            self.count = vec![self.folded - 1; self.mean.len()];
+        if !self.counted {
+            self.count.fill(self.folded - 1);
+            self.counted = true;
         }
         for (c, &v) in p.values.iter().enumerate() {
-            if p.gaps.get(c) != Some(&true) {
+            if p.gaps.is_none_or(|gaps| !gaps[c]) {
                 self.count[c] += 1;
                 let delta = v - self.mean[c];
                 self.mean[c] += delta / f64::from(self.count[c]);
@@ -441,15 +587,18 @@ impl Moments {
         }
     }
 
-    /// Mean and population variance per column; `None` where no member
-    /// predicted.
-    fn finish(self) -> Vec<Option<(f64, f64)>> {
-        (0..self.mean.len())
-            .map(|c| {
-                let n = self.count.get(c).copied().unwrap_or(self.folded);
-                (n > 0).then(|| (self.mean[c], self.m2[c] / f64::from(n)))
-            })
-            .collect()
+    /// Mean and population variance per column into `stats`; `None` where
+    /// no member predicted.
+    fn finish(&self, stats: &mut Vec<Option<(f64, f64)>>) {
+        stats.clear();
+        stats.extend((0..self.mean.len()).map(|c| {
+            let n = if self.counted {
+                self.count[c]
+            } else {
+                self.folded
+            };
+            (n > 0).then(|| (self.mean[c], self.m2[c] / f64::from(n)))
+        }));
     }
 }
 
@@ -501,8 +650,8 @@ mod tests {
         assert_eq!(var, 0.0);
     }
 
-    /// `Shared::new` against `KnnModel::average` over the prefix, bit for
-    /// bit and per column (the ensemble's fold would hide the sign of a
+    /// `Prefixes::push` against `KnnModel::average` over the prefix, bit
+    /// for bit and per column (the ensemble's fold would hide the sign of a
     /// zero): a zero rating under a negative similarity must stay `-0.0`,
     /// a prefix of weight below 1e-12 leaves gaps, and a column some
     /// prefix row leaves unrated is walked, not averaged.
@@ -539,22 +688,31 @@ mod tests {
                     (sim, rng.gen_range(0..training.nrows()))
                 })
                 .collect();
-            let shared = Shared::new(&DenseRows::new(&training), &known, &prefix);
+            // A second prefix first, so that the one checked sits in a
+            // later slot of the flat blocks.
+            let mut prefixes = Prefixes::default();
+            prefixes.reset(ncols);
+            let dense = DenseRows::new(&training);
+            prefixes.push(&dense, &known, &prefix[..prefix.len() / 2]);
+            let p = prefixes.push(&dense, &known, &prefix);
+            let shared = prefixes.prediction(p);
             let model = KnnModel::fit(training.clone(), Similarity::Cosine, prefix.len());
-            let ranking: Vec<(f64, &Row)> = prefix
-                .iter()
-                .map(|&(sim, r)| (sim, training.row(r)))
-                .collect();
+            let mut ranking = Ranking::default();
+            ranking.fill_ordered(|entries| entries.extend_from_slice(&prefix));
             for c in 0..ncols {
                 let walked =
                     known[c].is_none() && prefix.iter().any(|&(_, r)| training.get(r, c).is_none());
-                assert_eq!(shared.walk.contains(&c), walked, "case {case} column {c}");
+                assert_eq!(
+                    prefixes.walk(p).contains(&c),
+                    walked,
+                    "case {case} column {c}"
+                );
                 if walked {
                     continue;
                 }
-                let want = known[c].or_else(|| model.average(&ranking, c));
-                let gap = shared.prediction.gaps.get(c) == Some(&true);
-                let got = (!gap).then(|| shared.prediction.values[c]);
+                let want = known[c].or_else(|| model.average(&mut ranking, c));
+                let gap = shared.gaps.is_some_and(|gaps| gaps[c]);
+                let got = (!gap).then(|| shared.values[c]);
                 assert_eq!(
                     got.map(f64::to_bits),
                     want.map(f64::to_bits),

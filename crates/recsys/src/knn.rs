@@ -1,6 +1,7 @@
 //! User-based K-Nearest-Neighbours collaborative filtering.
 
 use crate::matrix::{known_entries, Row, UtilityMatrix};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Row-similarity functions (paper §5.1 discusses all three).
@@ -26,77 +27,93 @@ impl Similarity {
     /// Similarity between two rows over their co-rated columns; `None` when
     /// fewer than `min_overlap` columns are co-rated.
     pub fn between(self, a: &Row, b: &Row, min_overlap: usize) -> Option<f64> {
-        self.over(&known_entries(a).collect::<Vec<_>>(), b, min_overlap)
+        let co_rated =
+            || known_entries(a).filter_map(|(c, x)| b.get(c).copied().flatten().map(|y| (x, y)));
+        let mut sums = Sums::default();
+        co_rated().for_each(|(x, y)| self.add(&mut sums, x, y));
+        if self == Similarity::Pearson {
+            sums.center();
+            co_rated().for_each(|(x, y)| sums.add_central(x, y));
+        }
+        self.finish(&sums, min_overlap)
     }
 
-    /// The kernel, with `a` as its known `(column, value)` entries in column
-    /// order: a KNN query knows a handful of columns and meets every
-    /// training row, so it is indexed once and a row costs its overlap.
-    ///
-    /// This is the innermost loop of every KNN query: nothing is
-    /// materialized, and each accumulator adds its terms in column order —
+    /// One co-rated pair — `x` from the query, `y` from the row — added to
+    /// the row's first-pass sums. Each sum adds its terms in column order,
     /// the order of the collect-then-sum reference implementation
-    /// (`tests/similarity_regression.rs`) — so results are bit-identical.
-    fn over(self, a: &[(usize, f64)], b: &Row, min_overlap: usize) -> Option<f64> {
-        let co_rated = || {
-            a.iter()
-                .filter_map(|&(c, x)| b.get(c).copied().flatten().map(|y| (x, y)))
-        };
+    /// (`tests/similarity_regression.rs`), so results are bit-identical.
+    #[inline(always)]
+    fn add(self, sums: &mut Sums, x: f64, y: f64) {
+        sums.n += 1;
         match self {
-            Similarity::Euclidean => {
-                let (mut n, mut d2) = (0usize, 0.0f64);
-                for (x, y) in co_rated() {
-                    n += 1;
-                    d2 += (x - y).powi(2);
-                }
-                (n >= min_overlap.max(1)).then(|| 1.0 / (1.0 + d2.sqrt()))
-            }
+            Similarity::Euclidean => sums.a += (x - y).powi(2),
             Similarity::Cosine => {
-                let (mut n, mut dot, mut na2, mut nb2) = (0usize, 0.0f64, 0.0f64, 0.0f64);
-                for (x, y) in co_rated() {
-                    n += 1;
-                    dot += x * y;
-                    na2 += x * x;
-                    nb2 += y * y;
-                }
-                if n < min_overlap.max(1) {
-                    return None;
-                }
-                let (na, nb) = (na2.sqrt(), nb2.sqrt());
+                sums.a += x * y;
+                sums.b += x * x;
+                sums.c += y * y;
+            }
+            Similarity::Pearson => {
+                sums.a += x;
+                sums.b += y;
+            }
+        }
+    }
+
+    /// The similarity of a row whose pairs have all been added; `None` when
+    /// fewer than `min_overlap` columns are co-rated.
+    fn finish(self, sums: &Sums, min_overlap: usize) -> Option<f64> {
+        if sums.n < min_overlap.max(1) {
+            return None;
+        }
+        match self {
+            Similarity::Euclidean => Some(1.0 / (1.0 + sums.a.sqrt())),
+            // Cosine's dot and squared norms, Pearson's covariance and
+            // squared deviations: the same quotient.
+            Similarity::Cosine | Similarity::Pearson => {
+                let (na, nb) = (sums.b.sqrt(), sums.c.sqrt());
                 if na < 1e-12 || nb < 1e-12 {
                     None
                 } else {
-                    Some(dot / (na * nb))
-                }
-            }
-            Similarity::Pearson => {
-                // Two passes: means first, then central moments — the exact
-                // expressions (and order) of the reference implementation.
-                let (mut count, mut sx, mut sy) = (0usize, 0.0f64, 0.0f64);
-                for (x, y) in co_rated() {
-                    count += 1;
-                    sx += x;
-                    sy += y;
-                }
-                if count < min_overlap.max(1) {
-                    return None;
-                }
-                let n = count as f64;
-                let (ma, mb) = (sx / n, sy / n);
-                let (mut cov, mut va2, mut vb2) = (0.0f64, 0.0f64, 0.0f64);
-                for (x, y) in co_rated() {
-                    cov += (x - ma) * (y - mb);
-                    va2 += (x - ma).powi(2);
-                    vb2 += (y - mb).powi(2);
-                }
-                let (va, vb) = (va2.sqrt(), vb2.sqrt());
-                if va < 1e-12 || vb < 1e-12 {
-                    None
-                } else {
-                    Some(cov / (va * vb))
+                    Some(sums.a / (na * nb))
                 }
             }
         }
+    }
+}
+
+/// One training row's running sums against a query, over the columns both
+/// rate: the count, then Euclidean's squared distance in `a`; Cosine's dot
+/// product and two squared norms in `a`, `b`, `c`; Pearson's two sums in
+/// `a`, `b`, and after [`Sums::center`] its covariance and two squared
+/// deviations around the means `ma`, `mb`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Sums {
+    n: usize,
+    a: f64,
+    b: f64,
+    c: f64,
+    ma: f64,
+    mb: f64,
+}
+
+impl Sums {
+    /// Pearson's means from its first pass; the second pass's sums start
+    /// at zero. (A row with no co-rated column gets NaN means, and
+    /// [`Similarity::finish`] rejects it on its count.)
+    fn center(&mut self) {
+        let n = self.n as f64;
+        self.ma = self.a / n;
+        self.mb = self.b / n;
+        self.a = 0.0;
+        self.b = 0.0;
+    }
+
+    /// Pearson's second pass: one pair's central moments.
+    #[inline(always)]
+    fn add_central(&mut self, x: f64, y: f64) {
+        self.a += (x - self.ma) * (y - self.mb);
+        self.b += (x - self.ma).powi(2);
+        self.c += (y - self.mb).powi(2);
     }
 }
 
@@ -113,30 +130,147 @@ impl fmt::Display for Similarity {
 /// A fitted user-based KNN model: memorizes the training rows and predicts
 /// a new row's missing ratings as similarity-weighted averages over the
 /// most similar training rows (§2.2).
+///
+/// The ratings are kept column-major: a query knows a handful of columns
+/// and meets every training row, so the similarity kernel takes one pass
+/// per known column over all rows at once (DESIGN.md §5).
 #[derive(Debug, Clone)]
 pub struct KnnModel {
-    training: UtilityMatrix,
+    nrows: usize,
+    ncols: usize,
+    /// Column `c`'s ratings are `columns[c * nrows..(c + 1) * nrows]`.
+    columns: Vec<Option<f64>>,
     similarity: Similarity,
     k: usize,
 }
 
-/// The training rows comparable to one query, most similar first, each with
-/// its similarity to the query.
-pub(crate) type Ranking<'a> = Vec<(f64, &'a Row)>;
+/// Ranked rows a [`Ranking`] puts in order when it is made. A walk that
+/// steps past them sorts the rest, once; the Controller's walks rarely do.
+const SORTED_PREFIX: usize = 16;
+
+/// The ranking order: |similarity| descending, then row ascending — the
+/// order a stable sort by |similarity| gives rows listed in index order.
+fn ranked_before(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+    b.0.abs().total_cmp(&a.0.abs()).then(a.1.cmp(&b.1))
+}
+
+/// The training rows comparable to one query, as `(similarity, row)` in
+/// ranking order, sorted only as far as a walk has reached.
+///
+/// It keeps its buffers from query to query, so a caller that ranks once
+/// per step allocates nothing after its first.
+#[derive(Debug, Default)]
+pub(crate) struct Ranking {
+    entries: Vec<(f64, usize)>,
+    /// `entries[..sorted]` is in ranking order, and every later entry ranks
+    /// after all of them.
+    sorted: usize,
+    /// The kernel's per-row sums.
+    sums: Vec<Sums>,
+}
+
+impl Ranking {
+    /// Room for rankings of `nrows` rows.
+    pub(crate) fn with_capacity(nrows: usize) -> Self {
+        Ranking {
+            entries: Vec::with_capacity(nrows),
+            sorted: 0,
+            sums: Vec::with_capacity(nrows),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The ranked entries, in order as far as a walk has reached.
+    pub(crate) fn entries(&self) -> &[(f64, usize)] {
+        &self.entries
+    }
+
+    /// The `i`-th ranked entry, sorting the rest first if `i` is past the
+    /// sorted prefix.
+    pub(crate) fn get(&mut self, i: usize) -> Option<(f64, usize)> {
+        if i >= self.sorted {
+            self.sort_rest();
+        }
+        self.entries.get(i).copied()
+    }
+
+    /// Where the group of equal |similarity| that starts at entry `i` ends.
+    /// A group that reaches the end of the sorted prefix may go on past it,
+    /// so then the rest is sorted first.
+    pub(crate) fn group_end(&mut self, i: usize) -> usize {
+        if i >= self.sorted {
+            self.sort_rest();
+        }
+        let abs = self.entries[i].0.abs();
+        loop {
+            if let Some(n) = self.entries[i..self.sorted]
+                .iter()
+                .position(|(sim, _)| sim.abs().total_cmp(&abs).is_ne())
+            {
+                return i + n;
+            }
+            if self.sorted == self.entries.len() {
+                return self.sorted;
+            }
+            self.sort_rest();
+        }
+    }
+
+    /// Let `fill` replace the entries with ones already in ranking order.
+    pub(crate) fn fill_ordered<T>(&mut self, fill: impl FnOnce(&mut Vec<(f64, usize)>) -> T) -> T {
+        let out = fill(&mut self.entries);
+        self.sorted = self.entries.len();
+        out
+    }
+
+    /// Sort the entries past the prefix: the ranking is then whole.
+    fn sort_rest(&mut self) {
+        if self.sorted >= self.entries.len() {
+            return;
+        }
+        self.entries[self.sorted..].sort_unstable_by(ranked_before);
+        self.sorted = self.entries.len();
+        if obs::enabled() {
+            obs::counter("recsys.knn.sorts").inc();
+        }
+    }
+}
 
 impl KnnModel {
     /// Fit (memorize) the training matrix.
     pub fn fit(training: UtilityMatrix, similarity: Similarity, k: usize) -> Self {
+        Self::of(&training, similarity, k)
+    }
+
+    /// [`Self::fit`] on a borrowed matrix: its ratings copied column-major.
+    pub(crate) fn of(training: &UtilityMatrix, similarity: Similarity, k: usize) -> Self {
+        let (nrows, ncols) = (training.nrows(), training.ncols());
+        let mut columns = vec![None; nrows * ncols];
+        for (r, row) in training.rows().iter().enumerate() {
+            for (c, &rating) in row.iter().enumerate() {
+                columns[c * nrows + r] = rating;
+            }
+        }
         KnnModel {
-            training,
+            nrows,
+            ncols,
+            columns,
             similarity,
             k: k.max(1),
         }
     }
 
-    /// The memorized training rows.
-    pub(crate) fn training(&self) -> &UtilityMatrix {
-        &self.training
+    /// Number of training rows.
+    pub(crate) fn nrows(&self) -> usize {
+        self.nrows
+    }
+
+    /// Number of columns predicted.
+    pub(crate) fn ncols(&self) -> usize {
+        self.ncols
     }
 
     /// Neighbours averaged per column.
@@ -144,51 +278,92 @@ impl KnnModel {
         self.k
     }
 
-    /// Rank the training rows for `known`: a *stable* sort by |similarity|
-    /// descending over the rows in index order, each ranked row carried as
-    /// `tag(index, row)`. One ranking serves every column — column `c`'s
-    /// neighbours are the first `k` ranked rows that rate `c`, because a
-    /// stable sort of a subsequence is that subsequence of the stable sort
-    /// (DESIGN.md §5; `tests/knn_regression.rs`).
-    pub(crate) fn rank_by<'a, T>(
-        &'a self,
-        known: &Row,
-        tag: impl Fn(usize, &'a Row) -> T,
-    ) -> Vec<(f64, T)> {
-        let known: Vec<(usize, f64)> = known_entries(known).collect();
-        let mut ranking: Vec<(f64, T)> = self
-            .training
-            .rows()
-            .iter()
-            .enumerate()
-            .filter_map(|(r, row)| {
-                self.similarity
-                    .over(&known, row, 1)
-                    .map(|sim| (sim, tag(r, row)))
-            })
-            .collect();
-        ranking.sort_by(|a, b| b.0.abs().total_cmp(&a.0.abs()));
-        if obs::enabled() {
-            obs::counter("recsys.knn.kernels").add(self.training.nrows() as u64);
-            obs::counter("recsys.knn.sorts").inc();
-        }
-        ranking
+    /// Column `c`'s ratings, by row; empty past the last column.
+    fn column(&self, c: usize) -> &[Option<f64>] {
+        self.columns
+            .get(c * self.nrows..(c + 1) * self.nrows)
+            .unwrap_or(&[])
     }
 
-    /// [`Self::rank_by`] for the model's own rows.
-    fn ranking(&self, known: &Row) -> Ranking<'_> {
-        self.rank_by(known, |_, row| row)
+    /// Add `term(sums of row r, query rating, row r's rating)` for every
+    /// column `known` rates, in column order, over every row rating it.
+    fn each_pair(&self, known: &Row, sums: &mut [Sums], term: impl Fn(&mut Sums, f64, f64)) {
+        for (c, x) in known_entries(known) {
+            for (s, y) in sums.iter_mut().zip(self.column(c)) {
+                if let Some(y) = *y {
+                    term(s, x, y);
+                }
+            }
+        }
+    }
+
+    /// Rank the training rows for `known` into `ranking`: every row's
+    /// similarity in one pass per known column (each row still adds its
+    /// terms in column order, as [`Similarity::between`] does), then the
+    /// first [`SORTED_PREFIX`] rows put in ranking order. One ranking
+    /// serves every column — column `c`'s neighbours are the first `k`
+    /// ranked rows that rate `c`, because a stable sort of a subsequence is
+    /// that subsequence of the stable sort (DESIGN.md §5;
+    /// `tests/knn_regression.rs`).
+    pub(crate) fn rank(&self, known: &Row, ranking: &mut Ranking) {
+        let sums = &mut ranking.sums;
+        sums.clear();
+        sums.resize(self.nrows, Sums::default());
+        // One arm per similarity, so that each pass is specialised to its
+        // terms.
+        match self.similarity {
+            Similarity::Euclidean => {
+                self.each_pair(known, sums, |s, x, y| Similarity::Euclidean.add(s, x, y));
+            }
+            Similarity::Cosine => {
+                self.each_pair(known, sums, |s, x, y| Similarity::Cosine.add(s, x, y));
+            }
+            Similarity::Pearson => {
+                self.each_pair(known, sums, |s, x, y| Similarity::Pearson.add(s, x, y));
+                sums.iter_mut().for_each(Sums::center);
+                self.each_pair(known, sums, Sums::add_central);
+            }
+        }
+        let entries = &mut ranking.entries;
+        entries.clear();
+        entries.extend(
+            sums.iter()
+                .enumerate()
+                .filter_map(|(r, s)| self.similarity.finish(s, 1).map(|sim| (sim, r))),
+        );
+        // The order is total (rows are distinct), so an unstable sort is
+        // the stable one.
+        if entries.len() > SORTED_PREFIX {
+            entries.select_nth_unstable_by(SORTED_PREFIX - 1, ranked_before);
+            entries[..SORTED_PREFIX - 1].sort_unstable_by(ranked_before);
+            ranking.sorted = SORTED_PREFIX;
+        } else {
+            entries.sort_unstable_by(ranked_before);
+            ranking.sorted = entries.len();
+        }
+        if obs::enabled() {
+            obs::counter("recsys.knn.kernels").add(self.nrows as u64);
+        }
     }
 
     /// The similarity-weighted average of `col` over its `k` best-ranked
     /// raters; `None` when nobody comparable rates it. `ranking` may hold a
     /// row more than once (a bootstrap sample does): each entry counts.
-    pub(crate) fn average(&self, ranking: &[(f64, &Row)], col: usize) -> Option<f64> {
+    pub(crate) fn average(&self, ranking: &mut Ranking, col: usize) -> Option<f64> {
+        let column = self.column(col);
+        // The neighbours end at the k-th ranked row that rates `col`.
+        let (mut end, mut taken) = (0, 0);
+        while taken < self.k {
+            let Some((_, r)) = ranking.get(end) else {
+                break;
+            };
+            end += 1;
+            taken += usize::from(column[r].is_some());
+        }
         let neighbours = || {
-            ranking
+            ranking.entries[..end]
                 .iter()
-                .filter_map(|&(sim, row)| row[col].map(|rating| (sim, rating)))
-                .take(self.k)
+                .filter_map(|&(sim, r)| column[r].map(|rating| (sim, rating)))
         };
         weighted_mean(neighbours().map(|(s, _)| s.abs()).sum(), neighbours())
     }
@@ -196,19 +371,22 @@ impl KnnModel {
     /// Predict the rating of `col` for a workload with the given known
     /// ratings; `None` when no similar neighbour rates `col`.
     pub fn predict(&self, known: &Row, col: usize) -> Option<f64> {
-        self.average(&self.ranking(known), col)
+        let mut ranking = Ranking::default();
+        self.rank(known, &mut ranking);
+        self.average(&mut ranking, col)
     }
 
     /// Predict every column (known entries are passed through unchanged).
     pub fn predict_row(&self, known: &Row) -> Row {
-        let ranking = self.ranking(known);
-        (0..self.training.ncols())
+        let mut ranking = Ranking::default();
+        self.rank(known, &mut ranking);
+        (0..self.ncols)
             .map(|c| {
                 known
                     .get(c)
                     .copied()
                     .flatten()
-                    .or_else(|| self.average(&ranking, c))
+                    .or_else(|| self.average(&mut ranking, c))
             })
             .collect()
     }

@@ -28,7 +28,7 @@ mod normalize;
 mod predictor;
 mod tuning;
 
-pub use bagging::BaggingEnsemble;
+pub use bagging::{BaggingEnsemble, EnsembleWorkspace};
 pub use knn::{KnnModel, Similarity};
 pub use matrix::{Row, UtilityMatrix};
 pub use metrics::{dfo, mape, mdfo, percentile};

@@ -39,7 +39,15 @@ pub trait Normalization: fmt::Debug {
     ///
     /// Returns `None` when prerequisites are missing (e.g. the reference
     /// column has not been sampled yet).
-    fn to_ratings(&self, known_kpis: &Row) -> Option<Row>;
+    fn to_ratings(&self, known_kpis: &Row) -> Option<Row> {
+        let mut ratings = Row::new();
+        self.to_ratings_into(known_kpis, &mut ratings)
+            .then_some(ratings)
+    }
+
+    /// [`Self::to_ratings`] into `ratings`, which keeps its buffer; returns
+    /// whether the row could be rated (`ratings` is unspecified if not).
+    fn to_ratings_into(&self, known_kpis: &Row, ratings: &mut Row) -> bool;
 
     /// Map a predicted rating for `col` back to KPI space, given the row's
     /// known KPIs (used to compute MAPE on the original scale).
@@ -58,6 +66,12 @@ pub trait Normalization: fmt::Debug {
             .collect();
         UtilityMatrix::from_rows(rows)
     }
+}
+
+/// `known` divided by `s`, entry by entry, into `ratings`.
+fn scale_into(known: &Row, s: f64, ratings: &mut Row) {
+    ratings.clear();
+    ratings.extend(known.iter().map(|v| v.map(|x| x / s)));
 }
 
 fn guard_scale(s: f64) -> f64 {
@@ -81,8 +95,9 @@ impl Normalization for NoNorm {
         false
     }
 
-    fn to_ratings(&self, known: &Row) -> Option<Row> {
-        Some(known.clone())
+    fn to_ratings_into(&self, known: &Row, ratings: &mut Row) -> bool {
+        ratings.clone_from(known);
+        true
     }
 
     fn to_kpi(&self, _known: &Row, _col: usize, rating: f64) -> f64 {
@@ -119,8 +134,9 @@ impl Normalization for GlobalMaxNorm {
         self.constant = guard_scale(training.global_max().unwrap_or(1.0));
     }
 
-    fn to_ratings(&self, known: &Row) -> Option<Row> {
-        Some(known.iter().map(|v| v.map(|x| x / self.constant)).collect())
+    fn to_ratings_into(&self, known: &Row, ratings: &mut Row) -> bool {
+        scale_into(known, self.constant, ratings);
+        true
     }
 
     fn to_kpi(&self, _known: &Row, _col: usize, rating: f64) -> f64 {
@@ -142,17 +158,17 @@ impl Normalization for IdealNorm {
         "ideal"
     }
 
-    fn to_ratings(&self, known: &Row) -> Option<Row> {
+    fn to_ratings_into(&self, known: &Row, ratings: &mut Row) -> bool {
         let max = known
             .iter()
             .flatten()
             .copied()
             .fold(f64::NEG_INFINITY, f64::max);
         if !max.is_finite() {
-            return None;
+            return false;
         }
-        let s = guard_scale(max);
-        Some(known.iter().map(|v| v.map(|x| x / s)).collect())
+        scale_into(known, guard_scale(max), ratings);
+        true
     }
 
     fn to_kpi(&self, known: &Row, _col: usize, rating: f64) -> f64 {
@@ -179,12 +195,8 @@ impl RcNorm {
     }
 
     fn row_mean(known: &Row) -> Option<f64> {
-        let vals: Vec<f64> = known.iter().flatten().copied().collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
+        let n = known.iter().flatten().count();
+        (n > 0).then(|| known.iter().flatten().sum::<f64>() / n as f64)
     }
 }
 
@@ -216,15 +228,18 @@ impl Normalization for RcNorm {
             .collect();
     }
 
-    fn to_ratings(&self, known: &Row) -> Option<Row> {
-        let mean = Self::row_mean(known)?;
-        Some(
+    fn to_ratings_into(&self, known: &Row, ratings: &mut Row) -> bool {
+        let Some(mean) = Self::row_mean(known) else {
+            return false;
+        };
+        ratings.clear();
+        ratings.extend(
             known
                 .iter()
                 .enumerate()
-                .map(|(c, v)| v.map(|x| x - mean - self.col_means.get(c).copied().unwrap_or(0.0)))
-                .collect(),
-        )
+                .map(|(c, v)| v.map(|x| x - mean - self.col_means.get(c).copied().unwrap_or(0.0))),
+        );
+        true
     }
 
     fn to_kpi(&self, known: &Row, col: usize, rating: f64) -> f64 {
@@ -324,11 +339,12 @@ impl Normalization for DistillationNorm {
         self.reference
     }
 
-    fn to_ratings(&self, known: &Row) -> Option<Row> {
-        let c = self.reference?;
-        let reference = (*known.get(c)?)?;
-        let s = guard_scale(reference);
-        Some(known.iter().map(|v| v.map(|x| x / s)).collect())
+    fn to_ratings_into(&self, known: &Row, ratings: &mut Row) -> bool {
+        let Some(reference) = self.reference.and_then(|c| known.get(c).copied().flatten()) else {
+            return false;
+        };
+        scale_into(known, guard_scale(reference), ratings);
+        true
     }
 
     fn to_kpi(&self, known: &Row, _col: usize, rating: f64) -> f64 {

@@ -611,3 +611,270 @@ fn similarities(training: &UtilityMatrix, similarity: Similarity, known: &Row) -
         .map(|r| similarity.between(known, training.row(r), 1))
         .collect()
 }
+
+/// The similarity kernel before KNN kept its ratings column-major, kept
+/// verbatim as the reference: one row against the query's known
+/// `(column, value)` entries, each sum adding its terms in column order.
+fn row_kernel(similarity: Similarity, a: &[(usize, f64)], b: &Row) -> Option<f64> {
+    let co_rated = || {
+        a.iter()
+            .filter_map(|&(c, x)| b.get(c).copied().flatten().map(|y| (x, y)))
+    };
+    match similarity {
+        Similarity::Euclidean => {
+            let (mut n, mut d2) = (0usize, 0.0f64);
+            for (x, y) in co_rated() {
+                n += 1;
+                d2 += (x - y).powi(2);
+            }
+            (n >= 1).then(|| 1.0 / (1.0 + d2.sqrt()))
+        }
+        Similarity::Cosine => {
+            let (mut n, mut dot, mut na2, mut nb2) = (0usize, 0.0f64, 0.0f64, 0.0f64);
+            for (x, y) in co_rated() {
+                n += 1;
+                dot += x * y;
+                na2 += x * x;
+                nb2 += y * y;
+            }
+            if n < 1 {
+                return None;
+            }
+            let (na, nb) = (na2.sqrt(), nb2.sqrt());
+            if na < 1e-12 || nb < 1e-12 {
+                None
+            } else {
+                Some(dot / (na * nb))
+            }
+        }
+        Similarity::Pearson => {
+            let (mut count, mut sx, mut sy) = (0usize, 0.0f64, 0.0f64);
+            for (x, y) in co_rated() {
+                count += 1;
+                sx += x;
+                sy += y;
+            }
+            if count < 1 {
+                return None;
+            }
+            let n = count as f64;
+            let (ma, mb) = (sx / n, sy / n);
+            let (mut cov, mut va2, mut vb2) = (0.0f64, 0.0f64, 0.0f64);
+            for (x, y) in co_rated() {
+                cov += (x - ma) * (y - mb);
+                va2 += (x - ma).powi(2);
+                vb2 += (y - mb).powi(2);
+            }
+            let (va, vb) = (va2.sqrt(), vb2.sqrt());
+            if va < 1e-12 || vb < 1e-12 {
+                None
+            } else {
+                Some(cov / (va * vb))
+            }
+        }
+    }
+}
+
+/// The prediction before the ranking was partial, kept verbatim as the
+/// reference: every row through [`row_kernel`], one *stable* sort of the
+/// whole ranking by |similarity|, then per column the weighted mean of its
+/// first `k` ranked raters.
+fn stable_sort_predict_row(
+    training: &UtilityMatrix,
+    similarity: Similarity,
+    k: usize,
+    known: &Row,
+) -> Row {
+    let k = k.max(1);
+    let entries: Vec<(usize, f64)> = known
+        .iter()
+        .enumerate()
+        .filter_map(|(c, v)| v.map(|x| (c, x)))
+        .collect();
+    let mut ranking: Vec<(f64, usize)> = (0..training.nrows())
+        .filter_map(|r| row_kernel(similarity, &entries, training.row(r)).map(|sim| (sim, r)))
+        .collect();
+    ranking.sort_by(|a, b| b.0.abs().total_cmp(&a.0.abs()));
+    (0..training.ncols())
+        .map(|c| {
+            known.get(c).copied().flatten().or_else(|| {
+                let neighbours = || {
+                    ranking
+                        .iter()
+                        .filter_map(|&(sim, r)| training.get(r, c).map(|v| (sim, v)))
+                        .take(k)
+                };
+                let wsum: f64 = neighbours().map(|(s, _)| s.abs()).sum();
+                if wsum < 1e-12 {
+                    return None;
+                }
+                Some(neighbours().map(|(s, r)| s * r).sum::<f64>() / wsum)
+            })
+        })
+        .collect()
+}
+
+/// `KnnModel::predict_row` and `BaggingEnsemble::predict_stats` (ten
+/// members, bootstraps that repeat rows) against [`stable_sort_predict_row`]
+/// and its materialized-member fold, bit for bit.
+fn check_exact(
+    training: &UtilityMatrix,
+    similarity: Similarity,
+    k: usize,
+    known: &Row,
+    case: &str,
+) {
+    let want = stable_sort_predict_row(training, similarity, k, known);
+    let got = KnnModel::fit(training.clone(), similarity, k).predict_row(known);
+    assert_eq!(
+        bits(&got),
+        bits(&want),
+        "{similarity:?} k={k} predict_row diverged ({case})\n known={known:?}\n training={training:?}"
+    );
+    let seed = 0xE4AC7 ^ k as u64;
+    let (want, _) = common::reference_ensemble(training, 10, seed, |sample| {
+        stable_sort_predict_row(sample, similarity, k, known)
+    });
+    let got = common::stats_bits(
+        BaggingEnsemble::fit(training, CfAlgorithm::Knn { similarity, k }, 10, seed)
+            .predict_stats(known),
+    );
+    assert_eq!(
+        got, want,
+        "{similarity:?} k={k} predict_stats diverged ({case})\n known={known:?}\n training={training:?}"
+    );
+}
+
+/// How many fallback sorts `f` made: the rankings a walk had to sort past
+/// their prefix. Other tests of this binary only ever add to the counter.
+fn fallback_sorts(f: impl FnOnce()) -> u64 {
+    obs::start_trace_memory();
+    f();
+    let sorts = obs::counter("recsys.knn.sorts").get();
+    obs::finish_trace();
+    sorts
+}
+
+/// The ranking sorts only its first rows, and a walk past them sorts the
+/// rest: predictions must still be exactly those of the whole stable sort.
+/// Random matrices with ratings from a small set (so similarities tie),
+/// unrated entries and up to 40 rows, under every similarity and `k` from
+/// 1 to 10; then a tied group straddling the sorted prefix's end, a
+/// ranking that reverses the rows, and the reference-only query where
+/// every row ties.
+#[test]
+fn partial_ranking_matches_the_whole_stable_sort() {
+    let mut rng = StdRng::seed_from_u64(0x50_27);
+    let levels = [-1.0, 0.0, 0.5, 1.0, 2.0];
+    let level = |rng: &mut StdRng| levels[rng.gen_range(0..levels.len())];
+    let (mut tied, mut long) = (0, 0);
+    for case in 0..120 {
+        let nrows = rng.gen_range(1..=40);
+        let ncols = rng.gen_range(2..=10);
+        let density = [0.6, 0.85, 1.0][case % 3];
+        let training = UtilityMatrix::from_rows(
+            (0..nrows)
+                .map(|_| {
+                    (0..ncols)
+                        .map(|_| rng.gen_bool(density).then(|| level(&mut rng)))
+                        .collect()
+                })
+                .collect(),
+        );
+        let known: Row = (0..ncols)
+            .map(|_| rng.gen_bool(0.4).then(|| level(&mut rng)))
+            .collect();
+        long += usize::from(nrows > 16);
+        for similarity in Similarity::ALL {
+            let sims: Vec<u64> = similarities(&training, similarity, &known)
+                .into_iter()
+                .flatten()
+                .map(|s| s.abs().to_bits())
+                .collect();
+            tied += usize::from((1..sims.len()).any(|i| sims[..i].contains(&sims[i])));
+            check_exact(
+                &training,
+                similarity,
+                1 + case % 10,
+                &known,
+                &format!("case {case}"),
+            );
+        }
+    }
+    assert!(tied >= 150, "tied similarities in only {tied} cases");
+    assert!(
+        long >= 40,
+        "more rows than the sorted prefix in only {long} cases"
+    );
+
+    // Rows 0..8 match the query's three known columns less and less well;
+    // rows 8..30 all read (2, 4, 6) there, one group of equal |similarity|
+    // across the sorted prefix's end, under every similarity. Rows 0..20
+    // leave column 5 unrated, so its neighbours lie past the prefix too.
+    let training = UtilityMatrix::from_rows(
+        (0..30)
+            .map(|r| {
+                let head = if r < 8 {
+                    [1.0, 2.0, 3.0 + 0.5 * r as f64]
+                } else {
+                    [2.0, 4.0, 6.0]
+                };
+                let mut row: Row = head.iter().map(|&v| Some(v)).collect();
+                row.extend((3..6).map(|c| (c != 5 || r >= 20).then(|| level(&mut rng))));
+                row
+            })
+            .collect(),
+    );
+    let known: Row = vec![Some(1.0), Some(2.0), Some(3.0), None, None, None];
+    for similarity in Similarity::ALL {
+        for k in 1..=10 {
+            let sorts = fallback_sorts(|| {
+                check_exact(&training, similarity, k, &known, "a tie across the prefix");
+            });
+            assert!(sorts > 0, "{similarity:?} k={k}: no fallback sort");
+        }
+    }
+
+    // Similarity rising with the row index: the ranking reverses the rows,
+    // and column 3 is rated only by rows 0..10, which rank last, so its
+    // neighbours must be read from a sorted tail.
+    let reversed = UtilityMatrix::from_rows(
+        (0..30)
+            .map(|r| {
+                let t = (30 - r) as f64 * 0.1;
+                vec![
+                    Some(1.0),
+                    Some(t),
+                    Some(2.0 + t * t),
+                    (r < 10).then(|| level(&mut rng)),
+                ]
+            })
+            .collect(),
+    );
+    let known: Row = vec![Some(1.0), Some(0.0), Some(2.0), None];
+    for similarity in Similarity::ALL {
+        for k in 1..=10 {
+            let sorts = fallback_sorts(|| {
+                check_exact(&reversed, similarity, k, &known, "a reversed ranking");
+            });
+            assert!(sorts > 0, "{similarity:?} k={k}: no fallback sort");
+        }
+    }
+
+    // The reference-only query: every row rates the reference 1 and the
+    // query knows only it, so all 30 rows tie. (Pearson has no similarity
+    // over one column.)
+    let mut training = training;
+    for r in 0..30 {
+        training.set(r, 0, 1.0);
+    }
+    let known: Row = vec![Some(1.0), None, None, None, None, None];
+    for similarity in [Similarity::Euclidean, Similarity::Cosine] {
+        for k in 1..=10 {
+            let sorts = fallback_sorts(|| {
+                check_exact(&training, similarity, k, &known, "the reference-only query");
+            });
+            assert!(sorts > 0, "{similarity:?} k={k}: no fallback sort");
+        }
+    }
+}

@@ -1,9 +1,8 @@
 //! The Controller: Bayesian exploration of a new workload (paper §5.2).
 
-use crate::recommender::{from_score, row_to_scores, to_scores};
-use recsys::{BaggingEnsemble, CfAlgorithm, Normalization, Row, UtilityMatrix};
+use crate::recommender::{from_score, row_to_scores, scores_into, to_scores};
+use recsys::{BaggingEnsemble, CfAlgorithm, EnsembleWorkspace, Normalization, Row, UtilityMatrix};
 use smbo::{Acquisition, Candidate, Goal, StopState, StoppingRule};
-use std::borrow::Cow;
 use std::fmt;
 
 /// KPI magnitudes at or beyond this are discarded as corrupt rather than
@@ -94,6 +93,17 @@ pub struct Controller {
     first_step: Option<(Row, Vec<Candidate>)>,
 }
 
+/// Everything one exploration step builds: the known KPIs as scores, their
+/// ratings, the ensemble's workspace and the candidate vector. Made once
+/// per decision, sized up front, and reused at every step, so that a step
+/// allocates nothing.
+struct Step {
+    scores: Row,
+    ratings: Row,
+    ensemble: EnsembleWorkspace,
+    candidates: Vec<Candidate>,
+}
+
 impl Controller {
     /// Fit the Controller: normalize the training KPIs and train the
     /// ensemble on the resulting ratings.
@@ -147,6 +157,11 @@ impl Controller {
         self.ncols
     }
 
+    /// Change the cap on on-line explorations; nothing fitted depends on it.
+    pub fn set_max_explorations(&mut self, max_explorations: usize) {
+        self.settings.max_explorations = max_explorations;
+    }
+
     /// Optimize one workload: `sample(config)` runs the workload in that
     /// configuration and returns the measured raw KPI. The KPI is the
     /// caller's input and is checked: a non-finite or absurd sample is
@@ -162,7 +177,8 @@ impl Controller {
         // buffer keeps the trace deterministic (DESIGN.md §7, rule 1).
         let mut trace: Vec<obs::PendingEvent> = Vec::new();
         let mut known: Row = vec![None; self.ncols];
-        let mut explored: Vec<(usize, f64)> = Vec::new();
+        // Every profiling run adds at most one sample.
+        let mut explored: Vec<(usize, f64)> = Vec::with_capacity(self.settings.max_explorations);
         // Sampled-at-least-once mask, distinct from `known`: a corrupt
         // sample is discarded from the ratings but must not be re-picked by
         // the acquisition loop, or a configuration that always measures
@@ -238,27 +254,29 @@ impl Controller {
             ));
         }
 
-        // The ratings of `known`, recomputed after every probe — once per
-        // step, shared by the stopping check and the next acquisition round.
-        let mut ratings = self.ratings(&known);
+        // The ratings of `known` (in `step.ratings`, when `rated`),
+        // recomputed after every probe — once per step, shared by the
+        // stopping check and the next acquisition round.
+        let mut step = self.step();
+        let mut rated = self.rate(&known, &mut step.scores, &mut step.ratings);
         let mut stop = StopState::new();
         let mut stop_reason = "exhausted";
         while spent.get() < self.settings.max_explorations {
-            let Some(ratings_known) = &ratings else {
-                break;
-            };
-            let candidates = self.candidates(ratings_known, &tried);
-            if candidates.is_empty() {
+            if !rated {
                 break;
             }
             // Score-space ratings are "higher is better" by construction;
             // raw-KPI baselines (RC, none) keep the original direction.
             let inner = self.inner_goal();
-            let best_rating = self.best_of(ratings_known).unwrap_or(f64::NAN);
+            let best_rating = self.best_of(&step.ratings).unwrap_or(f64::NAN);
+            let candidates = self.candidates(&tried, &mut step);
+            if candidates.is_empty() {
+                break;
+            }
             let Some((chosen, ei)) =
                 self.settings
                     .acquisition
-                    .select(&candidates, best_rating, inner, &mut seed)
+                    .select(candidates, best_rating, inner, &mut seed)
             else {
                 break;
             };
@@ -288,10 +306,10 @@ impl Controller {
                 ));
                 trace.push(obs::pending_event!(obs::SPAN_END, "name" => "ei.round"));
             }
-            ratings = self.ratings(&known);
-            let new_best = ratings
-                .as_ref()
-                .and_then(|r| self.best_of(r))
+            rated = self.rate(&known, &mut step.scores, &mut step.ratings);
+            let new_best = rated
+                .then(|| self.best_of(&step.ratings))
+                .flatten()
                 .unwrap_or(best_rating);
             stop.record(ei, new_best);
             if self.settings.stopping.should_stop(&stop) {
@@ -310,8 +328,9 @@ impl Controller {
 
         // Final step: explore the model's recommendation if new.
         let inner = self.inner_goal();
-        if let Some(ratings_known) = &ratings {
-            let candidates = self.candidates(ratings_known, &tried);
+        if rated {
+            let best_explored = self.best_of(&step.ratings);
+            let candidates = self.candidates(&tried, &mut step);
             let best_candidate =
                 candidates.iter().copied().reduce(
                     |a, b| {
@@ -323,7 +342,6 @@ impl Controller {
                     },
                 );
             if let Some(cand) = best_candidate {
-                let best_explored = self.best_of(ratings_known);
                 let improves = match best_explored {
                     Some(b) => inner.better(cand.mu, b),
                     None => true,
@@ -408,14 +426,31 @@ impl Controller {
             .collect()
     }
 
+    /// A step's workspace, sized for this controller.
+    fn step(&self) -> Step {
+        Step {
+            scores: Row::with_capacity(self.ncols),
+            ratings: Row::with_capacity(self.ncols),
+            ensemble: self.ensemble.workspace(),
+            candidates: Vec::with_capacity(self.ncols),
+        }
+    }
+
     /// Known KPIs → known ratings (None before the reference sample).
     fn ratings(&self, known_kpis: &Row) -> Option<Row> {
-        if self.normalizer.wants_scores() {
-            self.normalizer
-                .to_ratings(&row_to_scores(known_kpis, self.goal))
-        } else {
-            self.normalizer.to_ratings(known_kpis)
+        let (mut scores, mut ratings) = (Row::new(), Row::new());
+        self.rate(known_kpis, &mut scores, &mut ratings)
+            .then_some(ratings)
+    }
+
+    /// [`Self::ratings`] into `ratings`, through `scores` where the scheme
+    /// wants scores; returns whether there are any.
+    fn rate(&self, known_kpis: &Row, scores: &mut Row, ratings: &mut Row) -> bool {
+        if !self.normalizer.wants_scores() {
+            return self.normalizer.to_ratings_into(known_kpis, ratings);
         }
+        scores_into(known_kpis, self.goal, scores);
+        self.normalizer.to_ratings_into(scores, ratings)
     }
 
     /// The optimization direction in rating space.
@@ -437,14 +472,21 @@ impl Controller {
             .reduce(|a, b| inner.best(a, b))
     }
 
-    /// Predictive candidates, given the known ratings, for all columns not
-    /// yet sampled (`tried` covers the known columns and those whose sample
-    /// was discarded as corrupt): the fitted first step's when it applies.
-    fn candidates(&self, ratings: &Row, tried: &[bool]) -> Cow<'_, [Candidate]> {
-        match self.cached_first_step(ratings, tried) {
-            Some(candidates) => Cow::Borrowed(candidates),
-            None => Cow::Owned(self.predict_candidates(ratings, tried)),
+    /// Predictive candidates, given the known ratings in `step.ratings`,
+    /// for all columns not yet sampled (`tried` covers the known columns
+    /// and those whose sample was discarded as corrupt): the fitted first
+    /// step's when it applies.
+    fn candidates<'a>(&'a self, tried: &[bool], step: &'a mut Step) -> &'a [Candidate] {
+        if let Some(candidates) = self.cached_first_step(&step.ratings, tried) {
+            return candidates;
         }
+        self.predict_candidates_into(
+            &step.ratings,
+            tried,
+            &mut step.ensemble,
+            &mut step.candidates,
+        );
+        &step.candidates
     }
 
     /// The candidates computed at fit, if only the reference has been
@@ -461,19 +503,34 @@ impl Controller {
 
     /// [`Self::candidates`], computed from the ensemble.
     fn predict_candidates(&self, ratings: &Row, tried: &[bool]) -> Vec<Candidate> {
-        let stats = self.ensemble.predict_stats(ratings);
-        stats
-            .iter()
-            .enumerate()
-            .filter(|(c, _)| !tried[*c])
-            .filter_map(|(c, s)| {
-                s.map(|(mu, sigma2)| Candidate {
-                    index: c,
-                    mu,
-                    sigma2,
-                })
-            })
-            .collect()
+        let mut step = self.step();
+        self.predict_candidates_into(ratings, tried, &mut step.ensemble, &mut step.candidates);
+        step.candidates
+    }
+
+    /// [`Self::predict_candidates`] into `candidates`, built in `workspace`.
+    fn predict_candidates_into(
+        &self,
+        ratings: &Row,
+        tried: &[bool],
+        workspace: &mut EnsembleWorkspace,
+        candidates: &mut Vec<Candidate>,
+    ) {
+        let stats = self.ensemble.predict_stats_in(ratings, workspace);
+        candidates.clear();
+        candidates.extend(
+            stats
+                .iter()
+                .enumerate()
+                .filter(|(c, _)| !tried[*c])
+                .filter_map(|(c, s)| {
+                    s.map(|(mu, sigma2)| Candidate {
+                        index: c,
+                        mu,
+                        sigma2,
+                    })
+                }),
+        );
     }
 }
 
@@ -782,7 +839,9 @@ pub(crate) mod tests {
                         hits += 1;
                         assert!(!cached.is_empty(), "{name} {goal:?} kpi {kpi}");
                         assert_eq!(bits(cached), bits(&cold), "{name} {goal:?} kpi {kpi}");
-                        assert_eq!(bits(&ctl.candidates(&ratings, &tried)), bits(&cold));
+                        let mut step = ctl.step();
+                        assert!(ctl.rate(&known, &mut step.scores, &mut step.ratings));
+                        assert_eq!(bits(ctl.candidates(&tried, &mut step)), bits(&cold));
                     }
                     let mut second = tried.clone();
                     second[(first + 1) % ctl.ncols()] = true;

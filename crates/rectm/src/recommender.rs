@@ -135,9 +135,17 @@ pub(crate) fn to_scores(m: &UtilityMatrix, goal: Goal) -> UtilityMatrix {
 }
 
 pub(crate) fn row_to_scores(row: &Row, goal: Goal) -> Row {
+    let mut scores = Row::with_capacity(row.len());
+    scores_into(row, goal, &mut scores);
+    scores
+}
+
+/// [`row_to_scores`] into `scores`, which keeps its buffer.
+pub(crate) fn scores_into(row: &Row, goal: Goal, scores: &mut Row) {
+    scores.clear();
     match goal {
-        Goal::Maximize => row.clone(),
-        Goal::Minimize => row.iter().map(|v| v.map(|x| 1.0 / x.max(1e-12))).collect(),
+        Goal::Maximize => scores.extend_from_slice(row),
+        Goal::Minimize => scores.extend(row.iter().map(|v| v.map(|x| 1.0 / x.max(1e-12)))),
     }
 }
 

@@ -20,11 +20,13 @@ pub enum StoppingRule {
     },
 }
 
-/// Rolling exploration state fed to a [`StoppingRule`].
+/// Rolling exploration state fed to a [`StoppingRule`]: the rules read
+/// only the last three steps, so that is all it keeps, in place.
 #[derive(Debug, Clone, Default)]
 pub struct StopState {
-    eis: Vec<f64>,
-    bests: Vec<f64>,
+    steps: usize,
+    /// The last three steps' `(EI, best KPI)`, oldest first.
+    last: [(f64, f64); 3],
 }
 
 impl StopState {
@@ -36,13 +38,14 @@ impl StopState {
     /// Record one exploration step: the EI of the configuration that was
     /// selected, and the best KPI sampled so far *after* evaluating it.
     pub fn record(&mut self, ei: f64, best_kpi: f64) {
-        self.eis.push(ei);
-        self.bests.push(best_kpi);
+        self.last.rotate_left(1);
+        self.last[2] = (ei, best_kpi);
+        self.steps += 1;
     }
 
     /// Number of recorded explorations.
     pub fn steps(&self) -> usize {
-        self.eis.len()
+        self.steps
     }
 }
 
@@ -69,8 +72,9 @@ impl StoppingRule {
         if k == 0 {
             return false;
         }
-        let last_ei = state.eis[k - 1];
-        let best = state.bests[k - 1].abs().max(1e-12);
+        // Steps k-2, k-1 and k.
+        let [(ei_2, best_2), (ei_1, best_1), (last_ei, last_best)] = state.last;
+        let best = last_best.abs().max(1e-12);
         match *self {
             StoppingRule::Naive { epsilon } => last_ei < epsilon * best,
             StoppingRule::Cautious { epsilon } => {
@@ -78,13 +82,12 @@ impl StoppingRule {
                     return false;
                 }
                 // (i) EI decreased in the last 2 iterations.
-                let decreasing =
-                    state.eis[k - 1] < state.eis[k - 2] && state.eis[k - 2] < state.eis[k - 3];
+                let decreasing = last_ei < ei_1 && ei_1 < ei_2;
                 // (ii) the k-th EI is marginal w.r.t. the best sampled KPI.
                 let marginal = last_ei < epsilon * best;
                 // (iii) the (k-1)-th exploration barely improved the KPI.
-                let prev_best = state.bests[k - 3].abs().max(1e-12);
-                let improvement = (state.bests[k - 2] - state.bests[k - 3]).abs() / prev_best;
+                let prev_best = best_2.abs().max(1e-12);
+                let improvement = (best_1 - best_2).abs() / prev_best;
                 let stalled = improvement <= epsilon;
                 decreasing && marginal && stalled
             }

@@ -2,7 +2,7 @@
 
 use crate::abort::{Abort, AbortCode, TxResult};
 use crate::backend::TmBackend;
-use crate::heap::Addr;
+use crate::heap::{Addr, Heap};
 use crate::stats::LocalStats;
 use crate::system::ThreadCtx;
 use crate::util::backoff;
@@ -104,6 +104,26 @@ impl Tx<'_> {
     pub fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
         self.ctx.ops_writes += 1;
         self.backend.write(self.ctx, addr, val)
+    }
+
+    /// Allocate `words` contiguous heap words, as [`Heap::alloc`] does, for
+    /// a record this transaction links in. An attempt that rolls back does
+    /// not lose them: this thread's next allocation of the same size on the
+    /// same heap takes them back. Either way the words hold stale values,
+    /// so the transaction writes every one it reads later.
+    pub fn alloc(&mut self, heap: &Heap, words: usize) -> Addr {
+        let id = std::ptr::from_ref(heap) as usize;
+        let spare = self
+            .ctx
+            .spare_allocs
+            .iter()
+            .position(|&(h, _, w)| h == id && w as usize == words);
+        let addr = match spare {
+            Some(i) => self.ctx.spare_allocs.swap_remove(i).1,
+            None => heap.alloc(words),
+        };
+        self.ctx.tx_allocs.push((id, addr, words as u32));
+        addr
     }
 
     /// Request an explicit abort-and-retry of the block (TM `retry`).
@@ -215,6 +235,7 @@ fn attempt_once<T>(
 ) -> TxResult<(T, bool)> {
     ctx.ops_reads = 0;
     ctx.ops_writes = 0;
+    ctx.tx_allocs.clear();
     backend.begin(ctx)?;
     let result = {
         let mut tx = Tx { backend, ctx };
@@ -226,16 +247,24 @@ fn attempt_once<T>(
             match backend.commit(ctx) {
                 Ok(()) => Ok((value, via_fallback)),
                 Err(a) => {
-                    backend.rollback(ctx);
+                    roll_back(backend, ctx);
                     Err(a)
                 }
             }
         }
         Err(a) => {
-            backend.rollback(ctx);
+            roll_back(backend, ctx);
             Err(a)
         }
     }
+}
+
+/// Roll back an attempt's body or commit, keeping its allocations for the
+/// thread's next attempt.
+#[inline(always)]
+fn roll_back(backend: &dyn TmBackend, ctx: &mut ThreadCtx) {
+    backend.rollback(ctx);
+    ctx.keep_rolled_back_allocs();
 }
 
 /// The retry ladder behind [`try_run_tx`]'s first-attempt fast path:
@@ -267,6 +296,7 @@ fn retry_ladder<T>(
         }
         ctx.ops_reads = 0;
         ctx.ops_writes = 0;
+        ctx.tx_allocs.clear();
         if let Err(a) = backend.begin(ctx) {
             local.record_abort(a.code());
             ctx.attempt += 1;
@@ -287,14 +317,14 @@ fn retry_ladder<T>(
                         break Some(value);
                     }
                     Err(a) => {
-                        backend.rollback(ctx);
+                        roll_back(backend, ctx);
                         local.record_abort(a.code());
                         local.record_wasted(ctx.ops_reads, ctx.ops_writes);
                     }
                 }
             }
             Err(a) => {
-                backend.rollback(ctx);
+                roll_back(backend, ctx);
                 local.record_abort(a.code());
                 local.record_wasted(ctx.ops_reads, ctx.ops_writes);
             }
@@ -450,6 +480,42 @@ mod tests {
             assert_eq!(obs::counter("tx.abort.test-telemetry.explicit").get(), 2);
             assert_eq!(obs::counter("tx.abort.test-telemetry.conflict").get(), 0);
         });
+    }
+
+    /// An attempt's `Tx::alloc` survives its rollback: the retries take the
+    /// same words back, a committed allocation is never handed out again,
+    /// and a size or heap it does not match allocates afresh.
+    #[test]
+    fn rolled_back_allocations_go_to_the_next_attempt() {
+        let sys = Arc::new(TmSystem::new(64));
+        let other = Heap::new(64);
+        let tm = GlobalLockTm::new(Arc::clone(&sys));
+        let mut ctx = ThreadCtx::new(0);
+        let mut first = None;
+        let node = run_tx(&tm, &mut ctx, |tx| {
+            let node = tx.alloc(&sys.heap, 3);
+            assert_eq!(*first.get_or_insert(node), node, "attempt {}", tx.attempt());
+            if tx.attempt() < 3 {
+                return tx.retry();
+            }
+            Ok(node)
+        });
+        assert_eq!(sys.heap.allocated(), 3, "four attempts, one node");
+        // Committed: the next transaction's node is fresh.
+        let next = run_tx(&tm, &mut ctx, |tx| Ok(tx.alloc(&sys.heap, 3)));
+        assert_ne!(next, node);
+        assert_eq!(sys.heap.allocated(), 6);
+        // A spare of 3 words on `sys.heap` serves neither 2 words nor
+        // another heap.
+        let _: Option<()> = try_run_tx(&tm, &mut ctx, 1, |tx| {
+            tx.alloc(&sys.heap, 3);
+            tx.retry()
+        });
+        run_tx(&tm, &mut ctx, |tx| {
+            tx.alloc(&sys.heap, 2);
+            Ok(tx.alloc(&other, 3))
+        });
+        assert_eq!((sys.heap.allocated(), other.allocated()), (11, 3));
     }
 
     #[test]

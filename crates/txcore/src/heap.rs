@@ -110,8 +110,9 @@ impl Heap {
     /// Allocate `n` contiguous words and return the address of the first.
     ///
     /// The words are zero-initialized on first allocation. Allocation is
-    /// non-transactional: an aborted transaction may leak its allocations,
-    /// which is benign for benchmarking purposes.
+    /// non-transactional: a transaction that calls this directly leaks its
+    /// allocations when it aborts. `Tx::alloc` does not: it hands a
+    /// rolled-back attempt's words to the thread's next allocation.
     ///
     /// # Panics
     ///

@@ -1,7 +1,7 @@
 //! Shared TM system state and the per-thread transaction context.
 
 use crate::clock::GlobalClock;
-use crate::heap::Heap;
+use crate::heap::{Addr, Heap};
 use crate::orec::{OrecTable, OwnerTag};
 use crate::sets::{LineSet, ReadSet, WriteSet};
 use crate::stats::ThreadStats;
@@ -164,6 +164,12 @@ pub struct ThreadCtx {
     pub(crate) pending_committed_writes: u64,
     /// First-try commits since the last ledger flush (flush cadence).
     pub(crate) pending_txs: u32,
+    /// Heap words the current attempt allocated through `Tx::alloc`, as
+    /// `(heap, address, words)`, the heap by its address.
+    pub(crate) tx_allocs: Vec<(usize, Addr, u32)>,
+    /// The allocations of this thread's rolled-back attempts, each kept
+    /// for its next allocation of the same size on the same heap.
+    pub(crate) spare_allocs: Vec<(usize, Addr, u32)>,
 }
 
 /// First-try commits buffered in the pending work ledger before it folds
@@ -199,6 +205,17 @@ impl ThreadCtx {
             pending_committed_reads: 0,
             pending_committed_writes: 0,
             pending_txs: 0,
+            tx_allocs: Vec::new(),
+            spare_allocs: Vec::new(),
+        }
+    }
+
+    /// Keep a rolled-back attempt's allocations for this thread's next
+    /// allocations of the same sizes.
+    #[inline]
+    pub(crate) fn keep_rolled_back_allocs(&mut self) {
+        if !self.tx_allocs.is_empty() {
+            self.spare_allocs.append(&mut self.tx_allocs);
         }
     }
 
