@@ -7,8 +7,9 @@
 //!   past a ranking's sorted prefix sorts the rest, `Ranking::sort_rest`),
 //!   ensemble predictions, distinct KNN prefixes and the bootstrap entries
 //!   examined to find them (`BaggingEnsemble::predict_stats`), selections,
-//!   candidates offered and candidates scored (`Acquisition::select`), and
-//!   MF SGD steps (`MfModel::fit`). They are the same at every `--jobs`.
+//!   candidates offered and candidates scored (`Acquisition::select`), MF
+//!   SGD steps (`MfModel::fit`) and MF fold-in steps
+//!   (`MfModel::predict_rows`). They are the same at every `--jobs`.
 //! * Allocation columns count the calling thread's allocations and bytes
 //!   requested, with no trace active, at `--jobs 1` (every stage then runs
 //!   on the calling thread). At other job counts the pool's threads
@@ -72,7 +73,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// The work counters, as `(obs name, column header)`.
-const WORK: [(&str, &str); 9] = [
+const WORK: [(&str, &str); 10] = [
     ("recsys.knn.kernels", "kernels"),
     ("recsys.knn.sorts", "sorts"),
     ("recsys.bagging.predictions", "predict"),
@@ -82,6 +83,7 @@ const WORK: [(&str, &str); 9] = [
     ("smbo.select.candidates", "offered"),
     ("smbo.select.scored", "scored"),
     ("recsys.mf.sgd_steps", "sgd_steps"),
+    ("recsys.mf.foldin_steps", "foldin"),
 ];
 
 /// What one stage costs.

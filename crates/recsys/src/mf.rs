@@ -8,7 +8,9 @@ use rand::{Rng, SeedableRng};
 /// MF hyper-parameters (subject to the random-search tuner).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MfParams {
-    /// Latent-factor dimensionality `d`.
+    /// Latent-factor dimensionality `d`; 0 counts as 1. At most 16: the
+    /// SGD kernel is compiled for each `d` up to that, and fitting or
+    /// folding in with more panics.
     pub factors: usize,
     /// SGD learning rate.
     pub learning_rate: f64,
@@ -19,6 +21,9 @@ pub struct MfParams {
     /// RNG seed for the random initialization.
     pub seed: u64,
 }
+
+/// The largest [`MfParams::factors`] the SGD kernel is built for.
+const MAX_FACTORS: usize = 16;
 
 impl Default for MfParams {
     fn default() -> Self {
@@ -32,6 +37,22 @@ impl Default for MfParams {
     }
 }
 
+impl MfParams {
+    /// The factor count the kernel runs at.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factors` exceeds [`MAX_FACTORS`].
+    fn d(&self) -> usize {
+        let d = self.factors.max(1);
+        assert!(
+            d <= MAX_FACTORS,
+            "MfParams::factors is {d}, more than the {MAX_FACTORS} the SGD kernel supports"
+        );
+        d
+    }
+}
+
 /// A fitted MF model: `R ≈ Pᵀ Q` with users (workloads) in `P` and items
 /// (configurations) in `Q`. New workloads are *folded in* by learning a
 /// user vector against the frozen item factors.
@@ -42,23 +63,97 @@ pub struct MfModel {
 }
 
 /// `Σ p·q` in index order — every prediction and SGD error term.
+/// `Iterator::sum` starts from `-0.0`, which adds exactly, so the sum
+/// starts from the first product.
 fn dot(p: &[f64], q: &[f64]) -> f64 {
     p.iter().zip(q).map(|(p, q)| p * q).sum()
 }
 
-impl MfModel {
-    /// Train item factors on the training matrix's known entries.
-    ///
-    /// Both factor matrices are flat and row-major with stride `d`, drawn
-    /// user by user and then item by item; each known entry is stored as
-    /// the offsets of its two factor rows.
-    pub fn fit(training: &UtilityMatrix, params: MfParams) -> Self {
-        let d = params.factors.max(1);
+/// The `D` factors at offset `at` of a flat, row-major factor matrix.
+fn factors<const D: usize>(flat: &[f64], at: usize) -> &[f64; D] {
+    flat[at..at + D].try_into().expect("a slice of D factors")
+}
+
+/// [`factors`], mutably.
+fn factors_mut<const D: usize>(flat: &mut [f64], at: usize) -> &mut [f64; D] {
+    (&mut flat[at..at + D])
+        .try_into()
+        .expect("a slice of D factors")
+}
+
+/// [`dot`] at a factor count known at compile time: the same products,
+/// added in the same order.
+#[inline(always)]
+fn dot_d<const D: usize>(p: &[f64; D], q: &[f64; D]) -> f64 {
+    let mut sum = p[0] * q[0];
+    for f in 1..D {
+        sum += p[f] * q[f];
+    }
+    sum
+}
+
+/// One independent SGD model: a fixed sequence of steps, one per known
+/// entry, repeated every epoch. Steps of different chains touch disjoint
+/// factors, so interleaving them changes no chain's bits.
+trait Chain {
+    /// Steps per epoch.
+    fn len(&self) -> usize;
+    /// The step on known entry `k`, at `D` factors.
+    fn step<const D: usize>(&mut self, k: usize, lr: f64, reg: f64);
+}
+
+/// Run every chain's epochs side by side, so that one chain's steps fill
+/// the latency of another's: each epoch takes entry `k` of every chain for
+/// each `k` they all have, then finishes each chain's remaining entries
+/// alone. Within a chain the steps keep their order.
+fn lockstep<const D: usize, C: Chain>(chains: &mut [C], epochs: usize, lr: f64, reg: f64) {
+    let common = chains.iter().map(C::len).min().unwrap_or(0);
+    for _ in 0..epochs {
+        for k in 0..common {
+            for chain in chains.iter_mut() {
+                chain.step::<D>(k, lr, reg);
+            }
+        }
+        for chain in chains.iter_mut() {
+            for k in common..chain.len() {
+                chain.step::<D>(k, lr, reg);
+            }
+        }
+    }
+}
+
+/// `params.epochs` SGD passes over every chain in [`lockstep`], at the
+/// factor count compiled for `params.factors`.
+fn sgd<C: Chain>(chains: &mut [C], params: &MfParams) {
+    let (lr, reg, epochs) = (params.learning_rate, params.regularization, params.epochs);
+    macro_rules! lockstep_at {
+        ($($d:literal)*) => {
+            match params.d() {
+                $($d => lockstep::<$d, C>(chains, epochs, lr, reg),)*
+                _ => unreachable!("MfParams::d caps the factor count"),
+            }
+        };
+    }
+    lockstep_at!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+}
+
+/// Training on one matrix: both factor matrices are flat and row-major
+/// with stride `d`, drawn user by user and then item by item; each known
+/// entry is stored as the offsets of its two factor rows.
+struct Fit {
+    users: Vec<f64>,
+    items: Vec<f64>,
+    entries: Vec<(usize, usize, f64)>,
+}
+
+impl Fit {
+    fn new(training: &UtilityMatrix, params: &MfParams) -> Self {
+        let d = params.d();
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut users: Vec<f64> = (0..training.nrows() * d)
+        let users: Vec<f64> = (0..training.nrows() * d)
             .map(|_| rng.gen_range(-0.1..0.1))
             .collect();
-        let mut items: Vec<f64> = (0..training.ncols() * d)
+        let items: Vec<f64> = (0..training.ncols() * d)
             .map(|_| rng.gen_range(-0.1..0.1))
             .collect();
         let entries: Vec<(usize, usize, f64)> = (0..training.nrows())
@@ -68,57 +163,161 @@ impl MfModel {
                     .map(move |(c, v)| (r * d, c * d, v))
             })
             .collect();
-        let (lr, reg) = (params.learning_rate, params.regularization);
-        for _ in 0..params.epochs {
-            for &(u, i, r) in &entries {
-                let pu = &mut users[u..u + d];
-                let qi = &mut items[i..i + d];
-                let err = r - dot(pu, qi);
-                for (p, q) in pu.iter_mut().zip(qi.iter_mut()) {
-                    let (p0, q0) = (*p, *q);
-                    *p += lr * (err * q0 - reg * p0);
-                    *q += lr * (err * p0 - reg * q0);
-                }
-            }
+        Fit {
+            users,
+            items,
+            entries,
         }
-        if obs::enabled() {
-            obs::counter("recsys.mf.sgd_steps").add((params.epochs * entries.len()) as u64);
+    }
+}
+
+impl Chain for Fit {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    #[inline(always)]
+    fn step<const D: usize>(&mut self, k: usize, lr: f64, reg: f64) {
+        let (u, i, r) = self.entries[k];
+        // Copies in and out: the compiler cannot tell that the two rows
+        // never overlap, and only on copies does it pair the factors into
+        // packed arithmetic.
+        let mut pu = *factors::<D>(&self.users, u);
+        let mut qi = *factors::<D>(&self.items, i);
+        let err = r - dot_d(&pu, &qi);
+        for f in 0..D {
+            let (p0, q0) = (pu[f], qi[f]);
+            pu[f] += lr * (err * q0 - reg * p0);
+            qi[f] += lr * (err * p0 - reg * q0);
         }
+        *factors_mut::<D>(&mut self.users, u) = pu;
+        *factors_mut::<D>(&mut self.items, i) = qi;
+    }
+}
+
+/// One row's fold-in: its user vector against the frozen item factors,
+/// one step per known entry of the row.
+struct FoldIn<'a> {
+    user: [f64; MAX_FACTORS],
+    /// The row's known entries, as (item factor offset, rating).
+    observed: &'a [(usize, f64)],
+    items: &'a [f64],
+}
+
+impl Chain for FoldIn<'_> {
+    fn len(&self) -> usize {
+        self.observed.len()
+    }
+
+    #[inline(always)]
+    fn step<const D: usize>(&mut self, k: usize, lr: f64, reg: f64) {
+        let (i, r) = self.observed[k];
+        let mut pu = *factors::<D>(&self.user, 0);
+        let qi = factors::<D>(self.items, i);
+        let err = r - dot_d(&pu, qi);
+        for f in 0..D {
+            pu[f] += lr * (err * qi[f] - reg * pu[f]);
+        }
+        *factors_mut::<D>(&mut self.user, 0) = pu;
+    }
+}
+
+/// Rows [`MfModel::predict_rows`] folds in side by side.
+const FOLD_IN_GROUP: usize = 4;
+
+impl MfModel {
+    /// Train item factors on the training matrix's known entries.
+    pub fn fit(training: &UtilityMatrix, params: MfParams) -> Self {
+        let mut chain = [Fit::new(training, &params)];
+        Self::sgd_fits(&mut chain, params);
+        let [fit] = chain;
         MfModel {
-            item_factors: items,
+            item_factors: fit.items,
             params,
+        }
+    }
+
+    /// [`Self::fit`] on each matrix, the fits trained side by side: the
+    /// models are those `fit` returns, bit for bit.
+    pub fn fit_folds(trainings: &[&UtilityMatrix], params: MfParams) -> Vec<Self> {
+        let mut chains: Vec<Fit> = trainings.iter().map(|t| Fit::new(t, &params)).collect();
+        Self::sgd_fits(&mut chains, params);
+        chains
+            .into_iter()
+            .map(|fit| MfModel {
+                item_factors: fit.items,
+                params,
+            })
+            .collect()
+    }
+
+    fn sgd_fits(chains: &mut [Fit], params: MfParams) {
+        sgd(chains, &params);
+        if obs::enabled() {
+            let steps: usize = chains.iter().map(Fit::len).sum();
+            obs::counter("recsys.mf.sgd_steps").add((params.epochs * steps) as u64);
         }
     }
 
     /// Learn a user vector for a new workload (frozen item factors), then
     /// predict every column. Known entries pass through unchanged.
     pub fn predict_row(&self, known: &Row) -> Row {
-        let d = self.params.factors.max(1);
+        self.predict_rows(std::slice::from_ref(known))
+            .pop()
+            .expect("one row in, one row out")
+    }
+
+    /// [`Self::predict_row`] for each row; the rows' user vectors are
+    /// learnt side by side, a few rows at a time.
+    pub fn predict_rows(&self, rows: &[Row]) -> Vec<Row> {
+        let d = self.params.d();
         let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x9E37);
-        let mut user: Vec<f64> = (0..d).map(|_| rng.gen_range(-0.1..0.1)).collect();
-        let observed: Vec<(&[f64], f64)> = known_entries(known)
-            .map(|(i, r)| (&self.item_factors[i * d..(i + 1) * d], r))
+        let mut start = [0.0; MAX_FACTORS];
+        for p in &mut start[..d] {
+            *p = rng.gen_range(-0.1..0.1);
+        }
+        let observed: Vec<(usize, f64)> = rows
+            .iter()
+            .flat_map(|known| known_entries(known).map(|(i, r)| (i * d, r)))
             .collect();
-        let (lr, reg) = (self.params.learning_rate, self.params.regularization);
-        for _ in 0..self.params.epochs {
-            for &(qi, r) in &observed {
-                let err = r - dot(&user, qi);
-                for (pu, q) in user.iter_mut().zip(qi) {
-                    *pu += lr * (err * q - reg * *pu);
-                }
+        if obs::enabled() {
+            obs::counter("recsys.mf.foldin_steps")
+                .add((self.params.epochs * observed.len()) as u64);
+        }
+        let mut out = Vec::with_capacity(rows.len());
+        let mut chains: [FoldIn; FOLD_IN_GROUP] = std::array::from_fn(|_| FoldIn {
+            user: start,
+            observed: &[],
+            items: &self.item_factors,
+        });
+        let mut rest = &observed[..];
+        for group in rows.chunks(FOLD_IN_GROUP) {
+            let chains = &mut chains[..group.len()];
+            for (known, chain) in group.iter().zip(chains.iter_mut()) {
+                let (mine, later) = rest.split_at(known_entries(known).count());
+                rest = later;
+                chain.user = start;
+                chain.observed = mine;
+            }
+            sgd(chains, &self.params);
+            for (known, chain) in group.iter().zip(chains.iter()) {
+                let user = &chain.user[..d];
+                out.push(
+                    self.item_factors
+                        .chunks_exact(d)
+                        .enumerate()
+                        .map(|(i, qi)| {
+                            known
+                                .get(i)
+                                .copied()
+                                .flatten()
+                                .or_else(|| Some(dot(user, qi)))
+                        })
+                        .collect(),
+                );
             }
         }
-        self.item_factors
-            .chunks_exact(d)
-            .enumerate()
-            .map(|(i, qi)| {
-                known
-                    .get(i)
-                    .copied()
-                    .flatten()
-                    .or_else(|| Some(dot(&user, qi)))
-            })
-            .collect()
+        out
     }
 }
 

@@ -1,11 +1,11 @@
 //! Hyper-parameter selection by random search + k-fold cross-validation
 //! (paper §5.1, following Bergstra & Bengio's random-search methodology).
 
-use crate::knn::Similarity;
+use crate::knn::{KnnModel, Similarity};
 use crate::matrix::{Row, UtilityMatrix};
 use crate::metrics::mape;
-use crate::mf::MfParams;
-use crate::predictor::{CfAlgorithm, CfPredictor};
+use crate::mf::{MfModel, MfParams};
+use crate::predictor::CfAlgorithm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,15 +79,24 @@ fn random_candidate(rng: &mut StdRng, knn_only: bool) -> CfAlgorithm {
     }
 }
 
-/// Cross-validated MAPE of one candidate on the training matrix, plus the
-/// per-fold span records buffered for later serial replay (empty when no
-/// trace is active — this function runs inside `parx` workers and must
-/// never write the trace itself).
-fn cv_score(
-    training: &UtilityMatrix,
-    algo: CfAlgorithm,
-    opts: &TuningOptions,
-) -> (f64, Vec<obs::PendingEvent>) {
+/// One cross-validation fold: the rows of every other fold, and the rows
+/// of this one that are scored, each with a fraction of its entries
+/// hidden.
+struct Fold {
+    /// The other folds' rows; empty if there are none, and then nothing is
+    /// fitted for the fold.
+    training: UtilityMatrix,
+    /// Each scored row with its hidden entries set to `None`.
+    masked: Vec<Row>,
+    /// Per masked row, its hidden `(column, rating)`s in column order.
+    hidden: Vec<Vec<(usize, f64)>>,
+}
+
+/// The cross-validation split: the shuffled fold assignment and each
+/// held-out row's mask. It comes from an RNG seeded by `opts.seed` alone
+/// and its draws do not depend on the model, so every candidate is scored
+/// on this one split.
+fn draw_split(training: &UtilityMatrix, opts: &TuningOptions) -> Vec<Fold> {
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xC0FFEE);
     let nrows = training.nrows();
     let folds = opts.folds.clamp(2, nrows.max(2));
@@ -97,54 +106,102 @@ fn cv_score(
         let j = rng.gen_range(0..=i);
         assignment.swap(i, j);
     }
+    (0..folds)
+        .map(|fold| {
+            let fit_rows: Vec<Row> = (0..nrows)
+                .filter(|&r| assignment[r] != fold)
+                .map(|r| training.row(r).clone())
+                .collect();
+            let mut masked = Vec::new();
+            let mut hidden = Vec::new();
+            if !fit_rows.is_empty() {
+                for r in (0..nrows).filter(|&r| assignment[r] == fold) {
+                    let known: Vec<(usize, f64)> = training.known_in_row(r).collect();
+                    if known.len() < 2 {
+                        continue;
+                    }
+                    // Hide a fraction of this row's entries, to predict back.
+                    let mut hide = Vec::new();
+                    let mut row = training.row(r).clone();
+                    for &(c, real) in &known {
+                        if rng.gen_bool(opts.holdout_fraction) && hide.len() + 1 < known.len() {
+                            hide.push((c, real));
+                            row[c] = None;
+                        }
+                    }
+                    if !hide.is_empty() {
+                        masked.push(row);
+                        hidden.push(hide);
+                    }
+                }
+            }
+            Fold {
+                training: UtilityMatrix::from_rows(fit_rows),
+                masked,
+                hidden,
+            }
+        })
+        .collect()
+}
+
+/// Each fold's predictions of its masked rows under `algo`: an MF
+/// candidate fits its folds side by side and folds their rows in together.
+fn predict_folds(split: &[Fold], algo: CfAlgorithm) -> Vec<Vec<Row>> {
+    match algo {
+        CfAlgorithm::Knn { similarity, k } => split
+            .iter()
+            .map(|f| {
+                if f.training.is_empty() {
+                    return Vec::new();
+                }
+                let model = KnnModel::of(&f.training, similarity, k);
+                f.masked.iter().map(|row| model.predict_row(row)).collect()
+            })
+            .collect(),
+        CfAlgorithm::Mf(params) => {
+            let trainings: Vec<&UtilityMatrix> = split
+                .iter()
+                .filter(|f| !f.training.is_empty())
+                .map(|f| &f.training)
+                .collect();
+            let mut models = MfModel::fit_folds(&trainings, params).into_iter();
+            split
+                .iter()
+                .map(|f| {
+                    if f.training.is_empty() {
+                        return Vec::new();
+                    }
+                    let model = models.next().expect("a model per fitted fold");
+                    model.predict_rows(&f.masked)
+                })
+                .collect()
+        }
+    }
+}
+
+/// Cross-validated MAPE of one candidate on the split, plus the per-fold
+/// span records buffered for later serial replay (empty when no trace is
+/// active — this function runs inside `parx` workers and must never write
+/// the trace itself).
+fn cv_score(split: &[Fold], algo: CfAlgorithm) -> (f64, Vec<obs::PendingEvent>) {
+    let predictions = predict_folds(split, algo);
     let mut trace: Vec<obs::PendingEvent> = Vec::new();
     let mut pairs: Vec<(f64, f64)> = Vec::new();
-    for fold in 0..folds {
+    for (fold, (f, preds)) in split.iter().zip(&predictions).enumerate() {
+        let before = pairs.len();
+        for (hide, pred) in f.hidden.iter().zip(preds) {
+            for &(c, real) in hide {
+                if let Some(p) = pred[c] {
+                    pairs.push((real, p));
+                }
+            }
+        }
         if obs::enabled() {
             trace.push(obs::pending_event!(
                 obs::SPAN_BEGIN,
                 "name" => "cv.fold",
                 "fold" => fold,
             ));
-        }
-        let before = pairs.len();
-        let fit_rows: Vec<Row> = (0..nrows)
-            .filter(|&r| assignment[r] != fold)
-            .map(|r| training.row(r).clone())
-            .collect();
-        if !fit_rows.is_empty() {
-            let model = CfPredictor::fit(UtilityMatrix::from_rows(fit_rows), algo);
-            for r in (0..nrows).filter(|&r| assignment[r] == fold) {
-                let full = training.row(r);
-                let known_cols: Vec<usize> = full
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(c, v)| v.map(|_| c))
-                    .collect();
-                if known_cols.len() < 2 {
-                    continue;
-                }
-                // Hide a fraction of this row's entries, predict them back.
-                let mut hidden = Vec::new();
-                let mut masked = full.clone();
-                for &c in &known_cols {
-                    if rng.gen_bool(opts.holdout_fraction) && hidden.len() + 1 < known_cols.len() {
-                        hidden.push(c);
-                        masked[c] = None;
-                    }
-                }
-                if hidden.is_empty() {
-                    continue;
-                }
-                let pred = model.predict_row(&masked);
-                for c in hidden {
-                    if let (Some(real), Some(p)) = (full[c], pred[c]) {
-                        pairs.push((real, p));
-                    }
-                }
-            }
-        }
-        if obs::enabled() {
             trace.push(obs::pending_event!(
                 obs::SPAN_END,
                 "name" => "cv.fold",
@@ -178,12 +235,13 @@ pub fn tune_cf(training: &UtilityMatrix, opts: &TuningOptions) -> CvReport {
     while candidates.len() < opts.n_candidates.max(2) {
         candidates.push(random_candidate(&mut rng, opts.knn_only));
     }
-    // Candidates are drawn serially above; each CV evaluation re-seeds its
-    // own fold/holdout RNG from `opts.seed`, so scoring them on the parx
-    // pool returns exactly the serial result in the serial order.
+    // Candidates are drawn serially above and all score on one split, so
+    // scoring them on the parx pool returns exactly the serial result in
+    // the serial order.
+    let split = draw_split(training, opts);
     let scored: Vec<(CfAlgorithm, f64, Vec<obs::PendingEvent>)> =
         parx::par_map(&candidates, |&c| {
-            let (score, fold_trace) = cv_score(training, c, opts);
+            let (score, fold_trace) = cv_score(&split, c);
             (c, score, fold_trace)
         });
     // Assemble the replay buffer in candidate order: one `cv.candidate`

@@ -193,3 +193,113 @@ fn mf_ensemble_matches_reference_fold_at_every_job_count() {
     }
     assert!(many_known >= 8, "many-known queries in only {many_known}");
 }
+
+/// [`random_params`] at a given `d`, with enough epochs that a chain's
+/// tail, or a fold-in's, moves the factors.
+fn params_at(rng: &mut StdRng, factors: usize) -> MfParams {
+    MfParams {
+        factors,
+        epochs: rng.gen_range(1..=12),
+        ..random_params(rng)
+    }
+}
+
+/// `fit_folds` trains its chains side by side; each must come out as the
+/// reference fit of its own matrix, however many entries the others have.
+#[test]
+fn lockstep_folds_match_the_reference_chain_by_chain() {
+    let mut rng = StdRng::seed_from_u64(0x4D_46_F0);
+    let (mut uneven, mut chains_seen) = (0, [0; 5]);
+    for case in 0..150 {
+        let factors = if case % 14 == 13 { 16 } else { case % 14 };
+        let params = params_at(&mut rng, factors);
+        let ncols = rng.gen_range(1..=16);
+        let n = 1 + case % 4;
+        // Matrices over the same columns, with holes and different row
+        // counts, so that the chains' entry counts differ.
+        let trainings: Vec<UtilityMatrix> = (0..n)
+            .map(|k| {
+                let nrows = rng.gen_range(1..=10);
+                let density = [1.0, 0.3, 0.7][(case + k) % 3];
+                UtilityMatrix::from_rows(
+                    (0..nrows)
+                        .map(|_| {
+                            (0..ncols)
+                                .map(|_| rng.gen_bool(density).then(|| rng.gen_range(-5.0..5.0)))
+                                .collect()
+                        })
+                        .collect(),
+                )
+            })
+            .collect();
+        let counts: Vec<usize> = trainings.iter().map(UtilityMatrix::known_count).collect();
+        uneven += usize::from(counts.iter().any(|&c| c != counts[0]));
+        chains_seen[n] += 1;
+        let refs: Vec<&UtilityMatrix> = trainings.iter().collect();
+        let models = MfModel::fit_folds(&refs, params);
+        assert_eq!(models.len(), n);
+        for (chain, (model, training)) in models.iter().zip(&trainings).enumerate() {
+            let items = reference_fit(training, params);
+            for q in 0..3 {
+                let known = random_query(&mut rng, ncols, case + q);
+                assert_eq!(
+                    bits(&model.predict_row(&known)),
+                    bits(&reference_predict_row(&items, params, &known)),
+                    "case {case} chain {chain}/{n} query {q} diverged\n params={params:?}\n entries={counts:?}\n known={known:?}"
+                );
+            }
+        }
+    }
+    assert!(uneven >= 80, "uneven entry counts in only {uneven} cases");
+    assert!(chains_seen[1..].iter().all(|&n| n >= 30), "{chains_seen:?}");
+}
+
+/// `predict_rows` folds rows in side by side, a few at a time; each row
+/// must come out as the reference fold-in of that row alone.
+#[test]
+fn batched_fold_in_matches_the_reference_row_by_row() {
+    let mut rng = StdRng::seed_from_u64(0x4D_46_B4);
+    let (mut knows_none, mut knows_one, mut knows_many) = (0, 0, 0);
+    for case in 0..140 {
+        let factors = if case % 14 == 13 { 16 } else { case % 14 };
+        let params = params_at(&mut rng, factors);
+        let training = random_training(&mut rng, case);
+        let model = MfModel::fit(&training, params);
+        let items = reference_fit(&training, params);
+        let batch = case % 10;
+        let rows: Vec<Row> = (0..batch)
+            .map(|q| random_query(&mut rng, training.ncols(), case + q))
+            .collect();
+        let got = model.predict_rows(&rows);
+        assert_eq!(got.len(), batch, "case {case}");
+        for (q, (known, got)) in rows.iter().zip(&got).enumerate() {
+            match known.iter().flatten().count() {
+                0 => knows_none += 1,
+                1 => knows_one += 1,
+                _ => knows_many += 1,
+            }
+            assert_eq!(
+                bits(got),
+                bits(&reference_predict_row(&items, params, known)),
+                "case {case} row {q}/{batch} diverged\n params={params:?}\n rows={rows:?}"
+            );
+        }
+    }
+    assert!(
+        [knows_none, knows_one, knows_many]
+            .iter()
+            .all(|&n| n >= 100),
+        "rows knowing none, one, many columns: {knows_none}, {knows_one}, {knows_many}"
+    );
+}
+
+#[test]
+#[should_panic(expected = "MfParams::factors is 17")]
+fn more_than_sixteen_factors_panics() {
+    let training = UtilityMatrix::from_rows(vec![vec![Some(1.0), Some(2.0)]]);
+    let params = MfParams {
+        factors: 17,
+        ..MfParams::default()
+    };
+    MfModel::fit(&training, params);
+}
