@@ -11,7 +11,8 @@
 //!   set on a scoped worker pool and return results **in index order**.
 //!   As long as each task is a pure function of its index (all the call
 //!   sites in this workspace derive their RNG seeds from stable ids),
-//!   the output is byte-identical for every job count, including 1.
+//!   the output is byte-identical for every job count, including 1, and
+//!   every instruction set (below).
 //! * The pool size is the calling thread's [`with_jobs`] scope (the
 //!   `experiments --jobs N` flag runs the whole plan inside one, and the
 //!   determinism tests open one per job count), otherwise
@@ -29,6 +30,15 @@
 //! milliseconds (the stages above), a loss for tasks of microseconds —
 //! which is why a bagging ensemble's member *predictions*, issued between
 //! every two samples of an exploration, fold on the calling thread.
+//!
+//! [`wide`] runs a kernel compiled a second time for AVX2 when the
+//! processor has it. It enables no fused multiply-add, and Rust neither
+//! fuses `a * b + c` nor reassociates floating-point operations, so each
+//! lane of a wide instruction rounds exactly as the baseline's SSE2 does:
+//! results are bit-identical for every job count *and every instruction
+//! set*. This is the crate's one `unsafe` block.
+
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -138,6 +148,31 @@ where
     par_map_indexed(items.len(), |i| f(&items[i]))
 }
 
+/// Call `f`, compiled for AVX2 when the processor has it (x86-64 only;
+/// elsewhere, or without AVX2, a plain call). Only code inlined into `f`
+/// is compiled for AVX2: mark the closure and the kernel it calls
+/// `#[inline(always)]`.
+///
+/// AVX2 alone is enabled — not FMA, not AVX-512 — so `f` computes the
+/// same bits either way (crate docs).
+#[inline(always)]
+pub fn wide<T>(f: impl FnOnce() -> T) -> T {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `avx2` requires only the AVX2 target feature, and the
+        // processor was just found to have it.
+        return unsafe { avx2(f) };
+    }
+    f()
+}
+
+/// `f()`, with AVX2 enabled in everything inlined into it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2<T>(f: impl FnOnce() -> T) -> T {
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,6 +232,30 @@ mod tests {
         let empty: Vec<u32> = with_jobs(4, || par_map_indexed(0, |_| 1u32));
         assert!(empty.is_empty());
         assert_eq!(with_jobs(4, || par_map_indexed(1, |i| i)), vec![0]);
+    }
+
+    #[test]
+    fn wide_calls_f_once_and_returns_its_value() {
+        let calls = Cell::new(0);
+        let out = wide(|| {
+            calls.set(calls.get() + 1);
+            vec![1.5f64, -0.25]
+        });
+        assert_eq!(out, vec![1.5, -0.25]);
+        assert_eq!(calls.get(), 1);
+        // Inside pool workers too.
+        let out = with_jobs(3, || {
+            par_map_indexed(12, |i| {
+                let calls = Cell::new(0);
+                let x = wide(|| {
+                    calls.set(calls.get() + 1);
+                    (i as f64).sqrt().to_bits()
+                });
+                (x, calls.get())
+            })
+        });
+        let want: Vec<_> = (0..12).map(|i| ((i as f64).sqrt().to_bits(), 1)).collect();
+        assert_eq!(out, want);
     }
 
     #[test]

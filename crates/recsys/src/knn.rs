@@ -133,13 +133,15 @@ impl fmt::Display for Similarity {
 ///
 /// The ratings are kept column-major: a query knows a handful of columns
 /// and meets every training row, so the similarity kernel takes one pass
-/// per known column over all rows at once (DESIGN.md §5).
+/// per known column over all rows at once (DESIGN.md §5). A fitted model
+/// owns them; the cross-validation tuner's KNN candidates borrow one copy
+/// per fold.
 #[derive(Debug, Clone)]
-pub struct KnnModel {
+pub struct KnnModel<C = Vec<Option<f64>>> {
     nrows: usize,
     ncols: usize,
     /// Column `c`'s ratings are `columns[c * nrows..(c + 1) * nrows]`.
-    columns: Vec<Option<f64>>,
+    columns: C,
     similarity: Similarity,
     k: usize,
 }
@@ -262,6 +264,20 @@ impl KnnModel {
             k: k.max(1),
         }
     }
+}
+
+impl<C: AsRef<[Option<f64>]>> KnnModel<C> {
+    /// The model on the same ratings, borrowed, with another similarity
+    /// and `k`: the model [`KnnModel::fit`] on the same matrix gives.
+    pub(crate) fn with(&self, similarity: Similarity, k: usize) -> KnnModel<&[Option<f64>]> {
+        KnnModel {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            columns: self.columns.as_ref(),
+            similarity,
+            k: k.max(1),
+        }
+    }
 
     /// Number of training rows.
     pub(crate) fn nrows(&self) -> usize {
@@ -281,6 +297,7 @@ impl KnnModel {
     /// Column `c`'s ratings, by row; empty past the last column.
     fn column(&self, c: usize) -> &[Option<f64>] {
         self.columns
+            .as_ref()
             .get(c * self.nrows..(c + 1) * self.nrows)
             .unwrap_or(&[])
     }

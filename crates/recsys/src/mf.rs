@@ -106,6 +106,9 @@ trait Chain {
 /// the latency of another's: each epoch takes entry `k` of every chain for
 /// each `k` they all have, then finishes each chain's remaining entries
 /// alone. Within a chain the steps keep their order.
+///
+/// Always inlined, so that [`sgd`]'s AVX2 build compiles it for AVX2.
+#[inline(always)]
 fn lockstep<const D: usize, C: Chain>(chains: &mut [C], epochs: usize, lr: f64, reg: f64) {
     let common = chains.iter().map(C::len).min().unwrap_or(0);
     for _ in 0..epochs {
@@ -123,8 +126,19 @@ fn lockstep<const D: usize, C: Chain>(chains: &mut [C], epochs: usize, lr: f64, 
 }
 
 /// `params.epochs` SGD passes over every chain in [`lockstep`], at the
-/// factor count compiled for `params.factors`.
+/// factor count compiled for `params.factors`: [`sgd_any`] compiled for
+/// AVX2 when the processor has it, else for the baseline. Both builds
+/// compute the same bits (`parx::wide`).
 fn sgd<C: Chain>(chains: &mut [C], params: &MfParams) {
+    parx::wide(
+        #[inline(always)]
+        || sgd_any(chains, params),
+    )
+}
+
+/// [`sgd`] compiled for whatever instruction set its caller is.
+#[inline(always)]
+fn sgd_any<C: Chain>(chains: &mut [C], params: &MfParams) {
     let (lr, reg, epochs) = (params.learning_rate, params.regularization, params.epochs);
     macro_rules! lockstep_at {
         ($($d:literal)*) => {
@@ -361,6 +375,93 @@ mod tests {
         let known: Row = vec![Some(123.0), None, None, None];
         let pred = model.predict_row(&known);
         assert_eq!(pred[0], Some(123.0));
+    }
+
+    /// `nrows × ncols` ratings in `[0.5, 2)`, each known with probability
+    /// `density`.
+    fn sparse(nrows: usize, ncols: usize, density: f64, rng: &mut StdRng) -> UtilityMatrix {
+        let rows = (0..nrows)
+            .map(|_| {
+                (0..ncols)
+                    .map(|_| rng.gen_bool(density).then(|| rng.gen_range(0.5..2.0)))
+                    .collect()
+            })
+            .collect();
+        UtilityMatrix::from_rows(rows)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// [`sgd`] runs the kernel compiled for AVX2 when the processor has it;
+    /// [`sgd_any`] called here is compiled into this test function, at the
+    /// baseline. Both must train the same bits at every factor count, for
+    /// fits of unequal lengths side by side and for fold-in groups whose
+    /// rows know no, one or many columns.
+    #[test]
+    fn dispatched_kernel_matches_the_baseline_bit_for_bit() {
+        const NCOLS: usize = 9;
+        let mut rng = StdRng::seed_from_u64(59);
+        for d in 1..=MAX_FACTORS {
+            let params = MfParams {
+                factors: d,
+                learning_rate: 0.05,
+                regularization: 0.02,
+                epochs: 12,
+                seed: d as u64,
+            };
+            let trainings: Vec<UtilityMatrix> = (0..4)
+                .map(|i| sparse(5 + 3 * i, NCOLS, 0.4 + 0.15 * i as f64, &mut rng))
+                .collect();
+            for n in 1..=4 {
+                let fits = || -> Vec<Fit> {
+                    trainings[..n]
+                        .iter()
+                        .map(|t| Fit::new(t, &params))
+                        .collect()
+                };
+                let (mut wide, mut base) = (fits(), fits());
+                sgd(&mut wide, &params);
+                sgd_any(&mut base, &params);
+                for (w, b) in wide.iter().zip(&base) {
+                    assert_eq!(bits(&w.users), bits(&b.users), "d {d}, {n} fits");
+                    assert_eq!(bits(&w.items), bits(&b.items), "d {d}, {n} fits");
+                }
+            }
+
+            let items: Vec<f64> = (0..NCOLS * d).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut start = [0.0; MAX_FACTORS];
+            for p in &mut start[..d] {
+                *p = rng.gen_range(-0.1..0.1);
+            }
+            let rating = |c: usize| (c * d, 0.5 + c as f64 / NCOLS as f64);
+            let observed: [Vec<(usize, f64)>; 4] = [
+                Vec::new(),
+                vec![rating(4)],
+                (0..NCOLS).step_by(2).map(rating).collect(),
+                (0..NCOLS).map(rating).collect(),
+            ];
+            for n in 1..=4 {
+                for first in 0..observed.len() {
+                    let group = || -> Vec<FoldIn> {
+                        (0..n)
+                            .map(|j| FoldIn {
+                                user: start,
+                                observed: &observed[(first + j) % observed.len()],
+                                items: &items,
+                            })
+                            .collect()
+                    };
+                    let (mut wide, mut base) = (group(), group());
+                    sgd(&mut wide, &params);
+                    sgd_any(&mut base, &params);
+                    for (w, b) in wide.iter().zip(&base) {
+                        assert_eq!(bits(&w.user), bits(&b.user), "d {d}, {n} rows");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -86,6 +86,10 @@ struct Fold {
     /// The other folds' rows; empty if there are none, and then nothing is
     /// fitted for the fold.
     training: UtilityMatrix,
+    /// `training` as a KNN model, its ratings copied column-major once:
+    /// every KNN candidate borrows them under its own similarity and `k`
+    /// ([`KnnModel::with`]), so this model's own two are never used.
+    knn: KnnModel,
     /// Each scored row with its hidden entries set to `None`.
     masked: Vec<Row>,
     /// Per masked row, its hidden `(column, rating)`s in column order.
@@ -135,8 +139,10 @@ fn draw_split(training: &UtilityMatrix, opts: &TuningOptions) -> Vec<Fold> {
                     }
                 }
             }
+            let training = UtilityMatrix::from_rows(fit_rows);
             Fold {
-                training: UtilityMatrix::from_rows(fit_rows),
+                knn: KnnModel::of(&training, Similarity::Euclidean, 1),
+                training,
                 masked,
                 hidden,
             }
@@ -154,7 +160,7 @@ fn predict_folds(split: &[Fold], algo: CfAlgorithm) -> Vec<Vec<Row>> {
                 if f.training.is_empty() {
                     return Vec::new();
                 }
-                let model = KnnModel::of(&f.training, similarity, k);
+                let model = f.knn.with(similarity, k);
                 f.masked.iter().map(|row| model.predict_row(row)).collect()
             })
             .collect(),
