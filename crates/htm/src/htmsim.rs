@@ -148,7 +148,7 @@ impl TmBackend for HtmSim {
             ctx.reset_logs();
             return;
         }
-        self.core.rollback(ctx);
+        self.core.rollback(&self.sys, ctx);
     }
 }
 
@@ -156,7 +156,7 @@ impl TmBackend for HtmSim {
 mod tests {
     use super::*;
     use crate::params::CapacityPolicy;
-    use crate::spec::LINE_WORDS;
+    use txcore::LINE_WORDS;
     use txcore::{run_tx, Abort, AbortCode};
 
     fn setup() -> (Arc<TmSystem>, HtmSim, ThreadCtx) {

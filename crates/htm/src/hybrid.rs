@@ -95,7 +95,7 @@ impl TmBackend for HybridNOrec {
             self.norec.rollback(ctx);
             return;
         }
-        self.core.rollback(ctx);
+        self.core.rollback(&self.sys, ctx);
     }
 }
 
@@ -103,9 +103,9 @@ impl TmBackend for HybridNOrec {
 mod tests {
     use super::*;
     use crate::params::CapacityPolicy;
-    use crate::spec::LINE_WORDS;
     use std::sync::atomic::Ordering;
     use txcore::run_tx;
+    use txcore::LINE_WORDS;
 
     #[test]
     fn hardware_commit_signals_software_path() {
@@ -300,8 +300,8 @@ impl TmBackend for HybridTl2 {
 mod hybrid_tl2_tests {
     use super::*;
     use crate::params::CapacityPolicy;
-    use crate::spec::LINE_WORDS;
     use txcore::run_tx;
+    use txcore::LINE_WORDS;
 
     #[test]
     fn small_transactions_stay_speculative() {

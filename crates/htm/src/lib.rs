@@ -30,4 +30,4 @@ mod spec;
 pub use htmsim::HtmSim;
 pub use hybrid::{HybridNOrec, HybridTl2};
 pub use params::{CapacityPolicy, HtmGeometry, TunableCm};
-pub use spec::LINE_WORDS;
+pub use txcore::LINE_WORDS;

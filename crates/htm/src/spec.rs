@@ -4,8 +4,11 @@
 //! cache-line-granularity eager conflict detection, bounded read/write
 //! capacity, subscription to a software sequence lock, and all-or-nothing
 //! visibility at commit. Internally it is an encounter-time-locking TM over
-//! a *private* line-granularity orec table, which gives those semantics in
-//! safe portable code.
+//! the system's line table (`TmSystem::hw_lines`, one versioned lock per
+//! cache line, outside application memory), which gives those semantics in
+//! safe portable code. Every HTM backend on one system locks and validates
+//! in that one table, as hardware transactions on one processor share its
+//! caches; no software path touches it.
 //!
 //! The subscription is read-only. Hardware transactions order themselves
 //! through the line table and `TmSystem::hw_clock` alone; towards the
@@ -18,10 +21,7 @@
 use crate::params::{HtmGeometry, TunableCm};
 use std::sync::atomic::{AtomicU64, Ordering};
 use txcore::util::spin_until;
-use txcore::{Abort, Addr, LineSet, OrecState, OrecTable, ThreadCtx, TmSystem, TxResult};
-
-/// Words per simulated cache line (64-byte lines of 8-byte words).
-pub const LINE_WORDS: usize = 8;
+use txcore::{Abort, Addr, LineSet, OrecState, ThreadCtx, TmSystem, TxResult, LINE_WORDS};
 
 /// Track the cache line of `addr` in `set`; false when that would exceed
 /// `cap` distinct lines (a speculative overflow).
@@ -37,9 +37,6 @@ pub(crate) fn track(set: &mut LineSet, addr: Addr, cap: usize) -> bool {
 /// successful access untouched.
 #[derive(Debug)]
 pub(crate) struct SpecCore {
-    /// Line-granularity versioned locks, private to this backend (metadata
-    /// lives outside application memory, as PolyTM requires).
-    lines: OrecTable,
     geom: HtmGeometry,
     cm: TunableCm,
     /// When set, every speculative access performs the redundant value
@@ -51,7 +48,6 @@ pub(crate) struct SpecCore {
 impl SpecCore {
     pub(crate) fn new(geom: HtmGeometry, naive_instrumentation: bool) -> Self {
         SpecCore {
-            lines: OrecTable::new(1 << 16, LINE_WORDS),
             geom,
             cm: TunableCm::default(),
             naive_instrumentation,
@@ -103,16 +99,17 @@ impl SpecCore {
         if !track(&mut ctx.read_lines, addr, self.geom.read_capacity) {
             return Err(self.cm.charge(ctx, Abort::CAPACITY));
         }
-        let idx = self.lines.index_for(addr);
-        match self.lines.load(idx) {
+        let lines = &sys.hw_lines;
+        let idx = lines.index_for(addr);
+        match lines.load(idx) {
             OrecState::Locked(o) if o == ctx.owner_tag() => Ok(sys.heap.read_raw(addr)),
-            // Conflict attribution uses the private line-table index — the
-            // HTM conflict granule is the cache line, and heatmaps are read
-            // per backend (DESIGN.md §12).
+            // Conflict attribution uses the line-table index — the HTM
+            // conflict granule is the cache line, and heatmaps are read per
+            // backend (DESIGN.md §12).
             OrecState::Locked(_) => Err(self.cm.charge(ctx, Abort::conflict_at(idx))),
             OrecState::Version(v1) => {
                 let val = sys.heap.read_raw(addr);
-                if self.lines.load(idx) != OrecState::Version(v1) || v1 > ctx.rv {
+                if lines.load(idx) != OrecState::Version(v1) || v1 > ctx.rv {
                     return Err(self.cm.charge(ctx, Abort::conflict_at(idx)));
                 }
                 // Software committers do not touch the line orecs, so the
@@ -134,7 +131,7 @@ impl SpecCore {
     /// Speculative write: eager line ownership plus buffered value.
     pub(crate) fn write(
         &self,
-        _sys: &TmSystem,
+        sys: &TmSystem,
         ctx: &mut ThreadCtx,
         seq: &AtomicU64,
         addr: Addr,
@@ -146,8 +143,8 @@ impl SpecCore {
         if !track(&mut ctx.write_lines, addr, self.geom.write_capacity) {
             return Err(self.cm.charge(ctx, Abort::CAPACITY));
         }
-        let idx = self.lines.index_for(addr);
-        if let Err(abort) = self.lines.acquire(idx, ctx.owner_tag(), &mut ctx.locks) {
+        let idx = sys.hw_lines.index_for(addr);
+        if let Err(abort) = sys.hw_lines.acquire(idx, ctx.owner_tag(), &mut ctx.locks) {
             return Err(self.cm.charge(ctx, abort));
         }
         ctx.write_set.insert(addr, val);
@@ -157,10 +154,10 @@ impl SpecCore {
         Ok(())
     }
 
-    fn read_set_intact(&self, ctx: &ThreadCtx) -> Result<(), usize> {
+    fn read_set_intact(sys: &TmSystem, ctx: &ThreadCtx) -> Result<(), usize> {
         let me = ctx.owner_tag();
         for &(idx, observed) in ctx.read_set.orecs() {
-            match self.lines.load(idx as usize) {
+            match sys.hw_lines.load(idx as usize) {
                 OrecState::Version(v) => {
                     if v != observed {
                         return Err(idx as usize);
@@ -208,7 +205,7 @@ impl SpecCore {
         let intact = if wv == ctx.rv + 1 {
             Ok(())
         } else {
-            self.read_set_intact(ctx)
+            Self::read_set_intact(sys, ctx)
         };
         let retreat = match intact {
             Err(line) => Some(Abort::conflict_at(line)),
@@ -224,7 +221,7 @@ impl SpecCore {
             sys.heap.write_raw(a, v);
         }
         for &(idx, _) in &ctx.locks {
-            self.lines.unlock(idx as usize, wv);
+            sys.hw_lines.unlock(idx as usize, wv);
         }
         // `Release`: pairs with the `Acquire` load in `TmSystem::hw_quiet`,
         // which makes the write-back above visible to whoever drained.
@@ -235,9 +232,9 @@ impl SpecCore {
     }
 
     /// Abort path: restore line versions and drop logs.
-    pub(crate) fn rollback(&self, ctx: &mut ThreadCtx) {
+    pub(crate) fn rollback(&self, sys: &TmSystem, ctx: &mut ThreadCtx) {
         for &(idx, prev) in &ctx.locks {
-            self.lines.unlock(idx as usize, prev);
+            sys.hw_lines.unlock(idx as usize, prev);
         }
         ctx.locks.clear();
         ctx.reset_logs();
@@ -282,7 +279,7 @@ mod tests {
             }
         }
         assert_eq!(result, Err(Abort::CAPACITY));
-        core.rollback(&mut ctx);
+        core.rollback(&sys, &mut ctx);
     }
 
     #[test]
@@ -298,7 +295,7 @@ mod tests {
             }
         }
         assert_eq!(result, Err(Abort::CAPACITY));
-        core.rollback(&mut ctx);
+        core.rollback(&sys, &mut ctx);
     }
 
     #[test]
@@ -322,7 +319,7 @@ mod tests {
         seq.store(2, Ordering::Release);
         let b = sys.heap.alloc(1);
         assert_eq!(core.read(&sys, &mut ctx, &seq, b), Err(Abort::FALLBACK));
-        core.rollback(&mut ctx);
+        core.rollback(&sys, &mut ctx);
     }
 
     #[test]
@@ -336,7 +333,7 @@ mod tests {
         assert_eq!(sys.hw_clock.load(Ordering::Relaxed), 1);
         assert_eq!(sys.hw_quiet(), Some(1), "the window closed behind it");
         assert_eq!(
-            core.lines.load(core.lines.index_for(a)),
+            sys.hw_lines.load(sys.hw_lines.index_for(a)),
             OrecState::Version(1)
         );
         assert_eq!(sys.clock.now(), 0, "the STMs' clock is not ours");
@@ -353,7 +350,7 @@ mod tests {
         core.begin(&sys, &mut ctx, &seq).unwrap();
         core.write(&sys, &mut ctx, &seq, a, 1).unwrap();
         assert_eq!(core.commit(&sys, &mut ctx, &seq), Err(Abort::SPURIOUS));
-        core.rollback(&mut ctx);
+        core.rollback(&sys, &mut ctx);
     }
 
     #[test]
@@ -361,11 +358,13 @@ mod tests {
         let (sys, core, mut ctx, seq) = setup(HtmGeometry::TINY_FOR_TESTS);
         let a = sys.heap.alloc(LINE_WORDS * 2);
         let b = a.field(LINE_WORDS as u32);
-        let (la, lb) = (core.lines.index_for(a), core.lines.index_for(b));
-        assert_eq!(core.lines.index_for(a.field(1)), la);
+        let (la, lb) = (sys.hw_lines.index_for(a), sys.hw_lines.index_for(b));
+        assert_eq!(sys.hw_lines.index_for(a.field(1)), la);
         assert_ne!(la, lb);
-        core.lines.store_version(la, 33);
-        core.lines.try_lock(lb, txcore::OwnerTag(9), None).unwrap();
+        sys.hw_lines.store_version(la, 33);
+        sys.hw_lines
+            .try_lock(lb, txcore::OwnerTag(9), None)
+            .unwrap();
         core.begin(&sys, &mut ctx, &seq).unwrap();
         core.write(&sys, &mut ctx, &seq, a, 1).unwrap();
         // A second word of the line we own: no second lock entry.
@@ -374,9 +373,12 @@ mod tests {
         // A line somebody else owns still aborts, and names itself.
         let abort = core.write(&sys, &mut ctx, &seq, b, 4).unwrap_err();
         assert_eq!((abort, abort.stripe()), (Abort::CONFLICT, Some(lb as u32)));
-        core.rollback(&mut ctx);
-        assert_eq!(core.lines.load(la), OrecState::Version(33));
-        assert_eq!(core.lines.load(lb), OrecState::Locked(txcore::OwnerTag(9)));
+        core.rollback(&sys, &mut ctx);
+        assert_eq!(sys.hw_lines.load(la), OrecState::Version(33));
+        assert_eq!(
+            sys.hw_lines.load(lb),
+            OrecState::Locked(txcore::OwnerTag(9))
+        );
         assert!(ctx.locks.is_empty());
     }
 

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use txcore::{run_tx, Abort, Addr, OrecTable, ThreadCtx, TmBackend, TmSystem, Tx, TxResult};
+use txcore::{run_tx, Abort, Addr, ThreadCtx, TmBackend, TmSystem, Tx, TxResult};
 
 /// How long a helper may take to do what it must; failing beats hanging.
 const DEADLINE: Duration = Duration::from_secs(2);
@@ -89,12 +89,12 @@ impl Rig {
     fn finish(&self) {
         self.sys.hw_done.fetch_add(1, Ordering::Release);
     }
-}
 
-/// The index `addr` has in a speculative core's private line table, whose
-/// geometry this mirrors (`SpecCore::new`).
-fn line_of(addr: Addr) -> u32 {
-    OrecTable::new(1 << 16, LINE_WORDS).index_for(addr) as u32
+    /// The index `addr` has in the system's line table: the stripe a
+    /// hardware conflict on it names.
+    fn line_of(&self, addr: Addr) -> u32 {
+        self.sys.hw_lines.index_for(addr) as u32
+    }
 }
 
 /// Spin until `cond` holds, or fail at the deadline.
@@ -162,7 +162,7 @@ fn a_hardware_commit_on_a_line_the_peer_read_is_a_conflict_on_that_line() {
         tm.write(&mut b, w[1], 1).unwrap();
         let abort = tm.commit(&mut b).unwrap_err();
         assert_eq!(abort, Abort::CONFLICT, "{family:?}");
-        assert_eq!(abort.stripe(), Some(line_of(w[0])), "{family:?}");
+        assert_eq!(abort.stripe(), Some(rig.line_of(w[0])), "{family:?}");
         tm.rollback(&mut b);
         assert_eq!(
             rig.sys.hw_quiet(),
@@ -225,6 +225,32 @@ fn only_a_software_commit_poisons_hardware_transactions() {
         assert_eq!(tm.read(&mut b, w[1]), Err(Abort::FALLBACK), "{family:?}");
         tm.rollback(&mut b);
     }
+}
+
+#[test]
+fn hardware_transactions_of_two_backends_share_one_set_of_lines() {
+    // One memory, one set of cache lines: a `HybridNOrec` reader must see
+    // the lines an `HtmSim` writer on the same system committed.
+    let sys = Arc::new(TmSystem::new(1 << 14));
+    let (hy, htm) = (
+        HybridNOrec::new(Arc::clone(&sys)),
+        HtmSim::new(Arc::clone(&sys)),
+    );
+    let base = sys.heap.alloc(LINE_WORDS * 2);
+    let (x, y) = (base, base.field(LINE_WORDS as u32));
+    let (mut r, mut w) = (ThreadCtx::new(0), ThreadCtx::new(1));
+    hy.begin(&mut r).unwrap();
+    assert_eq!(hy.read(&mut r, x), Ok(0));
+    run_tx(&htm, &mut w, |tx| {
+        tx.write(x, 1)?;
+        tx.write(y, 1)
+    });
+    // The new Y beside the old X would be an inconsistent snapshot.
+    let abort = hy.read(&mut r, y).unwrap_err();
+    assert_eq!(abort, Abort::CONFLICT);
+    assert_eq!(abort.stripe(), Some(sys.hw_lines.index_for(y) as u32));
+    hy.rollback(&mut r);
+    assert_eq!(sys.hw_quiet(), Some(1));
 }
 
 // ---- helper thread: the waits -------------------------------------------

@@ -249,10 +249,21 @@ impl KnnModel {
 
     /// [`Self::fit`] on a borrowed matrix: its ratings copied column-major.
     pub(crate) fn of(training: &UtilityMatrix, similarity: Similarity, k: usize) -> Self {
-        let (nrows, ncols) = (training.nrows(), training.ncols());
+        Self::of_rows(training.ncols(), training.rows(), similarity, k)
+    }
+
+    /// The model of the matrix whose rows are `rows`, each `ncols` long:
+    /// their ratings copied column-major, and nothing else.
+    pub(crate) fn of_rows<R: AsRef<[Option<f64>]>>(
+        ncols: usize,
+        rows: &[R],
+        similarity: Similarity,
+        k: usize,
+    ) -> Self {
+        let nrows = rows.len();
         let mut columns = vec![None; nrows * ncols];
-        for (r, row) in training.rows().iter().enumerate() {
-            for (c, &rating) in row.iter().enumerate() {
+        for (r, row) in rows.iter().enumerate() {
+            for (c, &rating) in row.as_ref().iter().enumerate() {
                 columns[c * nrows + r] = rating;
             }
         }
@@ -292,6 +303,16 @@ impl<C: AsRef<[Option<f64>]>> KnnModel<C> {
     /// Neighbours averaged per column.
     pub(crate) fn k(&self) -> usize {
         self.k
+    }
+
+    /// Every known rating as `(row, column, rating)`, row by row and
+    /// column by column within a row: the order of
+    /// [`UtilityMatrix::known_in_row`] over the rows.
+    pub(crate) fn known_by_row(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        let columns = self.columns.as_ref();
+        (0..self.nrows).flat_map(move |r| {
+            (0..self.ncols).filter_map(move |c| columns[c * self.nrows + r].map(|v| (r, c, v)))
+        })
     }
 
     /// Column `c`'s ratings, by row; empty past the last column.

@@ -1,6 +1,7 @@
 //! Matrix-factorization collaborative filtering trained by stochastic
 //! gradient descent (§2.2).
 
+use crate::knn::KnnModel;
 use crate::matrix::{known_entries, Row, UtilityMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,27 +162,31 @@ struct Fit {
 }
 
 impl Fit {
-    fn new(training: &UtilityMatrix, params: &MfParams) -> Self {
+    /// A fit of an `nrows × ncols` matrix whose known entries `known`
+    /// yields as `(row, column, rating)`, row by row and column by column
+    /// within a row.
+    fn new(
+        (nrows, ncols): (usize, usize),
+        known: impl Iterator<Item = (usize, usize, f64)>,
+        params: &MfParams,
+    ) -> Self {
         let d = params.d();
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let users: Vec<f64> = (0..training.nrows() * d)
-            .map(|_| rng.gen_range(-0.1..0.1))
-            .collect();
-        let items: Vec<f64> = (0..training.ncols() * d)
-            .map(|_| rng.gen_range(-0.1..0.1))
-            .collect();
-        let entries: Vec<(usize, usize, f64)> = (0..training.nrows())
-            .flat_map(move |r| {
-                training
-                    .known_in_row(r)
-                    .map(move |(c, v)| (r * d, c * d, v))
-            })
-            .collect();
+        let users: Vec<f64> = (0..nrows * d).map(|_| rng.gen_range(-0.1..0.1)).collect();
+        let items: Vec<f64> = (0..ncols * d).map(|_| rng.gen_range(-0.1..0.1)).collect();
+        let entries: Vec<(usize, usize, f64)> = known.map(|(r, c, v)| (r * d, c * d, v)).collect();
         Fit {
             users,
             items,
             entries,
         }
+    }
+
+    /// [`Fit::new`] over a row-major matrix.
+    fn of(training: &UtilityMatrix, params: &MfParams) -> Self {
+        let known = (0..training.nrows())
+            .flat_map(|r| training.known_in_row(r).map(move |(c, v)| (r, c, v)));
+        Fit::new((training.nrows(), training.ncols()), known, params)
     }
 }
 
@@ -242,7 +247,7 @@ const FOLD_IN_GROUP: usize = 4;
 impl MfModel {
     /// Train item factors on the training matrix's known entries.
     pub fn fit(training: &UtilityMatrix, params: MfParams) -> Self {
-        let mut chain = [Fit::new(training, &params)];
+        let mut chain = [Fit::of(training, &params)];
         Self::sgd_fits(&mut chain, params);
         let [fit] = chain;
         MfModel {
@@ -254,7 +259,21 @@ impl MfModel {
     /// [`Self::fit`] on each matrix, the fits trained side by side: the
     /// models are those `fit` returns, bit for bit.
     pub fn fit_folds(trainings: &[&UtilityMatrix], params: MfParams) -> Vec<Self> {
-        let mut chains: Vec<Fit> = trainings.iter().map(|t| Fit::new(t, &params)).collect();
+        Self::fit_chains(
+            trainings.iter().map(|t| Fit::of(t, &params)).collect(),
+            params,
+        )
+    }
+
+    /// [`Self::fit_folds`] on matrices held as KNN models, column-major:
+    /// each model's ratings are read row by row, so the fits are those of
+    /// the matrices the models were made of.
+    pub(crate) fn fit_knn_folds(folds: &[&KnnModel], params: MfParams) -> Vec<Self> {
+        let fit = |m: &KnnModel| Fit::new((m.nrows(), m.ncols()), m.known_by_row(), &params);
+        Self::fit_chains(folds.iter().map(|m| fit(m)).collect(), params)
+    }
+
+    fn fit_chains(mut chains: Vec<Fit>, params: MfParams) -> Vec<Self> {
         Self::sgd_fits(&mut chains, params);
         chains
             .into_iter()
@@ -415,12 +434,8 @@ mod tests {
                 .map(|i| sparse(5 + 3 * i, NCOLS, 0.4 + 0.15 * i as f64, &mut rng))
                 .collect();
             for n in 1..=4 {
-                let fits = || -> Vec<Fit> {
-                    trainings[..n]
-                        .iter()
-                        .map(|t| Fit::new(t, &params))
-                        .collect()
-                };
+                let fits =
+                    || -> Vec<Fit> { trainings[..n].iter().map(|t| Fit::of(t, &params)).collect() };
                 let (mut wide, mut base) = (fits(), fits());
                 sgd(&mut wide, &params);
                 sgd_any(&mut base, &params);
@@ -461,6 +476,36 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A matrix held column-major by a KNN model fits as the matrix does:
+    /// its entries reach SGD in the same (row, column) order.
+    #[test]
+    fn knn_held_folds_fit_as_their_matrices() {
+        let mut rng = StdRng::seed_from_u64(59);
+        let folds: Vec<UtilityMatrix> = [(7, 5, 0.6), (1, 9, 0.9), (12, 3, 0.3), (0, 4, 0.5)]
+            .iter()
+            .map(|&(nrows, ncols, density)| sparse(nrows, ncols, density, &mut rng))
+            .collect();
+        let knn: Vec<KnnModel> = folds
+            .iter()
+            .map(|m| KnnModel::of(m, crate::Similarity::Euclidean, 1))
+            .collect();
+        let params = MfParams {
+            factors: 3,
+            epochs: 7,
+            ..MfParams::default()
+        };
+        let rows: Vec<&UtilityMatrix> = folds.iter().collect();
+        let columns: Vec<&KnnModel> = knn.iter().collect();
+        let (a, b) = (
+            MfModel::fit_folds(&rows, params),
+            MfModel::fit_knn_folds(&columns, params),
+        );
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(&b) {
+            assert_eq!(bits(&a.item_factors), bits(&b.item_factors));
         }
     }
 

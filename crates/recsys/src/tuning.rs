@@ -83,13 +83,12 @@ fn random_candidate(rng: &mut StdRng, knn_only: bool) -> CfAlgorithm {
 /// of this one that are scored, each with a fraction of its entries
 /// hidden.
 struct Fold {
-    /// The other folds' rows; empty if there are none, and then nothing is
-    /// fitted for the fold.
-    training: UtilityMatrix,
-    /// `training` as a KNN model, its ratings copied column-major once:
-    /// every KNN candidate borrows them under its own similarity and `k`
-    /// ([`KnnModel::with`]), so this model's own two are never used.
-    knn: KnnModel,
+    /// The other folds' rows as a KNN model, their ratings copied
+    /// column-major once: every KNN candidate borrows them under its own
+    /// similarity and `k` ([`KnnModel::with`]), so this model's own two are
+    /// never used, and every MF candidate fits them read row by row. No
+    /// rows if there are no other folds, and then nothing is fitted.
+    training: KnnModel,
     /// Each scored row with its hidden entries set to `None`.
     masked: Vec<Row>,
     /// Per masked row, its hidden `(column, rating)`s in column order.
@@ -112,9 +111,9 @@ fn draw_split(training: &UtilityMatrix, opts: &TuningOptions) -> Vec<Fold> {
     }
     (0..folds)
         .map(|fold| {
-            let fit_rows: Vec<Row> = (0..nrows)
+            let fit_rows: Vec<&Row> = (0..nrows)
                 .filter(|&r| assignment[r] != fold)
-                .map(|r| training.row(r).clone())
+                .map(|r| training.row(r))
                 .collect();
             let mut masked = Vec::new();
             let mut hidden = Vec::new();
@@ -139,10 +138,8 @@ fn draw_split(training: &UtilityMatrix, opts: &TuningOptions) -> Vec<Fold> {
                     }
                 }
             }
-            let training = UtilityMatrix::from_rows(fit_rows);
             Fold {
-                knn: KnnModel::of(&training, Similarity::Euclidean, 1),
-                training,
+                training: KnnModel::of_rows(training.ncols(), &fit_rows, Similarity::Euclidean, 1),
                 masked,
                 hidden,
             }
@@ -157,24 +154,24 @@ fn predict_folds(split: &[Fold], algo: CfAlgorithm) -> Vec<Vec<Row>> {
         CfAlgorithm::Knn { similarity, k } => split
             .iter()
             .map(|f| {
-                if f.training.is_empty() {
+                if f.training.nrows() == 0 {
                     return Vec::new();
                 }
-                let model = f.knn.with(similarity, k);
+                let model = f.training.with(similarity, k);
                 f.masked.iter().map(|row| model.predict_row(row)).collect()
             })
             .collect(),
         CfAlgorithm::Mf(params) => {
-            let trainings: Vec<&UtilityMatrix> = split
+            let trainings: Vec<&KnnModel> = split
                 .iter()
-                .filter(|f| !f.training.is_empty())
+                .filter(|f| f.training.nrows() > 0)
                 .map(|f| &f.training)
                 .collect();
-            let mut models = MfModel::fit_folds(&trainings, params).into_iter();
+            let mut models = MfModel::fit_knn_folds(&trainings, params).into_iter();
             split
                 .iter()
                 .map(|f| {
-                    if f.training.is_empty() {
+                    if f.training.nrows() == 0 {
                         return Vec::new();
                     }
                     let model = models.next().expect("a model per fitted fold");

@@ -112,7 +112,9 @@ impl Acquisition {
 ///
 /// The candidate with the largest improvement is scored first. Its EI is a
 /// bar that a candidate whose [`ei_upper_bound`] is below it cannot reach,
-/// so such a candidate is never the maximum and is not scored.
+/// so such a candidate is never the maximum and is not scored. The bar
+/// rises to every larger EI scored on the way: a bound below an EI already
+/// seen rules its candidate out just as well.
 fn max_ei(candidates: &[Candidate], best: f64, goal: Goal) -> (Candidate, f64, usize) {
     let sigma = |c: &Candidate| c.sigma2.max(0.0).sqrt();
     let lead = candidates
@@ -123,19 +125,21 @@ fn max_ei(candidates: &[Candidate], best: f64, goal: Goal) -> (Candidate, f64, u
         })
         .expect("non-empty")
         .0;
-    let bar = expected_improvement(candidates[lead].mu, sigma(&candidates[lead]), best, goal);
+    let lead_ei = expected_improvement(candidates[lead].mu, sigma(&candidates[lead]), best, goal);
+    let mut bar = lead_ei;
     let mut scored = 1;
     let mut top: Option<(f64, Candidate)> = None;
     for (i, c) in candidates.iter().enumerate() {
         let sigma = sigma(c);
         let ei = if i == lead {
-            bar
+            lead_ei
         } else if ei_upper_bound(c.mu, sigma, best, goal) < bar {
             continue;
         } else {
             scored += 1;
             expected_improvement(c.mu, sigma, best, goal)
         };
+        bar = bar.max(ei);
         if top.is_none_or(|(t, _)| ei.total_cmp(&t).is_ge()) {
             top = Some((ei, *c));
         }

@@ -57,4 +57,4 @@ pub use pheap::{
 };
 pub use sets::{LineSet, ReadSet, WriteSet};
 pub use stats::{LocalStats, StatsSnapshot, ThreadStats};
-pub use system::{ThreadCtx, TmSystem, WORK_FLUSH_EVERY};
+pub use system::{ThreadCtx, TmSystem, LINE_WORDS, WORK_FLUSH_EVERY};

@@ -14,6 +14,11 @@ use std::sync::Arc;
 pub(crate) const DEFAULT_ORECS: usize = 1 << 16;
 /// Default stripe width in words (fields of one small record share an orec).
 pub(crate) const DEFAULT_STRIPE: usize = 4;
+/// Words per simulated cache line (64-byte lines of 8-byte words): the
+/// conflict granule of the simulated HTM and the stripe of `hw_lines`.
+pub const LINE_WORDS: usize = 8;
+/// Records in the simulated HTM's line table.
+const HW_LINES: usize = 1 << 16;
 
 /// All state shared between threads and backends: the application heap plus
 /// every piece of TM metadata.
@@ -21,8 +26,11 @@ pub(crate) const DEFAULT_STRIPE: usize = 4;
 /// Backends keep their metadata *here*, in regions separate from application
 /// data — the property PolyTM requires from a backend to be switchable
 /// (paper §4: "does not interfere with the original memory layout").
-/// Because PolyTM quiesces all threads before switching algorithms, the
-/// metadata tables can safely be shared by every backend.
+/// Each table serves one family of protocols: `orecs` and `read_vers` the
+/// word-based STMs, `hw_lines` the simulated HTM backends. Because PolyTM
+/// quiesces all threads before switching algorithms, a table is left with
+/// no lock held when its family stops running, and the next backend of the
+/// family finds only versions below the clock it shares.
 pub struct TmSystem {
     /// The word-addressed application memory.
     pub heap: Heap,
@@ -31,6 +39,12 @@ pub struct TmSystem {
     /// SwissTM's read-version records: same geometry as `orecs`, by
     /// construction (`with_orecs` builds both) — its commit relies on it.
     pub read_vers: OrecTable,
+    /// The simulated HTM's cache lines: one versioned lock per line of
+    /// [`LINE_WORDS`] words, versioned by `hw_clock`. Every speculative
+    /// path of every HTM backend on this system locks and validates here,
+    /// so hardware transactions of different backends see each other's
+    /// lines, as on one processor; software paths never touch it.
+    pub hw_lines: OrecTable,
     /// Global version clock for timestamp-based validation. Like every
     /// shared word below it sits on a cache line of its own: a tick or a
     /// seqlock flip must not evict the table headers above, which every
@@ -66,6 +80,7 @@ impl TmSystem {
             heap: Heap::new(heap_words),
             orecs: OrecTable::new(n_orecs, stripe_words),
             read_vers: OrecTable::new(n_orecs, stripe_words),
+            hw_lines: OrecTable::new(HW_LINES, LINE_WORDS),
             clock: CachePadded::new(GlobalClock::new()),
             norec_seq: CachePadded::new(AtomicU64::new(0)),
             fallback_seq: CachePadded::new(AtomicU64::new(0)),
@@ -307,6 +322,7 @@ mod tests {
         let sys = TmSystem::new(128);
         assert_eq!(sys.heap.capacity(), 128);
         assert!(sys.orecs.len() >= 2);
+        assert_eq!(sys.hw_lines.len(), HW_LINES);
         assert_eq!(sys.clock.now(), 0);
     }
 
